@@ -814,9 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_parallel(run_p)
     add_guardrails(run_p)
     run_p.add_argument("--engine", choices=list(ENGINES), default=None,
-                       help="simulation engine: 'legacy' (per-arrival "
-                            "heap events), 'fast' (stream cursor + "
-                            "coalesced ticks, the default) or 'vector' "
+                       help="simulation engine: 'fast' (the event "
+                            "loop: stream cursor + coalesced ticks, "
+                            "the default) or 'vector' "
                             "(flat-array batch engine; bit-identical "
                             "results, several times faster on large "
                             "traces)")
@@ -862,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="local",
                          help="'local' keeps a job's whole chain on its "
                               "home shard; 'hash' re-routes every stage "
-                              "hop through the ring (event-loop engines "
+                              "hop through the ring (event-loop engine "
                               "only)")
     shard_g.add_argument("--shard-faults", default=None,
                          metavar="SPEC",

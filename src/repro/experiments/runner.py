@@ -92,7 +92,7 @@ class TrialSpec:
     overrides: Overrides = ()
     faults: Overrides = ()
     shed_expired: bool = False
-    #: Simulation engine ("legacy" | "fast" | "vector" | None for the
+    #: Simulation engine ("fast" | "vector" | None for the
     #: system default).  Deliberately NOT part of :meth:`canonical` —
     #: every engine produces a bit-identical summary (enforced by
     #: ``tests/test_vector_parity.py``), so trials may share cache

@@ -238,6 +238,49 @@ class RunResult:
         }
 
 
+#: RunResult field -> the registry series it totals.  The registry is
+#: the single source of truth for guard / governor / fault-schedule /
+#: durability events in both worlds.
+_REGISTRY_ROLLUPS = {
+    "predictor_fallbacks": "predictor_fallbacks_total",
+    "predictor_recoveries": "predictor_recoveries_total",
+    "fallback_ticks": "scaling_fallback_ticks_total",
+    "spawn_retries": "scaling_spawn_retries_total",
+    "spawn_retries_exhausted": "scaling_spawn_retries_exhausted_total",
+    "surge_clamped": "scaling_surge_clamped_total",
+    "nodes_killed": "cluster_node_kills_total",
+    "nodes_recovered": "cluster_node_recoveries_total",
+    "stage_sheds": "pool_tasks_shed_total",
+    "journal_appends": "journal_appends_total",
+    "recoveries": "recoveries_total",
+    "jobs_requeued_on_recovery": "jobs_requeued_on_recovery",
+    "jobs_deduped_on_recovery": "jobs_deduped_on_recovery",
+    "backpressure_sheds": "gateway_backpressure_sheds_total",
+}
+
+
+def run_rollups(pools: Dict, energy_meter, registry) -> Dict:
+    """The RunResult fields every engine derives the same way: per-pool
+    sums, the energy meter's totals and the registry rollups."""
+    out = {
+        "total_spawns": sum(p.total_spawns for p in pools.values()),
+        "spawns_per_pool": {n: p.total_spawns for n, p in pools.items()},
+        "spawn_times_ms": {n: list(p.spawn_times_ms) for n, p in pools.items()},
+        "rpc_per_pool": {n: p.tasks_per_container() for n, p in pools.items()},
+        "failed_spawns": sum(p.failed_spawns for p in pools.values()),
+        "energy_joules": energy_meter.total_joules,
+        "mean_power_w": energy_meter.mean_power_w,
+        "mean_active_nodes": energy_meter.mean_active_nodes,
+        "task_retries": sum(p.task_retries for p in pools.values()),
+        "container_crashes": sum(p.container_crashes for p in pools.values()),
+        "task_timeouts": sum(p.task_timeouts for p in pools.values()),
+        "dead_lettered": sum(p.tasks_dead_lettered for p in pools.values()),
+    }
+    for field_name, series in _REGISTRY_ROLLUPS.items():
+        out[field_name] = int(registry.total(series))
+    return out
+
+
 class MetricsCollector:
     """Accumulates jobs and periodic cluster samples during a run.
 
@@ -352,48 +395,9 @@ class MetricsCollector:
             queue_ms=np.array([j.total_queue_delay_ms for j in jobs]),
             sample_times_ms=np.asarray(self.sample_times),
             container_samples=container_samples,
-            total_spawns=sum(p.total_spawns for p in pools.values()),
-            spawns_per_pool={n: p.total_spawns for n, p in pools.items()},
-            spawn_times_ms={n: list(p.spawn_times_ms) for n, p in pools.items()},
-            rpc_per_pool={n: p.tasks_per_container() for n, p in pools.items()},
-            failed_spawns=sum(p.failed_spawns for p in pools.values()),
-            energy_joules=self.energy_meter.total_joules,
-            mean_power_w=self.energy_meter.mean_power_w,
-            mean_active_nodes=self.energy_meter.mean_active_nodes,
             n_failed=len(self.failed_jobs),
-            task_retries=sum(p.task_retries for p in pools.values()),
-            container_crashes=sum(p.container_crashes for p in pools.values()),
-            task_timeouts=sum(p.task_timeouts for p in pools.values()),
-            dead_lettered=sum(p.tasks_dead_lettered for p in pools.values()),
             tick_errors=tick_errors,
             degraded_spawns=degraded_spawns,
             shed_jobs=shed_jobs,
-            # Guarded-control-plane events: the registry is the single
-            # source of truth for both worlds, so these reconcile with
-            # whatever the guard/governor/fault schedule recorded.
-            predictor_fallbacks=int(
-                self.registry.total("predictor_fallbacks_total")),
-            predictor_recoveries=int(
-                self.registry.total("predictor_recoveries_total")),
-            fallback_ticks=int(
-                self.registry.total("scaling_fallback_ticks_total")),
-            spawn_retries=int(
-                self.registry.total("scaling_spawn_retries_total")),
-            spawn_retries_exhausted=int(
-                self.registry.total("scaling_spawn_retries_exhausted_total")),
-            surge_clamped=int(
-                self.registry.total("scaling_surge_clamped_total")),
-            nodes_killed=int(self.registry.total("cluster_node_kills_total")),
-            nodes_recovered=int(
-                self.registry.total("cluster_node_recoveries_total")),
-            stage_sheds=int(self.registry.total("pool_tasks_shed_total")),
-            journal_appends=int(
-                self.registry.total("journal_appends_total")),
-            recoveries=int(self.registry.total("recoveries_total")),
-            jobs_requeued_on_recovery=int(
-                self.registry.total("jobs_requeued_on_recovery")),
-            jobs_deduped_on_recovery=int(
-                self.registry.total("jobs_deduped_on_recovery")),
-            backpressure_sheds=int(
-                self.registry.total("gateway_backpressure_sheds_total")),
+            **run_rollups(pools, self.energy_meter, self.registry),
         )

@@ -14,7 +14,8 @@ proactive predictor pre-spawns containers every monitoring interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -23,14 +24,13 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.energy import EnergyMeter, NodePowerModel
 from repro.cluster.faults import ControlPlaneBlackout, NodeFaultSchedule
-from repro.core.policies import RMConfig
-from repro.core.scaling import (
-    HPAScaler,
-    ProactiveScaler,
-    ReactiveScaler,
-    SpawnGovernor,
-    static_pool_sizes,
+from repro.core.controlplane import (
+    ControlPlane,
+    prewarm_opening_capacity,
+    reclaim_idle_capacity,
+    wire_scalers,
 )
+from repro.core.policies import RMConfig
 from repro.core.slack import (
     build_stage_plan,
     function_batch_sizes,
@@ -44,15 +44,10 @@ from repro.prediction.base import Predictor
 from repro.prediction.classical import EWMAPredictor, MovingWindowAveragePredictor
 from repro.prediction.guarded import GuardedPredictor
 from repro.prediction.windowed import WindowedMaxSampler
-from repro.sim.engine import (
-    ENGINE_LEGACY,
-    ENGINE_VECTOR,
-    Simulator,
-    resolve_engine,
-)
-from repro.sim.process import CoalescedTicker, PeriodicProcess, TickerSubscription
+from repro.sim.engine import ENGINE_VECTOR, Simulator, resolve_engine
+from repro.sim.process import CoalescedTicker, PeriodicProcess
 from repro.traces.base import ArrivalTrace
-from repro.workflow.job import Job, Task
+from repro.workflow.lifecycle import LOST_BLACKOUT, RequestLifecycle
 from repro.workflow.pool import FunctionPool
 from repro.workflow.statestore import StateStore
 from repro.workloads.mixes import WorkloadMix
@@ -81,6 +76,10 @@ _UNTRAINED_PREDICTORS = {
 class ServerlessSystem:
     """One policy + workload mix bound to a cluster, ready to run."""
 
+    #: The request-lifecycle implementation ``_build`` instantiates (the
+    #: sharded simulator swaps in its stage-routing subclass).
+    lifecycle_cls = RequestLifecycle
+
     def __init__(
         self,
         config: RMConfig,
@@ -96,7 +95,6 @@ class ServerlessSystem:
         input_scale_sampler: Optional[Callable[[np.random.Generator], float]] = None,
         fault_model=None,
         tracer: Optional[Tracer] = None,
-        fast_path: bool = True,
         shed_expired: bool = False,
         node_fault_schedule: Optional[NodeFaultSchedule] = None,
         control_blackout: Optional[ControlPlaneBlackout] = None,
@@ -107,21 +105,13 @@ class ServerlessSystem:
         self.cluster_spec = cluster_spec
         self.seed = seed
         self.drain_ms = drain_ms
-        #: Concrete engine driving run(): "legacy", "fast" or "vector"
-        #: (DESIGN.md section 13).  None resolves from ``fast_path`` so
-        #: existing call sites keep their exact behavior.
-        self.engine = resolve_engine(engine, fast_path)
-        if engine is not None:
-            fast_path = self.engine != ENGINE_LEGACY
+        #: Concrete engine driving run(): "fast" (the event loop, the
+        #: default) or "vector" (DESIGN.md section 13).
+        self.engine = resolve_engine(engine)
         #: Optional request-span tracer.  The simulator and the live
         #: runtime both record spans through the metrics collector, so
         #: either path emits the identical span schema.
         self.tracer = tracer
-        #: Feed arrivals through one self-rescheduling cursor over the
-        #: sorted trace array (heap stays small) instead of
-        #: pre-scheduling every arrival.  Off only for the perf
-        #: harness's legacy-path comparison.
-        self.fast_path = fast_path
         #: Per-run metrics registry backing every pool/collector counter
         #: (re-created by each ``_build``).
         self.registry = MetricsRegistry()
@@ -147,9 +137,6 @@ class ServerlessSystem:
         #: gateway/control-loop crash injection: arrivals inside it are
         #: lost at the front door and monitor ticks do not run.
         self.control_blackout = control_blackout
-        #: Contained control-plane tick failures (parity with serve's
-        #: ``ControlLoop.tick_errors``).
-        self.tick_errors = 0
         self.cold_start_model = cold_start_model or ColdStartModel()
         self.power_model = power_model or NodePowerModel()
         self.predictor = self._resolve_predictor(predictor)
@@ -178,6 +165,7 @@ class ServerlessSystem:
         # Populated by run().
         self.sim: Optional[Simulator] = None
         self.pools: Dict[str, FunctionPool] = {}
+        self.control: Optional[ControlPlane] = None
         self.store = StateStore(seed=seed)
 
     def _resolve_predictor(self, predictor: Optional[Predictor]) -> Optional[Predictor]:
@@ -216,10 +204,11 @@ class ServerlessSystem:
 
     # -- wiring ---------------------------------------------------------------
 
-    def _build(self, sim: Simulator) -> None:
-        self.sim = sim
+    def _build_substrate(self) -> None:
+        """Per-run state every engine starts from: registry, cluster
+        (with this shard's cordons), RNG streams, arrival sampler,
+        energy meter and the store's stage rows."""
         self.registry = MetricsRegistry()
-        self.tick_errors = 0
         if self.shared_cluster is not None:
             # Multi-tenant deployment: tenants share one physical
             # cluster (pools stay isolated per the paper's footnote 4).
@@ -246,10 +235,38 @@ class ServerlessSystem:
         self.energy_meter = EnergyMeter(
             model=self.power_model, interval_ms=self.config.monitor_interval_ms
         )
+        for name in self.mix.function_names():
+            self.store.insert(
+                "stages",
+                name,
+                {
+                    "batch_size": self.batch_sizes[name],
+                    "slack_ms": self.stage_slacks[name],
+                    "response_ms": self.stage_responses[name],
+                },
+            )
+
+    def _build(self, sim: Simulator) -> None:
+        self.sim = sim
+        self._build_substrate()
         self.metrics = MetricsCollector(
             self.energy_meter, tracer=self.tracer, registry=self.registry
         )
         self.pools = {}
+        # The request path: the shared lifecycle core on this run's
+        # virtual clock — one scheduled event per ingress and per hop.
+        self.lifecycle = self.lifecycle_cls(
+            pools=self.pools,
+            mix=self.mix,
+            metrics=self.metrics,
+            sampler=self.sampler,
+            now=lambda: sim.now,
+            later=lambda delay_ms, fn, *args: sim.schedule(
+                delay_ms, partial(fn, *args)),
+            shed_expired=self.shed_expired,
+            store=self.store,
+        )
+        reclaim = partial(reclaim_idle_capacity, self.pools)
         for name in self.mix.function_names():
             svc = self._service(name)
             self.pools[name] = FunctionPool(
@@ -262,7 +279,7 @@ class ServerlessSystem:
                 scheduling=self.config.scheduling,
                 cold_start=self.cold_start_model,
                 rng=self._rng_exec,
-                on_task_finished=self._on_task_finished,
+                on_task_finished=self.lifecycle.on_task_finished,
                 spawn_on_demand=self.config.spawn_on_demand,
                 reap_exempt=self.config.static_pool,
                 delay_window_ms=self.config.monitor_interval_ms,
@@ -270,47 +287,16 @@ class ServerlessSystem:
                 fault_model=self.fault_model,
                 registry=self.registry,
             )
-            self.store.insert(
-                "stages",
-                name,
-                {
-                    "batch_size": self.batch_sizes[name],
-                    "slack_ms": self.stage_slacks[name],
-                    "response_ms": self.stage_responses[name],
-                },
-            )
-        for pool in self.pools.values():
-            pool.reclaim_callback = self._reclaim_idle_capacity
-        # None when every guardrail is at its off-default — the scalers
-        # then actuate through the exact pre-guardrail path.
-        self.governor = SpawnGovernor.from_config(
-            self.config, registry=self.registry, seed=self.seed + 2
-        )
-        self.reactive = (
-            ReactiveScaler(self.pools, governor=self.governor)
-            if self.config.reactive
-            else None
-        )
-        self.hpa = (
-            HPAScaler(
-                self.pools,
-                target_concurrency=self.config.hpa_target_concurrency,
-            )
-            if self.config.hpa
-            else None
-        )
-        self.proactive = (
-            ProactiveScaler(
-                pools=self.pools,
-                predictor=self.predictor,
-                sampler=self.sampler,
-                stage_shares=self.stage_shares,
-                utilization_target=self.config.utilization_target,
-                governor=self.governor,
-                registry=self.registry,
-            )
-            if self.predictor is not None
-            else None
+            self.pools[name].reclaim_callback = reclaim
+        self.control = ControlPlane(
+            self.config,
+            self.pools,
+            self.registry,
+            sample=lambda now_ms: self.metrics.sample(
+                self.pools, self.cluster.nodes, now_ms, self.sample_energy),
+            **wire_scalers(
+                self.config, self.pools, self.predictor, self.sampler,
+                self.stage_shares, self.registry, seed=self.seed + 2),
         )
 
     def _service(self, name: str):
@@ -322,136 +308,32 @@ class ServerlessSystem:
 
     # -- request path -----------------------------------------------------------
 
-    def _on_arrival(self) -> None:
-        assert self.sim is not None
-        now = self.sim.now
-        if self.control_blackout is not None and self.control_blackout.covers(now):
-            # Dead control plane: the request is lost at the front door
-            # (created + shed, so the SLO math still sees it) and the
-            # sampler — state that died with the brain — learns nothing.
-            # Mirrors the live Gateway's ``dead`` branch exactly.
-            self.metrics.record_job_created()
-            self.registry.counter("gateway_shed_total").inc()
-            self.registry.counter("control_plane_blackout_lost_total").inc()
-            return
+    def _draw_request(self):
+        """``(app, input_scale)`` of the next arrival, drawn before any
+        admission check — the stream order the golden traces and
+        ``TraceReplayer``'s plan pin."""
         app = self.mix.sample_application(self._rng_apps)
         scale = (
             self.input_scale_sampler(self._rng_apps)
             if self.input_scale_sampler is not None
             else 1.0
         )
-        # Every arrival — shed or not — feeds the sampler and the job
-        # counter, exactly like the live gateway: the predictor must see
-        # offered load, and a shed request is an SLO violation, not a
-        # no-op.
-        self.metrics.record_job_created()
-        self.sampler.record(now)
-        if self.shed_expired and self._deadline_expired(app):
-            self.registry.counter("gateway_shed_total").inc()
-            self.registry.counter("gateway_shed_deadline_total").inc()
-            return
-        job = Job(app=app, arrival_ms=now, input_scale=scale)
-        self.store.insert(
-            "jobs", job.job_id, {"app": app.name, "creationTime": now}
-        )
-        # Ingress hop: the transition overhead precedes every stage.
-        self.sim.schedule(
-            app.transition_overhead_ms,
-            lambda: self._enqueue_stage(job, 0),
-            label="ingress",
-        )
+        return app, scale
 
-    def _deadline_expired(self, app) -> bool:
-        """Deadline-aware admission (mirrors ``Gateway._deadline_expired``):
-        shed only when the first stage's monitored queueing delay alone
-        exceeds the chain's slack *and* no dispatchable capacity is free
-        — a free slot means the observed backlog is already draining."""
-        first_pool = self.pools.get(app.stage_names[0])
-        if first_pool is None:
-            return False
-        if getattr(first_pool, "free_slots", 0) > 0:
-            return False
-        return first_pool.monitored_delay_ms() > app.slack_ms
-
-    def _enqueue_stage(self, job: Job, stage_index: int) -> None:
-        task = Task(job=job, stage_index=stage_index, enqueue_ms=self.sim.now)
-        pool = self.pools[task.function]
+    def _on_arrival(self) -> None:
         if (
-            self.shed_expired
-            and stage_index > 0
-            and task.available_slack_ms(self.sim.now) < 0
-            and getattr(pool, "free_slots", 0) == 0
+            self.control_blackout is not None
+            and self.control_blackout.covers(self.sim.now)
         ):
-            # The task is already dead (negative residual slack) and the
-            # stage is saturated: drop it instead of queueing a request
-            # that can only burn capacity.  The job fails terminally so
-            # the drain barrier still converges.
-            pool.record_shed()
-            job.failed_ms = self.sim.now
-            job.failure_reason = "shed-expired"
-            self.metrics.record_job_failed(job)
-            self.store.update(
-                "jobs", job.job_id, {"failedTime": self.sim.now}
-            )
+            # Dead control plane: the front door is closed (the request
+            # is created + shed, nothing is drawn, and the sampler —
+            # state that died with the brain — learns nothing), but
+            # unlike a crash, in-flight work continues.
+            self.lifecycle.lose_arrival(LOST_BLACKOUT, observed=False)
             return
-        pool.enqueue(task)
-
-    def _on_task_finished(self, task: Task) -> None:
-        job = task.job
-        if task.is_last_stage:
-            job.completion_ms = self.sim.now
-            self.metrics.record_job_completed(job)
-            self.store.update(
-                "jobs", job.job_id, {"completionTime": self.sim.now}
-            )
-        else:
-            next_stage = task.stage_index + 1
-            self.sim.schedule(
-                job.app.transition_overhead_ms,
-                lambda: self._enqueue_stage(job, next_stage),
-                label="transition",
-            )
-
-    def _reclaim_idle_capacity(self) -> bool:
-        """Free one idle container cluster-wide under placement pressure.
-
-        Models the platform reclaiming the longest-idle warm sandbox
-        when a spawn cannot be placed (so one hot stage cannot starve
-        the rest of the chain forever).  Prefers the pool holding the
-        most idle capacity.
-        """
-        candidates = sorted(
-            self.pools.values(),
-            key=lambda p: sum(1 for c in p.containers if c.is_reapable),
-            reverse=True,
-        )
-        for pool in candidates:
-            if pool.reap_exempt:
-                continue
-            if pool.reclaim_one_idle():
-                return True
-        return False
+        self.lifecycle.admit(*self._draw_request())
 
     # -- periodic machinery --------------------------------------------------------
-
-    def _guarded_step(self, step: str, fn, *args) -> None:
-        """Run one monitor-tick step; contain and count any exception.
-
-        Parity with the live ``ControlLoop._guarded``: a scaler raising
-        must degrade that one step for that one tick, never kill the
-        whole run's control plane.
-        """
-        try:
-            fn(*args)
-        except Exception:
-            self.tick_errors += 1
-            self.registry.counter("scaling_tick_errors_total").inc()
-
-    def _reap_idle(self, now_ms: float) -> None:
-        if self.governor is not None and not self.governor.allow_reap(now_ms):
-            return
-        for pool in self.pools.values():
-            pool.reap_idle(self.config.idle_timeout_ms)
 
     def _tick_monitor(self, now_ms: float) -> None:
         if (
@@ -463,24 +345,7 @@ class ServerlessSystem:
             # leaves in the metrics timeline.
             self.registry.counter("control_plane_ticks_skipped_total").inc()
             return
-        if self.governor is not None:
-            self._guarded_step("governor", self.governor.begin_tick, now_ms)
-        if self.reactive is not None:
-            self._guarded_step("reactive", self.reactive.tick, now_ms)
-        if self.hpa is not None:
-            self._guarded_step("hpa", self.hpa.tick, now_ms)
-        if self.proactive is not None:
-            self._guarded_step("proactive", self.proactive.tick, now_ms)
-        if not self.config.static_pool:
-            self._guarded_step("reap", self._reap_idle, now_ms)
-        self._guarded_step(
-            "sample",
-            self.metrics.sample,
-            self.pools,
-            self.cluster.nodes,
-            now_ms,
-            self.sample_energy,
-        )
+        self.control.tick(now_ms)
 
     # -- execution -------------------------------------------------------------------
 
@@ -506,32 +371,13 @@ class ServerlessSystem:
                 "attach to a shared Simulator; use engine='fast'")
         self._build(sim)
         self._trace_name = trace.name
-        if self.fast_path:
-            # Lazy bulk injection: one cursor event walks the sorted
-            # numpy arrival array; the heap never holds more than one
-            # pending arrival.
-            sim.schedule_stream(trace.arrivals_ms, self._on_arrival,
-                                label="arrival")
-        else:
-            for t in trace.arrivals_ms:
-                sim.schedule_at(float(t), self._on_arrival, label="arrival")
-        # Start from steady state: warm capacity for the trace's opening
-        # rate already exists (for SBatch, its full static pool).  A cold
-        # platform would otherwise hand every policy an identical
-        # t=0 spawn storm that the paper's long-running testbed never sees.
-        if self.config.static_pool:
-            rate = trace.mean_rate_rps
-        else:
-            opening = trace.rate_series(10_000.0)
-            rate = float(opening[:6].mean()) if opening.size else 0.0
-        sizes = static_pool_sizes(
-            self.pools,
-            rate,
-            self.stage_shares,
-            utilization_target=self.config.utilization_target,
-        )
-        for name, n in sizes.items():
-            self.pools[name].prewarm(n)
+        # Lazy bulk injection: one cursor event walks the sorted numpy
+        # arrival array; the heap never holds more than one pending
+        # arrival.
+        sim.schedule_stream(trace.arrivals_ms, self._on_arrival,
+                            label="arrival")
+        prewarm_opening_capacity(
+            self.pools, trace, self.config, self.stage_shares)
         if self.node_fault_schedule:
             for event in self.node_fault_schedule.events:
                 sim.schedule_at(
@@ -570,16 +416,20 @@ class ServerlessSystem:
         )
 
     @property
-    def all_jobs_done(self) -> bool:
-        # Shed and terminally-failed jobs never complete; counting them
-        # here keeps the drain loop from spinning to its bound waiting
-        # for requests the system deliberately dropped.
-        settled = (
+    def in_flight(self) -> int:
+        """Created jobs not yet settled.  Shed and terminally-failed
+        jobs never complete; counting them as settled keeps the drain
+        loop from spinning to its bound waiting for requests the system
+        deliberately dropped."""
+        return self.metrics.jobs_created - (
             len(self.metrics.completed_jobs)
             + len(self.metrics.failed_jobs)
             + int(self.registry.value("gateway_shed_total"))
         )
-        return self.metrics.jobs_created <= settled
+
+    @property
+    def all_jobs_done(self) -> bool:
+        return self.in_flight <= 0
 
     def finalize(self) -> RunResult:
         """Collect this system's RunResult after the simulation ended."""
@@ -590,7 +440,7 @@ class ServerlessSystem:
             trace=getattr(self, "_trace_name", "trace"),
             duration_ms=self.sim.now,
             pools=self.pools,
-            tick_errors=self.tick_errors,
+            tick_errors=self.control.tick_errors,
             degraded_spawns=getattr(self.cold_start_model, "degraded_spawns", 0),
             shed_jobs=int(self.registry.value("gateway_shed_total")),
         )
@@ -626,7 +476,6 @@ def run_policy(
     power_model: Optional[NodePowerModel] = None,
     fault_model=None,
     tracer: Optional[Tracer] = None,
-    fast_path: bool = True,
     shed_expired: bool = False,
     node_fault_schedule: Optional[NodeFaultSchedule] = None,
     control_blackout: Optional[ControlPlaneBlackout] = None,
@@ -664,7 +513,6 @@ def run_policy(
             predictor=predictor,
             seed=seed,
             drain_ms=drain_ms,
-            fast_path=fast_path,
             shed_expired=shed_expired,
             engine=engine,
             **config_overrides,
@@ -682,7 +530,6 @@ def run_policy(
         drain_ms=drain_ms,
         fault_model=fault_model,
         tracer=tracer,
-        fast_path=fast_path,
         shed_expired=shed_expired,
         node_fault_schedule=node_fault_schedule,
         control_blackout=control_blackout,

@@ -17,10 +17,11 @@ replays (the Wiki trace at paper scale):
   ``(time, seq, kind, a, b)`` tuples compared in C; arrivals never
   enter the heap at all (a cursor over the sorted trace array is merged
   against the heap head, consuming virtual sequence numbers so ordering
-  is identical to the event-loop engines).
+  is identical to the event-loop engine).
 * **Epoch-driven run loop** — the horizon is drained in monitor-epoch
   chunks (:func:`repro.core.vectorized.epoch_boundaries`); scalers,
-  reaping and sampling run at exactly the legacy tick cadence against
+  reaping and sampling run at exactly the event loop's tick cadence —
+  the shared :class:`~repro.core.controlplane.ControlPlane` — against
   duck-typed :class:`VectorPool` objects, so the *decision logic* is
   the real, shared code from ``core/scaling.py``.
 * **Vectorized finalize** — per-job latency breakdowns come from
@@ -35,7 +36,7 @@ reschedule-before-callback rule), consumes the *exact* RNG streams
 draw order; ``lognormal(0, s)`` ≡ ``exp(s·z)`` and
 ``normal(m, s)`` ≡ ``m + s·z`` bit for bit), and mirrors every
 counter-visible side effect.  ``tests/test_vector_parity.py`` asserts
-identical ``RunResult`` summaries against both other engines across a
+identical ``RunResult`` summaries against the event-loop engine across a
 policy × trace × mix × seed grid.
 
 Two result-invisible shortcuts are taken deliberately: per-job
@@ -51,20 +52,18 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.container import _container_ids
-from repro.cluster.energy import EnergyMeter
-from repro.core.scaling import (
-    HPAScaler,
-    ProactiveScaler,
-    ReactiveScaler,
-    SpawnGovernor,
-    static_pool_sizes,
+from repro.core.controlplane import (
+    ControlPlane,
+    prewarm_opening_capacity,
+    reclaim_idle_capacity,
+    wire_scalers,
 )
 from repro.core.scheduling import LSFQueue, make_queue
 from repro.core.vectorized import (
@@ -73,14 +72,13 @@ from repro.core.vectorized import (
     job_record_layout,
     presample_app_indices,
 )
-from repro.metrics.collector import RunResult
-from repro.obs.registry import MetricsRegistry
+from repro.metrics.collector import RunResult, run_rollups
 from repro.obs.trace import record_job_spans
-from repro.prediction.windowed import WindowedMaxSampler
 from repro.sim.engine import FlatClock
 from repro.workflow.job import Job, _job_ids
+from repro.workflow.lifecycle import SHED_EXPIRED_REASON
 
-__all__ = ["VectorEngineUnsupported", "run_vector"]
+__all__ = ["VectorEngine", "VectorEngineUnsupported", "run_vector"]
 
 # Event kinds on the flat heap.  Entries are (time, seq, kind, a, b);
 # (time, seq) is unique, so comparison never reaches the payload.
@@ -104,7 +102,7 @@ _PRUNE_COMPACT = 512
 
 class VectorEngineUnsupported(RuntimeError):
     """This configuration needs per-event machinery the flat loop does
-    not replicate; run it with ``engine="fast"`` (or legacy) instead."""
+    not replicate; run it with ``engine="fast"`` instead."""
 
 
 class VectorContainer:
@@ -130,7 +128,7 @@ class VectorContainer:
         self.last_used = now
         self.busy = 0.0
 
-    # -- adapters for code shared with the event-loop engines ----------
+    # -- adapters for code shared with the event-loop engine -----------
 
     @property
     def occupied_slots(self) -> int:
@@ -194,7 +192,7 @@ class VectorPool:
         self.retired_task_counts: List[int] = []
         self.enq_n = 0           # tasks enqueued (synced at finalize)
         self.done_n = 0          # tasks completed (synced at finalize)
-        # Head-pointer windows (legacy: deques pruned with strict <).
+        # Head-pointer windows (event loop: deques pruned with strict <).
         self.waiting: List[int] = []       # record indices, FIFO
         self.whead = 0
         self.recent_enq: List[float] = []  # enqueue times
@@ -426,8 +424,12 @@ def _check_supported(system) -> None:
             "use engine='fast'")
 
 
-class _VectorEngine:
-    """One run of one system over one trace, flattened."""
+class VectorEngine:
+    """One run of one system over one trace, flattened.
+
+    Steppable: the sharded sim constructs one per shard and drives them
+    epoch by epoch via ``step_until``.
+    """
 
     def __init__(self, system, trace) -> None:
         _check_supported(system)
@@ -453,38 +455,16 @@ class _VectorEngine:
     def _build(self) -> None:
         system = self.system
         config = self.config
-        system.registry = MetricsRegistry()
+        system._build_substrate()
         registry = self.registry = system.registry
-        system.tick_errors = 0
-        spec = system.cluster_spec
-        self.cluster = Cluster(
-            n_nodes=spec.n_nodes,
-            cores_per_node=spec.cores_per_node,
-            memory_per_node_mb=spec.memory_per_node_mb,
-            policy=config.placement,
-        )
-        system.cluster = self.cluster
-        # Sharded mode: nodes not granted to this shard start cordoned
-        # (placement bit only) so the orchestrator can move whole-node
-        # grants later.  ``None`` — every non-sharded run — changes
-        # nothing.
-        cordon = getattr(system, "cordoned_node_ids", None)
-        if cordon:
-            for node_id in cordon:
-                self.cluster.nodes[node_id].fail()
-        self._rng_apps = np.random.default_rng(system.seed)
-        self._rng_exec = np.random.default_rng(system.seed + 1)
-        system._rng_apps = self._rng_apps
-        system._rng_exec = self._rng_exec
+        self.cluster = system.cluster
+        self._rng_apps = system._rng_apps
+        self._rng_exec = system._rng_exec
         self._zbuf: List[float] = []
         self._zi = 0
         self._zn = 0
-        self.sampler = WindowedMaxSampler(
-            interval_ms=config.monitor_interval_ms)
-        system.sampler = self.sampler
-        self.energy_meter = EnergyMeter(
-            model=system.power_model, interval_ms=config.monitor_interval_ms)
-        system.energy_meter = self.energy_meter
+        self.sampler = system.sampler
+        self.energy_meter = system.energy_meter
         # Run-level metrics (MetricsCollector parity: created eagerly).
         self._c_created = registry.counter("jobs_created_total")
         self._c_completed = registry.counter("jobs_completed_total")
@@ -508,41 +488,18 @@ class _VectorEngine:
                 delay_window_ms=config.monitor_interval_ms,
                 registry=registry,
             )
-            system.store.insert(
-                "stages", name,
-                {
-                    "batch_size": system.batch_sizes[name],
-                    "slack_ms": system.stage_slacks[name],
-                    "response_ms": system.stage_responses[name],
-                },
-            )
         system.pools = self.pools
+        reclaim = partial(reclaim_idle_capacity, self.pools)
         for pool in self.pools.values():
-            pool.reclaim_callback = self._reclaim_idle_capacity
-        self.governor = SpawnGovernor.from_config(
-            config, registry=registry, seed=system.seed + 2)
-        self.reactive = (
-            ReactiveScaler(self.pools, governor=self.governor)
-            if config.reactive else None)
-        self.hpa = (
-            HPAScaler(self.pools,
-                      target_concurrency=config.hpa_target_concurrency)
-            if config.hpa else None)
-        self.proactive = (
-            ProactiveScaler(
-                pools=self.pools,
-                predictor=system.predictor,
-                sampler=self.sampler,
-                stage_shares=system.stage_shares,
-                utilization_target=config.utilization_target,
-                governor=self.governor,
-                registry=registry,
-            )
-            if system.predictor is not None else None)
-        system.governor = self.governor
-        system.reactive = self.reactive
-        system.hpa = self.hpa
-        system.proactive = self.proactive
+            pool.reclaim_callback = reclaim
+        # The real control plane (shared scalers, shared guarded tick)
+        # over the duck-typed pools; only ``sample`` is the engine's.
+        self.control = system.control = ControlPlane(
+            config, self.pools, registry, sample=self._sample,
+            **wire_scalers(
+                config, self.pools, system.predictor, self.sampler,
+                system.stage_shares, registry, seed=system.seed + 2),
+        )
 
     def _precompute_apps(self) -> None:
         """Flatten per-application constants into index-addressed rows."""
@@ -578,8 +535,8 @@ class _VectorEngine:
         uncovered = ~cov
         k = int(np.count_nonzero(uncovered))
         # Uncovered arrivals consume app draws in arrival order; covered
-        # ones consume nothing (the legacy blackout branch returns before
-        # sampling).
+        # ones consume nothing (the event loop's blackout branch returns
+        # before sampling).
         cdf = self.mix._weight_cdf
         drawn = presample_app_indices(cdf, self._rng_apps, k)
         arr_app = np.full(times.size, -1, dtype=np.int64)
@@ -641,16 +598,8 @@ class _VectorEngine:
             self._a_seq = -1
             self._seq = 0
         # 2. Prewarm (same ready-event order: pools in mix order).
-        if config.static_pool:
-            rate = trace.mean_rate_rps
-        else:
-            opening = trace.rate_series(10_000.0)
-            rate = float(opening[:6].mean()) if opening.size else 0.0
-        sizes = static_pool_sizes(
-            self.pools, rate, system.stage_shares,
-            utilization_target=config.utilization_target)
-        for name, n in sizes.items():
-            self.pools[name].prewarm(n)
+        prewarm_opening_capacity(
+            self.pools, trace, config, system.stage_shares)
         # 3. (node-fault schedule unsupported — rejected at entry)
         # 4. Blackout edges: crash then recovery counters.
         if self.blackout is not None:
@@ -818,20 +767,6 @@ class _VectorEngine:
                 else:
                     lq.append(q.popleft())
 
-    def _reclaim_idle_capacity(self) -> bool:
-        candidates = sorted(
-            self.pools.values(),
-            key=lambda p: sum(1 for c in p.containers
-                              if c.state == S_IDLE and not c.lq),
-            reverse=True,
-        )
-        for pool in candidates:
-            if pool.reap_exempt:
-                continue
-            if pool.reclaim_one_idle():
-                return True
-        return False
-
     def _deadline_expired(self, a: int) -> bool:
         pool = self.app_first_pool[a]
         if pool.free_slots > 0:
@@ -840,50 +775,12 @@ class _VectorEngine:
 
     # -- control plane (real scalers at tick cadence) ------------------
 
-    def _tick_error(self) -> None:
-        self.system.tick_errors += 1
-        self.registry.counter("scaling_tick_errors_total").inc()
-
     def _tick(self, now: float) -> None:
         bl = self.blackout
         if bl is not None and bl.covers(now):
             self.registry.counter("control_plane_ticks_skipped_total").inc()
             return
-        if self.governor is not None:
-            try:
-                self.governor.begin_tick(now)
-            except Exception:
-                self._tick_error()
-        if self.reactive is not None:
-            try:
-                self.reactive.tick(now)
-            except Exception:
-                self._tick_error()
-        if self.hpa is not None:
-            try:
-                self.hpa.tick(now)
-            except Exception:
-                self._tick_error()
-        if self.proactive is not None:
-            try:
-                self.proactive.tick(now)
-            except Exception:
-                self._tick_error()
-        if not self.config.static_pool:
-            try:
-                self._reap_idle(now)
-            except Exception:
-                self._tick_error()
-        try:
-            self._sample(now)
-        except Exception:
-            self._tick_error()
-
-    def _reap_idle(self, now: float) -> None:
-        if self.governor is not None and not self.governor.allow_reap(now):
-            return
-        for pool in self.pools.values():
-            pool.reap_idle(self.config.idle_timeout_ms)
+        self.control.tick(now)
 
     def _sample(self, now: float) -> None:
         self.sample_times.append(now)
@@ -896,7 +793,15 @@ class _VectorEngine:
 
     # -- the merged run loop -------------------------------------------
 
-    def _run_until(self, until: float) -> None:
+    def step_until(self, until: float) -> None:
+        """Advance the merged run loop to *until* (one monitor epoch).
+
+        The public stepping surface: the sharded sim interleaves N
+        engines by stepping each to the same boundary, reconciling them
+        through the global orchestrator between epochs.  ``run()`` below
+        is exactly this primitive in a loop, so a 1-shard stepped run
+        replays the solo path.
+        """
         heap = self._heap
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -1099,26 +1004,15 @@ class _VectorEngine:
         self._events = executed
         self.now = until
 
-    def _all_done(self) -> bool:
-        settled = (len(self._completed_order) + len(self._failed)
-                   + self._gateway_shed)
-        return self._created <= settled
-
-    # -- epoch stepping (public surface for the sharded plane) ----------
-
-    def step_until(self, until: float) -> None:
-        """Advance the event loop to *until* (one monitor epoch).
-
-        The sharded sim interleaves N engines by stepping each to the
-        same boundary, reconciling them through the global orchestrator
-        between epochs.  ``run()`` below is exactly this primitive in a
-        loop, so a 1-shard stepped run replays the solo path.
-        """
-        self._run_until(until)
+    @property
+    def in_flight(self) -> int:
+        """Created jobs not yet settled (completed, failed or shed)."""
+        return self._created - (len(self._completed_order)
+                                + len(self._failed) + self._gateway_shed)
 
     def all_done(self) -> bool:
         """True once every created job has settled (drain condition)."""
-        return self._all_done()
+        return self.in_flight <= 0
 
     def finish(self) -> RunResult:
         """Seal the clock and collect this engine's RunResult."""
@@ -1146,9 +1040,9 @@ class _VectorEngine:
         n_completed = len(completed)
         n_jobs = self._created
         n_admitted = len(self.job_app)
-        # Sync run counters.  Lazily-created legacy counters (gateway
-        # shed / blackout loss) must stay absent from the registry when
-        # zero, for prometheus-export parity.
+        # Sync run counters.  The lifecycle's lazily-created counters
+        # (gateway shed / blackout loss) must stay absent from the
+        # registry when zero, for prometheus-export parity.
         self._c_created.set_value(float(n_jobs))
         self._c_completed.set_value(float(n_completed))
         self._c_failed.set_value(float(len(self._failed)))
@@ -1212,7 +1106,6 @@ class _VectorEngine:
             name: np.asarray(samples[:n_samples])
             for name, samples in self.pool_samples.items()
         }
-        pools = self.pools
         return RunResult(
             policy=self.config.name,
             mix=self.mix.name,
@@ -1229,55 +1122,16 @@ class _VectorEngine:
             queue_ms=qd_co,
             sample_times_ms=np.asarray(self.sample_times),
             container_samples=container_samples,
-            total_spawns=sum(p.total_spawns for p in pools.values()),
-            spawns_per_pool={n: p.total_spawns for n, p in pools.items()},
-            spawn_times_ms={n: list(p.spawn_times_ms)
-                            for n, p in pools.items()},
-            rpc_per_pool={n: p.tasks_per_container()
-                          for n, p in pools.items()},
-            failed_spawns=sum(p.failed_spawns for p in pools.values()),
-            energy_joules=self.energy_meter.total_joules,
-            mean_power_w=self.energy_meter.mean_power_w,
-            mean_active_nodes=self.energy_meter.mean_active_nodes,
             n_failed=len(self._failed),
-            task_retries=sum(p.task_retries for p in pools.values()),
-            container_crashes=sum(p.container_crashes
-                                  for p in pools.values()),
-            task_timeouts=sum(p.task_timeouts for p in pools.values()),
-            dead_lettered=sum(p.tasks_dead_lettered
-                              for p in pools.values()),
-            tick_errors=self.system.tick_errors,
+            tick_errors=self.control.tick_errors,
             degraded_spawns=getattr(self.cold_model, "degraded_spawns", 0),
             shed_jobs=self._gateway_shed,
-            predictor_fallbacks=int(
-                registry.total("predictor_fallbacks_total")),
-            predictor_recoveries=int(
-                registry.total("predictor_recoveries_total")),
-            fallback_ticks=int(
-                registry.total("scaling_fallback_ticks_total")),
-            spawn_retries=int(
-                registry.total("scaling_spawn_retries_total")),
-            spawn_retries_exhausted=int(
-                registry.total("scaling_spawn_retries_exhausted_total")),
-            surge_clamped=int(
-                registry.total("scaling_surge_clamped_total")),
-            nodes_killed=int(registry.total("cluster_node_kills_total")),
-            nodes_recovered=int(
-                registry.total("cluster_node_recoveries_total")),
-            stage_sheds=int(registry.total("pool_tasks_shed_total")),
-            journal_appends=int(registry.total("journal_appends_total")),
-            recoveries=int(registry.total("recoveries_total")),
-            jobs_requeued_on_recovery=int(
-                registry.total("jobs_requeued_on_recovery")),
-            jobs_deduped_on_recovery=int(
-                registry.total("jobs_deduped_on_recovery")),
-            backpressure_sheds=int(
-                registry.total("gateway_backpressure_sheds_total")),
+            **run_rollups(self.pools, self.energy_meter, registry),
         )
 
     def _emit_spans(self, n_admitted: int) -> None:
         """Materialize real ``Job`` objects for terminal jobs (in
-        terminal-event order, matching the event-loop engines' span
+        terminal-event order, matching the event-loop engine's span
         emission order) and feed the shared span assembler."""
         ids = [next(_job_ids) for _ in range(n_admitted)]
         for j, failed in self._terminal:
@@ -1294,17 +1148,12 @@ class _VectorEngine:
                 stage.cold_start_wait_ms = self.rec_cold[r]
             if failed:
                 job.failed_ms = self._failed_ms[j]
-                job.failure_reason = "shed-expired"
+                job.failure_reason = SHED_EXPIRED_REASON
             else:
                 job.completion_ms = self.job_completion[j]
             record_job_spans(self.tracer, job)
 
 
-#: Public name for the steppable engine (the sharded sim constructs one
-#: per shard and drives them epoch by epoch via ``step_until``).
-VectorEngine = _VectorEngine
-
-
 def run_vector(system, trace) -> RunResult:
     """Run *system* over *trace* with the vector engine."""
-    return _VectorEngine(system, trace).run()
+    return VectorEngine(system, trace).run()

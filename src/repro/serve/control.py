@@ -1,29 +1,28 @@
 """The periodic control loop: the live analogue of the sim's monitor.
 
 Every monitoring interval (the paper's 10 s cadence, wall-scaled) one
-tick runs, in the same order as
-:meth:`repro.runtime.system.ServerlessSystem._tick_monitor`: worker
-supervision (reap dead runners, respawn capacity lost to failures),
-reactive scaling, the HPA baseline, proactive (predictor-driven)
-scaling, idle reaping, then a metrics/energy sample.  The scalers are
-the simulator's own :mod:`repro.core.scaling` classes operating on live
-:class:`~repro.serve.pool.WorkerPool` objects — the control logic is
-shared, only the clock underneath differs.
+tick runs: worker supervision (reap dead runners, respawn capacity lost
+to failures) first, so the scalers see post-failure capacity; then the
+shared :class:`~repro.core.controlplane.ControlPlane` sequence — the
+very scalers, order and per-step ``guard`` the simulator's monitor runs
+— and last the durability checkpoint.  Only the clock underneath
+differs.
 
-The loop is the runtime's one periodic heartbeat, so it is hardened:
-each tick step runs under its own try/except.  A scaler or sampler
-raising must degrade that one step for that one tick — never kill the
-loop, which would silently freeze scaling and supervision for the rest
-of the run.  Failures are logged and counted (``tick_errors``).
+The loop is the runtime's one periodic heartbeat, so every step,
+including the two live-only ones, runs through the control plane's
+``guard``: a step raising degrades that one step for that one tick —
+never the loop, which would silently freeze scaling and supervision
+for the rest of the run.  Failures are logged and counted
+(``tick_errors``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
 from typing import Callable, Dict, Optional
 
 from repro.cluster.cluster import Cluster
+from repro.core.controlplane import ControlPlane
 from repro.core.policies import RMConfig
 from repro.core.scaling import (
     HPAScaler,
@@ -35,10 +34,8 @@ from repro.metrics.collector import MetricsCollector
 from repro.serve.clock import ScaledClock
 from repro.serve.pool import WorkerPool
 
-logger = logging.getLogger(__name__)
 
-
-class ControlLoop:
+class ControlLoop(ControlPlane):
     """Periodic supervision + scaling + sampling on the scaled clock."""
 
     def __init__(
@@ -54,40 +51,25 @@ class ControlLoop:
         governor: Optional[SpawnGovernor] = None,
         checkpoint: Optional[Callable[[float], None]] = None,
     ) -> None:
+        super().__init__(
+            config, pools, metrics.registry,
+            sample=lambda now_ms: metrics.sample(pools, cluster.nodes, now_ms),
+            governor=governor, reactive=reactive, hpa=hpa,
+            proactive=proactive,
+        )
         self.clock = clock
-        self.pools = pools
         self.cluster = cluster
         self.metrics = metrics
-        self.config = config
-        self.reactive = reactive
-        self.hpa = hpa
-        self.proactive = proactive
-        self.governor = governor
         #: Optional durability hook (``CheckpointManager.maybe`` bound
         #: to the runtime's snapshot): called once per tick, so a dead
         #: control loop stops checkpointing — which is exactly what a
         #: control-plane crash should look like to the recovery path.
         self.checkpoint = checkpoint
         self.ticks = 0
-        #: Tick steps that raised (and were contained) — nonzero means
-        #: a control-plane component is broken; surfaced in summaries.
-        self.tick_errors = 0
         #: Replacement workers spawned by the supervisor for capacity
         #: lost to crashes/timeouts/node kills.
         self.supervised_respawns = 0
         self._task: Optional[asyncio.Task] = None
-
-    def _guarded(self, step: str, fn, *args) -> None:
-        """Run one tick step; contain, log and count any exception."""
-        try:
-            fn(*args)
-        except Exception:
-            self.tick_errors += 1
-            logger.warning(
-                "control-loop tick step %r failed (contained)",
-                step,
-                exc_info=True,
-            )
 
     def _supervise(self, now_ms: float) -> None:
         for pool in self.pools.values():
@@ -95,32 +77,13 @@ class ControlLoop:
             if supervise is not None:
                 self.supervised_respawns += supervise(now_ms)
 
-    def _reap(self, now_ms: float) -> None:
-        if self.config.static_pool:
-            return
-        if self.governor is not None and not self.governor.allow_reap(now_ms):
-            # Scale-down cooldown: a recent governed scale-up means the
-            # system is still absorbing load — reaping now would churn.
-            return
-        for pool in self.pools.values():
-            pool.reap_idle(self.config.idle_timeout_ms)
-
     def tick(self, now_ms: float) -> None:
-        """One monitoring interval (same order as the simulator, with
-        supervision first so scalers see post-failure capacity)."""
-        self._guarded("supervise", self._supervise, now_ms)
-        if self.governor is not None:
-            self._guarded("governor", self.governor.begin_tick, now_ms)
-        if self.reactive is not None:
-            self._guarded("reactive", self.reactive.tick, now_ms)
-        if self.hpa is not None:
-            self._guarded("hpa", self.hpa.tick, now_ms)
-        if self.proactive is not None:
-            self._guarded("proactive", self.proactive.tick, now_ms)
-        self._guarded("reap", self._reap, now_ms)
-        self._guarded("sample", self.metrics.sample, self.pools, self.cluster.nodes, now_ms)
+        """One monitoring interval: supervise, the shared sequence,
+        checkpoint."""
+        self.guard("supervise", self._supervise, now_ms)
+        super().tick(now_ms)
         if self.checkpoint is not None:
-            self._guarded("checkpoint", self.checkpoint, now_ms)
+            self.guard("checkpoint", self.checkpoint, now_ms)
         self.ticks += 1
 
     async def _run(self) -> None:

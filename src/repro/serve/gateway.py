@@ -1,10 +1,13 @@
 """The admission gateway: where live requests enter the system.
 
-One :class:`Gateway` fronts a tenant's worker pools.  It admits jobs
-(function-chain invocations), applies backpressure — beyond
-``max_pending`` in-flight jobs, new arrivals are *shed* rather than
-queued without bound — and walks each admitted job through its chain,
-paying the same per-hop transition overhead the simulator models.
+One :class:`Gateway` fronts a tenant's worker pools.  The request path
+itself — admit, deadline check, chain walk, terminal outcomes, crash
+recovery — is the shared :class:`~repro.workflow.lifecycle
+.RequestLifecycle`, driven here from ``loop.call_later`` on the scaled
+wall clock.  What the gateway adds is the asyncio shell around it:
+backpressure (beyond ``max_pending`` in-flight jobs new arrivals are
+*shed* rather than queued without bound), the in-flight gauge and the
+idle barrier ``drained`` waits on.
 
 Shed requests still count as created (and therefore as SLO violations)
 in the metrics: admission control protects the *system*, it must not
@@ -23,11 +26,24 @@ from repro.obs.registry import MetricsRegistry
 from repro.prediction.windowed import WindowedMaxSampler
 from repro.serve.clock import ScaledClock
 from repro.serve.journal import RequestJournal
-from repro.serve.recovery import RECOVERY_EXPIRED_REASON, JournaledJob
-from repro.workflow.job import Job, Task
+from repro.serve.recovery import JournaledJob
+from repro.workflow.job import Job
+from repro.workflow.lifecycle import LOST_BACKPRESSURE, RequestLifecycle
 from repro.workflow.pool import FunctionPool
 from repro.workloads.applications import Application
 from repro.workloads.mixes import WorkloadMix
+
+
+#: Counters the lifecycle bumps on the gateway's behalf.
+_LIFECYCLE_SERIES = (
+    "gateway_shed_total",
+    "gateway_shed_deadline_total",
+    "gateway_dead_lettered_total",
+    "gateway_duplicate_completions_total",
+    "gateway_backpressure_sheds_total",
+    "gateway_stale_signals_total",
+    "gateway_dead_sheds_total",
+)
 
 
 class Gateway:
@@ -57,40 +73,44 @@ class Gateway:
         self.rng = rng
         self.max_pending = max_pending
         self.input_scale_sampler = input_scale_sampler
-        self.shed_expired = shed_expired
-        #: Optional write-ahead journal; None = durability off, with a
-        #: code path bit-identical to the pre-journal gateway.
-        self.journal = journal
-        #: Crash flag: a dead gateway drops everything — arrivals,
-        #: pending hop timers, task callbacks.  Its replacement (built
-        #: by the recovery path) takes over the shared registry gauges.
-        self.dead = False
-        #: Live-job registry: job id -> the Job *object* this gateway
-        #: admitted or recovered.  Terminal jobs leave the map; a task
-        #: signal whose job object is not the registered one is stale
-        #: (it crossed a crash epoch) and is dropped, not applied.
-        self._jobs: Dict[int, Job] = {}
         # Admission counters live in the run's metrics registry (shared
-        # with the pools and the collector unless told otherwise); the
-        # former ad-hoc integer attributes are read-only views below.
+        # with the pools and the collector unless told otherwise).
         self.registry = registry if registry is not None else metrics.registry
+        #: The request path.  ``journal=None`` = durability off, with a
+        #: code path bit-identical to the pre-journal gateway.
+        self.lifecycle = RequestLifecycle(
+            pools=pools,
+            mix=mix,
+            metrics=metrics,
+            sampler=sampler,
+            now=lambda: clock.now,
+            later=self._later,
+            shed_expired=shed_expired,
+            journal=journal,
+            registry=self.registry,
+            on_settle=self._settle,
+        )
+        self.on_task_finished = self.lifecycle.on_task_finished
+        self.on_task_failed = self.lifecycle.on_task_failed
         self._g_in_flight = self.registry.gauge("gateway_in_flight")
         self._c_admitted = self.registry.counter("gateway_admitted_total")
-        self._c_shed = self.registry.counter("gateway_shed_total")
-        self._c_shed_deadline = self.registry.counter(
-            "gateway_shed_deadline_total")
-        self._c_dead_lettered = self.registry.counter(
-            "gateway_dead_lettered_total")
-        self._c_duplicates = self.registry.counter(
-            "gateway_duplicate_completions_total")
-        self._c_backpressure = self.registry.counter(
-            "gateway_backpressure_sheds_total")
-        self._c_stale = self.registry.counter(
-            "gateway_stale_signals_total")
-        self._c_dead_sheds = self.registry.counter(
-            "gateway_dead_sheds_total")
+        # The lifecycle bumps its counters by name; registering them
+        # here keeps the live plane's series present even at zero.
+        for name in _LIFECYCLE_SERIES:
+            self.registry.counter(name)
         self._idle = asyncio.Event()
         self._idle.set()
+
+    @property
+    def dead(self) -> bool:
+        """Crash flag: a dead gateway drops everything — arrivals,
+        pending hop timers, task callbacks.  Its replacement (built by
+        the recovery path) takes over the shared registry gauges."""
+        return self.lifecycle.dead
+
+    @dead.setter
+    def dead(self, value: bool) -> None:
+        self.lifecycle.dead = value
 
     # -- registry-backed counters (read-only views) ------------------------
 
@@ -99,41 +119,37 @@ class Gateway:
         return int(self._g_in_flight.value)
 
     @property
-    def admitted(self) -> int:
-        return int(self._c_admitted.value)
-
-    @property
     def shed(self) -> int:
-        return int(self._c_shed.value)
+        return int(self.registry.value("gateway_shed_total"))
 
     @property
     def shed_deadline(self) -> int:
         """Arrivals shed because their slack was already gone (deadline
         shedding) — kept separate from backpressure sheds."""
-        return int(self._c_shed_deadline.value)
+        return int(self.registry.value("gateway_shed_deadline_total"))
 
     @property
     def dead_lettered(self) -> int:
         """Jobs terminally failed (retries exhausted, dead-lettered)."""
-        return int(self._c_dead_lettered.value)
+        return int(self.registry.value("gateway_dead_lettered_total"))
 
     @property
     def duplicate_completions(self) -> int:
         """Completion/failure signals for jobs already terminal — a
         symptom of a double-delivery bug; counted, never applied."""
-        return int(self._c_duplicates.value)
+        return int(self.registry.value("gateway_duplicate_completions_total"))
 
     @property
     def backpressure_sheds(self) -> int:
         """Arrivals shed by the ``max_pending`` in-flight bound alone
         (backpressure ⊂ ``shed``)."""
-        return int(self._c_backpressure.value)
+        return int(self.registry.value("gateway_backpressure_sheds_total"))
 
     @property
     def stale_signals(self) -> int:
         """Task signals from a pre-crash epoch, dropped by the live-job
         identity check (orphaned executions finishing after recovery)."""
-        return int(self._c_stale.value)
+        return int(self.registry.value("gateway_stale_signals_total"))
 
     # -- request path ------------------------------------------------------
 
@@ -147,174 +163,39 @@ class Gateway:
         Every arrival — shed or not — feeds the arrival-rate sampler
         (the predictor must see offered load, not admitted load) and the
         job counter (a shed request is an SLO violation, not a no-op).
+        A dead gateway answers nothing: the lifecycle loses the request
+        at the front door, undrawn and unseen by the sampler.
         """
-        now = self.clock.now
-        if self.dead:
-            # A crashed gateway answers nothing: the request is lost at
-            # the front door (created + shed, so the SLO math still sees
-            # it) and the predictor's sampler — control-plane state that
-            # died with the brain — learns nothing from it.  The
-            # dead-shed counter separates this degraded-routing loss
-            # from ordinary backpressure in the failover accounting.
-            self.metrics.record_job_created()
-            self._c_shed.inc()
-            self._c_dead_sheds.inc()
-            return None
-        self.sampler.record(now)
-        self.metrics.record_job_created()
-        if self.max_pending and self.in_flight >= self.max_pending:
-            self._c_shed.inc()
-            self._c_backpressure.inc()
-            return None
-        if app is None:
-            app = self.mix.sample_application(self.rng)
-        if self.shed_expired and self._deadline_expired(app):
-            self._c_shed.inc()
-            self._c_shed_deadline.inc()
-            return None
-        if input_scale is None:
-            input_scale = (
-                self.input_scale_sampler(self.rng)
-                if self.input_scale_sampler is not None
-                else 1.0
-            )
-        job = Job(app=app, arrival_ms=now, input_scale=input_scale)
-        self._jobs[job.job_id] = job
-        if self.journal is not None:
-            self.journal.admit(job)
-        self._g_in_flight.inc()
-        self._c_admitted.inc()
-        self._idle.clear()
-        # Ingress hop: the transition overhead precedes every stage.
-        self._later(app.transition_overhead_ms, job, 0)
-        return job
+        core = self.lifecycle
+        if not core.dead:
+            # The simulator's draw order: (app, scale) before any
+            # admission check.  Live traffic never draws here — the
+            # replayer passes both from its pre-drawn plan.
+            if app is None:
+                app = self.mix.sample_application(self.rng)
+            if input_scale is None:
+                input_scale = (
+                    self.input_scale_sampler(self.rng)
+                    if self.input_scale_sampler is not None
+                    else 1.0
+                )
+            if self.max_pending and self.in_flight >= self.max_pending:
+                core.lose_arrival(LOST_BACKPRESSURE)
+                return None
+        job = core.admit(app, input_scale)
+        if job is not None:
+            self._c_admitted.inc()
+        return self._track(job)
 
-    def _deadline_expired(self, app: Application) -> bool:
-        """Deadline-aware shedding: is this arrival already doomed?
-
-        If the first stage's monitored queueing delay alone exceeds the
-        chain's total slack, the job's residual slack would be negative
-        before it even reached a worker — admitting it cannot meet the
-        SLO and only burns capacity other jobs could use.  A stage with
-        a free dispatchable slot is never shed against: the monitored
-        backlog is already draining, so the delay signal is stale.
-        """
-        first_pool = self.pools.get(app.stage_names[0])
-        if first_pool is None:
-            return False
-        if getattr(first_pool, "free_slots", 0) > 0:
-            return False
-        return first_pool.monitored_delay_ms() > app.slack_ms
-
-    def _later(self, overhead_ms: float, job: Job, stage_index: int) -> None:
+    def _later(self, delay_ms: float, fn, *args) -> None:
         asyncio.get_running_loop().call_later(
-            self.clock.to_wall_s(overhead_ms),
-            self._enqueue_stage,
-            job,
-            stage_index,
-        )
+            self.clock.to_wall_s(delay_ms), fn, *args)
 
-    def _enqueue_stage(self, job: Job, stage_index: int) -> None:
-        if self.dead:
-            # A pending hop timer fired into a crashed gateway: the job
-            # stays journaled-but-unfinished and recovery requeues it.
-            return
-        if self.journal is not None and stage_index > 0:
-            self.journal.hop(job, stage_index, self.clock.now)
-        task = Task(job=job, stage_index=stage_index, enqueue_ms=self.clock.now)
-        pool = self.pools[task.function]
-        if (
-            self.shed_expired
-            and stage_index > 0
-            and task.available_slack_ms(self.clock.now) < 0
-            and getattr(pool, "free_slots", 0) == 0
-        ):
-            self._shed_stage_task(task)
-            return
-        pool.enqueue(task)
-
-    def _shed_stage_task(self, task: Task) -> None:
-        """Drop an already-dead task at an overloaded downstream stage.
-
-        The task's residual slack is negative and the stage has no free
-        capacity: queueing it cannot meet the SLO and only delays live
-        requests.  The job fails terminally (mirroring the simulator's
-        stage-level shed) so ``in_flight`` still converges to zero.
-        """
-        job = task.job
-        if job.terminal:
-            self._c_duplicates.inc()
-            return
-        if self._stale(job):
-            return
-        self.pools[task.function].record_shed()
-        job.failed_ms = self.clock.now
-        job.failure_reason = "shed-expired"
-        self.metrics.record_job_failed(job)
-        self._jobs.pop(job.job_id, None)
-        if self.journal is not None:
-            self.journal.shed(job, self.clock.now, reason="shed-expired")
-        self._settle()
-
-    def on_task_finished(self, task: Task) -> None:
-        """Pool callback: advance the chain or complete the job.
-
-        Guarded against double delivery: a job already terminal (a
-        retried attempt's ghost completion racing the original, or a
-        completion arriving after the job was dead-lettered) is counted
-        and dropped — decrementing ``in_flight`` twice would corrupt
-        admission control and wedge or falsify the drain barrier.
-        """
-        job = task.job
-        if job.terminal:
-            self._c_duplicates.inc()
-            return
-        if self._stale(job):
-            return
-        if task.is_last_stage:
-            job.completion_ms = self.clock.now
-            self.metrics.record_job_completed(job)
-            self._jobs.pop(job.job_id, None)
-            if self.journal is not None:
-                self.journal.complete(job, self.clock.now)
-            self._settle()
-        else:
-            self._later(job.app.transition_overhead_ms, job, task.stage_index + 1)
-
-    def on_task_failed(self, task: Task, reason: str) -> None:
-        """Retry-layer callback: *task*'s job is beyond saving.
-
-        Marks the job terminally failed so ``in_flight`` still reaches
-        zero and the drain barrier converges even when work is lost.
-        """
-        job = task.job
-        if job.terminal:
-            self._c_duplicates.inc()
-            return
-        if self._stale(job):
-            return
-        job.failed_ms = self.clock.now
-        job.failure_reason = reason
-        self.metrics.record_job_failed(job)
-        self._jobs.pop(job.job_id, None)
-        if self.journal is not None:
-            self.journal.fail(job, self.clock.now, reason=reason)
-        self._c_dead_lettered.inc()
-        self._settle()
-
-    def _stale(self, job: Job) -> bool:
-        """Identity check against the live-job registry.
-
-        True (and counted) when *job* is not the object this gateway
-        knows under its id — a signal from a pre-crash epoch (or from a
-        dead gateway's leftovers).  Applying it would decrement
-        ``in_flight`` for a job the recovered epoch owns, corrupting
-        admission control and double-counting the outcome.
-        """
-        if self.dead or self._jobs.get(job.job_id) is not job:
-            self._c_stale.inc()
-            return True
-        return False
+    def _track(self, job: Optional[Job]) -> Optional[Job]:
+        if job is not None:
+            self._g_in_flight.inc()
+            self._idle.clear()
+        return job
 
     def _settle(self) -> None:
         self._g_in_flight.dec()
@@ -323,57 +204,16 @@ class Gateway:
 
     # -- recovery ----------------------------------------------------------
 
-    def _rebuild_job(self, entry: JournaledJob) -> Optional[Job]:
-        """Reconstruct a Job from its journal record (same id/arrival)."""
-        app = next(
-            (a for a in self.mix.applications if a.name == entry.app), None
-        )
-        if app is None:
-            return None
-        return Job(
-            app=app,
-            arrival_ms=entry.arrival_ms,
-            job_id=entry.job_id,
-            input_scale=entry.input_scale,
-        )
-
     def requeue_recovered(self, entry: JournaledJob) -> Optional[Job]:
-        """Re-admit a journaled-but-unfinished job after a crash.
-
-        The job keeps its original id, arrival time and input scale (so
-        its SLO clock keeps running across the crash — recovery must
-        not launder latency) and resumes at its furthest journaled
-        stage, paying the ingress transition overhead once more.  Not
-        re-journaled as an admit: its original admit record stands and
-        exactly one terminal record will follow.
-        """
-        job = self._rebuild_job(entry)
-        if job is None:
-            return None
-        self._jobs[job.job_id] = job
-        self._g_in_flight.inc()
-        self._idle.clear()
-        self._later(job.app.transition_overhead_ms, job, entry.last_stage)
-        return job
+        """Re-admit a journaled-but-unfinished job after a crash (same
+        id, arrival time and input scale: its SLO clock keeps running
+        across the crash)."""
+        return self._track(self.lifecycle.requeue_recovered(entry))
 
     def expire_recovered(self, entry: JournaledJob) -> Optional[Job]:
-        """Shed a recovered job whose deadline already passed.
-
-        Re-running it cannot meet the SLO; it terminates as a failed
-        job (reason ``recovery-expired``) with a journaled ``shed``
-        record, so admissions == completions + fails + sheds holds.
-        Counted outside ``in_flight`` — the job was never re-admitted.
-        """
-        job = self._rebuild_job(entry)
-        if job is None:
-            return None
-        job.failed_ms = self.clock.now
-        job.failure_reason = RECOVERY_EXPIRED_REASON
-        self.metrics.record_job_failed(job)
-        if self.journal is not None:
-            self.journal.shed(job, self.clock.now,
-                              reason=RECOVERY_EXPIRED_REASON)
-        return job
+        """Shed a recovered job whose deadline already passed; counted
+        outside ``in_flight`` — the job was never re-admitted."""
+        return self.lifecycle.expire_recovered(entry)
 
     def reset_in_flight(self) -> None:
         """Zero the shared in-flight gauge before repopulating it.

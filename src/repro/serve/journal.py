@@ -173,7 +173,71 @@ class _WriterLock:
             pass
 
 
-class RequestJournal:
+def journal_record(ev: str, job_id: int, t_ms: float, **fields) -> Dict:
+    """The one journal record constructor (file WAL and memory sink)."""
+    record = {
+        "v": JOURNAL_SCHEMA_VERSION,
+        "ev": ev,
+        "job": int(job_id),
+        "t": round(float(t_ms), 3),
+    }
+    record.update(fields)
+    return record
+
+
+class JournalWriter:
+    """The lifecycle's journal vocabulary over one ``append`` sink."""
+
+    def append(self, ev: str, job_id: int, t_ms: float, **fields) -> None:
+        raise NotImplementedError
+
+    def admit(self, job) -> None:
+        self.append(
+            EV_ADMIT,
+            job.job_id,
+            job.arrival_ms,
+            app=job.app.name,
+            scale=job.input_scale,
+        )
+
+    def hop(self, job, stage_index: int, t_ms: float) -> None:
+        self.append(EV_HOP, job.job_id, t_ms, stage=int(stage_index))
+
+    def retry(self, task, t_ms: float) -> None:
+        self.append(
+            EV_RETRY,
+            task.job.job_id,
+            t_ms,
+            stage=int(task.stage_index),
+            attempt=int(task.attempts),
+        )
+
+    def complete(self, job, t_ms: float) -> None:
+        self.append(EV_COMPLETE, job.job_id, t_ms)
+
+    def fail(self, job, t_ms: float, reason: Optional[str] = None) -> None:
+        self.append(EV_FAIL, job.job_id, t_ms, reason=reason)
+
+    def shed(self, job, t_ms: float, reason: Optional[str] = None) -> None:
+        self.append(EV_SHED, job.job_id, t_ms, reason=reason)
+
+
+class MemoryJournal(JournalWriter):
+    """In-memory sink with the WAL's exact record schema.
+
+    The sharded simulator's fault plane journals through this, so a
+    takeover replays :func:`repro.serve.recovery.build_recovery_plan`
+    over the same records a live shard's file would hold.
+    """
+
+    def __init__(self) -> None:
+        self.records: List[Dict] = []
+
+    def append(self, ev: str, job_id: int, t_ms: float, **fields) -> None:
+        self.records.append(journal_record(ev, job_id, t_ms, **fields))
+
+
+class RequestJournal(JournalWriter):
     """Append-only JSONL write-ahead log keyed by job id."""
 
     def __init__(
@@ -218,49 +282,11 @@ class RequestJournal:
             return
         if durable is None:
             durable = ev == EV_ADMIT or ev in TERMINAL_EVENTS
-        record = {
-            "v": JOURNAL_SCHEMA_VERSION,
-            "ev": ev,
-            "job": int(job_id),
-            "t": round(float(t_ms), 3),
-        }
-        record.update(fields)
-        self._buffer.append(json.dumps(record, sort_keys=True))
+        self._buffer.append(json.dumps(
+            journal_record(ev, job_id, t_ms, **fields), sort_keys=True))
         self._c_appends.inc()
         if durable or len(self._buffer) >= self.fsync_batch:
             self.flush()
-
-    # Convenience wrappers (the gateway's vocabulary).
-
-    def admit(self, job) -> None:
-        self.append(
-            EV_ADMIT,
-            job.job_id,
-            job.arrival_ms,
-            app=job.app.name,
-            scale=job.input_scale,
-        )
-
-    def hop(self, job, stage_index: int, t_ms: float) -> None:
-        self.append(EV_HOP, job.job_id, t_ms, stage=int(stage_index))
-
-    def retry(self, task, t_ms: float) -> None:
-        self.append(
-            EV_RETRY,
-            task.job.job_id,
-            t_ms,
-            stage=int(task.stage_index),
-            attempt=int(task.attempts),
-        )
-
-    def complete(self, job, t_ms: float) -> None:
-        self.append(EV_COMPLETE, job.job_id, t_ms)
-
-    def fail(self, job, t_ms: float, reason: Optional[str] = None) -> None:
-        self.append(EV_FAIL, job.job_id, t_ms, reason=reason)
-
-    def shed(self, job, t_ms: float, reason: Optional[str] = None) -> None:
-        self.append(EV_SHED, job.job_id, t_ms, reason=reason)
 
     def flush(self) -> None:
         """Write the buffer through and fsync the file."""

@@ -39,9 +39,8 @@ from repro.serve.journal import (
     EV_RETRY,
     TERMINAL_EVENTS,
 )
-
-#: Failure reason stamped on jobs expired during recovery.
-RECOVERY_EXPIRED_REASON = "recovery-expired"
+# The reason is stamped by the lifecycle's ``expire_recovered``.
+from repro.workflow.lifecycle import RECOVERY_EXPIRED_REASON  # noqa: F401
 
 
 @dataclass

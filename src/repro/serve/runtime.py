@@ -20,6 +20,7 @@ import math
 import pathlib
 import signal
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -27,14 +28,12 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.energy import EnergyMeter, NodePowerModel
-from repro.core.policies import RMConfig, make_policy_config
-from repro.core.scaling import (
-    HPAScaler,
-    ProactiveScaler,
-    ReactiveScaler,
-    SpawnGovernor,
-    static_pool_sizes,
+from repro.core.controlplane import (
+    prewarm_opening_capacity,
+    reclaim_idle_capacity,
+    wire_scalers,
 )
+from repro.core.policies import RMConfig, make_policy_config
 from repro.metrics.collector import MetricsCollector, RunResult
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -251,8 +250,9 @@ class ServingRuntime:
                 fault_model=self.chaos.container_faults if self.chaos else None,
                 registry=self.registry,
             )
+        reclaim = partial(reclaim_idle_capacity, self.pools)
         for pool in self.pools.values():
-            pool.reclaim_callback = self._reclaim_idle_capacity
+            pool.reclaim_callback = reclaim
         self.control = self._make_control()
 
     def _make_gateway(self) -> Gateway:
@@ -277,35 +277,6 @@ class ServingRuntime:
         the scalers and governor are brain state, so a crash loses and
         rebuilds them (the checkpoint restores what it can).
         """
-        config = self.config
-        # Same guardrail semantics as the simulator: None when every
-        # knob is at its off-default.
-        governor = SpawnGovernor.from_config(
-            config, registry=self.registry, seed=self.seed + 3
-        )
-        reactive = (
-            ReactiveScaler(self.pools, governor=governor)
-            if config.reactive
-            else None
-        )
-        hpa = (
-            HPAScaler(self.pools, target_concurrency=config.hpa_target_concurrency)
-            if config.hpa
-            else None
-        )
-        proactive = (
-            ProactiveScaler(
-                pools=self.pools,
-                predictor=self.predictor,
-                sampler=self.sampler,
-                stage_shares=self.stage_shares,
-                utilization_target=config.utilization_target,
-                governor=governor,
-                registry=self.registry,
-            )
-            if self.predictor is not None
-            else None
-        )
         checkpoint = None
         if self.checkpointer is not None:
             # A dead shard must stop checkpointing the instant it
@@ -319,12 +290,11 @@ class ServingRuntime:
             pools=self.pools,
             cluster=self.cluster,
             metrics=self.metrics,
-            config=config,
-            reactive=reactive,
-            hpa=hpa,
-            proactive=proactive,
-            governor=governor,
+            config=self.config,
             checkpoint=checkpoint,
+            **wire_scalers(
+                self.config, self.pools, self.predictor, self.sampler,
+                self.stage_shares, self.registry, seed=self.seed + 3),
         )
 
     # -- dispatch shims (stable across gateway epochs) ---------------------
@@ -334,36 +304,6 @@ class ServingRuntime:
 
     def _dispatch_task_failed(self, task: Task, reason: str) -> None:
         self.gateway.on_task_failed(task, reason)
-
-    def _reclaim_idle_capacity(self) -> bool:
-        """Free one idle worker cluster-wide under placement pressure."""
-        candidates = sorted(
-            self.pools.values(),
-            key=lambda p: sum(1 for c in p.containers if c.is_reapable),
-            reverse=True,
-        )
-        for pool in candidates:
-            if pool.reap_exempt:
-                continue
-            if pool.reclaim_one_idle():
-                return True
-        return False
-
-    def _prewarm(self, trace: ArrivalTrace) -> None:
-        """Start from steady state, exactly like the simulator's attach()."""
-        if self.config.static_pool:
-            rate = trace.mean_rate_rps
-        else:
-            opening = trace.rate_series(10_000.0)
-            rate = float(opening[:6].mean()) if opening.size else 0.0
-        sizes = static_pool_sizes(
-            self.pools,
-            rate,
-            self.stage_shares,
-            utilization_target=self.config.utilization_target,
-        )
-        for name, n in sizes.items():
-            self.pools[name].prewarm(n)
 
     # -- durability: snapshot, crash injection, recovery -------------------
 
@@ -393,11 +333,16 @@ class ServingRuntime:
             "in_flight": self.gateway.in_flight if self.gateway else 0,
         }
 
-    def _slo_ms_for_app(self, app_name: str) -> Optional[float]:
-        for app in self.mix.applications:
-            if app.name == app_name:
-                return app.slo_ms
-        return None
+    def _readmit(self, requeue: List, expired: List) -> None:
+        """Hand recovered journal entries to the current gateway epoch."""
+        for entry in requeue:
+            self.gateway.requeue_recovered(entry)
+        for entry in expired:
+            self.gateway.expire_recovered(entry)
+        self.registry.counter("recoveries_total").inc()
+        if requeue:
+            self.registry.counter("jobs_requeued_on_recovery").inc(
+                len(requeue))
 
     def _start_control_plane_crashes(self) -> Optional[asyncio.Task]:
         """Schedule the configured gateway/control-loop crashes."""
@@ -418,24 +363,8 @@ class ServingRuntime:
         )
 
     def _purge_pools(self) -> int:
-        """Drop every queued-but-not-executing task (crash semantics).
-
-        Executing slots are left alone: their worker threads are still
-        running and must be allowed to finish cleanly — the *new*
-        gateway's identity check then drops their orphaned completions,
-        exactly like a restarted process ignoring responses addressed
-        to its predecessor.
-        """
-        purged = 0
-        for pool in self.pools.values():
-            while pool.queue:
-                pool.queue.pop()
-                purged += 1
-            pool._waiting.clear()
-            for slot in pool.containers:
-                if slot.local_queue:
-                    purged += len(slot.local_queue)
-                    slot.local_queue.clear()
+        """Crash semantics: every queued-but-not-executing task is lost."""
+        purged = sum(pool.purge_queued() for pool in self.pools.values())
         if purged:
             self.registry.counter("control_plane_purged_tasks_total").inc(purged)
         return purged
@@ -466,16 +395,9 @@ class ServingRuntime:
             restore_sampler(self.sampler, checkpoint)
             restore_store(self._planner.store, checkpoint)
         records = RequestJournal.read_records(self.journal.path)
-        plan = build_recovery_plan(records, now_ms, self._slo_ms_for_app)
-        for entry in plan.requeue:
-            self.gateway.requeue_recovered(entry)
-        for entry in plan.expired:
-            self.gateway.expire_recovered(entry)
-        self.registry.counter("recoveries_total").inc()
-        if plan.requeue:
-            self.registry.counter("jobs_requeued_on_recovery").inc(
-                len(plan.requeue)
-            )
+        slo_ms = {app.name: app.slo_ms for app in self.mix.applications}
+        plan = build_recovery_plan(records, now_ms, slo_ms.get)
+        self._readmit(plan.requeue, plan.expired)
         if plan.deduped:
             self.registry.counter("jobs_deduped_on_recovery").inc(
                 len(plan.deduped)
@@ -612,14 +534,8 @@ class ServingRuntime:
         if self.recovered_plan is None:
             return
         requeue, expired = self.recovered_plan
-        for entry in requeue:
-            self.gateway.requeue_recovered(entry)
-        for entry in expired:
-            self.gateway.expire_recovered(entry)
-        self.registry.counter("recoveries_total").inc()
+        self._readmit(requeue, expired)
         if requeue:
-            self.registry.counter("jobs_requeued_on_recovery").inc(
-                len(requeue))
             self.registry.counter(
                 "shard_jobs_requeued_on_failover_total").inc(len(requeue))
         if expired:
@@ -675,7 +591,9 @@ class ServingRuntime:
             self._build(executor)
             assert self.clock is not None and self.gateway is not None
             self.clock.start()
-            self._prewarm(trace)
+            # Start from steady state, exactly like the simulator.
+            prewarm_opening_capacity(
+                self.pools, trace, self.config, self.stage_shares)
             # Opening checkpoint: a crash before the first control tick
             # must still find the post-prewarm pool sizes on disk.
             if self.checkpointer is not None:

@@ -12,7 +12,7 @@ Three execution modes behind one entry point,
   full-size cluster with only its granted nodes uncordoned, stepped on
   one clock with the :class:`~repro.shard.orchestrator
   .GlobalOrchestrator` reconciling grants between monitor epochs.
-  Event-loop engines share a single :class:`Simulator` (the
+  Event-loop shards share a single :class:`Simulator` (the
   multi-tenant pattern); the vector engine is stepped epoch-by-epoch
   via its ``step_until`` primitive.
 * **Process fan-out** (``shard_workers>1``) — one OS process per
@@ -22,7 +22,7 @@ Three execution modes behind one entry point,
 Chain-stage routing: by default a shard owns a job's whole chain
 (``stage_routing="local"`` — Fifer packs chains, so affinity is the
 deployment that makes sense).  ``stage_routing="hash"`` re-routes every
-stage hop through the ring instead (event-loop engines only): hops
+stage hop through the ring instead (event-loop engine only): hops
 landing on a foreign shard pay ``cross_shard_hop_ms`` and execute in
 the owning shard's pools, modelling a plane whose stages are
 partitioned independently of their jobs.
@@ -31,7 +31,8 @@ partitioned independently of their jobs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,18 +40,8 @@ from repro.cluster.faults import ShardFaultSchedule
 from repro.metrics.collector import RunResult
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
-from repro.serve.journal import (
-    EV_ADMIT,
-    EV_COMPLETE,
-    EV_FAIL,
-    EV_HOP,
-    JOURNAL_SCHEMA_VERSION,
-    TERMINAL_EVENTS,
-)
-from repro.serve.recovery import (
-    RECOVERY_EXPIRED_REASON,
-    build_recovery_plan,
-)
+from repro.serve.journal import MemoryJournal
+from repro.serve.recovery import build_recovery_plan
 from repro.shard.failover import (
     OrchestratorSupervisor,
     ShardHealthMonitor,
@@ -66,7 +57,7 @@ from repro.shard.ring import ConsistentHashRing, DEFAULT_VNODES
 from repro.sim.engine import ENGINE_VECTOR, Simulator, resolve_engine
 from repro.sim.process import CoalescedTicker
 from repro.traces.base import ArrivalTrace
-from repro.workflow.job import Job
+from repro.workflow.lifecycle import LOST_DEAD, RequestLifecycle
 from repro.workflow.sharded_store import ShardedStateStore
 from repro.workloads.mixes import WorkloadMix
 
@@ -133,16 +124,19 @@ def plan_node_grants(
 # shard handles (orchestrator adapters)
 # ----------------------------------------------------------------------
 
-class _ClusterShardHandle(ShardHandle):
-    """Grant bookkeeping shared by the event-loop and vector handles."""
+class _RunnerShardHandle(ShardHandle):
+    """Orchestrator adapter over one shard's runner — an event-loop
+    :class:`ServerlessSystem` or a stepped vector engine (both expose
+    ``cluster``, ``control``, ``pools`` and ``in_flight``)."""
 
-    def __init__(self, shard_id: int, cluster, governor) -> None:
+    def __init__(self, shard_id: int, runner) -> None:
         self.shard_id = shard_id
-        self.cluster = cluster
-        self.governor = governor
+        self.runner = runner
+        self.cluster = runner.cluster
+        self.governor = runner.control.governor
         # Only nodes this plane cordoned are grantable — a node killed
         # by a fault schedule must never come back via rebalance.
-        self._cordoned = [n for n in cluster.nodes if n.failed]
+        self._cordoned = [n for n in self.cluster.nodes if n.failed]
 
     def granted_nodes(self) -> int:
         return sum(1 for n in self.cluster.nodes if not n.failed)
@@ -174,67 +168,61 @@ class _ClusterShardHandle(ShardHandle):
             # budgeted shard's share floors at one spawn per tick.
             self.governor.max_surge = max(1, int(max_surge))
 
-
-class _SystemShardHandle(_ClusterShardHandle):
-    """Adapter over an event-loop :class:`ServerlessSystem` shard."""
-
-    def __init__(self, shard_id: int, system: ServerlessSystem) -> None:
-        super().__init__(shard_id, system.cluster, system.governor)
-        self.system = system
-
     def load_report(self, now_ms: float) -> ShardLoadReport:
-        system = self.system
-        settled = (
-            len(system.metrics.completed_jobs)
-            + len(system.metrics.failed_jobs)
-            + int(system.registry.value("gateway_shed_total"))
-        )
         return ShardLoadReport(
             shard_id=self.shard_id,
             now_ms=now_ms,
-            inflight=max(0, system.metrics.jobs_created - settled),
+            inflight=max(0, self.runner.in_flight),
             warm_containers=sum(
-                p.n_containers for p in system.pools.values()),
-            nodes_granted=self.granted_nodes(),
-        )
-
-
-class _VectorShardHandle(_ClusterShardHandle):
-    """Adapter over a stepped vector engine shard."""
-
-    def __init__(self, shard_id: int, engine) -> None:
-        super().__init__(shard_id, engine.cluster, engine.governor)
-        self.engine = engine
-
-    def load_report(self, now_ms: float) -> ShardLoadReport:
-        eng = self.engine
-        settled = (
-            len(eng._completed_order) + len(eng._failed)
-            + eng._gateway_shed
-        )
-        return ShardLoadReport(
-            shard_id=self.shard_id,
-            now_ms=now_ms,
-            inflight=max(0, eng._created - settled),
-            warm_containers=sum(
-                p.n_containers for p in eng.pools.values()),
+                p.n_containers for p in self.runner.pools.values()),
             nodes_granted=self.granted_nodes(),
         )
 
 
 # ----------------------------------------------------------------------
-# cross-shard chain-stage routing (event-loop engines)
+# cross-shard chain-stage routing (event-loop engine)
 # ----------------------------------------------------------------------
 
-class _ShardSystem(ServerlessSystem):
-    """A per-shard system whose stage hops can route through the ring.
+class _ShardLifecycle(RequestLifecycle):
+    """The shared lifecycle with stage hops routed through the ring.
 
-    All shard systems share one Simulator, so "routing" a hop is
-    delegating the enqueue to the owning peer after the modelled
+    All shard systems share one Simulator, so "routing" a hop is handing
+    the job to the owning peer's lifecycle after the modelled
     gateway→gateway latency.  Jobs keep one deterministic routing key —
     ``home_shard << 32 | per-shard admission sequence`` — so the hop
     pattern is independent of process-global job-id counters.
     """
+
+    shard: "_ShardSystem"
+
+    def enqueue_stage(self, job, stage_index: int) -> None:
+        shard = self.shard
+        if shard.stage_routing == "hash" and shard.ring is not None:
+            key = shard._route_keys.setdefault(
+                job.job_id, (shard.shard_id << 32) | shard._route_seq
+            )
+            owner_id = shard.ring.shard_for((key << 8) | stage_index)
+            owner = shard.peers.get(owner_id, shard)
+            if owner is not shard:
+                shard.registry.counter(
+                    "shard_cross_stage_hops_total").inc()
+                # The job changes hands with the hop: the owner's
+                # identity check must accept its task signals.
+                owner.lifecycle.jobs[job.job_id] = self.jobs.pop(job.job_id)
+                self.later(
+                    shard.cross_shard_hop_ms,
+                    RequestLifecycle.enqueue_stage,
+                    owner.lifecycle, job, stage_index,
+                )
+                return
+        super().enqueue_stage(job, stage_index)
+
+
+class _ShardSystem(ServerlessSystem):
+    """A per-shard system: ring-routed stage hops, a fault plane at the
+    front door, and a control loop that dies with the shard."""
+
+    lifecycle_cls = _ShardLifecycle
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -245,40 +233,18 @@ class _ShardSystem(ServerlessSystem):
         self.cross_shard_hop_ms = DEFAULT_CROSS_SHARD_HOP_MS
         self._route_seq = 0
         self._route_keys: Dict[int, int] = {}
-        # -- failover state (inert unless a fault plane attaches) ------
         #: The plane driving heartbeats/takeover, or None (exact
         #: pre-failover behaviour on every code path below).
         self.failover: Optional["_ShardFaultPlane"] = None
-        self.shard_dead = False
         #: Global request ids of this shard's arrivals, in trace order
         #: (the reroute key once this shard is declared dead).
-        self._request_ids: Optional[np.ndarray] = None
-        self._arrival_cursor = 0
-        #: In-memory mirror of the live WAL (serve record schema), so
-        #: takeover replays the identical recovery-plan builder.
-        self._journal_records: List[Dict] = []
-        self._journal_terminal: Set[int] = set()
-        #: Jobs in flight at the crash instant: their zombie completion
-        #: signals are dropped — the takeover owns them now.
-        self._fenced_jobs: Set[int] = set()
+        self._request_ids = iter(())
         #: Nodes cordoned by the crash, returned on scripted recovery.
         self._failover_cordoned: List = []
 
-    def _journal(self, ev: str, job_id: int, t_ms: float, **fields) -> None:
-        """Mirror one WAL record (no-op while dead: a crashed shard's
-        journal stops exactly at the crash instant, like the live one)."""
-        if self.failover is None or self.shard_dead:
-            return
-        record = {
-            "v": JOURNAL_SCHEMA_VERSION,
-            "ev": ev,
-            "job": int(job_id),
-            "t": round(float(t_ms), 3),
-        }
-        record.update(fields)
-        self._journal_records.append(record)
-        if ev in TERMINAL_EVENTS:
-            self._journal_terminal.add(int(job_id))
+    def _build(self, sim: Simulator) -> None:
+        super()._build(sim)
+        self.lifecycle.shard = self
 
     def _on_arrival(self) -> None:
         self._route_seq += 1
@@ -287,50 +253,8 @@ class _ShardSystem(ServerlessSystem):
             return
         super()._on_arrival()
 
-    def _enqueue_stage(self, job, stage_index: int) -> None:
-        if self.failover is not None and stage_index > 0 \
-                and job.job_id not in self._journal_terminal:
-            self._journal(EV_HOP, job.job_id, self.sim.now,
-                          stage=int(stage_index))
-        if self.stage_routing == "hash" and self.ring is not None:
-            key = self._route_keys.setdefault(
-                job.job_id, (self.shard_id << 32) | self._route_seq
-            )
-            owner_id = self.ring.shard_for((key << 8) | stage_index)
-            owner = self.peers.get(owner_id, self)
-            if owner is not self:
-                self.registry.counter(
-                    "shard_cross_stage_hops_total").inc()
-                self.sim.schedule(
-                    self.cross_shard_hop_ms,
-                    lambda: ServerlessSystem._enqueue_stage(
-                        owner, job, stage_index),
-                    label="xshard-hop",
-                )
-                return
-        super()._enqueue_stage(job, stage_index)
-        if (self.failover is not None
-                and job.failure_reason == "shed-expired"
-                and job.job_id not in self._journal_terminal):
-            self._journal(EV_FAIL, job.job_id, self.sim.now,
-                          reason="shed-expired")
-
-    def _on_task_finished(self, task) -> None:
-        if self.failover is not None \
-                and task.job.job_id in self._fenced_jobs:
-            # Zombie completion from before the crash: the job was
-            # requeued (or expired) by the takeover, so applying this
-            # signal would double-count it.  Mirrors the live gateway's
-            # identity check on pre-crash task objects.
-            self.registry.counter("shard_fenced_completions_total").inc()
-            return
-        super()._on_task_finished(task)
-        if self.failover is not None and task.is_last_stage \
-                and task.job.job_id not in self._journal_terminal:
-            self._journal(EV_COMPLETE, task.job.job_id, self.sim.now)
-
     def _tick_monitor(self, now_ms: float) -> None:
-        if self.shard_dead:
+        if self.lifecycle.dead:
             # Dead shard, dead control loop: no scaling, no samples —
             # and no heartbeats, which is how the plane finds out.
             self.registry.counter(
@@ -348,14 +272,18 @@ class _ShardFaultPlane:
 
     Attached to every :class:`_ShardSystem` when a
     :class:`~repro.cluster.faults.ShardFaultSchedule` is in play.  Each
-    reconcile tick doubles as a health-monitor sweep: live shards beat,
-    the :class:`~repro.shard.failover.ShardHealthMonitor` scores the
-    gaps, and a declaration triggers the same takeover the live plane
+    shard's lifecycle then journals through a
+    :class:`~repro.serve.journal.MemoryJournal` — the live WAL's record
+    schema — and a shard "dies" by its lifecycle's ``dead`` flag, the
+    same one a crashed live gateway carries.  Each sweep doubles as a
+    health-monitor pass: live shards beat, the
+    :class:`~repro.shard.failover.ShardHealthMonitor` scores the gaps,
+    and a declaration triggers the same takeover the live plane
     performs — ring remap via ``with_shard_removed``, recovery plan
-    from the dead shard's journal mirror, survivors requeueing under
-    the **original** job ids.  Until the declaration lands, arrivals to
-    the dead shard are shed with a counter (degraded routing); after
-    it, they reroute to the remapped ring owner.
+    from the dead shard's journal, survivors requeueing under the
+    **original** job ids.  Until the declaration lands, arrivals to the
+    dead shard are shed with a counter (degraded routing); after it,
+    they reroute to the remapped ring owner.
     """
 
     def __init__(
@@ -380,7 +308,6 @@ class _ShardFaultPlane:
         self._slo_by_app = {
             app.name: app.slo_ms for app in mix.applications
         }
-        self._apps = {app.name: app for app in mix.applications}
         self.monitor = ShardHealthMonitor(
             sorted(systems),
             interval_ms=interval_ms,
@@ -390,32 +317,19 @@ class _ShardFaultPlane:
         )
         for system in systems.values():
             system.failover = self
+            system.lifecycle.journal = MemoryJournal()
 
     # -- scripted events ----------------------------------------------
 
     def crash_shard(self, shard_id: int) -> None:
         """Kill one shard in place (the ``kill`` fault event)."""
         system = self.systems[shard_id]
-        if system.shard_dead:
+        if system.lifecycle.dead:
             return
         # Fence first: everything admitted-but-unfinished at this
         # instant is lost here and owed exactly once to the takeover.
-        admits = {
-            r["job"] for r in system._journal_records
-            if r["ev"] == EV_ADMIT
-        }
-        system._fenced_jobs = admits - system._journal_terminal
-        system.shard_dead = True
-        purged = 0
-        for pool in system.pools.values():
-            while pool.queue:
-                pool.queue.pop()
-                purged += 1
-            pool._waiting.clear()
-            for slot in pool.containers:
-                if slot.local_queue:
-                    purged += len(slot.local_queue)
-                    slot.local_queue.clear()
+        system.lifecycle.crash()
+        purged = sum(p.purge_queued() for p in system.pools.values())
         if purged:
             system.registry.counter(
                 "control_plane_purged_tasks_total").inc(purged)
@@ -432,79 +346,37 @@ class _ShardFaultPlane:
         the ring only after the monitor's hysteresis clears it.
         """
         system = self.systems[shard_id]
-        if not system.shard_dead:
+        if not system.lifecycle.dead:
             return
-        now = self.sim.now
-        system.shard_dead = False
+        system.lifecycle.dead = False
         for node in system._failover_cordoned:
-            node.recover(now)
+            node.recover(self.sim.now)
         system._failover_cordoned = []
         system.registry.counter("shard_restarts_total").inc()
 
     # -- per-arrival routing ------------------------------------------
 
     def on_arrival(self, system: _ShardSystem) -> None:
-        now = self.sim.now
-        rid = None
-        if system._request_ids is not None \
-                and system._arrival_cursor < len(system._request_ids):
-            rid = int(system._request_ids[system._arrival_cursor])
-        system._arrival_cursor += 1
-        if system.shard_dead:
-            if system.shard_id in self.monitor.dead and rid is not None:
-                # Declared dead: the remapped ring owns this key now.
-                owner_id = self.ring.shard_for(rid)
-                owner = self.systems.get(owner_id)
-                if owner is not None and not owner.shard_dead:
-                    owner.registry.counter(
-                        "shard_rerouted_arrivals_total").inc()
-                    self._admit(system, owner, now,
-                                extra_latency_ms=owner.cross_shard_hop_ms)
-                    return
-            # Degraded routing: the shard is dead but the takeover is
-            # not yet in effect — shed with a counter, never silently.
-            system.metrics.record_job_created()
-            system.registry.counter("gateway_shed_total").inc()
-            system.registry.counter("gateway_dead_sheds_total").inc()
+        rid = next(system._request_ids, None)
+        if not system.lifecycle.dead:
+            system.lifecycle.admit(*system._draw_request())
             return
-        self._admit(system, system, now)
-
-    def _admit(
-        self,
-        source: _ShardSystem,
-        target: _ShardSystem,
-        now: float,
-        extra_latency_ms: float = 0.0,
-    ) -> None:
-        """Base-system admission plus WAL mirroring.
-
-        *source* supplies the RNG stream (a rerouted arrival keeps the
-        dead shard's draw order, so the workload content is invariant
-        to declaration timing); *target* runs the job.
-        """
-        app = source.mix.sample_application(source._rng_apps)
-        scale = (
-            source.input_scale_sampler(source._rng_apps)
-            if source.input_scale_sampler is not None
-            else 1.0
-        )
-        target.metrics.record_job_created()
-        target.sampler.record(now)
-        if target.shed_expired and target._deadline_expired(app):
-            target.registry.counter("gateway_shed_total").inc()
-            target.registry.counter("gateway_shed_deadline_total").inc()
-            return
-        job = Job(app=app, arrival_ms=now, input_scale=scale)
-        target.store.insert(
-            "jobs", job.job_id, {"app": app.name, "creationTime": now}
-        )
-        target._journal(EV_ADMIT, job.job_id, now,
-                        app=app.name, scale=scale)
-        target.sim.schedule(
-            app.transition_overhead_ms + extra_latency_ms,
-            lambda: target._enqueue_stage(job, 0),
-            label="ingress",
-        )
+        if system.shard_id in self.monitor.dead and rid is not None:
+            # Declared dead: the remapped ring owns this key now.  The
+            # (app, scale) pair still comes from the dead shard's
+            # stream, so the workload content is invariant to
+            # declaration timing.
+            owner = self.systems.get(self.ring.shard_for(rid))
+            if owner is not None and not owner.lifecycle.dead:
+                owner.registry.counter(
+                    "shard_rerouted_arrivals_total").inc()
+                owner.lifecycle.admit(
+                    *system._draw_request(),
+                    extra_latency_ms=owner.cross_shard_hop_ms)
+                return
+        # Degraded routing: the shard is dead but the takeover is not
+        # yet in effect — shed with a counter, never silently.
+        system.lifecycle.lose_arrival(LOST_DEAD, observed=False)
 
     # -- health sweep + takeover (own cadence, faster than reconcile) --
 
@@ -516,7 +388,7 @@ class _ShardFaultPlane:
         as the live monitor adjudicates from per-second beats.
         """
         for shard_id, system in self.systems.items():
-            if not system.shard_dead:
+            if not system.lifecycle.dead:
                 self.monitor.record_heartbeat(shard_id, now_ms)
                 system.registry.counter("shard_heartbeats_total").inc()
         transitions = self.monitor.observe(now_ms)
@@ -537,19 +409,24 @@ class _ShardFaultPlane:
         for orch in self.orchestrators:
             orch.remove_shard(shard_id)
         plan = build_recovery_plan(
-            dead._journal_records, now_ms,
-            lambda name: self._slo_by_app.get(name),
-        )
+            dead.lifecycle.journal.records, now_ms, self._slo_by_app.get)
         for owner_id, entries in sorted(
                 assign_takeover(plan.requeue, self.ring).items()):
             survivor = self.systems[owner_id]
             for entry in entries:
-                self._requeue(survivor, entry)
+                # Original id, arrival time and input scale: the SLO
+                # clock keeps running across the failover.
+                if survivor.lifecycle.requeue_recovered(
+                        entry, extra_latency_ms=survivor.cross_shard_hop_ms):
+                    survivor.registry.counter(
+                        "shard_jobs_requeued_on_failover_total").inc()
         for owner_id, entries in sorted(
                 assign_takeover(plan.expired, self.ring).items()):
             survivor = self.systems[owner_id]
             for entry in entries:
-                self._expire(survivor, entry, now_ms)
+                if survivor.lifecycle.expire_recovered(entry):
+                    survivor.registry.counter(
+                        "shard_jobs_expired_on_failover_total").inc()
 
     def _readmit(self, shard_id: int, now_ms: float) -> None:
         if shard_id not in self.ring.shard_ids:
@@ -559,58 +436,13 @@ class _ShardFaultPlane:
             for orch in self.orchestrators:
                 orch.add_shard(handle)
 
-    def _requeue(self, survivor: _ShardSystem, entry) -> None:
-        """Resume a dead shard's in-flight job on *survivor*.
-
-        Original id, arrival time and input scale — the SLO clock keeps
-        running across the failover; recovery must not launder latency.
-        Not re-journaled as an admit: the dead shard's admit record
-        stands, and the survivor will write the one terminal record.
-        """
-        app = self._apps.get(entry.app)
-        if app is None:
-            return
-        job = Job(
-            app=app,
-            arrival_ms=entry.arrival_ms,
-            input_scale=entry.input_scale,
-            job_id=entry.job_id,
-        )
-        survivor.registry.counter(
-            "shard_jobs_requeued_on_failover_total").inc()
-        stage = max(0, min(int(entry.last_stage), len(app.stages) - 1))
-        self.sim.schedule(
-            app.transition_overhead_ms + survivor.cross_shard_hop_ms,
-            lambda job=job, stage=stage: survivor._enqueue_stage(
-                job, stage),
-            label="takeover-requeue",
-        )
-
-    def _expire(self, survivor: _ShardSystem, entry, now_ms: float) -> None:
-        app = self._apps.get(entry.app)
-        if app is None:
-            return
-        job = Job(
-            app=app,
-            arrival_ms=entry.arrival_ms,
-            input_scale=entry.input_scale,
-            job_id=entry.job_id,
-        )
-        job.failed_ms = now_ms
-        job.failure_reason = RECOVERY_EXPIRED_REASON
-        survivor.metrics.record_job_failed(job)
-        survivor._journal(EV_FAIL, job.job_id, now_ms,
-                          reason=RECOVERY_EXPIRED_REASON)
-        survivor.registry.counter(
-            "shard_jobs_expired_on_failover_total").inc()
-
     def journal_conservation(self) -> Dict:
-        """Plane-wide exactly-once verdict over every journal mirror."""
+        """Plane-wide exactly-once verdict over every shard's journal."""
         from repro.experiments.robustness import journal_conservation
 
         records: List[Dict] = []
         for shard_id in sorted(self.systems):
-            records.extend(self.systems[shard_id]._journal_records)
+            records.extend(self.systems[shard_id].lifecycle.journal.records)
         return journal_conservation(records)
 
 
@@ -727,6 +559,20 @@ def _orchestration_summary(
     }
 
 
+def _make_orchestrator(handles, orchestrator_args: Dict):
+    """Global orchestrator over *handles*, its registry, and each
+    shard's equal opening share of the global surge budget."""
+    registry = MetricsRegistry()
+    orchestrator = GlobalOrchestrator(
+        handles, registry=registry, **orchestrator_args)
+    if orchestrator.global_max_surge > 0:
+        shares = divide_surge_budget(
+            orchestrator.global_max_surge, [1.0] * len(handles))
+        for handle, share in zip(handles, shares):
+            handle.set_surge_budget(share)
+    return orchestrator, registry
+
+
 def _run_inprocess_vector(
     config_factory,
     parts,
@@ -753,19 +599,12 @@ def _run_inprocess_vector(
         system.cordoned_node_ids = list(range(grant, n_nodes))
         engine = VectorEngine(system, sub)
         engines[shard_id] = engine
-        handles.append(_VectorShardHandle(shard_id, engine))
+        handles.append(_RunnerShardHandle(shard_id, engine))
 
-    orch_registry = MetricsRegistry()
-    orchestrator = GlobalOrchestrator(
-        handles, registry=orch_registry, **orchestrator_args)
-    config = engines[next(iter(engines))].config
-    interval = config.monitor_interval_ms
+    orchestrator, orch_registry = _make_orchestrator(
+        handles, orchestrator_args)
+    interval = engines[next(iter(engines))].config.monitor_interval_ms
     rebalance = rebalance_interval_ms or interval
-    if orchestrator.global_max_surge > 0:
-        shares = divide_surge_budget(
-            orchestrator.global_max_surge, [1.0] * len(handles))
-        for handle, share in zip(handles, shares):
-            handle.set_surge_budget(share)
 
     horizon = trace.duration_ms + 1.0
     next_rebalance = rebalance
@@ -813,7 +652,6 @@ def _run_inprocess_eventloop(
     systems: Dict[int, _ShardSystem] = {}
     monitors = []
     handles = []
-    request_ids: Dict[int, np.ndarray] = {}
     n_nodes = system_kwargs["cluster_spec"].n_nodes
     config = config_factory()
     ticker = CoalescedTicker(
@@ -825,8 +663,9 @@ def _run_inprocess_eventloop(
                 system_kwargs["seed"], shard_id)),
         )
         system.cordoned_node_ids = list(range(grant, n_nodes))
+        if shard_faults is not None:
+            system._request_ids = iter(ids.tolist())
         systems[shard_id] = system
-        request_ids[shard_id] = ids
         monitors.append(system.attach(sim, sub, ticker=ticker))
     for shard_id, system in systems.items():
         system.shard_id = shard_id
@@ -834,11 +673,10 @@ def _run_inprocess_eventloop(
         system.peers = systems
         system.stage_routing = stage_routing
         system.cross_shard_hop_ms = cross_shard_hop_ms
-        handles.append(_SystemShardHandle(shard_id, system))
+        handles.append(_RunnerShardHandle(shard_id, system))
 
-    orch_registry = MetricsRegistry()
-    orchestrator = GlobalOrchestrator(
-        handles, registry=orch_registry, **orchestrator_args)
+    orchestrator, orch_registry = _make_orchestrator(
+        handles, orchestrator_args)
     reconciler = orchestrator
     orchestrators = [orchestrator]
     if orchestrator_fail_at_ms is not None:
@@ -854,11 +692,6 @@ def _run_inprocess_eventloop(
         )
         orchestrators = [orchestrator, standby]
     rebalance = rebalance_interval_ms or config.monitor_interval_ms
-    if orchestrator.global_max_surge > 0:
-        shares = divide_surge_budget(
-            orchestrator.global_max_surge, [1.0] * len(handles))
-        for handle, share in zip(handles, shares):
-            handle.set_surge_budget(share)
 
     plane: Optional[_ShardFaultPlane] = None
     plane_sub = None
@@ -876,22 +709,12 @@ def _run_inprocess_eventloop(
             hysteresis=failover_hysteresis,
             registry=orch_registry,
         )
-        for shard_id, system in systems.items():
-            system._request_ids = request_ids[shard_id]
         for event in shard_faults.events:
+            act = (plane.crash_shard if event.action == "kill"
+                   else plane.recover_shard)
             for sid in event.shard_ids:
-                if event.action == "kill":
-                    sim.schedule_at(
-                        event.at_ms,
-                        lambda s=sid: plane.crash_shard(s),
-                        label="shard-kill",
-                    )
-                else:
-                    sim.schedule_at(
-                        event.at_ms,
-                        lambda s=sid: plane.recover_shard(s),
-                        label="shard-recover",
-                    )
+                sim.schedule_at(event.at_ms, partial(act, sid),
+                                label=f"shard-{event.action}")
         # The health sweep gets its own (fine) cadence: death must be
         # declared within heartbeat intervals, not rebalance intervals.
         plane_sub = CoalescedTicker(
@@ -908,13 +731,7 @@ def _run_inprocess_eventloop(
         # Global drain condition: with hash stage routing a job may
         # complete on a foreign shard, so per-shard conservation only
         # holds for the aggregate.
-        created = sum(s.metrics.jobs_created for s in systems.values())
-        done = sum(
-            len(s.metrics.completed_jobs) + len(s.metrics.failed_jobs)
-            + int(s.registry.value("gateway_shed_total"))
-            for s in systems.values()
-        )
-        return created <= done
+        return sum(s.in_flight for s in systems.values()) <= 0
 
     horizon = trace.duration_ms + 1.0
     sim.run(until=horizon)
@@ -974,7 +791,6 @@ def _shard_worker(payload: Dict) -> RunResult:
         drain_ms=payload["drain_ms"],
         engine=payload["engine"],
         shed_expired=payload["shed_expired"],
-        fast_path=payload["fast_path"],
         **payload["overrides"],
     )
 
@@ -987,7 +803,6 @@ def _run_processes(
     shard_workers: int,
     engine: Optional[str],
     shed_expired: bool,
-    fast_path: bool,
     cluster_spec: ClusterSpec,
     seed: int,
     drain_ms: float,
@@ -1012,7 +827,6 @@ def _run_processes(
             "drain_ms": drain_ms,
             "engine": engine,
             "shed_expired": shed_expired,
-            "fast_path": fast_path,
             "overrides": overrides,
         })
     methods = mp.get_all_start_methods()
@@ -1044,7 +858,6 @@ def run_sharded_policy(
     seed: int = 0,
     drain_ms: float = 120_000.0,
     engine: Optional[str] = None,
-    fast_path: bool = True,
     shed_expired: bool = False,
     shard_workers: int = 1,
     rebalance_interval_ms: Optional[float] = None,
@@ -1098,7 +911,7 @@ def run_sharded_policy(
                 "shard faults need the in-process plane "
                 "(shard_workers=1): isolated processes cannot run "
                 "the takeover protocol")
-        if resolve_engine(engine, fast_path) == ENGINE_VECTOR:
+        if resolve_engine(engine) == ENGINE_VECTOR:
             raise ValueError(
                 "shard faults are an event-loop feature; "
                 "use engine='fast'")
@@ -1119,7 +932,7 @@ def run_sharded_policy(
         return run_policy(
             policy_name, mix, trace,
             cluster_spec=cluster_spec, predictor=predictor, seed=seed,
-            drain_ms=drain_ms, engine=engine, fast_path=fast_path,
+            drain_ms=drain_ms, engine=engine,
             shed_expired=shed_expired, **config_overrides,
         )
 
@@ -1136,7 +949,7 @@ def run_sharded_policy(
                 "exchange stage hops")
         return _run_processes(
             policy_name, mix, parts, grants, shard_workers,
-            engine, shed_expired, fast_path, cluster_spec, seed,
+            engine, shed_expired, cluster_spec, seed,
             drain_ms, config_overrides,
         )
 
@@ -1157,11 +970,9 @@ def run_sharded_policy(
         "predictor": predictor,
         "seed": seed,
         "drain_ms": drain_ms,
-        "fast_path": fast_path,
         "shed_expired": shed_expired,
     }
-    resolved = resolve_engine(engine, fast_path)
-    if resolved == ENGINE_VECTOR:
+    if resolve_engine(engine) == ENGINE_VECTOR:
         if stage_routing == "hash":
             raise ValueError(
                 "hash stage routing is an event-loop feature; "

@@ -382,25 +382,24 @@ def run_simulation(setup: Callable[[Simulator], Any], until: float) -> Simulator
 # --------------------------------------------------------------------------
 # Engine selection (DESIGN.md section 13)
 #
-# Three interchangeable engines drive a run:
-#   * "legacy" — per-arrival event injection (the original loop);
-#   * "fast"   — same loop with the bulk-arrival stream cursor (default);
+# Two interchangeable engines drive a run:
+#   * "fast"   — the event loop above, arrivals injected through the
+#     bulk stream cursor (default);
 #   * "vector" — the SoA batch engine in repro.runtime.vector, which
 #     replaces the Simulator entirely with a flat tuple heap and an
 #     epoch-driven run loop.
-# All three produce bit-identical RunResult summaries (asserted by
+# Both produce bit-identical RunResult summaries (asserted by
 # tests/test_vector_parity.py).
 
-ENGINE_LEGACY = "legacy"
 ENGINE_FAST = "fast"
 ENGINE_VECTOR = "vector"
-ENGINES = (ENGINE_LEGACY, ENGINE_FAST, ENGINE_VECTOR)
+ENGINES = (ENGINE_FAST, ENGINE_VECTOR)
 
 
-def resolve_engine(engine: Optional[str], fast_path: bool = True) -> str:
+def resolve_engine(engine: Optional[str]) -> str:
     """Map an ``engine=`` override (or None) to a concrete engine name."""
     if engine is None:
-        return ENGINE_FAST if fast_path else ENGINE_LEGACY
+        return ENGINE_FAST
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"

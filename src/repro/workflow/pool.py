@@ -437,6 +437,26 @@ class FunctionPool:
             c for c in self.containers if c.state not in DEAD_STATES
         ]
 
+    def purge_queued(self) -> int:
+        """Drop every queued-but-not-executing task (crash semantics);
+        returns how many.
+
+        Executing slots are left alone: their work is still running and
+        must be allowed to finish — the recovered lifecycle's identity
+        check then drops the orphaned completions, exactly like a
+        restarted process ignoring responses addressed to its
+        predecessor.
+        """
+        purged = 0
+        while self.queue:
+            self.queue.pop()
+            purged += 1
+        self._waiting.clear()
+        for slot in self.containers:
+            purged += len(slot.local_queue)
+            slot.local_queue.clear()
+        return purged
+
     def forget_waiting(self, task: Task) -> None:
         """Drop *task* from the waiting view (identity match).
 

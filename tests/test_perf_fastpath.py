@@ -1,17 +1,13 @@
 """Simulator fast-path tests: EventQueue invariants under cancellation
 churn (hypothesis), heap-compaction guards, bulk-arrival stream cursors,
-coalesced tickers, and fast-vs-legacy arrival-injection parity."""
+and coalesced tickers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.policies import make_policy_config
-from repro.runtime.system import ClusterSpec, ServerlessSystem
 from repro.sim.engine import Event, EventQueue, SimulationError, Simulator
 from repro.sim.process import CoalescedTicker
-from repro.traces import step_poisson_trace
-from repro.workloads import get_mix
 
 
 def _push(queue, time, priority=0):
@@ -219,17 +215,3 @@ class TestCoalescedTicker:
         assert sub.ticks == 3
 
 
-class TestFastPathParity:
-    def test_fast_and_legacy_injection_identical_results(self):
-        trace = step_poisson_trace(20.0, 40.0, variation=0.4, seed=3)
-        summaries = []
-        for fast_path in (True, False):
-            system = ServerlessSystem(
-                config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
-                mix=get_mix("heavy"),
-                cluster_spec=ClusterSpec(n_nodes=3),
-                seed=3,
-                fast_path=fast_path,
-            )
-            summaries.append(system.run(trace).summary())
-        assert summaries[0] == summaries[1]

@@ -505,10 +505,14 @@ class TestGatewayGuards:
 
     def test_deadline_shedding(self):
         class SwampedPool:
+            free_slots = 0
+
             def monitored_delay_ms(self):
                 return 1e9
 
         class IdlePool:
+            free_slots = 0
+
             def monitored_delay_ms(self):
                 return 0.0
 

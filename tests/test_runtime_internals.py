@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import NodePlacementPolicy
+from repro.core.controlplane import reclaim_idle_capacity
 from repro.core.policies import make_policy_config
 from repro.prediction.classical import EWMAPredictor, MovingWindowAveragePredictor
 from repro.runtime.system import ClusterSpec, ServerlessSystem
@@ -136,7 +137,7 @@ class TestReclaim:
         system.run(poisson_trace(20.0, 30.0, seed=1))
         # After the run every pool has idle containers; reclaim works.
         total_before = sum(p.n_containers for p in system.pools.values())
-        assert system._reclaim_idle_capacity() is True
+        assert reclaim_idle_capacity(system.pools) is True
         total_after = sum(p.n_containers for p in system.pools.values())
         assert total_after == total_before - 1
 
@@ -148,4 +149,4 @@ class TestReclaim:
                 if container.is_reapable:
                     pool._retire(container)
             pool._compact()
-        assert system._reclaim_idle_capacity() is False
+        assert reclaim_idle_capacity(system.pools) is False

@@ -165,7 +165,7 @@ def test_ring_remove_last_shard_raises():
 # takeover partition property: any crash point, exactly once
 
 
-def _journal_records(n_jobs, base_t=0.0):
+def _wal_records(n_jobs, base_t=0.0):
     """A synthetic WAL: admits interleaved with hops and completions."""
     records = []
     for i in range(n_jobs):
@@ -195,7 +195,7 @@ def _journal_records(n_jobs, base_t=0.0):
 )
 def test_takeover_partition_total_and_disjoint(n_jobs, crash_at,
                                                shards, now_ms):
-    records = _journal_records(n_jobs)
+    records = _wal_records(n_jobs)
     prefix = records[:crash_at]   # the WAL as of an arbitrary crash
     plan = build_recovery_plan(
         prefix, now_ms, lambda name: 1000.0 if name == "img" else None)

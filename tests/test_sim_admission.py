@@ -1,7 +1,5 @@
 """Slack-aware admission control in the simulator + tick containment."""
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +7,7 @@ from repro.core.policies import make_policy_config
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
 from repro.sim.engine import Simulator
 from repro.traces import poisson_trace
+from repro.workflow.lifecycle import RequestLifecycle
 from repro.workloads import get_application, get_mix
 
 
@@ -22,26 +21,25 @@ class FakePool:
 
 
 def _decider(pool):
-    """A ServerlessSystem with only what ``_deadline_expired`` reads."""
-    system = object.__new__(ServerlessSystem)
+    """A lifecycle core with only what ``deadline_expired`` reads."""
+    core = object.__new__(RequestLifecycle)
     app = get_application("ipa")
-    system.pools = {app.stage_names[0]: pool}
-    system.sim = SimpleNamespace(now=0.0)
-    return system, app
+    core.pools = {app.stage_names[0]: pool}
+    return core, app
 
 
 class TestArrivalAdmissionDecision:
     def test_free_capacity_never_sheds(self):
-        system, app = _decider(FakePool(free_slots=3, delay_ms=1e9))
-        assert not system._deadline_expired(app)
+        core, app = _decider(FakePool(free_slots=3, delay_ms=1e9))
+        assert not core.deadline_expired(app)
 
     def test_saturated_stage_with_exhausted_slack_sheds(self):
-        system, app = _decider(FakePool(free_slots=0, delay_ms=1e9))
-        assert system._deadline_expired(app)
+        core, app = _decider(FakePool(free_slots=0, delay_ms=1e9))
+        assert core.deadline_expired(app)
 
     def test_saturated_but_timely_stage_admits(self):
-        system, app = _decider(FakePool(free_slots=0, delay_ms=0.0))
-        assert not system._deadline_expired(app)
+        core, app = _decider(FakePool(free_slots=0, delay_ms=0.0))
+        assert not core.deadline_expired(app)
 
     @given(st.integers(min_value=0, max_value=64),
            st.floats(min_value=0.0, max_value=1e6,
@@ -51,8 +49,8 @@ class TestArrivalAdmissionDecision:
         """The satellite property: an arrival whose residual slack is
         still positive, or that lands while capacity is free, is never
         shed."""
-        system, app = _decider(FakePool(free_slots, delay_ms))
-        shed = system._deadline_expired(app)
+        core, app = _decider(FakePool(free_slots, delay_ms))
+        shed = core.deadline_expired(app)
         if free_slots > 0:
             assert not shed
         elif delay_ms <= app.slack_ms:
@@ -125,7 +123,7 @@ class TestTickFaultContainment:
         def poisoned_tick(now_ms):
             raise RuntimeError("scaler blew up")
 
-        system.reactive.tick = poisoned_tick
+        system.control.reactive.tick = poisoned_tick
         sim.run(until=trace.duration_ms + 1.0)
         monitor.stop()
         result = system.finalize()

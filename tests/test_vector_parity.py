@@ -1,16 +1,17 @@
-"""Differential harness: legacy vs fast vs vector engine parity.
+"""Differential harness: event-loop vs vector engine parity.
 
 The vector engine (``engine="vector"``) re-implements the whole
 runtime as flat arrays and a batch-admitting run loop; its entire
 correctness argument is *bit-identical equality* with the event-loop
-engines.  These tests are that argument:
+engine (``engine="fast"``, the reference).  These tests are that
+argument:
 
-* a grid of (policy, mix, trace, seed) cells asserting the three
+* a grid of (policy, mix, trace, seed) cells asserting the two
   engines produce identical ``RunResult`` summaries,
 * targeted cells for the orthogonal switches (deadline shedding,
   control-plane blackouts, span tracing),
 * a Hypothesis property drawing small random workloads and asserting
-  three-way agreement,
+  agreement,
 * explicit ``VectorEngineUnsupported`` checks for the features the
   vector engine deliberately refuses to emulate.
 """
@@ -33,7 +34,7 @@ from repro.sim.engine import ENGINES, resolve_engine
 from repro.traces.factory import TRACE_KINDS, make_trace
 from repro.workloads import get_mix
 
-ENGINE_TRIO = ("legacy", "fast", "vector")
+ENGINE_PAIR = ("fast", "vector")
 
 #: fifer defaults to the LSTM predictor, which trains a network at
 #: construction time — far too slow for a parity grid.  The EWMA
@@ -75,23 +76,29 @@ def _summary(
     return system.run(trace).summary()
 
 
-def _assert_three_way(policy, **kwargs):
-    legacy = _summary("legacy", policy, **kwargs)
-    fast = _summary("fast", policy, **kwargs)
-    vector = _summary("vector", policy, **kwargs)
-    assert fast == legacy, f"fast != legacy for {policy} {kwargs}"
-    assert vector == legacy, f"vector != legacy for {policy} {kwargs}"
-    return legacy
+def _assert_engines_agree(policy, **kwargs):
+    fast, vector = (_summary(e, policy, **kwargs) for e in ENGINE_PAIR)
+    assert vector == fast, f"vector != fast for {policy} {kwargs}"
+    return fast
 
 
 class TestEngineSelection:
-    def test_resolve_engine_default_tracks_fast_path(self):
-        assert resolve_engine(None, fast_path=True) == "fast"
-        assert resolve_engine(None, fast_path=False) == "legacy"
-
     def test_resolve_engine_passthrough(self):
+        assert ENGINES == ENGINE_PAIR
+        assert resolve_engine(None) == "fast"
         for name in ENGINES:
             assert resolve_engine(name) == name
+
+    def test_resolve_engine_rejects_the_deleted_legacy_engine(self):
+        with pytest.raises(ValueError, match=r"fast.*vector"):
+            resolve_engine("legacy")
+
+    def test_cli_rejects_the_deleted_legacy_engine(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "rscale", "--engine", "legacy"])
+        assert "invalid choice: 'legacy'" in capsys.readouterr().err
 
     def test_resolve_engine_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -105,16 +112,15 @@ class TestEngineSelection:
             engine="vector",
         )
         assert system.engine == "vector"
-        assert system.fast_path  # vector implies the fast bookkeeping
 
 
 class TestParityGrid:
-    """Every policy, across traces and seeds, three engines agree."""
+    """Every policy, across traces and seeds, both engines agree."""
 
     @pytest.mark.parametrize("policy", sorted(EXTENDED_POLICY_NAMES))
     @pytest.mark.parametrize("trace_kind", TRACE_KINDS)
     def test_policy_trace_grid(self, policy, trace_kind):
-        summary = _assert_three_way(
+        summary = _assert_engines_agree(
             policy,
             mix="heavy",
             trace_kind=trace_kind,
@@ -128,7 +134,7 @@ class TestParityGrid:
     @pytest.mark.parametrize("mix", ["light", "medium", "heavy"])
     @pytest.mark.parametrize("seed", [1, 7])
     def test_mix_seed_grid(self, mix, seed):
-        _assert_three_way(
+        _assert_engines_agree(
             "rscale",
             mix=mix,
             trace_kind="step-poisson",
@@ -142,7 +148,7 @@ class TestParityGrid:
         # A deliberately starved cluster (one 4-core node at 40 rps)
         # so shedding actually fires; otherwise the parity claim would
         # be vacuous for the shed code path.
-        summary = _assert_three_way(
+        summary = _assert_engines_agree(
             "rscale",
             mix="medium",
             trace_kind="poisson",
@@ -157,7 +163,7 @@ class TestParityGrid:
         assert summary["shed_jobs"] > 0
 
     def test_control_blackout_parity(self):
-        summary = _assert_three_way(
+        summary = _assert_engines_agree(
             "rscale",
             mix="medium",
             trace_kind="poisson",
@@ -186,9 +192,8 @@ class TestParityGrid:
                 tracer=tracers[engine],
             )
 
-        legacy, fast, vector = (run(e) for e in ENGINE_TRIO)
-        assert fast == legacy
-        assert vector == legacy
+        fast, vector = (run(e) for e in ENGINE_PAIR)
+        assert vector == fast
 
         def span_tuples(tracer):
             # Job ids come from a process-global counter, so their
@@ -226,17 +231,15 @@ class TestParityGrid:
                 for s in tracer.spans
             ]
 
-        assert span_tuples(tracers["fast"]) == span_tuples(
-            tracers["legacy"])
         assert span_tuples(tracers["vector"]) == span_tuples(
-            tracers["legacy"])
+            tracers["fast"])
 
     def test_fixed_batch_and_single_use_parity(self):
-        _assert_three_way(
+        _assert_engines_agree(
             "hpa", mix="medium", trace_kind="wiki", rate=12.0,
             duration=20.0, seed=6, nodes=5,
         )
-        _assert_three_way(
+        _assert_engines_agree(
             "brigade", mix="heavy", trace_kind="wits", rate=8.0,
             duration=20.0, seed=6, nodes=5,
         )
@@ -258,10 +261,10 @@ class TestRandomWorkloadProperty:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_three_way_agreement(
+    def test_engines_agree(
         self, policy, mix, trace_kind, rate, duration, seed, nodes, shed
     ):
-        _assert_three_way(
+        _assert_engines_agree(
             policy,
             mix=mix,
             trace_kind=trace_kind,
