@@ -5,6 +5,13 @@ length of its local processing queue (section 3): a slack-aware RM sets
 ``B_size = stage_slack / stage_exec_time`` so queued requests still meet
 the SLO; the baseline RM uses ``B_size = 1`` (one request per container,
 AWS-style).  Requests in the local queue are processed sequentially.
+
+:class:`Container` is the one container state machine.  It is written
+against a clock (``sim.now``) and an injected ``later(delay_ms, fn,
+*args)``; how one execution is launched and settled is the
+:meth:`Container._launch` hook.  Here both are the simulator's (one
+scheduled event per execution); the live plane's
+:class:`repro.serve.pool.WorkerSlot` overrides only the hook.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ class Container:
         on_ready: Callable[["Container"], None],
         on_task_done: Callable[["Container", "Task"], None],
         fault_model=None,
-        on_crashed: Optional[Callable[["Container", "Task"], None]] = None,
+        on_crashed: Optional[Callable[["Container", "Task", str], None]] = None,
+        later: Optional[Callable[..., object]] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -64,6 +72,7 @@ class Container:
             raise ValueError("cold_start_ms must be non-negative")
         self.container_id = next(_container_ids)
         self.sim = sim
+        self._later = later if later is not None else sim.schedule
         self.service = service
         self.batch_size = batch_size
         self.node = node
@@ -82,7 +91,7 @@ class Container:
         self.tasks_executed = 0
         self.last_used_ms = sim.now
         self.busy_time_ms = 0.0
-        sim.schedule(cold_start_ms, self._become_ready, label="container-ready")
+        self._later(cold_start_ms, self._become_ready)
 
     # -- capacity ---------------------------------------------------------
 
@@ -150,25 +159,27 @@ class Container:
             self.rng, input_scale=task.job.input_scale
         )
         record.exec_ms = exec_ms
+        self._launch(task, exec_ms)
+
+    def _launch(self, task: "Task", exec_ms: float) -> None:
+        """Start *task*'s execution and arrange for it to be settled by
+        :meth:`_complete` or :meth:`_crash`.  Drivers override this; the
+        fate is drawn after the execution time, in every driver."""
         if self.fault_model is not None and self.fault_model.should_crash(self.rng):
             # The container dies mid-execution; the work is lost.
-            self.sim.schedule(
-                exec_ms * self.fault_model.crash_point,
-                self._crash,
-                label="container-crash",
-            )
+            self._later(exec_ms * self.fault_model.crash_point, self._crash)
         else:
-            self.sim.schedule(exec_ms, self._complete, label="task-complete")
+            self._later(exec_ms, self._complete)
 
-    def _crash(self) -> None:
+    def _crash(self, reason: str = "crash") -> None:
         if self.state in DEAD_STATES:
             return
         task = self.current_task
         self.current_task = None
         self.crashes += 1
         self.state = ContainerState.CRASHED
-        if task is not None and self._on_crashed is not None:
-            self._on_crashed(self, task)
+        if self._on_crashed is not None:
+            self._on_crashed(self, task, reason)
 
     def _complete(self) -> None:
         if self.state in DEAD_STATES or self.current_task is None:
@@ -177,10 +188,9 @@ class Container:
             return
         task = self.current_task
         record = task.record
-        record.end_ms = self.sim.now
+        record.end_ms = self.last_used_ms = self.sim.now
         self.busy_time_ms += record.exec_ms
         self.tasks_executed += 1
-        self.last_used_ms = self.sim.now
         self.current_task = None
         if self.local_queue:
             self._start_next()

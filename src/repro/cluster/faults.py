@@ -130,7 +130,7 @@ def fail_node(node: "Node", pools: List["FunctionPool"], now_ms: float) -> int:
             inflight = container.current_task
             container.current_task = None
             # terminate() (not a bare state write) so live worker slots
-            # also wake their runner task and exit promptly.
+            # also cancel their pending execution timeout.
             container.terminate()
             pool.retired_task_counts.append(container.tasks_executed)
             pool.cluster.release(

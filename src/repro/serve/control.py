@@ -1,8 +1,8 @@
 """The periodic control loop: the live analogue of the sim's monitor.
 
 Every monitoring interval (the paper's 10 s cadence, wall-scaled) one
-tick runs: worker supervision (reap dead runners, respawn capacity lost
-to failures) first, so the scalers see post-failure capacity; then the
+tick runs: worker supervision (respawn capacity lost to failures)
+first, so the scalers see post-failure capacity; then the
 shared :class:`~repro.core.controlplane.ControlPlane` sequence — the
 very scalers, order and per-step ``guard`` the simulator's monitor runs
 — and last the durability checkpoint.  Only the clock underneath
@@ -97,7 +97,18 @@ class ControlLoop(ControlPlane):
             # instead of shifting every subsequent tick.
             await self.clock.sleep_until_ms(n * interval)
             self.tick(self.clock.now)
-            n += 1
+            # A tick that costs more than an interval finds its next
+            # deadline already past, and sleep_until_ms then returns
+            # without yielding: unchecked, this coroutine would never
+            # await again and starve the whole event loop.  Yield once,
+            # then resume at the next boundary still ahead, counting
+            # the ones passed over (not the blackout's skipped ticks).
+            await asyncio.sleep(0)
+            behind = int(self.clock.now // interval) - n
+            if behind > 0:
+                self.registry.counter(
+                    "control_loop_ticks_overrun_total").inc(behind)
+            n += 1 + max(behind, 0)
 
     def start(self) -> None:
         if self._task is None:

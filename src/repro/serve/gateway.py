@@ -100,6 +100,7 @@ class Gateway:
             self.registry.counter(name)
         self._idle = asyncio.Event()
         self._idle.set()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     @property
     def dead(self) -> bool:
@@ -188,8 +189,12 @@ class Gateway:
         return self._track(job)
 
     def _later(self, delay_ms: float, fn, *args) -> None:
-        asyncio.get_running_loop().call_later(
-            self.clock.to_wall_s(delay_ms), fn, *args)
+        loop = self._loop
+        if loop is None:
+            # Bound once, at first use: every stage hop comes through
+            # here, and the lookup cost as much as the call.
+            loop = self._loop = asyncio.get_running_loop()
+        loop.call_later(self.clock.to_wall_s(delay_ms), fn, *args)
 
     def _track(self, job: Optional[Job]) -> Optional[Job]:
         if job is not None:

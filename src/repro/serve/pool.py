@@ -1,21 +1,22 @@
 """Live worker pools: wall-clock "containers" behind the sim's pool API.
 
-A :class:`WorkerSlot` is the live analogue of
-:class:`repro.cluster.container.Container`: it pays a (scaled)
-cold-start delay before becoming ready, owns a batch-size local queue,
-and executes one task at a time — the actual work runs on a thread-pool
-executor so the event loop stays free.  It exposes the same capacity
-surface (``free_slots``, ``is_ready``, ``is_reapable``, ``assign`` …),
-so everything written against containers keeps working.
+A :class:`WorkerSlot` *is* a :class:`repro.cluster.container.Container`:
+the cold start, the batch-size local queue, one execution at a time,
+the exec-time-then-fate draw order and every counter are the
+simulator's own state machine running against the scaled wall clock.
+The slot overrides only how one execution is launched and settled: the
+work runs on a thread-pool executor, its done-callback hops back to the
+event loop, and one timer enforces the execution timeout.  There is no
+per-slot coroutine — the slot lives entirely in loop callbacks.
 
 Workers are *supervised*: a work-function exception, an enforced
 execution timeout (derived from the stage's slack — the same quantity
-:mod:`repro.core.slack` distributes — plus the task's residual slack)
-or an injected chaos fault transitions the slot to ``CRASHED``, releases
-nothing silently and hands the lost task to the pool, which routes it
-through the retry layer (:mod:`repro.serve.retry`).  A slot killed
-externally (node failure) detects the lost claim on its current task
-and exits without corrupting the record.
+:mod:`repro.core.slack` distributes — plus the task's residual slack),
+an injected chaos fault or an exception escaping one of the slot's own
+callbacks transitions the slot to ``CRASHED`` at once and hands the lost
+task to the pool, which routes it through the retry layer
+(:mod:`repro.serve.retry`).  A slot killed externally (node failure)
+no longer owns its current task and discards the late completion.
 
 :class:`WorkerPool` *is* a :class:`repro.workflow.pool.FunctionPool` —
 the overrides are the container factory and the crash path.  Global
@@ -28,26 +29,22 @@ duck-types ``sim.now``).
 from __future__ import annotations
 
 import asyncio
-import itertools
+import logging
 import time
-from collections import deque
-from concurrent.futures import Executor
-from typing import Callable, Deque, Optional, TYPE_CHECKING
+from concurrent.futures import Executor, Future
+from functools import partial
+from typing import Callable, Optional, TYPE_CHECKING
 
-import numpy as np
-
-from repro.cluster.container import ContainerState, DEAD_STATES
+from repro.cluster.container import Container, ContainerState, DEAD_STATES
 from repro.serve.clock import ScaledClock
 from repro.serve.faults import ChaosInjector, FATE_CRASH, FATE_HANG
 from repro.serve.retry import RetryManager
 from repro.workflow.pool import FunctionPool
-from repro.workloads.microservices import Microservice
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.node import Node
     from repro.workflow.job import Task
 
-_slot_ids = itertools.count()
+logger = logging.getLogger(__name__)
 
 #: Executed on the executor for each task: (task, wall_seconds).  The
 #: default models opaque blocking work by sleeping; deployments plug in
@@ -61,110 +58,65 @@ def default_work(task: "Task", wall_s: float) -> None:
         time.sleep(wall_s)
 
 
-def _swallow_result(future) -> None:
-    """Drain an orphaned executor future so its outcome (result or
-    exception) is consumed and never logged as unretrieved."""
-    if future.cancelled():
-        return
-    future.exception()
+class WorkerSlot(Container):
+    """One live worker: the container state machine on the event loop.
 
-
-class WorkerSlot:
-    """One live worker ("container"): cold start, local queue, executor.
-
-    State transitions mirror the simulated container — SPAWNING until
-    the cold start elapses, then IDLE/BUSY, TERMINATED on scale-in and
-    CRASHED when an execution fails (exception, timeout, chaos fault).
-    All mutation happens on the event-loop thread; the executor only
-    runs the opaque work function.
+    All mutation happens on the event-loop thread, inside callbacks that
+    run through :meth:`_guarded`; the executor only runs the opaque work
+    function.  At most one timer is pending per slot — the cold start,
+    then per execution the timeout (or the chaos crash point).
     """
 
     def __init__(
         self,
         clock: ScaledClock,
         executor: Executor,
-        service: Microservice,
-        batch_size: int,
-        cold_start_ms: float,
-        node: "Node",
-        rng: np.random.Generator,
-        on_ready: Callable[["WorkerSlot"], None],
-        on_task_done: Callable[["WorkerSlot", "Task"], None],
         work: Optional[WorkFn] = None,
         stage_slack_ms: float = 0.0,
         chaos: Optional[ChaosInjector] = None,
-        on_failed: Optional[
-            Callable[["WorkerSlot", Optional["Task"], str], None]
-        ] = None,
         task_timeout: bool = True,
         timeout_floor_wall_s: float = 1.0,
+        loop: Optional[asyncio.AbstractEventLoop] = None,
+        **container,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if cold_start_ms < 0:
-            raise ValueError("cold_start_ms must be non-negative")
-        self.container_id = next(_slot_ids)
         self.clock = clock
         self.executor = executor
-        self.service = service
-        self.batch_size = batch_size
-        self.node = node
-        self.rng = rng
-        self._on_ready = on_ready
-        self._on_task_done = on_task_done
-        self._on_failed = on_failed
         self._work = work or default_work
         self.stage_slack_ms = stage_slack_ms
         self.chaos = chaos
         self.task_timeout = task_timeout
         self.timeout_floor_wall_s = timeout_floor_wall_s
-        self.state = ContainerState.SPAWNING
-        self.spawned_ms = clock.now
-        self.cold_start_ms = cold_start_ms
-        self.ready_at_ms = clock.now + cold_start_ms
-        self.local_queue: Deque["Task"] = deque()
-        self.current_task: Optional["Task"] = None
-        self.tasks_executed = 0
-        self.crashes = 0
-        self.last_used_ms = clock.now
-        self.busy_time_ms = 0.0
-        self._wake = asyncio.Event()
-        self.runner: asyncio.Task = asyncio.get_running_loop().create_task(
-            self._run(), name=f"worker-{service.name}-{self.container_id}"
+        self._loop = loop or asyncio.get_running_loop()
+        self._future: Optional[Future] = None
+        # Arms the cold-start timer: ``_timer`` is set from here on.
+        super().__init__(sim=clock, later=self._call_later, **container)
+
+    # -- driver: timers and callbacks on the event loop --------------------
+
+    def _call_later(self, delay_ms: float, fn, *args) -> None:
+        self._timer = self._loop.call_later(
+            self.clock.to_wall_s(delay_ms), self._guarded, fn, *args
         )
 
-    # -- capacity (the Container surface the pools/scalers read) ----------
+    def _guarded(self, fn, *args) -> None:
+        """Run one slot callback; an exception escaping it kills this
+        slot now (reason ``"died"``) instead of leaking its node and its
+        claimed task — there is no coroutine whose death could be polled."""
+        try:
+            fn(*args)
+        except Exception:
+            logger.exception("worker %d: callback failed", self.container_id)
+            self._cancel_pending()
+            self._crash("died")
 
-    @property
-    def function(self) -> str:
-        return self.service.name
+    def _cancel_pending(self) -> None:
+        self._timer.cancel()
+        if self._future is not None:
+            # Only work still queued on the executor can be cancelled; a
+            # running (hung) handler keeps its thread, like a real one.
+            self._future.cancel()
 
-    @property
-    def occupied_slots(self) -> int:
-        return len(self.local_queue) + (1 if self.current_task is not None else 0)
-
-    @property
-    def free_slots(self) -> int:
-        return self.batch_size - self.occupied_slots
-
-    @property
-    def is_ready(self) -> bool:
-        return self.state in (ContainerState.IDLE, ContainerState.BUSY)
-
-    @property
-    def is_reapable(self) -> bool:
-        return self.state == ContainerState.IDLE and not self.local_queue
-
-    # -- request path ------------------------------------------------------
-
-    def assign(self, task: "Task") -> None:
-        """Add *task* to the local queue (caller checked free_slots)."""
-        if self.state in DEAD_STATES:
-            raise RuntimeError(f"worker {self.container_id} is dead")
-        if self.free_slots <= 0:
-            raise RuntimeError(f"worker {self.container_id} has no free slot")
-        self.local_queue.append(task)
-        self._wake.set()
+    # -- driver: one execution ---------------------------------------------
 
     def _timeout_wall_s(self, task: "Task", exec_ms: float) -> Optional[float]:
         """Execution budget for one attempt, in wall seconds.
@@ -181,6 +133,40 @@ class WorkerSlot:
         budget_ms = 2.0 * exec_ms + max(self.stage_slack_ms, residual)
         return self.clock.to_wall_s(budget_ms) + self.timeout_floor_wall_s
 
+    def _launch(self, task: "Task", exec_ms: float) -> None:
+        fate = self.chaos.draw_fate(self.rng) if self.chaos is not None else None
+        if fate == FATE_CRASH:
+            # The worker dies partway through; the work is lost.
+            self._call_later(
+                exec_ms * self.chaos.crash_point, self._settle, task, "crash"
+            )
+            return
+        timeout_s = self._timeout_wall_s(task, exec_ms)
+        if timeout_s is not None:
+            self._timer = self._loop.call_later(
+                timeout_s, self._guarded, self._settle, task, "timeout"
+            )
+        if fate == FATE_HANG:
+            # The work never returns; only the execution timeout (when
+            # enabled) recovers the slot.
+            return
+        self._future = self.executor.submit(
+            self._work, task, self.clock.to_wall_s(exec_ms)
+        )
+        self._future.add_done_callback(partial(self._work_done, task))
+
+    def _work_done(self, task: "Task", future: Future) -> None:
+        """Executor thread: hand the outcome back to the event loop."""
+        if self.state in DEAD_STATES:
+            return  # nobody owns this execution any more
+        failed = not future.cancelled() and future.exception() is not None
+        try:
+            self._loop.call_soon_threadsafe(
+                self._guarded, self._settle, task, "error" if failed else None
+            )
+        except RuntimeError:
+            pass  # the loop is closed: the run is over
+
     def _owns(self, task: "Task") -> bool:
         """True while this slot still owns *task*'s execution.  A node
         kill (``fail_node``) clears ``current_task`` and terminates the
@@ -188,136 +174,29 @@ class WorkerSlot:
         local completion or failure must be discarded."""
         return self.current_task is task and self.state not in DEAD_STATES
 
-    async def _run(self) -> None:
-        await self.clock.sleep_ms(self.cold_start_ms)
-        if self.state in DEAD_STATES:
+    def _settle(self, task: "Task", failure: Optional[str]) -> None:
+        """*task*'s execution ended: the work returned (``None``), raised
+        (``"error"``), was crashed by chaos or ran out of time."""
+        if not self._owns(task):
             return
-        self.state = ContainerState.IDLE
-        self.last_used_ms = self.clock.now
-        self._on_ready(self)
-        loop = asyncio.get_running_loop()
-        while True:
-            if self.state in DEAD_STATES:
-                return
-            if not self.local_queue:
-                self.state = ContainerState.IDLE
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            task = self.local_queue.popleft()
-            self.current_task = task
-            self.state = ContainerState.BUSY
-            record = task.record
-            record.start_ms = self.clock.now
-            # Attribute the wait spent on this worker's cold start
-            # (Figure 9's breakdown), exactly as the simulator does.
-            if self.ready_at_ms > record.enqueue_ms:
-                record.cold_start_wait_ms = (
-                    min(self.ready_at_ms, record.start_ms) - record.enqueue_ms
-                )
-            exec_ms = self.service.exec_time_ms(
-                self.rng, input_scale=task.job.input_scale
-            )
-            record.exec_ms = exec_ms
-            # Chaos draw order matches Container._start_next (exec time
-            # first, then the crash Bernoulli) for sim-vs-live parity.
-            fate = (
-                self.chaos.draw_fate(self.rng) if self.chaos is not None else None
-            )
-            failure: Optional[str] = None
-            if fate == FATE_CRASH:
-                # The worker dies partway through; the work is lost.
-                await self.clock.sleep_ms(exec_ms * self.chaos.crash_point)
-                failure = "crash"
-            else:
-                timeout_s = self._timeout_wall_s(task, exec_ms)
-                if fate == FATE_HANG:
-                    # The work never returns; only the execution
-                    # timeout (when enabled) recovers the slot.
-                    hung: asyncio.Future = loop.create_future()
-                    try:
-                        if timeout_s is None:
-                            await hung
-                        await asyncio.wait({hung}, timeout=timeout_s)
-                    finally:
-                        hung.cancel()
-                    failure = "timeout"
-                else:
-                    future = loop.run_in_executor(
-                        self.executor,
-                        self._work,
-                        task,
-                        self.clock.to_wall_s(exec_ms),
-                    )
-                    done, pending = await asyncio.wait(
-                        {future}, timeout=timeout_s
-                    )
-                    if pending:
-                        # Hung work: the thread cannot be killed — leave
-                        # it orphaned (it keeps its executor slot, like a
-                        # real stuck handler) and discard its outcome.
-                        future.cancel()
-                        future.add_done_callback(_swallow_result)
-                        failure = "timeout"
-                    elif future.exception() is not None:
-                        failure = "error"
-            if self.state == ContainerState.TERMINATED or not self._owns(task):
-                # Killed externally mid-execution (node failure or
-                # forced shutdown): the task was already requeued by
-                # whoever killed us — discard this attempt entirely.
-                return
-            if failure is not None:
-                self._fail(task, failure)
-                return
-            record.end_ms = self.clock.now
-            self.busy_time_ms += exec_ms
-            self.tasks_executed += 1
-            self.last_used_ms = self.clock.now
-            self.current_task = None
-            # Become IDLE *before* the completion callback when the local
-            # queue is empty, exactly like the simulated container: the
-            # single-use (brigade) path retires the worker inside it.
-            if not self.local_queue:
-                self.state = ContainerState.IDLE
-            self._on_task_done(self, task)
-
-    def _fail(self, task: "Task", reason: str) -> None:
-        """This slot's execution of *task* failed: crash the worker and
-        hand the lost task (plus any local queue) to the pool."""
-        self.current_task = None
-        self.crashes += 1
-        self.state = ContainerState.CRASHED
-        if self._on_failed is not None:
-            self._on_failed(self, task, reason)
+        self._cancel_pending()
+        if failure is None:
+            self._complete()
+        else:
+            self._crash(failure)
 
     # -- lifecycle ---------------------------------------------------------
 
     def terminate(self) -> None:
-        """Scale this worker in (must not be executing)."""
-        if self.current_task is not None or self.local_queue:
-            raise RuntimeError(
-                f"worker {self.container_id} still has work; cannot terminate"
-            )
-        self.state = ContainerState.TERMINATED
-        self._wake.set()
+        super().terminate()
+        self._cancel_pending()
 
-    async def shutdown(self) -> None:
-        """Force-stop the runner (end-of-run teardown, any state)."""
+    def shutdown(self) -> None:
+        """Force-stop (end-of-run teardown, any state): from here on no
+        callback mutates this slot."""
         if self.state != ContainerState.CRASHED:
             self.state = ContainerState.TERMINATED
-        self._wake.set()
-        if not self.runner.done():
-            self.runner.cancel()
-        try:
-            await self.runner
-        except asyncio.CancelledError:
-            pass
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<WorkerSlot {self.container_id} fn={self.function} "
-            f"state={self.state.value} slots={self.occupied_slots}/{self.batch_size}>"
-        )
+        self._cancel_pending()
 
 
 class WorkerPool(FunctionPool):
@@ -328,8 +207,7 @@ class WorkerPool(FunctionPool):
     wall clock (only ``sim.now`` is ever read).  On top of the sim's
     surface it adds the resilience hooks: failed executions route
     through the retry manager, and :meth:`supervise` (driven by the
-    control loop) reaps unexpectedly dead runners and respawns capacity
-    lost to failures.
+    control loop) respawns capacity lost to failures.
     """
 
     def __init__(
@@ -365,10 +243,10 @@ class WorkerPool(FunctionPool):
             rng=self.rng,
             on_ready=self._on_container_ready,
             on_task_done=self._on_task_done,
+            on_crashed=self._on_slot_failed,
             work=self.work,
             stage_slack_ms=self.stage_slack_ms,
             chaos=self.chaos,
-            on_failed=self._on_slot_failed,
             task_timeout=self.task_timeout,
             timeout_floor_wall_s=self.timeout_floor_wall_s,
         )
@@ -378,64 +256,34 @@ class WorkerPool(FunctionPool):
     def _on_slot_failed(
         self, slot: WorkerSlot, task: Optional["Task"], reason: str
     ) -> None:
-        """A worker died mid-execution (exception, timeout, chaos):
-        release its node, then route the lost task and its local queue
-        through the retry layer (or straight back into the global queue
-        when no retry manager is wired — the simulator's semantics)."""
-        self.container_crashes += 1
+        """A worker died — work exception, timeout, chaos, or ``"died"``
+        (an exception escaping its own callbacks): the simulator's crash
+        path, with the orphans routed through the retry layer."""
         if reason == "timeout":
             self.task_timeouts += 1
-        self.retired_task_counts.append(slot.tasks_executed)
-        self.cluster.release(
-            slot.node,
-            self.sim.now,
-            cpu=self.service.cpu_cores,
-            memory_mb=self.service.memory_mb,
-        )
-        orphans = ([task] if task is not None else []) + list(slot.local_queue)
-        slot.local_queue.clear()
-        self._compact()
+        elif reason == "died":
+            self.registry.counter(
+                "pool_slot_callback_errors_total", pool=self.function).inc()
         self._unreplaced_failures += 1
-        for orphan in orphans:
-            if self.retry_manager is not None:
-                self.retry_manager.handle_failure(self, orphan, reason)
-            else:
-                self.requeue(orphan)
-        if self.spawn_on_demand:
-            self._spawn_for_backlog()
-        self.dispatch()
+        self._on_container_crashed(slot, task, reason)
+
+    def _retry_orphan(self, task: "Task", reason: str) -> None:
+        if self.retry_manager is not None:
+            self.retry_manager.handle_failure(self, task, reason)
+        else:
+            self.requeue(task)
 
     def supervise(self, now_ms: Optional[float] = None) -> int:
-        """Detect dead runners and respawn capacity lost to failures.
+        """Respawn capacity lost to failures (every control-loop tick).
 
-        Called every control-loop tick.  Two duties:
-
-        1. A slot whose runner task finished without the slot reaching a
-           dead state died *unexpectedly* (a bug escaping ``_run`` or an
-           external cancellation) — its failure callback never ran, so
-           its node allocation and any claimed task would leak forever.
-           Crash it properly.
-        2. Replace capacity lost to failures since the last tick, one
-           spawn per failure, but only while the global queue actually
-           backs up beyond current + incoming capacity — so supervision
-           never becomes a shadow autoscaler that distorts the policies
-           under study.
+        One spawn per failure since the last tick, but only while the
+        global queue actually backs up beyond current + incoming
+        capacity — so supervision never becomes a shadow autoscaler
+        that distorts the policies under study.  (Dead slots need no
+        reaping here: a slot that fails crashes itself at once.)
 
         Returns the number of replacement workers spawned.
         """
-        for slot in list(self.containers):
-            runner = getattr(slot, "runner", None)
-            if runner is None or not runner.done():
-                continue
-            if slot.state in DEAD_STATES:
-                continue
-            if not runner.cancelled():
-                runner.exception()  # retrieve, so asyncio never warns
-            task = slot.current_task
-            slot.current_task = None
-            slot.crashes += 1
-            slot.state = ContainerState.CRASHED
-            self._on_slot_failed(slot, task, "died")
         respawned = 0
         while self._unreplaced_failures > 0:
             self._unreplaced_failures -= 1
@@ -446,5 +294,6 @@ class WorkerPool(FunctionPool):
         return respawned
 
     async def shutdown(self) -> None:
-        """Stop every worker runner (terminated included — idempotent)."""
-        await asyncio.gather(*(slot.shutdown() for slot in self.containers))
+        """Stop every worker and cancel its pending timer (idempotent)."""
+        for slot in self.containers:
+            slot.shutdown()

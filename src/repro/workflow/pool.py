@@ -559,9 +559,11 @@ class FunctionPool:
     def _on_container_ready(self, container: Container) -> None:
         self.dispatch()
 
-    def _on_container_crashed(self, container: Container, task: Task) -> None:
-        """A container died mid-execution: release its node, requeue the
-        lost task (and anything in its local queue) for a retry."""
+    def _on_container_crashed(
+        self, container: Container, task: Optional[Task], reason: str = "crash"
+    ) -> None:
+        """A container died mid-execution: release its node, retry the
+        lost task (and anything in its local queue)."""
         self.container_crashes += 1
         self.retired_task_counts.append(container.tasks_executed)
         self.cluster.release(
@@ -570,14 +572,21 @@ class FunctionPool:
             cpu=self.service.cpu_cores,
             memory_mb=self.service.memory_mb,
         )
-        orphans = [task] + list(container.local_queue)
+        orphans = list(container.local_queue)
+        if task is not None:
+            orphans.insert(0, task)
         container.local_queue.clear()
         for orphan in orphans:
-            self.requeue(orphan)
+            self._retry_orphan(orphan, reason)
         self._compact()
         if self.spawn_on_demand:
             self._spawn_for_backlog()
         self.dispatch()
+
+    def _retry_orphan(self, task: Task, reason: str) -> None:
+        """Where a crashed container's task goes: straight back into the
+        global queue (the live pool routes it through its retry layer)."""
+        self.requeue(task)
 
     def _on_task_done(self, container: Container, task: Task) -> None:
         self.tasks_completed += 1

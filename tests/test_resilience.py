@@ -272,29 +272,55 @@ class TestSupervisedWorkers:
 
         asyncio.run(scenario())
 
-    def test_supervisor_reaps_dead_runner_and_respawns(self):
+    def test_callback_error_crashes_slot_then_respawn(self):
+        done = []
+
+        def finished(task):
+            if not done:
+                done.append(task)
+                raise RuntimeError("bug in the completion path")
+            done.append(task)
+
         async def scenario():
             clock = ScaledClock(FAST)
             with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor)
+                pool = _worker_pool(clock, executor, on_finished=finished)
                 clock.start()
                 pool.prewarm(1)
                 await asyncio.sleep(0.02)
                 (slot,) = pool.containers
                 free_before = pool.cluster.nodes[slot.node.node_id].free_cpu
-                # Kill the runner behind the pool's back: the slot never
-                # transitions, so only the supervisor can reclaim it.
-                slot.runner.cancel()
-                await asyncio.sleep(0.01)
-                pool.enqueue(_task(clock))  # backlog justifies a respawn
-                respawned = pool.supervise(clock.now)
-                assert respawned == 1
-                assert pool.container_crashes == 1
+                first, second = _task(clock), _task(clock)
+                pool.enqueue(first)
+                pool.enqueue(second)  # rides the same slot's local queue
+                for _ in range(400):
+                    if pool.container_crashes:
+                        break
+                    await asyncio.sleep(0.005)
+                # The exception escaped the slot's completion callback
+                # after it had claimed the second task: no coroutine to
+                # poll — the slot crashed itself at once, released its
+                # node and handed the claimed task back for a retry.
                 assert slot.state == ContainerState.CRASHED
                 assert slot not in pool.containers
-                # The dead slot's node allocation was released.
+                assert pool.container_crashes == 1
+                assert pool.registry.value(
+                    "pool_slot_callback_errors_total", pool="ASR") == 1
                 node = pool.cluster.nodes[slot.node.node_id]
                 assert node.free_cpu >= free_before
+                assert pool.task_retries == 1
+                assert pool.queue_length == 1
+                # The backlog justifies one replacement, which runs the
+                # orphan exactly once (its first execution's completion
+                # is discarded by the ownership check).
+                assert pool.supervise(clock.now) == 1
+                for _ in range(400):
+                    if len(done) == 2:
+                        break
+                    await asyncio.sleep(0.005)
+                await asyncio.sleep(0.05)
+                assert done == [first, second]
+                assert pool.tasks_completed == 2
                 await pool.shutdown()
 
         asyncio.run(scenario())
@@ -321,20 +347,23 @@ class TestSupervisedWorkers:
 
 class TestFailNodeLive:
     def test_killed_nodes_inflight_task_requeued_exactly_once(self):
+        import threading
+
+        release = threading.Event()
+
+        def gated(task, wall_s):
+            release.wait(5.0)  # in flight until the test lets it return
+
         async def scenario():
-            clock = ScaledClock(1.0)  # real time: the task stays in flight
+            clock = ScaledClock(FAST)
             with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor, n_nodes=1)
+                pool = _worker_pool(clock, executor, n_nodes=1, work=gated)
                 clock.start()
                 pool.prewarm(1)
                 await asyncio.sleep(0.05)
                 (slot,) = pool.containers
                 task = _task(clock)
                 pool.enqueue(task)
-                for _ in range(100):
-                    if slot.current_task is task:
-                        break
-                    await asyncio.sleep(0.01)
                 assert slot.current_task is task  # dispatched, executing
                 destroyed = fail_node(slot.node, [pool], clock.now)
                 assert destroyed == 1
@@ -345,10 +374,14 @@ class TestFailNodeLive:
                 assert pool.queue_length == 1
                 assert sum(1 for t in pool._waiting if t is task) == 1
                 assert pool.queue.pop() is task
-                # The orphaned runner exits without completing the task.
-                await asyncio.wait({slot.runner}, timeout=2.0)
-                assert slot.runner.done()
+                # The kill cancelled the execution timeout, and the
+                # orphaned execution's late completion is discarded.
+                assert slot._timer.cancelled()
+                release.set()
+                await asyncio.sleep(0.05)
                 assert pool.tasks_completed == 0
+                assert slot.tasks_executed == 0
+                assert slot.state == ContainerState.TERMINATED
                 await pool.shutdown()
 
         asyncio.run(scenario())
@@ -422,6 +455,60 @@ class TestControlLoopContainment:
         result = runtime.run(poisson_trace(5.0, 4.0, seed=4))
         assert result.tick_errors == 0
         assert "tick_errors" in result.summary()
+
+
+class _JumpClock:
+    """Manual model clock with ``ScaledClock``'s sleep contract: a
+    future deadline is slept to (and yields), a past one returns at
+    once without yielding."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    async def sleep_until_ms(self, model_ms):
+        if model_ms > self.now:
+            self.now = model_ms
+            await asyncio.sleep(0)
+
+
+class TestControlLoopOverrun:
+    def test_slow_tick_does_not_starve_the_loop(self):
+        progress = [0]
+
+        class SlowLoop(ControlLoop):
+            seen, stalled = 0, 0
+
+            def tick(self, now_ms):
+                # One tick costs one and a half intervals of model time.
+                self.clock.now += 1.5 * self.config.monitor_interval_ms
+                self.ticks += 1
+                self.stalled = self.stalled + 1 if progress[0] == self.seen else 0
+                self.seen = progress[0]
+                # Starved, the test could only hang: fail it instead.
+                assert self.stalled < 100, "control loop never yields"
+
+        async def scenario():
+            control = SlowLoop(
+                clock=_JumpClock(),
+                pools={},
+                cluster=Cluster(n_nodes=1),
+                metrics=_metrics(),
+                config=make_policy_config("bline"),
+            )
+            control.start()
+            for _ in range(40):  # the sibling: this coroutine
+                await asyncio.sleep(0)
+                progress[0] += 1
+            await control.stop()  # returns (and re-raises a starved loop)
+            assert control._task is None
+            assert control.ticks >= 10
+            # Every tick passed over one boundary, resumed at the next.
+            overrun = control.registry.value("control_loop_ticks_overrun_total")
+            assert control.ticks - 1 <= overrun <= control.ticks
+            interval = control.config.monitor_interval_ms
+            assert control.clock.now <= (2 * control.ticks + 1) * interval
+
+        asyncio.run(scenario())
 
 
 # ---------------------------------------------------------------------------

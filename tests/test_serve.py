@@ -200,16 +200,36 @@ class TestWorkerPool:
                 await pool.shutdown()  # force-stop mid-task is allowed
         asyncio.run(scenario())
 
-    def test_shutdown_cancels_runners(self):
+    def test_shutdown_cancels_pending_timers(self):
+        from repro.cluster.container import ContainerState
+        from repro.workflow.job import Job, Task
+        from repro.workloads import get_application
+
+        done = []
+
         async def scenario():
-            clock = ScaledClock(FAST)
+            clock = ScaledClock(1.0)  # real time: nothing finishes by itself
             with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor)
+                pool = _worker_pool(clock, executor, on_finished=done.append)
                 clock.start()
-                pool.prewarm(3)
-                runners = [s.runner for s in pool.containers]
+                pool.prewarm(2)
+                await asyncio.sleep(0.02)
+                pool.spawn(1)  # cold start pending
+                job = Job(app=get_application("ipa"), arrival_ms=clock.now)
+                pool.enqueue(Task(job=job, stage_index=0, enqueue_ms=clock.now))
+                slots = list(pool.containers)
+                assert sum(s.current_task is not None for s in slots) == 1
                 await pool.shutdown()
-                assert all(r.done() for r in runners)
+                # Every pending timer (cold start, execution timeout) is
+                # cancelled, and nothing mutates a slot afterwards: the
+                # cold slot never readies, the late completion is dropped.
+                assert all(s._timer.cancelled() for s in slots)
+                states = [s.state for s in slots]
+                assert set(states) == {ContainerState.TERMINATED}
+                await asyncio.sleep(0.3)
+                assert [s.state for s in slots] == states
+                assert done == [] and pool.tasks_completed == 0
+                await pool.shutdown()  # idempotent
         asyncio.run(scenario())
 
 
