@@ -21,20 +21,14 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.cluster.faults import FaultTimeline
 from repro.core.policies import EXTENDED_POLICY_NAMES, make_policy_config
 from repro.experiments import format_table, normalize
 from repro.experiments.predictors import pretrained_predictor
-from repro.runtime.system import ClusterSpec, ServerlessSystem
+from repro.runtime.system import ClusterSpec
 from repro.sim.engine import ENGINES
 from repro.traces import TRACE_KINDS, make_trace
-from repro.traces.base import ArrivalTrace
 from repro.workloads import APPLICATIONS, MICROSERVICES, WORKLOAD_MIXES, get_mix
-
-TRACES = TRACE_KINDS
-
-
-def _make_trace(kind: str, rate: float, duration: float, seed: int) -> ArrivalTrace:
-    return make_trace(kind, rate, duration, seed)
 
 
 def _result_row(policy: str, result) -> tuple:
@@ -51,42 +45,6 @@ def _result_row(policy: str, result) -> tuple:
 
 _RESULT_HEADERS = ["policy", "SLO viol", "median(ms)", "P99(ms)",
                    "avg containers", "cold starts", "energy(kJ)"]
-
-
-def _run_one(policy: str, mix_name: str, trace_kind: str, rate: float,
-             duration: float, seed: int, nodes: int, tracer=None,
-             overrides=None, shed_expired=False, node_fault_schedule=None,
-             diverge_at=None, diverge_factor=25.0, control_blackout=None,
-             engine=None):
-    config = make_policy_config(policy, idle_timeout_ms=60_000.0,
-                                **(overrides or {}))
-    predictor = None
-    if config.proactive_predictor == "lstm":
-        train_kind = "poisson" if "poisson" in trace_kind else trace_kind
-        predictor = pretrained_predictor(train_kind, mean_rate_rps=rate)
-    if diverge_at is not None and config.proactive_predictor is not None:
-        from repro.prediction.guarded import DivergentPredictor
-        from repro.runtime.system import _UNTRAINED_PREDICTORS
-
-        if predictor is None:
-            predictor = _UNTRAINED_PREDICTORS[
-                config.proactive_predictor.lower()]()
-        predictor = DivergentPredictor(
-            predictor, diverge_after=diverge_at, factor=diverge_factor)
-    system = ServerlessSystem(
-        config=config,
-        mix=get_mix(mix_name),
-        cluster_spec=ClusterSpec(n_nodes=nodes),
-        predictor=predictor,
-        seed=seed,
-        tracer=tracer,
-        shed_expired=shed_expired,
-        node_fault_schedule=node_fault_schedule,
-        control_blackout=control_blackout,
-        engine=engine,
-    )
-    trace = _make_trace(trace_kind, rate, duration, seed)
-    return system.run(trace), system
 
 
 def _make_tracer(args):
@@ -123,28 +81,47 @@ def _emit_obs(args, tracer, registry, result) -> None:
         print(f"metrics: {args.metrics_out}")
 
 
-def _parse_fault_schedule(spec: Optional[str]):
-    """Parse ``--node-fault-schedule`` or exit with a usage error."""
-    if not spec:
-        return None
-    from repro.cluster.faults import NodeFaultSchedule
-
+def _faults_arg(args, plane: Optional[str] = None, **limits) -> FaultTimeline:
+    """Parse ``--faults`` or exit with a usage error.  Whether the run
+    can enact it is the entry point's build-time ``validate``; pass
+    *plane* to run that here (trials built in pool workers)."""
     try:
-        return NodeFaultSchedule.parse(spec)
+        timeline = FaultTimeline.parse(args.faults) if args.faults \
+            else FaultTimeline()
+        return timeline.validate(plane, **limits) if plane else timeline
     except ValueError as exc:
-        raise SystemExit(f"--node-fault-schedule: {exc}")
+        raise SystemExit(f"--faults: {exc}")
 
 
-def _parse_blackout(spec: Optional[str]):
-    """Parse ``--control-blackout`` or exit with a usage error."""
-    if not spec:
-        return None
-    from repro.cluster.faults import ControlPlaneBlackout
+def _trial_spec(args, policy: str, seed: int, **spec_kwargs):
+    from repro.experiments.runner import TrialSpec
 
-    try:
-        return ControlPlaneBlackout.parse(spec)
-    except ValueError as exc:
-        raise SystemExit(f"--control-blackout: {exc}")
+    return TrialSpec.make(
+        policy, mix=args.mix, trace_kind=args.trace, rate_rps=args.rate,
+        duration_s=args.duration, nodes=args.nodes, seed=seed, **spec_kwargs)
+
+
+def _simulate(args, policy: str, tracer=None, **spec_kwargs):
+    """One simulated trial of *policy* on the command line's workload,
+    through the runner's one spec → system path; ``(result, system)``."""
+    from repro.experiments.runner import _run_trial_result
+
+    return _run_trial_result(
+        _trial_spec(args, policy, args.seed, **spec_kwargs), tracer=tracer)
+
+
+def _run_spec_kwargs(args) -> dict:
+    """What ``run``'s flags add to the workload: engine, guardrails,
+    faults."""
+    faults = {}
+    if args.diverge_at is not None:
+        faults["diverge_after"] = args.diverge_at
+        faults["diverge_factor"] = args.diverge_factor
+    if _faults_arg(args, "vector" if args.engine == "vector" else "sim",
+                   n_nodes=args.nodes):
+        faults["timeline"] = args.faults
+    return dict(engine=args.engine, faults=tuple(faults.items()),
+                shed_expired=args.sim_shed_expired, **_guard_overrides(args))
 
 
 def _guard_overrides(args) -> dict:
@@ -207,35 +184,17 @@ def _run_batch(args) -> int:
     """run/simulate through the experiment runner (repeats, workers,
     disk cache); prints one summary row per trial plus the aggregate."""
     from repro.experiments.repeats import DEFAULT_METRICS, aggregate_summaries
-    from repro.experiments.runner import TrialSpec, repeat_specs
+    from repro.experiments.runner import derive_seeds
 
     if args.trace_out or args.metrics_out:
         print("note: --trace-out/--metrics-out are ignored with "
               "--repeats/--workers/--cache-dir (trials may run in other "
               "processes or come from cache)", file=sys.stderr)
-    common = dict(mix=args.mix, trace_kind=args.trace, rate_rps=args.rate,
-                  duration_s=args.duration, nodes=args.nodes,
-                  engine=getattr(args, "engine", None))
-    common.update(_guard_overrides(args))
-    faults = {}
-    if args.diverge_at is not None:
-        faults["diverge_after"] = args.diverge_at
-        faults["diverge_factor"] = args.diverge_factor
-    if args.node_fault_schedule:
-        _parse_fault_schedule(args.node_fault_schedule)  # fail fast
-        faults["node_fault_schedule"] = args.node_fault_schedule
-    if getattr(args, "control_blackout", None):
-        _parse_blackout(args.control_blackout)  # fail fast
-        faults["control_blackout"] = args.control_blackout
-    if faults:
-        common["faults"] = tuple(sorted(faults.items()))
-    if args.sim_shed_expired:
-        common["shed_expired"] = True
-    if args.repeats > 1:
-        specs = repeat_specs(args.policy, base_seed=args.seed,
-                             repeats=args.repeats, **common)
-    else:
-        specs = [TrialSpec.make(args.policy, seed=args.seed, **common)]
+    seeds = (derive_seeds(args.seed, args.repeats) if args.repeats > 1
+             else [args.seed])
+    spec_kwargs = _run_spec_kwargs(args)
+    specs = [_trial_spec(args, args.policy, seed, **spec_kwargs)
+             for seed in seeds]
     runner = _runner_from_args(args)
     results = runner.run(specs)
     rows = [
@@ -310,15 +269,11 @@ def _print_sharded(policy: str, result, journal=None) -> None:
 
 
 def _run_sharded(args: argparse.Namespace) -> int:
-    from repro.cluster.faults import ShardFaultSchedule
     from repro.shard import run_sharded_policy
 
-    trace = _make_trace(args.trace, args.rate, args.duration, args.seed)
+    faults = _faults_arg(args)
+    trace = make_trace(args.trace, args.rate, args.duration, args.seed)
     try:
-        shard_faults = (
-            ShardFaultSchedule.parse(args.shard_faults)
-            if args.shard_faults else None
-        )
         result = run_sharded_policy(
             args.policy, get_mix(args.mix), trace,
             shards=args.shards,
@@ -332,7 +287,7 @@ def _run_sharded(args: argparse.Namespace) -> int:
             seed=args.seed,
             engine=getattr(args, "engine", None),
             shed_expired=args.sim_shed_expired,
-            shard_faults=shard_faults,
+            faults=faults,
             heartbeat_interval_ms=args.heartbeat_interval * 1000.0,
             idle_timeout_ms=60_000.0,
             **_guard_overrides(args),
@@ -341,7 +296,7 @@ def _run_sharded(args: argparse.Namespace) -> int:
         raise SystemExit(f"run: {exc}")
     _print_sharded(args.policy, result)
     orch = result.orchestration
-    if shard_faults is not None:
+    if faults.of("kill-shard", "recover-shard"):
         journal = orch.get("journal") or {}
         print(f"failover: {orch.get('failovers', 0)} declarations, "
               f"{orch.get('shard_recoveries', 0)} recoveries, "
@@ -357,18 +312,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.repeats > 1 or args.workers > 1 or args.cache_dir:
         return _run_batch(args)
     tracer = _make_tracer(args)
-    result, system = _run_one(
-        args.policy, args.mix, args.trace, args.rate,
-        args.duration, args.seed, args.nodes,
-        tracer=tracer,
-        overrides=_guard_overrides(args),
-        shed_expired=args.sim_shed_expired,
-        node_fault_schedule=_parse_fault_schedule(args.node_fault_schedule),
-        diverge_at=args.diverge_at,
-        diverge_factor=args.diverge_factor,
-        control_blackout=_parse_blackout(args.control_blackout),
-        engine=getattr(args, "engine", None),
-    )
+    result, system = _simulate(
+        args, args.policy, tracer=tracer, **_run_spec_kwargs(args))
     print(format_table(
         _RESULT_HEADERS, [_result_row(args.policy, result)],
         title=f"{args.policy} on {args.mix} mix / {args.trace} trace "
@@ -377,19 +322,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     _print_guard_counters(result)
     _emit_obs(args, tracer, system.registry, result)
     return 0
-
-
-def _parse_brownout(spec: Optional[str]):
-    """Parse ``START:END:FACTOR`` (model seconds + multiplier)."""
-    if not spec:
-        return None
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise SystemExit(
-            f"--registry-brownout expects START:END:FACTOR, got {spec!r}"
-        )
-    start_s, end_s, factor = (float(p) for p in parts)
-    return start_s * 1000.0, end_s * 1000.0, factor
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -402,29 +334,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if config.proactive_predictor == "lstm":
         train_kind = "poisson" if "poisson" in args.trace else args.trace
         predictor = pretrained_predictor(train_kind, mean_rate_rps=args.rate)
-    trace = _make_trace(args.trace, args.rate, args.duration, args.seed)
-    brownout = _parse_brownout(args.registry_brownout)
+    trace = make_trace(args.trace, args.rate, args.duration, args.seed)
     faults = FaultConfig(
         crash_prob=args.crash_prob,
         hang_prob=args.hang_prob,
-        brownout_start_ms=brownout[0] if brownout else 0.0,
-        brownout_end_ms=brownout[1] if brownout else 0.0,
-        brownout_factor=brownout[2] if brownout else 3.0,
-        kill_workers_at_ms=(
-            args.kill_workers_at * 1000.0
-            if args.kill_workers_at is not None
-            else None
-        ),
-        gateway_crash_at_ms=(
-            args.gateway_crash_at * 1000.0
-            if args.gateway_crash_at is not None
-            else None
-        ),
-        control_crash_at_ms=(
-            args.control_crash_at * 1000.0
-            if args.control_crash_at is not None
-            else None
-        ),
+        timeline=_faults_arg(args),
     )
     retry = RetryPolicy(
         max_attempts=args.max_retries + 1,
@@ -439,7 +353,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             retry=retry,
             faults=faults,
             shed_expired=args.shed_expired,
-            node_fault_schedule=_parse_fault_schedule(args.node_fault_schedule),
             journal_dir=args.journal_dir,
             checkpoint_interval_ms=args.checkpoint_interval * 1000.0,
             drain_grace_ms=(
@@ -450,10 +363,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"serve: {exc}")
-    if args.kill_shard_at is not None and args.shards < 2:
-        raise SystemExit(
-            "serve: --kill-shard-at needs --shards > 1 (a lone shard "
-            "has no survivor to take its keyspace)")
     if args.shards > 1:
         from repro.shard.live import serve_sharded
 
@@ -467,11 +376,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 cluster_spec=ClusterSpec(n_nodes=args.nodes),
                 seed=args.seed,
                 options=options,
-                kill_shard_at_ms=(
-                    args.kill_shard_at * 1000.0
-                    if args.kill_shard_at is not None else None
-                ),
-                kill_shard_id=args.kill_shard_id,
                 heartbeat_interval_ms=(
                     args.heartbeat_interval * 1000.0
                     if args.heartbeat_interval is not None else None
@@ -493,15 +397,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   f"{info['survivors']}")
         return 0
     tracer = _make_tracer(args)
-    runtime = ServingRuntime(
-        config=config,
-        mix=get_mix(args.mix),
-        cluster_spec=ClusterSpec(n_nodes=args.nodes),
-        predictor=predictor,
-        seed=args.seed,
-        options=options,
-        tracer=tracer,
-    )
+    try:
+        runtime = ServingRuntime(
+            config=config,
+            mix=get_mix(args.mix),
+            cluster_spec=ClusterSpec(n_nodes=args.nodes),
+            predictor=predictor,
+            seed=args.seed,
+            options=options,
+            tracer=tracer,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"serve: {exc}")
     print(f"serving {trace.name} live for {args.duration:g}s "
           f"(time scale {args.time_scale:g}x) ...")
     result = runtime.run(trace)
@@ -569,8 +476,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     results = {}
     for policy in args.policies:
-        results[policy], _ = _run_one(policy, args.mix, args.trace, args.rate,
-                                      args.duration, args.seed, args.nodes)
+        results[policy], _ = _simulate(args, policy)
     rows = [_result_row(p, r) for p, r in results.items()]
     print(format_table(
         _RESULT_HEADERS, rows,
@@ -636,7 +542,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     from repro.prediction import default_predictors, evaluate_all, windowed_max_series
 
-    trace = _make_trace(args.trace, args.rate, args.duration, args.seed)
+    trace = make_trace(args.trace, args.rate, args.duration, args.seed)
     series = windowed_max_series(trace)
     reports = evaluate_all(default_predictors(seed=args.seed), series)
     rows = [
@@ -658,8 +564,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
     results = {}
     for policy in args.policies:
-        results[policy], _ = _run_one(policy, args.mix, args.trace, args.rate,
-                                      args.duration, args.seed, args.nodes)
+        results[policy], _ = _simulate(args, policy)
 
     print(bar_chart(
         {p: r.avg_containers for p, r in results.items()},
@@ -745,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--mix", choices=sorted(WORKLOAD_MIXES), default="heavy")
-        p.add_argument("--trace", choices=TRACES, default="step-poisson")
+        p.add_argument("--trace", choices=TRACE_KINDS, default="step-poisson")
         p.add_argument("--rate", type=float, default=50.0,
                        help="average arrival rate, req/s")
         p.add_argument("--duration", type=float, default=300.0,
@@ -790,10 +695,14 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="suppress idle reaping for this long after any "
                             "governed scale-up (0 = no cooldown)")
-        g.add_argument("--node-fault-schedule", default=None, metavar="SPEC",
-                       help="scripted node kills/recoveries, e.g. "
-                            "'kill@30=0,1;recover@60=0,1' "
-                            "(ACTION@SECONDS=NODE_IDS, ';'-separated)")
+        g.add_argument("--faults", default=None, metavar="SPEC",
+                       help="chaos: the run's scripted fault timeline, "
+                            "';'-separated KIND@START[:END][=IDS][xFACTOR] "
+                            "in model seconds, e.g. 'kill-node@30=0,1;"
+                            "recover-node@60=0,1', 'blackout@20:35', "
+                            "'brownout@3:8x2;kill-workers@5'.  A kind this "
+                            "command cannot enact is refused before the "
+                            "run starts (DESIGN.md, 'Fault timeline')")
 
     def add_parallel(p):
         p.add_argument("--workers", type=int, default=1,
@@ -837,12 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "fallback)")
     run_p.add_argument("--diverge-factor", type=float, default=25.0,
                        help="forecast inflation factor once diverged")
-    run_p.add_argument("--control-blackout", default=None,
-                       metavar="START:END",
-                       help="chaos: control-plane blackout window (model "
-                            "seconds) — arrivals inside it are lost at the "
-                            "front door and monitor ticks are skipped; the "
-                            "sim twin of serve's --gateway-crash-at")
     shard_g = run_p.add_argument_group("sharded serving plane")
     shard_g.add_argument("--shards", type=int, default=1, metavar="N",
                          help="gateway shards over a consistent-hash "
@@ -864,19 +767,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "home shard; 'hash' re-routes every stage "
                               "hop through the ring (event-loop engine "
                               "only)")
-    shard_g.add_argument("--shard-faults", default=None,
-                         metavar="SPEC",
-                         help="chaos: scripted shard kills/recoveries, "
-                              "e.g. 'kill@60=1;recover@120=1' — the "
-                              "plane heartbeats, declares the silent "
-                              "shard dead and replays its journal "
-                              "mirror onto the ring survivors "
-                              "(event-loop plane, shards > 1)")
     shard_g.add_argument("--heartbeat-interval", type=float, default=1.0,
                          metavar="S",
                          help="model seconds between shard liveness "
                               "beats for the failover health monitor "
-                              "(with --shard-faults)")
+                              "(with kill-shard faults)")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser(
@@ -924,14 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--hang-prob", type=float, default=0.0,
                          help="chaos: per-task hang probability (recovered "
                               "by the execution timeout)")
-    serve_p.add_argument("--registry-brownout", default=None,
-                         metavar="START:END:FACTOR",
-                         help="chaos: inflate cold starts by FACTOR between "
-                              "START and END model seconds")
-    serve_p.add_argument("--kill-workers-at", type=float, default=None,
-                         metavar="SECONDS",
-                         help="chaos: kill the busiest node's worker group "
-                              "at this model time")
     serve_p.add_argument("--max-retries", type=int, default=2,
                          help="retries per task before dead-lettering")
     serve_p.add_argument("--retry-deadline-grace", type=float, default=None,
@@ -951,35 +838,15 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="model seconds between control-plane checkpoints "
                         "(with --journal-dir)")
-    d.add_argument("--gateway-crash-at", type=float, default=None,
-                   metavar="SECONDS",
-                   help="chaos: crash the gateway at this model time and "
-                        "restore it from journal + checkpoint "
-                        "(requires --journal-dir)")
-    d.add_argument("--control-crash-at", type=float, default=None,
-                   metavar="SECONDS",
-                   help="chaos: crash the control loop (scalers, governor) "
-                        "at this model time and rebuild it from the latest "
-                        "checkpoint (requires --journal-dir)")
     d.add_argument("--drain-grace", type=float, default=None,
                    metavar="SECONDS",
                    help="drain budget on SIGTERM/SIGINT before the final "
                         "checkpoint + journal flush (default: "
                         "--drain-timeout)")
-    d.add_argument("--kill-shard-at", type=float, default=None,
-                   metavar="SECONDS",
-                   help="chaos: kill one whole gateway shard at this "
-                        "model time; the plane adjudicates from "
-                        "heartbeats, fences the WAL + lease and replays "
-                        "the keyspace on the survivors (requires "
-                        "--shards > 1 and --journal-dir)")
-    d.add_argument("--kill-shard-id", type=int, default=0,
-                   metavar="SHARD",
-                   help="which shard --kill-shard-at kills (default 0)")
     d.add_argument("--heartbeat-interval", type=float, default=None,
                    metavar="SECONDS",
                    help="model seconds between shard liveness beats "
-                        "(default 1s when --kill-shard-at is set)")
+                        "(default 1s when --faults scripts a kill-shard)")
     add_guardrails(serve_p)
     add_obs(serve_p)
     serve_p.set_defaults(func=cmd_serve)

@@ -1,28 +1,24 @@
 """Failure injection for resilience testing.
 
 The paper evaluates a healthy cluster; a production resource manager
-must additionally survive container crashes, node failures and registry
-slowdowns.  This module provides controlled fault models the test suite
-injects to verify the RM degrades gracefully (tasks retried, capacity
-re-provisioned, no deadlock):
-
-* :class:`ContainerFaultModel` — per-task crash probability; a crashed
-  container dies mid-execution and its task is retried elsewhere.
-* :class:`RegistryDegradation` — cold-start inflation over a time
-  window (an image-registry brownout), stressing the reactive scaler's
-  queue-vs-spawn decision.
-* :func:`fail_node` — kill a node: every container on it terminates,
-  in-flight and locally-queued tasks return to their global queues.
-* :class:`NodeFaultSchedule` — scripted node kills and recoveries
-  (including correlated multi-node "zone" failures), the deterministic
-  driver behind the robustness study and CLI ``--node-fault-schedule``.
+must also survive container crashes, node failures and registry
+slowdowns.  The fault models the test suite injects to verify the RM
+degrades gracefully (tasks retried, capacity re-provisioned, no
+deadlock): :class:`ContainerFaultModel` (per-task crash draw),
+:class:`RegistryDegradation` (cold-start inflation over a window),
+:func:`fail_node` (evict a node's containers, requeue their tasks) —
+and :class:`FaultTimeline`, the one scripted-fault value every entry
+point takes: :class:`FaultEvent` s parsed from one grammar (CLI
+``--faults``), validated per plane when the run is built, replayed by
+one driver per plane (DESIGN.md "Fault timeline").
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,254 +145,188 @@ def fail_node(node: "Node", pools: List["FunctionPool"], now_ms: float) -> int:
     return destroyed
 
 
-@dataclass(frozen=True)
-class NodeFaultEvent:
-    """One scripted cluster event: kill or recover a set of nodes.
+#: Every scripted fault kind, in same-instant replay order.
+KINDS = (
+    "kill-node", "recover-node", "kill-shard", "recover-shard", "blackout",
+    "brownout", "kill-workers", "crash-gateway", "crash-control",
+    "kill-orchestrator",
+)
+NODE_KINDS = frozenset(KINDS[:2])
+SHARD_KINDS = frozenset(KINDS[2:4])
+#: Kinds that span ``[at_ms, until_ms)``.
+WINDOW_KINDS = frozenset(("blackout", "brownout"))
+#: Kinds a run enacts at most once (one window model, one warm standby).
+ONCE_KINDS = WINDOW_KINDS | {"kill-orchestrator"}
+#: Kinds that need a surviving peer shard: refused on a lone shard.
+PLANE_WIDE_KINDS = SHARD_KINDS | {"kill-orchestrator"}
+#: The kinds each plane enacts; ``validate`` refuses the rest.
+PLANE_KINDS: Dict[str, frozenset] = {
+    "sim": NODE_KINDS | {"blackout"},
+    "vector": frozenset({"blackout"}),
+    "sim-sharded": PLANE_WIDE_KINDS,
+    "live-sharded": frozenset({"brownout", "kill-workers", "crash-gateway",
+                               "crash-control", "kill-shard"}),
+}
+PLANE_KINDS["live"] = NODE_KINDS | PLANE_KINDS["live-sharded"]
+_CHUNK = re.compile(
+    r"([a-z-]+)@([^:=x]+)(?::([^=x]+))?(?:=([^x]*))?(?:x(.+))?")
 
-    A multi-node ``node_ids`` tuple models a correlated "zone" failure
-    (shared rack/switch/power domain): every node in the set dies — or
-    comes back — at the same instant.
-    """
+
+def _num(value: float) -> str:
+    return repr(value).removesuffix(".0")
+
+
+@dataclass(frozen=True)
+class FaultEvent:
+    """One scripted fault: *kind* strikes at ``at_ms`` (model time).
+    ``ids`` names the nodes or shards of a ``*-node`` / ``*-shard`` event
+    (several ids = a correlated "zone" failure at one instant),
+    ``until_ms`` closes a ``blackout`` / ``brownout`` window, ``factor``
+    is the brownout's cold-start multiplier."""
 
     at_ms: float
-    action: str  # "kill" | "recover"
-    node_ids: Tuple[int, ...]
+    kind: str
+    ids: Tuple[int, ...] = ()
+    until_ms: Optional[float] = None
+    factor: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.at_ms) and self.at_ms >= 0.0):
-            raise ValueError("at_ms must be finite and >= 0")
-        if self.action not in ("kill", "recover"):
-            raise ValueError("action must be 'kill' or 'recover'")
-        ids = tuple(int(i) for i in self.node_ids)
-        if not ids:
-            raise ValueError("an event must name at least one node")
-        if any(i < 0 for i in ids):
-            raise ValueError("node ids must be >= 0")
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate node ids in one event")
-        object.__setattr__(self, "node_ids", ids)
-
-
-class NodeFaultSchedule:
-    """A deterministic, time-ordered script of node kills/recoveries.
-
-    Both execution paths consume the same schedule: the simulator maps
-    each event to a ``schedule_at`` callback, the live runtime replays
-    it on the scaled wall clock.  Every applied event lands in the run
-    registry (``cluster_node_kills_total`` / ``_recoveries_total`` /
-    ``_containers_lost_total``) so sim-vs-live fault parity is checkable
-    from metrics alone.
-    """
-
-    def __init__(self, events: Iterable[NodeFaultEvent]) -> None:
-        self.events: Tuple[NodeFaultEvent, ...] = tuple(
-            sorted(events, key=lambda e: (e.at_ms, e.action, e.node_ids))
-        )
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
-    @classmethod
-    def parse(cls, spec: str) -> "NodeFaultSchedule":
-        """Build a schedule from a CLI spec string.
-
-        Format: ``;``-separated events, each ``ACTION@SECONDS=IDS`` with
-        comma-separated node ids — e.g. ``kill@30=0,1;recover@60=0,1``
-        kills nodes 0 and 1 (a correlated zone failure) at t=30 s and
-        recovers both at t=60 s.
-        """
-        events = []
-        for chunk in spec.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                head, ids_part = chunk.split("=", 1)
-                action, at_part = head.split("@", 1)
-                node_ids = tuple(
-                    int(part) for part in ids_part.split(",") if part.strip()
-                )
-                event = NodeFaultEvent(
-                    at_ms=float(at_part) * 1000.0,
-                    action=action.strip().lower(),
-                    node_ids=node_ids,
-                )
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad node-fault spec {chunk!r} (expected "
-                    f"ACTION@SECONDS=ID[,ID...], e.g. kill@30=0,1): {exc}"
-                ) from exc
-            events.append(event)
-        if not events:
-            raise ValueError("node-fault spec contains no events")
-        return cls(events)
-
-    def apply_event(
-        self,
-        event: NodeFaultEvent,
-        cluster,
-        pools: Sequence["FunctionPool"],
-        now_ms: float,
-        registry=None,
-    ) -> int:
-        """Execute one event against *cluster*; returns containers lost.
-
-        Kills mark the node failed (unplaceable) before
-        :func:`fail_node` evicts its containers; recoveries bring the
-        node back empty.  Already-failed (already-live) nodes are
-        skipped, so overlapping schedules stay idempotent.
-        """
-        destroyed = 0
-        for node_id in event.node_ids:
-            if node_id >= len(cluster.nodes):
-                raise ValueError(
-                    f"node {node_id} not in cluster of {len(cluster.nodes)}"
-                )
-            node = cluster.nodes[node_id]
-            if event.action == "kill":
-                if node.failed:
-                    continue
-                node.fail()
-                destroyed += fail_node(node, list(pools), now_ms)
-                if registry is not None:
-                    registry.counter("cluster_node_kills_total").inc()
-            else:
-                if not node.failed:
-                    continue
-                node.recover(now_ms)
-                if registry is not None:
-                    registry.counter("cluster_node_recoveries_total").inc()
-        if registry is not None and destroyed:
-            registry.counter("cluster_node_containers_lost_total").inc(
-                destroyed
-            )
-        return destroyed
-
-
-@dataclass(frozen=True)
-class ShardFaultEvent:
-    """One scripted serving-plane event: kill or recover gateway shards.
-
-    The shard-level sibling of :class:`NodeFaultEvent`: where a node
-    kill evicts containers, a shard kill takes a whole gateway (and its
-    keyspace) offline until failover remaps the ring and the survivors
-    replay its journal.
-    """
-
-    at_ms: float
-    action: str  # "kill" | "recover"
-    shard_ids: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.at_ms) and self.at_ms >= 0.0):
-            raise ValueError("at_ms must be finite and >= 0")
-        if self.action not in ("kill", "recover"):
-            raise ValueError("action must be 'kill' or 'recover'")
-        ids = tuple(int(i) for i in self.shard_ids)
-        if not ids:
-            raise ValueError("an event must name at least one shard")
-        if any(i < 0 for i in ids):
-            raise ValueError("shard ids must be >= 0")
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate shard ids in one event")
-        object.__setattr__(self, "shard_ids", ids)
-
-
-class ShardFaultSchedule:
-    """A deterministic, time-ordered script of shard kills/recoveries.
-
-    Drives the sim plane's failover mirror: each kill silences a
-    shard's heartbeats (and cordons its nodes) until the health monitor
-    declares it dead and the survivors take over its keyspace; each
-    recovery resumes the heartbeats so hysteresis re-admits the shard
-    (and returns its cordoned nodes).  Sim and live emit the same
-    failover counters, so parity is checkable from metrics alone.
-    """
-
-    def __init__(self, events: Iterable[ShardFaultEvent]) -> None:
-        self.events: Tuple[ShardFaultEvent, ...] = tuple(
-            sorted(events, key=lambda e: (e.at_ms, e.action, e.shard_ids))
-        )
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
-    @classmethod
-    def parse(cls, spec: str) -> "ShardFaultSchedule":
-        """Build a schedule from a CLI spec string.
-
-        Format: ``;``-separated events, each ``ACTION@SECONDS=IDS`` with
-        comma-separated shard ids — e.g. ``kill@60=1;recover@120=1``
-        kills shard 1 at t=60 s and brings it back at t=120 s.
-        """
-        events = []
-        for chunk in spec.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                head, ids_part = chunk.split("=", 1)
-                action, at_part = head.split("@", 1)
-                shard_ids = tuple(
-                    int(part) for part in ids_part.split(",") if part.strip()
-                )
-                event = ShardFaultEvent(
-                    at_ms=float(at_part) * 1000.0,
-                    action=action.strip().lower(),
-                    shard_ids=shard_ids,
-                )
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad shard-fault spec {chunk!r} (expected "
-                    f"ACTION@SECONDS=ID[,ID...], e.g. kill@60=1): {exc}"
-                ) from exc
-            events.append(event)
-        if not events:
-            raise ValueError("shard-fault spec contains no events")
-        return cls(events)
-
-
-@dataclass(frozen=True)
-class ControlPlaneBlackout:
-    """A window during which the *control plane itself* is down.
-
-    The simulator's mirror of the live runtime's gateway/control-loop
-    crash injection: inside ``[start_ms, end_ms)`` arrivals are lost at
-    the front door (created + shed, so SLO accounting still sees them)
-    and monitor ticks do not run (no scaling, no supervision, no
-    samples).  The instant the window closes counts as one recovery —
-    the control plane restarts and resumes on the next tick boundary.
-    """
-
-    start_ms: float
-    end_ms: float
-
-    def __post_init__(self) -> None:
-        if self.start_ms < 0:
-            raise ValueError("start_ms must be >= 0")
-        if self.end_ms <= self.start_ms:
-            raise ValueError("end_ms must be > start_ms")
-
-    @classmethod
-    def parse(cls, spec: str) -> "ControlPlaneBlackout":
-        """Build a blackout from a CLI spec ``START:END`` (seconds)."""
-        try:
-            start_part, end_part = spec.split(":", 1)
-            return cls(
-                start_ms=float(start_part) * 1000.0,
-                end_ms=float(end_part) * 1000.0,
-            )
-        except ValueError as exc:
+        if self.kind not in KINDS:
             raise ValueError(
-                f"bad control-blackout spec {spec!r} "
-                f"(expected START:END in seconds, e.g. 30:45): {exc}"
-            ) from exc
+                f"unknown fault kind {self.kind!r} (known: {', '.join(KINDS)})")
+        if not (math.isfinite(self.at_ms) and self.at_ms >= 0.0):
+            raise ValueError("at_ms must be finite and >= 0")
+        ids = tuple(int(i) for i in self.ids)
+        takes_ids = self.kind in NODE_KINDS | SHARD_KINDS
+        if (takes_ids != bool(ids) or any(i < 0 for i in ids)
+                or len(set(ids)) != len(ids)):
+            raise ValueError(f"{self.kind} takes " + (
+                "distinct ids >= 0 (=ID[,ID...])" if takes_ids else "no ids"))
+        is_window = self.kind in WINDOW_KINDS
+        if is_window != (self.until_ms is not None) or (
+                is_window and not self.until_ms > self.at_ms):
+            raise ValueError(f"{self.kind} takes " + (
+                "a non-empty window (START:END)" if is_window else "no :END"))
+        if (self.factor is not None) != (self.kind == "brownout") or (
+                self.factor is not None and not self.factor >= 1.0):  # or NaN
+            raise ValueError("a brownout, and only a brownout, takes xFACTOR >= 1")
+        object.__setattr__(self, "ids", ids)
 
     def covers(self, t_ms: float) -> bool:
-        return self.start_ms <= t_ms < self.end_ms
+        """Whether *t_ms* falls inside this window event."""
+        return self.at_ms <= t_ms < self.until_ms
+
+    def __str__(self) -> str:
+        text = f"{self.kind}@{_num(self.at_ms / 1000.0)}"
+        if self.until_ms is not None:
+            text += f":{_num(self.until_ms / 1000.0)}"
+        if self.ids:
+            text += "=" + ",".join(map(str, self.ids))
+        return text + (f"x{_num(self.factor)}" if self.factor else "")
+
+
+@dataclass(frozen=True)
+class FaultTimeline:
+    """A deterministic script of faults, in canonical replay order:
+    events sort by time, then by :data:`KINDS` rank, so two spellings of
+    one script are equal and every plane replays same-instant events in
+    one order.  The spec grammar is ``;``-separated ``KIND@START[:END]
+    [=IDS][xFACTOR]`` chunks, times in seconds — e.g. ``kill-node@30=0,1;
+    recover-node@60=0,1;brownout@10:20x3;crash-gateway@4``."""
+
+    events: Tuple[FaultEvent, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "events", tuple(sorted(
+            self.events, key=lambda e: (
+                e.at_ms, KINDS.index(e.kind), e.ids,
+                e.until_ms or 0.0, e.factor or 0.0))))
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __str__(self) -> str:
+        return ";".join(map(str, self.events))
+
+    @classmethod
+    def parse(cls, spec: str) -> "FaultTimeline":
+        """Build a timeline from a spec string (see the class docstring)."""
+        events = []
+        for chunk in filter(None, (c.strip().lower() for c in spec.split(";"))):
+            try:
+                match = _CHUNK.fullmatch(chunk)
+                if match is None:
+                    raise ValueError("does not match the grammar")
+                kind, start, end, ids, factor = match.groups()
+                events.append(FaultEvent(
+                    at_ms=float(start) * 1000.0,
+                    kind=kind,
+                    ids=tuple(int(i) for i in (ids or "").split(",") if i),
+                    until_ms=float(end) * 1000.0 if end else None,
+                    factor=float(factor) if factor else None,
+                ))
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad fault spec {chunk!r} (expected KIND@START[:END]"
+                    f"[=IDS][xFACTOR], e.g. kill-node@30=0,1): {exc}") from exc
+        if not events:
+            raise ValueError("fault spec contains no events")
+        return cls(tuple(events))
+
+    def of(self, *kinds: str) -> Tuple[FaultEvent, ...]:
+        """The events of the given kinds, in replay order."""
+        return tuple(e for e in self.events if e.kind in kinds)
+
+    def window(self, kind: str) -> Optional[FaultEvent]:
+        """The run's single *kind* window, or None."""
+        return next(iter(self.of(kind)), None)
+
+    def validate(self, plane: str, n_nodes: Optional[int] = None,
+                 n_shards: Optional[int] = None) -> "FaultTimeline":
+        """Refuse, when the run is built, what *plane* cannot enact: a
+        kind outside :data:`PLANE_KINDS`, a node/shard id out of range,
+        a second event of a :data:`ONCE_KINDS` kind.  Returns self."""
+        enacted = PLANE_KINDS[plane]
+        for event in self.events:
+            if event.kind not in enacted:
+                raise ValueError(
+                    f"the {plane} plane does not enact {event.kind!r} "
+                    f"(it enacts: {', '.join(sorted(enacted))})")
+            if n_shards == 1 and event.kind in PLANE_WIDE_KINDS:
+                raise ValueError(
+                    "shard failover needs shards > 1 (a lone shard has "
+                    "no survivor to take its keyspace)")
+            limit = n_nodes if event.kind in NODE_KINDS else n_shards
+            if event.ids and limit is not None and max(event.ids) >= limit:
+                raise ValueError(
+                    f"{event} is out of range: the run has {limit} "
+                    f"{'nodes' if event.kind in NODE_KINDS else 'shards'}")
+        for kind in ONCE_KINDS:
+            if len(self.of(kind)) > 1:
+                raise ValueError(f"at most one {kind} per run")
+        return self
+
+
+def apply_node_event(event: FaultEvent, cluster,
+                     pools: Sequence["FunctionPool"], now_ms: float,
+                     registry) -> int:
+    """Enact one ``kill-node`` / ``recover-node`` event; returns the
+    containers lost.  Already-failed (already-live) nodes are skipped, so
+    overlapping scripts stay idempotent; both planes count every applied
+    event in *registry*, so sim-vs-live parity is checkable from metrics."""
+    destroyed = 0
+    for node_id in event.ids:
+        node = cluster.nodes[node_id]
+        if event.kind == "kill-node":
+            if node.failed:
+                continue
+            # Unplaceable first, then evict its containers.
+            node.fail()
+            destroyed += fail_node(node, list(pools), now_ms)
+            registry.counter("cluster_node_kills_total").inc()
+        elif node.failed:
+            node.recover(now_ms)
+            registry.counter("cluster_node_recoveries_total").inc()
+    if destroyed:
+        registry.counter("cluster_node_containers_lost_total").inc(destroyed)
+    return destroyed

@@ -51,7 +51,7 @@ from repro.experiments.runner import ExperimentRunner, TrialSpec
 DIVERGENCE = (("diverge_after", 3), ("diverge_factor", 30.0))
 
 #: Node 0 dies a third of the way in and comes back two thirds in.
-NODE_LOSS = "kill@40=0;recover@80=0"
+NODE_LOSS = "kill-node@40=0;recover-node@80=0"
 
 #: Guard knobs for the guarded arm (mirrors the CLI flag defaults the
 #: docs recommend: --mape-threshold 0.5 --max-surge 8 --spawn-retries 2
@@ -82,7 +82,7 @@ def study_specs(quick: bool = False, seed: int = 7) -> Dict[str, Dict[str, Trial
     divergence still has most of the run to do damage.
     """
     duration = 60.0 if quick else 120.0
-    node_loss = "kill@20=0;recover@40=0" if quick else NODE_LOSS
+    node_loss = "kill-node@20=0;recover-node@40=0" if quick else NODE_LOSS
     common = dict(
         mix="medium", trace_kind="step-poisson", rate_rps=40.0,
         duration_s=duration, seed=seed, nodes=3,
@@ -100,7 +100,7 @@ def study_specs(quick: bool = False, seed: int = 7) -> Dict[str, Dict[str, Trial
 
     return {
         "divergence": scenario(DIVERGENCE),
-        "node-loss": scenario((("node_fault_schedule", node_loss),)),
+        "node-loss": scenario((("timeline", node_loss),)),
     }
 
 
@@ -201,6 +201,7 @@ def run_crash_recovery_study(quick: bool = False, seed: int = 7) -> Dict:
     import pathlib
     import tempfile
 
+    from repro.cluster.faults import FaultEvent, FaultTimeline
     from repro.serve import FaultConfig, ServeOptions, serve_trace
     from repro.serve.journal import JOURNAL_BASENAME, RequestJournal
     from repro.traces.poisson import poisson_trace
@@ -213,8 +214,8 @@ def run_crash_recovery_study(quick: bool = False, seed: int = 7) -> Dict:
     trace = poisson_trace(rate_rps=rate_rps, duration_s=duration, seed=seed)
 
     def run_arm(crash: bool) -> Dict:
-        faults = FaultConfig(
-            gateway_crash_at_ms=crash_at_ms if crash else None)
+        faults = FaultConfig(timeline=FaultTimeline(
+            (FaultEvent(crash_at_ms, "crash-gateway"),) if crash else ()))
         with tempfile.TemporaryDirectory(prefix="crash-recovery-") as jdir:
             options = ServeOptions(
                 time_scale=0.05,

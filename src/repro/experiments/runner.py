@@ -45,6 +45,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.collector import RunResult
+    from repro.runtime.system import ServerlessSystem
 
 # The simulator stack (policies, runtime, traces) is imported lazily
 # inside the functions that need it: a pool worker that only replays
@@ -54,6 +55,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Bump when the summary format or run semantics change incompatibly;
 #: invalidates every existing cache entry.
 CACHE_FORMAT_VERSION = 2
+
+#: The keys ``TrialSpec.faults`` may carry.
+FAULT_KEYS = frozenset((
+    "crash_probability", "crash_point", "timeline",
+    "diverge_after", "diverge_factor", "diverge_mode",
+))
 
 PathLike = Union[str, pathlib.Path]
 Overrides = Tuple[Tuple[str, Union[float, int, str, bool]], ...]
@@ -73,11 +80,9 @@ class TrialSpec:
     Both tuples are part of the cache key: two trials differing only in
     ``crash_probability`` or MAPE threshold can never share an entry.
 
-    Recognised ``faults`` keys: ``crash_probability``, ``crash_point``,
-    ``node_fault_schedule`` (a spec string for
-    :meth:`~repro.cluster.faults.NodeFaultSchedule.parse`),
-    ``control_blackout`` (a ``START:END`` spec for
-    :meth:`~repro.cluster.faults.ControlPlaneBlackout.parse`),
+    Recognised ``faults`` keys (:data:`FAULT_KEYS`; any other raises):
+    ``crash_probability``, ``crash_point``, ``timeline`` (a spec string
+    for :meth:`~repro.cluster.faults.FaultTimeline.parse`),
     ``diverge_after`` (monitor ticks), ``diverge_factor``,
     ``diverge_mode`` (``"scale"`` | ``"nan"``).
     """
@@ -106,6 +111,13 @@ class TrialSpec:
         object.__setattr__(
             self, "faults", tuple(sorted(dict(self.faults).items()))
         )
+        unknown = sorted(set(dict(self.faults)) - FAULT_KEYS)
+        if unknown:
+            # A typo'd key would otherwise run fault-free and be cached
+            # under a key that looks like a fault trial.
+            raise ValueError(
+                f"unknown faults key(s) {unknown}; known: "
+                f"{sorted(FAULT_KEYS)}")
 
     @staticmethod
     def make(policy: str, **kwargs) -> "TrialSpec":
@@ -159,13 +171,20 @@ def derive_seeds(base_seed: int, n: int) -> List[int]:
 
 def run_trial(spec: TrialSpec) -> Dict[str, float]:
     """Execute one trial and return ``RunResult.summary()``."""
-    return _run_trial_result(spec).summary()
+    return _run_trial_result(spec)[0].summary()
 
 
-def _run_trial_result(spec: TrialSpec) -> "RunResult":
+def _run_trial_result(
+    spec: TrialSpec, tracer=None,
+) -> Tuple["RunResult", "ServerlessSystem"]:
+    """Assemble the one system a spec describes, run it, and return
+    ``(result, system)`` — the only spec → system path, shared by the
+    runner and every single-run CLI command."""
+    from repro.cluster.faults import FaultTimeline
     from repro.core.policies import make_policy_config
     from repro.runtime.system import ClusterSpec, ServerlessSystem
     from repro.traces.factory import cached_trace
+    from repro.workloads import get_mix
 
     overrides = dict(spec.overrides)
     overrides.setdefault("idle_timeout_ms", 60_000.0)
@@ -200,42 +219,25 @@ def _run_trial_result(spec: TrialSpec) -> "RunResult":
             crash_probability=float(faults["crash_probability"]),
             crash_point=float(faults.get("crash_point", 0.5)),
         )
-    schedule = None
-    if faults.get("node_fault_schedule"):
-        from repro.cluster.faults import NodeFaultSchedule
-
-        schedule = NodeFaultSchedule.parse(str(faults["node_fault_schedule"]))
-    blackout = None
-    if faults.get("control_blackout"):
-        from repro.cluster.faults import ControlPlaneBlackout
-
-        blackout = ControlPlaneBlackout.parse(str(faults["control_blackout"]))
+    timeline = (
+        FaultTimeline.parse(str(faults["timeline"]))
+        if faults.get("timeline") else FaultTimeline()
+    )
     system = ServerlessSystem(
         config=config,
-        mix=_get_mix(spec.mix),
+        mix=get_mix(spec.mix),
         cluster_spec=ClusterSpec(n_nodes=spec.nodes),
         predictor=predictor,
         seed=spec.seed,
         fault_model=fault_model,
+        tracer=tracer,
         shed_expired=spec.shed_expired,
-        node_fault_schedule=schedule,
-        control_blackout=blackout,
+        faults=timeline,
         engine=spec.engine,
     )
     trace = cached_trace(spec.trace_kind, spec.rate_rps, spec.duration_s,
                          spec.seed)
-    return system.run(trace)
-
-
-def _get_mix(name: str):
-    from repro.workloads import get_mix
-
-    return get_mix(name)
-
-
-def _execute_trial(spec: TrialSpec) -> Dict[str, float]:
-    """Module-level worker entry point (must be picklable)."""
-    return run_trial(spec)
+    return system.run(trace), system
 
 
 def _execute_trial_chunk(

@@ -38,11 +38,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.faults import ShardFaultSchedule
+from repro.cluster.faults import FaultTimeline
 from repro.experiments import format_table
 from repro.experiments.export import atomic_write_json
 from repro.runtime.system import ClusterSpec
-from repro.serve.config import ServeOptions
+from repro.serve.config import FaultConfig, ServeOptions
 from repro.shard import run_sharded_policy, serve_sharded
 from repro.traces.wits import wits_trace
 from repro.workloads import get_mix
@@ -68,6 +68,16 @@ HYSTERESIS = 2
 SLO_DELTA_BOUND = 0.10
 
 _POLICY = "rscale"
+
+
+def kill_spec(kill_s: float, recover_s: Optional[float] = None) -> str:
+    """The study's fault timeline, as the one grammar both planes parse:
+    kill :data:`KILL_SHARD`, and (sim only — the live plane has no
+    re-admission) bring it back."""
+    spec = f"kill-shard@{kill_s:g}={KILL_SHARD}"
+    if recover_s is not None:
+        spec += f";recover-shard@{recover_s:g}={KILL_SHARD}"
+    return spec
 
 
 def _sim_arm(result) -> Dict:
@@ -144,8 +154,7 @@ def run_failover_study(quick: bool = False, seed: int = 7,
     sim_kwargs = dict(
         cluster_spec=spec, seed=seed, engine="fast", shards=SHARDS,
     )
-    faults = ShardFaultSchedule.parse(
-        f"kill@{kill_s:g}={KILL_SHARD};recover@{recover_s:g}={KILL_SHARD}")
+    specs = {"sim": kill_spec(kill_s, recover_s)}
 
     arms: Dict[str, Dict] = {}
 
@@ -160,7 +169,7 @@ def run_failover_study(quick: bool = False, seed: int = 7,
 
     failover = run_sharded_policy(
         _POLICY, mix, trace,
-        shard_faults=faults,
+        faults=FaultTimeline.parse(specs["sim"]),
         heartbeat_interval_ms=HEARTBEAT_MS,
         heartbeat_miss_threshold=MISS_THRESHOLD,
         failover_hysteresis=HYSTERESIS,
@@ -205,19 +214,20 @@ def run_failover_study(quick: bool = False, seed: int = 7,
         live_common = dict(
             shards=SHARDS, cluster_spec=spec, seed=seed,
         )
-        for name, kill in (("live_nofault", None),
-                           ("live_failover", live_kill_ms)):
+        specs["live"] = kill_spec(live_kill_ms / 1000.0)
+        for name, timeline in (
+                ("live_nofault", FaultTimeline()),
+                ("live_failover", FaultTimeline.parse(specs["live"]))):
             with tempfile.TemporaryDirectory() as journal_dir:
                 options = ServeOptions(
                     time_scale=live_cfg["time_scale"],
                     journal_dir=journal_dir,
                     drain_timeout_ms=60_000.0,
+                    faults=FaultConfig(timeline=timeline),
                 )
                 kwargs = dict(live_common, options=options)
-                if kill is not None:
+                if timeline:
                     kwargs.update(
-                        kill_shard_at_ms=kill,
-                        kill_shard_id=KILL_SHARD,
                         heartbeat_interval_ms=HEARTBEAT_MS,
                         heartbeat_miss_threshold=MISS_THRESHOLD,
                         failover_hysteresis=HYSTERESIS,
@@ -249,6 +259,7 @@ def run_failover_study(quick: bool = False, seed: int = 7,
         "cluster": dict(CLUSTER),
         "shards": SHARDS,
         "kill_shard": KILL_SHARD,
+        "faults": specs,
         "kill_s": kill_s,
         "recover_s": recover_s,
         "heartbeat_ms": HEARTBEAT_MS,

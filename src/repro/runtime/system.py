@@ -23,7 +23,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.energy import EnergyMeter, NodePowerModel
-from repro.cluster.faults import ControlPlaneBlackout, NodeFaultSchedule
+from repro.cluster.faults import FaultTimeline, apply_node_event
 from repro.core.controlplane import (
     ControlPlane,
     prewarm_opening_capacity,
@@ -96,8 +96,7 @@ class ServerlessSystem:
         fault_model=None,
         tracer: Optional[Tracer] = None,
         shed_expired: bool = False,
-        node_fault_schedule: Optional[NodeFaultSchedule] = None,
-        control_blackout: Optional[ControlPlaneBlackout] = None,
+        faults: FaultTimeline = FaultTimeline(),
         engine: Optional[str] = None,
     ) -> None:
         self.config = config
@@ -131,12 +130,17 @@ class ServerlessSystem:
         #: overloaded downstream stages' already-dead tasks) are shed
         #: instead of queued.  Shed requests still count as created.
         self.shed_expired = shed_expired
-        #: Scripted node kills/recoveries replayed during the run.
-        self.node_fault_schedule = node_fault_schedule
-        #: Control-plane blackout window, mirroring the live runtime's
-        #: gateway/control-loop crash injection: arrivals inside it are
-        #: lost at the front door and monitor ticks do not run.
-        self.control_blackout = control_blackout
+        #: The scripted faults ``attach`` replays: node kills/recoveries
+        #: and at most one control-plane blackout — the mirror of the
+        #: live runtime's gateway/control-loop crashes: arrivals inside
+        #: the window are lost at the front door (created + shed, so SLO
+        #: accounting still sees them) and monitor ticks do not run.
+        #: What this engine cannot enact is refused here, not mid-run.
+        self.faults = faults.validate(
+            "vector" if self.engine == ENGINE_VECTOR else "sim",
+            n_nodes=(len(shared_cluster.nodes) if shared_cluster is not None
+                     else cluster_spec.n_nodes))
+        self.blackout = self.faults.window("blackout")
         self.cold_start_model = cold_start_model or ColdStartModel()
         self.power_model = power_model or NodePowerModel()
         self.predictor = self._resolve_predictor(predictor)
@@ -321,10 +325,7 @@ class ServerlessSystem:
         return app, scale
 
     def _on_arrival(self) -> None:
-        if (
-            self.control_blackout is not None
-            and self.control_blackout.covers(self.sim.now)
-        ):
+        if self.blackout is not None and self.blackout.covers(self.sim.now):
             # Dead control plane: the front door is closed (the request
             # is created + shed, nothing is drawn, and the sampler —
             # state that died with the brain — learns nothing), but
@@ -336,10 +337,7 @@ class ServerlessSystem:
     # -- periodic machinery --------------------------------------------------------
 
     def _tick_monitor(self, now_ms: float) -> None:
-        if (
-            self.control_blackout is not None
-            and self.control_blackout.covers(now_ms)
-        ):
+        if self.blackout is not None and self.blackout.covers(now_ms):
             # No scaling, no supervision, no samples while the control
             # plane is down — the same hole a crashed live ControlLoop
             # leaves in the metrics timeline.
@@ -378,34 +376,26 @@ class ServerlessSystem:
                             label="arrival")
         prewarm_opening_capacity(
             self.pools, trace, self.config, self.stage_shares)
-        if self.node_fault_schedule:
-            for event in self.node_fault_schedule.events:
-                sim.schedule_at(
-                    event.at_ms,
-                    lambda ev=event: self.node_fault_schedule.apply_event(
-                        ev,
-                        self.cluster,
-                        list(self.pools.values()),
-                        self.sim.now,
-                        self.registry,
-                    ),
-                    label="node-fault",
-                )
-        if self.control_blackout is not None:
-            # The window's edges are the crash and the recovery: one
-            # counter bump each, so sim and live runs expose the same
-            # ``control_plane_crashes_total`` / ``recoveries_total``.
-            sim.schedule_at(
-                self.control_blackout.start_ms,
-                lambda: self.registry.counter(
-                    "control_plane_crashes_total").inc(),
-                label="blackout-start",
-            )
-            sim.schedule_at(
-                self.control_blackout.end_ms,
-                lambda: self.registry.counter("recoveries_total").inc(),
-                label="blackout-end",
-            )
+        # The one fault-replay loop.  Node events are scheduled before the
+        # blackout's edges, so at one instant they fire first; the edges
+        # are the crash and the recovery — one counter bump each, so sim
+        # and live runs expose the same ``control_plane_crashes_total`` /
+        # ``recoveries_total``.
+        script = [
+            (event.at_ms, "node-fault", lambda ev=event: apply_node_event(
+                ev, self.cluster, list(self.pools.values()), sim.now,
+                self.registry))
+            for event in self.faults.of("kill-node", "recover-node")]
+        if self.blackout is not None:
+            script += [
+                (at_ms, label, lambda c=counter: self.registry.counter(c).inc())
+                for at_ms, label, counter in (
+                    (self.blackout.at_ms, "blackout-start",
+                     "control_plane_crashes_total"),
+                    (self.blackout.until_ms, "blackout-end",
+                     "recoveries_total"))]
+        for at_ms, label, enact in script:
+            sim.schedule_at(at_ms, enact, label=label)
         if ticker is not None and ticker.interval == self.config.monitor_interval_ms:
             return ticker.add(self._tick_monitor)
         return PeriodicProcess(
@@ -477,8 +467,7 @@ def run_policy(
     fault_model=None,
     tracer: Optional[Tracer] = None,
     shed_expired: bool = False,
-    node_fault_schedule: Optional[NodeFaultSchedule] = None,
-    control_blackout: Optional[ControlPlaneBlackout] = None,
+    faults: FaultTimeline = FaultTimeline(),
     engine: Optional[str] = None,
     shards: int = 1,
     shard_workers: int = 1,
@@ -515,6 +504,7 @@ def run_policy(
             drain_ms=drain_ms,
             shed_expired=shed_expired,
             engine=engine,
+            faults=faults,
             **config_overrides,
         )
 
@@ -531,8 +521,7 @@ def run_policy(
         fault_model=fault_model,
         tracer=tracer,
         shed_expired=shed_expired,
-        node_fault_schedule=node_fault_schedule,
-        control_blackout=control_blackout,
+        faults=faults,
         engine=engine,
     )
     return system.run(trace)

@@ -410,10 +410,6 @@ def _check_supported(system) -> None:
         raise VectorEngineUnsupported(
             "vector engine does not support container fault injection; "
             "use engine='fast'")
-    if system.node_fault_schedule:
-        raise VectorEngineUnsupported(
-            "vector engine does not support node fault schedules; "
-            "use engine='fast'")
     if system.input_scale_sampler is not None:
         raise VectorEngineUnsupported(
             "vector engine pins input_scale to 1.0 (no per-job sampler); "
@@ -439,7 +435,7 @@ class VectorEngine:
         self.mix = system.mix
         self.cold_model = system.cold_start_model
         self.tracer = system.tracer
-        self.blackout = system.control_blackout
+        self.blackout = system.blackout
         self.shed_on = system.shed_expired
         self.now = 0.0
         self._events = 0
@@ -528,8 +524,8 @@ class VectorEngine:
         self._n_arr = int(times.size)
         self._arr_times = times.tolist()
         if self.blackout is not None:
-            cov = covered_mask(times, self.blackout.start_ms,
-                               self.blackout.end_ms)
+            cov = covered_mask(times, self.blackout.at_ms,
+                               self.blackout.until_ms)
         else:
             cov = np.zeros(times.size, dtype=bool)
         uncovered = ~cov
@@ -600,13 +596,13 @@ class VectorEngine:
         # 2. Prewarm (same ready-event order: pools in mix order).
         prewarm_opening_capacity(
             self.pools, trace, config, system.stage_shares)
-        # 3. (node-fault schedule unsupported — rejected at entry)
+        # 3. (node events — refused when the system was built)
         # 4. Blackout edges: crash then recovery counters.
         if self.blackout is not None:
-            heapq.heappush(self._heap, (self.blackout.start_ms, self._seq,
+            heapq.heappush(self._heap, (self.blackout.at_ms, self._seq,
                                         K_BLACKOUT, 0, 0))
             self._seq += 1
-            heapq.heappush(self._heap, (self.blackout.end_ms, self._seq,
+            heapq.heappush(self._heap, (self.blackout.until_ms, self._seq,
                                         K_BLACKOUT, 1, 0))
             self._seq += 1
         # 5. Monitor: first tick one interval in.

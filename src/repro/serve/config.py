@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cluster.faults import NodeFaultSchedule
+from repro.cluster.faults import FaultTimeline
 from repro.serve.retry import RetryPolicy
 
 
@@ -35,31 +35,17 @@ class FaultConfig:
         hang_prob: per-task probability that the work hangs forever;
             only the per-task execution timeout can recover it
             (live-only — the simulator has no notion of a hang).
-        brownout_start_ms / brownout_end_ms: model-time window during
-            which cold starts inflate (registry brownout); end <= start
-            disables it.
-        brownout_factor: cold-start multiplier inside the window.
-        kill_workers_at_ms: model time at which the busiest node's
-            entire worker group is killed (``fail_node`` against the
-            live pools); ``None`` disables the kill.
-        gateway_crash_at_ms: model time at which the *gateway itself*
-            dies — every pending hop timer, queued task and in-flight
-            callback is lost, and the runtime restores from journal +
-            checkpoint (``None`` disables; requires a journal dir).
-        control_crash_at_ms: model time at which the control loop dies
-            (scalers, governor and sampler state lost) and is rebuilt
-            from the latest checkpoint.
+        timeline: every *scripted* fault of the run
+            (:class:`~repro.cluster.faults.FaultTimeline`), replayed on
+            the scaled clock by :func:`repro.serve.faults.replay_faults`;
+            ``crash-gateway``, ``crash-control`` and ``kill-shard``
+            recover from the WAL and so require a journal dir.
     """
 
     crash_prob: float = 0.0
     crash_point: float = 0.5
     hang_prob: float = 0.0
-    brownout_start_ms: float = 0.0
-    brownout_end_ms: float = 0.0
-    brownout_factor: float = 3.0
-    kill_workers_at_ms: Optional[float] = None
-    gateway_crash_at_ms: Optional[float] = None
-    control_crash_at_ms: Optional[float] = None
+    timeline: FaultTimeline = FaultTimeline()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.crash_prob <= 1.0:
@@ -68,36 +54,13 @@ class FaultConfig:
             raise ValueError("crash_point must be in (0, 1]")
         if not 0.0 <= self.hang_prob <= 1.0:
             raise ValueError("hang_prob must be within [0, 1]")
-        if self.brownout_factor < 1.0:
-            raise ValueError("brownout_factor must be >= 1")
-        if self.kill_workers_at_ms is not None and self.kill_workers_at_ms < 0:
-            raise ValueError("kill_workers_at_ms must be >= 0")
-        for name in ("gateway_crash_at_ms", "control_crash_at_ms"):
-            at_ms = getattr(self, name)
-            if at_ms is not None and at_ms < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def brownout_enabled(self) -> bool:
-        return self.brownout_end_ms > self.brownout_start_ms
-
-    @property
-    def control_plane_crashes(self):
-        """Scheduled brain crashes as sorted ``(kind, at_ms)`` pairs."""
-        plan = []
-        if self.gateway_crash_at_ms is not None:
-            plan.append(("gateway", self.gateway_crash_at_ms))
-        if self.control_crash_at_ms is not None:
-            plan.append(("control", self.control_crash_at_ms))
-        return tuple(sorted(plan, key=lambda kv: kv[1]))
 
     @property
     def any_faults(self) -> bool:
         return (
             self.crash_prob > 0.0
             or self.hang_prob > 0.0
-            or self.brownout_enabled
-            or self.kill_workers_at_ms is not None
+            or bool(self.timeline.of("brownout", "kill-workers"))
         )
 
 
@@ -134,10 +97,6 @@ class ServeOptions:
             timeout, absorbing executor queueing and event-loop jitter
             that compressed clocks would otherwise amplify into false
             hang verdicts.
-        node_fault_schedule: scripted node kills/recoveries
-            (:class:`~repro.cluster.faults.NodeFaultSchedule`) replayed
-            on the scaled clock — the same schedule object the
-            simulator consumes, so fault parity is exact.
         journal_dir: durability master switch.  When set, the runtime
             write-ahead-journals every request event to
             ``<journal_dir>/journal.jsonl``, checkpoints control-plane
@@ -164,12 +123,6 @@ class ServeOptions:
             to ``<journal_dir>/heartbeat-<shard_id>.json``; the sharded
             plane's health monitor declares a silent shard dead from
             the gaps.  ``None`` (default) writes no heartbeats.
-        shard_crash_at_ms: model time at which this *whole shard* dies:
-            the gateway goes permanently dead (arrivals shed, nothing
-            journaled), pools are purged, heartbeats stop, and the
-            runtime skips its drain / final checkpoint / journal close
-            so the plane's failover must recover the keyspace from the
-            WAL.  Requires ``journal_dir``; ``None`` disables.
         clock_start_ms: model-time origin of the scaled clock.  A
             takeover runtime resumes a dead shard's timeline at the
             declaration instant; 0.0 (default) is the exact normal
@@ -189,7 +142,6 @@ class ServeOptions:
     shed_expired: bool = False
     task_timeout: bool = True
     timeout_floor_wall_s: float = 1.0
-    node_fault_schedule: Optional[NodeFaultSchedule] = None
     journal_dir: Optional[str] = None
     checkpoint_interval_ms: float = 30_000.0
     journal_fsync_batch: int = 32
@@ -197,7 +149,6 @@ class ServeOptions:
     shard_id: int = 0
     n_shards: int = 1
     heartbeat_interval_ms: Optional[float] = None
-    shard_crash_at_ms: Optional[float] = None
     clock_start_ms: float = 0.0
     journal_name: Optional[str] = None
     checkpoint_name: Optional[str] = None
@@ -219,13 +170,11 @@ class ServeOptions:
             raise ValueError("journal_fsync_batch must be >= 1")
         if self.drain_grace_ms is not None and self.drain_grace_ms < 0:
             raise ValueError("drain_grace_ms must be >= 0")
-        if (
-            self.faults.gateway_crash_at_ms is not None
-            or self.faults.control_crash_at_ms is not None
-        ) and not self.journal_dir:
+        if not self.journal_dir and self.faults.timeline.of(
+                "crash-gateway", "crash-control", "kill-shard"):
             raise ValueError(
-                "control-plane crash injection requires journal_dir "
-                "(there is nothing to recover from otherwise)"
+                "control-plane and shard crash injection requires "
+                "journal_dir (there is nothing to recover from otherwise)"
             )
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
@@ -240,12 +189,5 @@ class ServeOptions:
         if self.heartbeat_interval_ms is not None and not self.journal_dir:
             raise ValueError(
                 "heartbeats are written into journal_dir; set one")
-        if self.shard_crash_at_ms is not None:
-            if self.shard_crash_at_ms < 0:
-                raise ValueError("shard_crash_at_ms must be >= 0")
-            if not self.journal_dir:
-                raise ValueError(
-                    "shard crash injection requires journal_dir (the "
-                    "survivors recover the keyspace from the WAL)")
         if self.clock_start_ms < 0:
             raise ValueError("clock_start_ms must be >= 0")

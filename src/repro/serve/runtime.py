@@ -44,7 +44,7 @@ from repro.serve.checkpoint import CheckpointManager, checkpoint_basename
 from repro.serve.clock import ScaledClock
 from repro.serve.config import ServeOptions
 from repro.serve.control import ControlLoop
-from repro.serve.faults import ChaosInjector
+from repro.serve.faults import ChaosInjector, replay_faults
 from repro.serve.gateway import Gateway
 from repro.serve.journal import RequestJournal, journal_basename
 from repro.serve.pool import WorkerPool, WorkFn
@@ -88,6 +88,9 @@ class ServingRuntime:
         self.mix = mix
         self.cluster_spec = cluster_spec
         self.seed = seed
+        # Refused here, not when the event fires:
+        options.faults.timeline.validate(
+            "live", n_nodes=cluster_spec.n_nodes, n_shards=options.n_shards)
         self.options = options
         self.work = work
         self.input_scale_sampler = input_scale_sampler
@@ -128,8 +131,8 @@ class ServingRuntime:
         # Durability plumbing (None unless options.journal_dir is set).
         self.journal: Optional[RequestJournal] = None
         self.checkpointer: Optional[CheckpointManager] = None
-        #: True once this shard has been scripted dead
-        #: (``options.shard_crash_at_ms``): the gateway sheds, nothing
+        #: True once this shard has been scripted dead (a ``kill-shard``
+        #: fault naming ``options.shard_id``): the gateway sheds, nothing
         #: journals or checkpoints, and the epilogue is skipped so the
         #: WAL reads exactly as a crashed process left it.
         self.shard_crashed: bool = False
@@ -344,45 +347,6 @@ class ServingRuntime:
             self.registry.counter("jobs_requeued_on_recovery").inc(
                 len(requeue))
 
-    def _start_control_plane_crashes(self) -> Optional[asyncio.Task]:
-        """Schedule the configured gateway/control-loop crashes."""
-        plan = self.options.faults.control_plane_crashes
-        if not plan:
-            return None
-
-        async def _crash() -> None:
-            for kind, at_ms in plan:
-                await self.clock.sleep_until_ms(at_ms)
-                if kind == "gateway":
-                    self._crash_gateway()
-                else:
-                    await self._crash_control()
-
-        return asyncio.get_running_loop().create_task(
-            _crash(), name="control-plane-crash"
-        )
-
-    def _purge_pools(self) -> int:
-        """Crash semantics: every queued-but-not-executing task is lost."""
-        purged = sum(pool.purge_queued() for pool in self.pools.values())
-        if purged:
-            self.registry.counter("control_plane_purged_tasks_total").inc(purged)
-        return purged
-
-    def _crash_gateway(self) -> None:
-        """Kill the gateway in place, then restore from durable state."""
-        now = self.clock.now
-        self.gateway.dead = True
-        dropped = self.journal.drop_unflushed() if self.journal else 0
-        purged = self._purge_pools()
-        self.registry.counter("control_plane_crashes_total").inc()
-        logger.warning(
-            "gateway crash injected at t=%.0fms: %d queued tasks purged, "
-            "%d unflushed journal records lost",
-            now, purged, dropped,
-        )
-        self._recover_gateway(now)
-
     def _recover_gateway(self, now_ms: float) -> None:
         """Rebuild the gateway from checkpoint + journal tail."""
         checkpoint = (
@@ -412,21 +376,18 @@ class ServingRuntime:
             now_ms, len(plan.requeue), len(plan.expired), len(plan.deduped),
         )
 
-    async def _crash_control(self) -> None:
-        """Kill and rebuild the control loop (scalers, governor)."""
+    def _recover_control(self, dead: ControlLoop) -> None:
+        """Rebuild the control loop after *dead* (already stopped) died."""
         now = self.clock.now
-        old = self.control
-        await old.stop()
-        self.registry.counter("control_plane_crashes_total").inc()
         checkpoint = (
             self.checkpointer.load_latest() if self.checkpointer else None
         )
         self.control = self._make_control()
         # The tick/error/respawn tallies belong to the measurement
         # harness, not the brain: carry them so run totals stay whole.
-        self.control.ticks = old.ticks
-        self.control.tick_errors = old.tick_errors
-        self.control.supervised_respawns = old.supervised_respawns
+        self.control.ticks = dead.ticks
+        self.control.tick_errors = dead.tick_errors
+        self.control.supervised_respawns = dead.supervised_respawns
         if checkpoint is not None:
             restore_governor(self.control.governor, checkpoint)
             restore_sampler(self.sampler, checkpoint)
@@ -441,7 +402,7 @@ class ServingRuntime:
             else f"{now - float(checkpoint.get('t_ms', now)):.0f}ms",
         )
 
-    # -- shard failover: heartbeats, scripted shard death, takeover --------
+    # -- shard failover: heartbeats, takeover ------------------------------
 
     def _heartbeat_path(self) -> pathlib.Path:
         from repro.shard.failover import heartbeat_basename
@@ -486,47 +447,6 @@ class ServingRuntime:
 
         return asyncio.get_running_loop().create_task(
             _beat(), name="shard-heartbeat"
-        )
-
-    def _start_shard_crash(self) -> Optional[asyncio.Task]:
-        """Schedule this shard's scripted death, if configured."""
-        at_ms = self.options.shard_crash_at_ms
-        if at_ms is None:
-            return None
-
-        async def _crash() -> None:
-            await self.clock.sleep_until_ms(at_ms)
-            self._crash_shard()
-
-        return asyncio.get_running_loop().create_task(
-            _crash(), name="shard-crash"
-        )
-
-    def _crash_shard(self) -> None:
-        """Kill this whole shard in place — and never recover it.
-
-        Unlike a gateway crash (which restores itself from its own
-        journal), a shard crash is terminal for this process: the
-        gateway goes permanently dead (arrivals shed at the front door,
-        un-journaled — a zombie answers nothing), queued work is
-        purged, heartbeats stop so the plane's health monitor can
-        declare the death, and the epilogue is skipped so the WAL and
-        its lock sentinel read exactly as a crashed process leaves
-        them.  The *survivors* recover the keyspace.
-        """
-        now = self.clock.now
-        self.shard_crashed = True
-        self.gateway.dead = True
-        dropped = self.journal.drop_unflushed() if self.journal else 0
-        purged = self._purge_pools()
-        # The in-flight jobs died with the shard; the drain must not
-        # wait for completions that can never be delivered.
-        self.gateway.reset_in_flight()
-        self.registry.counter("shard_crashes_total").inc()
-        logger.warning(
-            "shard %d crash injected at t=%.0fms: %d queued tasks purged, "
-            "%d unflushed journal records lost; keyspace awaits takeover",
-            self.options.shard_id, now, purged, dropped,
         )
 
     def _apply_recovered_plan(self) -> None:
@@ -600,11 +520,9 @@ class ServingRuntime:
                 self.checkpointer.maybe(self.clock.now, self._snapshot)
             self.control.start()
             self._apply_recovered_plan()
-            killer = self._start_worker_killer()
-            fault_replayer = self._start_node_fault_schedule()
-            crasher = self._start_control_plane_crashes()
+            fault_replay = loop.create_task(
+                replay_faults(self), name="fault-replay")
             heartbeats = self._start_heartbeats()
-            shard_killer = self._start_shard_crash()
             self.replayer = TraceReplayer(
                 trace,
                 self.mix,
@@ -655,10 +573,15 @@ class ServingRuntime:
                 timeout_ms=drain_ms
             )
             await self.control.stop()
-            for task in (killer, fault_replayer, crasher,
-                         heartbeats, shard_killer):
-                if task is not None and not task.done():
-                    task.cancel()
+            if heartbeats is not None:
+                heartbeats.cancel()
+            # An action that raised fails the run here (a dead injector
+            # must never look like a fault-free pass); events scripted
+            # past the drain never fire.
+            if fault_replay.done():
+                fault_replay.result()
+            else:
+                fault_replay.cancel()
             # The simulator's drain always reaches a monitor tick
             # (virtual time jumps to it); a short live run can finish
             # before the first one.  One closing tick keeps the
@@ -696,44 +619,6 @@ class ServingRuntime:
             tick_errors=self.control.tick_errors,
             degraded_spawns=self.chaos.degraded_spawns if self.chaos else 0,
             shed_jobs=self.gateway.shed,
-        )
-
-    def _start_worker_killer(self) -> Optional[asyncio.Task]:
-        """Schedule the configured worker-group kill, if any."""
-        if (
-            self.chaos is None
-            or self.options.faults.kill_workers_at_ms is None
-        ):
-            return None
-        at_ms = self.options.faults.kill_workers_at_ms
-
-        async def _kill() -> None:
-            await self.clock.sleep_until_ms(at_ms)
-            self.chaos.kill_worker_group(
-                self.cluster, list(self.pools.values()), self.clock.now
-            )
-
-        return asyncio.get_running_loop().create_task(_kill(), name="chaos-kill")
-
-    def _start_node_fault_schedule(self) -> Optional[asyncio.Task]:
-        """Replay the scripted node kills/recoveries on the scaled clock."""
-        schedule = self.options.node_fault_schedule
-        if not schedule:
-            return None
-
-        async def _replay() -> None:
-            for event in schedule.events:
-                await self.clock.sleep_until_ms(event.at_ms)
-                schedule.apply_event(
-                    event,
-                    self.cluster,
-                    list(self.pools.values()),
-                    self.clock.now,
-                    self.registry,
-                )
-
-        return asyncio.get_running_loop().create_task(
-            _replay(), name="node-faults"
         )
 
     def _executor_workers(self) -> int:

@@ -27,6 +27,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.cluster.faults import FaultTimeline
 from repro.metrics.collector import RunResult
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.runtime.system import ClusterSpec
@@ -365,7 +366,10 @@ def _fail_over(
                     f"takeover-checkpoint-{victim}-by-{survivor}.json"),
                 clock_start_ms=declare_ms,
                 heartbeat_interval_ms=None,
-                shard_crash_at_ms=None,
+                # The takeover runtime replays no script: the plane's
+                # faults already happened on the victim's clock.
+                faults=dataclasses.replace(
+                    options.faults, timeline=FaultTimeline()),
             ),
         )
         runtime.recovered_plan = (
@@ -431,8 +435,6 @@ def serve_sharded(
     options: ServeOptions = ServeOptions(),
     initial_node_grants: Optional[Sequence[int]] = None,
     vnodes: int = DEFAULT_VNODES,
-    kill_shard_at_ms: Optional[float] = None,
-    kill_shard_id: int = 0,
     heartbeat_interval_ms: Optional[float] = None,
     heartbeat_miss_threshold: int = 3,
     failover_hysteresis: int = 2,
@@ -446,14 +448,15 @@ def serve_sharded(
     ``n_shards`` are stamped per child and must be left at their
     defaults here.
 
-    ``kill_shard_at_ms`` scripts shard ``kill_shard_id``'s death at
-    that model time: its gateway goes permanently dead mid-run, and
-    after the plane drains the parent adjudicates the death from the
-    heartbeat record (``heartbeat_miss_threshold`` misses,
-    ``failover_hysteresis`` consecutive evaluations), fences the dead
-    shard's journal and the orchestrator lease, and replays the WAL so
-    the ring's survivors complete every in-flight job exactly once in
-    takeover runtimes.  Requires ``options.journal_dir``.
+    Every shard replays ``options.faults.timeline``; node events are
+    refused (the cluster is split, so one node id would hit a different
+    node per shard).  One ``kill-shard`` event naming one shard scripts
+    its death: its gateway goes permanently dead mid-run, and after the
+    plane drains the parent adjudicates the death from the heartbeat
+    record (``heartbeat_miss_threshold`` misses, ``failover_hysteresis``
+    consecutive evaluations), fences the dead shard's journal and the
+    orchestrator lease, and replays the WAL so the ring's survivors
+    complete every in-flight job exactly once in takeover runtimes.
     """
     from repro.serve.runtime import serve_trace
 
@@ -463,32 +466,22 @@ def serve_sharded(
         raise ValueError(
             "serve_sharded assigns shard identities itself; pass "
             "options with the default shard_id=0, n_shards=1")
-    if kill_shard_at_ms is not None:
-        if shards == 1:
-            raise ValueError(
-                "shard failover needs shards > 1 (a lone shard has "
-                "no survivor to take its keyspace)")
-        if not options.journal_dir:
-            raise ValueError(
-                "shard failover recovers from the WAL; set "
-                "options.journal_dir")
-        if not 0 <= kill_shard_id < shards:
-            raise ValueError(
-                f"kill_shard_id {kill_shard_id} out of range for "
-                f"{shards} shards")
-        if heartbeat_interval_ms is None:
-            heartbeat_interval_ms = DEFAULT_HEARTBEAT_INTERVAL_MS
     if shards == 1:
         return serve_trace(
             policy_name, mix, trace, cluster_spec=cluster_spec,
             seed=seed, options=options, **config_overrides,
         )
-    if options.node_fault_schedule is not None:
-        raise ValueError(
-            "node_fault_schedule targets global node ids; the sharded "
-            "plane splits the cluster, so the schedule would hit "
-            "different nodes per shard — inject faults per-shard via "
-            "a single-gateway run instead")
+    kills = options.faults.timeline.validate(
+        "live-sharded", n_shards=shards).of("kill-shard")
+    victim: Optional[int] = None
+    if kills:
+        if len(kills) > 1 or len(kills[0].ids) > 1:
+            raise ValueError(
+                "the live plane fails over one shard per run; script one "
+                "kill-shard event naming one shard")
+        victim = kills[0].ids[0]
+        if heartbeat_interval_ms is None:
+            heartbeat_interval_ms = DEFAULT_HEARTBEAT_INTERVAL_MS
 
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
@@ -502,14 +495,9 @@ def serve_sharded(
     for (shard_id, sub, _ids), grant in zip(parts, grants):
         shard_options = dataclasses.replace(
             options, shard_id=shard_id, n_shards=shards)
-        if kill_shard_at_ms is not None:
+        if victim is not None:
             shard_options = dataclasses.replace(
-                shard_options,
-                heartbeat_interval_ms=heartbeat_interval_ms,
-                shard_crash_at_ms=(
-                    kill_shard_at_ms if shard_id == kill_shard_id
-                    else None),
-            )
+                shard_options, heartbeat_interval_ms=heartbeat_interval_ms)
         payloads.append({
             "shard_id": shard_id,
             "policy": policy_name,
@@ -539,13 +527,13 @@ def serve_sharded(
 
     takeover: Dict[int, RunResult] = {}
     failover_info: Dict = {}
-    if kill_shard_at_ms is not None:
+    if victim is not None:
         failover_registry = MetricsRegistry()
         takeover, failover_info, extra = _fail_over(
             policy_name=policy_name,
             mix=mix,
             shards=shards,
-            victim=kill_shard_id,
+            victim=victim,
             ring=ring,
             grants=grants,
             cluster_spec=cluster_spec,
@@ -563,10 +551,7 @@ def serve_sharded(
     journal: Dict[int, Dict] = {}
     if options.journal_dir:
         journal = plane_journal_conservation(
-            options.journal_dir, shards,
-            victim=kill_shard_id if kill_shard_at_ms is not None
-            else None,
-        )
+            options.journal_dir, shards, victim=victim)
 
     return ShardedServeResult(
         per_shard=per_shard,

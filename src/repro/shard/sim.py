@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.faults import ShardFaultSchedule
+from repro.cluster.faults import FaultTimeline
 from repro.metrics.collector import RunResult
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
@@ -270,8 +270,8 @@ class _ShardSystem(ServerlessSystem):
 class _ShardFaultPlane:
     """Heartbeats, death declaration and keyspace takeover for the sim.
 
-    Attached to every :class:`_ShardSystem` when a
-    :class:`~repro.cluster.faults.ShardFaultSchedule` is in play.  Each
+    Attached to every :class:`_ShardSystem` when the fault timeline
+    scripts ``kill-shard`` / ``recover-shard`` events.  Each
     shard's lifecycle then journals through a
     :class:`~repro.serve.journal.MemoryJournal` — the live WAL's record
     schema — and a shard "dies" by its lifecycle's ``dead`` flag, the
@@ -322,7 +322,7 @@ class _ShardFaultPlane:
     # -- scripted events ----------------------------------------------
 
     def crash_shard(self, shard_id: int) -> None:
-        """Kill one shard in place (the ``kill`` fault event)."""
+        """Kill one shard in place (the ``kill-shard`` fault event)."""
         system = self.systems[shard_id]
         if system.lifecycle.dead:
             return
@@ -340,7 +340,7 @@ class _ShardFaultPlane:
         system.registry.counter("shard_crashes_total").inc()
 
     def recover_shard(self, shard_id: int) -> None:
-        """Restart one shard (the ``recover`` fault event).
+        """Restart one shard (the ``recover-shard`` fault event).
 
         The process is back and beating; the *plane* re-admits it to
         the ring only after the monitor's hysteresis clears it.
@@ -640,14 +640,15 @@ def _run_inprocess_eventloop(
     stage_routing: str,
     cross_shard_hop_ms: float,
     ring: ConsistentHashRing,
-    shard_faults: Optional[ShardFaultSchedule] = None,
+    faults: FaultTimeline = FaultTimeline(),
     heartbeat_interval_ms: float = 1_000.0,
     heartbeat_miss_threshold: int = 3,
     failover_hysteresis: int = 2,
-    orchestrator_fail_at_ms: Optional[float] = None,
     **system_kwargs,
 ) -> ShardedRunResult:
     """N event-loop systems on one Simulator (multi-tenant pattern)."""
+    shard_events = faults.of("kill-shard", "recover-shard")
+    orchestrator_kill = faults.of("kill-orchestrator")
     sim = Simulator()
     systems: Dict[int, _ShardSystem] = {}
     monitors = []
@@ -663,7 +664,7 @@ def _run_inprocess_eventloop(
                 system_kwargs["seed"], shard_id)),
         )
         system.cordoned_node_ids = list(range(grant, n_nodes))
-        if shard_faults is not None:
+        if shard_events:
             system._request_ids = iter(ids.tolist())
         systems[shard_id] = system
         monitors.append(system.attach(sim, sub, ticker=ticker))
@@ -679,7 +680,7 @@ def _run_inprocess_eventloop(
         handles, orchestrator_args)
     reconciler = orchestrator
     orchestrators = [orchestrator]
-    if orchestrator_fail_at_ms is not None:
+    if orchestrator_kill:
         # Warm standby sharing the primary's store: on failover it
         # re-derives shard pressure from the published reports.
         standby = GlobalOrchestrator(
@@ -687,7 +688,7 @@ def _run_inprocess_eventloop(
             **dict(orchestrator_args, store=orchestrator.store))
         reconciler = OrchestratorSupervisor(
             orchestrator, standby,
-            fail_primary_at_ms=orchestrator_fail_at_ms,
+            fail_primary_at_ms=orchestrator_kill[0].at_ms,
             registry=orch_registry,
         )
         orchestrators = [orchestrator, standby]
@@ -696,7 +697,7 @@ def _run_inprocess_eventloop(
     plane: Optional[_ShardFaultPlane] = None
     plane_sub = None
     tick_fn = reconciler.reconcile
-    if shard_faults is not None:
+    if shard_events:
         plane = _ShardFaultPlane(
             sim=sim,
             systems=systems,
@@ -709,12 +710,12 @@ def _run_inprocess_eventloop(
             hysteresis=failover_hysteresis,
             registry=orch_registry,
         )
-        for event in shard_faults.events:
-            act = (plane.crash_shard if event.action == "kill"
+        for event in shard_events:
+            act = (plane.crash_shard if event.kind == "kill-shard"
                    else plane.recover_shard)
-            for sid in event.shard_ids:
+            for sid in event.ids:
                 sim.schedule_at(event.at_ms, partial(act, sid),
-                                label=f"shard-{event.action}")
+                                label=event.kind)
         # The health sweep gets its own (fine) cadence: death must be
         # declared within heartbeat intervals, not rebalance intervals.
         plane_sub = CoalescedTicker(
@@ -754,7 +755,7 @@ def _run_inprocess_eventloop(
         s.registry.value("shard_cross_stage_hops_total")
         for s in systems.values()
     ))
-    if plane is not None or orchestrator_fail_at_ms is not None:
+    if faults:
         # Failover runs expose the plane-level picture: merged metrics
         # (every shard + the orchestration/health registry) and the
         # exactly-once journal verdict across the takeover.
@@ -868,11 +869,10 @@ def run_sharded_policy(
     skew_threshold: float = 2.0,
     max_moves_per_tick: int = 1,
     store: Optional[ShardedStateStore] = None,
-    shard_faults: Optional[ShardFaultSchedule] = None,
+    faults: FaultTimeline = FaultTimeline(),
     heartbeat_interval_ms: float = 1_000.0,
     heartbeat_miss_threshold: int = 3,
     failover_hysteresis: int = 2,
-    orchestrator_fail_at_ms: Optional[float] = None,
     **config_overrides,
 ):
     """Run *policy_name* over *trace* on an N-shard serving plane.
@@ -880,15 +880,14 @@ def run_sharded_policy(
     Returns a plain :class:`RunResult` for ``shards=1`` (the exact
     single-gateway path) and a :class:`ShardedRunResult` otherwise.
 
-    ``shard_faults`` scripts shard kills/recoveries
-    (:class:`~repro.cluster.faults.ShardFaultSchedule`); the plane then
-    runs the self-healing protocol — heartbeat health monitoring with
-    ``heartbeat_miss_threshold`` misses and ``failover_hysteresis``
-    consecutive evaluations before any declaration, ring remap, and
-    journal-driven keyspace takeover.  ``orchestrator_fail_at_ms``
-    additionally kills the global orchestrator at that instant and
-    fails over to a warm standby restored from the sharded store.
-    Both require the in-process event-loop plane.
+    ``faults`` scripts the plane's failures.  On ``kill-shard`` /
+    ``recover-shard`` events the plane runs the self-healing protocol —
+    heartbeat health monitoring with ``heartbeat_miss_threshold``
+    misses and ``failover_hysteresis`` consecutive evaluations before
+    any declaration, ring remap, and journal-driven keyspace takeover;
+    a ``kill-orchestrator`` event kills the global orchestrator at that
+    instant and fails over to a warm standby restored from the sharded
+    store.  Both require the in-process event-loop plane.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -898,14 +897,8 @@ def run_sharded_policy(
             f"got {stage_routing!r}")
     if heartbeat_interval_ms <= 0:
         raise ValueError("heartbeat_interval_ms must be positive")
-    failover_requested = (
-        shard_faults is not None or orchestrator_fail_at_ms is not None
-    )
-    if failover_requested:
-        if shards == 1:
-            raise ValueError(
-                "shard failover needs shards > 1 (a lone shard has "
-                "no survivor to take its keyspace)")
+    faults.validate("sim-sharded", n_shards=shards)
+    if faults:
         if shard_workers > 1:
             raise ValueError(
                 "shard faults need the in-process plane "
@@ -919,15 +912,6 @@ def run_sharded_policy(
             raise ValueError(
                 "shard faults with hash stage routing are unsupported: "
                 "a job's stages would outlive its journal owner")
-    if shard_faults is not None:
-        bad = {
-            s for ev in shard_faults.events for s in ev.shard_ids
-            if not 0 <= s < shards
-        }
-        if bad:
-            raise ValueError(
-                f"shard fault schedule targets unknown shards "
-                f"{sorted(bad)} (plane has {shards})")
     if shards == 1:
         return run_policy(
             policy_name, mix, trace,
@@ -984,10 +968,9 @@ def run_sharded_policy(
     return _run_inprocess_eventloop(
         config_factory, parts, grants, trace, orchestrator_args,
         rebalance_interval_ms, stage_routing, cross_shard_hop_ms, ring,
-        shard_faults=shard_faults,
+        faults=faults,
         heartbeat_interval_ms=heartbeat_interval_ms,
         heartbeat_miss_threshold=heartbeat_miss_threshold,
         failover_hysteresis=failover_hysteresis,
-        orchestrator_fail_at_ms=orchestrator_fail_at_ms,
         **system_kwargs,
     )

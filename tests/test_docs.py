@@ -7,6 +7,7 @@ the code, and the README quickstart must actually run.
 
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -76,3 +77,67 @@ class TestExamples:
 
     def test_at_least_five_examples(self):
         assert len(list((REPO / "examples").glob("*.py"))) >= 5
+
+
+# Files whose ``python -m repro <subcommand> ...`` command lines must
+# keep parsing: removing or renaming a flag cannot leave a dead
+# invocation behind in the docs, the CI workflow or the verify recipe.
+COMMAND_FILES = ("README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml",
+                 ".claude/skills/verify/SKILL.md")
+_SHELL_STOPS = {"|", "||", "&&", ";", ">", ">>", "2>&1"}
+
+
+def documented_commands(text):
+    """Yield the argv of every ``python -m repro <subcommand> ...`` in
+    *text*: backslash continuations (and the wrapped lines of inline
+    code spans) joined, cut at the closing backtick or the first shell
+    operator."""
+    for match in re.finditer(r"python3? -m repro[ \t]+(?=[a-z])", text):
+        rest = text[match.end():]
+        line_start = text.rfind("\n", 0, match.start()) + 1
+        if text.count("`", line_start, match.start()) % 2:
+            # Inside an inline code span, which prose may wrap.
+            command = rest.split("`", 1)[0].replace("\n", " ")
+        else:
+            lines = []
+            for line in rest.split("\n"):
+                lines.append(line.rstrip().rstrip("\\"))
+                if not line.rstrip().endswith("\\"):
+                    break
+            command = " ".join(lines)
+        argv = []
+        for token in shlex.split(command, comments=True):
+            if token in _SHELL_STOPS:
+                break
+            argv.append(token)
+        yield argv
+
+
+class TestCommandLines:
+    def test_extractor_reads_spans_continuations_and_pipes(self):
+        text = (
+            "Run `python -m repro run fifer --mix\n  heavy`, then\n"
+            "```bash\nPYTHONPATH=src python -m repro serve --policy rscale \\\n"
+            "    --faults 'kill-node@1=0;recover-node@2=0' | tee out\n```\n"
+            "and `python -m repro.experiments.robustness --quick` is not ours."
+        )
+        assert list(documented_commands(text)) == [
+            ["run", "fifer", "--mix", "heavy"],
+            ["serve", "--policy", "rscale", "--faults",
+             "kill-node@1=0;recover-node@2=0"],
+        ]
+
+    @pytest.mark.parametrize("name", COMMAND_FILES)
+    def test_documented_command_lines_parse(self, name):
+        from repro.cli import build_parser
+        from repro.cluster.faults import FaultTimeline
+
+        commands = list(documented_commands((REPO / name).read_text()))
+        assert commands, f"{name}: no python -m repro command lines found"
+        for argv in commands:
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{name}: dead invocation: repro {' '.join(argv)}")
+            if getattr(args, "faults", None):
+                FaultTimeline.parse(args.faults)

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.faults import ControlPlaneBlackout
+from repro.cluster.faults import FaultEvent, FaultTimeline
 from repro.experiments.export import atomic_write_json, atomic_write_text
 from repro.experiments.robustness import journal_conservation
 from repro.runtime.system import run_policy
@@ -291,7 +291,8 @@ class TestLiveCrashRecovery:
             "rscale", get_mix("light"), trace, seed=11,
             options=_durable_options(
                 tmp_path,
-                faults=FaultConfig(gateway_crash_at_ms=3_000.0),
+                faults=FaultConfig(
+                    timeline=FaultTimeline.parse("crash-gateway@3")),
             ),
             idle_timeout_ms=60_000.0,
         )
@@ -310,7 +311,8 @@ class TestLiveCrashRecovery:
             "rscale", get_mix("light"), trace, seed=4,
             options=_durable_options(
                 tmp_path,
-                faults=FaultConfig(control_crash_at_ms=3_000.0),
+                faults=FaultConfig(
+                    timeline=FaultTimeline.parse("crash-control@3")),
             ),
             idle_timeout_ms=60_000.0,
         )
@@ -323,7 +325,8 @@ class TestLiveCrashRecovery:
 
     def test_crash_injection_requires_journal_dir(self):
         with pytest.raises(ValueError, match="journal_dir"):
-            ServeOptions(faults=FaultConfig(gateway_crash_at_ms=1_000.0))
+            ServeOptions(faults=FaultConfig(
+                timeline=FaultTimeline.parse("crash-gateway@1")))
 
     def test_durability_on_without_crash_is_invisible(self, tmp_path):
         # The golden-compatibility half: a journalled, checkpointed run
@@ -414,10 +417,10 @@ class TestShutdownAndBackpressure:
 class TestSimBlackout:
     def test_blackout_sheds_arrivals_and_counts_one_recovery(self):
         trace = poisson_trace(30.0, 60.0, seed=5)
-        blackout = ControlPlaneBlackout(20_000.0, 35_000.0)
+        blackout = FaultEvent(20_000.0, "blackout", until_ms=35_000.0)
         result = run_policy(
             "rscale", get_mix("medium"), trace,
-            control_blackout=blackout, seed=5,
+            faults=FaultTimeline((blackout,)), seed=5,
         )
         baseline = run_policy(
             "rscale", get_mix("medium"), trace, seed=5,
@@ -429,14 +432,14 @@ class TestSimBlackout:
         assert baseline.recoveries == 0 and baseline.shed_jobs == 0
 
     def test_parse_and_validation(self):
-        blackout = ControlPlaneBlackout.parse("20:35")
-        assert (blackout.start_ms, blackout.end_ms) == (20_000.0, 35_000.0)
+        blackout = FaultTimeline.parse("blackout@20:35").window("blackout")
+        assert (blackout.at_ms, blackout.until_ms) == (20_000.0, 35_000.0)
         assert blackout.covers(20_000.0)
         assert not blackout.covers(35_000.0)
         with pytest.raises(ValueError):
-            ControlPlaneBlackout.parse("35")
+            FaultTimeline.parse("blackout@35")
         with pytest.raises(ValueError):
-            ControlPlaneBlackout(10.0, 10.0)
+            FaultEvent(10.0, "blackout", until_ms=10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.container import ContainerState
 from repro.cluster.energy import EnergyMeter, NodePowerModel
-from repro.cluster.faults import fail_node
+from repro.cluster.faults import FaultTimeline, fail_node
 from repro.core.policies import make_policy_config
 from repro.core.scheduling import SchedulingPolicy
 from repro.metrics.collector import MetricsCollector
@@ -715,9 +715,7 @@ class TestChaosEndToEnd:
         from repro.serve import ChaosInjector
 
         chaos = ChaosInjector(FaultConfig(
-            brownout_start_ms=0.0, brownout_end_ms=5_000.0,
-            brownout_factor=3.0,
-        ))
+            timeline=FaultTimeline.parse("brownout@0:5x3")))
         clock = ScaledClock(FAST)  # unstarted: now == 0, inside the window
         base = ColdStartModel(jitter_sigma=0.0)
         wrapped = chaos.wrap_cold_start(base, clock)
@@ -739,10 +737,7 @@ class TestChaosEndToEnd:
             options=ServeOptions(
                 time_scale=0.005,
                 faults=FaultConfig(
-                    brownout_start_ms=0.0,
-                    brownout_end_ms=600_000.0,
-                    brownout_factor=1.5,
-                ),
+                    timeline=FaultTimeline.parse("brownout@0:600x1.5")),
                 drain_timeout_ms=1_200_000.0,
             ),
         )
@@ -759,7 +754,8 @@ class TestChaosEndToEnd:
             seed=11,
             options=ServeOptions(
                 time_scale=0.005,
-                faults=FaultConfig(kill_workers_at_ms=4_000.0),
+                faults=FaultConfig(
+                    timeline=FaultTimeline.parse("kill-workers@4")),
                 retry=RetryPolicy(max_attempts=5, base_backoff_ms=10.0),
                 drain_timeout_ms=1_200_000.0,
             ),

@@ -14,12 +14,12 @@ Two claims, both asserted against real runs:
 
 import pytest
 
-from repro.cluster.faults import NodeFaultSchedule
+from repro.cluster.faults import FaultTimeline
 from repro.experiments.robustness import run_robustness_study, study_specs
 from repro.prediction.classical import EWMAPredictor
 from repro.prediction.guarded import DivergentPredictor
 from repro.runtime.system import ClusterSpec, run_policy
-from repro.serve import ServeOptions, serve_trace
+from repro.serve import FaultConfig, ServeOptions, serve_trace
 from repro.traces import poisson_trace
 from repro.workloads import get_mix
 
@@ -89,7 +89,7 @@ SCENARIO = dict(
     spawn_retry_attempts=2,
     idle_timeout_ms=60_000.0,
 )
-FAULT_SPEC = "kill@20=0;recover@40=0"
+FAULT_SPEC = "kill-node@20=0;recover-node@40=0"
 
 
 def _divergent():
@@ -106,7 +106,7 @@ def guarded_pair():
     sim = run_policy(
         "fifer", mix, trace, seed=SEED, cluster_spec=spec,
         predictor=_divergent(),
-        node_fault_schedule=NodeFaultSchedule.parse(FAULT_SPEC),
+        faults=FaultTimeline.parse(FAULT_SPEC),
         **SCENARIO,
     )
     live = serve_trace(
@@ -114,7 +114,7 @@ def guarded_pair():
         predictor=_divergent(),
         options=ServeOptions(
             time_scale=TIME_SCALE,
-            node_fault_schedule=NodeFaultSchedule.parse(FAULT_SPEC),
+            faults=FaultConfig(timeline=FaultTimeline.parse(FAULT_SPEC)),
         ),
         **SCENARIO,
     )

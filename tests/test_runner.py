@@ -66,7 +66,7 @@ class TestSpecAndHash:
                            faults=(("diverge_after", 3),), **TINY),
             TrialSpec.make(
                 "rscale",
-                faults=(("node_fault_schedule", "kill@30=0"),), **TINY),
+                faults=(("timeline", "kill-node@30=0"),), **TINY),
             TrialSpec.make("rscale", shed_expired=True, **TINY),
             TrialSpec.make("rscale", mape_threshold=0.5, **TINY),
             TrialSpec.make("rscale", max_surge=8, **TINY),

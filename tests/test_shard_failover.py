@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.faults import ShardFaultEvent, ShardFaultSchedule
+from repro.cluster.faults import FaultEvent, FaultTimeline
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.system import ClusterSpec
-from repro.serve import ServeOptions
+from repro.serve import FaultConfig, ServeOptions
 from repro.serve.journal import (
     EV_ADMIT,
     EV_COMPLETE,
@@ -357,19 +357,19 @@ def test_merge_clean_snapshots_emit_no_degradation_metrics():
 
 
 def test_shard_fault_schedule_parse():
-    sched = ShardFaultSchedule.parse("kill@60=1;recover@120=1")
-    assert [(e.at_ms, e.action, e.shard_ids) for e in sched.events] == [
-        (60_000.0, "kill", (1,)),
-        (120_000.0, "recover", (1,)),
+    sched = FaultTimeline.parse("kill-shard@60=1;recover-shard@120=1")
+    assert [(e.at_ms, e.kind, e.ids) for e in sched.events] == [
+        (60_000.0, "kill-shard", (1,)),
+        (120_000.0, "recover-shard", (1,)),
     ]
-    multi = ShardFaultSchedule.parse("kill@5=0,2")
-    assert multi.events[0].shard_ids == (0, 2)
-    for bad in ("kill@60", "explode@1=0", "kill@x=0", "", "kill@1=",
-                "kill@1=0,0"):
+    multi = FaultTimeline.parse("kill-shard@5=0,2")
+    assert multi.events[0].ids == (0, 2)
+    for bad in ("kill-shard@60", "explode-shard@1=0", "kill-shard@x=0", "",
+                "kill-shard@1=", "kill-shard@1=0,0"):
         with pytest.raises(ValueError):
-            ShardFaultSchedule.parse(bad)
+            FaultTimeline.parse(bad)
     with pytest.raises(ValueError):
-        ShardFaultEvent(at_ms=-1.0, action="kill", shard_ids=(0,))
+        FaultEvent(at_ms=-1.0, kind="kill-shard", ids=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +388,7 @@ def test_sim_kill_and_recover_conserves_exactly_once():
     result = run_sharded_policy(
         "rscale", get_mix("medium"), trace, shards=3,
         cluster_spec=ClusterSpec(n_nodes=6), seed=5, engine="fast",
-        shard_faults=ShardFaultSchedule.parse("kill@12=1;recover@28=1"),
+        faults=FaultTimeline.parse("kill-shard@12=1;recover-shard@28=1"),
         heartbeat_interval_ms=200.0,
         heartbeat_miss_threshold=2,
         failover_hysteresis=1,
@@ -426,7 +426,7 @@ def test_sim_no_fault_schedule_is_bit_identical():
         "rscale", get_mix("medium"), trace, **kwargs)
     armed = run_sharded_policy(
         "rscale", get_mix("medium"), trace,
-        shard_faults=ShardFaultSchedule.parse("kill@1e6=1"),
+        faults=FaultTimeline.parse("kill-shard@1e6=1"),
         **kwargs)
     assert np.array_equal(np.sort(plain.latencies_ms),
                           np.sort(armed.latencies_ms))
@@ -441,24 +441,24 @@ def test_sim_no_fault_schedule_is_bit_identical():
 def test_sim_failover_validation():
     trace = _sim_trace(duration_s=2.0, rate=2.0)
     mix = get_mix("medium")
-    faults = ShardFaultSchedule.parse("kill@1=0")
+    faults = FaultTimeline.parse("kill-shard@1=0")
     with pytest.raises(ValueError, match="shards > 1"):
         run_sharded_policy("rscale", mix, trace, shards=1,
-                           shard_faults=faults)
+                           faults=faults)
     with pytest.raises(ValueError, match="event-loop"):
         run_sharded_policy("rscale", mix, trace, shards=2,
-                           engine="vector", shard_faults=faults)
+                           engine="vector", faults=faults)
     with pytest.raises(ValueError, match="shard_workers"):
         run_sharded_policy("rscale", mix, trace, shards=2,
-                           shard_workers=2, shard_faults=faults)
+                           shard_workers=2, faults=faults)
     with pytest.raises(ValueError, match="hash"):
         run_sharded_policy("rscale", mix, trace, shards=2,
                            engine="fast", stage_routing="hash",
-                           shard_faults=faults)
-    with pytest.raises(ValueError, match="unknown shards"):
+                           faults=faults)
+    with pytest.raises(ValueError, match="out of range"):
         run_sharded_policy(
             "rscale", mix, trace, shards=2, engine="fast",
-            shard_faults=ShardFaultSchedule.parse("kill@1=7"))
+            faults=FaultTimeline.parse("kill-shard@1=7"))
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +475,9 @@ def test_live_kill_shard_fails_over(tmp_path):
         cluster_spec=ClusterSpec(n_nodes=4), seed=13,
         options=ServeOptions(
             time_scale=FAST, drain_timeout_ms=30_000.0,
-            journal_dir=str(tmp_path), checkpoint_interval_ms=3_000.0),
-        kill_shard_at_ms=5_000.0, kill_shard_id=1,
+            journal_dir=str(tmp_path), checkpoint_interval_ms=3_000.0,
+            faults=FaultConfig(
+                timeline=FaultTimeline.parse("kill-shard@5=1"))),
         heartbeat_interval_ms=500.0)
     assert result.failover["victim"] == 1
     assert result.failover["declared_at_ms"] > 5_000.0
@@ -500,17 +501,26 @@ def test_live_kill_shard_fails_over(tmp_path):
 def test_live_kill_validation(tmp_path):
     trace = poisson_trace(rate_rps=2.0, duration_s=2.0, seed=1)
     mix = get_mix("medium")
+
+    def options(spec, **kwargs):
+        return ServeOptions(
+            faults=FaultConfig(timeline=FaultTimeline.parse(spec)), **kwargs)
+
     with pytest.raises(ValueError, match="survivor"):
-        serve_sharded("rscale", mix, trace, shards=1,
-                      options=ServeOptions(journal_dir=str(tmp_path)),
-                      kill_shard_at_ms=1_000.0)
+        serve_sharded("rscale", mix, trace, shards=1, options=options(
+            "kill-shard@1=0", journal_dir=str(tmp_path)))
     with pytest.raises(ValueError, match="journal_dir"):
         serve_sharded("rscale", mix, trace, shards=2,
-                      kill_shard_at_ms=1_000.0)
+                      options=options("kill-shard@1=0"))
     with pytest.raises(ValueError, match="out of range"):
-        serve_sharded("rscale", mix, trace, shards=2,
-                      options=ServeOptions(journal_dir=str(tmp_path)),
-                      kill_shard_at_ms=1_000.0, kill_shard_id=5)
+        serve_sharded("rscale", mix, trace, shards=2, options=options(
+            "kill-shard@1=5", journal_dir=str(tmp_path)))
+    with pytest.raises(ValueError, match="one shard per run"):
+        serve_sharded("rscale", mix, trace, shards=3, options=options(
+            "kill-shard@1=0,1", journal_dir=str(tmp_path)))
+    with pytest.raises(ValueError, match="does not enact"):
+        serve_sharded("rscale", mix, trace, shards=2, options=options(
+            "kill-node@1=0", journal_dir=str(tmp_path)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cluster.faults import (
-    ContainerFaultModel,
-    ControlPlaneBlackout,
-    NodeFaultSchedule,
-)
+from repro.cluster.faults import ContainerFaultModel, FaultTimeline
 from repro.core.policies import EXTENDED_POLICY_NAMES, make_policy_config
 from repro.obs.trace import Tracer
 from repro.runtime.system import ClusterSpec, ServerlessSystem
@@ -54,7 +50,7 @@ def _summary(
     cores=16,
     drain_ms=None,
     shed_expired=False,
-    control_blackout=None,
+    faults=FaultTimeline(),
     tracer=None,
     **overrides,
 ):
@@ -67,7 +63,7 @@ def _summary(
         cluster_spec=ClusterSpec(n_nodes=nodes, cores_per_node=cores),
         seed=seed,
         shed_expired=shed_expired,
-        control_blackout=control_blackout,
+        faults=faults,
         tracer=tracer,
         engine=engine,
         **system_kwargs,
@@ -171,7 +167,7 @@ class TestParityGrid:
             duration=25.0,
             seed=9,
             nodes=5,
-            control_blackout=ControlPlaneBlackout(5_000.0, 12_000.0),
+            faults=FaultTimeline.parse("blackout@5:12"),
         )
         assert summary["shed_jobs"] > 0  # blackout-lost arrivals count as shed
 
@@ -297,10 +293,9 @@ class TestUnsupportedConfigs:
             self._run(system)
 
     def test_node_fault_schedule_rejected(self):
-        system = self._system(
-            node_fault_schedule=NodeFaultSchedule.parse("kill@10=0"))
-        with pytest.raises(VectorEngineUnsupported):
-            self._run(system)
+        # Refused when the system is built, not when it runs.
+        with pytest.raises(ValueError, match="vector plane does not enact"):
+            self._system(faults=FaultTimeline.parse("kill-node@10=0"))
 
     def test_input_scale_sampler_rejected(self):
         system = self._system(input_scale_sampler=lambda rng: 1.0)
