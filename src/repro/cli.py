@@ -24,7 +24,7 @@ from typing import List, Optional
 from repro.cluster.faults import FaultTimeline
 from repro.core.policies import EXTENDED_POLICY_NAMES, make_policy_config
 from repro.experiments import format_table, normalize
-from repro.experiments.predictors import pretrained_predictor
+from repro.experiments.predictors import predictor_for_run
 from repro.runtime.system import ClusterSpec
 from repro.sim.engine import ENGINES
 from repro.traces import TRACE_KINDS, make_trace
@@ -268,9 +268,22 @@ def _print_sharded(policy: str, result, journal=None) -> None:
         print(f"journal conservation: {verdicts}")
 
 
+def _refuse_with_shards(args, command: str, unsharded_only: dict) -> None:
+    """The sharded paths cannot honour *unsharded_only* (flag → its
+    default); a flag that would silently do nothing is a usage error."""
+    for flag, default in unsharded_only.items():
+        if getattr(args, flag[2:].replace("-", "_")) != default:
+            raise SystemExit(
+                f"{command}: {flag} is not supported with --shards > 1")
+
+
 def _run_sharded(args: argparse.Namespace) -> int:
     from repro.shard import run_sharded_policy
 
+    _refuse_with_shards(
+        args, "run", {"--diverge-at": None, "--repeats": 1, "--workers": 1,
+                      "--cache-dir": None, "--trace-out": None,
+                      "--metrics-out": None})
     faults = _faults_arg(args)
     trace = make_trace(args.trace, args.rate, args.duration, args.seed)
     try:
@@ -284,6 +297,9 @@ def _run_sharded(args: argparse.Namespace) -> int:
             ),
             stage_routing=args.stage_routing,
             cluster_spec=ClusterSpec(n_nodes=args.nodes),
+            predictor=predictor_for_run(
+                make_policy_config(args.policy).proactive_predictor,
+                args.trace, args.rate),
             seed=args.seed,
             engine=getattr(args, "engine", None),
             shed_expired=args.sim_shed_expired,
@@ -328,12 +344,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a trace live: real asyncio gateway, workers, control loop."""
     from repro.serve import FaultConfig, RetryPolicy, ServeOptions, ServingRuntime
 
+    if args.shards > 1:
+        _refuse_with_shards(
+            args, "serve", {"--trace-out": None, "--metrics-out": None,
+                            "--json-out": None})
     config = make_policy_config(args.policy, idle_timeout_ms=60_000.0,
                                 **_guard_overrides(args))
-    predictor = None
-    if config.proactive_predictor == "lstm":
-        train_kind = "poisson" if "poisson" in args.trace else args.trace
-        predictor = pretrained_predictor(train_kind, mean_rate_rps=args.rate)
+    predictor = predictor_for_run(
+        config.proactive_predictor, args.trace, args.rate)
     trace = make_trace(args.trace, args.rate, args.duration, args.seed)
     faults = FaultConfig(
         crash_prob=args.crash_prob,
@@ -374,6 +392,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 args.policy, get_mix(args.mix), trace,
                 shards=args.shards,
                 cluster_spec=ClusterSpec(n_nodes=args.nodes),
+                predictor=predictor,
                 seed=args.seed,
                 options=options,
                 heartbeat_interval_ms=(

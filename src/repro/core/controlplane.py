@@ -9,9 +9,9 @@ reaping, then a metrics/energy sample.  Each step runs through one
 one tick — never the run's whole control plane.
 
 The drivers keep only what is theirs: when a tick is skipped (control
-blackout, dead shard), what ``sample`` means (collector vs the vector
-engine's flat sampler), and — live only — supervision before and a
-checkpoint after the shared sequence.
+blackout, dead shard) and — live only — supervision before and a
+checkpoint after the shared sequence.  What they all hand over is a
+dict of :class:`~repro.core.poolsurface.PoolSurface` pools.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, Optional
 
+from repro.core.poolsurface import PoolSurface
 from repro.core.scaling import (
     HPAScaler,
     ProactiveScaler,
@@ -31,8 +32,8 @@ logger = logging.getLogger(__name__)
 
 
 def wire_scalers(
-    config, pools: Dict, predictor, sampler, stage_shares: Dict[str, float],
-    registry, seed: int,
+    config, pools: Dict[str, PoolSurface], predictor, sampler,
+    stage_shares: Dict[str, float], registry, seed: int,
 ) -> Dict[str, object]:
     """Governor + the scalers *config* enables, over *pools*.
 
@@ -68,7 +69,7 @@ class ControlPlane:
     def __init__(
         self,
         config,
-        pools: Dict,
+        pools: Dict[str, PoolSurface],
         registry,
         sample: Callable[[float], None],
         governor: Optional[SpawnGovernor] = None,
@@ -124,7 +125,7 @@ class ControlPlane:
         guard("sample", self.sample, now_ms)
 
 
-def reclaim_idle_capacity(pools: Dict) -> bool:
+def reclaim_idle_capacity(pools: Dict[str, PoolSurface]) -> bool:
     """Free one idle container cluster-wide under placement pressure.
 
     Models the platform reclaiming the longest-idle warm sandbox when a
@@ -146,7 +147,8 @@ def reclaim_idle_capacity(pools: Dict) -> bool:
 
 
 def prewarm_opening_capacity(
-    pools: Dict, trace, config, stage_shares: Dict[str, float]
+    pools: Dict[str, PoolSurface], trace, config,
+    stage_shares: Dict[str, float],
 ) -> None:
     """Start from steady state: warm capacity for the trace's opening
     rate already exists (for a static pool, its full size).  A cold

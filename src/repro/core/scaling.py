@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from typing import Dict, List, Optional
 
+from repro.core.poolsurface import PoolSurface
 from repro.core.sizing import containers_for_rate
 from repro.obs.registry import MetricsRegistry
 from repro.prediction.base import Predictor
 from repro.prediction.windowed import WindowedMaxSampler
-from repro.workflow.pool import FunctionPool
 
 
 @dataclass
@@ -44,7 +44,7 @@ class ScalingEvent:
 class SpawnDebt:
     """A spawn decision that could not be fully actuated yet."""
 
-    pool: FunctionPool
+    pool: PoolSurface
     count: int
     attempts_left: int
     next_retry_ms: float
@@ -172,7 +172,7 @@ class SpawnGovernor:
             )
         return spawned
 
-    def spawn(self, pool: FunctionPool, count: int, now_ms: float) -> int:
+    def spawn(self, pool: PoolSurface, count: int, now_ms: float) -> int:
         """Actuate a scaler decision through the guardrails.
 
         Returns containers actually placed this call; any placement
@@ -197,7 +197,7 @@ class SpawnGovernor:
     # -- internals ----------------------------------------------------------
 
     def _actuate(
-        self, pool: FunctionPool, count: int, now_ms: float, attempts_left: int
+        self, pool: PoolSurface, count: int, now_ms: float, attempts_left: int
     ) -> int:
         allowed = count
         if self.max_surge > 0:
@@ -223,7 +223,7 @@ class SpawnGovernor:
         return got
 
     def _schedule_retry(
-        self, pool: FunctionPool, count: int, attempts_left: int, now_ms: float
+        self, pool: PoolSurface, count: int, attempts_left: int, now_ms: float
     ) -> None:
         if self._rng is None:
             self._rng = np.random.default_rng(self._seed)
@@ -251,7 +251,7 @@ class ReactiveScaler:
 
     def __init__(
         self,
-        pools: Dict[str, FunctionPool],
+        pools: Dict[str, PoolSurface],
         governor: Optional[SpawnGovernor] = None,
     ) -> None:
         self.pools = pools
@@ -265,7 +265,7 @@ class ReactiveScaler:
             total += self._scale_stage(pool, now_ms)
         return total
 
-    def _scale_stage(self, pool: FunctionPool, now_ms: float) -> int:
+    def _scale_stage(self, pool: PoolSurface, now_ms: float) -> int:
         delay = pool.monitored_delay_ms()
         if delay < pool.stage_slack_ms:
             return 0
@@ -289,7 +289,7 @@ class ReactiveScaler:
             pool.dispatch()
         return spawned
 
-    def estimate_containers(self, pool: FunctionPool) -> int:
+    def estimate_containers(self, pool: PoolSurface) -> int:
         """``Estimate_Containers`` (Algorithm 1b), need-capped.
 
         ``total_delay = PQ_len * S_r``; ``current_req = N * B_size``;
@@ -345,7 +345,7 @@ class ProactiveScaler:
 
     def __init__(
         self,
-        pools: Dict[str, FunctionPool],
+        pools: Dict[str, PoolSurface],
         predictor: Predictor,
         sampler: WindowedMaxSampler,
         stage_shares: Dict[str, float],
@@ -479,7 +479,7 @@ class HPAScaler:
 
     def __init__(
         self,
-        pools: Dict[str, FunctionPool],
+        pools: Dict[str, PoolSurface],
         target_concurrency: int = 4,
         scale_down_stabilization_ticks: int = 3,
     ) -> None:
@@ -493,13 +493,13 @@ class HPAScaler:
         self._below_target: Dict[str, int] = {name: 0 for name in pools}
         self.events: List[ScalingEvent] = []
 
-    def observed_concurrency(self, pool: FunctionPool) -> int:
+    def observed_concurrency(self, pool: PoolSurface) -> int:
         """In-flight requests at the stage: executing + locally queued +
         waiting in the global queue."""
         occupied = sum(c.occupied_slots for c in pool.live_containers)
         return occupied + pool.queue_length
 
-    def desired_replicas(self, pool: FunctionPool) -> int:
+    def desired_replicas(self, pool: PoolSurface) -> int:
         concurrency = self.observed_concurrency(pool)
         return max(1, math.ceil(concurrency / self.target_concurrency))
 
@@ -543,7 +543,7 @@ class HPAScaler:
 
 
 def static_pool_sizes(
-    pools: Dict[str, FunctionPool],
+    pools: Dict[str, PoolSurface],
     avg_rate_rps: float,
     stage_shares: Dict[str, float],
     utilization_target: float = 1.0,

@@ -90,6 +90,20 @@ def pretrained_predictor(
     return _PREDICTOR_CACHE[key]
 
 
+def predictor_for_run(
+    wanted: Optional[str], trace_kind: str, rate_rps: float
+) -> Optional[Predictor]:
+    """The forecaster a run must be handed: a pre-trained LSTM when the
+    policy's ``proactive_predictor`` (*wanted*) is ``"lstm"`` — trained
+    on ``poisson`` for every trace kind containing it (``poisson``,
+    ``step-poisson``), else on the kind itself — and None otherwise
+    (the system builds the untrained kinds itself)."""
+    if wanted != "lstm":
+        return None
+    train_kind = "poisson" if "poisson" in trace_kind else trace_kind
+    return pretrained_predictor(train_kind, mean_rate_rps=rate_rps)
+
+
 def figure6_reports(
     duration_s: float = 2400.0,
     avg_rps: float = 300.0,

@@ -190,14 +190,10 @@ def _run_trial_result(
     overrides.setdefault("idle_timeout_ms", 60_000.0)
     config = make_policy_config(spec.policy, **overrides)
     faults = dict(spec.faults)
-    predictor = None
-    if config.proactive_predictor == "lstm":
-        from repro.experiments.predictors import pretrained_predictor
+    from repro.experiments.predictors import predictor_for_run
 
-        train_kind = (
-            "poisson" if "poisson" in spec.trace_kind else spec.trace_kind
-        )
-        predictor = pretrained_predictor(train_kind, mean_rate_rps=spec.rate_rps)
+    predictor = predictor_for_run(
+        config.proactive_predictor, spec.trace_kind, spec.rate_rps)
     if "diverge_after" in faults and config.proactive_predictor is not None:
         from repro.prediction.guarded import DivergentPredictor
         from repro.runtime.system import _UNTRAINED_PREDICTORS

@@ -16,11 +16,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cluster.energy import EnergyMeter
+from repro.core.poolsurface import PoolSurface
 from repro.metrics.stats import sorted_quantiles, summarize_latencies
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer, record_job_spans
 from repro.workflow.job import Job
-from repro.workflow.pool import FunctionPool
 
 
 @dataclass
@@ -259,7 +259,7 @@ _REGISTRY_ROLLUPS = {
 }
 
 
-def run_rollups(pools: Dict, energy_meter, registry) -> Dict:
+def run_rollups(pools: Dict[str, PoolSurface], energy_meter, registry) -> Dict:
     """The RunResult fields every engine derives the same way: per-pool
     sums, the energy meter's totals and the registry rollups."""
     out = {
@@ -341,7 +341,7 @@ class MetricsCollector:
 
     def sample(
         self,
-        pools: Dict[str, FunctionPool],
+        pools: Dict[str, PoolSurface],
         nodes,
         now_ms: float,
         sample_energy: bool = True,
@@ -353,10 +353,8 @@ class MetricsCollector:
         """
         self.sample_times.append(now_ms)
         for name, pool in pools.items():
-            self.pool_samples.setdefault(name, []).append(pool.n_containers)
-            gauge = getattr(pool, "_g_containers", None)
-            if gauge is not None:
-                gauge.set(pool.n_containers)
+            self.pool_samples.setdefault(name, []).append(
+                pool.sample_containers())
         if sample_energy:
             self.energy_meter.sample(nodes, now_ms)
 
@@ -366,38 +364,58 @@ class MetricsCollector:
         mix: str,
         trace: str,
         duration_ms: float,
-        pools: Dict[str, FunctionPool],
+        pools: Dict[str, PoolSurface],
         tick_errors: int = 0,
         degraded_spawns: int = 0,
         shed_jobs: int = 0,
+        flat: Optional[Dict] = None,
     ) -> RunResult:
-        jobs = self.completed_jobs
-        latencies = np.array([j.response_latency_ms for j in jobs])
-        violations = int(sum(1 for j in jobs if j.violated_slo))
+        """Assemble the run's RunResult — the one place that does.
+
+        *flat* is how an engine that never calls ``record_job_*`` (the
+        vector engine) hands its run over: the counts and the
+        per-completed-job arrays built below, in completion order.  The
+        run-level series are then fed from them in bulk.
+        """
+        if flat is None:
+            jobs = self.completed_jobs
+            flat = {
+                "n_jobs": self.jobs_created,
+                "n_failed": len(self.failed_jobs),
+                "latencies_ms": np.array([j.response_latency_ms for j in jobs]),
+                "violations": int(sum(1 for j in jobs if j.violated_slo)),
+                "exec_ms": np.array([j.total_exec_ms for j in jobs]),
+                "cold_wait_ms": np.array(
+                    [j.total_cold_start_wait_ms for j in jobs]),
+                "batch_wait_ms": np.array(
+                    [j.total_batching_wait_ms for j in jobs]),
+                "queue_ms": np.array([j.total_queue_delay_ms for j in jobs]),
+            }
+        else:
+            self._c_created.set_value(float(flat["n_jobs"]))
+            self._c_completed.set_value(float(flat["latencies_ms"].size))
+            self._c_failed.set_value(float(flat["n_failed"]))
+            self._h_latency.observe_many(flat["latencies_ms"])
+            self._h_queue.observe_many(flat["queue_ms"])
+            self._h_exec.observe_many(flat["exec_ms"])
+            self._h_cold.observe_many(flat["cold_wait_ms"])
+        n_completed = int(flat["latencies_ms"].size)
         n_samples = len(self.sample_times)
-        container_samples = {
-            name: np.asarray(samples[:n_samples])
-            for name, samples in self.pool_samples.items()
-        }
         return RunResult(
             policy=policy,
             mix=mix,
             trace=trace,
             duration_ms=duration_ms,
-            n_jobs=self.jobs_created,
-            n_completed=len(jobs),
-            n_incomplete=self.jobs_created - len(jobs),
-            latencies_ms=latencies,
-            violations=violations,
-            exec_ms=np.array([j.total_exec_ms for j in jobs]),
-            cold_wait_ms=np.array([j.total_cold_start_wait_ms for j in jobs]),
-            batch_wait_ms=np.array([j.total_batching_wait_ms for j in jobs]),
-            queue_ms=np.array([j.total_queue_delay_ms for j in jobs]),
+            n_completed=n_completed,
+            n_incomplete=flat["n_jobs"] - n_completed,
             sample_times_ms=np.asarray(self.sample_times),
-            container_samples=container_samples,
-            n_failed=len(self.failed_jobs),
+            container_samples={
+                name: np.asarray(samples[:n_samples])
+                for name, samples in self.pool_samples.items()
+            },
             tick_errors=tick_errors,
             degraded_spawns=degraded_spawns,
             shed_jobs=shed_jobs,
+            **flat,
             **run_rollups(pools, self.energy_meter, self.registry),
         )

@@ -31,6 +31,7 @@ from repro.core.controlplane import (
     wire_scalers,
 )
 from repro.core.policies import RMConfig
+from repro.core.poolsurface import PoolSurface
 from repro.core.slack import (
     build_stage_plan,
     function_batch_sizes,
@@ -45,7 +46,7 @@ from repro.prediction.classical import EWMAPredictor, MovingWindowAveragePredict
 from repro.prediction.guarded import GuardedPredictor
 from repro.prediction.windowed import WindowedMaxSampler
 from repro.sim.engine import ENGINE_VECTOR, Simulator, resolve_engine
-from repro.sim.process import CoalescedTicker, PeriodicProcess
+from repro.sim.process import CoalescedTicker
 from repro.traces.base import ArrivalTrace
 from repro.workflow.lifecycle import LOST_BLACKOUT, RequestLifecycle
 from repro.workflow.pool import FunctionPool
@@ -168,7 +169,7 @@ class ServerlessSystem:
         self.cordoned_node_ids: Optional[Sequence[int]] = None
         # Populated by run().
         self.sim: Optional[Simulator] = None
-        self.pools: Dict[str, FunctionPool] = {}
+        self.pools: Dict[str, PoolSurface] = {}
         self.control: Optional[ControlPlane] = None
         self.store = StateStore(seed=seed)
 
@@ -272,24 +273,11 @@ class ServerlessSystem:
         )
         reclaim = partial(reclaim_idle_capacity, self.pools)
         for name in self.mix.function_names():
-            svc = self._service(name)
             self.pools[name] = FunctionPool(
                 sim=sim,
-                service=svc,
-                cluster=self.cluster,
-                batch_size=self.batch_sizes[name],
-                stage_slack_ms=self.stage_slacks[name],
-                stage_response_ms=self.stage_responses[name],
-                scheduling=self.config.scheduling,
-                cold_start=self.cold_start_model,
-                rng=self._rng_exec,
                 on_task_finished=self.lifecycle.on_task_finished,
-                spawn_on_demand=self.config.spawn_on_demand,
-                reap_exempt=self.config.static_pool,
-                delay_window_ms=self.config.monitor_interval_ms,
-                single_use=self.config.single_use,
                 fault_model=self.fault_model,
-                registry=self.registry,
+                **self._pool_args(name),
             )
             self.pools[name].reclaim_callback = reclaim
         self.control = ControlPlane(
@@ -302,6 +290,26 @@ class ServerlessSystem:
                 self.config, self.pools, self.predictor, self.sampler,
                 self.stage_shares, self.registry, seed=self.seed + 2),
         )
+
+    def _pool_args(self, name: str) -> Dict:
+        """The constructor arguments every plane's pool for function
+        *name* shares (valid once ``_build_substrate`` has run)."""
+        config = self.config
+        return {
+            "service": self._service(name),
+            "cluster": self.cluster,
+            "batch_size": self.batch_sizes[name],
+            "stage_slack_ms": self.stage_slacks[name],
+            "stage_response_ms": self.stage_responses[name],
+            "scheduling": config.scheduling,
+            "cold_start": self.cold_start_model,
+            "rng": self._rng_exec,
+            "spawn_on_demand": config.spawn_on_demand,
+            "reap_exempt": config.static_pool,
+            "delay_window_ms": config.monitor_interval_ms,
+            "single_use": config.single_use,
+            "registry": self.registry,
+        }
 
     def _service(self, name: str):
         for app in self.mix.applications:
@@ -358,9 +366,9 @@ class ServerlessSystem:
         monitor.  Returns the monitor handle (caller stops it).
 
         When *ticker* is given (and matches this system's monitor
-        interval) the monitor body shares that coalesced timer instead
-        of owning a private :class:`PeriodicProcess` — one heap entry
-        per interval for any number of co-attached systems."""
+        interval) the monitor body shares that coalesced timer — one
+        heap entry per interval for any number of co-attached systems;
+        otherwise it subscribes to a private one."""
         if self.engine == ENGINE_VECTOR:
             from repro.runtime.vector import VectorEngineUnsupported
 
@@ -396,14 +404,10 @@ class ServerlessSystem:
                      "recoveries_total"))]
         for at_ms, label, enact in script:
             sim.schedule_at(at_ms, enact, label=label)
-        if ticker is not None and ticker.interval == self.config.monitor_interval_ms:
-            return ticker.add(self._tick_monitor)
-        return PeriodicProcess(
-            sim,
-            self.config.monitor_interval_ms,
-            self._tick_monitor,
-            label="monitor",
-        )
+        interval = self.config.monitor_interval_ms
+        if ticker is None or ticker.interval != interval:
+            ticker = CoalescedTicker(sim, interval, label="monitor")
+        return ticker.add(self._tick_monitor)
 
     @property
     def in_flight(self) -> int:

@@ -53,7 +53,7 @@ import heapq
 import math
 from collections import deque
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from repro.core.controlplane import (
     reclaim_idle_capacity,
     wire_scalers,
 )
+from repro.core.poolsurface import PoolSurface
 from repro.core.scheduling import LSFQueue, make_queue
 from repro.core.vectorized import (
     covered_mask,
@@ -72,7 +73,7 @@ from repro.core.vectorized import (
     job_record_layout,
     presample_app_indices,
 )
-from repro.metrics.collector import RunResult, run_rollups
+from repro.metrics.collector import MetricsCollector, RunResult
 from repro.obs.trace import record_job_spans
 from repro.sim.engine import FlatClock
 from repro.workflow.job import Job, _job_ids
@@ -106,11 +107,14 @@ class VectorEngineUnsupported(RuntimeError):
 
 
 class VectorContainer:
-    """Flat container record (duck-typed where scalers peek at it)."""
+    """Flat container record; the attribute and property names shared
+    with :class:`~repro.cluster.container.Container` are what the pool
+    surface and the scalers read."""
 
     __slots__ = (
         "cid", "batch", "node", "pool", "state", "ready_at",
-        "lq", "cur_j", "cur_s", "cur_r", "tx", "last_used", "busy",
+        "lq", "cur_j", "cur_s", "cur_r", "tasks_executed", "last_used_ms",
+        "busy",
     )
 
     def __init__(self, cid, batch, node, pool, now, cold):
@@ -124,11 +128,9 @@ class VectorContainer:
         self.cur_j = -1
         self.cur_s = -1
         self.cur_r = -1          # record index of the running task
-        self.tx = 0
-        self.last_used = now
+        self.tasks_executed = 0
+        self.last_used_ms = now
         self.busy = 0.0
-
-    # -- adapters for code shared with the event-loop engine -----------
 
     @property
     def occupied_slots(self) -> int:
@@ -142,54 +144,29 @@ class VectorContainer:
     def is_reapable(self) -> bool:
         return self.state == S_IDLE and not self.lq
 
-    @property
-    def tasks_executed(self) -> int:
-        return self.tx
-
-    @property
-    def last_used_ms(self) -> float:
-        return self.last_used
+    def terminate(self) -> None:
+        self.state = S_DEAD
+        self.pool.n_live -= 1
 
 
-class VectorPool:
-    """SoA stand-in for :class:`~repro.workflow.pool.FunctionPool`.
+class VectorPool(PoolSurface):
+    """The pool surface over the engine's flat representation.
 
-    Exposes the full monitoring / scaling surface the shared control
-    plane (ReactiveScaler, ProactiveScaler, HPAScaler, SpawnGovernor,
-    ``static_pool_sizes``) reads, while the engine drives the data
-    plane (queues, dispatch, records) directly.
+    The shared control plane (ReactiveScaler, ProactiveScaler,
+    HPAScaler, SpawnGovernor, ``static_pool_sizes``) reads and actuates
+    the inherited surface; the engine drives the data plane (queues,
+    dispatch, records) directly.  What is overridden is storage: the
+    queue, a live-container tally, head-pointer monitor windows and the
+    two hot-loop task tallies.
     """
 
-    # Never incremented by the vector engine (no fault model support);
-    # plain class attrs keep the collector's per-pool sums valid.
-    task_retries = 0
-    container_crashes = 0
-    task_timeouts = 0
-    tasks_dead_lettered = 0
-
-    def __init__(self, eng, service, batch_size, stage_slack_ms,
-                 stage_response_ms, scheduling, spawn_on_demand,
-                 reap_exempt, single_use, delay_window_ms, registry):
+    def __init__(self, eng, scheduling, **surface):
+        super().__init__(**surface)
         self.eng = eng
-        self.service = service
-        self.cluster = eng.cluster
-        self.cold_start = eng.cold_model
-        self.batch_size = batch_size
-        self.stage_slack_ms = stage_slack_ms
-        self.stage_response_ms = stage_response_ms
         self.lsf = isinstance(make_queue(scheduling), LSFQueue)
         self.q = [] if self.lsf else deque()
         self.qn = 0              # LSF insertion tiebreaker (per pool)
-        self.spawn_on_demand = spawn_on_demand
-        self.reap_exempt = reap_exempt
-        self.single_use = single_use
-        self.delay_window_ms = delay_window_ms
-        self.reclaim_callback: Optional[Callable[[], bool]] = None
-        self.containers: List[VectorContainer] = []
         self.n_live = 0
-        self.prewarmed = 0
-        self.spawn_times_ms: List[float] = []
-        self.retired_task_counts: List[int] = []
         self.enq_n = 0           # tasks enqueued (synced at finalize)
         self.done_n = 0          # tasks completed (synced at finalize)
         # Head-pointer windows (event loop: deques pruned with strict <).
@@ -199,41 +176,18 @@ class VectorPool:
         self.ehead = 0
         self.recent_delays: List[tuple] = []  # (t, queue_delay)
         self.dhead = 0
-        # The same per-pool registry metrics FunctionPool creates.
-        svc_mean = service.mean_exec_ms
-        self.svc_mean = svc_mean * 1.0     # input_scale pinned to 1.0
-        self.svc_std = service.exec_std_ms
-        label = {"pool": service.name}
-        self._c_crashes = registry.counter(
-            "pool_container_crashes_total", **label)
-        self._c_retries = registry.counter("pool_task_retries_total", **label)
-        self._c_timeouts = registry.counter(
-            "pool_task_timeouts_total", **label)
-        self._c_dead = registry.counter(
-            "pool_tasks_dead_lettered_total", **label)
-        self._c_spawns = registry.counter("pool_spawns_total", **label)
-        self._c_failed_spawns = registry.counter(
-            "pool_failed_spawns_total", **label)
-        self._c_enqueued = registry.counter(
-            "pool_tasks_enqueued_total", **label)
-        self._c_shed = registry.counter("pool_tasks_shed_total", **label)
-        self._c_completed = registry.counter(
-            "pool_tasks_completed_total", **label)
-        self._g_containers = registry.gauge("pool_live_containers", **label)
+        self.svc_mean = self.service.mean_exec_ms * 1.0  # input_scale 1.0
+        self.svc_std = self.service.exec_std_ms
 
-    # -- identity / capacity (scaler-facing) ---------------------------
+    # -- representation: clock, capacity, tallies ----------------------
 
     @property
-    def function(self) -> str:
-        return self.service.name
+    def now(self) -> float:
+        return self.eng.now
 
     @property
     def n_containers(self) -> int:
         return self.n_live
-
-    @property
-    def capacity_requests(self) -> int:
-        return self.n_live * self.batch_size
 
     @property
     def queue_length(self) -> int:
@@ -258,18 +212,6 @@ class VectorPool:
                    if c.state == S_SPAWNING)
 
     @property
-    def total_spawns(self) -> int:
-        return int(self._c_spawns.value)
-
-    @property
-    def failed_spawns(self) -> int:
-        return int(self._c_failed_spawns.value)
-
-    @property
-    def tasks_shed(self) -> int:
-        return int(self._c_shed.value)
-
-    @property
     def tasks_enqueued(self) -> int:
         return self.enq_n
 
@@ -277,7 +219,7 @@ class VectorPool:
     def tasks_completed(self) -> int:
         return self.done_n
 
-    # -- monitoring (scaler-facing) ------------------------------------
+    # -- representation: monitor windows -------------------------------
 
     def recent_arrival_rate_rps(self) -> float:
         re = self.recent_enq
@@ -329,76 +271,35 @@ class VectorPool:
             return 0.0
         return self.eng.now - self.eng.rec_enq[w[h]]
 
-    def monitored_delay_ms(self) -> float:
-        return max(self.recent_queue_delay_ms(), self.oldest_waiting_age_ms())
-
-    def tasks_per_container(self) -> float:
-        counts = list(self.retired_task_counts) + [
-            c.tx for c in self.containers if c.state != S_DEAD]
-        if not counts:
-            return 0.0
-        return sum(counts) / len(counts)
-
-    # -- actuation (scaler-facing; engine does the real work) ----------
+    # -- hooks ---------------------------------------------------------
 
     def dispatch(self) -> None:
         self.eng.dispatch_pool(self)
 
-    def spawn(self, count: int = 1) -> int:
-        return len(self.eng.spawn_list(self, count))
+    def _draw_cold_start_ms(self) -> float:
+        # ``lognormal(0, s)`` as ``exp(s*z)`` off the engine's z-buffer:
+        # cold-start and exec draws share one stream, in draw order.
+        mean = self.cold_start.mean_ms(self.function)
+        sigma = self.cold_start.jitter_sigma
+        if sigma > 0:
+            return mean * math.exp(sigma * self.eng._draw_z())
+        return mean
 
-    def scale_up_to(self, n_target: int) -> int:
-        deficit = n_target - self.n_live
-        if deficit <= 0:
-            return 0
-        return self.spawn(deficit)
+    def _make_container(self, node, cold_start_ms: float) -> VectorContainer:
+        eng = self.eng
+        c = VectorContainer(next(_container_ids), self.batch_size, node,
+                            self, eng.now, cold_start_ms)
+        heapq.heappush(eng._heap, (c.ready_at, eng._seq, K_READY, c, 0))
+        eng._seq += 1
+        self.n_live += 1
+        return c
 
-    def prewarm(self, count: int) -> int:
-        return self.eng.prewarm_pool(self, count)
-
-    def record_shed(self) -> None:
-        self._c_shed.inc()
-
-    def reap_idle(self, idle_timeout_ms: float) -> int:
-        if self.reap_exempt:
-            return 0
-        now = self.eng.now
-        reaped = 0
-        for c in self.containers:
-            if (c.state == S_IDLE and not c.lq
-                    and now - c.last_used >= idle_timeout_ms):
-                self._retire(c)
-                reaped += 1
-        if reaped:
-            self._compact()
-        return reaped
-
-    def reclaim_one_idle(self, exclude_busy_window_ms: float = 0.0) -> bool:
-        best = None
-        for c in self.containers:
-            if c.state != S_IDLE or c.lq:
-                continue
-            if best is None or c.last_used < best.last_used:
-                best = c
-        if best is None:
-            return False
-        if (exclude_busy_window_ms > 0.0
-                and self.eng.now - best.last_used < exclude_busy_window_ms):
-            return False
-        self._retire(best)
-        self._compact()
-        return True
-
-    def _retire(self, c: VectorContainer) -> None:
-        c.state = S_DEAD
-        self.retired_task_counts.append(c.tx)
-        svc = self.service
-        self.cluster.release(c.node, self.eng.now,
-                             cpu=svc.cpu_cores, memory_mb=svc.memory_mb)
-        self.n_live -= 1
-
-    def _compact(self) -> None:
-        self.containers = [c for c in self.containers if c.state != S_DEAD]
+    def _pin_head(self, c: VectorContainer) -> None:
+        if self.lsf:
+            item = heapq.heappop(self.q)
+            c.lq.append((item[2], item[3]))
+        else:
+            c.lq.append(self.q.popleft())
 
 
 def _check_supported(system) -> None:
@@ -433,7 +334,6 @@ class VectorEngine:
         self.trace = trace
         self.config = system.config
         self.mix = system.mix
-        self.cold_model = system.cold_start_model
         self.tracer = system.tracer
         self.blackout = system.blackout
         self.shed_on = system.shed_expired
@@ -461,37 +361,23 @@ class VectorEngine:
         self._zn = 0
         self.sampler = system.sampler
         self.energy_meter = system.energy_meter
-        # Run-level metrics (MetricsCollector parity: created eagerly).
-        self._c_created = registry.counter("jobs_created_total")
-        self._c_completed = registry.counter("jobs_completed_total")
-        self._c_failed = registry.counter("jobs_failed_total")
-        self._h_latency = registry.histogram("request_latency_ms")
-        self._h_queue = registry.histogram("request_queue_wait_ms")
-        self._h_exec = registry.histogram("request_exec_ms")
-        self._h_cold = registry.histogram("request_cold_start_wait_ms")
-        self.pools: Dict[str, VectorPool] = {}
-        for name in self.mix.function_names():
-            svc = system._service(name)
-            self.pools[name] = VectorPool(
-                self, svc,
-                batch_size=system.batch_sizes[name],
-                stage_slack_ms=system.stage_slacks[name],
-                stage_response_ms=system.stage_responses[name],
-                scheduling=config.scheduling,
-                spawn_on_demand=config.spawn_on_demand,
-                reap_exempt=config.static_pool,
-                single_use=config.single_use,
-                delay_window_ms=config.monitor_interval_ms,
-                registry=registry,
-            )
+        # Sampling and the RunResult are the collector's, as on the
+        # event loop (its run-level series are created eagerly here).
+        self.metrics = MetricsCollector(self.energy_meter, registry=registry)
+        self.pools: Dict[str, VectorPool] = {
+            name: VectorPool(self, **system._pool_args(name))
+            for name in self.mix.function_names()
+        }
         system.pools = self.pools
         reclaim = partial(reclaim_idle_capacity, self.pools)
         for pool in self.pools.values():
             pool.reclaim_callback = reclaim
-        # The real control plane (shared scalers, shared guarded tick)
-        # over the duck-typed pools; only ``sample`` is the engine's.
+        # The real control plane (shared scalers, shared guarded tick,
+        # the collector's sample) over the vector pools.
         self.control = system.control = ControlPlane(
-            config, self.pools, registry, sample=self._sample,
+            config, self.pools, registry,
+            sample=lambda now: self.metrics.sample(
+                self.pools, self.cluster.nodes, now, system.sample_energy),
             **wire_scalers(
                 config, self.pools, system.predictor, self.sampler,
                 system.stage_shares, registry, seed=system.seed + 2),
@@ -609,8 +495,6 @@ class VectorEngine:
         heapq.heappush(self._heap, (config.monitor_interval_ms, self._seq,
                                     K_TICK, 0, 0))
         self._seq += 1
-        self.sample_times: List[float] = []
-        self.pool_samples: Dict[str, List[int]] = {}
 
     # -- RNG (one z stream serves cold + exec draws in draw order) -----
 
@@ -685,84 +569,6 @@ class VectorEngine:
         heapq.heappush(self._heap, (now + ex, self._seq, K_COMPLETE, c, 0))
         self._seq += 1
 
-    def spawn_list(self, pool: VectorPool, count: int) -> List[VectorContainer]:
-        out: List[VectorContainer] = []
-        now = self.now
-        svc = pool.service
-        cpu = svc.cpu_cores
-        mem = svc.memory_mb
-        cluster = self.cluster
-        mean = self.cold_model.mean_ms(pool.function)
-        sigma = self.cold_model.jitter_sigma
-        for _ in range(count):
-            node = cluster.place(cpu=cpu, memory_mb=mem)
-            if node is None and pool.reclaim_callback is not None:
-                if pool.reclaim_callback():
-                    node = cluster.place(cpu=cpu, memory_mb=mem)
-            if node is None:
-                pool._c_failed_spawns.inc()
-                continue
-            if sigma > 0:
-                cold = mean * math.exp(sigma * self._draw_z())
-            else:
-                cold = mean
-            c = VectorContainer(next(_container_ids), pool.batch_size,
-                                node, pool, now, cold)
-            heapq.heappush(self._heap,
-                           (now + cold, self._seq, K_READY, c, 0))
-            self._seq += 1
-            pool.containers.append(c)
-            pool.n_live += 1
-            pool._c_spawns.inc()
-            pool.spawn_times_ms.append(now)
-            out.append(c)
-        return out
-
-    def prewarm_pool(self, pool: VectorPool, count: int) -> int:
-        now = self.now
-        svc = pool.service
-        placed = 0
-        for _ in range(count):
-            node = self.cluster.place(cpu=svc.cpu_cores,
-                                      memory_mb=svc.memory_mb)
-            if node is None:
-                break
-            c = VectorContainer(next(_container_ids), pool.batch_size,
-                                node, pool, now, 0.0)
-            heapq.heappush(self._heap, (now, self._seq, K_READY, c, 0))
-            self._seq += 1
-            pool.containers.append(c)
-            pool.n_live += 1
-            pool.prewarmed += 1
-            placed += 1
-        return placed
-
-    def spawn_for_backlog(self, pool: VectorPool) -> None:
-        q = pool.q
-        qlen = len(q)
-        free = 0
-        pending = 0
-        for c in pool.containers:
-            st = c.state
-            if st == S_IDLE or st == S_BUSY:
-                free += c.batch - len(c.lq) - (1 if c.cur_r >= 0 else 0)
-            elif st == S_SPAWNING:
-                pending += c.batch - len(c.lq)
-        deficit = qlen - free - pending
-        if deficit <= 0:
-            return
-        spawned = self.spawn_list(pool, math.ceil(deficit / pool.batch_size))
-        lsf = pool.lsf
-        heappop = heapq.heappop
-        for c in spawned:
-            lq = c.lq
-            while len(lq) < c.batch and q:
-                if lsf:
-                    item = heappop(q)
-                    lq.append((item[2], item[3]))
-                else:
-                    lq.append(q.popleft())
-
     def _deadline_expired(self, a: int) -> bool:
         pool = self.app_first_pool[a]
         if pool.free_slots > 0:
@@ -777,15 +583,6 @@ class VectorEngine:
             self.registry.counter("control_plane_ticks_skipped_total").inc()
             return
         self.control.tick(now)
-
-    def _sample(self, now: float) -> None:
-        self.sample_times.append(now)
-        for name, pool in self.pools.items():
-            n = pool.n_live
-            self.pool_samples.setdefault(name, []).append(n)
-            pool._g_containers.set(n)
-        if self.system.sample_energy:
-            self.energy_meter.sample(self.cluster.nodes, now)
 
     # -- the merged run loop -------------------------------------------
 
@@ -901,7 +698,7 @@ class VectorEngine:
                     if key - now < 0 and pool.free_slots == 0:
                         # Already-dead task at a saturated stage: shed
                         # without touching its enqueue record.
-                        pool._c_shed.inc()
+                        pool.record_shed()
                         self._failed.append(j)
                         self._failed_ms[j] = now
                         if terminal is not None:
@@ -929,7 +726,7 @@ class VectorEngine:
                     h = 0
                 pool.ehead = h
                 if pool.spawn_on_demand:
-                    self.spawn_for_backlog(pool)
+                    pool._spawn_for_backlog()
                 self.dispatch_pool(pool)
             elif kind == K_COMPLETE:
                 c = h0[3]
@@ -942,8 +739,8 @@ class VectorEngine:
                 s = c.cur_s
                 rec_end[r] = now
                 c.busy += rec_exec[r]
-                c.tx += 1
-                c.last_used = now
+                c.tasks_executed += 1
+                c.last_used_ms = now
                 c.cur_r = -1
                 if c.lq:
                     self.start_next(c)
@@ -981,7 +778,7 @@ class VectorEngine:
                 if c.state == S_DEAD:
                     continue
                 c.state = S_IDLE
-                c.last_used = now
+                c.last_used_ms = now
                 self.dispatch_pool(c.pool)
                 if c.state == S_IDLE and c.cur_r < 0 and c.lq:
                     self.start_next(c)
@@ -1033,15 +830,10 @@ class VectorEngine:
     def _finalize(self) -> RunResult:
         registry = self.registry
         completed = self._completed_order
-        n_completed = len(completed)
-        n_jobs = self._created
         n_admitted = len(self.job_app)
-        # Sync run counters.  The lifecycle's lazily-created counters
-        # (gateway shed / blackout loss) must stay absent from the
-        # registry when zero, for prometheus-export parity.
-        self._c_created.set_value(float(n_jobs))
-        self._c_completed.set_value(float(n_completed))
-        self._c_failed.set_value(float(len(self._failed)))
+        # The lifecycle's lazily-created counters (gateway shed /
+        # blackout loss) must stay absent from the registry when zero,
+        # for prometheus-export parity.
         if self._gateway_shed:
             registry.counter("gateway_shed_total").set_value(
                 float(self._gateway_shed))
@@ -1052,9 +844,10 @@ class VectorEngine:
             registry.counter("control_plane_blackout_lost_total").set_value(
                 float(self._blackout_lost))
         for pool in self.pools.values():
-            pool._c_enqueued.set_value(float(pool.enq_n))
-            pool._c_completed.set_value(float(pool.done_n))
-        if n_completed:
+            # The hot-loop tallies, written through to their series.
+            PoolSurface.tasks_enqueued.__set__(pool, pool.enq_n)
+            PoolSurface.tasks_completed.__set__(pool, pool.done_n)
+        if completed:
             enq = np.asarray(self.rec_enq)
             start = np.asarray(self.rec_start)
             exc = np.asarray(self.rec_exec)
@@ -1090,39 +883,26 @@ class VectorEngine:
             qd_co = np.array([])
             cold_co = np.array([])
             bw_co = np.array([])
-        # Histograms observe completed jobs in completion order.
-        self._h_latency.observe_many(latencies)
-        self._h_queue.observe_many(qd_co)
-        self._h_exec.observe_many(exec_co)
-        self._h_cold.observe_many(cold_co)
         if self.tracer is not None:
             self._emit_spans(n_admitted)
-        n_samples = len(self.sample_times)
-        container_samples = {
-            name: np.asarray(samples[:n_samples])
-            for name, samples in self.pool_samples.items()
-        }
-        return RunResult(
+        return self.metrics.finalize(
             policy=self.config.name,
             mix=self.mix.name,
             trace=self.trace.name,
             duration_ms=self.now,
-            n_jobs=n_jobs,
-            n_completed=n_completed,
-            n_incomplete=n_jobs - n_completed,
-            latencies_ms=latencies,
-            violations=violations,
-            exec_ms=exec_co,
-            cold_wait_ms=cold_co,
-            batch_wait_ms=bw_co,
-            queue_ms=qd_co,
-            sample_times_ms=np.asarray(self.sample_times),
-            container_samples=container_samples,
-            n_failed=len(self._failed),
+            pools=self.pools,
             tick_errors=self.control.tick_errors,
-            degraded_spawns=getattr(self.cold_model, "degraded_spawns", 0),
             shed_jobs=self._gateway_shed,
-            **run_rollups(self.pools, self.energy_meter, registry),
+            flat={
+                "n_jobs": self._created,
+                "n_failed": len(self._failed),
+                "latencies_ms": latencies,
+                "violations": violations,
+                "exec_ms": exec_co,
+                "cold_wait_ms": cold_co,
+                "batch_wait_ms": bw_co,
+                "queue_ms": qd_co,
+            },
         )
 
     def _emit_spans(self, n_admitted: int) -> None:

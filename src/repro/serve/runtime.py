@@ -25,9 +25,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
-from repro.cluster.energy import EnergyMeter, NodePowerModel
+from repro.cluster.energy import NodePowerModel
 from repro.core.controlplane import (
     prewarm_opening_capacity,
     reclaim_idle_capacity,
@@ -38,7 +37,6 @@ from repro.metrics.collector import MetricsCollector, RunResult
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.prediction.base import Predictor
-from repro.prediction.windowed import WindowedMaxSampler
 from repro.runtime.system import ClusterSpec, ServerlessSystem
 from repro.serve.checkpoint import CheckpointManager, checkpoint_basename
 from repro.serve.clock import ScaledClock
@@ -115,9 +113,6 @@ class ServingRuntime:
             seed=seed,
         )
         self.predictor = self._planner.predictor
-        self.batch_sizes = self._planner.batch_sizes
-        self.stage_slacks = self._planner.stage_slacks
-        self.stage_responses = self._planner.stage_responses
         self.stage_shares = self._planner.stage_shares
         # Populated by serve().
         self.clock: Optional[ScaledClock] = None
@@ -151,26 +146,21 @@ class ServingRuntime:
     # -- wiring ------------------------------------------------------------
 
     def _build(self, executor: ThreadPoolExecutor) -> None:
-        config = self.config
-        # Fresh registry per build, like every other per-run component.
-        self.registry = MetricsRegistry()
+        # The planner's per-run substrate, shared with both simulator
+        # engines: fresh registry, cluster, RNG streams, arrival sampler,
+        # energy meter.
+        planner = self._planner
+        planner._build_substrate()
+        self.registry = planner.registry
+        self.cluster = planner.cluster
+        self._rng_apps = planner._rng_apps
+        self.sampler = planner.sampler
+        self.energy_meter = planner.energy_meter
+        rng_retry = np.random.default_rng(self.seed + 2)
         self.shard_crashed = False
         self.clock = ScaledClock(
             self.options.time_scale,
             start_at_ms=self.options.clock_start_ms,
-        )
-        self.cluster = Cluster(
-            n_nodes=self.cluster_spec.n_nodes,
-            cores_per_node=self.cluster_spec.cores_per_node,
-            memory_per_node_mb=self.cluster_spec.memory_per_node_mb,
-            policy=config.placement,
-        )
-        self._rng_apps = np.random.default_rng(self.seed)
-        rng_exec = np.random.default_rng(self.seed + 1)
-        rng_retry = np.random.default_rng(self.seed + 2)
-        self.sampler = WindowedMaxSampler(interval_ms=config.monitor_interval_ms)
-        self.energy_meter = EnergyMeter(
-            model=self.power_model, interval_ms=config.monitor_interval_ms
         )
         self.metrics = MetricsCollector(
             self.energy_meter, tracer=self.tracer, registry=self.registry
@@ -228,7 +218,6 @@ class ServingRuntime:
             journal=self.journal,
         )
         for name in self.mix.function_names():
-            svc = self._planner._service(name)
             self.pools[name] = WorkerPool(
                 clock=self.clock,
                 executor=executor,
@@ -237,21 +226,9 @@ class ServingRuntime:
                 chaos=self.chaos,
                 task_timeout=self.options.task_timeout,
                 timeout_floor_wall_s=self.options.timeout_floor_wall_s,
-                service=svc,
-                cluster=self.cluster,
-                batch_size=self.batch_sizes[name],
-                stage_slack_ms=self.stage_slacks[name],
-                stage_response_ms=self.stage_responses[name],
-                scheduling=config.scheduling,
-                cold_start=cold_start,
-                rng=rng_exec,
                 on_task_finished=self._dispatch_task_finished,
-                spawn_on_demand=config.spawn_on_demand,
-                reap_exempt=config.static_pool,
-                delay_window_ms=config.monitor_interval_ms,
-                single_use=config.single_use,
                 fault_model=self.chaos.container_faults if self.chaos else None,
-                registry=self.registry,
+                **{**planner._pool_args(name), "cold_start": cold_start},
             )
         reclaim = partial(reclaim_idle_capacity, self.pools)
         for pool in self.pools.values():

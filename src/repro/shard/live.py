@@ -286,6 +286,7 @@ def _fail_over(
     hysteresis: int,
     registry: MetricsRegistry,
     config_overrides: Dict,
+    predictor=None,
 ):
     """Adjudicate the death and recover the victim's keyspace.
 
@@ -355,6 +356,7 @@ def _fail_over(
                 cores_per_node=cluster_spec.cores_per_node,
                 memory_per_node_mb=cluster_spec.memory_per_node_mb,
             ),
+            predictor=predictor,
             # Decorrelated from the survivor's own (dead) child run.
             seed=_shard_seed(seed, survivor) + 104_729,
             options=dataclasses.replace(
@@ -410,6 +412,7 @@ def _serve_shard_worker(payload: Dict) -> Dict:
         config=config,
         mix=payload["mix"],
         cluster_spec=payload["cluster_spec"],
+        predictor=payload["predictor"],
         seed=payload["seed"],
         options=payload["options"],
     )
@@ -431,6 +434,7 @@ def serve_sharded(
     trace: ArrivalTrace,
     shards: int = 2,
     cluster_spec: ClusterSpec = ClusterSpec(),
+    predictor=None,
     seed: int = 0,
     options: ServeOptions = ServeOptions(),
     initial_node_grants: Optional[Sequence[int]] = None,
@@ -446,7 +450,9 @@ def serve_sharded(
     single-gateway path) and a :class:`ShardedServeResult` otherwise.
     The caller's *options* apply to every shard; ``shard_id``/
     ``n_shards`` are stamped per child and must be left at their
-    defaults here.
+    defaults here.  *predictor* (as in ``serve_trace``: a pre-trained
+    forecaster for the policies that need one) is shipped to every
+    child, which guards and advances its own copy.
 
     Every shard replays ``options.faults.timeline``; node events are
     refused (the cluster is split, so one node id would hit a different
@@ -469,7 +475,8 @@ def serve_sharded(
     if shards == 1:
         return serve_trace(
             policy_name, mix, trace, cluster_spec=cluster_spec,
-            seed=seed, options=options, **config_overrides,
+            predictor=predictor, seed=seed, options=options,
+            **config_overrides,
         )
     kills = options.faults.timeline.validate(
         "live-sharded", n_shards=shards).of("kill-shard")
@@ -508,6 +515,7 @@ def serve_sharded(
                 cores_per_node=cluster_spec.cores_per_node,
                 memory_per_node_mb=cluster_spec.memory_per_node_mb,
             ),
+            "predictor": predictor,
             "seed": _shard_seed(seed, shard_id),
             "options": shard_options,
             "overrides": config_overrides,
@@ -537,6 +545,7 @@ def serve_sharded(
             ring=ring,
             grants=grants,
             cluster_spec=cluster_spec,
+            predictor=predictor,
             seed=seed,
             options=options,
             heartbeat_interval_ms=heartbeat_interval_ms,

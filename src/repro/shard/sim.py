@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.faults import FaultTimeline
+from repro.core.poolsurface import PoolSurface
 from repro.metrics.collector import RunResult
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
@@ -132,6 +133,7 @@ class _RunnerShardHandle(ShardHandle):
     def __init__(self, shard_id: int, runner) -> None:
         self.shard_id = shard_id
         self.runner = runner
+        self.pools: Dict[str, PoolSurface] = runner.pools
         self.cluster = runner.cluster
         self.governor = runner.control.governor
         # Only nodes this plane cordoned are grantable — a node killed
@@ -174,7 +176,7 @@ class _RunnerShardHandle(ShardHandle):
             now_ms=now_ms,
             inflight=max(0, self.runner.in_flight),
             warm_containers=sum(
-                p.n_containers for p in self.runner.pools.values()),
+                p.n_containers for p in self.pools.values()),
             nodes_granted=self.granted_nodes(),
         )
 

@@ -9,13 +9,12 @@ simulator" of the Fifer paper (section 5.2).
 """
 
 from repro.sim.engine import Event, EventQueue, Simulator
-from repro.sim.process import CoalescedTicker, PeriodicProcess, TickerSubscription
+from repro.sim.process import CoalescedTicker, TickerSubscription
 
 __all__ = [
     "Event",
     "EventQueue",
     "Simulator",
-    "PeriodicProcess",
     "CoalescedTicker",
     "TickerSubscription",
 ]

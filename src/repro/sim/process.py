@@ -2,10 +2,11 @@
 
 The Fifer design is full of fixed-interval activities — the 10 s load
 monitor, the proactive predictor tick, idle-container reaping — so the
-engine provides a small cancellable periodic-process helper, plus a
-coalescing variant (:class:`CoalescedTicker`) that multiplexes many
-same-interval bodies onto a single timer event so N tenants/pools cost
-one heap entry per interval instead of N.
+engine provides one cancellable periodic helper: a
+:class:`CoalescedTicker` multiplexes any number of same-interval bodies
+onto a single timer event, so N tenants/pools cost one heap entry per
+interval instead of N (and a lone monitor is simply its only
+subscriber).
 """
 
 from __future__ import annotations
@@ -15,66 +16,12 @@ from typing import Callable, List, Optional
 from repro.sim.engine import Event, Simulator
 
 
-class PeriodicProcess:
-    """Invokes ``body(now)`` every ``interval`` ms until stopped.
-
-    The first invocation happens at ``start_after`` ms from creation
-    (default: one full interval).  The body runs *before* the next tick is
-    scheduled, so a body that calls :meth:`stop` halts cleanly.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        interval: float,
-        body: Callable[[float], None],
-        *,
-        start_after: Optional[float] = None,
-        priority: int = 0,
-        label: str = "periodic",
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self._sim = sim
-        self._interval = interval
-        self._body = body
-        self._priority = priority
-        self._label = label
-        self._stopped = False
-        self.ticks = 0
-        delay = interval if start_after is None else start_after
-        self._next: Optional[Event] = sim.schedule(
-            delay, self._tick, priority=priority, label=label
-        )
-
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        self.ticks += 1
-        self._body(self._sim.now)
-        if not self._stopped:
-            self._next = self._sim.schedule(
-                self._interval, self._tick, priority=self._priority, label=self._label
-            )
-
-    def stop(self) -> None:
-        """Stop the process; pending tick (if any) is cancelled."""
-        self._stopped = True
-        if self._next is not None and not self._next.cancelled:
-            self._sim.cancel(self._next)
-        self._next = None
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-
 class TickerSubscription:
     """One body registered on a :class:`CoalescedTicker`.
 
-    Quacks like :class:`PeriodicProcess` (``stop()`` / ``stopped`` /
-    ``ticks``) so callers holding a monitor handle need not know whether
-    it owns a private timer or shares a coalesced one.
+    The handle a periodic body is stopped through (``stop()`` /
+    ``stopped`` / ``ticks``); the caller need not know whether the
+    ticker underneath is private or shared.
     """
 
     __slots__ = ("_ticker", "_body", "_stopped", "ticks")
@@ -101,8 +48,8 @@ class CoalescedTicker:
 
     Periodic machinery dominates idle stretches of large simulations:
     every tenant's monitor, every reap pass and the energy sampler all
-    fire on the same cadence, yet each :class:`PeriodicProcess` pays its
-    own heap push/pop per tick.  A coalesced ticker schedules *one*
+    fire on the same cadence, and a timer apiece would pay a heap
+    push/pop per body per tick.  A coalesced ticker schedules *one*
     event per interval and fans it out to every subscriber in
     registration order (deterministic), so the per-tick heap cost is
     O(1) regardless of tenant/pool count.

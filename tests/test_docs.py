@@ -68,6 +68,24 @@ class TestReadme:
         exec(compile(code, "<README quickstart>", "exec"), namespace)
 
 
+class TestModulePaths:
+    """Every ``src/repro/<package>/<module>.py`` DESIGN.md or README.md
+    names — with or without the ``src/repro/`` prefix — must exist."""
+
+    @pytest.mark.parametrize("doc", ["DESIGN.md", "README.md"])
+    def test_named_source_files_exist(self, doc):
+        source = REPO / "src" / "repro"
+        packages = "|".join(
+            p.name for p in source.iterdir() if (p / "__init__.py").exists())
+        named = set(re.findall(
+            rf"(?<![\w/])(?:src/repro/)?((?:{packages})/\w+\.py)",
+            (REPO / doc).read_text()))
+        missing = sorted(path for path in named if not (source / path).exists())
+        assert not missing, f"{doc} names source files that do not exist"
+        if doc == "DESIGN.md":
+            assert "core/poolsurface.py" in named
+
+
 class TestExamples:
     def test_examples_have_docstrings_and_main(self):
         for script in (REPO / "examples").glob("*.py"):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Event, EventQueue, SimulationError, Simulator
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import CoalescedTicker
 
 
 class TestEventQueue:
@@ -186,24 +186,25 @@ class TestSimulator:
 
 
 class TestPeriodicProcess:
+    """A periodic process is a :class:`CoalescedTicker` with a single
+    subscriber (what ``ServerlessSystem.attach`` runs its monitor on)."""
+
+    @staticmethod
+    def periodic(sim, interval, body):
+        return CoalescedTicker(sim, interval, label="monitor").add(body)
+
     def test_fires_every_interval(self):
+        # First tick one full interval in, never at t=0.
         sim = Simulator()
         ticks = []
-        PeriodicProcess(sim, 10.0, lambda now: ticks.append(now))
+        self.periodic(sim, 10.0, ticks.append)
         sim.run(until=35.0)
         assert ticks == [10.0, 20.0, 30.0]
-
-    def test_start_after_overrides_first_delay(self):
-        sim = Simulator()
-        ticks = []
-        PeriodicProcess(sim, 10.0, lambda now: ticks.append(now), start_after=2.0)
-        sim.run(until=25.0)
-        assert ticks == [2.0, 12.0, 22.0]
 
     def test_stop_prevents_further_ticks(self):
         sim = Simulator()
         ticks = []
-        proc = PeriodicProcess(sim, 10.0, lambda now: ticks.append(now))
+        proc = self.periodic(sim, 10.0, ticks.append)
         sim.schedule(15.0, proc.stop)
         sim.run(until=100.0)
         assert ticks == [10.0]
@@ -212,7 +213,7 @@ class TestPeriodicProcess:
     def test_body_can_stop_itself(self):
         sim = Simulator()
         ticks = []
-        proc = PeriodicProcess(
+        proc = self.periodic(
             sim, 10.0, lambda now: (ticks.append(now), proc.stop())
         )
         sim.run(until=100.0)
@@ -220,11 +221,12 @@ class TestPeriodicProcess:
 
     def test_invalid_interval_raises(self):
         sim = Simulator()
-        with pytest.raises(ValueError):
-            PeriodicProcess(sim, 0.0, lambda now: None)
+        for interval in (0.0, -5.0):
+            with pytest.raises(ValueError):
+                CoalescedTicker(sim, interval)
 
     def test_tick_count(self):
         sim = Simulator()
-        proc = PeriodicProcess(sim, 5.0, lambda now: None)
+        proc = self.periodic(sim, 5.0, lambda now: None)
         sim.run(until=52.0)
         assert proc.ticks == 10

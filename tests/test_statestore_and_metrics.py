@@ -228,7 +228,7 @@ class TestMetricsCollector:
         collector = self._collector()
 
         class FakePool:
-            n_containers = 3
+            def sample_containers(self): return 3
         nodes = [Node(node_id=0)]
         collector.sample({"ASR": FakePool()}, nodes, 10_000.0)
         collector.sample({"ASR": FakePool()}, nodes, 20_000.0)
@@ -241,7 +241,8 @@ class TestMetricsCollector:
         collector = self._collector()
 
         class P:
-            def __init__(self, n): self.n_containers = n
+            def __init__(self, n): self.n = n
+            def sample_containers(self): return self.n
         pools = {"A": P(3), "B": P(1)}
         collector.sample(pools, [Node(node_id=0)], 10_000.0)
         result = collector.finalize("x", "m", "t", 10_000.0, {})
