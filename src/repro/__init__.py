@@ -3,10 +3,13 @@ the Serverless Era* (Gunasekaran et al., Middleware 2020).
 
 Quickstart::
 
-    from repro import run_policy, get_mix, poisson_trace
+    from repro import Scenario, run_policy, get_mix, poisson_trace
 
     result = run_policy("rscale", get_mix("heavy"), poisson_trace(50, 120))
     print(result.summary())
+
+    # As a value (what every entry point builds):
+    print(Scenario("fifer", duration_s=120.0).run().summary())
 
 Public surface:
 
@@ -15,12 +18,14 @@ Public surface:
 * prediction — the eight Figure 6 forecasters (numpy, from scratch).
 * core       — slack distribution, batching, scheduling, the five RMs.
 * runtime    — :func:`run_policy` / :class:`ServerlessSystem`.
+* scenario   — :class:`Scenario`, the one description of a run.
 """
 
 from repro.core.policies import POLICY_NAMES, RMConfig, make_policy_config
 from repro.core.slack import SlackDivision, batch_size_for, build_stage_plan
 from repro.metrics.collector import RunResult
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
+from repro.scenario import Scenario
 from repro.traces import poisson_trace, wiki_trace, wits_trace
 from repro.workloads import (
     APPLICATIONS,
@@ -44,6 +49,7 @@ __all__ = [
     "ClusterSpec",
     "ServerlessSystem",
     "run_policy",
+    "Scenario",
     "poisson_trace",
     "wiki_trace",
     "wits_trace",

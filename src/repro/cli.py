@@ -22,29 +22,33 @@ import sys
 from typing import List, Optional
 
 from repro.cluster.faults import FaultTimeline
-from repro.core.policies import EXTENDED_POLICY_NAMES, make_policy_config
+from repro.core.policies import EXTENDED_POLICY_NAMES
 from repro.experiments import format_table, normalize
-from repro.experiments.predictors import predictor_for_run
-from repro.runtime.system import ClusterSpec
+from repro.scenario import Scenario, Shards
 from repro.sim.engine import ENGINES
-from repro.traces import TRACE_KINDS, make_trace
-from repro.workloads import APPLICATIONS, MICROSERVICES, WORKLOAD_MIXES, get_mix
+from repro.traces import TRACE_KINDS
+from repro.workloads import MICROSERVICES, WORKLOAD_MIXES
 
 
-def _result_row(policy: str, result) -> tuple:
+def _summary_cells(summary: dict) -> tuple:
+    """The six headline cells of one ``RunResult.summary()``."""
     return (
-        policy,
-        f"{result.slo_violation_rate:.3%}",
-        f"{result.median_latency_ms:.0f}",
-        f"{result.p99_latency_ms:.0f}",
-        f"{result.avg_containers:.1f}",
-        result.cold_starts,
-        f"{result.energy_joules / 1e3:.0f}",
+        f"{summary['slo_violation_rate']:.3%}",
+        f"{summary['median_latency_ms']:.0f}",
+        f"{summary['p99_latency_ms']:.0f}",
+        f"{summary['avg_containers']:.1f}",
+        int(summary['cold_starts']),
+        f"{summary['energy_joules'] / 1e3:.0f}",
     )
 
 
-_RESULT_HEADERS = ["policy", "SLO viol", "median(ms)", "P99(ms)",
-                   "avg containers", "cold starts", "energy(kJ)"]
+def _result_row(policy: str, result) -> tuple:
+    return (policy, *_summary_cells(result.summary()))
+
+
+_SUMMARY_HEADERS = ["SLO viol", "median(ms)", "P99(ms)",
+                    "avg containers", "cold starts", "energy(kJ)"]
+_RESULT_HEADERS = ["policy", *_SUMMARY_HEADERS]
 
 
 def _make_tracer(args):
@@ -81,65 +85,96 @@ def _emit_obs(args, tracer, registry, result) -> None:
         print(f"metrics: {args.metrics_out}")
 
 
-def _faults_arg(args, plane: Optional[str] = None, **limits) -> FaultTimeline:
-    """Parse ``--faults`` or exit with a usage error.  Whether the run
-    can enact it is the entry point's build-time ``validate``; pass
-    *plane* to run that here (trials built in pool workers)."""
-    try:
-        timeline = FaultTimeline.parse(args.faults) if args.faults \
-            else FaultTimeline()
-        return timeline.validate(plane, **limits) if plane else timeline
-    except ValueError as exc:
-        raise SystemExit(f"--faults: {exc}")
+#: The flag behind each scenario member a sharded plane refuses.
+_REFUSED_FLAGS = {"diverge_after": "--diverge-at", "tracer": "--trace-out"}
 
 
-def _trial_spec(args, policy: str, seed: int, **spec_kwargs):
-    from repro.experiments.runner import TrialSpec
-
-    return TrialSpec.make(
-        policy, mix=args.mix, trace_kind=args.trace, rate_rps=args.rate,
-        duration_s=args.duration, nodes=args.nodes, seed=seed, **spec_kwargs)
-
-
-def _simulate(args, policy: str, tracer=None, **spec_kwargs):
-    """One simulated trial of *policy* on the command line's workload,
-    through the runner's one spec → system path; ``(result, system)``."""
-    from repro.experiments.runner import _run_trial_result
-
-    return _run_trial_result(
-        _trial_spec(args, policy, args.seed, **spec_kwargs), tracer=tracer)
+def _usage_error(args, exc: ValueError) -> SystemExit:
+    """A scenario that cannot be built or run as asked is a usage error;
+    a member the sharded plane refuses is named by its flag."""
+    flag = _REFUSED_FLAGS.get(getattr(exc, "member", None))
+    if flag:
+        exc = f"{flag} is not supported with --shards > 1"
+    return SystemExit(f"{args.command}: {exc}")
 
 
-def _run_spec_kwargs(args) -> dict:
-    """What ``run``'s flags add to the workload: engine, guardrails,
-    faults."""
-    faults = {}
-    if args.diverge_at is not None:
-        faults["diverge_after"] = args.diverge_at
-        faults["diverge_factor"] = args.diverge_factor
-    if _faults_arg(args, "vector" if args.engine == "vector" else "sim",
-                   n_nodes=args.nodes):
-        faults["timeline"] = args.faults
-    return dict(engine=args.engine, faults=tuple(faults.items()),
-                shed_expired=args.sim_shed_expired, **_guard_overrides(args))
+def _scenario(args, policy: Optional[str] = None, seed: Optional[int] = None,
+              **overrides) -> Scenario:
+    """The one ``args → Scenario`` function: every flag that describes
+    the run — workload, guardrails, faults, shards, live options — is
+    read here and nowhere else (a command that lacks a flag gets its
+    default).  Only knobs that were actually set become overrides, so
+    default runs keep the exact base policy config (and its cache keys).
+    Whatever the scenario's plane cannot enact or honour, and any
+    override ``RMConfig`` does not admit, exits with a usage error."""
+    flag = vars(args).get
 
+    def ms(seconds: Optional[float]) -> Optional[float]:
+        return None if seconds is None else seconds * 1000.0
 
-def _guard_overrides(args) -> dict:
-    """RMConfig overrides from the guarded-control-plane flags.
-
-    Only knobs that were actually set are returned, so default runs
-    keep the exact base policy config (and its cache keys)."""
-    overrides = {}
-    if args.mape_threshold is not None:
+    if flag("mape_threshold") is not None:
         overrides["mape_threshold"] = args.mape_threshold
         overrides["fallback_hysteresis"] = args.fallback_hysteresis
-    if args.max_surge:
+    if flag("max_surge"):
         overrides["max_surge"] = args.max_surge
-    if args.spawn_retries:
+    if flag("spawn_retries"):
         overrides["spawn_retry_attempts"] = args.spawn_retries
-    if args.scale_down_cooldown:
-        overrides["scale_down_cooldown_ms"] = args.scale_down_cooldown * 1000.0
-    return overrides
+    if flag("scale_down_cooldown"):
+        overrides["scale_down_cooldown_ms"] = ms(args.scale_down_cooldown)
+    faults, live = {}, None
+    try:
+        if args.command == "serve":
+            from repro.serve import FaultConfig, RetryPolicy, ServeOptions
+
+            live = ServeOptions(
+                time_scale=args.time_scale,
+                max_pending=args.max_pending,
+                drain_timeout_ms=ms(args.drain_timeout),
+                executor_workers=args.executor_workers,
+                retry=RetryPolicy(
+                    max_attempts=args.max_retries + 1,
+                    deadline_grace_ms=args.retry_deadline_grace),
+                faults=FaultConfig(
+                    crash_prob=args.crash_prob, hang_prob=args.hang_prob,
+                    timeline=(FaultTimeline.parse(args.faults)
+                              if args.faults else FaultTimeline())),
+                shed_expired=args.shed_expired,
+                journal_dir=args.journal_dir,
+                checkpoint_interval_ms=ms(args.checkpoint_interval),
+                drain_grace_ms=ms(args.drain_grace),
+            )
+        else:
+            if flag("diverge_at") is not None:
+                faults["diverge_after"] = args.diverge_at
+                faults["diverge_factor"] = args.diverge_factor
+            if flag("faults"):
+                faults["timeline"] = args.faults
+        scenario = Scenario.make(
+            policy or args.policy, mix=args.mix, trace_kind=args.trace,
+            rate_rps=args.rate, duration_s=args.duration, nodes=args.nodes,
+            seed=args.seed if seed is None else seed,
+            engine=flag("engine"), faults=tuple(faults.items()),
+            shed_expired=flag("sim_shed_expired", False), live=live,
+            shards=Shards(
+                n=flag("shards", 1), workers=flag("shard_workers", 1),
+                rebalance_interval_ms=ms(flag("rebalance_interval")),
+                stage_routing=flag("stage_routing", "local"),
+                heartbeat_interval_ms=ms(flag("heartbeat_interval", 1.0))),
+            **overrides)
+        scenario.config()
+        # Before any banner or training: --trace-out means a tracer.
+        scenario.refuse(tracer=flag("trace_out"))
+    except ValueError as exc:
+        raise _usage_error(args, exc)
+    return scenario
+
+
+def _run(args, scenario: Scenario, tracer=None):
+    """Run *scenario*; what it refuses when run is a usage error too."""
+    try:
+        return scenario.run(tracer=tracer)
+    except ValueError as exc:
+        raise _usage_error(args, exc)
 
 
 def _print_guard_counters(result) -> None:
@@ -192,27 +227,16 @@ def _run_batch(args) -> int:
               "processes or come from cache)", file=sys.stderr)
     seeds = (derive_seeds(args.seed, args.repeats) if args.repeats > 1
              else [args.seed])
-    spec_kwargs = _run_spec_kwargs(args)
-    specs = [_trial_spec(args, args.policy, seed, **spec_kwargs)
-             for seed in seeds]
+    specs = [_scenario(args, seed=seed) for seed in seeds]
     runner = _runner_from_args(args)
     results = runner.run(specs)
     rows = [
-        (
-            r.spec.seed,
-            f"{r.summary['slo_violation_rate']:.3%}",
-            f"{r.summary['median_latency_ms']:.0f}",
-            f"{r.summary['p99_latency_ms']:.0f}",
-            f"{r.summary['avg_containers']:.1f}",
-            int(r.summary['cold_starts']),
-            f"{r.summary['energy_joules'] / 1e3:.0f}",
-            "cache" if r.from_cache else f"{r.wall_s:.1f}s",
-        )
+        (r.spec.seed, *_summary_cells(r.summary),
+         "cache" if r.from_cache else f"{r.wall_s:.1f}s")
         for r in results
     ]
     print(format_table(
-        ["seed", "SLO viol", "median(ms)", "P99(ms)", "avg containers",
-         "cold starts", "energy(kJ)", "source"],
+        ["seed", *_SUMMARY_HEADERS, "source"],
         rows,
         title=f"{args.policy} on {args.mix} mix / {args.trace} trace "
               f"x{len(results)}{_cache_note(runner)}",
@@ -268,51 +292,24 @@ def _print_sharded(policy: str, result, journal=None) -> None:
         print(f"journal conservation: {verdicts}")
 
 
-def _refuse_with_shards(args, command: str, unsharded_only: dict) -> None:
-    """The sharded paths cannot honour *unsharded_only* (flag → its
-    default); a flag that would silently do nothing is a usage error."""
+def _refuse_with_shards(args, unsharded_only: dict) -> None:
+    """The runner and the output files have no sharded form: a flag
+    (flag → its default) that would silently do nothing is a usage
+    error.  What the *scenario* cannot honour sharded it refuses itself."""
     for flag, default in unsharded_only.items():
         if getattr(args, flag[2:].replace("-", "_")) != default:
             raise SystemExit(
-                f"{command}: {flag} is not supported with --shards > 1")
+                f"{args.command}: {flag} is not supported with --shards > 1")
 
 
 def _run_sharded(args: argparse.Namespace) -> int:
-    from repro.shard import run_sharded_policy
-
-    _refuse_with_shards(
-        args, "run", {"--diverge-at": None, "--repeats": 1, "--workers": 1,
-                      "--cache-dir": None, "--trace-out": None,
-                      "--metrics-out": None})
-    faults = _faults_arg(args)
-    trace = make_trace(args.trace, args.rate, args.duration, args.seed)
-    try:
-        result = run_sharded_policy(
-            args.policy, get_mix(args.mix), trace,
-            shards=args.shards,
-            shard_workers=args.shard_workers,
-            rebalance_interval_ms=(
-                args.rebalance_interval * 1000.0
-                if args.rebalance_interval is not None else None
-            ),
-            stage_routing=args.stage_routing,
-            cluster_spec=ClusterSpec(n_nodes=args.nodes),
-            predictor=predictor_for_run(
-                make_policy_config(args.policy).proactive_predictor,
-                args.trace, args.rate),
-            seed=args.seed,
-            engine=getattr(args, "engine", None),
-            shed_expired=args.sim_shed_expired,
-            faults=faults,
-            heartbeat_interval_ms=args.heartbeat_interval * 1000.0,
-            idle_timeout_ms=60_000.0,
-            **_guard_overrides(args),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"run: {exc}")
+    _refuse_with_shards(args, {"--repeats": 1, "--workers": 1,
+                               "--cache-dir": None, "--metrics-out": None})
+    scenario = _scenario(args)
+    result = _run(args, scenario, tracer=_make_tracer(args))
     _print_sharded(args.policy, result)
     orch = result.orchestration
-    if faults.of("kill-shard", "recover-shard"):
+    if scenario.timeline.of("kill-shard", "recover-shard"):
         journal = orch.get("journal") or {}
         print(f"failover: {orch.get('failovers', 0)} declarations, "
               f"{orch.get('shard_recoveries', 0)} recoveries, "
@@ -327,9 +324,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _run_sharded(args)
     if args.repeats > 1 or args.workers > 1 or args.cache_dir:
         return _run_batch(args)
+    scenario = _scenario(args)
     tracer = _make_tracer(args)
-    result, system = _simulate(
-        args, args.policy, tracer=tracer, **_run_spec_kwargs(args))
+    system = scenario.system(tracer)
+    result = system.run(scenario.arrivals())
     print(format_table(
         _RESULT_HEADERS, [_result_row(args.policy, result)],
         title=f"{args.policy} on {args.mix} mix / {args.trace} trace "
@@ -342,68 +340,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a trace live: real asyncio gateway, workers, control loop."""
-    from repro.serve import FaultConfig, RetryPolicy, ServeOptions, ServingRuntime
-
     if args.shards > 1:
         _refuse_with_shards(
-            args, "serve", {"--trace-out": None, "--metrics-out": None,
-                            "--json-out": None})
-    config = make_policy_config(args.policy, idle_timeout_ms=60_000.0,
-                                **_guard_overrides(args))
-    predictor = predictor_for_run(
-        config.proactive_predictor, args.trace, args.rate)
-    trace = make_trace(args.trace, args.rate, args.duration, args.seed)
-    faults = FaultConfig(
-        crash_prob=args.crash_prob,
-        hang_prob=args.hang_prob,
-        timeline=_faults_arg(args),
-    )
-    retry = RetryPolicy(
-        max_attempts=args.max_retries + 1,
-        deadline_grace_ms=args.retry_deadline_grace,
-    )
-    try:
-        options = ServeOptions(
-            time_scale=args.time_scale,
-            max_pending=args.max_pending,
-            drain_timeout_ms=args.drain_timeout * 1000.0,
-            executor_workers=args.executor_workers,
-            retry=retry,
-            faults=faults,
-            shed_expired=args.shed_expired,
-            journal_dir=args.journal_dir,
-            checkpoint_interval_ms=args.checkpoint_interval * 1000.0,
-            drain_grace_ms=(
-                args.drain_grace * 1000.0
-                if args.drain_grace is not None
-                else None
-            ),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"serve: {exc}")
+            args, {"--metrics-out": None, "--json-out": None})
+    scenario = _scenario(args)
+    tracer = _make_tracer(args)
+    trace = scenario.arrivals()
+    where = f"on {args.shards} gateway shards " if args.shards > 1 else ""
+    print(f"serving {trace.name} live {where}for {args.duration:g}s "
+          f"(time scale {args.time_scale:g}x) ...")
     if args.shards > 1:
-        from repro.shard.live import serve_sharded
-
-        print(f"serving {trace.name} live on {args.shards} gateway "
-              f"shards for {args.duration:g}s "
-              f"(time scale {args.time_scale:g}x) ...")
-        try:
-            result = serve_sharded(
-                args.policy, get_mix(args.mix), trace,
-                shards=args.shards,
-                cluster_spec=ClusterSpec(n_nodes=args.nodes),
-                predictor=predictor,
-                seed=args.seed,
-                options=options,
-                heartbeat_interval_ms=(
-                    args.heartbeat_interval * 1000.0
-                    if args.heartbeat_interval is not None else None
-                ),
-                idle_timeout_ms=60_000.0,
-                **_guard_overrides(args),
-            )
-        except ValueError as exc:
-            raise SystemExit(f"serve: {exc}")
+        result = _run(args, scenario, tracer=tracer)
         _print_sharded(args.policy, result, journal=result.journal)
         if result.failover:
             info = result.failover
@@ -415,21 +362,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   f"{info['expired']} expired on survivors "
                   f"{info['survivors']}")
         return 0
-    tracer = _make_tracer(args)
-    try:
-        runtime = ServingRuntime(
-            config=config,
-            mix=get_mix(args.mix),
-            cluster_spec=ClusterSpec(n_nodes=args.nodes),
-            predictor=predictor,
-            seed=args.seed,
-            options=options,
-            tracer=tracer,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"serve: {exc}")
-    print(f"serving {trace.name} live for {args.duration:g}s "
-          f"(time scale {args.time_scale:g}x) ...")
+    runtime = scenario.runtime(tracer)
     result = runtime.run(trace)
     print(format_table(
         _RESULT_HEADERS, [_result_row(args.policy, result)],
@@ -493,9 +426,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    results = {}
-    for policy in args.policies:
-        results[policy], _ = _simulate(args, policy)
+    results = {policy: _scenario(args, policy=policy).run()
+               for policy in args.policies}
     rows = [_result_row(p, r) for p, r in results.items()]
     print(format_table(
         _RESULT_HEADERS, rows,
@@ -510,48 +442,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_sweep_value(raw: str):
-    """Best-effort typed parse for swept RMConfig values."""
-    for convert in (int, float):
-        try:
-            return convert(raw)
-        except ValueError:
-            continue
-    return raw
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Sweep one RMConfig knob via the parallel cached runner."""
-    from repro.experiments.sweeps import sweep_config_field_parallel
-
-    values = [_parse_sweep_value(v) for v in args.values]
-    runner_kwargs = dict(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-    )
-    curves = sweep_config_field_parallel(
-        args.policy, args.field, values,
-        mix_name=args.mix, trace_kind=args.trace, rate_rps=args.rate,
-        duration_s=args.duration, nodes=args.nodes, seed=args.seed,
-        **runner_kwargs,
-    )
-    rows = [
-        (
-            value,
-            f"{s['slo_violation_rate']:.3%}",
-            f"{s['median_latency_ms']:.0f}",
-            f"{s['p99_latency_ms']:.0f}",
-            f"{s['avg_containers']:.1f}",
-            int(s['cold_starts']),
-            f"{s['energy_joules'] / 1e3:.0f}",
-        )
-        for value, s in curves.items()
-    ]
+    specs = [_scenario(args, **{args.field: value}) for value in args.values]
+    curves = dict(zip(
+        args.values, _runner_from_args(args).run_summaries(specs)))
     print(format_table(
-        [args.field, "SLO viol", "median(ms)", "P99(ms)", "avg containers",
-         "cold starts", "energy(kJ)"],
-        rows,
+        [args.field, *_SUMMARY_HEADERS],
+        [(value, *_summary_cells(s)) for value, s in curves.items()],
         title=f"{args.policy}: sweep {args.field} on {args.mix} mix / "
               f"{args.trace} trace (seed {args.seed})",
     ))
@@ -561,8 +459,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     from repro.prediction import default_predictors, evaluate_all, windowed_max_series
 
-    trace = make_trace(args.trace, args.rate, args.duration, args.seed)
-    series = windowed_max_series(trace)
+    # The arrivals ``run fifer`` would replay under the same flags.
+    series = windowed_max_series(_scenario(args, policy="fifer").arrivals())
     reports = evaluate_all(default_predictors(seed=args.seed), series)
     rows = [
         (r.name, f"{r.rmse:.1f}", f"{r.mae:.1f}",
@@ -581,9 +479,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments.export import export_all
     from repro.metrics.ascii_plot import bar_chart, cdf_plot, sparkline
 
-    results = {}
-    for policy in args.policies:
-        results[policy], _ = _simulate(args, policy)
+    results = {policy: _scenario(args, policy=policy).run()
+               for policy in args.policies}
 
     print(bar_chart(
         {p: r.avg_containers for p, r in results.items()},
@@ -862,10 +759,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drain budget on SIGTERM/SIGINT before the final "
                         "checkpoint + journal flush (default: "
                         "--drain-timeout)")
-    d.add_argument("--heartbeat-interval", type=float, default=None,
+    d.add_argument("--heartbeat-interval", type=float, default=1.0,
                    metavar="SECONDS",
                    help="model seconds between shard liveness beats "
-                        "(default 1s when --faults scripts a kill-shard)")
+                        "(written once --faults scripts a kill-shard)")
     add_guardrails(serve_p)
     add_obs(serve_p)
     serve_p.set_defaults(func=cmd_serve)

@@ -288,14 +288,14 @@ class FaultTimeline:
         a second event of a :data:`ONCE_KINDS` kind.  Returns self."""
         enacted = PLANE_KINDS[plane]
         for event in self.events:
-            if event.kind not in enacted:
-                raise ValueError(
-                    f"the {plane} plane does not enact {event.kind!r} "
-                    f"(it enacts: {', '.join(sorted(enacted))})")
             if n_shards == 1 and event.kind in PLANE_WIDE_KINDS:
                 raise ValueError(
                     "shard failover needs shards > 1 (a lone shard has "
                     "no survivor to take its keyspace)")
+            if event.kind not in enacted:
+                raise ValueError(
+                    f"the {plane} plane does not enact {event.kind!r} "
+                    f"(it enacts: {', '.join(sorted(enacted))})")
             limit = n_nodes if event.kind in NODE_KINDS else n_shards
             if event.ids and limit is not None and max(event.ids) >= limit:
                 raise ValueError(

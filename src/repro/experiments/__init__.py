@@ -60,7 +60,6 @@ from repro.experiments.repeats import (
 from repro.experiments.runner import (
     ExperimentRunner,
     TrialResult,
-    TrialSpec,
     config_hash,
     derive_seeds,
     repeat_specs,
@@ -108,7 +107,6 @@ __all__ = [
     "repeated_summaries",
     "ExperimentRunner",
     "TrialResult",
-    "TrialSpec",
     "config_hash",
     "derive_seeds",
     "repeat_specs",

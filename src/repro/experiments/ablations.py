@@ -18,34 +18,26 @@ be toggled independently:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.cluster.cluster import NodePlacementPolicy
-from repro.core.policies import make_policy_config
 from repro.core.scheduling import SchedulingPolicy
 from repro.core.slack import SlackDivision
-from repro.experiments.predictors import pretrained_predictor
-from repro.experiments.prototype import (
-    DEFAULT_IDLE_TIMEOUT_MS,
-    prototype_cluster,
-    prototype_trace,
-)
+from repro.experiments.prototype import prototype_cluster, prototype_trace
 from repro.metrics.collector import RunResult
-from repro.runtime.system import ServerlessSystem
+from repro.scenario import Scenario
 from repro.workloads import get_mix
-from repro.workloads.applications import Application
 from repro.workloads.mixes import WorkloadMix
 
 
-def _run(config, mix, trace, predictor=None, seed=5) -> RunResult:
-    system = ServerlessSystem(
-        config=config,
-        mix=mix,
-        cluster_spec=prototype_cluster(),
-        predictor=predictor,
-        seed=seed,
-    )
-    return system.run(trace)
+def _run(policy: str, mix, duration_s: float, seed: int,
+         **overrides) -> RunResult:
+    """One ablation arm: *policy* with *overrides* on the prototype's
+    cluster and (nominally 50 req/s step-Poisson) trace."""
+    return Scenario.make(
+        policy, mix=mix, trace=prototype_trace(duration_s=duration_s, seed=seed),
+        cluster=prototype_cluster(), seed=seed, **overrides,
+    ).run()
 
 
 def slack_division_ablation(
@@ -54,17 +46,11 @@ def slack_division_ablation(
     seed: int = 5,
 ) -> Dict[str, RunResult]:
     """RScale with proportional vs equal slack division."""
-    trace = prototype_trace(duration_s=duration_s, seed=seed)
-    mix = get_mix(mix_name)
-    out = {}
-    for division in (SlackDivision.PROPORTIONAL, SlackDivision.EQUAL):
-        config = make_policy_config(
-            "rscale",
-            slack_division=division,
-            idle_timeout_ms=DEFAULT_IDLE_TIMEOUT_MS,
-        )
-        out[division.value] = _run(config, mix, trace, seed=seed)
-    return out
+    return {
+        division.value: _run(
+            "rscale", mix_name, duration_s, seed, slack_division=division)
+        for division in (SlackDivision.PROPORTIONAL, SlackDivision.EQUAL)
+    }
 
 
 def scheduling_ablation(
@@ -77,17 +63,11 @@ def scheduling_ablation(
     The medium mix (IPA + IMG) shares NLP and QA, where the two chains'
     residual slack differs — the scenario section 4.3 designs LSF for.
     """
-    trace = prototype_trace(duration_s=duration_s, seed=seed)
-    mix = get_mix(mix_name)
-    predictor = pretrained_predictor("poisson")
-    out = {}
-    for policy in (SchedulingPolicy.LSF, SchedulingPolicy.FIFO):
-        config = make_policy_config(
-            "fifer", scheduling=policy,
-            idle_timeout_ms=DEFAULT_IDLE_TIMEOUT_MS,
-        )
-        out[policy.value] = _run(config, mix, trace, predictor, seed=seed)
-    return out
+    return {
+        policy.value: _run(
+            "fifer", mix_name, duration_s, seed, scheduling=policy)
+        for policy in (SchedulingPolicy.LSF, SchedulingPolicy.FIFO)
+    }
 
 
 def predictor_ablation(
@@ -97,17 +77,11 @@ def predictor_ablation(
     seed: int = 5,
 ) -> Dict[str, RunResult]:
     """Fifer driven by different forecasters (the swap-ability hook)."""
-    trace = prototype_trace(duration_s=duration_s, seed=seed)
-    mix = get_mix(mix_name)
-    out = {}
-    for model in models:
-        predictor = pretrained_predictor("poisson", model=model)
-        config = make_policy_config(
-            "fifer", proactive_predictor=model,
-            idle_timeout_ms=DEFAULT_IDLE_TIMEOUT_MS,
-        )
-        out[model] = _run(config, mix, trace, predictor, seed=seed)
-    return out
+    return {
+        model: _run(
+            "fifer", mix_name, duration_s, seed, proactive_predictor=model)
+        for model in models
+    }
 
 
 def placement_ablation(
@@ -116,17 +90,11 @@ def placement_ablation(
     seed: int = 5,
 ) -> Dict[str, RunResult]:
     """Fifer with pack vs spread node selection (energy mechanism)."""
-    trace = prototype_trace(duration_s=duration_s, seed=seed)
-    mix = get_mix(mix_name)
-    predictor = pretrained_predictor("poisson")
-    out = {}
-    for placement in (NodePlacementPolicy.PACK, NodePlacementPolicy.SPREAD):
-        config = make_policy_config(
-            "fifer", placement=placement,
-            idle_timeout_ms=DEFAULT_IDLE_TIMEOUT_MS,
-        )
-        out[placement.value] = _run(config, mix, trace, predictor, seed=seed)
-    return out
+    return {
+        placement.value: _run(
+            "fifer", mix_name, duration_s, seed, placement=placement)
+        for placement in (NodePlacementPolicy.PACK, NodePlacementPolicy.SPREAD)
+    }
 
 
 def slo_sensitivity(
@@ -141,8 +109,6 @@ def slo_sensitivity(
     no slack exists there at all.
     """
     base_mix = get_mix(mix_name)
-    trace = prototype_trace(duration_s=duration_s, seed=seed)
-    predictor = pretrained_predictor("poisson")
     out: Dict[float, RunResult] = {}
     for slo in slos_ms:
         try:
@@ -154,10 +120,7 @@ def slo_sensitivity(
             applications=apps,
             weights=base_mix.weights,
         )
-        config = make_policy_config(
-            "fifer", idle_timeout_ms=DEFAULT_IDLE_TIMEOUT_MS
-        )
-        out[slo] = _run(config, mix, trace, predictor, seed=seed)
+        out[slo] = _run("fifer", mix, duration_s, seed)
     return out
 
 
@@ -167,16 +130,5 @@ def hpa_comparison(
     seed: int = 5,
 ) -> Dict[str, RunResult]:
     """Fifer vs the Knative-style HPA baseline (section 2.2.1)."""
-    trace = prototype_trace(duration_s=duration_s, seed=seed)
-    mix = get_mix(mix_name)
-    out = {
-        "hpa": _run(
-            make_policy_config("hpa", idle_timeout_ms=DEFAULT_IDLE_TIMEOUT_MS),
-            mix, trace, seed=seed,
-        ),
-        "fifer": _run(
-            make_policy_config("fifer", idle_timeout_ms=DEFAULT_IDLE_TIMEOUT_MS),
-            mix, trace, pretrained_predictor("poisson"), seed=seed,
-        ),
-    }
-    return out
+    return {policy: _run(policy, mix_name, duration_s, seed)
+            for policy in ("hpa", "fifer")}

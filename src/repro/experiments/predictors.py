@@ -20,8 +20,8 @@ from repro.prediction import (
     windowed_max_series,
 )
 from repro.prediction.base import Predictor
+from repro.runtime.system import _UNTRAINED_PREDICTORS
 from repro.traces import step_poisson_trace, wiki_trace, wits_trace
-from repro.traces.base import ArrivalTrace
 
 #: Compact training settings: a fraction of the paper's 100 epochs is
 #: plenty at this series length and keeps benches quick.
@@ -93,15 +93,17 @@ def pretrained_predictor(
 def predictor_for_run(
     wanted: Optional[str], trace_kind: str, rate_rps: float
 ) -> Optional[Predictor]:
-    """The forecaster a run must be handed: a pre-trained LSTM when the
-    policy's ``proactive_predictor`` (*wanted*) is ``"lstm"`` — trained
-    on ``poisson`` for every trace kind containing it (``poisson``,
-    ``step-poisson``), else on the kind itself — and None otherwise
-    (the system builds the untrained kinds itself)."""
-    if wanted != "lstm":
+    """The forecaster a run must be handed — the one training rule: the
+    policy's ``proactive_predictor`` (*wanted*) pre-trained on
+    ``poisson`` for every trace kind containing it (``poisson``,
+    ``step-poisson``), else on the kind itself; None when the policy
+    has no proactive tier or the system builds *wanted* untrained."""
+    if wanted is None or wanted.lower() in _UNTRAINED_PREDICTORS:
         return None
     train_kind = "poisson" if "poisson" in trace_kind else trace_kind
-    return pretrained_predictor(train_kind, mean_rate_rps=rate_rps)
+    # LSTM is pretrained_predictor's default model.
+    model = {} if wanted == "lstm" else {"model": wanted}
+    return pretrained_predictor(train_kind, mean_rate_rps=rate_rps, **model)
 
 
 def figure6_reports(

@@ -19,19 +19,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.policies import make_policy_config
-from repro.experiments.predictors import pretrained_predictor
 from repro.metrics.collector import RunResult
-from repro.runtime.system import ClusterSpec, ServerlessSystem
+from repro.runtime.system import ClusterSpec
+from repro.scenario import SCALED_IDLE_TIMEOUT_MS, Scenario
 from repro.traces import step_poisson_trace
 from repro.traces.base import ArrivalTrace
-from repro.workloads import get_mix
 
 PROTOTYPE_POLICIES = ("bline", "sbatch", "rscale", "bpred", "fifer")
 
 DEFAULT_MEAN_RATE_RPS = 50.0
 DEFAULT_DURATION_S = 600.0
-DEFAULT_IDLE_TIMEOUT_MS = 60_000.0
 
 
 def prototype_cluster() -> ClusterSpec:
@@ -56,7 +53,7 @@ def run_prototype(
     mean_rate_rps: float = DEFAULT_MEAN_RATE_RPS,
     duration_s: float = DEFAULT_DURATION_S,
     seed: int = 5,
-    idle_timeout_ms: float = DEFAULT_IDLE_TIMEOUT_MS,
+    idle_timeout_ms: float = SCALED_IDLE_TIMEOUT_MS,
     cluster: Optional[ClusterSpec] = None,
 ) -> Dict[str, RunResult]:
     """Run the prototype experiment for one workload mix.
@@ -65,26 +62,15 @@ def run_prototype(
     Fifer's LSTM is pre-trained offline on an independent trace of the
     same distribution (the paper's 60%-of-trace pre-training).
     """
-    policies = list(policies or PROTOTYPE_POLICIES)
     trace = prototype_trace(mean_rate_rps, duration_s, seed=seed)
-    cluster = cluster or prototype_cluster()
-    results: Dict[str, RunResult] = {}
-    for policy in policies:
-        config = make_policy_config(policy, idle_timeout_ms=idle_timeout_ms)
-        predictor = None
-        if config.proactive_predictor == "lstm":
-            predictor = pretrained_predictor(
-                "poisson", mean_rate_rps=mean_rate_rps
-            )
-        system = ServerlessSystem(
-            config=config,
-            mix=get_mix(mix_name),
-            cluster_spec=cluster,
-            predictor=predictor,
-            seed=seed,
-        )
-        results[policy] = system.run(trace)
-    return results
+    return {
+        policy: Scenario.make(
+            policy, mix=mix_name, trace=trace, rate_rps=mean_rate_rps,
+            cluster=cluster or prototype_cluster(), seed=seed,
+            idle_timeout_ms=idle_timeout_ms,
+        ).run()
+        for policy in policies or PROTOTYPE_POLICIES
+    }
 
 
 def run_prototype_all_mixes(

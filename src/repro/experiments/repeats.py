@@ -13,13 +13,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.policies import make_policy_config
-from repro.experiments.predictors import pretrained_predictor
+from repro.core.policies import RMConfig
 from repro.metrics.collector import RunResult
-from repro.runtime.system import ClusterSpec, ServerlessSystem
+from repro.runtime.system import ClusterSpec
+from repro.scenario import Scenario
 from repro.traces import step_poisson_trace
 from repro.traces.base import ArrivalTrace
-from repro.workloads import get_mix
 
 #: Metrics aggregated by default (RunResult attributes/properties).
 DEFAULT_METRICS = (
@@ -68,28 +67,23 @@ def repeated_runs(
     **config_overrides,
 ) -> List[RunResult]:
     """Run *policy* once per seed; both the trace sample and the
-    system's internal randomness vary with the seed."""
+    system's internal randomness vary with the seed.  The policy's stock
+    config (the paper's 10 min idle timeout, not the experiments'
+    scaled-down one) applies unless *config_overrides* say otherwise."""
     if not seeds:
         raise ValueError("need at least one seed")
     trace_factory = trace_factory or (
         lambda seed: step_poisson_trace(50.0, 180.0, variation=0.4, seed=seed)
     )
-    cluster_spec = cluster_spec or ClusterSpec()
-    results: List[RunResult] = []
-    for seed in seeds:
-        config = make_policy_config(policy, **config_overrides)
-        predictor = None
-        if config.proactive_predictor == "lstm":
-            predictor = pretrained_predictor("poisson")
-        system = ServerlessSystem(
-            config=config,
-            mix=get_mix(mix_name),
-            cluster_spec=cluster_spec,
-            predictor=predictor,
-            seed=seed,
-        )
-        results.append(system.run(trace_factory(seed)))
-    return results
+    config_overrides.setdefault("idle_timeout_ms", RMConfig.idle_timeout_ms)
+    return [
+        Scenario.make(
+            policy, mix=mix_name, trace=trace_factory(seed),
+            cluster=cluster_spec or ClusterSpec(), seed=seed,
+            **config_overrides,
+        ).run()
+        for seed in seeds
+    ]
 
 
 def aggregate(

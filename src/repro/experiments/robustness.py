@@ -45,7 +45,8 @@ from typing import Dict, List, Optional
 
 from repro.experiments import format_table
 from repro.experiments.export import atomic_write_json
-from repro.experiments.runner import ExperimentRunner, TrialSpec
+from repro.experiments.runner import ExperimentRunner
+from repro.scenario import Scenario
 
 #: Forecast corruption: inflate by 30x from the third monitor tick on.
 DIVERGENCE = (("diverge_after", 3), ("diverge_factor", 30.0))
@@ -75,7 +76,7 @@ GUARD_COUNTERS = (
 ARMS = ("unguarded", "guarded", "rscale")
 
 
-def study_specs(quick: bool = False, seed: int = 7) -> Dict[str, Dict[str, TrialSpec]]:
+def study_specs(quick: bool = False, seed: int = 7) -> Dict[str, Dict[str, Scenario]]:
     """The trial matrix: scenario -> arm -> spec.
 
     Quick mode shortens the trace; the fault times scale with it so the
@@ -89,13 +90,13 @@ def study_specs(quick: bool = False, seed: int = 7) -> Dict[str, Dict[str, Trial
     )
     fifer = dict(proactive_predictor="ewma")
 
-    def scenario(faults) -> Dict[str, TrialSpec]:
+    def scenario(faults) -> Dict[str, Scenario]:
         return {
-            "unguarded": TrialSpec.make(
+            "unguarded": Scenario.make(
                 "fifer", faults=faults, **fifer, **common),
-            "guarded": TrialSpec.make(
+            "guarded": Scenario.make(
                 "fifer", faults=faults, **fifer, **GUARD_KNOBS, **common),
-            "rscale": TrialSpec.make("rscale", faults=faults, **common),
+            "rscale": Scenario.make("rscale", faults=faults, **common),
         }
 
     return {
@@ -113,7 +114,7 @@ def run_robustness_study(
 ) -> Dict:
     """Run every scenario/arm and derive the acceptance verdicts."""
     matrix = study_specs(quick=quick, seed=seed)
-    flat: List[TrialSpec] = [
+    flat: List[Scenario] = [
         spec for arms in matrix.values() for spec in arms.values()
     ]
     runner = ExperimentRunner(

@@ -6,11 +6,11 @@ repeat seed, or ablation arm.  Trials are independent, so this module
 fans them out over a :class:`concurrent.futures.ProcessPoolExecutor`
 and memoizes finished trials on disk:
 
-* :class:`TrialSpec` — an immutable, hashable description of one run.
+* a *spec* is a :class:`~repro.scenario.Scenario` — the immutable,
+  hashable description of one run.
 * :func:`config_hash` — sha256 of the spec's canonical JSON; the disk
-  cache key.  Anything that changes the run's output (policy, mix,
-  trace kind/rate/duration, seed, nodes, config overrides, and a
-  format version) is part of the hash; nothing else is.
+  cache key.  Anything that changes the run's output is part of the
+  hash; nothing else is (:meth:`~repro.scenario.Scenario.canonical`).
 * :func:`run_trial` — execute one spec to its summary dict.
 * :class:`ExperimentRunner` — fan-out + cache orchestration.  Results
   come back in input order regardless of completion order, and a trial
@@ -31,124 +31,16 @@ import pathlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.collector import RunResult
-    from repro.runtime.system import ServerlessSystem
-
-# The simulator stack (policies, runtime, traces) is imported lazily
-# inside the functions that need it: a pool worker that only replays
-# cached summaries — and the parent process while it fans out — should
-# not pay the full import graph up front.
-
-#: Bump when the summary format or run semantics change incompatibly;
-#: invalidates every existing cache entry.
-CACHE_FORMAT_VERSION = 2
-
-#: The keys ``TrialSpec.faults`` may carry.
-FAULT_KEYS = frozenset((
-    "crash_probability", "crash_point", "timeline",
-    "diverge_after", "diverge_factor", "diverge_mode",
-))
+from repro.scenario import CACHE_FORMAT_VERSION, Scenario
 
 PathLike = Union[str, pathlib.Path]
-Overrides = Tuple[Tuple[str, Union[float, int, str, bool]], ...]
 
 
-@dataclass(frozen=True)
-class TrialSpec:
-    """One simulator trial, fully determined by its fields.
-
-    ``overrides`` are extra ``RMConfig`` keyword arguments as a sorted
-    tuple of pairs (tuples keep the dataclass hashable; sorting keeps
-    the hash independent of construction order).  Guardrail knobs
-    (``mape_threshold``, ``max_surge``, ...) are RMConfig fields and
-    therefore ride ``overrides``; ``faults`` carries everything that is
-    *not* policy config — container-crash model, node-fault schedule,
-    predictor-divergence injection — as its own sorted pair tuple.
-    Both tuples are part of the cache key: two trials differing only in
-    ``crash_probability`` or MAPE threshold can never share an entry.
-
-    Recognised ``faults`` keys (:data:`FAULT_KEYS`; any other raises):
-    ``crash_probability``, ``crash_point``, ``timeline`` (a spec string
-    for :meth:`~repro.cluster.faults.FaultTimeline.parse`),
-    ``diverge_after`` (monitor ticks), ``diverge_factor``,
-    ``diverge_mode`` (``"scale"`` | ``"nan"``).
-    """
-
-    policy: str
-    mix: str = "heavy"
-    trace_kind: str = "step-poisson"
-    rate_rps: float = 50.0
-    duration_s: float = 300.0
-    seed: int = 5
-    nodes: int = 5
-    overrides: Overrides = ()
-    faults: Overrides = ()
-    shed_expired: bool = False
-    #: Simulation engine ("fast" | "vector" | None for the
-    #: system default).  Deliberately NOT part of :meth:`canonical` —
-    #: every engine produces a bit-identical summary (enforced by
-    #: ``tests/test_vector_parity.py``), so trials may share cache
-    #: entries across engines.
-    engine: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "overrides", tuple(sorted(dict(self.overrides).items()))
-        )
-        object.__setattr__(
-            self, "faults", tuple(sorted(dict(self.faults).items()))
-        )
-        unknown = sorted(set(dict(self.faults)) - FAULT_KEYS)
-        if unknown:
-            # A typo'd key would otherwise run fault-free and be cached
-            # under a key that looks like a fault trial.
-            raise ValueError(
-                f"unknown faults key(s) {unknown}; known: "
-                f"{sorted(FAULT_KEYS)}")
-
-    @staticmethod
-    def make(policy: str, **kwargs) -> "TrialSpec":
-        """Build a spec, folding unknown keywords into ``overrides``."""
-        own = {f for f in TrialSpec.__dataclass_fields__}
-        overrides = dict(kwargs.pop("overrides", ()))
-        for key in list(kwargs):
-            if key not in own:
-                overrides[key] = kwargs.pop(key)
-        return TrialSpec(
-            policy=policy, overrides=tuple(overrides.items()), **kwargs
-        )
-
-    def canonical(self) -> Dict:
-        """JSON-stable representation used for hashing and cache files."""
-        return {
-            "version": CACHE_FORMAT_VERSION,
-            "policy": self.policy,
-            "mix": self.mix,
-            "trace_kind": self.trace_kind,
-            "rate_rps": self.rate_rps,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "overrides": [[k, v] for k, v in self.overrides],
-            "faults": [[k, v] for k, v in self.faults],
-            "shed_expired": self.shed_expired,
-        }
-
-
-def config_hash(spec: TrialSpec) -> str:
+def config_hash(spec: Scenario) -> str:
     """sha256 of the spec's canonical JSON (the disk-cache key)."""
     payload = json.dumps(
         spec.canonical(), sort_keys=True, separators=(",", ":")
@@ -169,75 +61,13 @@ def derive_seeds(base_seed: int, n: int) -> List[int]:
     return [int(child.generate_state(1, np.uint32)[0]) for child in children]
 
 
-def run_trial(spec: TrialSpec) -> Dict[str, float]:
+def run_trial(spec: Scenario) -> Dict[str, float]:
     """Execute one trial and return ``RunResult.summary()``."""
-    return _run_trial_result(spec)[0].summary()
-
-
-def _run_trial_result(
-    spec: TrialSpec, tracer=None,
-) -> Tuple["RunResult", "ServerlessSystem"]:
-    """Assemble the one system a spec describes, run it, and return
-    ``(result, system)`` — the only spec → system path, shared by the
-    runner and every single-run CLI command."""
-    from repro.cluster.faults import FaultTimeline
-    from repro.core.policies import make_policy_config
-    from repro.runtime.system import ClusterSpec, ServerlessSystem
-    from repro.traces.factory import cached_trace
-    from repro.workloads import get_mix
-
-    overrides = dict(spec.overrides)
-    overrides.setdefault("idle_timeout_ms", 60_000.0)
-    config = make_policy_config(spec.policy, **overrides)
-    faults = dict(spec.faults)
-    from repro.experiments.predictors import predictor_for_run
-
-    predictor = predictor_for_run(
-        config.proactive_predictor, spec.trace_kind, spec.rate_rps)
-    if "diverge_after" in faults and config.proactive_predictor is not None:
-        from repro.prediction.guarded import DivergentPredictor
-        from repro.runtime.system import _UNTRAINED_PREDICTORS
-
-        if predictor is None:
-            factory = _UNTRAINED_PREDICTORS[config.proactive_predictor.lower()]
-            predictor = factory()
-        predictor = DivergentPredictor(
-            predictor,
-            diverge_after=int(faults["diverge_after"]),
-            factor=float(faults.get("diverge_factor", 25.0)),
-            mode=str(faults.get("diverge_mode", "scale")),
-        )
-    fault_model = None
-    if float(faults.get("crash_probability", 0.0)) > 0.0:
-        from repro.cluster.faults import ContainerFaultModel
-
-        fault_model = ContainerFaultModel(
-            crash_probability=float(faults["crash_probability"]),
-            crash_point=float(faults.get("crash_point", 0.5)),
-        )
-    timeline = (
-        FaultTimeline.parse(str(faults["timeline"]))
-        if faults.get("timeline") else FaultTimeline()
-    )
-    system = ServerlessSystem(
-        config=config,
-        mix=get_mix(spec.mix),
-        cluster_spec=ClusterSpec(n_nodes=spec.nodes),
-        predictor=predictor,
-        seed=spec.seed,
-        fault_model=fault_model,
-        tracer=tracer,
-        shed_expired=spec.shed_expired,
-        faults=timeline,
-        engine=spec.engine,
-    )
-    trace = cached_trace(spec.trace_kind, spec.rate_rps, spec.duration_s,
-                         spec.seed)
-    return system.run(trace), system
+    return spec.run().summary()
 
 
 def _execute_trial_chunk(
-    specs: Sequence[TrialSpec],
+    specs: Sequence[Scenario],
 ) -> List[Tuple[Dict[str, float], float]]:
     """Run a batch of trials in one worker task.
 
@@ -260,7 +90,7 @@ def _execute_trial_chunk(
 class TrialResult:
     """One finished trial: its spec, summary and provenance."""
 
-    spec: TrialSpec
+    spec: Scenario
     summary: Dict[str, float]
     key: str
     from_cache: bool = False
@@ -289,7 +119,7 @@ class ExperimentRunner:
     #: Trials actually executed in the last ``run`` call.
     cache_misses: int = field(default=0, init=False)
 
-    def run(self, specs: Sequence[TrialSpec]) -> List[TrialResult]:
+    def run(self, specs: Sequence[Scenario]) -> List[TrialResult]:
         """Execute *specs*, returning results in input order."""
         specs = list(specs)
         self.cache_hits = 0
@@ -315,13 +145,13 @@ class ExperimentRunner:
                 self._run_parallel(specs, pending, results)
         return [r for r in results if r is not None]
 
-    def run_summaries(self, specs: Sequence[TrialSpec]) -> List[Dict[str, float]]:
+    def run_summaries(self, specs: Sequence[Scenario]) -> List[Dict[str, float]]:
         """Like :meth:`run` but returning just the summary dicts."""
         return [r.summary for r in self.run(specs)]
 
     # -- internals -----------------------------------------------------------
 
-    def _run_serial(self, spec: TrialSpec) -> TrialResult:
+    def _run_serial(self, spec: Scenario) -> TrialResult:
         key = config_hash(spec)
         started = time.perf_counter()
         summary = run_trial(spec)
@@ -331,7 +161,7 @@ class ExperimentRunner:
 
     def _run_parallel(
         self,
-        specs: Sequence[TrialSpec],
+        specs: Sequence[Scenario],
         pending: Sequence[int],
         results: List[Optional[TrialResult]],
     ) -> None:
@@ -403,7 +233,7 @@ class ExperimentRunner:
         summary = payload.get("summary")
         return dict(summary) if isinstance(summary, dict) else None
 
-    def _store(self, key: str, spec: TrialSpec, summary: Dict[str, float]) -> None:
+    def _store(self, key: str, spec: Scenario, summary: Dict[str, float]) -> None:
         path = self._cache_path(key)
         if path is None:
             return
@@ -438,7 +268,7 @@ def repeat_specs(
     seeds: Optional[Sequence[int]] = None,
     repeats: int = 5,
     **spec_kwargs,
-) -> List[TrialSpec]:
+) -> List[Scenario]:
     """Specs for a repeat batch: one trial per seed.
 
     Either pass explicit ``seeds`` or a ``base_seed`` from which
@@ -449,7 +279,7 @@ def repeat_specs(
             raise ValueError("pass either seeds or base_seed")
         seeds = derive_seeds(base_seed, repeats)
     return [
-        TrialSpec.make(policy, seed=int(seed), **spec_kwargs)
+        Scenario.make(policy, seed=int(seed), **spec_kwargs)
         for seed in seeds
     ]
 
@@ -459,16 +289,12 @@ def sweep_specs(
     field_name: str,
     values: Sequence,
     **spec_kwargs,
-) -> List[TrialSpec]:
+) -> List[Scenario]:
     """Specs for a one-knob sweep: one trial per *field_name* value."""
     overrides = dict(spec_kwargs.pop("overrides", ()))
-    specs = []
-    for value in values:
-        point = dict(overrides)
-        point[field_name] = value
-        specs.append(
-            TrialSpec.make(
-                policy, overrides=tuple(point.items()), **spec_kwargs
-            )
-        )
-    return specs
+    return [
+        Scenario.make(
+            policy, overrides=tuple({**overrides, field_name: value}.items()),
+            **spec_kwargs)
+        for value in values
+    ]

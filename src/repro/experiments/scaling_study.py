@@ -10,14 +10,12 @@ container savings and SLO compliance evolve — the reproduction of that
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.core.policies import make_policy_config
-from repro.experiments.predictors import pretrained_predictor
 from repro.metrics.collector import RunResult
-from repro.runtime.system import ClusterSpec, ServerlessSystem
+from repro.runtime.system import ClusterSpec
+from repro.scenario import Scenario
 from repro.traces import step_poisson_trace
-from repro.workloads import get_mix
 
 #: (scale factor, mean rate, worker nodes): 1x is the 80-core prototype.
 DEFAULT_SCALES: Tuple[Tuple[float, float, int], ...] = (
@@ -40,23 +38,14 @@ def run_scaling_study(
     for scale, rate, nodes in scales:
         trace = step_poisson_trace(rate, duration_s, variation=0.4,
                                    seed=seed + int(scale * 10))
-        results: Dict[str, RunResult] = {}
-        for policy in policies:
-            config = make_policy_config(policy, idle_timeout_ms=60_000.0)
-            predictor = None
-            if config.proactive_predictor == "lstm":
-                predictor = pretrained_predictor(
-                    "poisson", mean_rate_rps=rate
-                )
-            system = ServerlessSystem(
-                config=config,
-                mix=get_mix(mix_name),
-                cluster_spec=ClusterSpec(n_nodes=nodes, cores_per_node=16.0),
-                predictor=predictor,
+        out[scale] = {
+            policy: Scenario.make(
+                policy, mix=mix_name, trace=trace, rate_rps=rate,
+                cluster=ClusterSpec(n_nodes=nodes, cores_per_node=16.0),
                 seed=seed,
-            )
-            results[policy] = system.run(trace)
-        out[scale] = results
+            ).run()
+            for policy in policies
+        }
     return out
 
 

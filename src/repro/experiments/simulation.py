@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.policies import make_policy_config
-from repro.experiments.predictors import pretrained_predictor
 from repro.metrics.collector import RunResult
-from repro.runtime.system import ClusterSpec, ServerlessSystem
+from repro.runtime.system import ClusterSpec
+from repro.scenario import SCALED_IDLE_TIMEOUT_MS, Scenario
 from repro.traces import wiki_trace, wits_trace
 from repro.traces.base import ArrivalTrace
-from repro.workloads import get_mix
 
 #: Divide the paper's arrival rates by this factor (cluster shrinks too).
 RATE_SCALE = 15.0
@@ -32,7 +30,6 @@ WITS_AVG_RPS = 300.0
 WITS_PEAK_RPS = 1200.0
 
 DEFAULT_DURATION_S = 600.0
-DEFAULT_IDLE_TIMEOUT_MS = 60_000.0
 
 SIMULATION_POLICIES = ("bline", "sbatch", "rscale", "bpred", "fifer")
 
@@ -75,7 +72,7 @@ def run_trace_simulation(
     duration_s: float = DEFAULT_DURATION_S,
     rate_scale: float = RATE_SCALE,
     seed: int = 7,
-    idle_timeout_ms: float = DEFAULT_IDLE_TIMEOUT_MS,
+    idle_timeout_ms: float = SCALED_IDLE_TIMEOUT_MS,
 ) -> Dict[str, RunResult]:
     """Replay a scaled trace under each policy; {policy: result}.
 
@@ -83,25 +80,16 @@ def run_trace_simulation(
     an independently seeded trace of the same distribution — the
     paper's "pre-trained with 60% of the arrival trace input".
     """
-    policies = list(policies or SIMULATION_POLICIES)
     trace = make_scaled_trace(kind, duration_s, rate_scale, seed=seed)
-    cluster = simulation_cluster(rate_scale)
     mean_rate = (WIKI_AVG_RPS if kind == "wiki" else WITS_AVG_RPS) / rate_scale
-    results: Dict[str, RunResult] = {}
-    for policy in policies:
-        config = make_policy_config(policy, idle_timeout_ms=idle_timeout_ms)
-        predictor = None
-        if config.proactive_predictor == "lstm":
-            predictor = pretrained_predictor(kind, mean_rate_rps=mean_rate)
-        system = ServerlessSystem(
-            config=config,
-            mix=get_mix(mix_name),
-            cluster_spec=cluster,
-            predictor=predictor,
-            seed=seed,
-        )
-        results[policy] = system.run(trace)
-    return results
+    return {
+        policy: Scenario.make(
+            policy, mix=mix_name, trace=trace, trace_kind=kind,
+            rate_rps=mean_rate, cluster=simulation_cluster(rate_scale),
+            seed=seed, idle_timeout_ms=idle_timeout_ms,
+        ).run()
+        for policy in policies or SIMULATION_POLICIES
+    }
 
 
 def run_trace_all_mixes(

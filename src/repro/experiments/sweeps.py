@@ -9,18 +9,26 @@ the metric curves, so each choice's operating range can be mapped.
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.policies import RMConfig, make_policy_config
-from repro.experiments.predictors import pretrained_predictor
-from repro.metrics.collector import RunResult
-from repro.runtime.system import ClusterSpec, ServerlessSystem
+from repro.core.policies import RMConfig
+from repro.experiments.runner import ExperimentRunner, sweep_specs
+from repro.runtime.system import ClusterSpec
+from repro.scenario import SCALED_IDLE_TIMEOUT_MS, Scenario
 from repro.traces import step_poisson_trace
 from repro.traces.base import ArrivalTrace
-from repro.workloads import get_mix
 
-_CONFIG_FIELDS = {f.name for f in dataclass_fields(RMConfig)}
+
+def _grid(policy: str, field: str, values: Sequence, **members
+          ) -> List[Scenario]:
+    """One scenario per value of *field*, refused before anything runs
+    when ``RMConfig`` has no such field or does not admit a value."""
+    if not values:
+        raise ValueError("need at least one value to sweep")
+    grid = sweep_specs(policy, field, values, **members)
+    for scenario in grid:
+        scenario.config()
+    return grid
 
 
 def sweep_config_field(
@@ -36,37 +44,21 @@ def sweep_config_field(
     """Run *policy* once per value of *field*; {value: RunResult}.
 
     Every run shares the same trace, cluster and seed so the curve
-    isolates the knob under study.
+    isolates the knob under study.  The policy's stock config (the
+    paper's 10 min idle timeout) applies unless *base_overrides* say
+    otherwise; the trace's measured mean rate stands in for a nominal
+    one.
     """
-    if field not in _CONFIG_FIELDS:
-        raise ValueError(
-            f"{field!r} is not an RMConfig field; known: {sorted(_CONFIG_FIELDS)}"
-        )
-    if not values:
-        raise ValueError("need at least one value to sweep")
     trace = trace if trace is not None else step_poisson_trace(
         50.0, 240.0, variation=0.4, seed=seed
     )
-    cluster_spec = cluster_spec or ClusterSpec()
-    overrides = dict(base_overrides or {})
-    results: Dict = {}
-    for value in values:
-        overrides[field] = value
-        config = make_policy_config(policy, **overrides)
-        predictor = None
-        if config.proactive_predictor == "lstm":
-            predictor = pretrained_predictor(
-                "poisson", mean_rate_rps=trace.mean_rate_rps
-            )
-        system = ServerlessSystem(
-            config=config,
-            mix=get_mix(mix_name),
-            cluster_spec=cluster_spec,
-            predictor=predictor,
-            seed=seed,
-        )
-        results[value] = system.run(trace)
-    return results
+    grid = _grid(
+        policy, field, values, mix=mix_name, trace=trace,
+        rate_rps=trace.mean_rate_rps, cluster=cluster_spec or ClusterSpec(),
+        seed=seed, overrides=tuple({
+            "idle_timeout_ms": RMConfig.idle_timeout_ms,
+            **(base_overrides or {})}.items()))
+    return {value: scenario.run() for value, scenario in zip(values, grid)}
 
 
 def sweep_config_field_parallel(
@@ -91,31 +83,14 @@ def sweep_config_field_parallel(
     disk cache).  All points share the trace kind/rate/seed so the
     curve still isolates the knob under study.
     """
-    if field not in _CONFIG_FIELDS:
-        raise ValueError(
-            f"{field!r} is not an RMConfig field; known: {sorted(_CONFIG_FIELDS)}"
-        )
-    if not values:
-        raise ValueError("need at least one value to sweep")
-    from repro.experiments.runner import ExperimentRunner, sweep_specs
-
-    specs = sweep_specs(
-        policy,
-        field,
-        values,
-        mix=mix_name,
-        trace_kind=trace_kind,
-        rate_rps=rate_rps,
-        duration_s=duration_s,
-        seed=seed,
-        nodes=nodes,
-        overrides=tuple((base_overrides or {}).items()),
-    )
+    grid = _grid(
+        policy, field, values, mix=mix_name, trace_kind=trace_kind,
+        rate_rps=rate_rps, duration_s=duration_s, seed=seed, nodes=nodes,
+        overrides=tuple((base_overrides or {}).items()))
     runner = ExperimentRunner(
         workers=workers, cache_dir=cache_dir, use_cache=use_cache
     )
-    summaries = runner.run_summaries(specs)
-    return dict(zip(values, summaries))
+    return dict(zip(values, runner.run_summaries(grid)))
 
 
 def metric_curve(
@@ -143,7 +118,7 @@ def monitor_interval_sweep(
     """How sensitive is RScale to the 10 s monitoring choice?"""
     return sweep_config_field(
         "rscale", "monitor_interval_ms", intervals_ms,
-        base_overrides={"idle_timeout_ms": 60_000.0}, **kwargs,
+        base_overrides={"idle_timeout_ms": SCALED_IDLE_TIMEOUT_MS}, **kwargs,
     )
 
 
@@ -164,5 +139,5 @@ def max_batch_sweep(
     """Batch-size cap: 1 degenerates to non-batching."""
     return sweep_config_field(
         "rscale", "max_batch", caps,
-        base_overrides={"idle_timeout_ms": 60_000.0}, **kwargs,
+        base_overrides={"idle_timeout_ms": SCALED_IDLE_TIMEOUT_MS}, **kwargs,
     )

@@ -478,7 +478,9 @@ def run_policy(
     rebalance_interval_ms: Optional[float] = None,
     **config_overrides,
 ) -> RunResult:
-    """Convenience one-call runner used by examples and benches.
+    """Convenience one-call runner used by examples and benches: build
+    the :class:`~repro.scenario.Scenario` these arguments describe and
+    run it.
 
     Keyword arguments not consumed here override fields of the named
     policy's :class:`~repro.core.policies.RMConfig`.
@@ -488,44 +490,23 @@ def run_policy(
     orchestrator) and returns a
     :class:`~repro.shard.sim.ShardedRunResult`; ``shards=1`` — the
     default — never imports the shard machinery, so the single-gateway
-    path stays bit-identical.
+    path stays bit-identical.  An argument the sharded plane cannot hand
+    to every shard (``tracer``) is refused, never dropped.
     """
-    from repro.core.policies import make_policy_config
+    from repro.scenario import Scenario, Shards, fault_pairs
 
-    if shards > 1:
-        from repro.shard.sim import run_sharded_policy
-
-        return run_sharded_policy(
-            policy_name,
-            mix,
-            trace,
-            shards=shards,
-            shard_workers=shard_workers,
-            rebalance_interval_ms=rebalance_interval_ms,
-            cluster_spec=cluster_spec,
-            predictor=predictor,
-            seed=seed,
-            drain_ms=drain_ms,
-            shed_expired=shed_expired,
-            engine=engine,
-            faults=faults,
-            **config_overrides,
-        )
-
-    config = make_policy_config(policy_name, **config_overrides)
-    system = ServerlessSystem(
-        config=config,
-        mix=mix,
-        cluster_spec=cluster_spec,
-        predictor=predictor,
+    return Scenario.of(
+        policy_name, mix, trace, cluster_spec, seed,
+        drain_ms=drain_ms,
         cold_start_model=cold_start_model,
         power_model=power_model,
-        seed=seed,
-        drain_ms=drain_ms,
-        fault_model=fault_model,
-        tracer=tracer,
+        faults=fault_pairs(fault_model, faults),
         shed_expired=shed_expired,
-        faults=faults,
         engine=engine,
-    )
-    return system.run(trace)
+        shards=Shards(
+            n=shards,
+            workers=shard_workers,
+            rebalance_interval_ms=rebalance_interval_ms,
+        ),
+        **config_overrides,
+    ).run(tracer=tracer, predictor=predictor)

@@ -89,12 +89,11 @@ class ServeOptions:
             residual slack is already negative given the first stage's
             monitored queueing delay (the job cannot meet its SLO, so
             admitting it only burns capacity).
-        task_timeout: enforce a per-task execution timeout derived from
-            the stage slack and the task's residual slack; a worker
-            whose work function exceeds it is declared hung, crashed
-            and its task retried.
-        timeout_floor_wall_s: wall-clock grace added to every task
-            timeout, absorbing executor queueing and event-loop jitter
+        timeout_floor_wall_s: wall-clock grace added to every per-task
+            execution timeout (derived from the stage slack and the
+            task's residual slack; a worker whose work function exceeds
+            it is declared hung, crashed and its task retried),
+            absorbing executor queueing and event-loop jitter
             that compressed clocks would otherwise amplify into false
             hang verdicts.
         journal_dir: durability master switch.  When set, the runtime
@@ -104,8 +103,6 @@ class ServeOptions:
             ``None`` (default) keeps the exact pre-durability path.
         checkpoint_interval_ms: model-ms between control-plane
             snapshots (only meaningful with ``journal_dir``).
-        journal_fsync_batch: hop/retry records buffered between fsyncs
-            (admissions and terminal events always force a flush).
         drain_grace_ms: drain budget on *interrupted* shutdown
             (SIGTERM/SIGINT): in-flight jobs get this much model time
             to finish before the runtime flushes the journal, writes a
@@ -140,11 +137,9 @@ class ServeOptions:
     retry: RetryPolicy = RetryPolicy()
     faults: FaultConfig = FaultConfig()
     shed_expired: bool = False
-    task_timeout: bool = True
     timeout_floor_wall_s: float = 1.0
     journal_dir: Optional[str] = None
     checkpoint_interval_ms: float = 30_000.0
-    journal_fsync_batch: int = 32
     drain_grace_ms: Optional[float] = None
     shard_id: int = 0
     n_shards: int = 1
@@ -166,8 +161,6 @@ class ServeOptions:
             raise ValueError("timeout_floor_wall_s must be >= 0")
         if self.checkpoint_interval_ms <= 0:
             raise ValueError("checkpoint_interval_ms must be positive")
-        if self.journal_fsync_batch < 1:
-            raise ValueError("journal_fsync_batch must be >= 1")
         if self.drain_grace_ms is not None and self.drain_grace_ms < 0:
             raise ValueError("drain_grace_ms must be >= 0")
         if not self.journal_dir and self.faults.timeline.of(

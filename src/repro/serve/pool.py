@@ -74,7 +74,6 @@ class WorkerSlot(Container):
         work: Optional[WorkFn] = None,
         stage_slack_ms: float = 0.0,
         chaos: Optional[ChaosInjector] = None,
-        task_timeout: bool = True,
         timeout_floor_wall_s: float = 1.0,
         loop: Optional[asyncio.AbstractEventLoop] = None,
         **container,
@@ -84,7 +83,6 @@ class WorkerSlot(Container):
         self._work = work or default_work
         self.stage_slack_ms = stage_slack_ms
         self.chaos = chaos
-        self.task_timeout = task_timeout
         self.timeout_floor_wall_s = timeout_floor_wall_s
         self._loop = loop or asyncio.get_running_loop()
         self._future: Optional[Future] = None
@@ -118,7 +116,7 @@ class WorkerSlot(Container):
 
     # -- driver: one execution ---------------------------------------------
 
-    def _timeout_wall_s(self, task: "Task", exec_ms: float) -> Optional[float]:
+    def _timeout_wall_s(self, task: "Task", exec_ms: float) -> float:
         """Execution budget for one attempt, in wall seconds.
 
         Model-time budget: twice the expected execution plus whichever
@@ -127,8 +125,6 @@ class WorkerSlot(Container):
         The wall-clock floor absorbs executor queueing and event-loop
         jitter so compressed clocks never produce false hang verdicts.
         """
-        if not self.task_timeout:
-            return None
         residual = max(0.0, task.available_slack_ms(self.clock.now))
         budget_ms = 2.0 * exec_ms + max(self.stage_slack_ms, residual)
         return self.clock.to_wall_s(budget_ms) + self.timeout_floor_wall_s
@@ -141,14 +137,13 @@ class WorkerSlot(Container):
                 exec_ms * self.chaos.crash_point, self._settle, task, "crash"
             )
             return
-        timeout_s = self._timeout_wall_s(task, exec_ms)
-        if timeout_s is not None:
-            self._timer = self._loop.call_later(
-                timeout_s, self._guarded, self._settle, task, "timeout"
-            )
+        self._timer = self._loop.call_later(
+            self._timeout_wall_s(task, exec_ms),
+            self._guarded, self._settle, task, "timeout",
+        )
         if fate == FATE_HANG:
-            # The work never returns; only the execution timeout (when
-            # enabled) recovers the slot.
+            # The work never returns; only the execution timeout
+            # recovers the slot.
             return
         self._future = self.executor.submit(
             self._work, task, self.clock.to_wall_s(exec_ms)
@@ -217,7 +212,6 @@ class WorkerPool(FunctionPool):
         work: Optional[WorkFn] = None,
         retry_manager: Optional[RetryManager] = None,
         chaos: Optional[ChaosInjector] = None,
-        task_timeout: bool = True,
         timeout_floor_wall_s: float = 1.0,
         **kwargs,
     ) -> None:
@@ -227,7 +221,6 @@ class WorkerPool(FunctionPool):
         self.work = work
         self.retry_manager = retry_manager
         self.chaos = chaos
-        self.task_timeout = task_timeout
         self.timeout_floor_wall_s = timeout_floor_wall_s
         #: Failures whose capacity the supervisor has not yet replaced.
         self._unreplaced_failures = 0
@@ -247,7 +240,6 @@ class WorkerPool(FunctionPool):
             work=self.work,
             stage_slack_ms=self.stage_slack_ms,
             chaos=self.chaos,
-            task_timeout=self.task_timeout,
             timeout_floor_wall_s=self.timeout_floor_wall_s,
         )
 

@@ -32,7 +32,7 @@ from repro.core.controlplane import (
     reclaim_idle_capacity,
     wire_scalers,
 )
-from repro.core.policies import RMConfig, make_policy_config
+from repro.core.policies import RMConfig
 from repro.metrics.collector import MetricsCollector, RunResult
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -179,7 +179,6 @@ class ServingRuntime:
                     self.options.journal_name
                     or journal_basename(
                         self.options.shard_id, self.options.n_shards)),
-                fsync_batch=self.options.journal_fsync_batch,
                 registry=self.registry,
             )
             self.checkpointer = CheckpointManager(
@@ -224,7 +223,6 @@ class ServingRuntime:
                 work=self.work,
                 retry_manager=self.retry_manager,
                 chaos=self.chaos,
-                task_timeout=self.options.task_timeout,
                 timeout_floor_wall_s=self.options.timeout_floor_wall_s,
                 on_task_finished=self._dispatch_task_finished,
                 fault_model=self.chaos.container_faults if self.chaos else None,
@@ -633,16 +631,13 @@ def serve_trace(
     tracer: Optional[Tracer] = None,
     **config_overrides,
 ) -> RunResult:
-    """Convenience one-call live runner, mirroring ``run_policy``."""
-    config = make_policy_config(policy_name, **config_overrides)
-    runtime = ServingRuntime(
-        config=config,
-        mix=mix,
-        cluster_spec=cluster_spec,
-        predictor=predictor,
-        seed=seed,
-        options=options,
-        work=work,
-        tracer=tracer,
-    )
-    return runtime.run(trace)
+    """Convenience one-call live runner, mirroring ``run_policy``: build
+    the :class:`~repro.scenario.Scenario` these arguments describe and
+    run it."""
+    from repro.scenario import Scenario
+
+    return Scenario.of(
+        policy_name, mix, trace, cluster_spec, seed,
+        live=options,
+        **config_overrides,
+    ).run(tracer=tracer, predictor=predictor, work=work)

@@ -1,14 +1,13 @@
 """Sharded *live* serving plane: one gateway process per shard.
 
-:func:`serve_sharded` is the live twin of
-:func:`repro.shard.sim.run_sharded_policy`'s process mode: the trace is
+:func:`serve_plane` — the run body of a
+:class:`~repro.scenario.Scenario` on the ``live-sharded`` plane, which
+:func:`serve_sharded` builds — is the live twin of
+:func:`repro.shard.sim.run_plane`'s process mode: the trace is
 partitioned by the same consistent-hash ring, then each shard runs a
 full :class:`~repro.serve.runtime.ServingRuntime` — its own asyncio
 gateway, scaler, journal and checkpoints — in a forked worker process
-over its slice of the cluster.  Fork is preferred (children inherit the
-parent's executor pipes, the "listener", and the already-primed trace
-caches); when only ``spawn`` exists everything in the payload pickles,
-so the plane still runs, just colder.
+over its slice of the cluster (:func:`repro.shard.sim.map_shards`).
 
 Durability artifacts are keyed by shard id
 (``journal-<i>.jsonl`` / ``checkpoint-<i>.json`` via
@@ -16,28 +15,28 @@ Durability artifacts are keyed by shard id
 one ``journal_dir`` without contending on a file — and the parent
 verifies per-shard journal conservation after the drain.
 
-``shards=1`` delegates to :func:`repro.serve.runtime.serve_trace`
-untouched, keeping the single-gateway live path bit-identical.
+With ``shards=1`` the scenario's plane is the single-gateway live one
+and nothing here touches the run.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.faults import FaultTimeline
 from repro.metrics.collector import RunResult
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.runtime.system import ClusterSpec
+from repro.scenario import Scenario, Shards
 from repro.serve.config import ServeOptions
-from repro.shard.ring import ConsistentHashRing, DEFAULT_VNODES
+from repro.shard.ring import ConsistentHashRing
 from repro.shard.sim import (
     ShardedRunResult,
-    _shard_seed,
-    partition_arrivals,
+    map_shards,
     plan_node_grants,
+    split_plane,
 )
 from repro.traces.base import ArrivalTrace
 from repro.workloads.mixes import WorkloadMix
@@ -184,11 +183,6 @@ class ShardedServeResult(ShardedRunResult):
 # failover: heartbeat replay, journal fencing, keyspace takeover
 # ----------------------------------------------------------------------
 
-#: Default model-ms between liveness beats when a kill is scripted and
-#: the caller did not pick a cadence.
-DEFAULT_HEARTBEAT_INTERVAL_MS = 1_000.0
-
-
 def plane_journal_conservation(
     journal_dir,
     shards: int,
@@ -222,11 +216,8 @@ def plane_journal_conservation(
 
 def _declare_from_heartbeats(
     directory: pathlib.Path,
-    shards: int,
+    shards: Shards,
     victim: int,
-    interval_ms: float,
-    miss_threshold: int,
-    hysteresis: int,
     registry: MetricsRegistry,
 ):
     """Drive the health monitor over the recorded beats; returns
@@ -244,8 +235,10 @@ def _declare_from_heartbeats(
 
     from repro.shard.failover import ShardHealthMonitor, heartbeat_basename
 
+    interval_ms = shards.heartbeat_interval_ms
+    miss_threshold = shards.heartbeat_miss_threshold
     beats: Dict[int, float] = {}
-    for shard_id in range(shards):
+    for shard_id in range(shards.n):
         try:
             doc = json.loads(
                 (directory / heartbeat_basename(shard_id)).read_text())
@@ -256,13 +249,13 @@ def _declare_from_heartbeats(
         sorted(beats),
         interval_ms=interval_ms,
         miss_threshold=miss_threshold,
-        hysteresis=hysteresis,
+        hysteresis=shards.failover_hysteresis,
         registry=registry,
     )
     for shard_id, beat in beats.items():
         monitor.record_heartbeat(shard_id, beat)
     t = beats[victim] + interval_ms * miss_threshold
-    for _ in range(miss_threshold + hysteresis + 4):
+    for _ in range(miss_threshold + shards.failover_hysteresis + 4):
         if victim in monitor.observe(t)["dead"]:
             return monitor, t
         t += interval_ms
@@ -272,21 +265,10 @@ def _declare_from_heartbeats(
 
 
 def _fail_over(
-    policy_name: str,
-    mix: WorkloadMix,
-    shards: int,
+    scenario: Scenario,
     victim: int,
     ring: ConsistentHashRing,
-    grants: List[int],
-    cluster_spec: ClusterSpec,
-    seed: int,
-    options: ServeOptions,
-    heartbeat_interval_ms: float,
-    miss_threshold: int,
-    hysteresis: int,
     registry: MetricsRegistry,
-    config_overrides: Dict,
-    predictor=None,
 ):
     """Adjudicate the death and recover the victim's keyspace.
 
@@ -297,21 +279,18 @@ def _fail_over(
 
     import numpy as np
 
-    from repro.core.policies import make_policy_config
     from repro.serve.journal import (
         JournalLockedError,
         RequestJournal,
         journal_basename,
     )
     from repro.serve.recovery import build_recovery_plan
-    from repro.serve.runtime import ServingRuntime
     from repro.shard.failover import EpochLease, assign_takeover
 
-    directory = pathlib.Path(options.journal_dir)
+    shards = scenario.shards
+    directory = pathlib.Path(scenario.live.journal_dir)
     _monitor, declare_ms = _declare_from_heartbeats(
-        directory, shards, victim, heartbeat_interval_ms,
-        miss_threshold, hysteresis, registry,
-    )
+        directory, shards, victim, registry)
 
     # Orchestrator-side fencing: the takeover instance claims the lease
     # (the dead holder's pid is gone) and bumps the epoch, so a zombie
@@ -324,7 +303,7 @@ def _fail_over(
     # — the owner pid is dead) and stamp a takeover marker.  A *live*
     # owner means the shard is merely slow: refuse, count, and fall
     # back to read-only replay without the marker.
-    victim_path = directory / journal_basename(victim, shards)
+    victim_path = directory / journal_basename(victim, shards.n)
     fence_taken = False
     try:
         fence = RequestJournal(victim_path, registry=registry)
@@ -338,46 +317,41 @@ def _fail_over(
         registry.counter("shard_takeover_fence_refused_total").inc()
 
     records = RequestJournal.read_records(victim_path)
-    slo_by_app = {app.name: app.slo_ms for app in mix.applications}
+    slo_by_app = {
+        app.name: app.slo_ms
+        for app in scenario.workload_mix().applications}
     plan = build_recovery_plan(
         records, declare_ms, lambda name: slo_by_app.get(name))
     remapped = ring.with_shard_removed(victim)
     requeues = assign_takeover(plan.requeue, remapped)
     expireds = assign_takeover(plan.expired, remapped)
 
+    grants = plan_node_grants(
+        scenario.cluster.n_nodes, shards.n, shards.initial_node_grants)
     results: Dict[int, RunResult] = {}
     snapshots: List[List[SnapshotRow]] = []
     for survivor in sorted(set(requeues) | set(expireds)):
-        runtime = ServingRuntime(
-            config=make_policy_config(policy_name, **config_overrides),
-            mix=mix,
-            cluster_spec=ClusterSpec(
-                n_nodes=grants[survivor],
-                cores_per_node=cluster_spec.cores_per_node,
-                memory_per_node_mb=cluster_spec.memory_per_node_mb,
-            ),
-            predictor=predictor,
+        shard = scenario.for_shard(survivor, grants[survivor])
+        name = f"takeover-{victim}-by-{survivor}"
+        runtime = replace(
+            shard,
             # Decorrelated from the survivor's own (dead) child run.
-            seed=_shard_seed(seed, survivor) + 104_729,
-            options=dataclasses.replace(
-                options,
-                shard_id=survivor,
-                n_shards=shards,
-                journal_name=f"takeover-{victim}-by-{survivor}.jsonl",
+            seed=shard.seed + 104_729,
+            live=replace(
+                shard.live,
+                journal_name=f"{name}.jsonl",
                 checkpoint_name=(
                     f"takeover-checkpoint-{victim}-by-{survivor}.json"),
                 clock_start_ms=declare_ms,
                 heartbeat_interval_ms=None,
                 # The takeover runtime replays no script: the plane's
                 # faults already happened on the victim's clock.
-                faults=dataclasses.replace(
-                    options.faults, timeline=FaultTimeline()),
+                faults=replace(shard.live.faults, timeline=FaultTimeline()),
             ),
-        )
+        ).runtime()
         runtime.recovered_plan = (
             requeues.get(survivor, []), expireds.get(survivor, []))
-        results[survivor] = runtime.run(ArrivalTrace(
-            np.empty(0), name=f"takeover-{victim}-by-{survivor}"))
+        results[survivor] = runtime.run(ArrivalTrace(np.empty(0), name=name))
         snapshots.append(snapshot_registry(runtime.registry))
 
     info = {
@@ -398,30 +372,66 @@ def _fail_over(
 # shard worker (runs in a forked child)
 # ----------------------------------------------------------------------
 
-def _serve_shard_worker(payload: Dict) -> Dict:
-    """Serve one shard's slice and return its result + metrics.
+def _serve_shard_worker(shard: Scenario):
+    """Serve one shard's slice; returns ``(result, registry snapshot)``.
 
     Module-level so the spawn start method can import it; under fork it
     simply inherits the parent image.
     """
-    from repro.core.policies import make_policy_config
-    from repro.serve.runtime import ServingRuntime
+    runtime = shard.runtime()
+    result = runtime.run(shard.arrivals())
+    return result, snapshot_registry(runtime.registry)
 
-    config = make_policy_config(payload["policy"], **payload["overrides"])
-    runtime = ServingRuntime(
-        config=config,
-        mix=payload["mix"],
-        cluster_spec=payload["cluster_spec"],
-        predictor=payload["predictor"],
-        seed=payload["seed"],
-        options=payload["options"],
+
+def serve_plane(scenario: Scenario) -> "ShardedServeResult":
+    """The ``live-sharded`` run body: one process per shard, each
+    running its per-shard scenario (the predictor is shipped to every
+    child, which guards and advances its own copy).
+
+    Every shard replays the scenario's timeline; node events are refused
+    (the cluster is split, so one node id would hit a different node per
+    shard).  One ``kill-shard`` event naming one shard scripts its
+    death: its gateway goes permanently dead mid-run, and after the
+    plane drains the parent adjudicates the death from the heartbeat
+    record (``heartbeat_miss_threshold`` misses, ``failover_hysteresis``
+    consecutive evaluations), fences the dead shard's journal and the
+    orchestrator lease, and replays the WAL so the ring's survivors
+    complete every in-flight job exactly once in takeover runtimes.
+    """
+    n_shards = scenario.shards.n
+    ring, parts = split_plane(scenario, shrink=True)
+    outcomes = map_shards(_serve_shard_worker, parts, n_shards)
+
+    per_shard: Dict[int, RunResult] = {
+        shard_id: result
+        for (shard_id, *_), (result, _rows) in zip(parts, outcomes)}
+    snapshots: List[Optional[List[SnapshotRow]]] = [
+        rows for _result, rows in outcomes]
+
+    kills = scenario.timeline.of("kill-shard")
+    victim: Optional[int] = kills[0].ids[0] if kills else None
+    takeover: Dict[int, RunResult] = {}
+    failover_info: Dict = {}
+    if victim is not None:
+        takeover, failover_info, extra = _fail_over(
+            scenario, victim, ring, MetricsRegistry())
+        snapshots.extend(extra)
+    merged = merge_registry_snapshots(snapshots)
+
+    journal: Dict[int, Dict] = {}
+    if scenario.live.journal_dir:
+        journal = plane_journal_conservation(
+            scenario.live.journal_dir, n_shards, victim=victim)
+
+    return ShardedServeResult(
+        per_shard=per_shard,
+        mode="live",
+        orchestration={"ticks": 0, "rebalances": 0, "nodes_moved": 0},
+        registry=merged,
+        journal=journal,
+        takeover=takeover,
+        failover=failover_info,
     )
-    result = runtime.run(payload["trace"])
-    return {
-        "shard_id": payload["shard_id"],
-        "result": result,
-        "registry": snapshot_registry(runtime.registry),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -438,136 +448,30 @@ def serve_sharded(
     seed: int = 0,
     options: ServeOptions = ServeOptions(),
     initial_node_grants: Optional[Sequence[int]] = None,
-    vnodes: int = DEFAULT_VNODES,
-    heartbeat_interval_ms: Optional[float] = None,
+    heartbeat_interval_ms: float = Shards.heartbeat_interval_ms,
     heartbeat_miss_threshold: int = 3,
     failover_hysteresis: int = 2,
     **config_overrides,
 ):
-    """Serve *trace* on an N-gateway live plane, one process per shard.
+    """Serve *trace* on an N-gateway live plane: build the
+    :class:`~repro.scenario.Scenario` these arguments describe and run
+    it (:func:`serve_plane` has the plane's semantics).
 
     Returns a plain :class:`RunResult` for ``shards=1`` (the exact
     single-gateway path) and a :class:`ShardedServeResult` otherwise.
     The caller's *options* apply to every shard; ``shard_id``/
     ``n_shards`` are stamped per child and must be left at their
-    defaults here.  *predictor* (as in ``serve_trace``: a pre-trained
-    forecaster for the policies that need one) is shipped to every
-    child, which guards and advances its own copy.
-
-    Every shard replays ``options.faults.timeline``; node events are
-    refused (the cluster is split, so one node id would hit a different
-    node per shard).  One ``kill-shard`` event naming one shard scripts
-    its death: its gateway goes permanently dead mid-run, and after the
-    plane drains the parent adjudicates the death from the heartbeat
-    record (``heartbeat_miss_threshold`` misses, ``failover_hysteresis``
-    consecutive evaluations), fences the dead shard's journal and the
-    orchestrator lease, and replays the WAL so the ring's survivors
-    complete every in-flight job exactly once in takeover runtimes.
+    defaults here.
     """
-    from repro.serve.runtime import serve_trace
-
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if (options.shard_id, options.n_shards) != (0, 1):
-        raise ValueError(
-            "serve_sharded assigns shard identities itself; pass "
-            "options with the default shard_id=0, n_shards=1")
-    if shards == 1:
-        return serve_trace(
-            policy_name, mix, trace, cluster_spec=cluster_spec,
-            predictor=predictor, seed=seed, options=options,
-            **config_overrides,
-        )
-    kills = options.faults.timeline.validate(
-        "live-sharded", n_shards=shards).of("kill-shard")
-    victim: Optional[int] = None
-    if kills:
-        if len(kills) > 1 or len(kills[0].ids) > 1:
-            raise ValueError(
-                "the live plane fails over one shard per run; script one "
-                "kill-shard event naming one shard")
-        victim = kills[0].ids[0]
-        if heartbeat_interval_ms is None:
-            heartbeat_interval_ms = DEFAULT_HEARTBEAT_INTERVAL_MS
-
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    ring = ConsistentHashRing(shards, vnodes=vnodes)
-    parts = partition_arrivals(trace, ring)
-    grants = plan_node_grants(
-        cluster_spec.n_nodes, shards, initial_node_grants)
-
-    payloads = []
-    for (shard_id, sub, _ids), grant in zip(parts, grants):
-        shard_options = dataclasses.replace(
-            options, shard_id=shard_id, n_shards=shards)
-        if victim is not None:
-            shard_options = dataclasses.replace(
-                shard_options, heartbeat_interval_ms=heartbeat_interval_ms)
-        payloads.append({
-            "shard_id": shard_id,
-            "policy": policy_name,
-            "mix": mix,
-            "trace": sub,
-            "cluster_spec": ClusterSpec(
-                n_nodes=grant,
-                cores_per_node=cluster_spec.cores_per_node,
-                memory_per_node_mb=cluster_spec.memory_per_node_mb,
-            ),
-            "predictor": predictor,
-            "seed": _shard_seed(seed, shard_id),
-            "options": shard_options,
-            "overrides": config_overrides,
-        })
-
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else None)
-    with ProcessPoolExecutor(max_workers=shards, mp_context=ctx) as ex:
-        outcomes = list(ex.map(_serve_shard_worker, payloads))
-
-    per_shard: Dict[int, RunResult] = {
-        o["shard_id"]: o["result"] for o in outcomes
-    }
-    snapshots: List[Optional[List[SnapshotRow]]] = [
-        o["registry"] for o in outcomes
-    ]
-
-    takeover: Dict[int, RunResult] = {}
-    failover_info: Dict = {}
-    if victim is not None:
-        failover_registry = MetricsRegistry()
-        takeover, failover_info, extra = _fail_over(
-            policy_name=policy_name,
-            mix=mix,
-            shards=shards,
-            victim=victim,
-            ring=ring,
-            grants=grants,
-            cluster_spec=cluster_spec,
-            predictor=predictor,
-            seed=seed,
-            options=options,
+    return Scenario.of(
+        policy_name, mix, trace, cluster_spec, seed,
+        live=options,
+        shards=Shards(
+            n=shards,
+            initial_node_grants=initial_node_grants,
             heartbeat_interval_ms=heartbeat_interval_ms,
-            miss_threshold=heartbeat_miss_threshold,
-            hysteresis=failover_hysteresis,
-            registry=failover_registry,
-            config_overrides=config_overrides,
-        )
-        snapshots.extend(extra)
-    merged = merge_registry_snapshots(snapshots)
-
-    journal: Dict[int, Dict] = {}
-    if options.journal_dir:
-        journal = plane_journal_conservation(
-            options.journal_dir, shards, victim=victim)
-
-    return ShardedServeResult(
-        per_shard=per_shard,
-        mode="live",
-        orchestration={"ticks": 0, "rebalances": 0, "nodes_moved": 0},
-        registry=merged,
-        journal=journal,
-        takeover=takeover,
-        failover=failover_info,
-    )
+            heartbeat_miss_threshold=heartbeat_miss_threshold,
+            failover_hysteresis=failover_hysteresis,
+        ),
+        **config_overrides,
+    ).run(predictor=predictor)

@@ -1,13 +1,12 @@
 """Sharded simulation plane: N gateways over one partitioned keyspace.
 
-Three execution modes behind one entry point,
-:func:`run_sharded_policy`:
+Two execution modes behind :func:`run_plane`, the run body of a
+:class:`~repro.scenario.Scenario` on the ``sim-sharded`` plane
+(:func:`run_sharded_policy` builds that scenario; with ``shards=1`` its
+plane is the single-gateway one and no shard machinery touches the run,
+which keeps that path and its golden traces bit-identical):
 
-* ``shards=1`` — delegates straight to
-  :func:`repro.runtime.system.run_policy`.  No shard machinery touches
-  the run, which is what keeps the single-gateway path (and its golden
-  traces) bit-identical.
-* **In-process orchestrated** (default for ``shards>1``) — N systems,
+* **In-process orchestrated** (the default) — N systems,
   each owning a consistent-hash slice of the request ids and a
   full-size cluster with only its granted nodes uncordoned, stepped on
   one clock with the :class:`~repro.shard.orchestrator
@@ -23,14 +22,14 @@ Chain-stage routing: by default a shard owns a job's whole chain
 (``stage_routing="local"`` — Fifer packs chains, so affinity is the
 deployment that makes sense).  ``stage_routing="hash"`` re-routes every
 stage hop through the ring instead (event-loop engine only): hops
-landing on a foreign shard pay ``cross_shard_hop_ms`` and execute in
+landing on a foreign shard pay :data:`CROSS_SHARD_HOP_MS` and execute in
 the owning shard's pools, modelling a plane whose stages are
 partitioned independently of their jobs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,8 @@ from repro.cluster.faults import FaultTimeline
 from repro.core.poolsurface import PoolSurface
 from repro.metrics.collector import RunResult
 from repro.obs.registry import MetricsRegistry
-from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
+from repro.runtime.system import ClusterSpec, ServerlessSystem
+from repro.scenario import Scenario, Shards, fault_pairs
 from repro.serve.journal import MemoryJournal
 from repro.serve.recovery import build_recovery_plan
 from repro.shard.failover import (
@@ -54,17 +54,16 @@ from repro.shard.orchestrator import (
     ShardLoadReport,
     divide_surge_budget,
 )
-from repro.shard.ring import ConsistentHashRing, DEFAULT_VNODES
+from repro.shard.ring import ConsistentHashRing
 from repro.sim.engine import ENGINE_VECTOR, Simulator, resolve_engine
 from repro.sim.process import CoalescedTicker
 from repro.traces.base import ArrivalTrace
 from repro.workflow.lifecycle import LOST_DEAD, RequestLifecycle
-from repro.workflow.sharded_store import ShardedStateStore
 from repro.workloads.mixes import WorkloadMix
 
 #: Modelled one-way latency of a cross-shard stage hop (gateway →
 #: gateway RPC), added on top of the app's own transition overhead.
-DEFAULT_CROSS_SHARD_HOP_MS = 0.5
+CROSS_SHARD_HOP_MS = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +211,7 @@ class _ShardLifecycle(RequestLifecycle):
                 # identity check must accept its task signals.
                 owner.lifecycle.jobs[job.job_id] = self.jobs.pop(job.job_id)
                 self.later(
-                    shard.cross_shard_hop_ms,
+                    CROSS_SHARD_HOP_MS,
                     RequestLifecycle.enqueue_stage,
                     owner.lifecycle, job, stage_index,
                 )
@@ -232,7 +231,6 @@ class _ShardSystem(ServerlessSystem):
         self.ring: Optional[ConsistentHashRing] = None
         self.peers: Dict[int, "_ShardSystem"] = {}
         self.stage_routing = "local"
-        self.cross_shard_hop_ms = DEFAULT_CROSS_SHARD_HOP_MS
         self._route_seq = 0
         self._route_keys: Dict[int, int] = {}
         #: The plane driving heartbeats/takeover, or None (exact
@@ -295,10 +293,7 @@ class _ShardFaultPlane:
         handles: Dict[int, ShardHandle],
         orchestrators: List[GlobalOrchestrator],
         ring: ConsistentHashRing,
-        mix: WorkloadMix,
-        interval_ms: float,
-        miss_threshold: int,
-        hysteresis: int,
+        scenario: Scenario,
         registry: MetricsRegistry,
     ) -> None:
         self.sim = sim
@@ -308,13 +303,14 @@ class _ShardFaultPlane:
         self.ring = ring
         self.registry = registry
         self._slo_by_app = {
-            app.name: app.slo_ms for app in mix.applications
+            app.name: app.slo_ms
+            for app in scenario.workload_mix().applications
         }
         self.monitor = ShardHealthMonitor(
             sorted(systems),
-            interval_ms=interval_ms,
-            miss_threshold=miss_threshold,
-            hysteresis=hysteresis,
+            interval_ms=scenario.shards.heartbeat_interval_ms,
+            miss_threshold=scenario.shards.heartbeat_miss_threshold,
+            hysteresis=scenario.shards.failover_hysteresis,
             registry=registry,
         )
         for system in systems.values():
@@ -374,7 +370,7 @@ class _ShardFaultPlane:
                     "shard_rerouted_arrivals_total").inc()
                 owner.lifecycle.admit(
                     *system._draw_request(),
-                    extra_latency_ms=owner.cross_shard_hop_ms)
+                    extra_latency_ms=CROSS_SHARD_HOP_MS)
                 return
         # Degraded routing: the shard is dead but the takeover is not
         # yet in effect — shed with a counter, never silently.
@@ -419,7 +415,7 @@ class _ShardFaultPlane:
                 # Original id, arrival time and input scale: the SLO
                 # clock keeps running across the failover.
                 if survivor.lifecycle.requeue_recovered(
-                        entry, extra_latency_ms=survivor.cross_shard_hop_ms):
+                        entry, extra_latency_ms=CROSS_SHARD_HOP_MS):
                     survivor.registry.counter(
                         "shard_jobs_requeued_on_failover_total").inc()
         for owner_id, entries in sorted(
@@ -538,15 +534,27 @@ class ShardedRunResult:
 # execution modes
 # ----------------------------------------------------------------------
 
-def _shard_seed(seed: int, shard_id: int) -> int:
-    """Decorrelated per-shard seed (shards must not clone RNG streams)."""
-    return seed + 7919 * (shard_id + 1)
+def split_plane(scenario: Scenario, shrink: bool):
+    """The plane's ring and, per shard in ring order, ``(shard_id,
+    per-shard scenario holding its slice of the arrivals, request ids,
+    node grant)``.  *shrink* sizes each shard's cluster to its grant
+    (one process per shard); an in-process shard keeps the full-size
+    cluster and cordons what it was not granted."""
+    shards = scenario.shards
+    ring = ConsistentHashRing(shards.n)
+    grants = plan_node_grants(
+        scenario.cluster.n_nodes, shards.n, shards.initial_node_grants)
+    return ring, [
+        (shard_id,
+         replace(scenario.for_shard(shard_id, grant if shrink else None),
+                 trace=sub),
+         ids, grant)
+        for (shard_id, sub, ids), grant in zip(
+            partition_arrivals(scenario.arrivals(), ring), grants)]
 
 
-def _orchestration_summary(
-    orchestrator: GlobalOrchestrator, registry: MetricsRegistry
-) -> Dict:
-    store = orchestrator.store
+def _orchestration_summary(orchestrator: GlobalOrchestrator) -> Dict:
+    store, registry = orchestrator.store, orchestrator.registry
     return {
         "ticks": int(registry.value("orchestrator_ticks_total")),
         "rebalances": int(
@@ -561,54 +569,46 @@ def _orchestration_summary(
     }
 
 
-def _make_orchestrator(handles, orchestrator_args: Dict):
-    """Global orchestrator over *handles*, its registry, and each
-    shard's equal opening share of the global surge budget."""
-    registry = MetricsRegistry()
+def _make_orchestrator(handles, scenario: Scenario, primary=None):
+    """Global orchestrator over *handles*.  The primary also hands each
+    shard its equal opening share of the global surge budget; a warm
+    standby (*primary* given) shares the primary's store and registry."""
+    args = {"global_max_surge": max(0, scenario.config().max_surge)}
+    if scenario.shards.skew_threshold is not None:
+        args["skew_threshold"] = scenario.shards.skew_threshold
+    if primary is not None:
+        return GlobalOrchestrator(
+            handles, store=primary.store, registry=primary.registry, **args)
     orchestrator = GlobalOrchestrator(
-        handles, registry=registry, **orchestrator_args)
+        handles, registry=MetricsRegistry(), **args)
     if orchestrator.global_max_surge > 0:
         shares = divide_surge_budget(
             orchestrator.global_max_surge, [1.0] * len(handles))
         for handle, share in zip(handles, shares):
             handle.set_surge_budget(share)
-    return orchestrator, registry
+    return orchestrator
 
 
-def _run_inprocess_vector(
-    config_factory,
-    parts,
-    grants: List[int],
-    trace: ArrivalTrace,
-    orchestrator_args: Dict,
-    rebalance_interval_ms: Optional[float],
-    **system_kwargs,
-) -> ShardedRunResult:
+def _run_inprocess_vector(scenario: Scenario, parts) -> ShardedRunResult:
     """Epoch-stepped vector engines reconciled between epochs."""
     from repro.core.vectorized import epoch_boundaries
     from repro.runtime.vector import VectorEngine
 
     engines = {}
     handles = []
-    n_nodes = system_kwargs["cluster_spec"].n_nodes
-    for (shard_id, sub, _ids), grant in zip(parts, grants):
-        system = ServerlessSystem(
-            config=config_factory(),
-            engine="vector",
-            **dict(system_kwargs, seed=_shard_seed(
-                system_kwargs["seed"], shard_id)),
-        )
+    n_nodes = scenario.cluster.n_nodes
+    for shard_id, shard, _ids, grant in parts:
+        system = shard.system()
         system.cordoned_node_ids = list(range(grant, n_nodes))
-        engine = VectorEngine(system, sub)
+        engine = VectorEngine(system, shard.trace)
         engines[shard_id] = engine
         handles.append(_RunnerShardHandle(shard_id, engine))
 
-    orchestrator, orch_registry = _make_orchestrator(
-        handles, orchestrator_args)
-    interval = engines[next(iter(engines))].config.monitor_interval_ms
-    rebalance = rebalance_interval_ms or interval
+    orchestrator = _make_orchestrator(handles, scenario)
+    interval = scenario.config().monitor_interval_ms
+    rebalance = scenario.shards.rebalance_interval_ms or interval
 
-    horizon = trace.duration_ms + 1.0
+    horizon = scenario.arrivals().duration_ms + 1.0
     next_rebalance = rebalance
     for bound in epoch_boundaries(horizon, interval):
         for engine in engines.values():
@@ -617,10 +617,9 @@ def _run_inprocess_vector(
             orchestrator.reconcile(bound)
             next_rebalance += rebalance
     drained = horizon
-    drain_ms = system_kwargs["drain_ms"]
     while (
         not all(e.all_done() for e in engines.values())
-        and drained < horizon + drain_ms
+        and drained < horizon + scenario.drain_ms
     ):
         drained += interval
         for engine in engines.values():
@@ -628,90 +627,61 @@ def _run_inprocess_vector(
     return ShardedRunResult(
         per_shard={s: e.finish() for s, e in engines.items()},
         mode="inprocess",
-        orchestration=_orchestration_summary(orchestrator, orch_registry),
+        orchestration=_orchestration_summary(orchestrator),
     )
 
 
 def _run_inprocess_eventloop(
-    config_factory,
-    parts,
-    grants: List[int],
-    trace: ArrivalTrace,
-    orchestrator_args: Dict,
-    rebalance_interval_ms: Optional[float],
-    stage_routing: str,
-    cross_shard_hop_ms: float,
-    ring: ConsistentHashRing,
-    faults: FaultTimeline = FaultTimeline(),
-    heartbeat_interval_ms: float = 1_000.0,
-    heartbeat_miss_threshold: int = 3,
-    failover_hysteresis: int = 2,
-    **system_kwargs,
+    scenario: Scenario, parts, ring: ConsistentHashRing,
 ) -> ShardedRunResult:
     """N event-loop systems on one Simulator (multi-tenant pattern)."""
+    faults = scenario.timeline
     shard_events = faults.of("kill-shard", "recover-shard")
     orchestrator_kill = faults.of("kill-orchestrator")
     sim = Simulator()
     systems: Dict[int, _ShardSystem] = {}
     monitors = []
     handles = []
-    n_nodes = system_kwargs["cluster_spec"].n_nodes
-    config = config_factory()
-    ticker = CoalescedTicker(
-        sim, config.monitor_interval_ms, label="shard-monitor")
-    for (shard_id, sub, ids), grant in zip(parts, grants):
-        system = _ShardSystem(
-            config=config_factory(),
-            **dict(system_kwargs, seed=_shard_seed(
-                system_kwargs["seed"], shard_id)),
-        )
+    n_nodes = scenario.cluster.n_nodes
+    interval = scenario.config().monitor_interval_ms
+    ticker = CoalescedTicker(sim, interval, label="shard-monitor")
+    for shard_id, shard, ids, grant in parts:
+        system = shard.system(cls=_ShardSystem)
         system.cordoned_node_ids = list(range(grant, n_nodes))
         if shard_events:
             system._request_ids = iter(ids.tolist())
         systems[shard_id] = system
-        monitors.append(system.attach(sim, sub, ticker=ticker))
+        monitors.append(system.attach(sim, shard.trace, ticker=ticker))
     for shard_id, system in systems.items():
         system.shard_id = shard_id
         system.ring = ring
         system.peers = systems
-        system.stage_routing = stage_routing
-        system.cross_shard_hop_ms = cross_shard_hop_ms
+        system.stage_routing = scenario.shards.stage_routing
         handles.append(_RunnerShardHandle(shard_id, system))
 
-    orchestrator, orch_registry = _make_orchestrator(
-        handles, orchestrator_args)
+    orchestrator = _make_orchestrator(handles, scenario)
+    orch_registry = orchestrator.registry
     reconciler = orchestrator
     orchestrators = [orchestrator]
     if orchestrator_kill:
         # Warm standby sharing the primary's store: on failover it
         # re-derives shard pressure from the published reports.
-        standby = GlobalOrchestrator(
-            handles, registry=orch_registry,
-            **dict(orchestrator_args, store=orchestrator.store))
+        standby = _make_orchestrator(handles, scenario, primary=orchestrator)
         reconciler = OrchestratorSupervisor(
             orchestrator, standby,
             fail_primary_at_ms=orchestrator_kill[0].at_ms,
             registry=orch_registry,
         )
         orchestrators = [orchestrator, standby]
-    rebalance = rebalance_interval_ms or config.monitor_interval_ms
+    rebalance = scenario.shards.rebalance_interval_ms or interval
 
     plane: Optional[_ShardFaultPlane] = None
     plane_sub = None
     tick_fn = reconciler.reconcile
     if shard_events:
         plane = _ShardFaultPlane(
-            sim=sim,
-            systems=systems,
-            handles={h.shard_id: h for h in handles},
-            orchestrators=orchestrators,
-            ring=ring,
-            mix=system_kwargs["mix"],
-            interval_ms=heartbeat_interval_ms,
-            miss_threshold=heartbeat_miss_threshold,
-            hysteresis=failover_hysteresis,
-            registry=orch_registry,
-        )
+            sim, systems, {h.shard_id: h for h in handles}, orchestrators,
+            ring, scenario, orch_registry)
         for event in shard_events:
             act = (plane.crash_shard if event.kind == "kill-shard"
                    else plane.recover_shard)
@@ -721,7 +691,7 @@ def _run_inprocess_eventloop(
         # The health sweep gets its own (fine) cadence: death must be
         # declared within heartbeat intervals, not rebalance intervals.
         plane_sub = CoalescedTicker(
-            sim, heartbeat_interval_ms, label="shard-health"
+            sim, scenario.shards.heartbeat_interval_ms, label="shard-health"
         ).add(plane.sweep)
     if rebalance == ticker.interval:
         orch_sub = ticker.add(tick_fn)
@@ -736,12 +706,11 @@ def _run_inprocess_eventloop(
         # holds for the aggregate.
         return sum(s.in_flight for s in systems.values()) <= 0
 
-    horizon = trace.duration_ms + 1.0
+    horizon = scenario.arrivals().duration_ms + 1.0
     sim.run(until=horizon)
     drained = horizon
-    drain_ms = system_kwargs["drain_ms"]
-    while not settled() and drained < horizon + drain_ms:
-        drained += config.monitor_interval_ms
+    while not settled() and drained < horizon + scenario.drain_ms:
+        drained += interval
         sim.run(until=drained)
     for monitor in monitors:
         monitor.stop()
@@ -751,7 +720,7 @@ def _run_inprocess_eventloop(
     result = ShardedRunResult(
         per_shard={s: sys_.finalize() for s, sys_ in systems.items()},
         mode="inprocess",
-        orchestration=_orchestration_summary(orchestrator, orch_registry),
+        orchestration=_orchestration_summary(orchestrator),
     )
     result.orchestration["cross_shard_hops"] = int(sum(
         s.registry.value("shard_cross_stage_hops_total")
@@ -783,68 +752,48 @@ def _run_inprocess_eventloop(
     return result
 
 
-def _shard_worker(payload: Dict) -> RunResult:
-    """Run one shard's static partition in a worker process."""
-    return run_policy(
-        payload["policy"],
-        payload["mix"],
-        payload["trace"],
-        cluster_spec=payload["cluster_spec"],
-        seed=payload["seed"],
-        drain_ms=payload["drain_ms"],
-        engine=payload["engine"],
-        shed_expired=payload["shed_expired"],
-        **payload["overrides"],
-    )
-
-
-def _run_processes(
-    policy_name: str,
-    mix: WorkloadMix,
-    parts,
-    grants: List[int],
-    shard_workers: int,
-    engine: Optional[str],
-    shed_expired: bool,
-    cluster_spec: ClusterSpec,
-    seed: int,
-    drain_ms: float,
-    overrides: Dict,
-) -> ShardedRunResult:
-    """One process per shard over a static partition (no rebalance)."""
+def map_shards(worker, parts, processes: int) -> List:
+    """*worker* applied to every per-shard scenario of *parts*, each in
+    a worker process.  Fork is preferred (children inherit the parent's
+    already-primed trace caches); when only ``spawn`` exists every
+    per-shard scenario pickles, so the plane still runs, just colder."""
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
-    payloads = []
-    for (shard_id, sub, _ids), grant in zip(parts, grants):
-        payloads.append({
-            "policy": policy_name,
-            "mix": mix,
-            "trace": sub,
-            "cluster_spec": ClusterSpec(
-                n_nodes=grant,
-                cores_per_node=cluster_spec.cores_per_node,
-                memory_per_node_mb=cluster_spec.memory_per_node_mb,
-            ),
-            "seed": _shard_seed(seed, shard_id),
-            "drain_ms": drain_ms,
-            "engine": engine,
-            "shed_expired": shed_expired,
-            "overrides": overrides,
-        })
     methods = mp.get_all_start_methods()
     ctx = mp.get_context("fork" if "fork" in methods else None)
-    workers = min(shard_workers, len(payloads))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
-        results = list(ex.map(_shard_worker, payloads))
-    return ShardedRunResult(
-        per_shard={
-            shard_id: result
-            for (shard_id, _sub, _ids), result in zip(parts, results)
-        },
-        mode="processes",
-        orchestration={"ticks": 0, "rebalances": 0, "nodes_moved": 0},
-    )
+    with ProcessPoolExecutor(
+            max_workers=min(processes, len(parts)), mp_context=ctx) as ex:
+        return list(ex.map(
+            worker, [shard for _sid, shard, _ids, _grant in parts]))
+
+
+def _shard_worker(shard: Scenario) -> RunResult:
+    """Run one shard's static partition in a worker process."""
+    return shard.run()
+
+
+def run_plane(scenario: Scenario) -> ShardedRunResult:
+    """The ``sim-sharded`` run body (the module docstring has the
+    modes).  The timeline's ``kill-shard`` / ``recover-shard`` events
+    run the self-healing protocol — heartbeat health monitoring, ring
+    remap, journal-driven keyspace takeover; ``kill-orchestrator`` fails
+    over to a warm standby restored from the sharded store.  Both need
+    the in-process event-loop plane, which the scenario's build-time
+    check already established."""
+    processes = scenario.shards.workers > 1
+    ring, parts = split_plane(scenario, shrink=processes)
+    if processes:
+        # One process per shard over a static partition (no rebalance).
+        results = map_shards(_shard_worker, parts, scenario.shards.workers)
+        return ShardedRunResult(
+            per_shard={sid: r for (sid, *_), r in zip(parts, results)},
+            mode="processes",
+            orchestration={"ticks": 0, "rebalances": 0, "nodes_moved": 0},
+        )
+    if resolve_engine(scenario.engine) == ENGINE_VECTOR:
+        return _run_inprocess_vector(scenario, parts)
+    return _run_inprocess_eventloop(scenario, parts, ring)
 
 
 # ----------------------------------------------------------------------
@@ -865,114 +814,37 @@ def run_sharded_policy(
     shard_workers: int = 1,
     rebalance_interval_ms: Optional[float] = None,
     stage_routing: str = "local",
-    cross_shard_hop_ms: float = DEFAULT_CROSS_SHARD_HOP_MS,
     initial_node_grants: Optional[Sequence[int]] = None,
-    vnodes: int = DEFAULT_VNODES,
-    skew_threshold: float = 2.0,
-    max_moves_per_tick: int = 1,
-    store: Optional[ShardedStateStore] = None,
+    skew_threshold: Optional[float] = None,
     faults: FaultTimeline = FaultTimeline(),
-    heartbeat_interval_ms: float = 1_000.0,
+    heartbeat_interval_ms: float = Shards.heartbeat_interval_ms,
     heartbeat_miss_threshold: int = 3,
     failover_hysteresis: int = 2,
     **config_overrides,
 ):
-    """Run *policy_name* over *trace* on an N-shard serving plane.
+    """Run *policy_name* over *trace* on an N-shard serving plane: build
+    the :class:`~repro.scenario.Scenario` these arguments describe and
+    run it (:func:`run_plane` has the plane's semantics).
 
     Returns a plain :class:`RunResult` for ``shards=1`` (the exact
     single-gateway path) and a :class:`ShardedRunResult` otherwise.
-
-    ``faults`` scripts the plane's failures.  On ``kill-shard`` /
-    ``recover-shard`` events the plane runs the self-healing protocol —
-    heartbeat health monitoring with ``heartbeat_miss_threshold``
-    misses and ``failover_hysteresis`` consecutive evaluations before
-    any declaration, ring remap, and journal-driven keyspace takeover;
-    a ``kill-orchestrator`` event kills the global orchestrator at that
-    instant and fails over to a warm standby restored from the sharded
-    store.  Both require the in-process event-loop plane.
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if stage_routing not in ("local", "hash"):
-        raise ValueError(
-            f"stage_routing must be 'local' or 'hash', "
-            f"got {stage_routing!r}")
-    if heartbeat_interval_ms <= 0:
-        raise ValueError("heartbeat_interval_ms must be positive")
-    faults.validate("sim-sharded", n_shards=shards)
-    if faults:
-        if shard_workers > 1:
-            raise ValueError(
-                "shard faults need the in-process plane "
-                "(shard_workers=1): isolated processes cannot run "
-                "the takeover protocol")
-        if resolve_engine(engine) == ENGINE_VECTOR:
-            raise ValueError(
-                "shard faults are an event-loop feature; "
-                "use engine='fast'")
-        if stage_routing == "hash":
-            raise ValueError(
-                "shard faults with hash stage routing are unsupported: "
-                "a job's stages would outlive its journal owner")
-    if shards == 1:
-        return run_policy(
-            policy_name, mix, trace,
-            cluster_spec=cluster_spec, predictor=predictor, seed=seed,
-            drain_ms=drain_ms, engine=engine,
-            shed_expired=shed_expired, **config_overrides,
-        )
-
-    ring = ConsistentHashRing(shards, vnodes=vnodes)
-    parts = partition_arrivals(trace, ring)
-    grants = plan_node_grants(
-        cluster_spec.n_nodes, shards, initial_node_grants)
-
-    if shard_workers > 1:
-        if stage_routing == "hash":
-            raise ValueError(
-                "hash stage routing needs the in-process plane "
-                "(shard_workers=1): isolated processes cannot "
-                "exchange stage hops")
-        return _run_processes(
-            policy_name, mix, parts, grants, shard_workers,
-            engine, shed_expired, cluster_spec, seed,
-            drain_ms, config_overrides,
-        )
-
-    from repro.core.policies import make_policy_config
-
-    def config_factory():
-        return make_policy_config(policy_name, **config_overrides)
-
-    orchestrator_args = {
-        "store": store,
-        "skew_threshold": skew_threshold,
-        "max_moves_per_tick": max_moves_per_tick,
-        "global_max_surge": max(0, config_factory().max_surge),
-    }
-    system_kwargs = {
-        "mix": mix,
-        "cluster_spec": cluster_spec,
-        "predictor": predictor,
-        "seed": seed,
-        "drain_ms": drain_ms,
-        "shed_expired": shed_expired,
-    }
-    if resolve_engine(engine) == ENGINE_VECTOR:
-        if stage_routing == "hash":
-            raise ValueError(
-                "hash stage routing is an event-loop feature; "
-                "use engine='fast'")
-        return _run_inprocess_vector(
-            config_factory, parts, grants, trace, orchestrator_args,
-            rebalance_interval_ms, **system_kwargs,
-        )
-    return _run_inprocess_eventloop(
-        config_factory, parts, grants, trace, orchestrator_args,
-        rebalance_interval_ms, stage_routing, cross_shard_hop_ms, ring,
-        faults=faults,
-        heartbeat_interval_ms=heartbeat_interval_ms,
-        heartbeat_miss_threshold=heartbeat_miss_threshold,
-        failover_hysteresis=failover_hysteresis,
-        **system_kwargs,
-    )
+    return Scenario.of(
+        policy_name, mix, trace, cluster_spec, seed,
+        drain_ms=drain_ms,
+        engine=engine,
+        shed_expired=shed_expired,
+        faults=fault_pairs(timeline=faults),
+        shards=Shards(
+            n=shards,
+            workers=shard_workers,
+            rebalance_interval_ms=rebalance_interval_ms,
+            stage_routing=stage_routing,
+            initial_node_grants=initial_node_grants,
+            skew_threshold=skew_threshold,
+            heartbeat_interval_ms=heartbeat_interval_ms,
+            heartbeat_miss_threshold=heartbeat_miss_threshold,
+            failover_hysteresis=failover_hysteresis,
+        ),
+        **config_overrides,
+    ).run(predictor=predictor)

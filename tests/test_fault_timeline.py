@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from repro.cli import build_parser, main
 from repro.cluster.faults import KINDS, PLANE_KINDS, FaultEvent, FaultTimeline
 from repro.core.policies import make_policy_config
-from repro.experiments.runner import ExperimentRunner, TrialSpec
+from repro.experiments.runner import ExperimentRunner
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
+from repro.scenario import Scenario
 from repro.serve import FaultConfig, ServeOptions, ServingRuntime
 from repro.serve import faults as serve_faults
 from repro.shard import run_sharded_policy, serve_sharded
@@ -187,7 +188,7 @@ def test_entry_points_refuse_at_build_time(tmp_path):
 
 def test_trial_spec_rejects_unknown_fault_keys():
     with pytest.raises(ValueError, match="node_fault_schedul.*timeline"):
-        TrialSpec.make(
+        Scenario.make(
             "rscale", faults=(("node_fault_schedul", "kill-node@1=0"),))
 
 
@@ -196,9 +197,9 @@ def test_no_fault_cache_keys_are_unchanged():
 
     # Computed at the parent commit: specs without a scripted timeline
     # keep their cache entries (no CACHE_FORMAT_VERSION bump).
-    assert config_hash(TrialSpec.make("rscale")) == (
+    assert config_hash(Scenario.make("rscale")) == (
         "b0cd21059f9ddb74dc5365f6a665ee3b0cc79a46bb217db2a2aef8cca666b5a5")
-    assert config_hash(TrialSpec.make(
+    assert config_hash(Scenario.make(
         "fifer", faults=(("diverge_after", 3),), mape_threshold=0.5, seed=9,
     )) == "75eb3844a268aeb212c9987e8d3b8b1ee691d01bdf54dc2df8c534e29f1cc927"
 
@@ -272,19 +273,19 @@ def test_cli_run_faults_reach_the_system(monkeypatch, capsys, extra, n_systems):
 
 
 def test_cli_run_shards_faults_reach_the_plane(monkeypatch, capsys):
-    import repro.shard
+    import repro.shard.sim
 
-    seen = {}
-    real = repro.shard.run_sharded_policy
+    seen = []
+    real = repro.shard.sim.run_plane
 
-    def spy(*args, **kwargs):
-        seen.update(kwargs)
-        return real(*args, **kwargs)
+    def spy(scenario):
+        seen.append(scenario.timeline)
+        return real(scenario)
 
-    monkeypatch.setattr(repro.shard, "run_sharded_policy", spy)
+    monkeypatch.setattr(repro.shard.sim, "run_plane", spy)
     spec = "kill-shard@1=1;kill-orchestrator@2"
     assert main(RUN + ["--shards", "2", "--faults", spec]) == 0
-    assert seen["faults"] == FaultTimeline.parse(spec)
+    assert seen == [FaultTimeline.parse(spec)]
     assert "failover:" in capsys.readouterr().out
 
 
@@ -300,19 +301,19 @@ def test_cli_serve_faults_reach_the_options(monkeypatch, capsys):
 def test_cli_serve_shards_faults_reach_the_plane(monkeypatch, tmp_path):
     import repro.shard.live
 
-    seen = {}
+    seen = []
 
-    def spy(*args, **kwargs):
-        seen.update(kwargs)
+    def spy(scenario):
+        seen.append(scenario)
         raise ValueError("captured")
 
-    monkeypatch.setattr(repro.shard.live, "serve_sharded", spy)
+    monkeypatch.setattr(repro.shard.live, "serve_plane", spy)
     with pytest.raises(SystemExit, match="captured"):
         main(SERVE + ["--shards", "2", "--journal-dir", str(tmp_path),
                       "--faults", "kill-shard@1=1"])
-    assert seen["options"].faults.timeline \
+    assert seen[0].live.faults.timeline \
         == FaultTimeline.parse("kill-shard@1=1")
-    assert seen["shards"] == 2
+    assert seen[0].shards.n == 2
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -372,7 +373,7 @@ def test_single_run_and_runner_paths_agree(monkeypatch, capsys):
 
     monkeypatch.setattr(ServerlessSystem, "run", spy)
     assert main(RUN + ["--seed", "3", "--faults", spec]) == 0
-    trial = TrialSpec.make(
+    trial = Scenario.make(
         "rscale", mix="light", trace_kind="poisson", rate_rps=3.0,
         duration_s=3.0, nodes=2, seed=3, faults=(("timeline", spec),))
     assert ExperimentRunner().run([trial])[0].summary == summaries[0]

@@ -8,7 +8,6 @@ import pytest
 from repro.experiments.runner import (
     CACHE_FORMAT_VERSION,
     ExperimentRunner,
-    TrialSpec,
     config_hash,
     derive_seeds,
     repeat_specs,
@@ -16,6 +15,7 @@ from repro.experiments.runner import (
     summaries_json,
     sweep_specs,
 )
+from repro.scenario import Scenario
 
 #: Small enough to keep the suite fast, big enough to exercise jobs.
 TINY = dict(mix="heavy", trace_kind="poisson", rate_rps=15.0,
@@ -28,59 +28,59 @@ def tiny_specs(n=2, policy="bline"):
 
 class TestSpecAndHash:
     def test_hash_is_stable_across_processes_and_order(self):
-        a = TrialSpec.make("rscale", seed=1,
-                           overrides=(("max_batch", 4), ("alpha", 2.0)))
-        b = TrialSpec.make("rscale", seed=1,
-                           overrides=(("alpha", 2.0), ("max_batch", 4)))
+        a = Scenario.make("rscale", seed=1,
+                          overrides=(("max_batch", 4), ("alpha", 2.0)))
+        b = Scenario.make("rscale", seed=1,
+                          overrides=(("alpha", 2.0), ("max_batch", 4)))
         assert a == b
         assert config_hash(a) == config_hash(b)
 
     def test_hash_distinguishes_every_field(self):
-        base = TrialSpec.make("rscale", **TINY)
+        base = Scenario.make("rscale", **TINY)
         variants = [
-            TrialSpec.make("bline", **TINY),
-            TrialSpec.make("rscale", **{**TINY, "rate_rps": 16.0}),
-            TrialSpec.make("rscale", **{**TINY, "nodes": 3}),
-            TrialSpec.make("rscale", seed=6, **TINY),
-            TrialSpec.make("rscale", overrides=(("max_batch", 2),), **TINY),
+            Scenario.make("bline", **TINY),
+            Scenario.make("rscale", **{**TINY, "rate_rps": 16.0}),
+            Scenario.make("rscale", **{**TINY, "nodes": 3}),
+            Scenario.make("rscale", seed=6, **TINY),
+            Scenario.make("rscale", overrides=(("max_batch", 2),), **TINY),
         ]
         hashes = {config_hash(s) for s in [base] + variants}
         assert len(hashes) == len(variants) + 1
 
     def test_make_folds_unknown_kwargs_into_overrides(self):
-        spec = TrialSpec.make("rscale", seed=2, max_batch=8)
+        spec = Scenario.make("rscale", seed=2, max_batch=8)
         assert spec.overrides == (("max_batch", 8),)
 
     def test_canonical_round_trips_through_json(self):
-        spec = TrialSpec.make("rscale", **TINY)
+        spec = Scenario.make("rscale", **TINY)
         assert json.loads(json.dumps(spec.canonical())) == spec.canonical()
 
     def test_hash_includes_fault_and_guardrail_config(self):
         """Regression: two trials differing only in injected faults or
         guard knobs must never share a cache entry."""
-        base = TrialSpec.make("rscale", **TINY)
+        base = Scenario.make("rscale", **TINY)
         variants = [
-            TrialSpec.make("rscale",
-                           faults=(("crash_probability", 0.1),), **TINY),
-            TrialSpec.make("rscale",
-                           faults=(("diverge_after", 3),), **TINY),
-            TrialSpec.make(
+            Scenario.make("rscale",
+                          faults=(("crash_probability", 0.1),), **TINY),
+            Scenario.make("rscale",
+                          faults=(("diverge_after", 3),), **TINY),
+            Scenario.make(
                 "rscale",
                 faults=(("timeline", "kill-node@30=0"),), **TINY),
-            TrialSpec.make("rscale", shed_expired=True, **TINY),
-            TrialSpec.make("rscale", mape_threshold=0.5, **TINY),
-            TrialSpec.make("rscale", max_surge=8, **TINY),
-            TrialSpec.make("rscale", spawn_retry_attempts=2, **TINY),
+            Scenario.make("rscale", shed_expired=True, **TINY),
+            Scenario.make("rscale", mape_threshold=0.5, **TINY),
+            Scenario.make("rscale", max_surge=8, **TINY),
+            Scenario.make("rscale", spawn_retry_attempts=2, **TINY),
         ]
         hashes = {config_hash(s) for s in [base] + variants}
         assert len(hashes) == len(variants) + 1
 
     def test_fault_order_does_not_change_the_hash(self):
-        a = TrialSpec.make(
+        a = Scenario.make(
             "rscale",
             faults=(("diverge_after", 3), ("crash_probability", 0.1)),
             **TINY)
-        b = TrialSpec.make(
+        b = Scenario.make(
             "rscale",
             faults=(("crash_probability", 0.1), ("diverge_after", 3)),
             **TINY)
@@ -157,8 +157,8 @@ class TestParallelRegression:
         assert replay.cache_hits == len(specs)
 
     def test_engine_field_is_not_part_of_the_cache_key(self):
-        base = TrialSpec.make("rscale", **TINY)
-        vector = TrialSpec.make("rscale", engine="vector", **TINY)
+        base = Scenario.make("rscale", **TINY)
+        vector = Scenario.make("rscale", engine="vector", **TINY)
         assert vector.engine == "vector"
         assert config_hash(base) == config_hash(vector)
         assert "engine" not in base.canonical()
@@ -166,8 +166,8 @@ class TestParallelRegression:
     def test_engine_cache_sharing_is_sound(self):
         # Sharing cache entries across engines is only valid because
         # the summaries are bit-identical; check it end to end.
-        base = TrialSpec.make("rscale", **TINY)
-        vector = TrialSpec.make("rscale", engine="vector", **TINY)
+        base = Scenario.make("rscale", **TINY)
+        vector = Scenario.make("rscale", engine="vector", **TINY)
         assert run_trial(base) == run_trial(vector)
 
 

@@ -555,26 +555,25 @@ def test_takeover_fence_refused_while_owner_lives(tmp_path):
         (directory / heartbeat_basename(shard_id)).write_text(
             json.dumps({"shard_id": shard_id, "t_ms": t, "pid": 1}))
 
+    from repro.scenario import Scenario, Shards
     from repro.shard.live import _fail_over
 
     registry = MetricsRegistry()
     results, info, _snapshots = _fail_over(
-        policy_name="rscale",
-        mix=get_mix("medium"),
-        shards=2,
+        Scenario.make(
+            "rscale", mix=get_mix("medium"), trace_kind=None,
+            cluster=ClusterSpec(n_nodes=4), seed=1,
+            live=ServeOptions(
+                time_scale=FAST, journal_dir=str(directory),
+                drain_timeout_ms=10_000.0),
+            shards=Shards(
+                n=2, initial_node_grants=[2, 2],
+                heartbeat_interval_ms=500.0, heartbeat_miss_threshold=2,
+                failover_hysteresis=1),
+            idle_timeout_ms=60_000.0),
         victim=1,
         ring=ConsistentHashRing(2),
-        grants=[2, 2],
-        cluster_spec=ClusterSpec(n_nodes=4),
-        seed=1,
-        options=ServeOptions(
-            time_scale=FAST, journal_dir=str(directory),
-            drain_timeout_ms=10_000.0),
-        heartbeat_interval_ms=500.0,
-        miss_threshold=2,
-        hysteresis=1,
         registry=registry,
-        config_overrides={"idle_timeout_ms": 60_000.0},
     )
     assert info["fence_taken"] is False
     assert registry.value("shard_takeover_fence_refused_total") == 1

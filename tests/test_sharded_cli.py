@@ -10,6 +10,7 @@ from repro.experiments.predictors import predictor_for_run
 from repro.runtime.system import ClusterSpec
 from repro.serve import ServeOptions
 from repro.shard.live import ShardedServeResult, serve_sharded
+from repro.shard.sim import run_sharded_policy
 from repro.traces import poisson_trace
 from repro.workloads import get_mix
 
@@ -19,10 +20,13 @@ SERVE = ["serve", "--shards", "2", "--duration", "3", "--rate", "5",
          "--trace", "poisson", "--time-scale", "0.05"]
 
 
-@pytest.mark.parametrize("argv", [RUN, SERVE], ids=["run", "serve"])
+@pytest.mark.parametrize(
+    "argv", [RUN, SERVE, RUN + ["--shard-workers", "2"]],
+    ids=["run", "serve", "run-processes"])
 def test_fifer_runs_on_the_sharded_plane(argv, capsys):
-    # Both exited with "policy 'fifer' needs a pre-trained 'lstm'
-    # predictor" (fifer is serve's default policy).
+    # All three exited with "policy 'fifer' needs a pre-trained 'lstm'
+    # predictor" (fifer is serve's default policy); the multi-process
+    # simulator was the last plane to be handed the forecaster.
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "fifer x2 shards" in out
@@ -41,6 +45,18 @@ def test_serve_sharded_ships_the_predictor_to_every_shard():
     assert sorted(result.per_shard) == [0, 1]
     assert result.n_jobs == len(trace.arrivals_ms)
     assert all(r.policy == "fifer" and r.n_completed == r.n_jobs
+               for r in result.per_shard.values())
+
+
+def test_shard_processes_are_handed_the_predictor():
+    trace = poisson_trace(rate_rps=10.0, duration_s=20.0, seed=4)
+    result = run_sharded_policy(
+        "fifer", get_mix("medium"), trace, shards=2, shard_workers=2,
+        cluster_spec=ClusterSpec(n_nodes=4), seed=4,
+        predictor=predictor_for_run("lstm", "poisson", 10.0))
+    assert result.mode == "processes" and sorted(result.per_shard) == [0, 1]
+    assert result.n_jobs == len(trace.arrivals_ms)
+    assert all(r.policy == "fifer" and r.n_jobs and r.n_completed == r.n_jobs
                for r in result.per_shard.values())
 
 
