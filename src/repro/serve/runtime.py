@@ -485,6 +485,14 @@ class ServingRuntime:
         try:
             self._build(executor)
             assert self.clock is not None and self.gateway is not None
+            # The plan is a per-arrival loop: built before the clock
+            # starts, or the first arrivals are late by its length.
+            self.replayer = TraceReplayer(
+                trace,
+                self.mix,
+                seed=self.seed,
+                input_scale_sampler=self.input_scale_sampler,
+            )
             self.clock.start()
             # Start from steady state, exactly like the simulator.
             prewarm_opening_capacity(
@@ -498,12 +506,6 @@ class ServingRuntime:
             fault_replay = loop.create_task(
                 replay_faults(self), name="fault-replay")
             heartbeats = self._start_heartbeats()
-            self.replayer = TraceReplayer(
-                trace,
-                self.mix,
-                seed=self.seed,
-                input_scale_sampler=self.input_scale_sampler,
-            )
             # The replayer resolves the gateway per arrival: a crash
             # mid-replay swaps the epoch under it transparently.
             self._stop_event = asyncio.Event()

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,16 @@ class RateProfile:
     def mean_rate(self) -> float:
         return float(self.rates_rps.mean())
 
+    def rates_at(self, times_ms: ArrayLike) -> np.ndarray:
+        """Rate (req/s) in effect at each of *times_ms* — the one bucket
+        lookup: a time reads the last bucket starting at or before it,
+        a negative time the first."""
+        idx = np.searchsorted(self.times_ms, times_ms, side="right") - 1
+        return self.rates_rps[np.maximum(idx, 0)]
+
     def rate_at(self, t_ms: float) -> float:
         """Rate (req/s) in effect at time *t_ms*."""
-        idx = int(np.searchsorted(self.times_ms, t_ms, side="right") - 1)
-        idx = max(0, min(idx, len(self.rates_rps) - 1))
-        return float(self.rates_rps[idx])
+        return float(self.rates_at(t_ms))
 
     def scaled(self, factor: float) -> "RateProfile":
         """A profile with every rate multiplied by *factor*."""
@@ -73,11 +79,9 @@ class RateProfile:
             more = rng.exponential(1.0 / lam_max_per_ms, size=n_draw)
             times = np.concatenate([times, times[-1] + np.cumsum(more)])
         times = times[times < duration_ms]
-        if times.size == 0:
-            return times
-        keep_prob = np.array([self.rate_at(t) for t in times]) / lam_max
-        accepted = times[rng.random(times.size) < keep_prob]
-        return np.sort(accepted)
+        keep_prob = self.rates_at(times) / lam_max
+        # A subset of a cumulative sum of non-negative gaps: still ordered.
+        return times[rng.random(times.size) < keep_prob]
 
 
 @dataclass

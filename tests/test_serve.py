@@ -453,6 +453,33 @@ class TestEndToEnd:
         assert runtime.shed_jobs == 0
         assert result.n_completed == result.n_jobs
 
+    def test_replay_plan_is_built_before_the_clock_starts(self, monkeypatch):
+        # The plan is a per-arrival Python loop; built after
+        # ``clock.start()`` it blocked the event loop while model time
+        # ran, so the first arrivals of every serve were late by it.
+        import repro.serve.runtime as runtime_module
+        from repro.core.policies import make_policy_config
+
+        runtime = ServingRuntime(
+            config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
+            mix=get_mix("light"),
+            seed=1,
+            options=ServeOptions(time_scale=FAST),
+            work=lambda task, wall_s: None,
+        )
+        clock_started = []
+
+        class RecordingReplayer(TraceReplayer):
+            def __init__(self, *args, **kwargs):
+                clock_started.append(runtime.clock.started)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runtime_module, "TraceReplayer", RecordingReplayer)
+        trace = poisson_trace(10.0, 1.0, seed=1)
+        result = runtime.run(trace)
+        assert clock_started == [False]
+        assert result.n_completed == result.n_jobs == len(trace)
+
     def test_no_leaked_threads_after_run(self):
         before = threading.active_count()
         serve_trace(

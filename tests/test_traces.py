@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.traces import (
     ArrivalTrace,
@@ -65,6 +66,57 @@ class TestRateProfile:
         first = np.sum(arrivals < 30_000.0)
         second = np.sum(arrivals >= 30_000.0)
         assert 2.5 < second / first < 6.0
+
+
+@st.composite
+def profiles_and_times(draw):
+    """A valid profile plus lookup times that lean on its corners:
+    negative, exactly on a bucket edge, one ulp either side of an edge,
+    past the last bucket, ``1e9``."""
+    widths = draw(st.lists(
+        st.floats(min_value=1e-3, max_value=1e6), min_size=0, max_size=8))
+    starts = np.concatenate([[0.0], np.cumsum(widths)])
+    rates = draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e4),
+        min_size=len(starts), max_size=len(starts)))
+    edge = st.sampled_from(list(starts))
+    times = draw(st.lists(st.one_of(
+        st.floats(min_value=-1e6, max_value=2e7),
+        edge,
+        edge.map(lambda t: float(np.nextafter(t, -np.inf))),
+        edge.map(lambda t: float(np.nextafter(t, np.inf))),
+        st.just(1e9),
+    ), min_size=0, max_size=20))
+    return RateProfile(starts, np.array(rates)), times
+
+
+class TestRateLookup:
+    """``rates_at`` is the only bucket lookup under ``traces/``."""
+
+    @staticmethod
+    def _reference(profile, t):
+        """The documented scalar semantics, by linear scan: the last
+        bucket starting at or before *t*; the first one for t < 0."""
+        bucket = 0
+        for i, start in enumerate(profile.times_ms):
+            if start <= t:
+                bucket = i
+        return profile.rates_rps[bucket]
+
+    @given(profiles_and_times())
+    @settings(max_examples=200, deadline=None)
+    def test_rates_at_matches_scalar_semantics(self, case):
+        profile, times = case
+        looked_up = profile.rates_at(np.array(times, dtype=float))
+        assert looked_up.shape == (len(times),)
+        for t, rate in zip(times, looked_up):
+            assert rate == self._reference(profile, t)
+            assert profile.rate_at(t) == rate
+
+    def test_rate_at_returns_a_python_float(self):
+        p = RateProfile(np.array([0.0, 1000.0]), np.array([10.0, 20.0]))
+        assert type(p.rate_at(-5.0)) is float
+        assert p.rate_at(-5.0) == 10.0
 
 
 class TestArrivalTrace:
