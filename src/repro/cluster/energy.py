@@ -71,10 +71,15 @@ class EnergyMeter:
 
     def sample(self, nodes: List["Node"], now_ms: float) -> float:
         """Record one sampling point; returns cluster power in watts."""
-        power = sum(self.model.node_power_w(node, now_ms) for node in nodes)
-        active = sum(
-            1 for node in nodes if self.model.node_power_w(node, now_ms) > 0
-        )
+        # Added left to right: builtin sum() over floats is compensated
+        # since Python 3.12, and the energy totals are exported state.
+        power = 0.0
+        active = 0
+        for node in nodes:
+            watts = self.model.node_power_w(node, now_ms)
+            power += watts
+            if watts > 0:
+                active += 1
         self.samples_w.append(power)
         self.active_node_samples.append(active)
         self.total_joules += power * (self.interval_ms / 1000.0)
@@ -82,7 +87,12 @@ class EnergyMeter:
 
     @property
     def mean_power_w(self) -> float:
-        return sum(self.samples_w) / len(self.samples_w) if self.samples_w else 0.0
+        if not self.samples_w:
+            return 0.0
+        total = 0.0
+        for watts in self.samples_w:
+            total += watts
+        return total / len(self.samples_w)
 
     @property
     def total_kwh(self) -> float:
@@ -92,4 +102,5 @@ class EnergyMeter:
     def mean_active_nodes(self) -> float:
         if not self.active_node_samples:
             return 0.0
+        # Integers: exact however they are added, so sum() is safe here.
         return sum(self.active_node_samples) / len(self.active_node_samples)

@@ -20,10 +20,13 @@ Bit-exactness notes (load-bearing — the differential harness in
   ``Generator.random(k)`` produces the identical doubles as ``k``
   scalar ``random()`` calls, and a vectorized ``searchsorted`` equals
   the per-element scalar lookup.
-* ``segment_totals`` uses ``np.add.reduceat``, whose per-segment
-  reduction is sequential left-to-right — the same association order
-  as Python's ``sum()`` over a job's stages — so per-job totals match
-  the scalar path bit for bit for the chain lengths used here.
+* ``segment_totals`` adds one stage per pass, so every job's total is
+  ``((0.0 + x0) + x1) + x2 ...`` — the association order of the
+  explicit loops in ``Job.total_*`` — and per-job totals match the
+  scalar path bit for bit at any chain length.  Neither shortcut does:
+  ``np.add.reduceat`` computes ``x0 + (x1 + x2 + ...)`` (its inner
+  loop is a pairwise sum of the segment's tail), and builtin ``sum()``
+  is a compensated sum since Python 3.12.
 """
 
 from __future__ import annotations
@@ -110,10 +113,16 @@ def epoch_arrival_slices(
 
 
 def segment_totals(values: np.ndarray, job_base: np.ndarray) -> np.ndarray:
-    """Per-job sums over contiguous stage segments of a flat array."""
+    """Per-job sums over contiguous stage segments of a flat array,
+    each added strictly left to right from 0.0."""
     if job_base.size == 0:
         return np.empty(0, dtype=np.float64)
-    return np.add.reduceat(values, job_base)
+    counts = np.diff(job_base, append=values.size)
+    totals = values[job_base] + 0.0
+    for stage in range(1, int(counts.max())):
+        longer = np.flatnonzero(counts > stage)
+        totals[longer] += values[job_base[longer] + stage]
+    return totals
 
 
 def select_best_fit(

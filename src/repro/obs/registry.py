@@ -149,11 +149,12 @@ class Histogram:
         one by one in order.
 
         The bucket counts come from one vectorized ``searchsorted`` +
-        ``bincount`` pass; the running ``sum`` still accumulates
-        sequentially in Python floats (summation order is part of the
-        histogram's exported state, so a pairwise numpy sum would
-        diverge in the last bits).  Used by the vector engine's
-        finalize, which feeds whole runs at once.
+        ``bincount`` pass; the running ``sum`` is the last element of a
+        ``cumsum`` seeded with the current sum, which adds strictly
+        left to right (summation order is part of the histogram's
+        exported state, so a pairwise ``ndarray.sum`` would diverge in
+        the last bits).  Used by the vector engine's finalize, which
+        feeds whole runs at once.
         """
         import numpy as _np  # local: registry stays import-light
 
@@ -161,10 +162,7 @@ class Histogram:
         if arr.size == 0:
             return
         self.count += int(arr.size)
-        total = self.sum
-        for v in arr.tolist():
-            total += v
-        self.sum = total
+        self.sum = float(_np.cumsum(_np.concatenate(([self.sum], arr)))[-1])
         lo = float(arr.min())
         hi = float(arr.max())
         self.min = lo if self.min is None else min(self.min, lo)

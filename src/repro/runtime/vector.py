@@ -6,8 +6,9 @@ replays (the Wiki trace at paper scale):
 
 * **SoA job records** — no ``Job``/``Task``/``JobStage`` objects on the
   hot path.  A job is an index; its per-stage latency record lives at
-  ``job_base[j] + stage`` inside flat parallel arrays (enqueue / start /
-  end / exec / cold), converted to numpy in one shot at finalize time.
+  ``job_base[j] + stage`` inside flat parallel columns (enqueue / start /
+  end / exec / cold): typed ``array`` buffers, 8 B per value, viewed as
+  numpy without a copy at finalize time and released by ``finish()``.
 * **Batch admission** — every arrival's application is pre-sampled in
   one vectorized draw (:func:`repro.core.vectorized.presample_app_indices`),
   blackout-covered arrivals are masked in one pass, and (when admission
@@ -25,8 +26,8 @@ replays (the Wiki trace at paper scale):
   duck-typed :class:`VectorPool` objects, so the *decision logic* is
   the real, shared code from ``core/scaling.py``.
 * **Vectorized finalize** — per-job latency breakdowns come from
-  ``np.add.reduceat`` segment sums over the flat records, and the run
-  histograms are fed through ``Histogram.observe_many``.
+  :func:`repro.core.vectorized.segment_totals` over the flat records,
+  and the run histograms are fed through ``Histogram.observe_many``.
 
 Where it diverges from the event loop — and why results don't:
 the engine replays the *exact* event order (virtual sequence numbers
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
 from functools import partial
 from typing import Dict, List
@@ -72,6 +74,7 @@ from repro.core.vectorized import (
     epoch_boundaries,
     job_record_layout,
     presample_app_indices,
+    segment_totals,
 )
 from repro.metrics.collector import MetricsCollector, RunResult
 from repro.obs.trace import record_job_spans
@@ -99,6 +102,23 @@ _Z_CHUNK = 8192
 #: Head-pointer lists are physically compacted once the dead prefix
 #: crosses this length (and dominates), preserving element order.
 _PRUNE_COMPACT = 512
+
+#: The run's per-record, per-job and per-arrival state: typed buffers
+#: (8 B per value, where a list of boxed floats costs 32), read by
+#: finalize through zero-copy numpy views and released by ``finish()``.
+_COLUMNS = (
+    "rec_enq", "rec_start", "rec_end", "rec_exec", "rec_cold",
+    "job_app", "job_arrival", "job_base", "job_completion",
+    "_arr_times", "_arr_app", "_arr_job", "_completed_order",
+)
+_DTYPES = {"d": np.float64, "q": np.int64}
+
+
+def _column(typecode: str, values: np.ndarray) -> array:
+    """*values* copied into a typed buffer as raw bytes — no Python
+    object per element, unlike ``tolist()``."""
+    return array(
+        typecode, values.astype(_DTYPES[typecode], copy=False).tobytes())
 
 
 class VectorEngineUnsupported(RuntimeError):
@@ -408,7 +428,7 @@ class VectorEngine:
         shed) lay out the whole flat record space up front."""
         times = np.asarray(self.trace.arrivals_ms, dtype=np.float64)
         self._n_arr = int(times.size)
-        self._arr_times = times.tolist()
+        self._arr_times = _column("d", times)
         if self.blackout is not None:
             cov = covered_mask(times, self.blackout.at_ms,
                                self.blackout.until_ms)
@@ -423,42 +443,42 @@ class VectorEngine:
         drawn = presample_app_indices(cdf, self._rng_apps, k)
         arr_app = np.full(times.size, -1, dtype=np.int64)
         arr_app[uncovered] = drawn
-        self._arr_app = arr_app.tolist()
+        self._arr_app = _column("q", arr_app)
         # SoA job state.  Static layout when admission cannot shed
         # (every uncovered arrival is admitted); grown per-admission
         # under --shed-expired.
         if not self.shed_on:
             arr_job = np.full(times.size, -1, dtype=np.int64)
             arr_job[uncovered] = np.arange(k)
-            self._arr_job = arr_job.tolist()
+            self._arr_job = _column("q", arr_job)
             nst = np.asarray(self.app_nst, dtype=np.intp)
             counts = nst[drawn] if k else np.empty(0, dtype=np.intp)
             base, total = job_record_layout(counts)
-            self.job_app = drawn.tolist()
-            self.job_arrival = times[uncovered].tolist()
-            self.job_base = base.tolist()
-            self.job_completion = [-1.0] * k
-            self.rec_enq = [-1.0] * total
-            self.rec_start = [-1.0] * total
-            self.rec_end = [-1.0] * total
-            self.rec_exec = [0.0] * total
-            self.rec_cold = [0.0] * total
+            self.job_app = _column("q", drawn)
+            self.job_arrival = _column("d", times[uncovered])
+            self.job_base = _column("q", base)
+            self.job_completion = array("d", [-1.0]) * k
+            self.rec_enq = array("d", [-1.0]) * total
+            self.rec_start = array("d", [-1.0]) * total
+            self.rec_end = array("d", [-1.0]) * total
+            self.rec_exec = array("d", [0.0]) * total
+            self.rec_cold = array("d", [0.0]) * total
         else:
             self._arr_job = None
-            self.job_app = []
-            self.job_arrival = []
-            self.job_base = []
-            self.job_completion = []
-            self.rec_enq = []
-            self.rec_start = []
-            self.rec_end = []
-            self.rec_exec = []
-            self.rec_cold = []
+            self.job_app = array("q")
+            self.job_arrival = array("d")
+            self.job_base = array("q")
+            self.job_completion = array("d")
+            self.rec_enq = array("d")
+            self.rec_start = array("d")
+            self.rec_end = array("d")
+            self.rec_exec = array("d")
+            self.rec_cold = array("d")
         self._created = 0
         self._gateway_shed = 0
         self._shed_deadline = 0
         self._blackout_lost = 0
-        self._completed_order: List[int] = []
+        self._completed_order = array("q")
         self._failed: List[int] = []
         self._failed_ms: Dict[int, float] = {}
         self._terminal = [] if self.tracer is not None else None
@@ -586,6 +606,12 @@ class VectorEngine:
 
     # -- the merged run loop -------------------------------------------
 
+    def _check_live(self) -> None:
+        if self.rec_enq is None:
+            raise RuntimeError(
+                "this VectorEngine is finished: finish() released its "
+                "columns; build a new engine to run again")
+
     def step_until(self, until: float) -> None:
         """Advance the merged run loop to *until* (one monitor epoch).
 
@@ -595,6 +621,7 @@ class VectorEngine:
         is exactly this primitive in a loop, so a 1-shard stepped run
         replays the solo path.
         """
+        self._check_live()
         heap = self._heap
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -808,9 +835,15 @@ class VectorEngine:
         return self.in_flight <= 0
 
     def finish(self) -> RunResult:
-        """Seal the clock and collect this engine's RunResult."""
+        """Seal the clock, collect this engine's RunResult and release
+        the columns (the result owns its arrays; the engine is spent,
+        and so is any pool reading that indexes a record)."""
+        self._check_live()
         self.system.sim = FlatClock(self.now, self._events)
-        return self._finalize()
+        result = self._finalize()
+        for name in _COLUMNS:
+            setattr(self, name, None)
+        return result
 
     def run(self) -> RunResult:
         trace = self.trace
@@ -848,27 +881,30 @@ class VectorEngine:
             PoolSurface.tasks_enqueued.__set__(pool, pool.enq_n)
             PoolSurface.tasks_completed.__set__(pool, pool.done_n)
         if completed:
-            enq = np.asarray(self.rec_enq)
-            start = np.asarray(self.rec_start)
-            exc = np.asarray(self.rec_exec)
-            cold = np.asarray(self.rec_cold)
-            base = np.asarray(self.job_base, dtype=np.intp)
+            # Zero-copy views; everything handed to the RunResult below
+            # is a fresh array (arithmetic or fancy indexing), so the
+            # columns can be released once it is built.
+            enq = np.frombuffer(self.rec_enq)
+            start = np.frombuffer(self.rec_start)
+            exc = np.frombuffer(self.rec_exec)
+            cold = np.frombuffer(self.rec_cold)
+            base = np.frombuffer(self.job_base, dtype=np.int64)
             # Per-record queue delay with the JobStage guard (unstarted
             # or unenqueued stages contribute 0), then batching wait.
             qd = np.where((start >= 0.0) & (enq >= 0.0), start - enq, 0.0)
             bw = qd - cold
             np.maximum(bw, 0.0, out=bw)
             bw += 0.0  # normalize any -0.0 to +0.0 (max(0.0, x) parity)
-            # reduceat's per-segment reduction is sequential, matching
-            # sum() over a job's stages bit for bit.
-            exec_job = np.add.reduceat(exc, base)
-            qd_job = np.add.reduceat(qd, base)
-            cold_job = np.add.reduceat(cold, base)
-            bw_job = np.add.reduceat(bw, base)
-            co = np.asarray(completed, dtype=np.intp)
-            completion = np.asarray(self.job_completion)
-            arrival = np.asarray(self.job_arrival)
-            app_idx = np.asarray(self.job_app, dtype=np.intp)
+            # Stage by stage, matching the left-to-right loops of
+            # Job.total_* bit for bit (np.add.reduceat would not).
+            exec_job = segment_totals(exc, base)
+            qd_job = segment_totals(qd, base)
+            cold_job = segment_totals(cold, base)
+            bw_job = segment_totals(bw, base)
+            co = np.frombuffer(completed, dtype=np.int64)
+            completion = np.frombuffer(self.job_completion)
+            arrival = np.frombuffer(self.job_arrival)
+            app_idx = np.frombuffer(self.job_app, dtype=np.int64)
             latencies = completion[co] - arrival[co]
             slo_co = np.asarray(self.app_slo)[app_idx[co]]
             violations = int(np.count_nonzero(latencies > slo_co))

@@ -105,21 +105,38 @@ class Job:
     def violated_slo(self) -> bool:
         return self.response_latency_ms > self.app.slo_ms
 
+    # The four totals add left to right in explicit loops, never with
+    # builtin ``sum()``: since Python 3.12 that is a compensated sum, so
+    # the last bit would depend on the interpreter and part company
+    # with the vector engine's ``core.vectorized.segment_totals``.
+
     @property
     def total_queue_delay_ms(self) -> float:
-        return sum(s.queue_delay_ms for s in self.stages)
+        total = 0.0
+        for s in self.stages:
+            total += s.queue_delay_ms
+        return total
 
     @property
     def total_cold_start_wait_ms(self) -> float:
-        return sum(s.cold_start_wait_ms for s in self.stages)
+        total = 0.0
+        for s in self.stages:
+            total += s.cold_start_wait_ms
+        return total
 
     @property
     def total_batching_wait_ms(self) -> float:
-        return sum(s.batching_wait_ms for s in self.stages)
+        total = 0.0
+        for s in self.stages:
+            total += s.batching_wait_ms
+        return total
 
     @property
     def total_exec_ms(self) -> float:
-        return sum(s.exec_ms for s in self.stages)
+        total = 0.0
+        for s in self.stages:
+            total += s.exec_ms
+        return total
 
     def remaining_work_ms(self, from_stage: int) -> float:
         """Mean execution + overhead still ahead from *from_stage* on."""

@@ -244,7 +244,12 @@ class FunctionPool(PoolSurface):
         self._prune_delays()
         if not self._recent_delays:
             return 0.0
-        return sum(d for _, d in self._recent_delays) / len(self._recent_delays)
+        # Left to right, as VectorPool adds them (builtin sum() is
+        # compensated since Python 3.12: see Job.total_exec_ms).
+        total = 0.0
+        for _, d in self._recent_delays:
+            total += d
+        return total / len(self._recent_delays)
 
     def _prune_delays(self) -> None:
         horizon = self.sim.now - self.delay_window_ms

@@ -144,6 +144,14 @@ _samples = st.lists(
 )
 
 
+#: Both signs, subnormals to 1e300 (200 of them cannot overflow).
+_wide_samples = st.lists(
+    st.floats(min_value=-1e300, max_value=1e300,
+              allow_nan=False, allow_infinity=False),
+    min_size=0, max_size=200,
+)
+
+
 class TestHistogramProperties:
     @settings(deadline=None)
     @given(samples=_samples.filter(len), q=st.floats(0.0, 1.0))
@@ -192,6 +200,23 @@ class TestHistogramProperties:
         for s in samples:
             h.observe(s)
         assert sum(h.bucket_counts) == h.count == len(samples)
+
+    @settings(deadline=None)
+    @given(before=_wide_samples, batch=_wide_samples)
+    def test_observe_many_equals_repeated_observe(self, before, batch):
+        one, many = Histogram(), Histogram()
+        for s in before:
+            one.observe(s)
+            many.observe(s)
+        for s in batch:
+            one.observe(s)
+        many.observe_many(np.array(batch))
+        assert many.count == one.count == len(before) + len(batch)
+        # Exactly equal: the order of addition is exported state.
+        assert many.sum == one.sum
+        assert many.min == one.min
+        assert many.max == one.max
+        assert many.bucket_counts == one.bucket_counts
 
     def test_merge_requires_identical_edges(self):
         with pytest.raises(ValueError):

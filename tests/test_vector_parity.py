@@ -18,17 +18,21 @@ argument:
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cluster.energy import EnergyMeter
 from repro.cluster.faults import ContainerFaultModel, FaultTimeline
 from repro.core.policies import EXTENDED_POLICY_NAMES, make_policy_config
+from repro.core.vectorized import segment_totals
 from repro.obs.trace import Tracer
 from repro.runtime.system import ClusterSpec, ServerlessSystem
 from repro.runtime.vector import VectorEngineUnsupported
 from repro.sim.engine import ENGINES, resolve_engine
 from repro.traces.factory import TRACE_KINDS, make_trace
-from repro.workloads import get_mix
+from repro.workflow.job import Job
+from repro.workloads import get_application, get_mix
 
 ENGINE_PAIR = ("fast", "vector")
 
@@ -38,7 +42,7 @@ ENGINE_PAIR = ("fast", "vector")
 _POLICY_OVERRIDES = {"fifer": {"proactive_predictor": "ewma"}}
 
 
-def _summary(
+def _run(
     engine,
     policy,
     mix="heavy",
@@ -69,7 +73,11 @@ def _summary(
         **system_kwargs,
     )
     trace = make_trace(trace_kind, rate, duration, seed)
-    return system.run(trace).summary()
+    return system.run(trace)
+
+
+def _summary(engine, policy, **kwargs):
+    return _run(engine, policy, **kwargs).summary()
 
 
 def _assert_engines_agree(policy, **kwargs):
@@ -270,6 +278,59 @@ class TestRandomWorkloadProperty:
             nodes=nodes,
             shed_expired=shed,
         )
+
+
+class TestSummationOrder:
+    """Per-job totals add left to right on both engines, whatever the
+    interpreter.  Builtin ``sum()`` over floats is a compensated sum
+    since Python 3.12 (it returns 1e16 + 2.0 below), so ``Job.total_*``
+    must not use it."""
+
+    EXEC_MS = [1e16, 1.0, 1.0]
+    LEFT_TO_RIGHT = (1e16 + 1.0) + 1.0  # each 1.0 is absorbed: == 1e16
+
+    def test_job_totals_match_the_vector_engine_segment_sums(self):
+        job = Job(app=get_application("img"), arrival_ms=0.0)
+        for stage, value in zip(job.stages, self.EXEC_MS):
+            stage.exec_ms = stage.cold_start_wait_ms = value
+            stage.enqueue_ms, stage.start_ms = 0.0, value
+        vector = segment_totals(np.array(self.EXEC_MS), np.array([0]))[0]
+        assert vector == self.LEFT_TO_RIGHT != 1e16 + 2.0
+        assert job.total_exec_ms == self.LEFT_TO_RIGHT
+        assert job.total_queue_delay_ms == self.LEFT_TO_RIGHT
+        assert job.total_cold_start_wait_ms == self.LEFT_TO_RIGHT
+        assert job.total_batching_wait_ms == 0.0
+
+    @settings(deadline=None)
+    @given(chains=st.lists(
+        st.lists(st.floats(-1e300, 1e300, allow_nan=False),
+                 min_size=1, max_size=6),
+        min_size=1, max_size=30))
+    def test_segment_totals_equal_the_scalar_loop(self, chains):
+        values = np.array([v for chain in chains for v in chain])
+        base = np.cumsum([0] + [len(chain) for chain in chains[:-1]])
+        expected = []
+        for chain in chains:
+            total = 0.0
+            for v in chain:
+                total += v
+            expected.append(total)
+        assert segment_totals(values, base).tolist() == expected
+
+    def test_per_job_totals_equal_across_engines(self):
+        # The summaries the grid compares carry no per-job total; these
+        # arrays do (heavy mix: three- and four-stage chains, where
+        # x0 + (x1 + x2) and (x0 + x1) + x2 part in the last bit).
+        fast, vector = (
+            _run(e, "rscale", rate=40.0, duration=40.0) for e in ENGINE_PAIR)
+        assert fast.n_completed > 1000
+        for name in ("latencies_ms", "exec_ms", "cold_wait_ms",
+                     "batch_wait_ms", "queue_ms"):
+            assert np.array_equal(getattr(vector, name), getattr(fast, name)), name
+
+    def test_energy_meter_adds_left_to_right(self):
+        meter = EnergyMeter(samples_w=list(self.EXEC_MS))
+        assert meter.mean_power_w == self.LEFT_TO_RIGHT / 3
 
 
 class TestUnsupportedConfigs:
