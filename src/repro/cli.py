@@ -21,7 +21,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.cluster.faults import FaultTimeline
 from repro.core.policies import EXTENDED_POLICY_NAMES
 from repro.experiments import format_table, normalize
 from repro.scenario import Scenario, Shards
@@ -122,39 +121,37 @@ def _scenario(args, policy: Optional[str] = None, seed: Optional[int] = None,
     if flag("scale_down_cooldown"):
         overrides["scale_down_cooldown_ms"] = ms(args.scale_down_cooldown)
     faults, live = {}, None
+    if flag("diverge_at") is not None:
+        faults["diverge_after"] = args.diverge_at
+        faults["diverge_factor"] = args.diverge_factor
+    if flag("faults"):
+        faults["timeline"] = args.faults
+    if flag("crash_prob"):
+        faults["crash_probability"] = args.crash_prob
+    if flag("hang_prob"):
+        faults["hang_probability"] = args.hang_prob
     try:
         if args.command == "serve":
-            from repro.serve import FaultConfig, RetryPolicy, ServeOptions
+            from repro.serve import RetryPolicy, ServeOptions
 
             live = ServeOptions(
                 time_scale=args.time_scale,
                 max_pending=args.max_pending,
-                drain_timeout_ms=ms(args.drain_timeout),
                 executor_workers=args.executor_workers,
                 retry=RetryPolicy(
                     max_attempts=args.max_retries + 1,
                     deadline_grace_ms=args.retry_deadline_grace),
-                faults=FaultConfig(
-                    crash_prob=args.crash_prob, hang_prob=args.hang_prob,
-                    timeline=(FaultTimeline.parse(args.faults)
-                              if args.faults else FaultTimeline())),
-                shed_expired=args.shed_expired,
                 journal_dir=args.journal_dir,
                 checkpoint_interval_ms=ms(args.checkpoint_interval),
                 drain_grace_ms=ms(args.drain_grace),
             )
-        else:
-            if flag("diverge_at") is not None:
-                faults["diverge_after"] = args.diverge_at
-                faults["diverge_factor"] = args.diverge_factor
-            if flag("faults"):
-                faults["timeline"] = args.faults
         scenario = Scenario.make(
             policy or args.policy, mix=args.mix, trace_kind=args.trace,
             rate_rps=args.rate, duration_s=args.duration, nodes=args.nodes,
             seed=args.seed if seed is None else seed,
             engine=flag("engine"), faults=tuple(faults.items()),
-            shed_expired=flag("sim_shed_expired", False), live=live,
+            shed_expired=flag("shed_expired", False),
+            drain_ms=ms(flag("drain_timeout", 120.0)), live=live,
             shards=Shards(
                 n=flag("shards", 1), workers=flag("shard_workers", 1),
                 rebalance_interval_ms=ms(flag("rebalance_interval")),
@@ -611,6 +608,12 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="suppress idle reaping for this long after any "
                             "governed scale-up (0 = no cooldown)")
+        g.add_argument("--shed-expired", action="store_true",
+                       help="slack-aware admission control: shed arrivals "
+                            "whose residual slack is already negative given "
+                            "the first stage's queueing delay (the simulator "
+                            "also sheds such stage hops while no capacity "
+                            "is free)")
         g.add_argument("--faults", default=None, metavar="SPEC",
                        help="chaos: the run's scripted fault timeline, "
                             "';'-separated KIND@START[:END][=IDS][xFACTOR] "
@@ -619,6 +622,21 @@ def build_parser() -> argparse.ArgumentParser:
                             "'brownout@3:8x2;kill-workers@5'.  A kind this "
                             "command cannot enact is refused before the "
                             "run starts (DESIGN.md, 'Fault timeline')")
+
+    def add_shards(p):
+        g = p.add_argument_group("sharded serving plane")
+        g.add_argument("--shards", type=int, default=1, metavar="N",
+                       help="gateway shards over a consistent-hash split "
+                            "of the request ids (serve: one process per "
+                            "shard, each with its own journal/checkpoint "
+                            "files); 1 (default) is the exact "
+                            "single-gateway path")
+        g.add_argument("--heartbeat-interval", type=float, default=1.0,
+                       metavar="S",
+                       help="model seconds between shard liveness beats "
+                            "for the failover health monitor (with "
+                            "kill-shard faults)")
+        return g
 
     def add_parallel(p):
         p.add_argument("--workers", type=int, default=1,
@@ -648,12 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--repeats", type=int, default=1,
                        help="repeat across this many seeds derived from "
                             "--seed (SeedSequence.spawn) and aggregate")
-    run_p.add_argument("--sim-shed-expired", action="store_true",
-                       help="slack-aware admission control in the "
-                            "simulator: shed arrivals (and stage hops) "
-                            "whose residual slack is already negative "
-                            "while no capacity is free — the sim twin of "
-                            "serve's --shed-expired")
     run_p.add_argument("--diverge-at", type=int, default=None,
                        metavar="TICKS",
                        help="chaos: corrupt the proactive predictor's "
@@ -662,11 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "fallback)")
     run_p.add_argument("--diverge-factor", type=float, default=25.0,
                        help="forecast inflation factor once diverged")
-    shard_g = run_p.add_argument_group("sharded serving plane")
-    shard_g.add_argument("--shards", type=int, default=1, metavar="N",
-                         help="gateway shards over a consistent-hash "
-                              "split of the request ids; 1 (default) is "
-                              "the exact single-gateway path")
+    shard_g = add_shards(run_p)
     shard_g.add_argument("--shard-workers", type=int, default=1,
                          metavar="N",
                          help="OS processes for the shards (static "
@@ -683,11 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "home shard; 'hash' re-routes every stage "
                               "hop through the ring (event-loop engine "
                               "only)")
-    shard_g.add_argument("--heartbeat-interval", type=float, default=1.0,
-                         metavar="S",
-                         help="model seconds between shard liveness "
-                              "beats for the failover health monitor "
-                              "(with kill-shard faults)")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser(
@@ -723,11 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "model seconds")
     serve_p.add_argument("--executor-workers", type=int, default=0,
                          help="worker threads (0 = size to the cluster)")
-    serve_p.add_argument("--shards", type=int, default=1, metavar="N",
-                         help="gateway processes, each owning a "
-                              "consistent-hash slice of the request ids "
-                              "with its own journal/checkpoint files; 1 "
-                              "(default) is the exact single-gateway path")
     serve_p.add_argument("--json-out", default=None,
                          help="write a structured JSON run summary here")
     serve_p.add_argument("--crash-prob", type=float, default=0.0,
@@ -742,9 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="deadline budget: skip retries whose backoff "
                               "exceeds residual slack plus this grace "
                               "(default: no deadline check)")
-    serve_p.add_argument("--shed-expired", action="store_true",
-                         help="shed arrivals whose slack is already gone "
-                              "given the first stage's queueing delay")
     d = serve_p.add_argument_group("durability / crash recovery")
     d.add_argument("--journal-dir", default=None, metavar="DIR",
                    help="durability on: write-ahead request journal + "
@@ -759,10 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drain budget on SIGTERM/SIGINT before the final "
                         "checkpoint + journal flush (default: "
                         "--drain-timeout)")
-    d.add_argument("--heartbeat-interval", type=float, default=1.0,
-                   metavar="SECONDS",
-                   help="model seconds between shard liveness beats "
-                        "(written once --faults scripts a kill-shard)")
+    add_shards(serve_p)
     add_guardrails(serve_p)
     add_obs(serve_p)
     serve_p.set_defaults(func=cmd_serve)

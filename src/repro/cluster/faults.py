@@ -4,7 +4,7 @@ The paper evaluates a healthy cluster; a production resource manager
 must also survive container crashes, node failures and registry
 slowdowns.  The fault models the test suite injects to verify the RM
 degrades gracefully (tasks retried, capacity re-provisioned, no
-deadlock): :class:`ContainerFaultModel` (per-task crash draw),
+deadlock): :class:`ContainerFaultModel` (per-task crash / hang draw),
 :class:`RegistryDegradation` (cold-start inflation over a window),
 :func:`fail_node` (evict a node's containers, requeue their tasks) —
 and :class:`FaultTimeline`, the one scripted-fault value every entry
@@ -31,28 +31,41 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class ContainerFaultModel:
-    """Bernoulli per-task crash model.
+    """Bernoulli per-task fate model, one instance for every pool of a
+    run on either plane.
 
     Attributes:
         crash_probability: chance that any given task execution crashes
             its container partway through.
         crash_point: fraction of the execution time at which the crash
             manifests (the work is lost; the task is retried).
+        hang_probability: chance that an execution neither completes
+            nor crashes.  Live-only: the per-task execution timeout is
+            what recovers a hang, and a simulated container has none.
     """
 
     crash_probability: float = 0.0
     crash_point: float = 0.5
+    hang_probability: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.crash_probability <= 1.0:
             raise ValueError("crash_probability must be within [0, 1]")
         if not 0.0 < self.crash_point <= 1.0:
             raise ValueError("crash_point must be in (0, 1]")
+        if not 0.0 <= self.hang_probability <= 1.0:
+            raise ValueError("hang_probability must be within [0, 1]")
 
     def should_crash(self, rng: np.random.Generator) -> bool:
         return (
             self.crash_probability > 0.0
             and rng.random() < self.crash_probability
+        )
+
+    def should_hang(self, rng: np.random.Generator) -> bool:
+        return (
+            self.hang_probability > 0.0
+            and rng.random() < self.hang_probability
         )
 
 
@@ -159,6 +172,8 @@ WINDOW_KINDS = frozenset(("blackout", "brownout"))
 ONCE_KINDS = WINDOW_KINDS | {"kill-orchestrator"}
 #: Kinds that need a surviving peer shard: refused on a lone shard.
 PLANE_WIDE_KINDS = SHARD_KINDS | {"kill-orchestrator"}
+#: Kinds a live run recovers from by replaying its write-ahead journal.
+JOURNAL_KINDS = frozenset(("crash-gateway", "crash-control", "kill-shard"))
 #: The kinds each plane enacts; ``validate`` refuses the rest.
 PLANE_KINDS: Dict[str, frozenset] = {
     "sim": NODE_KINDS | {"blackout"},
@@ -282,12 +297,19 @@ class FaultTimeline:
         return next(iter(self.of(kind)), None)
 
     def validate(self, plane: str, n_nodes: Optional[int] = None,
-                 n_shards: Optional[int] = None) -> "FaultTimeline":
+                 n_shards: Optional[int] = None,
+                 journaled: bool = True) -> "FaultTimeline":
         """Refuse, when the run is built, what *plane* cannot enact: a
         kind outside :data:`PLANE_KINDS`, a node/shard id out of range,
-        a second event of a :data:`ONCE_KINDS` kind.  Returns self."""
+        a second event of a :data:`ONCE_KINDS` kind, a
+        :data:`JOURNAL_KINDS` crash on a live run that keeps no journal
+        (*journaled* false).  Returns self."""
         enacted = PLANE_KINDS[plane]
         for event in self.events:
+            if not journaled and event.kind in JOURNAL_KINDS:
+                raise ValueError(
+                    "control-plane and shard crash injection requires "
+                    "journal_dir (there is nothing to recover from otherwise)")
             if n_shards == 1 and event.kind in PLANE_WIDE_KINDS:
                 raise ValueError(
                     "shard failover needs shards > 1 (a lone shard has "

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import pathlib
 from typing import Dict, Sequence, Union
 
@@ -19,31 +18,9 @@ import numpy as np
 
 from repro.metrics.collector import RunResult
 from repro.metrics.stats import cdf_points
+from repro.obs.export import atomic_write_text
 
 PathLike = Union[str, pathlib.Path]
-
-
-def atomic_write_text(path: PathLike, text: str) -> pathlib.Path:
-    """Write *text* to *path* atomically (tmp file + ``os.replace``).
-
-    Readers never observe a truncated artifact: they see the previous
-    complete file or the new complete file, nothing in between.  Every
-    artifact writer — JSON summaries, span JSONL, Prometheus snapshots,
-    BENCH/robustness JSON, checkpoints — funnels through this helper.
-    """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
 
 
 def atomic_write_json(path: PathLike, payload) -> pathlib.Path:

@@ -47,6 +47,11 @@ from repro.experiments import format_table
 from repro.experiments.export import atomic_write_json
 from repro.experiments.runner import ExperimentRunner
 from repro.scenario import Scenario
+from repro.serve.journal import (
+    JOURNAL_BASENAME,
+    RequestJournal,
+    journal_conservation,
+)
 
 #: Forecast corruption: inflate by 30x from the third monitor tick on.
 DIVERGENCE = (("diverge_after", 3), ("diverge_factor", 30.0))
@@ -157,39 +162,6 @@ def run_robustness_study(
     return out
 
 
-def journal_conservation(records: List[Dict]) -> Dict:
-    """Exactly-once verdict over a journal's records.
-
-    Per unique job id the journal must hold at least one ``admit`` and
-    exactly one terminal record (``complete``/``fail``/``shed``) once
-    the run has drained.  Duplicate admits for the same id are fine —
-    recovery never re-journals admissions, so any duplicate would be a
-    real double-count — but duplicate *terminals* and admitted-without-
-    terminal jobs are conservation failures.
-    """
-    from repro.serve.journal import EV_ADMIT, TERMINAL_EVENTS
-
-    admits: Dict[int, int] = {}
-    terminals: Dict[int, int] = {}
-    for rec in records:
-        job = rec["job"]
-        if rec["ev"] == EV_ADMIT:
-            admits[job] = admits.get(job, 0) + 1
-        elif rec["ev"] in TERMINAL_EVENTS:
-            terminals[job] = terminals.get(job, 0) + 1
-    lost = sorted(j for j in admits if j not in terminals)
-    duplicated = sorted(j for j, n in terminals.items() if n > 1)
-    orphaned = sorted(j for j in terminals if j not in admits)
-    return {
-        "jobs_admitted": len(admits),
-        "jobs_terminal": len(terminals),
-        "lost_jobs": lost,
-        "duplicated_terminals": duplicated,
-        "orphaned_terminals": orphaned,
-        "conserved": not (lost or duplicated or orphaned),
-    }
-
-
 def run_crash_recovery_study(quick: bool = False, seed: int = 7) -> Dict:
     """Crash the live gateway mid-run and compare against no crash.
 
@@ -203,8 +175,7 @@ def run_crash_recovery_study(quick: bool = False, seed: int = 7) -> Dict:
     import tempfile
 
     from repro.cluster.faults import FaultEvent, FaultTimeline
-    from repro.serve import FaultConfig, ServeOptions, serve_trace
-    from repro.serve.journal import JOURNAL_BASENAME, RequestJournal
+    from repro.serve import ServeOptions, serve_trace
     from repro.traces.poisson import poisson_trace
     from repro.workloads.mixes import get_mix
 
@@ -215,18 +186,16 @@ def run_crash_recovery_study(quick: bool = False, seed: int = 7) -> Dict:
     trace = poisson_trace(rate_rps=rate_rps, duration_s=duration, seed=seed)
 
     def run_arm(crash: bool) -> Dict:
-        faults = FaultConfig(timeline=FaultTimeline(
-            (FaultEvent(crash_at_ms, "crash-gateway"),) if crash else ()))
         with tempfile.TemporaryDirectory(prefix="crash-recovery-") as jdir:
-            options = ServeOptions(
-                time_scale=0.05,
-                drain_timeout_ms=duration * 1000.0,
-                journal_dir=jdir,
-                checkpoint_interval_ms=2_000.0,
-                faults=faults,
-            )
             result = serve_trace(
-                "rscale", mix, trace, seed=seed, options=options)
+                "rscale", mix, trace, seed=seed,
+                options=ServeOptions(
+                    time_scale=0.05, journal_dir=jdir,
+                    checkpoint_interval_ms=2_000.0),
+                drain_ms=duration * 1000.0,
+                faults=FaultTimeline(
+                    (FaultEvent(crash_at_ms, "crash-gateway"),)
+                    if crash else ()))
             records = RequestJournal.read_records(
                 pathlib.Path(jdir) / JOURNAL_BASENAME)
         conservation = journal_conservation(records)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.obs.export import atomic_write_text
 from repro.scenario import CACHE_FORMAT_VERSION, Scenario
 
 PathLike = Union[str, pathlib.Path]
@@ -237,16 +237,15 @@ class ExperimentRunner:
         path = self._cache_path(key)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": CACHE_FORMAT_VERSION,
             "spec": spec.canonical(),
             "summary": summary,
         }
-        # Atomic publish: a concurrent reader never sees a partial file.
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
-        os.replace(tmp, path)
+        # Atomic publish: a concurrent reader never sees a partial file
+        # (no fsync — ``_load`` re-runs an entry a crash left torn).
+        atomic_write_text(
+            path, json.dumps(payload, sort_keys=True, indent=1), fsync=False)
 
 
 def summaries_json(results: Sequence[TrialResult]) -> str:

@@ -42,7 +42,7 @@ from repro.cluster.faults import FaultTimeline
 from repro.experiments import format_table
 from repro.experiments.export import atomic_write_json
 from repro.runtime.system import ClusterSpec
-from repro.serve.config import FaultConfig, ServeOptions
+from repro.serve.config import ServeOptions
 from repro.shard import run_sharded_policy, serve_sharded
 from repro.traces.wits import wits_trace
 from repro.workloads import get_mix
@@ -219,13 +219,11 @@ def run_failover_study(quick: bool = False, seed: int = 7,
                 ("live_nofault", FaultTimeline()),
                 ("live_failover", FaultTimeline.parse(specs["live"]))):
             with tempfile.TemporaryDirectory() as journal_dir:
-                options = ServeOptions(
-                    time_scale=live_cfg["time_scale"],
-                    journal_dir=journal_dir,
-                    drain_timeout_ms=60_000.0,
-                    faults=FaultConfig(timeline=timeline),
-                )
-                kwargs = dict(live_common, options=options)
+                kwargs = dict(
+                    live_common, faults=timeline, drain_ms=60_000.0,
+                    options=ServeOptions(
+                        time_scale=live_cfg["time_scale"],
+                        journal_dir=journal_dir))
                 if timeline:
                     kwargs.update(
                         heartbeat_interval_ms=HEARTBEAT_MS,

@@ -17,8 +17,10 @@ Three consumers, three formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import pathlib
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -26,6 +28,40 @@ from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.trace import SPAN_NAMES, Span
 
 PathLike = Union[str, pathlib.Path]
+
+_tmp_ids = itertools.count()
+
+
+def atomic_write_text(
+    path: PathLike, text: str, fsync: bool = True
+) -> pathlib.Path:
+    """Write *text* to *path* atomically (tmp file + ``os.replace``).
+
+    Readers never observe a truncated artifact: they see the previous
+    complete file or the new complete file, nothing in between.  Every
+    publisher funnels through this helper: summaries, span JSONL,
+    Prometheus snapshots and checkpoints must survive a crash (``fsync``
+    on); the heartbeat and lease files are liveness hints rewritten
+    every second from the event-loop thread, and a torn trial-cache
+    entry is simply re-run (``fsync=False``).  The temp name is unique
+    per process and call, so concurrent writers of one path never
+    share it.
+    """
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_tmp_ids)}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.write(text)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
 
 #: Required top-level fields of one exported span and their types.
 SPAN_SCHEMA: Dict[str, type] = {
@@ -81,8 +117,6 @@ def write_spans_jsonl(spans: Iterable[Span], path: PathLike) -> pathlib.Path:
     Atomic (tmp + ``os.replace``): a crash mid-export never leaves a
     truncated span file for the golden-trace diff to choke on.
     """
-    from repro.experiments.export import atomic_write_text
-
     lines = "".join(
         json.dumps(span.to_dict(), sort_keys=True) + "\n" for span in spans
     )
@@ -154,8 +188,6 @@ def write_metrics_text(
 ) -> pathlib.Path:
     """Write a Prometheus text snapshot of *registry* to *path*
     atomically (scrapers never see a half-written exposition)."""
-    from repro.experiments.export import atomic_write_text
-
     return atomic_write_text(path, prometheus_snapshot(registry))
 
 

@@ -323,3 +323,95 @@ class MetricsRegistry:
                 continue
             merged = metric if merged is None else merged.merge(metric)
         return merged
+
+
+# -- snapshot / merge (cross-process metrics) --------------------------------
+
+#: A snapshot row: ``(name, labels, kind, payload)`` where payload is a
+#: float for counters/gauges and a state dict for histograms.
+SnapshotRow = Tuple[str, Tuple[Tuple[str, str], ...], str, object]
+
+
+def snapshot_registry(registry: MetricsRegistry) -> List[SnapshotRow]:
+    """Serialize every metric in *registry* for cross-process transport.
+
+    Live metric objects hold no locks or handles, but shipping the
+    registry itself would freeze its concrete classes into the pickle
+    stream; a plain-data snapshot keeps the wire format stable.
+    """
+    rows: List[SnapshotRow] = []
+    for name, labels, metric in registry.collect():
+        if metric.kind == "histogram":
+            payload = {
+                "edges": list(metric.edges),
+                "bucket_counts": list(metric.bucket_counts),
+                "count": metric.count,
+                "sum": metric.sum,
+                "min": metric.min,
+                "max": metric.max,
+            }
+        else:
+            payload = metric.value
+        rows.append((name, labels, metric.kind, payload))
+    return rows
+
+
+def _thaw_histogram(payload: Dict) -> Histogram:
+    hist = Histogram(payload["edges"])
+    hist.bucket_counts = list(payload["bucket_counts"])
+    hist.count = int(payload["count"])
+    hist.sum = float(payload["sum"])
+    hist.min = payload["min"]
+    hist.max = payload["max"]
+    return hist
+
+
+def merge_registry_snapshots(
+    snapshots: Sequence[Optional[List[SnapshotRow]]],
+) -> MetricsRegistry:
+    """Merge per-shard registry snapshots into one plane-level registry.
+
+    Counters and gauges sum (a gauge here is an end-of-run level, and
+    the plane-level level is the sum over gateways); histograms merge
+    exactly bucket-wise.  The result reconciles: every ``*_total`` in
+    the merged registry equals the sum of the per-shard totals.
+
+    A dead shard ships no snapshot (``None``) — or a torn, partial
+    one.  Either degrades instead of raising: missing snapshots are
+    counted in the ``shards_missing`` gauge, unreadable rows in
+    ``registry_rows_skipped_total``, and everything readable still
+    merges.  Losing a gateway must never also lose the survivors'
+    metrics.
+    """
+    merged = MetricsRegistry()
+    missing = 0
+    rows_skipped = 0
+    for rows in snapshots:
+        if rows is None:
+            missing += 1
+            continue
+        for row in rows:
+            try:
+                name, labels, kind, payload = row
+                label_kwargs = dict(labels)
+                if kind == "counter":
+                    merged.counter(name, **label_kwargs).inc(float(payload))
+                elif kind == "gauge":
+                    merged.gauge(name, **label_kwargs).inc(float(payload))
+                else:
+                    incoming = _thaw_histogram(payload)
+                    slot = merged.histogram(
+                        name, buckets=incoming.edges, **label_kwargs)
+                    combined = slot.merge(incoming)
+                    slot.bucket_counts = combined.bucket_counts
+                    slot.count = combined.count
+                    slot.sum = combined.sum
+                    slot.min = combined.min
+                    slot.max = combined.max
+            except (TypeError, ValueError, KeyError, IndexError):
+                rows_skipped += 1
+    if missing:
+        merged.gauge("shards_missing").set(float(missing))
+    if rows_skipped:
+        merged.counter("registry_rows_skipped_total").inc(rows_skipped)
+    return merged

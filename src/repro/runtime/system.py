@@ -122,9 +122,12 @@ class ServerlessSystem:
         #: the fixed-input setting of the paper's experiments.
         self.input_scale_sampler = input_scale_sampler
         #: Optional ContainerFaultModel applied to every pool (chaos
-        #: mode); the live runtime injects the same model via its
-        #: FaultConfig, which is what makes sim-vs-live chaos parity
-        #: meaningful.
+        #: mode); the live runtime takes the same object, which is what
+        #: makes sim-vs-live chaos parity meaningful.
+        if fault_model is not None and fault_model.hang_probability > 0.0:
+            raise ValueError(
+                "hang_probability is live-only: a simulated container "
+                "has no execution timeout to recover a hang")
         self.fault_model = fault_model
         #: Slack-aware admission control, mirroring serve's
         #: ``--shed-expired``: arrivals whose slack is already gone (and

@@ -48,7 +48,7 @@ CACHE_FORMAT_VERSION = 2
 
 #: The keys ``Scenario.faults`` may carry.
 FAULT_KEYS = frozenset((
-    "crash_probability", "crash_point", "timeline",
+    "crash_probability", "crash_point", "hang_probability", "timeline",
     "diverge_after", "diverge_factor", "diverge_mode",
 ))
 
@@ -69,13 +69,12 @@ _KEYED = frozenset((
 #: (``tracer``, ``work``) when ``run`` is called.  DESIGN.md "Scenario"
 #: has the reason per cell.
 _DIVERGE = ("diverge_after", "diverge_factor", "diverge_mode")
-_SIM_ONLY = ("engine", "shed_expired", "drain_ms") + tuple(sorted(FAULT_KEYS))
 _REFUSES: Dict[str, Tuple[str, ...]] = {
-    "sim": ("work",),
-    "vector": ("work",),
-    "sim-sharded": ("work", "tracer") + _DIVERGE,
-    "live": _SIM_ONLY,
-    "live-sharded": ("work", "tracer") + _SIM_ONLY,
+    "sim": ("work", "hang_probability"),
+    "vector": ("work", "hang_probability"),
+    "sim-sharded": ("work", "tracer", "hang_probability") + _DIVERGE,
+    "live": ("engine",) + _DIVERGE,
+    "live-sharded": ("work", "tracer", "engine") + _DIVERGE,
 }
 
 
@@ -146,11 +145,13 @@ def _scalar(name: str, value):
 def fault_pairs(fault_model: Optional[ContainerFaultModel] = None,
                 timeline: FaultTimeline = FaultTimeline()) -> Overrides:
     """The ``Scenario.faults`` spelling of the entry points' fault
-    arguments (a container-crash model, a scripted timeline)."""
+    arguments (a per-task fate model, a scripted timeline)."""
     pairs: Dict[str, object] = {}
     if fault_model is not None:
         pairs["crash_probability"] = fault_model.crash_probability
         pairs["crash_point"] = fault_model.crash_point
+        if fault_model.hang_probability:
+            pairs["hang_probability"] = fault_model.hang_probability
     if timeline:
         pairs["timeline"] = timeline
     return tuple(pairs.items())
@@ -212,11 +213,14 @@ class Scenario:
     the field's type and stored as JSON scalars (an enum by its
     ``.value``), so every spelling of one config is one cache key.
     ``faults`` carries what is not policy config, as its own sorted
-    pairs (:data:`FAULT_KEYS`; any other key raises): the container
-    crash model (``crash_probability``, ``crash_point``), predictor
-    divergence (``diverge_after`` monitor ticks, ``diverge_factor``,
-    ``diverge_mode`` ``"scale"`` | ``"nan"``) and ``timeline``, a
+    pairs (:data:`FAULT_KEYS`; any other key raises): the per-task fate
+    model (``crash_probability``, ``crash_point``, and the live-only
+    ``hang_probability``), predictor divergence (``diverge_after``
+    monitor ticks, ``diverge_factor``, ``diverge_mode`` ``"scale"`` |
+    ``"nan"``) and ``timeline``, a
     :class:`~repro.cluster.faults.FaultTimeline` or its spec string.
+    ``faults``, ``shed_expired`` and ``drain_ms`` mean the same on every
+    plane: a live run reads them from here, not from its ``live`` block.
 
     ``live=None`` is a simulated run; a
     :class:`~repro.serve.config.ServeOptions` serves the arrivals on the
@@ -303,14 +307,22 @@ class Scenario:
 
     @property
     def timeline(self) -> FaultTimeline:
-        """The run's one scripted-fault timeline: ``live.faults.timeline``
-        on the live planes, the ``timeline`` pair otherwise."""
-        if self.live is not None:
-            return self.live.faults.timeline
+        """The run's one scripted-fault timeline (the ``timeline`` pair)."""
         script = dict(self.faults).get("timeline")
         if isinstance(script, FaultTimeline):
             return script
         return FaultTimeline.parse(script) if script else FaultTimeline()
+
+    @property
+    def fault_model(self) -> Optional[ContainerFaultModel]:
+        """The run's one per-task fate model, or None when neither a
+        crash nor a hang can be drawn."""
+        faults = dict(self.faults)
+        model = ContainerFaultModel(**{
+            f.name: float(faults[f.name])
+            for f in fields(ContainerFaultModel) if f.name in faults})
+        fires = model.crash_probability > 0.0 or model.hang_probability > 0.0
+        return model if fires else None
 
     def _set(self) -> Tuple[str, ...]:
         """The members that differ from their defaults."""
@@ -332,7 +344,13 @@ class Scenario:
         self.refuse(**dict(self.faults), **dict.fromkeys(self._set(), True))
         timeline = self.timeline.validate(
             plane, n_nodes=self.cluster.n_nodes,
-            n_shards=max(shards.n, live.n_shards if live else 1))
+            n_shards=max(shards.n, live.n_shards if live else 1),
+            journaled=live is None or bool(live.journal_dir))
+        # Built for its range checks: a bad probability is refused now,
+        # not after the forecaster is trained.
+        _ = self.fault_model
+        if self.drain_ms < 0:
+            raise ValueError("drain_ms must be >= 0")
         if plane == "sim-sharded":
             hashed = shards.stage_routing == "hash"
             for what, wanted in (("shard faults", bool(timeline)),
@@ -454,16 +472,10 @@ class Scenario:
 
     # -- assembly and execution --------------------------------------------
 
-    def _assembly(self, predictor: Optional[Predictor]) -> Dict:
-        """What both planes' constructors take from the scenario."""
-        return dict(
-            mix=self.workload_mix(), cluster_spec=self.cluster,
-            predictor=predictor, cold_start_model=self.cold_start_model,
-            power_model=self.power_model, seed=self.seed)
-
-    def system(self, tracer=None, cls=ServerlessSystem) -> ServerlessSystem:
-        """Assemble the simulated system this scenario describes (*cls*:
-        the sharded plane's per-shard subclass)."""
+    def _assembly(self, tracer) -> Dict:
+        """What both planes' constructors take from the scenario: the
+        config, the forecaster (wrapped to diverge when the faults say
+        so), the fate model and the timeline are each built here once."""
         config = self.config()
         faults = dict(self.faults)
         predictor = self.pretrained()
@@ -477,25 +489,24 @@ class Scenario:
                 factor=float(faults.get("diverge_factor", 25.0)),
                 mode=str(faults.get("diverge_mode", "scale")),
             )
-        fault_model = None
-        if float(faults.get("crash_probability", 0.0)) > 0.0:
-            fault_model = ContainerFaultModel(
-                crash_probability=float(faults["crash_probability"]),
-                crash_point=float(faults.get("crash_point", 0.5)),
-            )
-        return cls(
-            config=config, drain_ms=self.drain_ms, fault_model=fault_model,
-            tracer=tracer, shed_expired=self.shed_expired,
-            faults=self.timeline, engine=self.engine,
-            **self._assembly(predictor))
+        return dict(
+            config=config, mix=self.workload_mix(), cluster_spec=self.cluster,
+            predictor=predictor, cold_start_model=self.cold_start_model,
+            power_model=self.power_model, seed=self.seed, tracer=tracer,
+            fault_model=self.fault_model, faults=self.timeline,
+            shed_expired=self.shed_expired, drain_ms=self.drain_ms)
+
+    def system(self, tracer=None, cls=ServerlessSystem) -> ServerlessSystem:
+        """Assemble the simulated system this scenario describes (*cls*:
+        the sharded plane's per-shard subclass)."""
+        return cls(engine=self.engine, **self._assembly(tracer))
 
     def runtime(self, tracer=None, work=None) -> "ServingRuntime":
         """Assemble the live serving runtime this scenario describes."""
         from repro.serve.runtime import ServingRuntime
 
         return ServingRuntime(
-            config=self.config(), options=self.live, work=work,
-            tracer=tracer, **self._assembly(self.pretrained()))
+            options=self.live, work=work, **self._assembly(tracer))
 
     def run(self, tracer=None, predictor=None, work=None):
         """Run the scenario on its plane.  Returns a

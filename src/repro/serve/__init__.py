@@ -27,7 +27,7 @@ workload in 6 wall seconds) so sim-vs-live parity checks stay cheap.
 
 from repro.serve.checkpoint import CheckpointManager
 from repro.serve.clock import ScaledClock
-from repro.serve.config import FaultConfig, ServeOptions
+from repro.serve.config import ServeOptions
 from repro.serve.faults import ChaosInjector
 from repro.serve.gateway import Gateway
 from repro.serve.journal import (
@@ -54,7 +54,6 @@ __all__ = [
     "ChaosInjector",
     "CheckpointManager",
     "DeadLetterQueue",
-    "FaultConfig",
     "Gateway",
     "JournaledJob",
     "JournalLockedError",

@@ -21,6 +21,7 @@ import math
 import pathlib
 from typing import Callable, Dict, Optional, Union
 
+from repro.obs.export import atomic_write_text
 from repro.obs.registry import MetricsRegistry
 
 PathLike = Union[str, pathlib.Path]
@@ -82,8 +83,6 @@ class CheckpointManager:
         state = dict(state)
         state.setdefault("version", CHECKPOINT_SCHEMA_VERSION)
         state.setdefault("t_ms", now_ms)
-        from repro.experiments.export import atomic_write_text
-
         path = atomic_write_text(
             self.path, json.dumps(state, indent=2, sort_keys=True) + "\n"
         )

@@ -13,12 +13,12 @@ run and a simulation inject identical failures:
 * the scheduled worker-group kill is :func:`~repro.cluster.faults
   .fail_node` executed against the live pools at a model timestamp.
 
-Hangs (``hang_prob``) are live-only: the simulator has no notion of a
-worker that neither completes nor crashes, which is exactly why the
-live path needs the per-task execution timeout to recover them.
+Hangs (``hang_probability``) are live-only: the simulator has no notion
+of a worker that neither completes nor crashes, which is exactly why
+the live path needs the per-task execution timeout to recover them.
 
 :func:`replay_faults` is the live plane's one scripted-fault driver:
-it walks ``FaultConfig.timeline`` on the scaled clock and enacts each
+it walks the runtime's timeline on the scaled clock and enacts each
 event through :data:`ACTIONS`.  Actions only *break* things; what
 recovers them stays in the runtime, where a real crash would need it.
 """
@@ -34,12 +34,12 @@ from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.faults import (
     ContainerFaultModel,
     FaultEvent,
+    FaultTimeline,
     RegistryDegradation,
     apply_node_event,
     fail_node,
 )
 from repro.serve.clock import ScaledClock
-from repro.serve.config import FaultConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -56,41 +56,39 @@ FATE_HANG = "hang"
 class ChaosInjector:
     """Per-run fault state shared by every worker slot of a runtime."""
 
-    def __init__(self, config: FaultConfig) -> None:
-        self.config = config
-        #: The simulator's crash model, shared verbatim (None when
-        #: crashes are disabled so no rng draw is consumed — keeping
-        #: the exec-time stream bit-identical to a fault-free run).
-        self.container_faults: Optional[ContainerFaultModel] = (
-            ContainerFaultModel(
-                crash_probability=config.crash_prob,
-                crash_point=config.crash_point,
-            )
-            if config.crash_prob > 0.0
-            else None
-        )
+    def __init__(
+        self,
+        fault_model: Optional[ContainerFaultModel] = None,
+        timeline: FaultTimeline = FaultTimeline(),
+    ) -> None:
+        #: The run's fate model — the object the simulator's pools take
+        #: (None: no draw is consumed, keeping the exec-time stream
+        #: bit-identical to a fault-free run).
+        self.fault_model = fault_model
+        self.timeline = timeline
         self.registry: Optional[RegistryDegradation] = None
         self.workers_killed = 0
         self.nodes_failed = 0
 
     @property
     def crash_point(self) -> float:
-        return self.config.crash_point
+        return self.fault_model.crash_point
 
     def draw_fate(self, rng: np.random.Generator) -> Optional[str]:
         """Decide one execution's fate; matches the simulated container's
         draw order (exec time first, then the crash Bernoulli)."""
-        if self.container_faults is not None and self.container_faults.should_crash(rng):
+        model = self.fault_model
+        if model is None:
+            return None
+        if model.should_crash(rng):
             return FATE_CRASH
-        if self.config.hang_prob > 0.0 and rng.random() < self.config.hang_prob:
-            return FATE_HANG
-        return None
+        return FATE_HANG if model.should_hang(rng) else None
 
     def wrap_cold_start(
         self, base: ColdStartModel, clock: ScaledClock
     ) -> ColdStartModel:
         """Wrap *base* in the timeline's registry brownout, if any."""
-        brownout = self.config.timeline.window("brownout")
+        brownout = self.timeline.window("brownout")
         if brownout is None:
             return base
         self.registry = RegistryDegradation(
@@ -219,7 +217,7 @@ async def replay_faults(runtime: "ServingRuntime") -> None:
     """Walk the run's fault timeline on the scaled clock.  ``serve()``
     re-raises this task's exception in its epilogue, so an action that
     raises fails the run instead of passing for a fault-free one."""
-    for event in runtime.options.faults.timeline.events:
+    for event in runtime.faults.events:
         action = ACTIONS.get(event.kind)
         if action is not None:
             await runtime.clock.sleep_until_ms(event.at_ms)

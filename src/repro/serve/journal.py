@@ -70,6 +70,13 @@ def journal_basename(shard_id: int = 0, n_shards: int = 1) -> str:
         return JOURNAL_BASENAME
     return f"journal-{shard_id}.jsonl"
 
+
+def heartbeat_basename(shard_id: int = 0) -> str:
+    """Liveness-beat filename of one gateway shard (atomic JSON, written
+    beside its journal)."""
+    return f"heartbeat-{shard_id}.json"
+
+
 # Event types.
 EV_ADMIT = "admit"
 EV_HOP = "hop"
@@ -92,7 +99,12 @@ class JournalLockedError(RuntimeError):
     """Another live process already owns this journal path."""
 
 
-def _pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
+    """Whether *pid* names a running process.  ``kill(0, …)`` and
+    ``kill(-1, …)`` address process *groups*, which always "exist": a
+    relic naming one is no owner at all."""
+    if pid <= 0:
+        return False
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -127,7 +139,7 @@ class _WriterLock:
             except FileExistsError:
                 owner = self._owner_pid()
                 if owner is not None and owner != os.getpid() \
-                        and _pid_alive(owner):
+                        and pid_alive(owner):
                     raise JournalLockedError(
                         f"journal {self.path} is already owned by "
                         f"live pid {owner}; a second writer would "
@@ -183,6 +195,37 @@ def journal_record(ev: str, job_id: int, t_ms: float, **fields) -> Dict:
     }
     record.update(fields)
     return record
+
+
+def journal_conservation(records: List[Dict]) -> Dict:
+    """Exactly-once verdict over a journal's records.
+
+    Per unique job id the journal must hold at least one ``admit`` and
+    exactly one terminal record (``complete``/``fail``/``shed``) once
+    the run has drained.  Duplicate admits for the same id are fine —
+    recovery never re-journals admissions, so any duplicate would be a
+    real double-count — but duplicate *terminals* and admitted-without-
+    terminal jobs are conservation failures.
+    """
+    admits: Dict[int, int] = {}
+    terminals: Dict[int, int] = {}
+    for rec in records:
+        job = rec["job"]
+        if rec["ev"] == EV_ADMIT:
+            admits[job] = admits.get(job, 0) + 1
+        elif rec["ev"] in TERMINAL_EVENTS:
+            terminals[job] = terminals.get(job, 0) + 1
+    lost = sorted(j for j in admits if j not in terminals)
+    duplicated = sorted(j for j, n in terminals.items() if n > 1)
+    orphaned = sorted(j for j in terminals if j not in admits)
+    return {
+        "jobs_admitted": len(admits),
+        "jobs_terminal": len(terminals),
+        "lost_jobs": lost,
+        "duplicated_terminals": duplicated,
+        "orphaned_terminals": orphaned,
+        "conserved": not (lost or duplicated or orphaned),
+    }
 
 
 class JournalWriter:

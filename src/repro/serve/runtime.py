@@ -15,8 +15,10 @@ the simulator produces — one report path for both worlds.
 from __future__ import annotations
 
 import asyncio
+import json
 import logging
 import math
+import os
 import pathlib
 import signal
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +29,7 @@ import numpy as np
 
 from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.energy import NodePowerModel
+from repro.cluster.faults import ContainerFaultModel, FaultTimeline
 from repro.core.controlplane import (
     prewarm_opening_capacity,
     reclaim_idle_capacity,
@@ -34,6 +37,7 @@ from repro.core.controlplane import (
 )
 from repro.core.policies import RMConfig
 from repro.metrics.collector import MetricsCollector, RunResult
+from repro.obs.export import atomic_write_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.prediction.base import Predictor
@@ -44,7 +48,11 @@ from repro.serve.config import ServeOptions
 from repro.serve.control import ControlLoop
 from repro.serve.faults import ChaosInjector, replay_faults
 from repro.serve.gateway import Gateway
-from repro.serve.journal import RequestJournal, journal_basename
+from repro.serve.journal import (
+    RequestJournal,
+    heartbeat_basename,
+    journal_basename,
+)
 from repro.serve.pool import WorkerPool, WorkFn
 from repro.serve.recovery import (
     build_recovery_plan,
@@ -81,15 +89,34 @@ class ServingRuntime:
         work: Optional[WorkFn] = None,
         input_scale_sampler: Optional[Callable[[np.random.Generator], float]] = None,
         tracer: Optional[Tracer] = None,
+        fault_model: Optional[ContainerFaultModel] = None,
+        shed_expired: bool = False,
+        faults: FaultTimeline = FaultTimeline(),
+        drain_ms: float = 120_000.0,
     ) -> None:
         self.config = config
         self.mix = mix
         self.cluster_spec = cluster_spec
         self.seed = seed
-        # Refused here, not when the event fires:
-        options.faults.timeline.validate(
-            "live", n_nodes=cluster_spec.n_nodes, n_shards=options.n_shards)
         self.options = options
+        #: The per-task fate model every pool draws from — the object a
+        #: simulated run of the same scenario hands its pools.
+        self.fault_model = fault_model
+        #: Slack-aware shedding at the gateway: beyond ``max_pending``
+        #: backpressure, arrivals whose residual slack is already
+        #: negative given the first stage's monitored queueing delay
+        #: are shed (admitting them only burns capacity).
+        self.shed_expired = shed_expired
+        #: The scripted faults ``replay_faults`` enacts on the scaled
+        #: clock.  What this plane cannot enact — or cannot recover from
+        #: without a journal — is refused here, not when the event fires.
+        self.faults = faults.validate(
+            "live", n_nodes=cluster_spec.n_nodes, n_shards=options.n_shards,
+            journaled=bool(options.journal_dir))
+        if drain_ms < 0:
+            raise ValueError("drain_ms must be >= 0")
+        #: Model-ms bound on the graceful-drain wait after the trace ends.
+        self.drain_ms = drain_ms
         self.work = work
         self.input_scale_sampler = input_scale_sampler
         #: Optional request-span tracer; shares the span schema with the
@@ -197,8 +224,9 @@ class ServingRuntime:
         # and the dead-letter queue, and reports give-ups to the gateway
         # so every admitted job terminates (completed xor failed).
         self.chaos = (
-            ChaosInjector(self.options.faults)
-            if self.options.faults.any_faults
+            ChaosInjector(self.fault_model, self.faults)
+            if self.fault_model is not None
+            or self.faults.of("brownout", "kill-workers")
             else None
         )
         cold_start = self.cold_start_model
@@ -225,7 +253,7 @@ class ServingRuntime:
                 chaos=self.chaos,
                 timeout_floor_wall_s=self.options.timeout_floor_wall_s,
                 on_task_finished=self._dispatch_task_finished,
-                fault_model=self.chaos.container_faults if self.chaos else None,
+                fault_model=self.fault_model,
                 **{**planner._pool_args(name), "cold_start": cold_start},
             )
         reclaim = partial(reclaim_idle_capacity, self.pools)
@@ -244,7 +272,7 @@ class ServingRuntime:
             rng=self._rng_apps,
             max_pending=self.options.max_pending,
             input_scale_sampler=self.input_scale_sampler,
-            shed_expired=self.options.shed_expired,
+            shed_expired=self.shed_expired,
             journal=self.journal,
         )
 
@@ -379,34 +407,18 @@ class ServingRuntime:
 
     # -- shard failover: heartbeats, takeover ------------------------------
 
-    def _heartbeat_path(self) -> pathlib.Path:
-        from repro.shard.failover import heartbeat_basename
-
-        return pathlib.Path(self.options.journal_dir) \
-            / heartbeat_basename(self.options.shard_id)
-
     def _write_heartbeat(self, now_ms: float) -> None:
-        """Atomically publish one liveness beat (tmp + rename)."""
-        import json
-        import os
-        import tempfile
-
-        path = self._heartbeat_path()
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".hb-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({
-                    "shard_id": self.options.shard_id,
-                    "t_ms": float(now_ms),
-                    "pid": os.getpid(),
-                }, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Atomically publish one liveness beat — on the event-loop
+        thread, once an interval: no fsync."""
+        atomic_write_text(
+            pathlib.Path(self.options.journal_dir)
+            / heartbeat_basename(self.options.shard_id),
+            json.dumps({
+                "shard_id": self.options.shard_id,
+                "t_ms": float(now_ms),
+                "pid": os.getpid(),
+            }),
+            fsync=False)
         self.registry.counter("shard_heartbeats_total").inc()
 
     def _start_heartbeats(self) -> Optional[asyncio.Task]:
@@ -543,7 +555,7 @@ class ServingRuntime:
                 )
             # Graceful drain: let in-flight jobs finish (bounded), with
             # the control loop still scaling/sampling, as in the sim.
-            drain_ms = self.options.drain_timeout_ms
+            drain_ms = self.drain_ms
             if self.interrupted and self.options.drain_grace_ms is not None:
                 drain_ms = self.options.drain_grace_ms
             self.drain_completed = await self.gateway.drained(
@@ -631,15 +643,22 @@ def serve_trace(
     options: ServeOptions = ServeOptions(),
     work: Optional[WorkFn] = None,
     tracer: Optional[Tracer] = None,
+    fault_model: Optional[ContainerFaultModel] = None,
+    shed_expired: bool = False,
+    faults: FaultTimeline = FaultTimeline(),
+    drain_ms: float = 120_000.0,
     **config_overrides,
 ) -> RunResult:
     """Convenience one-call live runner, mirroring ``run_policy``: build
     the :class:`~repro.scenario.Scenario` these arguments describe and
     run it."""
-    from repro.scenario import Scenario
+    from repro.scenario import Scenario, fault_pairs
 
     return Scenario.of(
         policy_name, mix, trace, cluster_spec, seed,
         live=options,
+        faults=fault_pairs(fault_model, faults),
+        shed_expired=shed_expired,
+        drain_ms=drain_ms,
         **config_overrides,
     ).run(tracer=tracer, predictor=predictor, work=work)

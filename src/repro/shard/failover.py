@@ -10,7 +10,7 @@ supplies the pieces both planes (sim and live) share to survive it:
   single late beat.
 * :class:`EpochLease` — a fenced lease file for the orchestrator
   itself: a warm standby may only take over once the primary's lease
-  is stale *and* its pid is gone, and every takeover bumps the epoch
+  is stale *or* its pid is gone, and every takeover bumps the epoch
   so a resurrected primary's renewals are fenced off.
 * :class:`OrchestratorSupervisor` — primary/standby pair driving the
   lease; on failover the standby re-derives shard pressure from the
@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
+from repro.obs.export import atomic_write_text
 from repro.obs.registry import MetricsRegistry
+from repro.serve.journal import pid_alive
 from repro.serve.recovery import JournaledJob
 from repro.shard.ring import ConsistentHashRing
 
@@ -42,12 +43,7 @@ __all__ = [
     "EpochLease",
     "OrchestratorSupervisor",
     "assign_takeover",
-    "heartbeat_basename",
 ]
-
-#: Heartbeat files written by live shard children (atomic JSON).
-def heartbeat_basename(shard_id: int = 0) -> str:
-    return f"heartbeat-{shard_id}.json"
 
 
 class ShardHealthMonitor:
@@ -144,10 +140,10 @@ class EpochLease:
     """Fenced orchestrator lease: a JSON file with a monotonic epoch.
 
     The holder renews by rewriting the file (atomic tmp + replace).  A
-    contender acquires only when the current holder is *stale* (no
-    renewal within ``ttl_ms``) **and** its pid is gone — a live holder
-    is never pre-empted, matching the journal sentinel's rule.  Every
-    acquisition bumps the epoch; a holder whose on-disk epoch moved on
+    contender acquires when the current holder is *stale* (no renewal
+    within ``ttl_ms``) **or** its pid is gone — only a holder that is
+    both fresh and alive is never pre-empted.  Every acquisition bumps
+    the epoch; a holder whose on-disk epoch moved on
     learns it is fenced at its next :meth:`renew` and must stop acting.
     """
 
@@ -177,30 +173,8 @@ class EpochLease:
             return None
 
     def _write(self, doc: Dict) -> None:
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lease-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    @staticmethod
-    def _pid_alive(pid: int) -> bool:
-        if pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-        return True
+        # A liveness hint, renewed every reconcile: no fsync.
+        atomic_write_text(self.path, json.dumps(doc), fsync=False)
 
     # ------------------------------------------------------------------
     def holder(self) -> Optional[Dict]:
@@ -219,7 +193,7 @@ class EpochLease:
                 holder_pid, holder_t, holder_epoch = -1, 0.0, 0
             fresh = (now_ms - holder_t) < self.ttl_ms
             if holder_pid != os.getpid() and fresh \
-                    and self._pid_alive(holder_pid):
+                    and pid_alive(holder_pid):
                 return False
         else:
             holder_epoch = 0

@@ -23,14 +23,26 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.faults import FaultTimeline
 from repro.metrics.collector import RunResult
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import (
+    MetricsRegistry,
+    SnapshotRow,
+    merge_registry_snapshots,
+    snapshot_registry,
+)
 from repro.runtime.system import ClusterSpec
-from repro.scenario import Scenario, Shards
+from repro.scenario import Scenario, Shards, fault_pairs
 from repro.serve.config import ServeOptions
+from repro.serve.journal import (
+    JournalLockedError,
+    RequestJournal,
+    heartbeat_basename,
+    journal_basename,
+    journal_conservation,
+)
 from repro.shard.ring import ConsistentHashRing
 from repro.shard.sim import (
     ShardedRunResult,
@@ -40,99 +52,6 @@ from repro.shard.sim import (
 )
 from repro.traces.base import ArrivalTrace
 from repro.workloads.mixes import WorkloadMix
-
-#: A snapshot row: ``(name, labels, kind, payload)`` where payload is a
-#: float for counters/gauges and a state dict for histograms.
-SnapshotRow = Tuple[str, Tuple[Tuple[str, str], ...], str, object]
-
-
-# ----------------------------------------------------------------------
-# registry snapshot / merge (cross-process metrics)
-# ----------------------------------------------------------------------
-
-def snapshot_registry(registry: MetricsRegistry) -> List[SnapshotRow]:
-    """Serialize every metric in *registry* for cross-process transport.
-
-    Live metric objects hold no locks or handles, but shipping the
-    registry itself would freeze its concrete classes into the pickle
-    stream; a plain-data snapshot keeps the wire format stable.
-    """
-    rows: List[SnapshotRow] = []
-    for name, labels, metric in registry.collect():
-        if metric.kind == "histogram":
-            payload = {
-                "edges": list(metric.edges),
-                "bucket_counts": list(metric.bucket_counts),
-                "count": metric.count,
-                "sum": metric.sum,
-                "min": metric.min,
-                "max": metric.max,
-            }
-        else:
-            payload = metric.value
-        rows.append((name, labels, metric.kind, payload))
-    return rows
-
-
-def _thaw_histogram(payload: Dict) -> Histogram:
-    hist = Histogram(payload["edges"])
-    hist.bucket_counts = list(payload["bucket_counts"])
-    hist.count = int(payload["count"])
-    hist.sum = float(payload["sum"])
-    hist.min = payload["min"]
-    hist.max = payload["max"]
-    return hist
-
-
-def merge_registry_snapshots(
-    snapshots: Sequence[Optional[List[SnapshotRow]]],
-) -> MetricsRegistry:
-    """Merge per-shard registry snapshots into one plane-level registry.
-
-    Counters and gauges sum (a gauge here is an end-of-run level, and
-    the plane-level level is the sum over gateways); histograms merge
-    exactly bucket-wise.  The result reconciles: every ``*_total`` in
-    the merged registry equals the sum of the per-shard totals.
-
-    A dead shard ships no snapshot (``None``) — or a torn, partial
-    one.  Either degrades instead of raising: missing snapshots are
-    counted in the ``shards_missing`` gauge, unreadable rows in
-    ``registry_rows_skipped_total``, and everything readable still
-    merges.  Losing a gateway must never also lose the survivors'
-    metrics.
-    """
-    merged = MetricsRegistry()
-    missing = 0
-    rows_skipped = 0
-    for rows in snapshots:
-        if rows is None:
-            missing += 1
-            continue
-        for row in rows:
-            try:
-                name, labels, kind, payload = row
-                label_kwargs = dict(labels)
-                if kind == "counter":
-                    merged.counter(name, **label_kwargs).inc(float(payload))
-                elif kind == "gauge":
-                    merged.gauge(name, **label_kwargs).inc(float(payload))
-                else:
-                    incoming = _thaw_histogram(payload)
-                    slot = merged.histogram(
-                        name, buckets=incoming.edges, **label_kwargs)
-                    combined = slot.merge(incoming)
-                    slot.bucket_counts = combined.bucket_counts
-                    slot.count = combined.count
-                    slot.sum = combined.sum
-                    slot.min = combined.min
-                    slot.max = combined.max
-            except (TypeError, ValueError, KeyError, IndexError):
-                rows_skipped += 1
-    if missing:
-        merged.gauge("shards_missing").set(float(missing))
-    if rows_skipped:
-        merged.counter("registry_rows_skipped_total").inc(rows_skipped)
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -198,9 +117,6 @@ def plane_journal_conservation(
     in the victim's file and exactly one terminal record lands in a
     survivor's takeover file.
     """
-    from repro.experiments.robustness import journal_conservation
-    from repro.serve.journal import RequestJournal, journal_basename
-
     directory = pathlib.Path(journal_dir)
     verdicts: Dict[int, Dict] = {}
     for shard_id in range(shards):
@@ -233,7 +149,7 @@ def _declare_from_heartbeats(
     """
     import json
 
-    from repro.shard.failover import ShardHealthMonitor, heartbeat_basename
+    from repro.shard.failover import ShardHealthMonitor
 
     interval_ms = shards.heartbeat_interval_ms
     miss_threshold = shards.heartbeat_miss_threshold
@@ -279,11 +195,6 @@ def _fail_over(
 
     import numpy as np
 
-    from repro.serve.journal import (
-        JournalLockedError,
-        RequestJournal,
-        journal_basename,
-    )
     from repro.serve.recovery import build_recovery_plan
     from repro.shard.failover import EpochLease, assign_takeover
 
@@ -337,6 +248,10 @@ def _fail_over(
             shard,
             # Decorrelated from the survivor's own (dead) child run.
             seed=shard.seed + 104_729,
+            # The takeover runtime replays no script: the plane's
+            # faults already happened on the victim's clock.
+            faults=tuple(
+                pair for pair in shard.faults if pair[0] != "timeline"),
             live=replace(
                 shard.live,
                 journal_name=f"{name}.jsonl",
@@ -344,9 +259,6 @@ def _fail_over(
                     f"takeover-checkpoint-{victim}-by-{survivor}.json"),
                 clock_start_ms=declare_ms,
                 heartbeat_interval_ms=None,
-                # The takeover runtime replays no script: the plane's
-                # faults already happened on the victim's clock.
-                faults=replace(shard.live.faults, timeline=FaultTimeline()),
             ),
         ).runtime()
         runtime.recovered_plan = (
@@ -447,6 +359,10 @@ def serve_sharded(
     predictor=None,
     seed: int = 0,
     options: ServeOptions = ServeOptions(),
+    fault_model=None,
+    faults: FaultTimeline = FaultTimeline(),
+    shed_expired: bool = False,
+    drain_ms: float = 120_000.0,
     initial_node_grants: Optional[Sequence[int]] = None,
     heartbeat_interval_ms: float = Shards.heartbeat_interval_ms,
     heartbeat_miss_threshold: int = 3,
@@ -459,13 +375,16 @@ def serve_sharded(
 
     Returns a plain :class:`RunResult` for ``shards=1`` (the exact
     single-gateway path) and a :class:`ShardedServeResult` otherwise.
-    The caller's *options* apply to every shard; ``shard_id``/
-    ``n_shards`` are stamped per child and must be left at their
-    defaults here.
+    The caller's *options* and fault plan apply to every shard;
+    ``shard_id``/``n_shards`` are stamped per child and must be left at
+    their defaults here.
     """
     return Scenario.of(
         policy_name, mix, trace, cluster_spec, seed,
         live=options,
+        faults=fault_pairs(fault_model, faults),
+        shed_expired=shed_expired,
+        drain_ms=drain_ms,
         shards=Shards(
             n=shards,
             initial_node_grants=initial_node_grants,

@@ -38,10 +38,14 @@ import numpy as np
 from repro.cluster.faults import FaultTimeline
 from repro.core.poolsurface import PoolSurface
 from repro.metrics.collector import RunResult
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import (
+    MetricsRegistry,
+    merge_registry_snapshots,
+    snapshot_registry,
+)
 from repro.runtime.system import ClusterSpec, ServerlessSystem
 from repro.scenario import Scenario, Shards, fault_pairs
-from repro.serve.journal import MemoryJournal
+from repro.serve.journal import MemoryJournal, journal_conservation
 from repro.serve.recovery import build_recovery_plan
 from repro.shard.failover import (
     OrchestratorSupervisor,
@@ -436,8 +440,6 @@ class _ShardFaultPlane:
 
     def journal_conservation(self) -> Dict:
         """Plane-wide exactly-once verdict over every shard's journal."""
-        from repro.experiments.robustness import journal_conservation
-
         records: List[Dict] = []
         for shard_id in sorted(self.systems):
             records.extend(self.systems[shard_id].lifecycle.journal.records)
@@ -730,11 +732,6 @@ def _run_inprocess_eventloop(
         # Failover runs expose the plane-level picture: merged metrics
         # (every shard + the orchestration/health registry) and the
         # exactly-once journal verdict across the takeover.
-        from repro.shard.live import (
-            merge_registry_snapshots,
-            snapshot_registry,
-        )
-
         snapshots = [
             snapshot_registry(s.registry)
             for _, s in sorted(systems.items())

@@ -86,6 +86,21 @@ class TestModulePaths:
             assert "core/poolsurface.py" in named
 
 
+class TestRemovedSpellings:
+    """The docs describe the system that exists: a name the code no
+    longer has belongs to CHANGES.md, which is the history."""
+
+    #: Written in pieces, so that grepping the tree for a removed name
+    #: finds nothing — this file included.
+    REMOVED = ("Fault" "Config", "drain_timeout" "_ms", "--sim-shed" "-expired")
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
+    def test_docs_do_not_name_removed_spellings(self, doc):
+        text = (REPO / doc).read_text()
+        for gone in self.REMOVED:
+            assert gone not in text, f"{doc} still names {gone}"
+
+
 class TestExamples:
     def test_examples_have_docstrings_and_main(self):
         for script in (REPO / "examples").glob("*.py"):

@@ -12,7 +12,7 @@ from repro.core.policies import make_policy_config
 from repro.experiments.runner import ExperimentRunner
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
 from repro.scenario import Scenario
-from repro.serve import FaultConfig, ServeOptions, ServingRuntime
+from repro.serve import ServeOptions, ServingRuntime
 from repro.serve import faults as serve_faults
 from repro.shard import run_sharded_policy, serve_sharded
 from repro.traces import poisson_trace
@@ -151,11 +151,6 @@ def test_validate_refuses_ids_windows_and_lone_shards():
 TINY_TRACE = poisson_trace(2.0, 2.0, seed=1)
 
 
-def _live_options(spec, **kwargs):
-    return ServeOptions(
-        faults=FaultConfig(timeline=FaultTimeline.parse(spec)), **kwargs)
-
-
 def test_entry_points_refuse_at_build_time(tmp_path):
     mix = get_mix("light")
     config = make_policy_config("rscale")
@@ -177,13 +172,13 @@ def test_entry_points_refuse_at_build_time(tmp_path):
             "rscale", mix, TINY_TRACE, shards=2, faults=FaultTimeline.parse(
                 "kill-orchestrator@1;kill-orchestrator@2"))
     with pytest.raises(ValueError, match="live plane does not enact"):
-        ServingRuntime(config, mix, options=_live_options("blackout@1:2"))
+        ServingRuntime(config, mix, faults=FaultTimeline.parse("blackout@1:2"))
     with pytest.raises(ValueError, match="out of range"):
         ServingRuntime(config, mix, ClusterSpec(n_nodes=2),
-                       options=_live_options("kill-node@0.5=9"))
+                       faults=FaultTimeline.parse("kill-node@0.5=9"))
     with pytest.raises(ValueError, match="live-sharded plane does not enact"):
         serve_sharded("rscale", mix, TINY_TRACE, shards=2,
-                      options=_live_options("recover-shard@1=0"))
+                      faults=FaultTimeline.parse("recover-shard@1=0"))
 
 
 def test_trial_spec_rejects_unknown_fault_keys():
@@ -216,7 +211,8 @@ def test_a_raising_fault_action_fails_the_run(monkeypatch):
     runtime = ServingRuntime(
         make_policy_config("rscale", idle_timeout_ms=60_000.0),
         get_mix("light"), seed=1,
-        options=_live_options("kill-workers@0.5", time_scale=0.005))
+        options=ServeOptions(time_scale=0.005),
+        faults=FaultTimeline.parse("kill-workers@0.5"))
     with pytest.raises(RuntimeError, match="injector died"):
         runtime.run(TINY_TRACE)
 
@@ -232,9 +228,9 @@ def test_live_replay_applies_every_event_in_order(monkeypatch):
     runtime = ServingRuntime(
         make_policy_config("rscale", idle_timeout_ms=60_000.0),
         get_mix("light"), ClusterSpec(n_nodes=3), seed=1,
-        options=_live_options(
-            "recover-node@1=0;kill-node@0.5=0;kill-node@1=1;kill-node@900=2",
-            time_scale=0.005))
+        options=ServeOptions(time_scale=0.005),
+        faults=FaultTimeline.parse(
+            "recover-node@1=0;kill-node@0.5=0;kill-node@1=1;kill-node@900=2"))
     runtime.run(TINY_TRACE)
     # Sorted by time, node kills before recoveries at one instant; the
     # event scripted past the drain never fires and fails nothing.
@@ -291,8 +287,7 @@ def test_cli_run_shards_faults_reach_the_plane(monkeypatch, capsys):
 
 def test_cli_serve_faults_reach_the_options(monkeypatch, capsys):
     seen = []
-    _spy_init(monkeypatch, ServingRuntime, seen,
-              lambda kw: kw["options"].faults.timeline)
+    _spy_init(monkeypatch, ServingRuntime, seen, lambda kw: kw["faults"])
     spec = "brownout@0:1x2;kill-workers@1;kill-node@1.5=1"
     assert main(SERVE + ["--faults", spec]) == 0
     assert seen == [FaultTimeline.parse(spec)]
@@ -311,8 +306,7 @@ def test_cli_serve_shards_faults_reach_the_plane(monkeypatch, tmp_path):
     with pytest.raises(SystemExit, match="captured"):
         main(SERVE + ["--shards", "2", "--journal-dir", str(tmp_path),
                       "--faults", "kill-shard@1=1"])
-    assert seen[0].live.faults.timeline \
-        == FaultTimeline.parse("kill-shard@1=1")
+    assert seen[0].timeline == FaultTimeline.parse("kill-shard@1=1")
     assert seen[0].shards.n == 2
 
 
@@ -396,8 +390,8 @@ def test_failover_study_scripts_both_planes_from_one_spec_builder(monkeypatch):
         return real_sim(*args, **kwargs)
 
     def live_spy(*args, **kwargs):
-        if kwargs["options"].faults.timeline:
-            seen["live"] = kwargs["options"].faults.timeline
+        if kwargs["faults"]:
+            seen["live"] = kwargs["faults"]
         return real_live(*args, **kwargs)
 
     monkeypatch.setattr(study, "run_sharded_policy", sim_spy)

@@ -17,10 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.faults import FaultEvent, FaultTimeline
 from repro.experiments.export import atomic_write_json, atomic_write_text
-from repro.experiments.robustness import journal_conservation
 from repro.runtime.system import run_policy
+from repro.scenario import Scenario
 from repro.serve import (
-    FaultConfig,
     RequestJournal,
     ServeOptions,
     ServingRuntime,
@@ -38,6 +37,7 @@ from repro.serve.journal import (
     EV_COMPLETE,
     JOURNAL_BASENAME,
     TERMINAL_EVENTS,
+    journal_conservation,
 )
 from repro.serve.recovery import RECOVERY_EXPIRED_REASON
 from repro.traces import poisson_trace
@@ -289,11 +289,8 @@ class TestLiveCrashRecovery:
         trace = poisson_trace(20.0, 8.0, seed=11)
         result = serve_trace(
             "rscale", get_mix("light"), trace, seed=11,
-            options=_durable_options(
-                tmp_path,
-                faults=FaultConfig(
-                    timeline=FaultTimeline.parse("crash-gateway@3")),
-            ),
+            options=_durable_options(tmp_path),
+            faults=FaultTimeline.parse("crash-gateway@3"),
             idle_timeout_ms=60_000.0,
         )
         assert result.recoveries == 1
@@ -309,11 +306,8 @@ class TestLiveCrashRecovery:
         trace = poisson_trace(15.0, 8.0, seed=4)
         result = serve_trace(
             "rscale", get_mix("light"), trace, seed=4,
-            options=_durable_options(
-                tmp_path,
-                faults=FaultConfig(
-                    timeline=FaultTimeline.parse("crash-control@3")),
-            ),
+            options=_durable_options(tmp_path),
+            faults=FaultTimeline.parse("crash-control@3"),
             idle_timeout_ms=60_000.0,
         )
         assert result.recoveries == 1
@@ -324,9 +318,18 @@ class TestLiveCrashRecovery:
         assert conservation["conserved"], conservation
 
     def test_crash_injection_requires_journal_dir(self):
+        from repro.core.policies import make_policy_config
+
+        crash = FaultTimeline.parse("crash-gateway@1")
+        # Refused where a run is described ...
         with pytest.raises(ValueError, match="journal_dir"):
-            ServeOptions(faults=FaultConfig(
-                timeline=FaultTimeline.parse("crash-gateway@1")))
+            Scenario.make(
+                "rscale", live=ServeOptions(), faults=(("timeline", crash),))
+        # ... and where a runtime is built without a description.
+        with pytest.raises(ValueError, match="journal_dir"):
+            ServingRuntime(
+                config=make_policy_config("rscale"), mix=get_mix("light"),
+                faults=crash)
 
     def test_durability_on_without_crash_is_invisible(self, tmp_path):
         # The golden-compatibility half: a journalled, checkpointed run
@@ -452,6 +455,32 @@ class TestAtomicExport:
         atomic_write_json(target, {"run": 1})
         atomic_write_json(target, {"run": 2})
         assert json.loads(target.read_text()) == {"run": 2}
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_only_durable_artifacts_pay_an_fsync(self, tmp_path, monkeypatch):
+        import os
+
+        from repro.shard.failover import EpochLease
+
+        synced = []
+        real = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real(fd))[1])
+        atomic_write_text(tmp_path / "export.json", "{}\n")
+        assert len(synced) == 1
+        # Liveness hints are rewritten once a second on the event-loop
+        # thread: neither the lease nor the heartbeat ever syncs.
+        lease = EpochLease(str(tmp_path / "orchestrator.lease"))
+        assert lease.acquire(1.0) and lease.renew(2.0)
+        from repro.core.policies import make_policy_config
+
+        ServingRuntime(
+            config=make_policy_config("rscale"), mix=get_mix("light"),
+            options=ServeOptions(journal_dir=str(tmp_path)),
+        )._write_heartbeat(3.0)
+        assert json.loads((tmp_path / "heartbeat-0.json").read_text())[
+            "t_ms"] == 3.0
+        assert len(synced) == 1
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_failed_write_leaves_previous_artifact_intact(self, tmp_path):

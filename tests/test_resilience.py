@@ -18,13 +18,12 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.container import ContainerState
 from repro.cluster.energy import EnergyMeter, NodePowerModel
-from repro.cluster.faults import FaultTimeline, fail_node
+from repro.cluster.faults import ContainerFaultModel, FaultTimeline, fail_node
 from repro.core.policies import make_policy_config
 from repro.core.scheduling import SchedulingPolicy
 from repro.metrics.collector import MetricsCollector
 from repro.prediction.windowed import WindowedMaxSampler
 from repro.serve import (
-    FaultConfig,
     Gateway,
     RetryManager,
     RetryPolicy,
@@ -673,10 +672,10 @@ class TestChaosEndToEnd:
             seed=8,
             options=ServeOptions(
                 time_scale=0.005,
-                faults=FaultConfig(crash_prob=0.2),
                 retry=RetryPolicy(max_attempts=5, base_backoff_ms=10.0),
-                drain_timeout_ms=1_200_000.0,
             ),
+            fault_model=ContainerFaultModel(crash_probability=0.2),
+            drain_ms=1_200_000.0,
         )
         result = runtime.run(trace)
         assert runtime.drain_completed
@@ -696,11 +695,11 @@ class TestChaosEndToEnd:
             seed=9,
             options=ServeOptions(
                 time_scale=0.005,
-                faults=FaultConfig(hang_prob=1.0),
                 retry=RetryPolicy(max_attempts=2, base_backoff_ms=10.0),
                 timeout_floor_wall_s=0.05,
-                drain_timeout_ms=1_200_000.0,
             ),
+            fault_model=ContainerFaultModel(hang_probability=1.0),
+            drain_ms=1_200_000.0,
         )
         result = runtime.run(trace)
         assert runtime.drain_completed
@@ -714,8 +713,8 @@ class TestChaosEndToEnd:
     def test_registry_brownout_inflates_and_counts(self):
         from repro.serve import ChaosInjector
 
-        chaos = ChaosInjector(FaultConfig(
-            timeline=FaultTimeline.parse("brownout@0:5x3")))
+        chaos = ChaosInjector(
+            timeline=FaultTimeline.parse("brownout@0:5x3"))
         clock = ScaledClock(FAST)  # unstarted: now == 0, inside the window
         base = ColdStartModel(jitter_sigma=0.0)
         wrapped = chaos.wrap_cold_start(base, clock)
@@ -734,12 +733,9 @@ class TestChaosEndToEnd:
             config=make_policy_config("bline", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=10,
-            options=ServeOptions(
-                time_scale=0.005,
-                faults=FaultConfig(
-                    timeline=FaultTimeline.parse("brownout@0:600x1.5")),
-                drain_timeout_ms=1_200_000.0,
-            ),
+            options=ServeOptions(time_scale=0.005),
+            faults=FaultTimeline.parse("brownout@0:600x1.5"),
+            drain_ms=1_200_000.0,
         )
         result = runtime.run(trace)
         assert runtime.drain_completed
@@ -754,11 +750,10 @@ class TestChaosEndToEnd:
             seed=11,
             options=ServeOptions(
                 time_scale=0.005,
-                faults=FaultConfig(
-                    timeline=FaultTimeline.parse("kill-workers@4")),
                 retry=RetryPolicy(max_attempts=5, base_backoff_ms=10.0),
-                drain_timeout_ms=1_200_000.0,
             ),
+            faults=FaultTimeline.parse("kill-workers@4"),
+            drain_ms=1_200_000.0,
         )
         result = runtime.run(trace)
         assert runtime.chaos.workers_killed >= 1
@@ -775,10 +770,11 @@ class TestChaosEndToEnd:
         result = serve_trace(
             "rscale", get_mix("light"), trace, seed=12,
             options=ServeOptions(
-                time_scale=0.005, faults=FaultConfig(crash_prob=0.3),
+                time_scale=0.005,
                 retry=RetryPolicy(max_attempts=5, base_backoff_ms=10.0),
-                drain_timeout_ms=1_200_000.0,
             ),
+            fault_model=ContainerFaultModel(crash_probability=0.3),
+            drain_ms=1_200_000.0,
             idle_timeout_ms=60_000.0,
         )
         record = summary_record(result, mode="live")

@@ -19,7 +19,7 @@ from repro.experiments.robustness import run_robustness_study, study_specs
 from repro.prediction.classical import EWMAPredictor
 from repro.prediction.guarded import DivergentPredictor
 from repro.runtime.system import ClusterSpec, run_policy
-from repro.serve import FaultConfig, ServeOptions, serve_trace
+from repro.serve import ServeOptions, serve_trace
 from repro.traces import poisson_trace
 from repro.workloads import get_mix
 
@@ -112,10 +112,8 @@ def guarded_pair():
     live = serve_trace(
         "fifer", mix, trace, seed=SEED, cluster_spec=spec,
         predictor=_divergent(),
-        options=ServeOptions(
-            time_scale=TIME_SCALE,
-            faults=FaultConfig(timeline=FaultTimeline.parse(FAULT_SPEC)),
-        ),
+        faults=FaultTimeline.parse(FAULT_SPEC),
+        options=ServeOptions(time_scale=TIME_SCALE),
         **SCENARIO,
     )
     return sim, live

@@ -3,6 +3,7 @@ derivation, typed overrides, the refusal rule — and the guards that
 moving every entry point and experiment loop onto
 :class:`~repro.scenario.Scenario` moved no figure."""
 
+import ast
 import dataclasses
 import json
 import pathlib
@@ -20,9 +21,17 @@ from repro.core.slack import SlackDivision
 from repro.experiments.runner import ExperimentRunner, config_hash
 from repro.obs.trace import Tracer
 from repro.prediction.classical import EWMAPredictor
-from repro.runtime.system import ClusterSpec, run_policy
-from repro.scenario import CACHE_FORMAT_VERSION, Scenario, Shards
-from repro.serve import FaultConfig, ServeOptions
+from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
+from repro.runtime.vector import VectorEngineUnsupported
+from repro.scenario import (
+    _REFUSES,
+    CACHE_FORMAT_VERSION,
+    FAULT_KEYS,
+    Scenario,
+    Shards,
+)
+from repro.serve import ServeOptions
+from repro.sim.engine import Simulator
 from repro.traces import poisson_trace
 from repro.workloads import get_mix
 
@@ -86,11 +95,7 @@ def test_plane_is_derived_and_refuses_what_it_does_not_enact(
         engine, shards, live, plane, foreign_kind):
     members = dict(engine=engine, shards=Shards(n=shards), live=live)
     assert Scenario.make("rscale", **members).plane == plane
-    timeline = FaultTimeline.parse(foreign_kind)
-    if live is None:
-        members["faults"] = (("timeline", timeline),)
-    else:
-        members["live"] = ServeOptions(faults=FaultConfig(timeline=timeline))
+    members["faults"] = (("timeline", FaultTimeline.parse(foreign_kind)),)
     with pytest.raises(ValueError, match=f"{plane} plane does not enact"):
         Scenario.make("rscale", **members)
 
@@ -100,17 +105,98 @@ def test_plane_is_derived_and_refuses_what_it_does_not_enact(
      "diverge_after is not supported on the sim-sharded plane"),
     (dict(live=LIVE, engine="vector"),
      "engine is not supported on the live plane"),
-    (dict(live=LIVE, shed_expired=True),
-     "shed_expired is not supported on the live plane"),
-    (dict(live=LIVE, faults=(("crash_probability", 0.1),)),
-     "crash_probability is not supported on the live plane"),
-    (dict(live=LIVE, shards=Shards(n=2), drain_ms=1.0),
-     "drain_ms is not supported on the live-sharded plane"),
+    (dict(faults=(("hang_probability", 0.1),)),
+     "hang_probability is not supported on the sim plane"),
+    (dict(live=LIVE, shards=Shards(n=2), engine="fast"),
+     "engine is not supported on the live-sharded plane"),
 ])
 def test_members_a_plane_cannot_honour_are_refused_when_built(
         members, refused):
     with pytest.raises(ValueError, match=refused):
         Scenario.make("rscale", **members)
+
+
+#: How to reach each plane, and a scripted fault it enacts.
+PLANES = {
+    "sim": (dict(), "blackout@1:2"),
+    "vector": (dict(engine="vector"), "blackout@1:2"),
+    "sim-sharded": (dict(shards=Shards(n=2)), "kill-shard@1=0"),
+    "live": (dict(live=LIVE), "brownout@1:2x2"),
+    "live-sharded": (dict(live=LIVE, shards=Shards(n=2)), "brownout@1:2x2"),
+}
+#: One non-default setting of each run member that is spelled once for
+#: every plane, and where an assembled run shows it: the attribute both
+#: ``ServerlessSystem`` and ``ServingRuntime`` keep it under, and its value.
+CRASHY = ("crash_probability", 0.2)
+RUN_MEMBERS = {
+    "shed_expired": (
+        dict(shed_expired=True), "shed_expired", True),
+    "drain_ms": (
+        dict(drain_ms=4_321.0), "drain_ms", 4_321.0),
+    "crash_probability": (
+        dict(faults=(CRASHY,)), "fault_model",
+        ContainerFaultModel(crash_probability=0.2)),
+    "crash_point": (
+        dict(faults=(CRASHY, ("crash_point", 0.25))), "fault_model",
+        ContainerFaultModel(crash_probability=0.2, crash_point=0.25)),
+    "hang_probability": (
+        dict(faults=(("hang_probability", 0.3),)), "fault_model",
+        ContainerFaultModel(hang_probability=0.3)),
+    "timeline": (None, "faults", None),   # per plane: PLANES' script
+}
+
+
+def _built(assembled):
+    """What one assembled run wires from its members into the request
+    path: (lifecycle's shedding switch, every pool's fate model)."""
+    if isinstance(assembled, ServerlessSystem):
+        assembled._build(Simulator())
+        lifecycle = assembled.lifecycle
+    else:
+        assembled._build(executor=None)   # no slot is spawned: never used
+        lifecycle = assembled.gateway.lifecycle
+    return lifecycle.shed_expired, [
+        pool.fault_model for pool in assembled.pools.values()]
+
+
+@pytest.mark.parametrize("member", sorted(RUN_MEMBERS))
+@pytest.mark.parametrize("plane", sorted(PLANES))
+def test_a_run_member_is_honoured_or_refused_on_every_plane(plane, member):
+    assert member in FAULT_KEYS or member in {
+        f.name for f in dataclasses.fields(Scenario)}
+    where, script = PLANES[plane]
+    setting, attribute, expected = RUN_MEMBERS[member]
+    if member == "timeline":
+        setting = dict(faults=(("timeline", script),))
+        expected = FaultTimeline.parse(script)
+    if member in _REFUSES[plane]:
+        with pytest.raises(ValueError, match=f"{member} .* {plane} plane"):
+            Scenario.make("rscale", **where, **setting)
+        return
+    scenario = Scenario.make("rscale", **where, **setting)
+    assert scenario.plane == plane
+    sharded = scenario.shards.n > 1
+    shards = ([scenario.for_shard(i, 2) for i in range(2)] if sharded
+              else [scenario])
+    if plane == "sim-sharded" and member == "timeline":
+        # The plane enacts its plane-wide kinds itself (§17): the
+        # script stays on the plane's scenario, no shard replays it.
+        assert scenario.timeline == expected
+        expected = FaultTimeline()
+    for shard in shards:
+        assembled = (shard.runtime() if shard.live is not None
+                     else shard.system())
+        assert getattr(assembled, attribute) == expected
+        if plane == "vector" and attribute == "fault_model":
+            # The one member a plane refuses when *run*: the vector
+            # engine has no per-task fate draw (DESIGN §13).
+            with pytest.raises(VectorEngineUnsupported, match="fault"):
+                assembled.run(poisson_trace(2.0, 2.0, seed=1))
+            continue
+        shedding, fate_models = _built(assembled)
+        assert shedding is shard.shed_expired
+        assert fate_models and all(
+            model == shard.fault_model for model in fate_models)
 
 
 def test_collaborators_are_refused_before_anything_runs():
@@ -149,11 +235,9 @@ def test_for_shard_reproduces_the_per_shard_stamping(n_shards, grants, tmp_path)
 
 def test_for_shard_stamps_the_liveness_cadence_once_a_kill_is_scripted(
         tmp_path):
-    options = ServeOptions(
-        journal_dir=str(tmp_path),
-        faults=FaultConfig(timeline=FaultTimeline.parse("kill-shard@1=1")))
+    options = ServeOptions(journal_dir=str(tmp_path))
     plane = Scenario.make(
-        "rscale", live=options,
+        "rscale", live=options, faults=(("timeline", "kill-shard@1=1"),),
         shards=Shards(n=2, heartbeat_interval_ms=250.0))
     assert plane.for_shard(0, 2).live == dataclasses.replace(
         options, shard_id=0, n_shards=2, heartbeat_interval_ms=250.0)
@@ -384,6 +468,36 @@ def test_one_definition_per_decision():
                  "make_policy_config(", "predictor_for_run(", "make_trace(args",
                  "ClusterSpec("):
         assert call not in cli, call
+
+
+def _imports(path):
+    """Every module *path* imports, at any depth (function-local
+    imports included), read from its AST — nothing is executed."""
+    package = list(path.relative_to(SRC).with_suffix("").parts[:-1])
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            yield ".".join(base + ([node.module] if node.module else []))
+
+
+def test_imports_point_down_the_layers():
+    """``experiments`` is the top layer and ``shard`` sits on ``serve``:
+    nothing below reaches up for a helper."""
+    upward = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        name = str(path.relative_to(SRC / "repro"))
+        for module in _imports(path):
+            if (module.startswith("repro.experiments")
+                    and not name.startswith("experiments/")
+                    and name != "cli.py") or (
+                    module.startswith("repro.shard")
+                    and name.startswith("serve/")):
+                upward.setdefault(name, set()).add(module)
+    # The one pre-training rule is an experiment's; the scenario reaches
+    # it lazily, and only for a policy whose forecaster needs training.
+    assert upward == {"scenario.py": {"repro.experiments.predictors"}}
 
 
 def test_a_plain_simulated_run_imports_no_other_plane():

@@ -499,9 +499,8 @@ class TestEndToEnd:
             .make_policy_config("bline", idle_timeout_ms=60_000.0),
             mix=get_mix("heavy"),
             seed=6,
-            options=ServeOptions(
-                time_scale=0.005, max_pending=3, drain_timeout_ms=30_000.0
-            ),
+            options=ServeOptions(time_scale=0.005, max_pending=3),
+            drain_ms=30_000.0,
         )
         result = runtime.run(trace)
         assert runtime.shed_jobs > 0

@@ -15,16 +15,13 @@ live run compresses time 10x) and real scheduling jitter.  Tolerances
   model ms and the bound was a coin flip on a loaded host).
 """
 
+import dataclasses
+
 import pytest
 
-from repro.cluster.faults import ContainerFaultModel
-from repro.runtime.system import run_policy
-from repro.serve import (
-    FaultConfig,
-    RetryPolicy,
-    ServeOptions,
-    serve_trace,
-)
+from repro.runtime.system import ClusterSpec
+from repro.scenario import Scenario
+from repro.serve import RetryPolicy, ServeOptions
 from repro.traces import poisson_trace
 from repro.workloads import get_mix
 
@@ -40,19 +37,19 @@ PEAK_TOLERANCE = 2
 MEDIAN_SLACK_MS = 250.0
 
 
+def _both_planes(options, **members):
+    """One description, two planes: the live arm is the simulated
+    scenario plus a ``live`` block — no member is spelled twice."""
+    scenario = Scenario.of(
+        POLICY, get_mix(MIX), poisson_trace(RATE_RPS, DURATION_S, seed=SEED),
+        ClusterSpec(), SEED, idle_timeout_ms=60_000.0, **members)
+    assert scenario.plane == "sim"
+    return scenario.run(), dataclasses.replace(scenario, live=options).run()
+
+
 @pytest.fixture(scope="module")
 def pair():
-    mix = get_mix(MIX)
-    trace = poisson_trace(RATE_RPS, DURATION_S, seed=SEED)
-    sim = run_policy(
-        POLICY, mix, trace, seed=SEED, idle_timeout_ms=60_000.0
-    )
-    live = serve_trace(
-        POLICY, mix, trace, seed=SEED,
-        options=ServeOptions(time_scale=TIME_SCALE),
-        idle_timeout_ms=60_000.0,
-    )
-    return sim, live
+    return _both_planes(ServeOptions(time_scale=TIME_SCALE))
 
 
 class TestSimLiveParity:
@@ -101,23 +98,12 @@ def chaos_pair():
     gets a generous attempt budget and no deadline cut-off — the paired
     runs then differ only in clock and crash-timing jitter.
     """
-    mix = get_mix(MIX)
-    trace = poisson_trace(RATE_RPS, DURATION_S, seed=SEED)
-    sim = run_policy(
-        POLICY, mix, trace, seed=SEED, idle_timeout_ms=60_000.0,
-        fault_model=ContainerFaultModel(crash_probability=CRASH_PROB),
-    )
-    live = serve_trace(
-        POLICY, mix, trace, seed=SEED,
-        options=ServeOptions(
+    return _both_planes(
+        ServeOptions(
             time_scale=TIME_SCALE,
-            faults=FaultConfig(crash_prob=CRASH_PROB),
-            retry=RetryPolicy(max_attempts=10, base_backoff_ms=10.0),
-            drain_timeout_ms=1_200_000.0,
-        ),
-        idle_timeout_ms=60_000.0,
-    )
-    return sim, live
+            retry=RetryPolicy(max_attempts=10, base_backoff_ms=10.0)),
+        faults=(("crash_probability", CRASH_PROB),),
+        drain_ms=1_200_000.0)
 
 
 class TestChaosParity:

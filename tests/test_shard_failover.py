@@ -13,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.faults import FaultEvent, FaultTimeline
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.system import ClusterSpec
-from repro.serve import FaultConfig, ServeOptions
+from repro.serve import ServeOptions
 from repro.serve.journal import (
     EV_ADMIT,
     EV_COMPLETE,
     EV_HOP,
     JOURNAL_SCHEMA_VERSION,
     RequestJournal,
+    heartbeat_basename,
 )
 from repro.serve.recovery import build_recovery_plan
 from repro.shard.failover import (
@@ -27,7 +28,6 @@ from repro.shard.failover import (
     OrchestratorSupervisor,
     ShardHealthMonitor,
     assign_takeover,
-    heartbeat_basename,
 )
 from repro.shard.live import (
     merge_registry_snapshots,
@@ -474,10 +474,9 @@ def test_live_kill_shard_fails_over(tmp_path):
         "rscale", get_mix("medium"), trace, shards=2,
         cluster_spec=ClusterSpec(n_nodes=4), seed=13,
         options=ServeOptions(
-            time_scale=FAST, drain_timeout_ms=30_000.0,
-            journal_dir=str(tmp_path), checkpoint_interval_ms=3_000.0,
-            faults=FaultConfig(
-                timeline=FaultTimeline.parse("kill-shard@5=1"))),
+            time_scale=FAST,
+            journal_dir=str(tmp_path), checkpoint_interval_ms=3_000.0),
+        faults=FaultTimeline.parse("kill-shard@5=1"), drain_ms=30_000.0,
         heartbeat_interval_ms=500.0)
     assert result.failover["victim"] == 1
     assert result.failover["declared_at_ms"] > 5_000.0
@@ -503,23 +502,23 @@ def test_live_kill_validation(tmp_path):
     mix = get_mix("medium")
 
     def options(spec, **kwargs):
-        return ServeOptions(
-            faults=FaultConfig(timeline=FaultTimeline.parse(spec)), **kwargs)
+        return dict(
+            faults=FaultTimeline.parse(spec), options=ServeOptions(**kwargs))
 
     with pytest.raises(ValueError, match="survivor"):
-        serve_sharded("rscale", mix, trace, shards=1, options=options(
+        serve_sharded("rscale", mix, trace, shards=1, **options(
             "kill-shard@1=0", journal_dir=str(tmp_path)))
     with pytest.raises(ValueError, match="journal_dir"):
         serve_sharded("rscale", mix, trace, shards=2,
-                      options=options("kill-shard@1=0"))
+                      **options("kill-shard@1=0"))
     with pytest.raises(ValueError, match="out of range"):
-        serve_sharded("rscale", mix, trace, shards=2, options=options(
+        serve_sharded("rscale", mix, trace, shards=2, **options(
             "kill-shard@1=5", journal_dir=str(tmp_path)))
     with pytest.raises(ValueError, match="one shard per run"):
-        serve_sharded("rscale", mix, trace, shards=3, options=options(
+        serve_sharded("rscale", mix, trace, shards=3, **options(
             "kill-shard@1=0,1", journal_dir=str(tmp_path)))
     with pytest.raises(ValueError, match="does not enact"):
-        serve_sharded("rscale", mix, trace, shards=2, options=options(
+        serve_sharded("rscale", mix, trace, shards=2, **options(
             "kill-node@1=0", journal_dir=str(tmp_path)))
 
 
@@ -543,6 +542,29 @@ def test_stale_lock_steal_is_logged_with_owner_and_claim(tmp_path,
     assert f"{os.getpid()}:" in message
 
 
+@pytest.mark.parametrize("relic", [
+    "0:1", "-1:1",              # kill(2) reads these as process *groups*
+    f"{os.getpid()}:1",         # an in-process respawn reopens its WAL
+    "999999999:1", "",          # a dead owner, an empty relic
+])
+def test_a_lock_relic_naming_no_live_foreign_process_is_stolen(
+        tmp_path, relic, caplog):
+    path = tmp_path / "journal.jsonl"
+    (tmp_path / "journal.jsonl.lock").write_text(relic)
+    with caplog.at_level(logging.WARNING, logger="repro.serve.journal"):
+        journal = RequestJournal(path)   # JournalLockedError = never stolen
+    journal.append(EV_ADMIT, 0, 1.0, app="img", scale=1.0)
+    journal.close()
+    assert len(RequestJournal.read_records(path)) == 1
+    assert [r for r in caplog.records
+            if "stealing stale journal lock" in r.getMessage()]
+    # The lease reads a holder's pid through the same function.
+    lease = EpochLease(str(tmp_path / "lease"))
+    (tmp_path / "lease").write_text(json.dumps(
+        {"epoch": 4, "pid": int(relic.split(":")[0] or -1), "t_ms": 0.0}))
+    assert lease.acquire(1.0) and lease.epoch == 5
+
+
 def test_takeover_fence_refused_while_owner_lives(tmp_path):
     # A live foreign owner (pid 1) means the shard is slow, not dead:
     # the takeover must fall back to read-only replay, never steal.
@@ -563,9 +585,8 @@ def test_takeover_fence_refused_while_owner_lives(tmp_path):
         Scenario.make(
             "rscale", mix=get_mix("medium"), trace_kind=None,
             cluster=ClusterSpec(n_nodes=4), seed=1,
-            live=ServeOptions(
-                time_scale=FAST, journal_dir=str(directory),
-                drain_timeout_ms=10_000.0),
+            live=ServeOptions(time_scale=FAST, journal_dir=str(directory)),
+            drain_ms=10_000.0,
             shards=Shards(
                 n=2, initial_node_grants=[2, 2],
                 heartbeat_interval_ms=500.0, heartbeat_miss_threshold=2,

@@ -173,12 +173,11 @@ def test_two_shard_live_serve_smoke(tmp_path):
     trace = poisson_trace(rate_rps=6.0, duration_s=8.0, seed=7)
     options = ServeOptions(
         time_scale=FAST,
-        drain_timeout_ms=20_000.0,
         journal_dir=str(tmp_path),
         checkpoint_interval_ms=2_000.0,
     )
     result = serve_sharded(
-        "rscale", mix, trace, shards=2,
+        "rscale", mix, trace, shards=2, drain_ms=20_000.0,
         cluster_spec=ClusterSpec(n_nodes=4), seed=7, options=options)
     assert isinstance(result, ShardedServeResult)
     assert result.mode == "live"
@@ -205,9 +204,9 @@ def test_two_shard_live_serve_smoke(tmp_path):
 def test_serve_sharded_one_shard_is_plain_runresult(tmp_path):
     mix = get_mix("medium")
     trace = poisson_trace(rate_rps=6.0, duration_s=5.0, seed=3)
-    options = ServeOptions(time_scale=FAST, drain_timeout_ms=15_000.0)
+    options = ServeOptions(time_scale=FAST)
     result = serve_sharded(
-        "rscale", mix, trace, shards=1,
+        "rscale", mix, trace, shards=1, drain_ms=15_000.0,
         cluster_spec=ClusterSpec(n_nodes=2), seed=3, options=options)
     assert not isinstance(result, ShardedServeResult)
     assert result.n_jobs == len(trace.arrivals_ms)

@@ -40,7 +40,7 @@ def test_serve_sharded_ships_the_predictor_to_every_shard():
         "fifer", get_mix("medium"), trace, shards=2,
         cluster_spec=ClusterSpec(n_nodes=4),
         predictor=predictor_for_run("lstm", "poisson", 5.0), seed=4,
-        options=ServeOptions(time_scale=0.05, drain_timeout_ms=15_000.0))
+        options=ServeOptions(time_scale=0.05), drain_ms=15_000.0)
     assert isinstance(result, ShardedServeResult)
     assert sorted(result.per_shard) == [0, 1]
     assert result.n_jobs == len(trace.arrivals_ms)

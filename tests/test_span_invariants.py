@@ -9,11 +9,12 @@ with the retry layer's own counters.
 
 import pytest
 
+from repro.cluster.faults import ContainerFaultModel
 from repro.core.policies import make_policy_config
 from repro.obs.export import validate_span_dict
 from repro.obs.trace import SPAN_NAMES, Tracer
 from repro.runtime.system import ClusterSpec, ServerlessSystem
-from repro.serve import FaultConfig, RetryPolicy, ServeOptions, ServingRuntime
+from repro.serve import RetryPolicy, ServeOptions, ServingRuntime
 from repro.traces import poisson_trace
 from repro.workloads import get_mix
 
@@ -61,9 +62,9 @@ def live_run():
         seed=11,
         options=ServeOptions(
             time_scale=0.005,
-            faults=FaultConfig(crash_prob=0.2),
             retry=RetryPolicy(max_attempts=3, base_backoff_ms=5.0),
         ),
+        fault_model=ContainerFaultModel(crash_probability=0.2),
         tracer=tracer,
     )
     result = runtime.run(poisson_trace(15.0, 4.0, seed=11))

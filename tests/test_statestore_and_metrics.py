@@ -292,12 +292,8 @@ class TestRegistryReconciliation:
 
     def test_live_run_resilience_counters_reconcile(self):
         from repro.core.policies import make_policy_config
-        from repro.serve import (
-            FaultConfig,
-            RetryPolicy,
-            ServeOptions,
-            ServingRuntime,
-        )
+        from repro.cluster.faults import ContainerFaultModel
+        from repro.serve import RetryPolicy, ServeOptions, ServingRuntime
         from repro.traces import poisson_trace
         from repro.workloads import get_mix
 
@@ -307,9 +303,9 @@ class TestRegistryReconciliation:
             seed=13,
             options=ServeOptions(
                 time_scale=0.005,
-                faults=FaultConfig(crash_prob=0.25),
                 retry=RetryPolicy(max_attempts=2, base_backoff_ms=5.0),
             ),
+            fault_model=ContainerFaultModel(crash_probability=0.25),
         )
         result = runtime.run(poisson_trace(12.0, 4.0, seed=13))
         reg = runtime.registry
