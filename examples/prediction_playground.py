@@ -14,22 +14,13 @@ import argparse
 import numpy as np
 
 from repro.experiments import format_table
+from repro.metrics.ascii_plot import sparkline
 from repro.prediction import (
     default_predictors,
     evaluate_all,
     windowed_max_series,
 )
 from repro.traces import wiki_trace, wits_trace
-
-
-def sparkline(values: np.ndarray, width: int = 60) -> str:
-    """A terminal sparkline of the series (for eyeballing the shape)."""
-    blocks = " .:-=+*#%@"
-    if len(values) > width:
-        chunks = np.array_split(values, width)
-        values = np.array([c.mean() for c in chunks])
-    top = values.max() or 1.0
-    return "".join(blocks[min(int(v / top * (len(blocks) - 1)), 9)] for v in values)
 
 
 def main() -> None:

@@ -31,7 +31,7 @@ Bit-exactness notes (load-bearing — the differential harness in
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -101,17 +101,6 @@ def epoch_boundaries(horizon_ms: float, epoch_ms: float) -> List[float]:
     return bounds
 
 
-def epoch_arrival_slices(
-    times_ms: np.ndarray, boundaries: List[float]
-) -> np.ndarray:
-    """Per-epoch end indices into a sorted arrival array.
-
-    ``out[i]`` is the index one past the last arrival with time ``<=
-    boundaries[i]`` — the batch of arrivals epoch ``i`` admits.
-    """
-    return np.searchsorted(times_ms, np.asarray(boundaries), side="right")
-
-
 def segment_totals(values: np.ndarray, job_base: np.ndarray) -> np.ndarray:
     """Per-job sums over contiguous stage segments of a flat array,
     each added strictly left to right from 0.0."""
@@ -123,17 +112,3 @@ def segment_totals(values: np.ndarray, job_base: np.ndarray) -> np.ndarray:
         longer = np.flatnonzero(counts > stage)
         totals[longer] += values[job_base[longer] + stage]
     return totals
-
-
-def select_best_fit(
-    free_slots: np.ndarray, mask: Optional[np.ndarray] = None
-) -> int:
-    """Tightest-fit container index: min positive free slots, lowest
-    index on ties (the event-loop dispatch order).  Returns -1 when no
-    container has capacity."""
-    free = free_slots if mask is None else np.where(mask, free_slots, 0)
-    pos = free > 0
-    if not pos.any():
-        return -1
-    candidate = np.where(pos, free, np.iinfo(free.dtype).max)
-    return int(np.argmin(candidate))

@@ -122,9 +122,3 @@ def figure6_reports(
     )
     series = windowed_max_series(trace)
     return evaluate_all(default_predictors(seed=seed), series)
-
-
-def clear_caches() -> None:
-    """Drop cached series/predictors (tests use this for isolation)."""
-    _SERIES_CACHE.clear()
-    _PREDICTOR_CACHE.clear()

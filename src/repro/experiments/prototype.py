@@ -73,17 +73,6 @@ def run_prototype(
     }
 
 
-def run_prototype_all_mixes(
-    policies: Optional[List[str]] = None,
-    **kwargs,
-) -> Dict[str, Dict[str, RunResult]]:
-    """Figure 8's full grid: {mix: {policy: result}}."""
-    return {
-        mix: run_prototype(mix, policies=policies, **kwargs)
-        for mix in ("heavy", "medium", "light")
-    }
-
-
 _PROTOTYPE_CACHE: Dict[str, Dict[str, RunResult]] = {}
 
 

@@ -92,18 +92,6 @@ def run_trace_simulation(
     }
 
 
-def run_trace_all_mixes(
-    kind: str,
-    policies: Optional[List[str]] = None,
-    **kwargs,
-) -> Dict[str, Dict[str, RunResult]]:
-    """Figures 13/14's grid for one trace: {mix: {policy: result}}."""
-    return {
-        mix: run_trace_simulation(kind, mix, policies=policies, **kwargs)
-        for mix in ("heavy", "medium", "light")
-    }
-
-
 _TRACE_CACHE: Dict[tuple, Dict[str, RunResult]] = {}
 
 

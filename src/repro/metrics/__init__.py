@@ -2,20 +2,10 @@
 
 from repro.metrics.collector import MetricsCollector, RunResult
 from repro.metrics.stats import percentile, summarize_latencies
-from repro.metrics.timeline import (
-    containers_over_time,
-    rolling_latency_percentile,
-    rolling_violation_rate,
-    spawn_rate_series,
-)
 
 __all__ = [
     "MetricsCollector",
     "RunResult",
     "percentile",
     "summarize_latencies",
-    "containers_over_time",
-    "rolling_latency_percentile",
-    "rolling_violation_rate",
-    "spawn_rate_series",
 ]

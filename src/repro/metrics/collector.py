@@ -344,19 +344,13 @@ class MetricsCollector:
         pools: Dict[str, PoolSurface],
         nodes,
         now_ms: float,
-        sample_energy: bool = True,
     ) -> None:
-        """One 10 s sampling tick: containers per pool + cluster power.
-
-        Multi-tenant deployments meter the shared cluster's energy once
-        centrally and pass ``sample_energy=False`` per tenant.
-        """
+        """One 10 s sampling tick: containers per pool + cluster power."""
         self.sample_times.append(now_ms)
         for name, pool in pools.items():
             self.pool_samples.setdefault(name, []).append(
                 pool.sample_containers())
-        if sample_energy:
-            self.energy_meter.sample(nodes, now_ms)
+        self.energy_meter.sample(nodes, now_ms)
 
     def finalize(
         self,

@@ -25,7 +25,6 @@ from repro.prediction.feedforward import SimpleFeedForwardPredictor
 from repro.prediction.lstm import LSTMPredictor
 from repro.prediction.wavenet import WaveNetPredictor
 from repro.prediction.deepar import DeepARPredictor
-from repro.prediction.online import OnlineRetrainingPredictor
 from repro.prediction.evaluate import PredictorReport, evaluate_predictor, evaluate_all
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "LSTMPredictor",
     "WaveNetPredictor",
     "DeepARPredictor",
-    "OnlineRetrainingPredictor",
     "PredictorReport",
     "evaluate_predictor",
     "evaluate_all",

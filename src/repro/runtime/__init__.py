@@ -1,17 +1,9 @@
 """Runtime: the serverless platform simulation assembled end to end."""
 
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
-from repro.runtime.multitenant import (
-    MultiTenantResult,
-    MultiTenantSystem,
-    TenantSpec,
-)
 
 __all__ = [
     "ClusterSpec",
     "ServerlessSystem",
     "run_policy",
-    "MultiTenantResult",
-    "MultiTenantSystem",
-    "TenantSpec",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -91,9 +91,6 @@ class ServerlessSystem:
         power_model: Optional[NodePowerModel] = None,
         seed: int = 0,
         drain_ms: float = 120_000.0,
-        shared_cluster: Optional[Cluster] = None,
-        sample_energy: bool = True,
-        input_scale_sampler: Optional[Callable[[np.random.Generator], float]] = None,
         fault_model=None,
         tracer: Optional[Tracer] = None,
         shed_expired: bool = False,
@@ -115,12 +112,6 @@ class ServerlessSystem:
         #: Per-run metrics registry backing every pool/collector counter
         #: (re-created by each ``_build``).
         self.registry = MetricsRegistry()
-        self.shared_cluster = shared_cluster
-        self.sample_energy = sample_energy
-        #: Per-job payload-size sampler (section 2.2.2: execution scales
-        #: linearly with input size).  None pins every job to scale 1.0,
-        #: the fixed-input setting of the paper's experiments.
-        self.input_scale_sampler = input_scale_sampler
         #: Optional ContainerFaultModel applied to every pool (chaos
         #: mode); the live runtime takes the same object, which is what
         #: makes sim-vs-live chaos parity meaningful.
@@ -142,8 +133,7 @@ class ServerlessSystem:
         #: What this engine cannot enact is refused here, not mid-run.
         self.faults = faults.validate(
             "vector" if self.engine == ENGINE_VECTOR else "sim",
-            n_nodes=(len(shared_cluster.nodes) if shared_cluster is not None
-                     else cluster_spec.n_nodes))
+            n_nodes=cluster_spec.n_nodes)
         self.blackout = self.faults.window("blackout")
         self.cold_start_model = cold_start_model or ColdStartModel()
         self.power_model = power_model or NodePowerModel()
@@ -217,17 +207,12 @@ class ServerlessSystem:
         (with this shard's cordons), RNG streams, arrival sampler,
         energy meter and the store's stage rows."""
         self.registry = MetricsRegistry()
-        if self.shared_cluster is not None:
-            # Multi-tenant deployment: tenants share one physical
-            # cluster (pools stay isolated per the paper's footnote 4).
-            self.cluster = self.shared_cluster
-        else:
-            self.cluster = Cluster(
-                n_nodes=self.cluster_spec.n_nodes,
-                cores_per_node=self.cluster_spec.cores_per_node,
-                memory_per_node_mb=self.cluster_spec.memory_per_node_mb,
-                policy=self.config.placement,
-            )
+        self.cluster = Cluster(
+            n_nodes=self.cluster_spec.n_nodes,
+            cores_per_node=self.cluster_spec.cores_per_node,
+            memory_per_node_mb=self.cluster_spec.memory_per_node_mb,
+            policy=self.config.placement,
+        )
         # Sharded mode: nodes not granted to this shard start cordoned
         # (placement bit only); the global orchestrator moves grants by
         # flipping that bit.  ``None`` — every non-sharded run — changes
@@ -288,7 +273,7 @@ class ServerlessSystem:
             self.pools,
             self.registry,
             sample=lambda now_ms: self.metrics.sample(
-                self.pools, self.cluster.nodes, now_ms, self.sample_energy),
+                self.pools, self.cluster.nodes, now_ms),
             **wire_scalers(
                 self.config, self.pools, self.predictor, self.sampler,
                 self.stage_shares, self.registry, seed=self.seed + 2),
@@ -323,17 +308,11 @@ class ServerlessSystem:
 
     # -- request path -----------------------------------------------------------
 
-    def _draw_request(self):
-        """``(app, input_scale)`` of the next arrival, drawn before any
-        admission check — the stream order the golden traces and
+    def _draw_app(self):
+        """The next arrival's application, drawn before any admission
+        check — the stream order the golden traces and
         ``TraceReplayer``'s plan pin."""
-        app = self.mix.sample_application(self._rng_apps)
-        scale = (
-            self.input_scale_sampler(self._rng_apps)
-            if self.input_scale_sampler is not None
-            else 1.0
-        )
-        return app, scale
+        return self.mix.sample_application(self._rng_apps)
 
     def _on_arrival(self) -> None:
         if self.blackout is not None and self.blackout.covers(self.sim.now):
@@ -343,7 +322,7 @@ class ServerlessSystem:
             # unlike a crash, in-flight work continues.
             self.lifecycle.lose_arrival(LOST_BLACKOUT, observed=False)
             return
-        self.lifecycle.admit(*self._draw_request())
+        self.lifecycle.admit(self._draw_app())
 
     # -- periodic machinery --------------------------------------------------------
 
@@ -351,7 +330,7 @@ class ServerlessSystem:
         if self.blackout is not None and self.blackout.covers(now_ms):
             # No scaling, no supervision, no samples while the control
             # plane is down — the same hole a crashed live ControlLoop
-            # leaves in the metrics timeline.
+            # leaves in the sampled series.
             self.registry.counter("control_plane_ticks_skipped_total").inc()
             return
         self.control.tick(now_ms)

@@ -323,17 +323,9 @@ class VectorPool(PoolSurface):
 
 
 def _check_supported(system) -> None:
-    if system.shared_cluster is not None:
-        raise VectorEngineUnsupported(
-            "vector engine cannot share a cluster (multi-tenant attach); "
-            "use engine='fast'")
     if system.fault_model is not None:
         raise VectorEngineUnsupported(
             "vector engine does not support container fault injection; "
-            "use engine='fast'")
-    if system.input_scale_sampler is not None:
-        raise VectorEngineUnsupported(
-            "vector engine pins input_scale to 1.0 (no per-job sampler); "
             "use engine='fast'")
     if type(system.cold_start_model) is not ColdStartModel:
         raise VectorEngineUnsupported(
@@ -397,7 +389,7 @@ class VectorEngine:
         self.control = system.control = ControlPlane(
             config, self.pools, registry,
             sample=lambda now: self.metrics.sample(
-                self.pools, self.cluster.nodes, now, system.sample_energy),
+                self.pools, self.cluster.nodes, now),
             **wire_scalers(
                 config, self.pools, system.predictor, self.sampler,
                 system.stage_shares, registry, seed=system.seed + 2),

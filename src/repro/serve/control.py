@@ -32,6 +32,7 @@ from repro.core.scaling import (
 )
 from repro.metrics.collector import MetricsCollector
 from repro.serve.clock import ScaledClock
+from repro.serve.faults import FaultReplay
 from repro.serve.pool import WorkerPool
 
 
@@ -50,6 +51,7 @@ class ControlLoop(ControlPlane):
         proactive: Optional[ProactiveScaler] = None,
         governor: Optional[SpawnGovernor] = None,
         checkpoint: Optional[Callable[[float], None]] = None,
+        faults: Optional[FaultReplay] = None,
     ) -> None:
         super().__init__(
             config, pools, metrics.registry,
@@ -65,6 +67,9 @@ class ControlLoop(ControlPlane):
         #: control loop stops checkpointing — which is exactly what a
         #: control-plane crash should look like to the recovery path.
         self.checkpoint = checkpoint
+        #: The run's scripted-fault replay: a fault due at a tick's
+        #: instant strikes before the tick, as in the simulator.
+        self.faults = faults
         self.ticks = 0
         #: Replacement workers spawned by the supervisor for capacity
         #: lost to crashes/timeouts/node kills.
@@ -96,6 +101,8 @@ class ControlLoop(ControlPlane):
             # Absolute deadlines: a slow tick shortens the next sleep
             # instead of shifting every subsequent tick.
             await self.clock.sleep_until_ms(n * interval)
+            if self.faults is not None:
+                await self.faults.enacted_through(n * interval)
             self.tick(self.clock.now)
             # A tick that costs more than an interval finds its next
             # deadline already past, and sleep_until_ms then returns

@@ -17,15 +17,18 @@ Hangs (``hang_probability``) are live-only: the simulator has no notion
 of a worker that neither completes nor crashes, which is exactly why
 the live path needs the per-task execution timeout to recover them.
 
-:func:`replay_faults` is the live plane's one scripted-fault driver:
+:class:`FaultReplay` is the live plane's one scripted-fault driver:
 it walks the runtime's timeline on the scaled clock and enacts each
-event through :data:`ACTIONS`.  Actions only *break* things; what
-recovers them stays in the runtime, where a real crash would need it.
+event through :data:`ACTIONS`, ahead of any control tick due at the
+same instant.  Actions only *break* things; what recovers them stays in
+the runtime, where a real crash would need it.
 """
 
 from __future__ import annotations
 
+import asyncio
 import logging
+import math
 from typing import TYPE_CHECKING, Awaitable, Callable, Dict, List, Optional
 
 import numpy as np
@@ -213,12 +216,44 @@ ACTIONS: Dict[
 }
 
 
-async def replay_faults(runtime: "ServingRuntime") -> None:
-    """Walk the run's fault timeline on the scaled clock.  ``serve()``
-    re-raises this task's exception in its epilogue, so an action that
-    raises fails the run instead of passing for a fault-free one."""
-    for event in runtime.faults.events:
-        action = ACTIONS.get(event.kind)
-        if action is not None:
-            await runtime.clock.sleep_until_ms(event.at_ms)
-            await action(runtime, event)
+class FaultReplay:
+    """Walks the run's fault timeline on the scaled clock.
+
+    :meth:`run` is the replay task.  ``serve()`` re-raises its exception
+    in its epilogue, so an action that raises fails the run instead of
+    passing for a fault-free one.  :meth:`enacted_through` is the
+    control loop's barrier: the simulator enacts a fault scripted at a
+    tick's instant before that tick, while two live wall timers due at
+    one instant fire in either order.
+    """
+
+    def __init__(self, runtime: "ServingRuntime") -> None:
+        self.runtime = runtime
+        self._pending: List[FaultEvent] = [
+            e for e in runtime.faults.events if e.kind in ACTIONS]
+        self._progress = asyncio.Event()
+
+    @property
+    def next_ms(self) -> float:
+        """Model instant of the next event still to enact (inf: none)."""
+        return self._pending[0].at_ms if self._pending else math.inf
+
+    async def run(self) -> None:
+        try:
+            while self._pending:
+                event = self._pending[0]
+                await self.runtime.clock.sleep_until_ms(event.at_ms)
+                await ACTIONS[event.kind](self.runtime, event)
+                self._pending.pop(0)
+                self._progress.set()
+        finally:
+            # Ended, failed or cancelled: nothing is left to wait for.
+            self._pending.clear()
+            self._progress.set()
+
+    async def enacted_through(self, t_ms: float) -> None:
+        """Return once every event scripted at or before *t_ms* has been
+        enacted (or the replay has ended)."""
+        while self.next_ms <= t_ms:
+            self._progress.clear()
+            await self._progress.wait()

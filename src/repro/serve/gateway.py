@@ -17,7 +17,7 @@ launder the numbers.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class Gateway:
         sampler: WindowedMaxSampler,
         rng: np.random.Generator,
         max_pending: int = 0,
-        input_scale_sampler: Optional[Callable[[np.random.Generator], float]] = None,
         shed_expired: bool = False,
         registry: Optional[MetricsRegistry] = None,
         journal: Optional[RequestJournal] = None,
@@ -72,7 +71,6 @@ class Gateway:
         self.sampler = sampler
         self.rng = rng
         self.max_pending = max_pending
-        self.input_scale_sampler = input_scale_sampler
         # Admission counters live in the run's metrics registry (shared
         # with the pools and the collector unless told otherwise).
         self.registry = registry if registry is not None else metrics.registry
@@ -154,11 +152,7 @@ class Gateway:
 
     # -- request path ------------------------------------------------------
 
-    def admit(
-        self,
-        app: Optional[Application] = None,
-        input_scale: Optional[float] = None,
-    ) -> Optional[Job]:
+    def admit(self, app: Optional[Application] = None) -> Optional[Job]:
         """Admit one request; returns the Job, or None if shed.
 
         Every arrival — shed or not — feeds the arrival-rate sampler
@@ -169,21 +163,15 @@ class Gateway:
         """
         core = self.lifecycle
         if not core.dead:
-            # The simulator's draw order: (app, scale) before any
-            # admission check.  Live traffic never draws here — the
-            # replayer passes both from its pre-drawn plan.
+            # The simulator's draw order: the app before any admission
+            # check.  Live traffic never draws here — the replayer
+            # passes it from its pre-drawn plan.
             if app is None:
                 app = self.mix.sample_application(self.rng)
-            if input_scale is None:
-                input_scale = (
-                    self.input_scale_sampler(self.rng)
-                    if self.input_scale_sampler is not None
-                    else 1.0
-                )
             if self.max_pending and self.in_flight >= self.max_pending:
                 core.lose_arrival(LOST_BACKPRESSURE)
                 return None
-        job = core.admit(app, input_scale)
+        job = core.admit(app)
         if job is not None:
             self._c_admitted.inc()
         return self._track(job)

@@ -1,23 +1,21 @@
 """Wall-clock trace replay.
 
-The replayer turns any :class:`~repro.traces.base.ArrivalTrace` — the
-synthetic generators or a recorded trace loaded via
-:mod:`repro.traces.loader` — into live requests against a
-:class:`~repro.serve.gateway.Gateway`.
+The replayer turns any :class:`~repro.traces.base.ArrivalTrace` into
+live requests against a :class:`~repro.serve.gateway.Gateway`.
 
-The *plan* (arrival time, application, input scale per request) is
-computed eagerly from the trace and a seed, so it is a pure function of
-its inputs: two replayers built from the same (trace, mix, seed) —
-including a trace round-tripped through CSV or NPZ — produce identical
-plans, and a replay admits requests in exactly that order.  The seeded
-application sequence also matches what the simulator samples for the
-same seed, which is what makes scaled-down sim-vs-live parity tight.
+The *plan* (arrival time and application per request) is computed
+eagerly from the trace and a seed, so it is a pure function of its
+inputs: two replayers built from the same (trace, mix, seed) produce
+identical plans, and a replay admits requests in exactly that order.
+The seeded application sequence also matches what the simulator samples
+for the same seed, which is what makes scaled-down sim-vs-live parity
+tight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +32,6 @@ class PlannedArrival:
 
     time_ms: float
     app: Application
-    input_scale: float = 1.0
 
 
 class TraceReplayer:
@@ -45,24 +42,18 @@ class TraceReplayer:
         trace: ArrivalTrace,
         mix: WorkloadMix,
         seed: int = 0,
-        input_scale_sampler: Optional[Callable[[np.random.Generator], float]] = None,
     ) -> None:
         self.trace = trace
         self.mix = mix
         self.seed = seed
         # Same generator construction and draw order as the simulator's
-        # arrival path (ServerlessSystem._on_arrival), so the app/scale
+        # arrival path (ServerlessSystem._on_arrival), so the app
         # sequence is bit-identical to a sim run with the same seed.
         rng = np.random.default_rng(seed)
         plan: List[PlannedArrival] = []
         for t in trace.arrivals_ms:
             app = mix.sample_application(rng)
-            scale = (
-                input_scale_sampler(rng)
-                if input_scale_sampler is not None
-                else 1.0
-            )
-            plan.append(PlannedArrival(time_ms=float(t), app=app, input_scale=scale))
+            plan.append(PlannedArrival(time_ms=float(t), app=app))
         self._plan: Tuple[PlannedArrival, ...] = tuple(plan)
         #: Model-ms timestamps actually replayed (filled by ``replay``).
         self.replayed_ms: List[float] = []
@@ -92,9 +83,9 @@ class TraceReplayer:
         self.replayed_ms = []
         for planned in self._plan:
             await clock.sleep_until_ms(planned.time_ms)
-            # The app and scale come from the plan (drawn eagerly from
-            # the seeded stream), not the gateway's own rng, so a replay
-            # is deterministic regardless of wall-clock jitter.
-            resolve().admit(app=planned.app, input_scale=planned.input_scale)
+            # The app comes from the plan (drawn eagerly from the seeded
+            # stream), not the gateway's own rng, so a replay is
+            # deterministic regardless of wall-clock jitter.
+            resolve().admit(app=planned.app)
             self.replayed_ms.append(planned.time_ms)
         return len(self.replayed_ms)

@@ -23,7 +23,7 @@ import pathlib
 import signal
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.serve.checkpoint import CheckpointManager, checkpoint_basename
 from repro.serve.clock import ScaledClock
 from repro.serve.config import ServeOptions
 from repro.serve.control import ControlLoop
-from repro.serve.faults import ChaosInjector, replay_faults
+from repro.serve.faults import ChaosInjector, FaultReplay
 from repro.serve.gateway import Gateway
 from repro.serve.journal import (
     RequestJournal,
@@ -87,7 +87,6 @@ class ServingRuntime:
         seed: int = 0,
         options: ServeOptions = ServeOptions(),
         work: Optional[WorkFn] = None,
-        input_scale_sampler: Optional[Callable[[np.random.Generator], float]] = None,
         tracer: Optional[Tracer] = None,
         fault_model: Optional[ContainerFaultModel] = None,
         shed_expired: bool = False,
@@ -107,7 +106,7 @@ class ServingRuntime:
         #: negative given the first stage's monitored queueing delay
         #: are shed (admitting them only burns capacity).
         self.shed_expired = shed_expired
-        #: The scripted faults ``replay_faults`` enacts on the scaled
+        #: The scripted faults ``FaultReplay`` enacts on the scaled
         #: clock.  What this plane cannot enact — or cannot recover from
         #: without a journal — is refused here, not when the event fires.
         self.faults = faults.validate(
@@ -118,7 +117,6 @@ class ServingRuntime:
         #: Model-ms bound on the graceful-drain wait after the trace ends.
         self.drain_ms = drain_ms
         self.work = work
-        self.input_scale_sampler = input_scale_sampler
         #: Optional request-span tracer; shares the span schema with the
         #: simulator (both record through the metrics collector).
         self.tracer = tracer
@@ -148,6 +146,7 @@ class ServingRuntime:
         self.control: Optional[ControlLoop] = None
         self.replayer: Optional[TraceReplayer] = None
         self.chaos: Optional[ChaosInjector] = None
+        self.fault_replay: Optional[FaultReplay] = None
         self.retry_manager: Optional[RetryManager] = None
         self.drain_completed: bool = False
         # Durability plumbing (None unless options.journal_dir is set).
@@ -259,6 +258,7 @@ class ServingRuntime:
         reclaim = partial(reclaim_idle_capacity, self.pools)
         for pool in self.pools.values():
             pool.reclaim_callback = reclaim
+        self.fault_replay = FaultReplay(self)
         self.control = self._make_control()
 
     def _make_gateway(self) -> Gateway:
@@ -271,7 +271,6 @@ class ServingRuntime:
             sampler=self.sampler,
             rng=self._rng_apps,
             max_pending=self.options.max_pending,
-            input_scale_sampler=self.input_scale_sampler,
             shed_expired=self.shed_expired,
             journal=self.journal,
         )
@@ -298,6 +297,7 @@ class ServingRuntime:
             metrics=self.metrics,
             config=self.config,
             checkpoint=checkpoint,
+            faults=self.fault_replay,
             **wire_scalers(
                 self.config, self.pools, self.predictor, self.sampler,
                 self.stage_shares, self.registry, seed=self.seed + 3),
@@ -499,12 +499,7 @@ class ServingRuntime:
             assert self.clock is not None and self.gateway is not None
             # The plan is a per-arrival loop: built before the clock
             # starts, or the first arrivals are late by its length.
-            self.replayer = TraceReplayer(
-                trace,
-                self.mix,
-                seed=self.seed,
-                input_scale_sampler=self.input_scale_sampler,
-            )
+            self.replayer = TraceReplayer(trace, self.mix, seed=self.seed)
             self.clock.start()
             # Start from steady state, exactly like the simulator.
             prewarm_opening_capacity(
@@ -516,7 +511,7 @@ class ServingRuntime:
             self.control.start()
             self._apply_recovered_plan()
             fault_replay = loop.create_task(
-                replay_faults(self), name="fault-replay")
+                self.fault_replay.run(), name="fault-replay")
             heartbeats = self._start_heartbeats()
             # The replayer resolves the gateway per arrival: a crash
             # mid-replay swaps the epoch under it transparently.

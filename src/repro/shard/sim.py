@@ -11,9 +11,9 @@ which keeps that path and its golden traces bit-identical):
   full-size cluster with only its granted nodes uncordoned, stepped on
   one clock with the :class:`~repro.shard.orchestrator
   .GlobalOrchestrator` reconciling grants between monitor epochs.
-  Event-loop shards share a single :class:`Simulator` (the
-  multi-tenant pattern); the vector engine is stepped epoch-by-epoch
-  via its ``step_until`` primitive.
+  Event-loop shards attach to a single :class:`Simulator` and share
+  one coalesced monitor timer; the vector engine is stepped
+  epoch-by-epoch via its ``step_until`` primitive.
 * **Process fan-out** (``shard_workers>1``) — one OS process per
   shard over a static partition (no online rebalance), for wall-clock
   scaling on multi-core hosts.
@@ -361,19 +361,18 @@ class _ShardFaultPlane:
     def on_arrival(self, system: _ShardSystem) -> None:
         rid = next(system._request_ids, None)
         if not system.lifecycle.dead:
-            system.lifecycle.admit(*system._draw_request())
+            system.lifecycle.admit(system._draw_app())
             return
         if system.shard_id in self.monitor.dead and rid is not None:
             # Declared dead: the remapped ring owns this key now.  The
-            # (app, scale) pair still comes from the dead shard's
-            # stream, so the workload content is invariant to
-            # declaration timing.
+            # app still comes from the dead shard's stream, so the
+            # workload content is invariant to declaration timing.
             owner = self.systems.get(self.ring.shard_for(rid))
             if owner is not None and not owner.lifecycle.dead:
                 owner.registry.counter(
                     "shard_rerouted_arrivals_total").inc()
                 owner.lifecycle.admit(
-                    *system._draw_request(),
+                    system._draw_app(),
                     extra_latency_ms=CROSS_SHARD_HOP_MS)
                 return
         # Degraded routing: the shard is dead but the takeover is not
@@ -636,7 +635,8 @@ def _run_inprocess_vector(scenario: Scenario, parts) -> ShardedRunResult:
 def _run_inprocess_eventloop(
     scenario: Scenario, parts, ring: ConsistentHashRing,
 ) -> ShardedRunResult:
-    """N event-loop systems on one Simulator (multi-tenant pattern)."""
+    """N event-loop systems attached to one Simulator, their monitors
+    sharing one coalesced ticker."""
     faults = scenario.timeline
     shard_events = faults.of("kill-shard", "recover-shard")
     orchestrator_kill = faults.of("kill-orchestrator")

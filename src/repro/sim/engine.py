@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 
 class SimulationError(RuntimeError):
@@ -369,14 +369,6 @@ class Simulator:
     def heap_size(self) -> int:
         """Physical event-heap size (diagnostics / perf harness)."""
         return self._queue.heap_size()
-
-
-def run_simulation(setup: Callable[[Simulator], Any], until: float) -> Simulator:
-    """Convenience: build a simulator, call ``setup(sim)``, run to *until*."""
-    sim = Simulator()
-    setup(sim)
-    sim.run(until=until)
-    return sim
 
 
 # --------------------------------------------------------------------------

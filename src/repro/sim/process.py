@@ -4,7 +4,7 @@ The Fifer design is full of fixed-interval activities — the 10 s load
 monitor, the proactive predictor tick, idle-container reaping — so the
 engine provides one cancellable periodic helper: a
 :class:`CoalescedTicker` multiplexes any number of same-interval bodies
-onto a single timer event, so N tenants/pools cost one heap entry per
+onto a single timer event, so N shards' monitors cost one heap entry per
 interval instead of N (and a lone monitor is simply its only
 subscriber).
 """
@@ -47,12 +47,11 @@ class CoalescedTicker:
     """One periodic timer event shared by many same-interval bodies.
 
     Periodic machinery dominates idle stretches of large simulations:
-    every tenant's monitor, every reap pass and the energy sampler all
-    fire on the same cadence, and a timer apiece would pay a heap
-    push/pop per body per tick.  A coalesced ticker schedules *one*
-    event per interval and fans it out to every subscriber in
-    registration order (deterministic), so the per-tick heap cost is
-    O(1) regardless of tenant/pool count.
+    every shard's monitor fires on the same cadence, and a timer apiece
+    would pay a heap push/pop per body per tick.  A coalesced ticker
+    schedules *one* event per interval and fans it out to every
+    subscriber in registration order (deterministic), so the per-tick
+    heap cost is O(1) regardless of shard count.
 
     The timer is lazy: it starts with the first subscription and
     cancels itself when the last subscriber stops.

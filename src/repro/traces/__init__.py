@@ -21,12 +21,6 @@ from repro.traces.factory import TRACE_KINDS, make_trace
 from repro.traces.poisson import poisson_trace, step_poisson_trace
 from repro.traces.wiki import wiki_rate_profile, wiki_trace
 from repro.traces.wits import wits_rate_profile, wits_trace
-from repro.traces.loader import (
-    load_arrivals_csv,
-    load_rate_profile_csv,
-    load_trace,
-    save_trace,
-)
 
 __all__ = [
     "ArrivalTrace",
@@ -39,8 +33,4 @@ __all__ = [
     "wiki_rate_profile",
     "wits_trace",
     "wits_rate_profile",
-    "load_arrivals_csv",
-    "load_rate_profile_csv",
-    "load_trace",
-    "save_trace",
 ]

@@ -11,8 +11,8 @@ on the scaled wall clock, the sharded simulator from the same
 of the request path is therefore structural, not a tolerance test
 (DESIGN.md, "One lifecycle, three drivers").
 
-What stays with the drivers: drawing ``(app, input_scale)`` (always
-before any admission check — the order the golden traces and
+What stays with the drivers: drawing the application (always before
+any admission check — the order the golden traces and
 ``TraceReplayer``'s plan pin), front-door closures that are not a crash
 (the simulator's control-plane blackout, the gateway's backpressure
 bound), and the asyncio idle barrier.
@@ -117,9 +117,7 @@ class RequestLifecycle:
             return False
         return first_pool.monitored_delay_ms() > app.slack_ms
 
-    def admit(
-        self, app, input_scale: float, extra_latency_ms: float = 0.0
-    ) -> Optional[Job]:
+    def admit(self, app, extra_latency_ms: float = 0.0) -> Optional[Job]:
         """Admit one request; returns the Job, or None if lost."""
         if self.dead:
             self.lose_arrival(LOST_DEAD, observed=False)
@@ -130,7 +128,7 @@ class RequestLifecycle:
         now = self.now()
         self.metrics.record_job_created()
         self.sampler.record(now)
-        job = Job(app=app, arrival_ms=now, input_scale=input_scale)
+        job = Job(app=app, arrival_ms=now)
         self.jobs[job.job_id] = job
         if self.store is not None:
             self.store.insert(

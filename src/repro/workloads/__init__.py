@@ -7,8 +7,6 @@
   per-stage transition overheads so average slack matches the paper.
 * :mod:`repro.workloads.mixes` — Table 5: the heavy / medium / light
   workload mixes.
-* :mod:`repro.workloads.exectime` — the offline linear-regression
-  execution-time estimator (Mean Execution Time vs. input size).
 * :mod:`repro.workloads.lambda_model` — the AWS Lambda cold/warm start
   characterisation behind Figure 2.
 """
@@ -25,8 +23,6 @@ from repro.workloads.applications import (
     get_application,
 )
 from repro.workloads.mixes import WORKLOAD_MIXES, WorkloadMix, get_mix
-from repro.workloads.exectime import ExecutionTimeModel
-from repro.workloads.generator import generate_chain, generate_mix
 from repro.workloads.lambda_model import (
     LAMBDA_MODELS,
     LambdaModelProfile,
@@ -45,11 +41,8 @@ __all__ = [
     "WORKLOAD_MIXES",
     "WorkloadMix",
     "get_mix",
-    "ExecutionTimeModel",
     "LAMBDA_MODELS",
     "LambdaModelProfile",
     "measure_cold_start",
     "measure_warm_start",
-    "generate_chain",
-    "generate_mix",
 ]

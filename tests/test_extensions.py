@@ -1,5 +1,5 @@
-"""Tests for extensions: HPA baseline, online retraining, predictor
-fault resilience, and the command-line interface."""
+"""Tests for extensions: HPA baseline, predictor fault resilience,
+and the command-line interface."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,6 @@ from repro.core.policies import EXTENDED_POLICY_NAMES, make_policy_config
 from repro.core.scaling import HPAScaler, ProactiveScaler
 from repro.core.scheduling import SchedulingPolicy
 from repro.prediction.base import Predictor
-from repro.prediction.classical import EWMAPredictor
-from repro.prediction.lstm import LSTMPredictor
-from repro.prediction.online import OnlineRetrainingPredictor
 from repro.prediction.windowed import WindowedMaxSampler
 from repro.sim.engine import Simulator
 from repro.traces import step_poisson_trace
@@ -111,52 +108,6 @@ class TestHPAScaler:
         assert "hpa" in EXTENDED_POLICY_NAMES
 
 
-class TestOnlineRetraining:
-    def _series(self, n=120):
-        t = np.arange(n)
-        return 50.0 + 20.0 * np.sin(2 * np.pi * t / 12.0)
-
-    def test_wraps_trainable_only(self):
-        with pytest.raises(ValueError):
-            OnlineRetrainingPredictor(EWMAPredictor())
-
-    def test_refits_after_interval(self):
-        base = LSTMPredictor(epochs=3, hidden=8, layers=1, lookback=5, seed=0)
-        online = OnlineRetrainingPredictor(base, retrain_every=10,
-                                           min_history=20)
-        online.fit(self._series())
-        for v in self._series(10):
-            online.observe(float(v))
-        assert online.refits == 1
-
-    def test_history_limit_respected(self):
-        base = LSTMPredictor(epochs=2, hidden=8, layers=1, lookback=5, seed=0)
-        online = OnlineRetrainingPredictor(base, retrain_every=1000,
-                                           history_limit=50)
-        online.fit(self._series(200))
-        assert len(online._observed) == 50
-
-    def test_cold_start_fallback(self):
-        base = LSTMPredictor(epochs=2, hidden=8, layers=1, lookback=5, seed=0)
-        online = OnlineRetrainingPredictor(base, min_history=100)
-        # Never fitted and too little history: falls back to last value.
-        assert online.predict([10.0, 30.0]) == 30.0
-
-    def test_auto_fit_once_enough_history(self):
-        base = LSTMPredictor(epochs=2, hidden=8, layers=1, lookback=5, seed=0)
-        online = OnlineRetrainingPredictor(base, retrain_every=10**6,
-                                           min_history=30)
-        for v in self._series(40):
-            online.observe(float(v))
-        pred = online.predict(self._series(10))
-        assert np.isfinite(pred)
-        assert online.refits >= 1
-
-    def test_name_marks_wrapper(self):
-        base = LSTMPredictor(epochs=2, hidden=8, layers=1, seed=0)
-        assert "online" in OnlineRetrainingPredictor(base).name
-
-
 class _ExplodingPredictor(Predictor):
     name = "boom"
 
@@ -182,23 +133,6 @@ class TestProactiveResilience:
         assert scaler.predictor_failures == 1
         # Fallback to last observed rate still provisions capacity.
         assert spawned > 0
-
-    def test_online_predictor_receives_observations(self):
-        sim = Simulator()
-        pool = _pool(sim)
-        sampler = WindowedMaxSampler()
-        for t in np.arange(0.0, 20_000.0, 100.0):
-            sampler.record(t)
-        base = LSTMPredictor(epochs=2, hidden=8, layers=1, lookback=5, seed=0)
-        online = OnlineRetrainingPredictor(base, retrain_every=10**6,
-                                           min_history=10**6)
-        scaler = ProactiveScaler(
-            pools={"ASR": pool}, predictor=online, sampler=sampler,
-            stage_shares={"ASR": 1.0},
-        )
-        sim.run(until=20_000.0)
-        scaler.tick(sim.now)
-        assert len(online._observed) == 1
 
 
 class TestCLI:

@@ -1,107 +1,8 @@
-"""Tests for synthetic chain generation and the cluster-scaling study."""
+"""Tests for the cluster-scaling study."""
 
-import numpy as np
 import pytest
 
-from repro.core.slack import build_stage_plan
 from repro.experiments.scaling_study import container_savings, run_scaling_study
-from repro.runtime.system import ClusterSpec, run_policy
-from repro.traces import poisson_trace
-from repro.workloads.generator import (
-    generate_chain,
-    generate_mix,
-    synthesize_microservice,
-)
-from repro.workloads.microservices import MICROSERVICES
-
-
-class TestSynthesizeMicroservice:
-    def test_exec_within_range(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            svc = synthesize_microservice("X", rng, exec_range_ms=(2.0, 80.0))
-            assert 2.0 <= svc.mean_exec_ms <= 80.0
-
-    def test_invalid_range(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            synthesize_microservice("X", rng, exec_range_ms=(5.0, 2.0))
-
-    def test_log_uniform_spreads_small_values(self):
-        rng = np.random.default_rng(1)
-        execs = [
-            synthesize_microservice("X", rng, (1.0, 100.0)).mean_exec_ms
-            for _ in range(500)
-        ]
-        # Log-uniform: ~half the mass below the geometric mean (10).
-        below = sum(1 for e in execs if e < 10.0)
-        assert 0.35 < below / len(execs) < 0.65
-
-
-class TestGenerateChain:
-    def test_catalog_chain_feasible(self):
-        app = generate_chain("custom", 3, seed=1)
-        assert app.n_stages == 3
-        assert app.slack_ms > 0
-        # Stages drawn without replacement.
-        assert len(set(app.stage_names)) == 3
-
-    def test_synthetic_chain_feasible(self):
-        app = generate_chain("synth", 4, seed=2, synthetic=True)
-        assert app.n_stages == 4
-        assert app.slack_ms > 0
-
-    def test_deterministic(self):
-        a = generate_chain("c", 3, seed=7)
-        b = generate_chain("c", 3, seed=7)
-        assert a.stage_names == b.stage_names
-
-    def test_infeasible_repair(self):
-        # A tight SLO forces replacement of long stages, still feasible.
-        app = generate_chain("tight", 2, seed=3, slo_ms=400.0,
-                             overhead_ms=30.0)
-        assert app.slack_ms > 0
-        assert app.total_exec_ms + app.total_overhead_ms < 400.0
-
-    def test_too_many_stages(self):
-        with pytest.raises(ValueError):
-            generate_chain("big", 100, seed=0)
-
-    def test_zero_stages(self):
-        with pytest.raises(ValueError):
-            generate_chain("none", 0)
-
-    def test_plan_builds_on_generated_chain(self):
-        app = generate_chain("planned", 3, seed=4)
-        plan = build_stage_plan(app)
-        assert all(b >= 1 for b in plan.stage_batch)
-        assert sum(plan.stage_slack_ms) == pytest.approx(app.slack_ms)
-
-
-class TestGenerateMix:
-    def test_mix_shape(self):
-        mix = generate_mix("custom", n_applications=3, seed=5)
-        assert len(mix.applications) == 3
-        assert sum(mix.weights) == pytest.approx(1.0)
-
-    def test_generated_mix_runs_end_to_end(self):
-        mix = generate_mix("e2e", n_applications=2, seed=6)
-        trace = poisson_trace(10.0, 60.0, seed=1)
-        result = run_policy("rscale", mix, trace, seed=3)
-        assert result.n_completed == result.n_jobs > 0
-
-    def test_synthetic_mix_runs_end_to_end(self):
-        mix = generate_mix("synth-e2e", n_applications=2, seed=8,
-                           synthetic=True)
-        trace = poisson_trace(10.0, 60.0, seed=1)
-        result = run_policy("bline", mix, trace, seed=3)
-        assert result.n_completed == result.n_jobs > 0
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            generate_mix("m", n_applications=0)
-        with pytest.raises(ValueError):
-            generate_mix("m", stages_range=(0, 3))
 
 
 class TestScalingStudy:

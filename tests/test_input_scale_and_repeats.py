@@ -1,19 +1,16 @@
-"""Tests for input-size-dependent execution and the repetition harness."""
+"""Tests for the job input-scale field and the repetition harness."""
 
-import numpy as np
 import pytest
 
-from repro.core.policies import make_policy_config
 from repro.experiments.repeats import (
     MetricStats,
     aggregate,
     compare_with_confidence,
     repeated_runs,
 )
-from repro.runtime.system import ServerlessSystem
 from repro.traces import poisson_trace
 from repro.workflow.job import Job
-from repro.workloads import get_application, get_mix
+from repro.workloads import get_application
 
 
 class TestInputScale:
@@ -24,40 +21,6 @@ class TestInputScale:
     def test_default_scale_is_one(self):
         job = Job(app=get_application("ipa"), arrival_ms=0.0)
         assert job.input_scale == 1.0
-
-    def _run(self, sampler, seed=3):
-        system = ServerlessSystem(
-            config=make_policy_config("bline"),
-            mix=get_mix("light"),
-            seed=seed,
-            input_scale_sampler=sampler,
-        )
-        result = system.run(poisson_trace(10.0, 60.0, seed=1))
-        return system, result
-
-    def test_sampler_reaches_jobs(self):
-        system, result = self._run(lambda rng: 2.0)
-        assert result.n_completed == result.n_jobs
-        scales = {j.input_scale for j in system.metrics.completed_jobs}
-        assert scales == {2.0}
-
-    def test_larger_inputs_run_longer(self):
-        _, small = self._run(lambda rng: 0.5)
-        _, large = self._run(lambda rng: 2.0)
-        # Execution scales linearly with input size (section 2.2.2).
-        assert large.exec_ms.mean() > 2.5 * small.exec_ms.mean()
-        assert large.median_latency_ms > small.median_latency_ms
-
-    def test_variable_inputs_spread_latency(self):
-        _, fixed = self._run(None)
-        _, varied = self._run(lambda rng: float(rng.uniform(0.5, 3.0)))
-        assert varied.latencies_ms.std() > fixed.latencies_ms.std()
-
-    def test_oversized_inputs_blow_slo(self):
-        # Inputs ~8x the profiled size push execution past the SLO for
-        # the heavier chains (the paper avoids inputs that violate it).
-        _, result = self._run(lambda rng: 8.0)
-        assert result.slo_violation_rate > 0.1
 
 
 class TestMetricStats:

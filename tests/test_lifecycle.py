@@ -107,7 +107,7 @@ class SimPlane(_Plane):
         return self.sim.now
 
     def admit(self):
-        return self.core.admit(APP, 1.0)
+        return self.core.admit(APP)
 
     async def advance(self, ms):
         self.sim.run(until=self.sim.now + ms)
@@ -163,7 +163,7 @@ class LivePlane(_Plane):
         return self.clock.now
 
     def admit(self):
-        return self.gateway.admit(app=APP, input_scale=1.0)
+        return self.gateway.admit(app=APP)
 
     async def advance(self, ms):
         self.clock.now += ms
@@ -322,7 +322,7 @@ def test_purge_queued_drops_waiting_work_and_spares_executing_slots():
     pool.prewarm(1)
     sim.run(until=1.0)
     for _ in range(3 * pool.batch_size):
-        system.lifecycle.admit(APP, 1.0)
+        system.lifecycle.admit(APP)
     sim.run(until=APP.transition_overhead_ms + 1.0)
     executing = [c for c in pool.containers if c.current_task is not None]
     assert executing and pool.queue_length > 0

@@ -419,9 +419,6 @@ ASSEMBLY_SITES = {
     # ServingRuntime's planner: the offline step (stage plans, shares,
     # predictor resolution) shared verbatim with the simulator.
     "serve/runtime.py": {"ServerlessSystem"},
-    # Tenants attach to one shared cluster and one clock — not a
-    # scenario: there is no single (policy, mix, trace) to describe.
-    "runtime/multitenant.py": {"ServerlessSystem"},
 }
 
 
@@ -436,6 +433,59 @@ def test_runs_are_assembled_in_one_place():
     assert found == ASSEMBLY_SITES
     scenario = (SRC / "repro" / "scenario.py").read_text()
     assert scenario.count("cls(") == 1   # Scenario.system, and only it
+
+
+def _dotted(path):
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _has_main_guard(path):
+    return any(isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)
+               for node in ast.parse(path.read_text()).body)
+
+
+def test_every_module_is_reached():
+    """Every module is reached by the program: imported by another
+    module or by a bench, used in code by a package ``__init__`` (as
+    ``default_predictors`` uses the forecasters), or run as a script.
+    A module that only its own tests and examples import is an extension
+    without a verdict — adopt it into a plane, or delete it."""
+    sources = sorted((SRC / "repro").rglob("*.py"))
+    modules = {_dotted(path) for path in sources}
+    inits = [path for path in sources if path.name == "__init__.py"]
+    # package -> {name: the module the package imports it from}
+    exports = {_dotted(path): {name: module
+                               for module, name in _imported_names(path) if name}
+               for path in inits}
+
+    def home(module, name):
+        """The module ``from module import name`` reaches, following
+        package re-exports."""
+        while name is not None:
+            if f"{module}.{name}" in modules:
+                return f"{module}.{name}"
+            source = exports.get(module, {}).get(name)
+            if source in (None, module):
+                break
+            module = source
+        return module
+
+    reached = set()
+    users = [path for path in sources if path.name != "__init__.py"]
+    for path in users + sorted((SRC.parent / "benchmarks").rglob("*.py")):
+        me = _dotted(path) if SRC in path.parents else None
+        reached |= {home(*pair) for pair in _imported_names(path)} - {me}
+    for path in inits:
+        origin = {name: module for module, name in _imported_names(path) if name}
+        reached |= {home(origin[node.id], node.id)
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Name) and node.id in origin}
+    reached |= {_dotted(path) for path in users if _has_main_guard(path)}
+    unreached = sorted(_dotted(path) for path in users
+                       if path.name != "__main__.py"
+                       and _dotted(path) not in reached)
+    assert unreached == []
 
 
 def test_one_definition_per_decision():
@@ -470,16 +520,24 @@ def test_one_definition_per_decision():
         assert call not in cli, call
 
 
-def _imports(path):
-    """Every module *path* imports, at any depth (function-local
-    imports included), read from its AST — nothing is executed."""
-    package = list(path.relative_to(SRC).with_suffix("").parts[:-1])
+def _imported_names(path):
+    """``(module, name)`` for every import in *path*, at any depth
+    (function-local imports included), read from its AST — nothing is
+    executed.  *name* is None for a plain ``import module``."""
+    package = (list(path.relative_to(SRC).with_suffix("").parts[:-1])
+               if SRC in path.parents else [])
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
+            yield from ((alias.name, None) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = package[:len(package) - node.level + 1] if node.level else []
-            yield ".".join(base + ([node.module] if node.module else []))
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield from ((module, alias.name) for alias in node.names)
+
+
+def _imports(path):
+    """Every module *path* imports (see :func:`_imported_names`)."""
+    return {module for module, _ in _imported_names(path)}
 
 
 def test_imports_point_down_the_layers():

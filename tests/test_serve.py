@@ -28,7 +28,6 @@ from repro.serve import (
     serve_trace,
 )
 from repro.traces import poisson_trace
-from repro.traces.loader import load_arrivals_csv, load_trace, save_trace
 from repro.workloads import get_microservice, get_mix
 
 FAST = 0.002  # one model second in 2 wall ms
@@ -344,7 +343,7 @@ class TestGateway:
 
 
 # ---------------------------------------------------------------------------
-# replayer determinism (CSV / NPZ round-trip)
+# replayer determinism
 
 
 class TestReplayerDeterminism:
@@ -375,45 +374,6 @@ class TestReplayerDeterminism:
             mix.sample_application(rng).name for _ in range(trace.arrivals_ms.size)
         ]
         assert planned == expected
-
-    def test_csv_npz_round_trip_replays_identically(self, tmp_path):
-        trace = poisson_trace(40.0, 10.0, seed=11)
-        mix = get_mix("light")
-
-        # NPZ round-trip via save_trace/load_trace.
-        npz_path = tmp_path / "trace.npz"
-        save_trace(trace, npz_path)
-        npz_trace = load_trace(npz_path)
-
-        # CSV round-trip: one timestamp per line.
-        csv_path = tmp_path / "trace.csv"
-        csv_path.write_text(
-            "arrival_ms\n"
-            + "\n".join(repr(float(t)) for t in trace.arrivals_ms)
-            + "\n"
-        )
-        csv_trace = load_arrivals_csv(csv_path)
-
-        class NullGateway:
-            def admit(self, app=None, input_scale=None):
-                return None
-
-        async def replay_once(t):
-            clock = ScaledClock(0.0005)
-            replayer = TraceReplayer(t, mix, seed=11)
-            await replayer.replay(NullGateway(), clock)
-            return replayer.replayed_ms, [p.app.name for p in replayer.plan()]
-
-        # Two runs of the same loaded trace: identical timestamps.
-        first_ts, first_apps = asyncio.run(replay_once(npz_trace))
-        second_ts, second_apps = asyncio.run(replay_once(npz_trace))
-        assert first_ts == second_ts
-        assert first_apps == second_apps
-        # And both formats reproduce the original trace's schedule.
-        csv_ts, csv_apps = asyncio.run(replay_once(csv_trace))
-        assert csv_ts == pytest.approx(first_ts)
-        assert csv_apps == first_apps
-        assert first_ts == [float(t) for t in trace.arrivals_ms]
 
 
 # ---------------------------------------------------------------------------

@@ -544,7 +544,9 @@ def test_stale_lock_steal_is_logged_with_owner_and_claim(tmp_path,
 
 @pytest.mark.parametrize("relic", [
     "0:1", "-1:1",              # kill(2) reads these as process *groups*
-    f"{os.getpid()}:1",         # an in-process respawn reopens its WAL
+    # An in-process respawn reopens its WAL (a fixed id: the pid
+    # differs from run to run).
+    pytest.param(f"{os.getpid()}:1", id="own-pid:1"),
     "999999999:1", "",          # a dead owner, an empty relic
 ])
 def test_a_lock_relic_naming_no_live_foreign_process_is_stolen(

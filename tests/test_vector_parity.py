@@ -358,11 +358,6 @@ class TestUnsupportedConfigs:
         with pytest.raises(ValueError, match="vector plane does not enact"):
             self._system(faults=FaultTimeline.parse("kill-node@10=0"))
 
-    def test_input_scale_sampler_rejected(self):
-        system = self._system(input_scale_sampler=lambda rng: 1.0)
-        with pytest.raises(VectorEngineUnsupported):
-            self._run(system)
-
     def test_attach_rejected(self):
         from repro.sim.engine import Simulator
 

@@ -9,7 +9,6 @@ from repro.workloads import (
     MICROSERVICES,
     WORKLOAD_MIXES,
     DEFAULT_SLO_MS,
-    ExecutionTimeModel,
     get_application,
     get_microservice,
     get_mix,
@@ -17,7 +16,6 @@ from repro.workloads import (
     measure_warm_start,
 )
 from repro.workloads.applications import TABLE4_SLACK_MS
-from repro.workloads.exectime import profile_all
 from repro.workloads.lambda_model import cold_start_overhead_ms
 from repro.workloads.microservices import Microservice
 
@@ -170,44 +168,6 @@ class TestMixes:
     def test_unknown_mix(self):
         with pytest.raises(KeyError):
             get_mix("extreme")
-
-
-class TestExecutionTimeModel:
-    def test_fit_recovers_line(self):
-        model = ExecutionTimeModel().fit([1, 2, 3, 4], [10.0, 20.0, 30.0, 40.0])
-        assert model.slope == pytest.approx(10.0)
-        assert model.intercept == pytest.approx(0.0, abs=1e-9)
-        assert model.r_squared == pytest.approx(1.0)
-
-    def test_profile_matches_linear_scaling(self):
-        svc = MICROSERVICES["IMC"]
-        model = ExecutionTimeModel().profile(svc, seed=0)
-        # exec = mean * scale, so slope ~ mean and intercept ~ 0.
-        assert model.predict(1.0) == pytest.approx(svc.mean_exec_ms, rel=0.15)
-        assert model.predict(2.0) == pytest.approx(2 * svc.mean_exec_ms, rel=0.15)
-        assert model.r_squared > 0.95
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            ExecutionTimeModel().predict(1.0)
-
-    def test_degenerate_constant_input(self):
-        model = ExecutionTimeModel().fit([2, 2, 2], [5.0, 6.0, 7.0])
-        assert model.slope == 0.0
-        assert model.predict(99.0) == pytest.approx(6.0)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            ExecutionTimeModel().fit([1], [2.0])
-
-    def test_prediction_clamped_non_negative(self):
-        model = ExecutionTimeModel().fit([1, 2], [2.0, 1.0])
-        assert model.predict(100.0) == 0.0
-
-    def test_profile_all_covers_everything(self):
-        models = profile_all(MICROSERVICES, seed=1)
-        assert set(models) == set(MICROSERVICES)
-        assert all(m.fitted for m in models.values())
 
 
 class TestLambdaModel:
