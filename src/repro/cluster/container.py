@@ -155,9 +155,7 @@ class Container:
             record.cold_start_wait_ms = min(
                 self.ready_at_ms, record.start_ms
             ) - record.enqueue_ms
-        exec_ms = self.service.exec_time_ms(
-            self.rng, input_scale=task.job.input_scale
-        )
+        exec_ms = self.service.exec_time_ms(self.rng)
         record.exec_ms = exec_ms
         self._launch(task, exec_ms)
 

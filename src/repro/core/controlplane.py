@@ -46,9 +46,7 @@ def wire_scalers(
         "reactive": (
             ReactiveScaler(pools, governor=governor)
             if config.reactive else None),
-        "hpa": (
-            HPAScaler(pools, target_concurrency=config.hpa_target_concurrency)
-            if config.hpa else None),
+        "hpa": HPAScaler(pools) if config.hpa else None,
         "proactive": (
             ProactiveScaler(
                 pools=pools,

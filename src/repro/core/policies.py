@@ -85,7 +85,6 @@ class RMConfig:
     fixed_batch_size: Optional[int] = None
     #: Run the Knative-style horizontal-pod-autoscaler loop.
     hpa: bool = False
-    hpa_target_concurrency: int = 4
     #: Brigade's default mode: one container per task, destroyed after
     #: completion (the literal Figure 4 baseline, no warm reuse).
     single_use: bool = False
@@ -100,8 +99,6 @@ class RMConfig:
     #: Retries for spawn decisions that could not be fully actuated
     #: (no node capacity); 0 drops the shortfall immediately (counted).
     spawn_retry_attempts: int = 0
-    #: Base backoff between spawn retries (jittered exponential).
-    spawn_retry_backoff_ms: float = 5_000.0
     #: Forecast-health guard: window-MAPE threshold past which the
     #: proactive scaler degrades to reactive-only.  None disables the
     #: guard entirely (the predictor is used unwrapped).
@@ -109,8 +106,6 @@ class RMConfig:
     #: Consecutive unhealthy (healthy) evaluations required to trip
     #: (re-arm) the fallback.
     fallback_hysteresis: int = 2
-    #: Sliding-window length, in monitor intervals, of the MAPE score.
-    mape_window: int = 6
 
     def __post_init__(self) -> None:
         if not 0.0 < self.utilization_target <= 1.0:
@@ -129,14 +124,10 @@ class RMConfig:
             raise ValueError("scale_down_cooldown_ms must be >= 0")
         if self.spawn_retry_attempts < 0:
             raise ValueError("spawn_retry_attempts must be >= 0")
-        if self.spawn_retry_backoff_ms <= 0:
-            raise ValueError("spawn_retry_backoff_ms must be positive")
         if self.mape_threshold is not None and self.mape_threshold <= 0:
             raise ValueError("mape_threshold must be positive (or None)")
         if self.fallback_hysteresis < 1:
             raise ValueError("fallback_hysteresis must be >= 1")
-        if self.mape_window < 1:
-            raise ValueError("mape_window must be >= 1")
 
 
 _BASES = {

@@ -16,7 +16,7 @@ the prediction horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from typing import Dict, List, Optional
@@ -26,6 +26,11 @@ from repro.core.sizing import containers_for_rate
 from repro.obs.registry import MetricsRegistry
 from repro.prediction.base import Predictor
 from repro.prediction.windowed import WindowedMaxSampler
+
+#: Base backoff between spawn retries (jittered exponential).
+SPAWN_RETRY_BACKOFF_MS = 5_000.0
+#: The HPA baseline's fixed per-container concurrency target.
+HPA_TARGET_CONCURRENCY = 4
 
 
 @dataclass
@@ -80,7 +85,6 @@ class SpawnGovernor:
         max_surge: int = 0,
         scale_down_cooldown_ms: float = 0.0,
         spawn_retry_attempts: int = 0,
-        spawn_retry_backoff_ms: float = 5_000.0,
         registry: Optional[MetricsRegistry] = None,
         seed: int = 0,
     ) -> None:
@@ -90,12 +94,9 @@ class SpawnGovernor:
             raise ValueError("scale_down_cooldown_ms must be >= 0")
         if spawn_retry_attempts < 0:
             raise ValueError("spawn_retry_attempts must be >= 0")
-        if spawn_retry_backoff_ms <= 0:
-            raise ValueError("spawn_retry_backoff_ms must be positive")
         self.max_surge = max_surge
         self.scale_down_cooldown_ms = scale_down_cooldown_ms
         self.spawn_retry_attempts = spawn_retry_attempts
-        self.spawn_retry_backoff_ms = spawn_retry_backoff_ms
         self.registry = registry or MetricsRegistry()
         self._seed = seed
         self._rng: Optional[np.random.Generator] = None
@@ -126,7 +127,6 @@ class SpawnGovernor:
             max_surge=config.max_surge,
             scale_down_cooldown_ms=config.scale_down_cooldown_ms,
             spawn_retry_attempts=config.spawn_retry_attempts,
-            spawn_retry_backoff_ms=config.spawn_retry_backoff_ms,
             registry=registry,
             seed=seed,
         )
@@ -228,7 +228,7 @@ class SpawnGovernor:
         if self._rng is None:
             self._rng = np.random.default_rng(self._seed)
         attempt_index = self.spawn_retry_attempts - attempts_left
-        delay = self.spawn_retry_backoff_ms * (2.0 ** attempt_index)
+        delay = SPAWN_RETRY_BACKOFF_MS * (2.0 ** attempt_index)
         delay *= 0.5 + float(self._rng.random())  # jitter in [0.5x, 1.5x)
         self._debts.append(
             SpawnDebt(
@@ -480,15 +480,11 @@ class HPAScaler:
     def __init__(
         self,
         pools: Dict[str, PoolSurface],
-        target_concurrency: int = 4,
         scale_down_stabilization_ticks: int = 3,
     ) -> None:
-        if target_concurrency < 1:
-            raise ValueError("target_concurrency must be >= 1")
         if scale_down_stabilization_ticks < 1:
             raise ValueError("stabilisation window must be >= 1 tick")
         self.pools = pools
-        self.target_concurrency = target_concurrency
         self.stabilization_ticks = scale_down_stabilization_ticks
         self._below_target: Dict[str, int] = {name: 0 for name in pools}
         self.events: List[ScalingEvent] = []
@@ -501,7 +497,7 @@ class HPAScaler:
 
     def desired_replicas(self, pool: PoolSurface) -> int:
         concurrency = self.observed_concurrency(pool)
-        return max(1, math.ceil(concurrency / self.target_concurrency))
+        return max(1, math.ceil(concurrency / HPA_TARGET_CONCURRENCY))
 
     def tick(self, now_ms: float) -> int:
         """One autoscaler pass; returns net containers spawned."""

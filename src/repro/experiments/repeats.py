@@ -156,21 +156,3 @@ def aggregate_summaries(
         metric: MetricStats.of([s[metric] for s in summaries])
         for metric in metrics
     }
-
-
-def compare_with_confidence(
-    policy_a: str,
-    policy_b: str,
-    metric: str = "avg_containers",
-    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-    **kwargs,
-) -> Dict[str, MetricStats]:
-    """Repeated-run comparison of one metric between two policies."""
-    return {
-        policy_a: aggregate(
-            repeated_runs(policy_a, seeds=seeds, **kwargs), [metric]
-        )[metric],
-        policy_b: aggregate(
-            repeated_runs(policy_b, seeds=seeds, **kwargs), [metric]
-        )[metric],
-    }

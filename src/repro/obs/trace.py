@@ -178,7 +178,6 @@ def record_job_spans(tracer: Tracer, job) -> None:
         "app": job.app.name,
         "outcome": job.outcome,
         "slo_ms": job.app.slo_ms,
-        "input_scale": job.input_scale,
         "n_stages": job.app.n_stages,
     }
     if job.completed:

@@ -3,13 +3,12 @@
 An autoregressive recurrent network that outputs the parameters of a
 Gaussian predictive distribution and is trained by maximum likelihood
 (negative log-likelihood loss), following Salinas et al.'s DeepAR.  The
-point forecast used by the resource manager is the predictive mean; the
-predictive quantile is exposed for over-provisioning studies.
+point forecast used by the resource manager is the predictive mean.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -132,25 +131,3 @@ class DeepARPredictor(Predictor):
             raise RuntimeError("predictor not trained; call fit() first")
         mu, _, _, _ = self._forward(self._window(history))
         return max(0.0, self.scaler.inverse(float(mu[0])))
-
-    def predict_quantile(self, history: Sequence[float], q: float = 0.9) -> float:
-        """Gaussian predictive quantile (for conservative provisioning)."""
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        if not self._trained:
-            raise RuntimeError("predictor not trained; call fit() first")
-        mu, sigma, _, _ = self._forward(self._window(history))
-        # Inverse normal CDF via Acklam-style rational approximation is
-        # overkill here; use the numpy erfinv-free approach via scipy-free
-        # Beasley-Springer-Moro would add code — numpy has none, so use
-        # the quantile of a large standard-normal sample deterministically.
-        z = float(np.sqrt(2.0) * _erfinv(2.0 * q - 1.0))
-        return max(0.0, self.scaler.inverse(float(mu[0] + z * sigma[0])))
-
-
-def _erfinv(y: float) -> float:
-    """Inverse error function (Winitzki's approximation, <2e-3 abs err)."""
-    a = 0.147
-    ln_term = np.log(1.0 - y * y)
-    first = 2.0 / (np.pi * a) + ln_term / 2.0
-    return float(np.sign(y) * np.sqrt(np.sqrt(first**2 - ln_term / a) - first))

@@ -13,7 +13,7 @@ every predictor trains on and forecasts.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 import numpy as np
 
@@ -105,12 +105,3 @@ class WindowedMaxSampler:
                 best = max(best, count / ((whi - wlo) / 1000.0))
             out[k] = best
         return out
-
-    def current_rate(self, now_ms: float) -> float:
-        """Arrival rate (req/s) over the most recent window."""
-        lo = max(0.0, now_ms - self.window_ms)
-        if now_ms <= lo:
-            return 0.0
-        arr = np.asarray(self._arrivals)
-        count = int(np.searchsorted(arr, now_ms) - np.searchsorted(arr, lo))
-        return count / ((now_ms - lo) / 1000.0)

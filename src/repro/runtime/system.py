@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
-from repro.cluster.energy import EnergyMeter, NodePowerModel
+from repro.cluster.energy import EnergyMeter
 from repro.cluster.faults import FaultTimeline, apply_node_event
 from repro.core.controlplane import (
     ControlPlane,
@@ -87,8 +87,6 @@ class ServerlessSystem:
         mix: WorkloadMix,
         cluster_spec: ClusterSpec = ClusterSpec(),
         predictor: Optional[Predictor] = None,
-        cold_start_model: Optional[ColdStartModel] = None,
-        power_model: Optional[NodePowerModel] = None,
         seed: int = 0,
         drain_ms: float = 120_000.0,
         fault_model=None,
@@ -135,8 +133,7 @@ class ServerlessSystem:
             "vector" if self.engine == ENGINE_VECTOR else "sim",
             n_nodes=cluster_spec.n_nodes)
         self.blackout = self.faults.window("blackout")
-        self.cold_start_model = cold_start_model or ColdStartModel()
-        self.power_model = power_model or NodePowerModel()
+        self.cold_start_model = ColdStartModel()
         self.predictor = self._resolve_predictor(predictor)
         # Offline step: per-application stage plans (slack, batch sizes).
         self.plans = {
@@ -187,7 +184,6 @@ class ServerlessSystem:
             predictor = GuardedPredictor(
                 predictor,
                 mape_threshold=self.config.mape_threshold,
-                window=self.config.mape_window,
                 hysteresis=self.config.fallback_hysteresis,
             )
         return predictor
@@ -226,8 +222,7 @@ class ServerlessSystem:
             interval_ms=self.config.monitor_interval_ms
         )
         self.energy_meter = EnergyMeter(
-            model=self.power_model, interval_ms=self.config.monitor_interval_ms
-        )
+            interval_ms=self.config.monitor_interval_ms)
         for name in self.mix.function_names():
             self.store.insert(
                 "stages",
@@ -417,7 +412,6 @@ class ServerlessSystem:
             duration_ms=self.sim.now,
             pools=self.pools,
             tick_errors=self.control.tick_errors,
-            degraded_spawns=getattr(self.cold_start_model, "degraded_spawns", 0),
             shed_jobs=int(self.registry.value("gateway_shed_total")),
         )
 
@@ -448,8 +442,6 @@ def run_policy(
     predictor: Optional[Predictor] = None,
     seed: int = 0,
     drain_ms: float = 120_000.0,
-    cold_start_model: Optional[ColdStartModel] = None,
-    power_model: Optional[NodePowerModel] = None,
     fault_model=None,
     tracer: Optional[Tracer] = None,
     shed_expired: bool = False,
@@ -480,8 +472,6 @@ def run_policy(
     return Scenario.of(
         policy_name, mix, trace, cluster_spec, seed,
         drain_ms=drain_ms,
-        cold_start_model=cold_start_model,
-        power_model=power_model,
         faults=fault_pairs(fault_model, faults),
         shed_expired=shed_expired,
         engine=engine,

@@ -59,7 +59,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.container import _container_ids
 from repro.core.controlplane import (
     ControlPlane,
@@ -196,7 +195,7 @@ class VectorPool(PoolSurface):
         self.ehead = 0
         self.recent_delays: List[tuple] = []  # (t, queue_delay)
         self.dhead = 0
-        self.svc_mean = self.service.mean_exec_ms * 1.0  # input_scale 1.0
+        self.svc_mean = self.service.mean_exec_ms
         self.svc_std = self.service.exec_std_ms
 
     # -- representation: clock, capacity, tallies ----------------------
@@ -322,17 +321,6 @@ class VectorPool(PoolSurface):
             c.lq.append(self.q.popleft())
 
 
-def _check_supported(system) -> None:
-    if system.fault_model is not None:
-        raise VectorEngineUnsupported(
-            "vector engine does not support container fault injection; "
-            "use engine='fast'")
-    if type(system.cold_start_model) is not ColdStartModel:
-        raise VectorEngineUnsupported(
-            "vector engine requires the stock ColdStartModel; "
-            "use engine='fast'")
-
-
 class VectorEngine:
     """One run of one system over one trace, flattened.
 
@@ -341,7 +329,10 @@ class VectorEngine:
     """
 
     def __init__(self, system, trace) -> None:
-        _check_supported(system)
+        if system.fault_model is not None:
+            raise VectorEngineUnsupported(
+                "vector engine does not support container fault injection; "
+                "use engine='fast'")
         self.system = system
         self.trace = trace
         self.config = system.config

@@ -20,8 +20,6 @@ import typing
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-from repro.cluster.coldstart import ColdStartModel
-from repro.cluster.energy import NodePowerModel
 from repro.cluster.faults import ContainerFaultModel, FaultTimeline
 from repro.core.policies import RMConfig, make_policy_config
 from repro.prediction.base import Predictor
@@ -189,6 +187,14 @@ class Shards:
                 f"got {self.stage_routing!r}")
         if self.heartbeat_interval_ms <= 0:
             raise ValueError("heartbeat_interval_ms must be positive")
+        # ``not x > bound`` also refuses NaN.
+        if self.rebalance_interval_ms is not None \
+                and not self.rebalance_interval_ms > 0:
+            raise ValueError(f"rebalance_interval_ms must be positive, got "
+                             f"{self.rebalance_interval_ms}")
+        if self.skew_threshold is not None and not self.skew_threshold >= 1.0:
+            raise ValueError(f"skew_threshold must be >= 1.0, got "
+                             f"{self.skew_threshold}")
         if self.initial_node_grants is not None:
             object.__setattr__(self, "initial_node_grants",
                                tuple(self.initial_node_grants))
@@ -244,8 +250,6 @@ class Scenario:
     trace: Optional[ArrivalTrace] = field(
         default=None, compare=False, repr=False)
     drain_ms: float = 120_000.0
-    cold_start_model: Optional[ColdStartModel] = None
-    power_model: Optional[NodePowerModel] = None
     #: A forecaster to use instead of the pre-training rule's; each
     #: per-shard scenario carries the plane's into its worker.
     predictor: Optional[Predictor] = field(
@@ -491,8 +495,7 @@ class Scenario:
             )
         return dict(
             config=config, mix=self.workload_mix(), cluster_spec=self.cluster,
-            predictor=predictor, cold_start_model=self.cold_start_model,
-            power_model=self.power_model, seed=self.seed, tracer=tracer,
+            predictor=predictor, seed=self.seed, tracer=tracer,
             fault_model=self.fault_model, faults=self.timeline,
             shed_expired=self.shed_expired, drain_ms=self.drain_ms)
 

@@ -34,13 +34,6 @@ class ServeOptions:
         retry: what happens to a task after a failed attempt (crash,
             timeout, killed worker) — see :class:`~repro.serve.retry
             .RetryPolicy`.
-        timeout_floor_wall_s: wall-clock grace added to every per-task
-            execution timeout (derived from the stage slack and the
-            task's residual slack; a worker whose work function exceeds
-            it is declared hung, crashed and its task retried),
-            absorbing executor queueing and event-loop jitter
-            that compressed clocks would otherwise amplify into false
-            hang verdicts.
         journal_dir: durability master switch.  When set, the runtime
             write-ahead-journals every request event to
             ``<journal_dir>/journal.jsonl``, checkpoints control-plane
@@ -79,7 +72,6 @@ class ServeOptions:
     max_pending: int = 0
     executor_workers: int = 0
     retry: RetryPolicy = RetryPolicy()
-    timeout_floor_wall_s: float = 1.0
     journal_dir: Optional[str] = None
     checkpoint_interval_ms: float = 30_000.0
     drain_grace_ms: Optional[float] = None
@@ -97,8 +89,6 @@ class ServeOptions:
             raise ValueError("max_pending must be >= 0")
         if self.executor_workers < 0:
             raise ValueError("executor_workers must be >= 0")
-        if self.timeout_floor_wall_s < 0:
-            raise ValueError("timeout_floor_wall_s must be >= 0")
         if self.checkpoint_interval_ms <= 0:
             raise ValueError("checkpoint_interval_ms must be positive")
         if self.drain_grace_ms is not None and self.drain_grace_ms < 0:

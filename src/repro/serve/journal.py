@@ -15,7 +15,7 @@ Durability contract:
   double-count it after a restore.
 * **hop** and **retry** records are progress hints: they only affect
   *where* a recovered job resumes, never *whether* it exists, so they
-  may batch up to ``fsync_batch`` appends before an fsync.
+  may batch up to :data:`FSYNC_BATCH` appends before an fsync.
 
 The reader side tolerates a truncated final line (the classic
 crash-mid-append artifact) and ignores unknown event types, so the
@@ -91,8 +91,8 @@ TERMINAL_EVENTS = frozenset({EV_COMPLETE, EV_FAIL, EV_SHED})
 #: Events recovery understands; anything else is skipped on read.
 KNOWN_EVENTS = frozenset({EV_ADMIT, EV_HOP, EV_RETRY}) | TERMINAL_EVENTS
 
-#: Default hop/retry records buffered between fsyncs.
-DEFAULT_FSYNC_BATCH = 32
+#: Hop/retry records buffered between fsyncs.
+FSYNC_BATCH = 32
 
 
 class JournalLockedError(RuntimeError):
@@ -235,13 +235,7 @@ class JournalWriter:
         raise NotImplementedError
 
     def admit(self, job) -> None:
-        self.append(
-            EV_ADMIT,
-            job.job_id,
-            job.arrival_ms,
-            app=job.app.name,
-            scale=job.input_scale,
-        )
+        self.append(EV_ADMIT, job.job_id, job.arrival_ms, app=job.app.name)
 
     def hop(self, job, stage_index: int, t_ms: float) -> None:
         self.append(EV_HOP, job.job_id, t_ms, stage=int(stage_index))
@@ -286,14 +280,10 @@ class RequestJournal(JournalWriter):
     def __init__(
         self,
         path: PathLike,
-        fsync_batch: int = DEFAULT_FSYNC_BATCH,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if fsync_batch < 1:
-            raise ValueError("fsync_batch must be >= 1")
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.fsync_batch = fsync_batch
         # Exactly one live writer per path (see module docstring); the
         # sentinel is released by close().
         self._lock = _WriterLock(self.path)
@@ -328,7 +318,7 @@ class RequestJournal(JournalWriter):
         self._buffer.append(json.dumps(
             journal_record(ev, job_id, t_ms, **fields), sort_keys=True))
         self._c_appends.inc()
-        if durable or len(self._buffer) >= self.fsync_batch:
+        if durable or len(self._buffer) >= FSYNC_BATCH:
             self.flush()
 
     def flush(self) -> None:

@@ -51,6 +51,11 @@ logger = logging.getLogger(__name__)
 #: real handlers here.
 WorkFn = Callable[["Task", float], None]
 
+#: Wall-clock grace added to every per-task execution timeout: it
+#: absorbs executor queueing and event-loop jitter, which compressed
+#: clocks would otherwise amplify into false hang verdicts.
+TIMEOUT_FLOOR_WALL_S = 1.0
+
 
 def default_work(task: "Task", wall_s: float) -> None:
     """Stand-in for the microservice's real work: block for its span."""
@@ -74,7 +79,6 @@ class WorkerSlot(Container):
         work: Optional[WorkFn] = None,
         stage_slack_ms: float = 0.0,
         chaos: Optional[ChaosInjector] = None,
-        timeout_floor_wall_s: float = 1.0,
         loop: Optional[asyncio.AbstractEventLoop] = None,
         **container,
     ) -> None:
@@ -83,7 +87,6 @@ class WorkerSlot(Container):
         self._work = work or default_work
         self.stage_slack_ms = stage_slack_ms
         self.chaos = chaos
-        self.timeout_floor_wall_s = timeout_floor_wall_s
         self._loop = loop or asyncio.get_running_loop()
         self._future: Optional[Future] = None
         # Arms the cold-start timer: ``_timer`` is set from here on.
@@ -121,13 +124,12 @@ class WorkerSlot(Container):
 
         Model-time budget: twice the expected execution plus whichever
         is larger of the stage's slack allocation and the task's
-        residual slack (a task that still has headroom is given it).
-        The wall-clock floor absorbs executor queueing and event-loop
-        jitter so compressed clocks never produce false hang verdicts.
+        residual slack (a task that still has headroom is given it) —
+        on the wall clock, plus the floor :data:`TIMEOUT_FLOOR_WALL_S`.
         """
         residual = max(0.0, task.available_slack_ms(self.clock.now))
         budget_ms = 2.0 * exec_ms + max(self.stage_slack_ms, residual)
-        return self.clock.to_wall_s(budget_ms) + self.timeout_floor_wall_s
+        return self.clock.to_wall_s(budget_ms) + TIMEOUT_FLOOR_WALL_S
 
     def _launch(self, task: "Task", exec_ms: float) -> None:
         fate = self.chaos.draw_fate(self.rng) if self.chaos is not None else None
@@ -212,7 +214,6 @@ class WorkerPool(FunctionPool):
         work: Optional[WorkFn] = None,
         retry_manager: Optional[RetryManager] = None,
         chaos: Optional[ChaosInjector] = None,
-        timeout_floor_wall_s: float = 1.0,
         **kwargs,
     ) -> None:
         super().__init__(sim=clock, **kwargs)
@@ -221,7 +222,6 @@ class WorkerPool(FunctionPool):
         self.work = work
         self.retry_manager = retry_manager
         self.chaos = chaos
-        self.timeout_floor_wall_s = timeout_floor_wall_s
         #: Failures whose capacity the supervisor has not yet replaced.
         self._unreplaced_failures = 0
 
@@ -240,7 +240,6 @@ class WorkerPool(FunctionPool):
             work=self.work,
             stage_slack_ms=self.stage_slack_ms,
             chaos=self.chaos,
-            timeout_floor_wall_s=self.timeout_floor_wall_s,
         )
 
     # -- failure path ------------------------------------------------------

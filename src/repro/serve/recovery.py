@@ -6,9 +6,9 @@ journal tail (:mod:`repro.serve.journal`).  Output: a
 exactly one of three buckets —
 
 * **requeue** — admitted, no terminal record: the job was in flight
-  when the process died.  It is reconstructed (same job id, arrival
-  time and input scale) and re-enters the chain at its furthest
-  journaled stage, paying the ingress transition overhead again.
+  when the process died.  It is reconstructed (same job id and
+  arrival time) and re-enters the chain at its furthest journaled
+  stage, paying the ingress transition overhead again.
 * **expired** — in flight but already past its deadline at recovery
   time: re-executing it cannot meet the SLO, so it is shed (journaled
   as ``shed`` with reason ``recovery-expired`` and recorded as a failed
@@ -50,7 +50,6 @@ class JournaledJob:
     job_id: int
     app: str
     arrival_ms: float
-    input_scale: float = 1.0
     #: Furthest stage the job is known to have reached (0 = ingress).
     last_stage: int = 0
     #: Failed attempts journaled for the current stage.
@@ -83,7 +82,8 @@ def replay_journal(records: Sequence[Dict]) -> "OrderedDict[int, JournaledJob]":
     unflushed buffer that progress records survived — impossible under
     the default force-flush policy, but the reader must not invent
     jobs) are ignored.  A second terminal record for the same job keeps
-    the first: terminal state is write-once.
+    the first: terminal state is write-once.  Other record keys (the
+    admit ``scale`` older journals carry) are ignored.
     """
     jobs: "OrderedDict[int, JournaledJob]" = OrderedDict()
     for record in records:
@@ -95,7 +95,6 @@ def replay_journal(records: Sequence[Dict]) -> "OrderedDict[int, JournaledJob]":
                     job_id=job_id,
                     app=str(record.get("app", "")),
                     arrival_ms=float(record.get("t", 0.0)),
-                    input_scale=float(record.get("scale", 1.0)),
                 )
             continue
         job = jobs.get(job_id)

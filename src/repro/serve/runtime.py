@@ -27,8 +27,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.coldstart import ColdStartModel
-from repro.cluster.energy import NodePowerModel
 from repro.cluster.faults import ContainerFaultModel, FaultTimeline
 from repro.core.controlplane import (
     prewarm_opening_capacity,
@@ -82,8 +80,6 @@ class ServingRuntime:
         mix: WorkloadMix,
         cluster_spec: ClusterSpec = ClusterSpec(),
         predictor: Optional[Predictor] = None,
-        cold_start_model: Optional[ColdStartModel] = None,
-        power_model: Optional[NodePowerModel] = None,
         seed: int = 0,
         options: ServeOptions = ServeOptions(),
         work: Optional[WorkFn] = None,
@@ -123,8 +119,6 @@ class ServingRuntime:
         #: One registry backs every counter of the run — gateway, pools,
         #: retry layer, collector — so totals always reconcile.
         self.registry = MetricsRegistry()
-        self.cold_start_model = cold_start_model or ColdStartModel()
-        self.power_model = power_model or NodePowerModel()
         # Offline planning step, shared verbatim with the simulator:
         # stage plans, batch sizes, slacks, shares, predictor resolution.
         # The planner's event engine is never started.
@@ -133,8 +127,6 @@ class ServingRuntime:
             mix=mix,
             cluster_spec=cluster_spec,
             predictor=predictor,
-            cold_start_model=self.cold_start_model,
-            power_model=self.power_model,
             seed=seed,
         )
         self.predictor = self._planner.predictor
@@ -228,7 +220,7 @@ class ServingRuntime:
             or self.faults.of("brownout", "kill-workers")
             else None
         )
-        cold_start = self.cold_start_model
+        cold_start = planner.cold_start_model
         if self.chaos is not None:
             cold_start = self.chaos.wrap_cold_start(cold_start, self.clock)
         # Pools and the retry layer call through the runtime's dispatch
@@ -250,7 +242,6 @@ class ServingRuntime:
                 work=self.work,
                 retry_manager=self.retry_manager,
                 chaos=self.chaos,
-                timeout_floor_wall_s=self.options.timeout_floor_wall_s,
                 on_task_finished=self._dispatch_task_finished,
                 fault_model=self.fault_model,
                 **{**planner._pool_args(name), "cold_start": cold_start},

@@ -39,9 +39,9 @@ REPORT_COLLECTION = "shard_reports"
 #: Donor/receiver pressure ratio above which a node grant moves.
 DEFAULT_SKEW_THRESHOLD = 2.0
 #: Node-grant moves allowed per reconcile tick (rebalance damping).
-DEFAULT_MAX_MOVES_PER_TICK = 1
+MAX_MOVES_PER_TICK = 1
 #: No shard's grant ever drops below this many nodes.
-DEFAULT_MIN_NODES_PER_SHARD = 1
+MIN_NODES_PER_SHARD = 1
 
 
 @dataclass
@@ -120,26 +120,18 @@ class GlobalOrchestrator:
         store: Optional[ShardedStateStore] = None,
         registry: Optional[MetricsRegistry] = None,
         skew_threshold: float = DEFAULT_SKEW_THRESHOLD,
-        max_moves_per_tick: int = DEFAULT_MAX_MOVES_PER_TICK,
-        min_nodes_per_shard: int = DEFAULT_MIN_NODES_PER_SHARD,
         global_max_surge: int = 0,
     ) -> None:
         if not shards:
             raise ValueError("orchestrator needs at least one shard")
         if skew_threshold < 1.0:
             raise ValueError("skew_threshold must be >= 1.0")
-        if max_moves_per_tick < 0:
-            raise ValueError("max_moves_per_tick must be >= 0")
-        if min_nodes_per_shard < 1:
-            raise ValueError("min_nodes_per_shard must be >= 1")
         self.shards = list(shards)
         self.store = store or ShardedStateStore(
             n_shards=max(2, len(self.shards))
         )
         self.registry = registry or MetricsRegistry()
         self.skew_threshold = skew_threshold
-        self.max_moves_per_tick = max_moves_per_tick
-        self.min_nodes_per_shard = min_nodes_per_shard
         self.global_max_surge = global_max_surge
         self._c_ticks = self.registry.counter("orchestrator_ticks_total")
         self._c_rebalances = self.registry.counter(
@@ -237,9 +229,9 @@ class GlobalOrchestrator:
             # Hottest-first receivers, coldest-first donors.
             order = sorted(reports, key=lambda r: r.pressure)
             donors = [r for r in order
-                      if r.nodes_granted > self.min_nodes_per_shard]
+                      if r.nodes_granted > MIN_NODES_PER_SHARD]
             receivers = list(reversed(order))
-            for _ in range(self.max_moves_per_tick):
+            for _ in range(MAX_MOVES_PER_TICK):
                 if not donors:
                     break
                 donor, receiver = donors[0], receivers[0]
@@ -263,7 +255,7 @@ class GlobalOrchestrator:
                 self.store.update(
                     REPORT_COLLECTION, f"shard-{receiver.shard_id}",
                     {"nodes_granted": receiver.nodes_granted})
-                if donor.nodes_granted <= self.min_nodes_per_shard:
+                if donor.nodes_granted <= MIN_NODES_PER_SHARD:
                     donors.pop(0)
         if moved:
             self._c_rebalances.inc()

@@ -415,8 +415,8 @@ class _ShardFaultPlane:
                 assign_takeover(plan.requeue, self.ring).items()):
             survivor = self.systems[owner_id]
             for entry in entries:
-                # Original id, arrival time and input scale: the SLO
-                # clock keeps running across the failover.
+                # Original id and arrival time: the SLO clock keeps
+                # running across the failover.
                 if survivor.lifecycle.requeue_recovered(
                         entry, extra_latency_ms=CROSS_SHARD_HOP_MS):
                     survivor.registry.counter(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -134,13 +134,6 @@ class ArrivalTrace:
         """Sub-trace in [start, end), re-based to start at 0."""
         mask = (self.arrivals_ms >= start_ms) & (self.arrivals_ms < end_ms)
         return ArrivalTrace(self.arrivals_ms[mask] - start_ms, name=self.name)
-
-    def thinned(self, keep_fraction: float, rng: np.random.Generator) -> "ArrivalTrace":
-        """Randomly keep *keep_fraction* of arrivals (rate scaling)."""
-        if not 0.0 <= keep_fraction <= 1.0:
-            raise ValueError("keep_fraction must be in [0, 1]")
-        mask = rng.random(len(self)) < keep_fraction
-        return ArrivalTrace(self.arrivals_ms[mask], name=f"{self.name}-x{keep_fraction:g}")
 
     @staticmethod
     def merge(traces: Sequence["ArrivalTrace"], name: str = "merged") -> "ArrivalTrace":

@@ -45,19 +45,13 @@ class JobStage:
 
 @dataclass
 class Job:
-    """One end-to-end request for an application chain.
-
-    ``input_scale`` models request payload size (image resolution,
-    speech-query length): execution time scales linearly with it
-    (section 2.2.2's profiled relationship).
-    """
+    """One end-to-end request for an application chain."""
 
     app: Application
     arrival_ms: float
     job_id: int = field(default_factory=lambda: next(_job_ids))
     stages: List[JobStage] = field(default_factory=list)
     completion_ms: float = -1.0
-    input_scale: float = 1.0
     #: Set when the job is dead-lettered: retries exhausted (or deadline
     #: budget blown) on one of its stages.  A failed job is terminal —
     #: it never completes and counts as an SLO violation.
@@ -65,8 +59,6 @@ class Job:
     failure_reason: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.input_scale <= 0:
-            raise ValueError("input_scale must be positive")
         if not self.stages:
             self.stages = [JobStage(function=s.name) for s in self.app.stages]
 

@@ -240,20 +240,15 @@ class RequestLifecycle:
     # -- recovery ----------------------------------------------------------
 
     def _rebuild_job(self, entry) -> Optional[Job]:
-        """Reconstruct a Job from its journal entry (same id, arrival
-        and input scale — recovery must not launder latency)."""
+        """Reconstruct a Job from its journal entry (same id and
+        arrival — recovery must not launder latency)."""
         app = self._apps.get(entry.app)
         if app is None:
             # The WAL is a file another process wrote: count, never
             # silently drop.
             self.registry.counter("recovery_unknown_app_total").inc()
             return None
-        return Job(
-            app=app,
-            arrival_ms=entry.arrival_ms,
-            job_id=entry.job_id,
-            input_scale=entry.input_scale,
-        )
+        return Job(app=app, arrival_ms=entry.arrival_ms, job_id=entry.job_id)
 
     def requeue_recovered(
         self, entry, extra_latency_ms: float = 0.0

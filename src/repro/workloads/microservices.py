@@ -2,21 +2,17 @@
 
 Each microservice is the smallest schedulable unit ("function"): one
 container pool per microservice, shared across all applications of a
-tenant.  Mean execution times are the paper's Table 3 values; run-to-run
-variation is small (Figure 3b: std-dev within 20 ms over 100 runs) and
-execution time grows linearly with input size (section 2.2.2).
+tenant.  Mean execution times are the paper's Table 3 values, profiled
+at one reference input size; run-to-run variation is small (Figure 3b:
+std-dev within 20 ms over 100 runs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-
-#: Reference input size (e.g. 256x256 image, standard speech query) at
-#: which Table 3's mean execution times were profiled.
-REFERENCE_INPUT_SIZE = 1.0
 
 
 @dataclass(frozen=True)
@@ -28,7 +24,7 @@ class Microservice:
         description: human-readable service name from Table 3.
         model: underlying ML model (informational).
         domain: Table 3 domain grouping.
-        mean_exec_ms: mean execution time at the reference input size.
+        mean_exec_ms: mean execution time (Table 3).
         exec_std_ms: run-to-run standard deviation (paper: well under
             20 ms; scaled with the service's magnitude here).
         cpu_cores: CPU request per container (paper: 0.5 core).
@@ -50,19 +46,10 @@ class Microservice:
         if self.exec_std_ms < 0:
             raise ValueError(f"{self.name}: exec_std_ms must be non-negative")
 
-    def exec_time_ms(
-        self,
-        rng: Optional[np.random.Generator] = None,
-        input_scale: float = 1.0,
-    ) -> float:
-        """Sample one execution time.
-
-        Execution time scales linearly with input size (paper section
-        2.2.2) and carries a small truncated-Gaussian jitter.
-        """
-        if input_scale <= 0:
-            raise ValueError("input_scale must be positive")
-        mean = self.mean_exec_ms * input_scale
+    def exec_time_ms(self, rng: Optional[np.random.Generator] = None) -> float:
+        """Sample one execution time: the mean with a small
+        truncated-Gaussian jitter."""
+        mean = self.mean_exec_ms
         if rng is None or self.exec_std_ms == 0.0:
             return mean
         sample = rng.normal(mean, self.exec_std_ms)

@@ -95,7 +95,10 @@ class TestRemovedSpellings:
     REMOVED = ("Fault" "Config", "drain_timeout" "_ms", "--sim-shed" "-expired",
                "MultiTen" "antSystem", "OnlineRe" "trainingPredictor",
                "generate" "_chain", "ExecutionTime" "Model", "load" "_trace",
-               "rolling_violation" "_rate", "input_scale" "_sampler")
+               "rolling_violation" "_rate", "input" "_scale",
+               "timeout_floor" "_wall_s", "hpa_target" "_concurrency",
+               "mape" "_window", "spawn_retry" "_backoff_ms",
+               "max_moves" "_per_tick", "min_nodes" "_per_shard")
 
     @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
     def test_docs_do_not_name_removed_spellings(self, doc):

@@ -12,26 +12,11 @@ from repro.prediction.classical import (
     LogisticRegressionPredictor,
     MovingWindowAveragePredictor,
 )
-from repro.prediction.deepar import _erfinv
 from repro.prediction.nn import softplus
 from repro.sim.engine import Simulator
 from repro.traces.base import ArrivalTrace, RateProfile
 from repro.workloads.applications import Application
 from repro.workloads.microservices import MICROSERVICES
-
-
-class TestErfinv:
-    @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.75, 0.9, 0.975])
-    def test_matches_normal_quantiles(self, p):
-        # Round-trip against empirical standard-normal quantiles.
-        z = np.sqrt(2.0) * _erfinv(2.0 * p - 1.0)
-        rng = np.random.default_rng(0)
-        empirical = np.quantile(rng.standard_normal(200_000), p)
-        assert z == pytest.approx(empirical, abs=0.02)
-
-    def test_symmetry(self):
-        assert _erfinv(0.3) == pytest.approx(-_erfinv(-0.3))
-        assert _erfinv(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSoftplus:

@@ -7,7 +7,11 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
 from repro.core.policies import EXTENDED_POLICY_NAMES, make_policy_config
-from repro.core.scaling import HPAScaler, ProactiveScaler
+from repro.core.scaling import (
+    HPA_TARGET_CONCURRENCY,
+    HPAScaler,
+    ProactiveScaler,
+)
 from repro.core.scheduling import SchedulingPolicy
 from repro.prediction.base import Predictor
 from repro.prediction.windowed import WindowedMaxSampler
@@ -45,16 +49,16 @@ class TestHPAScaler:
     def test_scales_up_on_concurrency(self):
         sim = Simulator()
         pool = _pool(sim, batch_size=2)
-        scaler = HPAScaler({"ASR": pool}, target_concurrency=2)
-        _enqueue(pool, 8)
+        scaler = HPAScaler({"ASR": pool})
+        _enqueue(pool, 4 * HPA_TARGET_CONCURRENCY)
         spawned = scaler.tick(sim.now)
-        assert spawned == 4  # ceil(8 / 2)
+        assert spawned == 4
         assert scaler.events[0].kind == "hpa-up"
 
     def test_desired_never_below_one(self):
         sim = Simulator()
         pool = _pool(sim)
-        scaler = HPAScaler({"ASR": pool}, target_concurrency=4)
+        scaler = HPAScaler({"ASR": pool})
         assert scaler.desired_replicas(pool) == 1
 
     def test_scale_down_needs_stabilization(self):
@@ -62,8 +66,7 @@ class TestHPAScaler:
         pool = _pool(sim)
         pool.prewarm(4)
         sim.run(until=1.0)
-        scaler = HPAScaler({"ASR": pool}, target_concurrency=2,
-                           scale_down_stabilization_ticks=3)
+        scaler = HPAScaler({"ASR": pool}, scale_down_stabilization_ticks=3)
         # Desired is 1, current is 4 — needs three consecutive low ticks.
         scaler.tick(1.0)
         scaler.tick(2.0)
@@ -77,8 +80,7 @@ class TestHPAScaler:
         pool = _pool(sim, batch_size=4)
         pool.prewarm(4)
         sim.run(until=1.0)
-        scaler = HPAScaler({"ASR": pool}, target_concurrency=4,
-                           scale_down_stabilization_ticks=2)
+        scaler = HPAScaler({"ASR": pool}, scale_down_stabilization_ticks=2)
         scaler.tick(1.0)  # below target once
         _enqueue(pool, 16)  # concurrency jumps back
         scaler.tick(2.0)
@@ -87,8 +89,6 @@ class TestHPAScaler:
     def test_invalid_params(self):
         sim = Simulator()
         pool = _pool(sim)
-        with pytest.raises(ValueError):
-            HPAScaler({"ASR": pool}, target_concurrency=0)
         with pytest.raises(ValueError):
             HPAScaler({"ASR": pool}, scale_down_stabilization_ticks=0)
 

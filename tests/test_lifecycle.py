@@ -302,12 +302,12 @@ def test_memory_sink_and_file_wal_share_one_record_constructor(tmp_path):
     memory = MemoryJournal()
     wal = RequestJournal(tmp_path / "journal.jsonl")
     for journal in (memory, wal):
-        journal.append(EV_ADMIT, 7, 12.3456, app="ipa", scale=1.0)
+        journal.append(EV_ADMIT, 7, 12.3456, app="ipa")
         journal.append(EV_HOP, 7, 80.0, stage=1)
     wal.close()
     assert memory.records == RequestJournal.read_records(wal.path)
     assert memory.records[0] == journal_record(
-        EV_ADMIT, 7, 12.3456, app="ipa", scale=1.0)
+        EV_ADMIT, 7, 12.3456, app="ipa")
     assert memory.records[0]["t"] == 12.346
 
 

@@ -181,20 +181,6 @@ class TestNeuralPredictors:
         model.fit(sine_series[:150])
         assert model.train_losses[-1] < model.train_losses[0]
 
-    def test_deepar_quantile_ordering(self, sine_series):
-        model = DeepARPredictor(epochs=10, seed=0)
-        model.fit(sine_series[:150])
-        hist = sine_series[150:160]
-        q10 = model.predict_quantile(hist, 0.1)
-        q50 = model.predict_quantile(hist, 0.5)
-        q90 = model.predict_quantile(hist, 0.9)
-        assert q10 <= q50 <= q90
-
-    def test_deepar_invalid_quantile(self):
-        model = DeepARPredictor()
-        with pytest.raises(ValueError):
-            model.predict_quantile([1.0], q=1.5)
-
 
 class TestLSTMGradients:
     def test_backprop_matches_numerical_gradient(self):

@@ -151,14 +151,6 @@ class TestTraceProperties:
         counted = np.sum(series) * 1.0  # each bucket is count / 1 s
         assert counted == pytest.approx(len(trace))
 
-    @given(st.lists(finite_floats, min_size=2, max_size=100),
-           st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
-    def test_thinning_never_grows(self, times, fraction):
-        trace = ArrivalTrace(np.array(times))
-        thin = trace.thinned(fraction, np.random.default_rng(0))
-        assert len(thin) <= len(trace)
-
 
 class TestPredictionProperties:
     @given(st.lists(st.floats(min_value=0.0, max_value=1e4, allow_nan=False),

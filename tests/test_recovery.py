@@ -10,6 +10,7 @@ mirror, and atomic artifact writes.
 
 import asyncio
 import json
+import pathlib
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.faults import FaultEvent, FaultTimeline
 from repro.experiments.export import atomic_write_json, atomic_write_text
-from repro.runtime.system import run_policy
+from repro.core.policies import make_policy_config
+from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
 from repro.scenario import Scenario
 from repro.serve import (
     RequestJournal,
@@ -40,16 +42,16 @@ from repro.serve.journal import (
     journal_conservation,
 )
 from repro.serve.recovery import RECOVERY_EXPIRED_REASON
+from repro.sim.engine import Simulator
 from repro.traces import poisson_trace
 from repro.workflow.statestore import StateStore
 from repro.workloads import get_mix
 
 
-def _job(job_id, app="ingest", arrival_ms=0.0, scale=1.0):
+def _job(job_id, app="ingest", arrival_ms=0.0):
     return SimpleNamespace(
         job_id=job_id,
         arrival_ms=arrival_ms,
-        input_scale=scale,
         app=SimpleNamespace(name=app),
     )
 
@@ -62,7 +64,7 @@ class TestJournal:
     def test_round_trip_preserves_order_and_fields(self, tmp_path):
         path = tmp_path / JOURNAL_BASENAME
         journal = RequestJournal(path)
-        journal.admit(_job(1, app="alpha", arrival_ms=10.0, scale=2.0))
+        journal.admit(_job(1, app="alpha", arrival_ms=10.0))
         journal.hop(_job(1), 1, 25.0)
         journal.complete(_job(1), 40.0)
         journal.close()
@@ -70,8 +72,7 @@ class TestJournal:
         records = RequestJournal.read_records(path)
         assert [r["ev"] for r in records] == ["admit", "hop", "complete"]
         assert records[0] == {
-            "v": 1, "ev": "admit", "job": 1, "t": 10.0,
-            "app": "alpha", "scale": 2.0,
+            "v": 1, "ev": "admit", "job": 1, "t": 10.0, "app": "alpha",
         }
         assert records[1]["stage"] == 1
 
@@ -97,7 +98,7 @@ class TestJournal:
 
     def test_drop_unflushed_loses_only_batched_records(self, tmp_path):
         path = tmp_path / JOURNAL_BASENAME
-        journal = RequestJournal(path, fsync_batch=100)
+        journal = RequestJournal(path)
         journal.admit(_job(1))          # durable: forced to disk
         journal.hop(_job(1), 1, 5.0)    # progress hint: buffered
         journal.hop(_job(1), 2, 9.0)
@@ -116,9 +117,41 @@ class TestJournal:
         assert len(RequestJournal.read_records(path)) == 1
         assert RequestJournal.read_records(tmp_path / "absent.jsonl") == []
 
-    def test_fsync_batch_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            RequestJournal(tmp_path / JOURNAL_BASENAME, fsync_batch=0)
+
+class TestOlderJournals:
+    """A WAL written before admit records lost their ``scale`` key (every
+    one of them ``1.0``) — admits, hops, a retry, one terminal and a torn
+    tail — recovers to the partition it recovered to then, and each
+    requeued job resumes with its journaled id, arrival and stage."""
+
+    GOLDEN = (pathlib.Path(__file__).parent / "golden"
+              / "journal_with_scale_key.jsonl")
+
+    def test_partition_and_resume_point_are_unchanged(self):
+        records = RequestJournal.read_records(self.GOLDEN)
+        assert sum("scale" in r for r in records) == 4
+        mix = get_mix("medium")
+        slo = {app.name: app.slo_ms for app in mix.applications}
+        plan = build_recovery_plan(records, 1_200.0, slo.get)
+        assert [(j.job_id, j.app, j.arrival_ms, j.last_stage, j.attempts)
+                for j in plan.requeue] == [
+            (12, "img", 200.0, 2, 0), (13, "img", 900.0, 0, 1)]
+        assert [(j.job_id, j.app, j.arrival_ms) for j in plan.expired] == [
+            (11, "ipa", 50.0)]
+        assert plan.deduped == [10]
+
+        system = ServerlessSystem(
+            config=make_policy_config("rscale"), mix=mix,
+            cluster_spec=ClusterSpec(n_nodes=2))
+        sim = Simulator()
+        system._build(sim)
+        enqueued = []
+        system.lifecycle.enqueue_stage = lambda job, stage: enqueued.append(
+            (job.job_id, job.arrival_ms, stage))
+        for entry in plan.requeue:
+            system.lifecycle.requeue_recovered(entry)
+        sim.run(until=1_000.0)
+        assert enqueued == [(12, 200.0, 2), (13, 900.0, 0)]
 
 
 # ---------------------------------------------------------------------------

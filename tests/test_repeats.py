@@ -1,26 +1,9 @@
-"""Tests for the job input-scale field and the repetition harness."""
+"""Tests for the seed-repetition harness."""
 
 import pytest
 
-from repro.experiments.repeats import (
-    MetricStats,
-    aggregate,
-    compare_with_confidence,
-    repeated_runs,
-)
+from repro.experiments.repeats import MetricStats, aggregate, repeated_runs
 from repro.traces import poisson_trace
-from repro.workflow.job import Job
-from repro.workloads import get_application
-
-
-class TestInputScale:
-    def test_job_validation(self):
-        with pytest.raises(ValueError):
-            Job(app=get_application("ipa"), arrival_ms=0.0, input_scale=0.0)
-
-    def test_default_scale_is_one(self):
-        job = Job(app=get_application("ipa"), arrival_ms=0.0)
-        assert job.input_scale == 1.0
 
 
 class TestMetricStats:
@@ -73,13 +56,3 @@ class TestRepeatedRuns:
             repeated_runs("rscale", seeds=())
         with pytest.raises(ValueError):
             aggregate([])
-
-    def test_compare_with_confidence(self):
-        stats = compare_with_confidence(
-            "bline", "rscale", metric="avg_containers",
-            mix_name="light", seeds=(1, 2),
-            trace_factory=lambda seed: poisson_trace(12.0, 45.0, seed=seed),
-        )
-        assert set(stats) == {"bline", "rscale"}
-        # Batching reliably uses fewer containers across seeds.
-        assert stats["rscale"].mean < stats["bline"].mean

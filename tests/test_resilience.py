@@ -33,6 +33,7 @@ from repro.serve import (
     WorkerPool,
     serve_trace,
 )
+from repro.serve import pool as serve_pool
 from repro.serve.control import ControlLoop
 from repro.traces import poisson_trace
 from repro.workflow.job import Job, Task
@@ -241,8 +242,10 @@ class TestSupervisedWorkers:
         asyncio.run(scenario())
         del failures
 
-    def test_hung_work_fn_reclaimed_by_timeout(self):
+    def test_hung_work_fn_reclaimed_by_timeout(self, monkeypatch):
         import threading
+
+        monkeypatch.setattr(serve_pool, "TIMEOUT_FLOOR_WALL_S", 0.05)
 
         release = threading.Event()
 
@@ -252,9 +255,7 @@ class TestSupervisedWorkers:
         async def scenario():
             clock = ScaledClock(FAST)
             with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(
-                    clock, executor, work=hang, timeout_floor_wall_s=0.05
-                )
+                pool = _worker_pool(clock, executor, work=hang)
                 clock.start()
                 pool.prewarm(1)
                 await asyncio.sleep(0.02)
@@ -687,7 +688,8 @@ class TestChaosEndToEnd:
         # Most work survives retries at this crash rate.
         assert result.n_completed > 0
 
-    def test_hang_prob_run_recovered_by_timeout(self):
+    def test_hang_prob_run_recovered_by_timeout(self, monkeypatch):
+        monkeypatch.setattr(serve_pool, "TIMEOUT_FLOOR_WALL_S", 0.05)
         trace = poisson_trace(2.0, 2.0, seed=9)
         runtime = ServingRuntime(
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
@@ -696,7 +698,6 @@ class TestChaosEndToEnd:
             options=ServeOptions(
                 time_scale=0.005,
                 retry=RetryPolicy(max_attempts=2, base_backoff_ms=10.0),
-                timeout_floor_wall_s=0.05,
             ),
             fault_model=ContainerFaultModel(hang_probability=1.0),
             drain_ms=1_200_000.0,

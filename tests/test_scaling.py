@@ -61,12 +61,6 @@ class TestWindowedMaxSampler:
             s.record(t)
         assert len(s._arrivals) <= (20_000 + 10_000) / 100 + 2
 
-    def test_current_rate(self):
-        s = WindowedMaxSampler(window_ms=1000.0)
-        for t in [9_500.0, 9_600.0, 9_700.0]:
-            s.record(t)
-        assert s.current_rate(10_000.0) == pytest.approx(3.0)
-
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             WindowedMaxSampler(interval_ms=1000.0, window_ms=5000.0)

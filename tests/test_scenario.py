@@ -14,8 +14,6 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.cluster.coldstart import ColdStartModel
-from repro.cluster.energy import NodePowerModel
 from repro.cluster.faults import ContainerFaultModel, FaultTimeline
 from repro.core.slack import SlackDivision
 from repro.experiments.runner import ExperimentRunner, config_hash
@@ -254,6 +252,29 @@ def test_a_simulated_shard_keeps_its_crash_model_and_replays_no_script():
     assert not shard.timeline
 
 
+@pytest.mark.parametrize("member, value", [
+    ("rebalance_interval_ms", -5_000.0), ("rebalance_interval_ms", 0.0),
+    ("rebalance_interval_ms", float("nan")), ("skew_threshold", 0.5)])
+def test_a_shard_cadence_or_threshold_out_of_range_is_refused(member, value):
+    with pytest.raises(ValueError, match=member):
+        Shards(n=2, **{member: value})
+
+
+def test_a_negative_rebalance_interval_is_a_usage_error_not_a_hang(
+        monkeypatch):
+    # The vector plane's rebalance loop counted such an interval down
+    # forever; now the scenario is refused before any plane is entered.
+    import repro.shard.sim
+
+    monkeypatch.setattr(repro.shard.sim, "_run_inprocess_vector",
+                        lambda *args: pytest.fail("the vector plane ran"))
+    with pytest.raises(SystemExit, match="run: rebalance_interval_ms must "
+                                         "be positive, got -5000.0"):
+        main(["run", "rscale", "--shards", "2", "--engine", "vector",
+              "--rebalance-interval", "-5", "--duration", "10",
+              "--rate", "5", "--trace", "poisson"])
+
+
 # ---------------------------------------------------------------------------
 # typed overrides (all three fail at the parent commit)
 
@@ -324,8 +345,8 @@ def test_enum_and_bool_overrides_hash_and_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# nothing the caller passes is dropped on a sharded plane (at the parent:
-# 0 crashes, 0 spans, the stock models, exit clean)
+# nothing the caller passes is dropped on a sharded plane (before the fix:
+# 0 crashes, 0 spans, exit clean)
 
 
 def _sharded(policy="bline", **kwargs):
@@ -334,30 +355,17 @@ def _sharded(policy="bline", **kwargs):
         cluster_spec=ClusterSpec(n_nodes=4), seed=5, shards=2, **kwargs)
 
 
-def _total(result, field):
-    return sum(getattr(r, field) for r in result.per_shard.values())
-
-
-@pytest.mark.parametrize("argument", [
-    "fault_model", "tracer", "cold_start_model", "power_model"])
+@pytest.mark.parametrize("argument", ["fault_model", "tracer"])
 def test_no_argument_is_dropped_on_the_sharded_plane(argument):
     if argument == "tracer":
         with pytest.raises(
                 ValueError,
                 match="tracer is not supported on the sim-sharded plane"):
             _sharded(tracer=Tracer())
-    elif argument == "fault_model":
+    else:
         result = _sharded(
             fault_model=ContainerFaultModel(crash_probability=0.3))
         assert all(r.container_crashes for r in result.per_shard.values())
-    elif argument == "cold_start_model":
-        slow = _sharded(cold_start_model=ColdStartModel(base_spawn_ms=20_000.0))
-        assert min(r.p99_latency_ms for r in slow.per_shard.values()) \
-            > 3 * max(r.p99_latency_ms for r in _sharded().per_shard.values())
-    else:
-        hungry = _sharded(power_model=NodePowerModel(idle_w=300.0))
-        assert _total(hungry, "energy_joules") \
-            > 2 * _total(_sharded(), "energy_joules")
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +494,206 @@ def test_every_module_is_reached():
                        if path.name != "__main__.py"
                        and _dotted(path) not in reached)
     assert unreached == []
+
+
+#: The public constructors and entry points whose keyword parameters
+#: and dataclass fields are knobs, by the file that defines them.
+KNOB_OWNERS = {
+    "core/policies.py": ("RMConfig",),
+    "scenario.py": ("Scenario", "Shards"),
+    "serve/config.py": ("ServeOptions",),
+    "runtime/system.py": ("ServerlessSystem", "run_policy"),
+    "serve/runtime.py": ("ServingRuntime", "serve_trace"),
+    "runtime/vector.py": ("VectorEngine",),
+    "core/poolsurface.py": ("PoolSurface",),
+    "serve/gateway.py": ("Gateway",),
+    "core/controlplane.py": ("ControlPlane",),
+    "serve/journal.py": ("RequestJournal",),
+    "serve/checkpoint.py": ("CheckpointManager",),
+    "shard/orchestrator.py": ("GlobalOrchestrator",),
+    "shard/sim.py": ("run_sharded_policy",),
+    "shard/live.py": ("serve_sharded",),
+    "workflow/job.py": ("Job",),
+}
+#: Knobs nothing sets, and why none needs to.
+_SETTLED = "run state the lifecycle writes when a job settles, not a setting"
+KNOBS_WITHOUT_A_CALLER = {
+    "completion_ms": _SETTLED,
+    "failed_ms": _SETTLED,
+    "failure_reason": _SETTLED,
+}
+
+
+def _callee(call):
+    return ast.unparse(call.func).rsplit(".", 1)[-1]
+
+
+def _params(fn):
+    return [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+
+
+def _defaulted(arguments):
+    positional = arguments.posonlyargs + arguments.args
+    named = positional[len(positional) - len(arguments.defaults):] + [
+        arg for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+        if default is not None]
+    return [arg.arg for arg in named]
+
+
+def _init(node):
+    return next((item for item in node.body if isinstance(item, ast.FunctionDef)
+                 and item.name == "__init__"), None)
+
+
+def _knobs(node):
+    """The parameters of *node* that carry a default — for a dataclass,
+    its fields with a default (a ``default_factory`` field is each
+    instance's own value, an id or a container, not a setting)."""
+    if isinstance(node, ast.FunctionDef):
+        return _defaulted(node.args)
+    if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+        return [item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign) and item.value is not None
+                and "default_factory" not in ast.unparse(item.value)]
+    return _defaulted(_init(node).args)
+
+
+def _forwarders(trees):
+    """The knob owners, ``replace``, and every function or class that
+    hands its ``**kwargs`` on to one of them (a subclass's constructor, a
+    factory such as ``Scenario.make``): the calls whose keywords reach a
+    knob."""
+    found = {owner for defined in KNOB_OWNERS.values() for owner in defined}
+    found.add("replace")
+    defs = [node for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
+    while True:
+        more = {node.name for node in defs
+                if node.name not in found and _hands_on(node, found)}
+        if not more:
+            return found
+        found |= more
+
+
+def _hands_on(node, found):
+    function = _init(node) if isinstance(node, ast.ClassDef) else node
+    if function is None or function.args.kwarg is None:
+        return False
+    if isinstance(node, ast.ClassDef):
+        return any(ast.unparse(base) in found for base in node.bases)
+    kwargs = function.args.kwarg.arg
+    return any(isinstance(call, ast.Call) and _callee(call) in found
+               and any(kw.arg is None and ast.unparse(kw.value) == kwargs
+                       for kw in call.keywords)
+               for call in ast.walk(function))
+
+
+def _settings(node, callees, fn=None, cls=None, inside=()):
+    """Every ``(name, value, fn, cls, inside)`` by which the code under
+    *node* hands a value on under a name: a keyword of a call to one of
+    *callees* (by its last dotted part), a string key of a dict display
+    or of a subscript assignment.  *fn* / *cls* are the innermost
+    function and class around it, *inside* the names of every
+    definition around it."""
+    if isinstance(node, ast.ClassDef):
+        cls, inside = node, inside + (node.name,)
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        fn, inside = node, inside + (node.name,)
+    pairs = []
+    if isinstance(node, ast.Call):
+        if _callee(node) in callees:
+            pairs = [(kw.arg, kw.value) for kw in node.keywords if kw.arg]
+    elif isinstance(node, ast.Dict):
+        pairs = [(key.value, value)
+                 for key, value in zip(node.keys, node.values)
+                 if isinstance(key, ast.Constant)]
+    elif isinstance(node, ast.Assign):
+        pairs = [(target.slice.value, node.value) for target in node.targets
+                 if isinstance(target, ast.Subscript)
+                 and isinstance(target.slice, ast.Constant)]
+    for name, value in pairs:
+        yield name, value, fn, cls, inside
+    for child in ast.iter_child_nodes(node):
+        yield from _settings(child, callees, fn, cls, inside)
+
+
+def _own_value(value, name, fn, cls, forwarders):
+    """Whether *value*, handed on as *name*, is a value of its own rather
+    than a copy of a same-named knob (``x=x``, ``x=self.x``, ``x=other.x``
+    where ``x`` is a parameter or field of a forwarder).  A local, a
+    constant, any other expression, a property, an attribute computed
+    from something else and a parameter of a function no keyword reaches
+    through are each a value of their own."""
+    forwarding = cls is not None and cls.name in forwarders
+    if isinstance(value, ast.Name) and value.id == name:
+        return not (fn is not None
+                    and name in {arg.arg for arg in _params(fn)}
+                    and (fn.name in forwarders
+                         or (fn.name == "__init__" and forwarding)))
+    if not (isinstance(value, ast.Attribute) and value.attr == name):
+        return True
+    if ast.unparse(value.value) != "self":
+        return False
+    for node in ast.walk(cls):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return True   # a property
+        if isinstance(node, ast.Assign) and f"self.{name}" in map(
+                ast.unparse, node.targets):
+            return not forwarding or not any(
+                isinstance(n, ast.Name) and n.id == name
+                for n in ast.walk(node.value))
+    return not forwarding  # a field
+
+
+def _flag_dest(call):
+    flags = [arg.value for arg in call.args]
+    dest = next((kw.value.value for kw in call.keywords if kw.arg == "dest"),
+                ([f for f in flags if f.startswith("--")] or flags)[0])
+    return dest.lstrip("-").replace("-", "_")
+
+
+def test_every_knob_has_a_caller():
+    """Every knob of the public constructors and entry points is set by
+    the program, not only by tests: under ``src/`` (outside the knob's
+    own definition), ``benchmarks/`` or ``examples/``, a call passes it a
+    value of its own by keyword (to the owner, to anything that hands
+    ``**kwargs`` on, or through ``replace`` / ``dict`` / ``update``), an
+    override dict names it as a string key, ``sweep_config_field`` names
+    it, or a CLI flag sets it.  Reachability is per name: a same-named
+    copy (``x=x``, ``x=self.x``) forwards a knob to its namesake and
+    reaches exactly what that source does — so a property or computed
+    attribute (``Scenario.fault_model``) is a source of its own.  A knob
+    only a test sets is dead: it becomes the constant it defaults to, or
+    is deleted."""
+    sources = [ast.parse(path.read_text()) for root in (
+        SRC / "repro", SRC.parent / "benchmarks", SRC.parent / "examples")
+        for path in sorted(root.rglob("*.py"))]
+    owners = {}
+    for name, defined in KNOB_OWNERS.items():
+        for node in ast.parse((SRC / "repro" / name).read_text()).body:
+            if getattr(node, "name", None) in defined:
+                for knob in _knobs(node):
+                    owners.setdefault(knob, set()).add(node.name)
+    forwarders = _forwarders(sources)
+    callees = forwarders | {"dict", "update"}
+    reached = set()
+    for tree in sources:
+        for node in ast.walk(tree):
+            called = isinstance(node, ast.Call) and _callee(node)
+            if called == "add_argument":
+                reached.add(_flag_dest(node))
+            elif called == "sweep_config_field":
+                reached |= {arg.value for arg in node.args
+                            if isinstance(arg, ast.Constant)}
+        reached |= {name for name, value, fn, cls, inside in _settings(
+                        tree, callees)
+                    if name in owners and not owners[name] & set(inside)
+                    and _own_value(value, name, fn, cls, forwarders)}
+    unreached = set(owners) - reached
+    dead = sorted(f"{name} ({', '.join(sorted(owners[name]))})"
+                  for name in unreached - set(KNOBS_WITHOUT_A_CALLER))
+    assert not dead, "knobs only tests set: " + "; ".join(dead)
+    assert set(KNOBS_WITHOUT_A_CALLER) <= unreached   # no stale entry
 
 
 def test_one_definition_per_decision():

@@ -171,7 +171,7 @@ def _wal_records(n_jobs, base_t=0.0):
     for i in range(n_jobs):
         records.append({
             "v": JOURNAL_SCHEMA_VERSION, "ev": EV_ADMIT, "job": i,
-            "t": base_t + 10.0 * i, "app": "img", "scale": 1.0,
+            "t": base_t + 10.0 * i, "app": "img",
         })
         if i % 3 == 0:
             records.append({
@@ -555,7 +555,7 @@ def test_a_lock_relic_naming_no_live_foreign_process_is_stolen(
     (tmp_path / "journal.jsonl.lock").write_text(relic)
     with caplog.at_level(logging.WARNING, logger="repro.serve.journal"):
         journal = RequestJournal(path)   # JournalLockedError = never stolen
-    journal.append(EV_ADMIT, 0, 1.0, app="img", scale=1.0)
+    journal.append(EV_ADMIT, 0, 1.0, app="img")
     journal.close()
     assert len(RequestJournal.read_records(path)) == 1
     assert [r for r in caplog.records
@@ -572,7 +572,7 @@ def test_takeover_fence_refused_while_owner_lives(tmp_path):
     # the takeover must fall back to read-only replay, never steal.
     directory = tmp_path
     victim_journal = RequestJournal(directory / "journal-1.jsonl")
-    victim_journal.append(EV_ADMIT, 0, 100.0, app="img", scale=1.0)
+    victim_journal.append(EV_ADMIT, 0, 100.0, app="img")
     victim_journal.close()
     (directory / "journal-1.jsonl.lock").write_text("1:1")
     for shard_id, t in ((0, 9_000.0), (1, 2_000.0)):
@@ -609,10 +609,10 @@ def test_takeover_fence_refused_while_owner_lives(tmp_path):
 
 def test_plane_journal_conservation_flags_loss(tmp_path):
     journal = RequestJournal(tmp_path / "journal-0.jsonl")
-    journal.append(EV_ADMIT, 7, 100.0, app="img", scale=1.0)
+    journal.append(EV_ADMIT, 7, 100.0, app="img")
     journal.close()   # admitted, never terminal -> lost
     other = RequestJournal(tmp_path / "journal-1.jsonl")
-    other.append(EV_ADMIT, 7, 100.0, app="img", scale=1.0)
+    other.append(EV_ADMIT, 7, 100.0, app="img")
     other.append(EV_COMPLETE, 7, 200.0)
     other.close()
     verdict = plane_journal_conservation(tmp_path, 2)

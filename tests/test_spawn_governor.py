@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.policies import make_policy_config
-from repro.core.scaling import SpawnGovernor
+from repro.core.scaling import SPAWN_RETRY_BACKOFF_MS, SpawnGovernor
 from repro.obs.registry import MetricsRegistry
 
 
@@ -73,32 +73,30 @@ class TestSurgeClamp:
 
 class TestSpawnRetries:
     def test_shortfall_becomes_debt_and_is_retried(self):
-        gov = SpawnGovernor(spawn_retry_attempts=2,
-                            spawn_retry_backoff_ms=1_000.0, seed=1)
+        gov = SpawnGovernor(spawn_retry_attempts=2, seed=1)
         pool = FakePool(capacity=3)
         assert gov.spawn(pool, 5, now_ms=0.0) == 3
         assert gov.pending_debt == 2
         pool.capacity = 10  # capacity freed before the retry fires
         # Jittered exponential backoff: due within [0.5, 1.5) * base.
-        assert gov.begin_tick(2_000.0) == 2
+        assert gov.begin_tick(1.5 * SPAWN_RETRY_BACKOFF_MS) == 2
         assert gov.pending_debt == 0
         assert gov.spawn_retries == 2
         assert pool.spawned == 5
 
     def test_debt_not_due_yet_stays_queued(self):
-        gov = SpawnGovernor(spawn_retry_attempts=2,
-                            spawn_retry_backoff_ms=60_000.0, seed=1)
+        gov = SpawnGovernor(spawn_retry_attempts=2, seed=1)
         pool = FakePool(capacity=0)
         gov.spawn(pool, 4, now_ms=0.0)
-        assert gov.begin_tick(1_000.0) == 0
+        assert gov.begin_tick(0.5 * SPAWN_RETRY_BACKOFF_MS - 1.0) == 0
         assert gov.pending_debt == 4
 
     def test_exhausted_retries_are_counted_not_silent(self):
-        gov = SpawnGovernor(spawn_retry_attempts=1,
-                            spawn_retry_backoff_ms=100.0, seed=1)
+        gov = SpawnGovernor(spawn_retry_attempts=1, seed=1)
         pool = FakePool(capacity=0)
         gov.spawn(pool, 3, now_ms=0.0)  # attempt 0 fails -> debt
-        gov.begin_tick(10_000.0)        # retry fails -> exhausted
+        # Every retry is due by 1.5x the base: it fails -> exhausted.
+        gov.begin_tick(1.5 * SPAWN_RETRY_BACKOFF_MS)
         assert gov.pending_debt == 0
         assert gov.spawn_retries_exhausted == 3
 
@@ -156,7 +154,6 @@ class TestFromConfig:
         dict(max_surge=-1),
         dict(scale_down_cooldown_ms=-1.0),
         dict(spawn_retry_attempts=-1),
-        dict(spawn_retry_backoff_ms=0.0),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -168,11 +165,9 @@ class TestConfigValidation:
         dict(max_surge=-1),
         dict(scale_down_cooldown_ms=-5.0),
         dict(spawn_retry_attempts=-2),
-        dict(spawn_retry_backoff_ms=-1.0),
         dict(mape_threshold=0.0),
         dict(mape_threshold=-0.5),
         dict(fallback_hysteresis=0),
-        dict(mape_window=0),
     ])
     def test_guard_knobs_validated_in_rmconfig(self, overrides):
         with pytest.raises(ValueError):

@@ -149,16 +149,6 @@ class TestArrivalTrace:
         sub = t.clipped(500.0, 1200.0)
         assert list(sub.arrivals_ms) == [100.0, 600.0]
 
-    def test_thinned_fraction(self):
-        t = ArrivalTrace(np.arange(10_000, dtype=float))
-        thin = t.thinned(0.5, np.random.default_rng(0))
-        assert 4500 <= len(thin) <= 5500
-
-    def test_thinned_invalid_fraction(self):
-        t = ArrivalTrace(np.array([1.0]))
-        with pytest.raises(ValueError):
-            t.thinned(1.5, np.random.default_rng(0))
-
     def test_merge(self):
         a = ArrivalTrace(np.array([1.0, 3.0]))
         b = ArrivalTrace(np.array([2.0, 4.0]))

@@ -44,10 +44,6 @@ class TestMicroservices:
         svc = MICROSERVICES["ASR"]
         assert svc.exec_time_ms() == svc.mean_exec_ms
 
-    def test_exec_time_scales_linearly_with_input(self):
-        svc = MICROSERVICES["IMC"]
-        assert svc.exec_time_ms(input_scale=2.0) == pytest.approx(87.0)
-
     def test_exec_time_jitter_bounded(self):
         # Figure 3b: std-dev within 20 ms over repeated runs.
         rng = np.random.default_rng(0)
@@ -60,10 +56,6 @@ class TestMicroservices:
         rng = np.random.default_rng(0)
         svc = Microservice("X", "x", "m", "d", mean_exec_ms=1.0, exec_std_ms=5.0)
         assert min(svc.exec_time_ms(rng) for _ in range(200)) >= 0.1
-
-    def test_invalid_input_scale(self):
-        with pytest.raises(ValueError):
-            MICROSERVICES["QA"].exec_time_ms(input_scale=0.0)
 
     def test_invalid_exec_time_rejected(self):
         with pytest.raises(ValueError):
