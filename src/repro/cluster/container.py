@@ -10,7 +10,7 @@ AWS-style).  Requests in the local queue are processed sequentially.
 against a clock (``sim.now``) and an injected ``later(delay_ms, fn,
 *args)``; how one execution is launched and settled is the
 :meth:`Container._launch` hook.  Here both are the simulator's (one
-scheduled event per execution); the live plane's
+``Simulator.later`` timer per execution); the live plane's
 :class:`repro.serve.pool.WorkerSlot` overrides only the hook.
 """
 
@@ -72,7 +72,7 @@ class Container:
             raise ValueError("cold_start_ms must be non-negative")
         self.container_id = next(_container_ids)
         self.sim = sim
-        self._later = later if later is not None else sim.schedule
+        self._later = later if later is not None else sim.later
         self.service = service
         self.batch_size = batch_size
         self.node = node

@@ -46,9 +46,6 @@ class TaskQueue(abc.ABC):
     @abc.abstractmethod
     def __len__(self) -> int: ...
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
 
 class FIFOQueue(TaskQueue):
     """Arrival-order service (the baseline's policy)."""
@@ -67,6 +64,10 @@ class FIFOQueue(TaskQueue):
 
     def __len__(self) -> int:
         return len(self._queue)
+
+    # Truth without ``__len__``: the dispatch loop tests it per task.
+    def __bool__(self) -> bool:
+        return bool(self._queue)
 
 
 class LSFQueue(TaskQueue):
@@ -94,6 +95,9 @@ class LSFQueue(TaskQueue):
 
     def __len__(self) -> int:
         return len(self._heap)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
 
 
 def make_queue(policy: SchedulingPolicy) -> TaskQueue:

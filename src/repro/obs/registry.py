@@ -307,13 +307,14 @@ class MetricsRegistry:
         """Sum of a metric's value across every label set.
 
         The reconciliation primitive: per-pool counters roll up to the
-        run totals the collector reports.
+        run totals the collector reports.  Added left to right in
+        registration order (builtin ``sum()`` compensates on 3.12+).
         """
-        return sum(
-            metric.value
-            for (metric_name, _), metric in self._metrics.items()
-            if metric_name == name
-        )
+        total = 0.0
+        for (metric_name, _), metric in self._metrics.items():
+            if metric_name == name:
+                total += metric.value
+        return total
 
     def merged_histogram(self, name: str) -> Optional[Histogram]:
         """Merge a histogram metric across all label sets (or None)."""

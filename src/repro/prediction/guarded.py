@@ -95,7 +95,10 @@ class ForecastHealthMonitor:
         """Mean absolute percentage error over the current window."""
         if not self._errors:
             return 0.0
-        return sum(self._errors) / len(self._errors)
+        total = 0.0
+        for ape in self._errors:  # left to right: sum() compensates on 3.12+
+            total += ape
+        return total / len(self._errors)
 
     def record(self, forecast: float, actual: float) -> None:
         """Score one forecast against its realised actual."""

@@ -249,8 +249,7 @@ class ServerlessSystem:
             metrics=self.metrics,
             sampler=self.sampler,
             now=lambda: sim.now,
-            later=lambda delay_ms, fn, *args: sim.schedule(
-                delay_ms, partial(fn, *args)),
+            later=sim.later,
             shed_expired=self.shed_expired,
             store=self.store,
         )

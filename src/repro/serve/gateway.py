@@ -199,8 +199,8 @@ class Gateway:
 
     def requeue_recovered(self, entry: JournaledJob) -> Optional[Job]:
         """Re-admit a journaled-but-unfinished job after a crash (same
-        id, arrival time and input scale: its SLO clock keeps running
-        across the crash)."""
+        id and arrival time: its SLO clock keeps running across the
+        crash)."""
         return self._track(self.lifecycle.requeue_recovered(entry))
 
     def expire_recovered(self, entry: JournaledJob) -> Optional[Job]:

@@ -5,13 +5,15 @@ Time is a float in **milliseconds**.  Events are totally ordered by
 tiebreaker, which makes runs fully deterministic for a fixed seed and
 insertion order.
 
-Fast-path notes (DESIGN.md section 10): the run loop pops the next
-ready event in a single heap traversal (no separate peek), the queue
-compacts itself when cancelled entries dominate the heap, and sorted
-bulk arrival arrays can be injected through one self-rescheduling
-cursor event (:meth:`Simulator.schedule_stream`) instead of N
-pre-scheduled events — keeping the heap small so every push/pop stays
-cheap.
+Fast-path notes (DESIGN.md section 10): timers nobody cancels — a
+request's hops, a container's cold start and execution — go through
+:meth:`Simulator.later`, one heap tuple with no :class:`Event` behind
+it; :meth:`Simulator.run` pops the heap inline, without a method call
+per event; the queue compacts itself when cancelled entries dominate
+the heap; and sorted bulk arrival arrays are injected through one
+self-rescheduling cursor event (:meth:`Simulator.schedule_stream`)
+instead of N pre-scheduled events, keeping the heap small so every
+push/pop stays cheap.
 """
 
 from __future__ import annotations
@@ -73,8 +75,10 @@ _COMPACT_MIN_HEAP = 64
 class EventQueue:
     """A cancellable binary-heap event queue.
 
-    Heap entries are ``(time, priority, seq, event)`` tuples so ordering
-    comparisons run entirely in C.
+    Heap entries are ``(time, priority, seq, event, None)`` tuples so
+    ordering comparisons run entirely in C; :meth:`Simulator.later`
+    pushes ``(time, 0, seq, fn, args)`` beside them, which no one can
+    cancel (``seq`` is unique, so a comparison never reaches slot 3).
 
     Cancelled events are skipped lazily on pop, but the queue also
     tracks how many cancelled entries it is carrying and compacts
@@ -101,55 +105,35 @@ class EventQueue:
     def push(self, event: Event) -> Event:
         """Insert *event*, assigning its sequence number. Returns it."""
         event.seq = next(self._counter)
-        heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
+        heapq.heappush(
+            self._heap, (event.time, event.priority, event.seq, event, None))
         self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event, or None."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[3]
-            if event.cancelled:
-                if self._cancelled > 0:
-                    self._cancelled -= 1
-                continue
-            self._live -= 1
-            return event
-        return None
+        """Remove and return the earliest non-cancelled event, or None.
 
-    def pop_ready(self, until: Optional[float] = None) -> Optional[Event]:
-        """Pop the earliest live event with ``time <= until``.
-
-        Returns None (leaving the event queued) when the next live event
-        lies beyond *until*, or when the queue is empty.  This is the
-        run loop's single-traversal fast path: the old loop peeked and
-        then popped, walking the heap's cancelled prefix twice per
-        event.
+        The queue-only API; a :class:`Simulator` pops inline in ``run``.
         """
         heap = self._heap
         while heap:
-            head = heap[0]
-            event = head[3]
-            if event.cancelled:
-                heapq.heappop(heap)
+            entry = heapq.heappop(heap)
+            if entry[4] is None and entry[3].cancelled:
                 if self._cancelled > 0:
                     self._cancelled -= 1
                 continue
-            if until is not None and head[0] > until:
-                return None
-            heapq.heappop(heap)
             self._live -= 1
-            return event
+            return entry[3]
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event without removing it, or None."""
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][4] is None and heap[0][3].cancelled:
+            heapq.heappop(heap)
             if self._cancelled > 0:
                 self._cancelled -= 1
-        return self._heap[0][0] if self._heap else None
+        return heap[0][0] if heap else None
 
     def notify_cancel(self) -> None:
         """Account for an externally cancelled event (bookkeeping only)."""
@@ -164,15 +148,17 @@ class EventQueue:
     def compact(self) -> int:
         """Drop every cancelled entry and re-heapify; returns drop count.
 
-        Entries are ``(time, priority, seq, event)`` tuples, so the
+        Entries are ``(time, priority, seq, ...)`` tuples, so the
         rebuilt heap pops in exactly the order the lazy-skip path would
-        have produced.
+        have produced.  The list is rebuilt in place: ``Simulator.run``
+        holds it across callbacks that may cancel.
         """
-        before = len(self._heap)
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [e for e in heap if e[4] is not None or not e[3].cancelled]
+        heapq.heapify(heap)
         self._cancelled = 0
-        dropped = before - len(self._heap)
+        dropped = before - len(heap)
         if dropped:
             self.compactions += 1
         return dropped
@@ -294,6 +280,21 @@ class Simulator:
         event = Event(time=time, priority=priority, callback=callback, label=label)
         return self._queue.push(event)
 
+    def later(self, delay_ms: float, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` ``delay_ms`` from now, at priority 0.
+
+        The timer cannot be cancelled, so it is one heap tuple and no
+        :class:`Event`; it takes its sequence number from the same
+        counter, so it fires exactly where ``schedule`` would have put it.
+        """
+        if delay_ms < 0:
+            raise SimulationError(
+                f"cannot schedule in the past (delay={delay_ms})")
+        queue = self._queue
+        heapq.heappush(queue._heap, (
+            self._now + delay_ms, 0, next(queue._counter), fn, args))
+        queue._live += 1
+
     def schedule_stream(
         self,
         times: Sequence[float],
@@ -343,17 +344,31 @@ class Simulator:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
         self._stopped = False
-        pop_ready = self._queue.pop_ready
+        queue = self._queue
+        heap = queue._heap
+        heappop = heapq.heappop
         executed = self.events_executed
         try:
-            while not self._stopped:
+            while not self._stopped and heap:
                 if max_events is not None and executed >= max_events:
                     break
-                event = pop_ready(until)
-                if event is None:
+                # The pop, inline: skip a cancelled head, stop at the
+                # first live entry past *until*, else fire it.
+                time, _, _, fn, args = heap[0]
+                if args is None and fn.cancelled:
+                    heappop(heap)
+                    if queue._cancelled > 0:
+                        queue._cancelled -= 1
+                    continue
+                if until is not None and time > until:
                     break
-                self._now = event.time
-                event.callback()
+                heappop(heap)
+                queue._live -= 1
+                self._now = time
+                if args is None:
+                    fn.callback()
+                else:
+                    fn(*args)
                 executed += 1
             if until is not None and self._now < until and not self._stopped:
                 self._now = until

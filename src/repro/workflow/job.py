@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.workloads.applications import Application
 
@@ -97,38 +97,43 @@ class Job:
     def violated_slo(self) -> bool:
         return self.response_latency_ms > self.app.slo_ms
 
-    # The four totals add left to right in explicit loops, never with
-    # builtin ``sum()``: since Python 3.12 that is a compensated sum, so
-    # the last bit would depend on the interpreter and part company
-    # with the vector engine's ``core.vectorized.segment_totals``.
+    def totals(self) -> Tuple[float, float, float, float]:
+        """``(queue delay, cold-start wait, batching wait, execution)``
+        over the stages, in one pass.
+
+        Each total adds left to right in an explicit loop, never with
+        builtin ``sum()``: since Python 3.12 that is a compensated sum,
+        so the last bit would depend on the interpreter and part company
+        with the vector engine's ``core.vectorized.segment_totals``.  The
+        per-stage terms are :class:`JobStage`'s properties, inlined.
+        """
+        queue = cold = batching = exec_ms = 0.0
+        for s in self.stages:
+            start, enqueue = s.start_ms, s.enqueue_ms
+            wait = s.cold_start_wait_ms
+            delay = 0.0 if start < 0 or enqueue < 0 else start - enqueue
+            queue += delay
+            cold += wait
+            batch = delay - wait
+            batching += batch if batch > 0.0 else 0.0
+            exec_ms += s.exec_ms
+        return queue, cold, batching, exec_ms
 
     @property
     def total_queue_delay_ms(self) -> float:
-        total = 0.0
-        for s in self.stages:
-            total += s.queue_delay_ms
-        return total
+        return self.totals()[0]
 
     @property
     def total_cold_start_wait_ms(self) -> float:
-        total = 0.0
-        for s in self.stages:
-            total += s.cold_start_wait_ms
-        return total
+        return self.totals()[1]
 
     @property
     def total_batching_wait_ms(self) -> float:
-        total = 0.0
-        for s in self.stages:
-            total += s.batching_wait_ms
-        return total
+        return self.totals()[2]
 
     @property
     def total_exec_ms(self) -> float:
-        total = 0.0
-        for s in self.stages:
-            total += s.exec_ms
-        return total
+        return self.totals()[3]
 
     def remaining_work_ms(self, from_stage: int) -> float:
         """Mean execution + overhead still ahead from *from_stage* on."""
@@ -154,18 +159,25 @@ class Task:
     #: The retry layer increments this and compares it against the
     #: attempt budget before requeueing.
     attempts: int = 0
+    #: This stage's latency record, bound once: pool, container and
+    #: retry layer read it several times per task.
+    record: JobStage = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.record = self.job.stages[self.stage_index]
 
     @property
     def function(self) -> str:
         return self.job.app.stages[self.stage_index].name
 
     @property
-    def record(self) -> JobStage:
-        return self.job.stages[self.stage_index]
-
-    @property
     def slack_key(self) -> float:
-        return self.job.deadline_ms - self.job.remaining_work_ms(self.stage_index)
+        # ``deadline_ms - remaining_work_ms(i)`` without the Job's
+        # property hops; the same operations in the same order.
+        job = self.job
+        app = job.app
+        return (job.arrival_ms + app.slo_ms) - app.remaining_work_ms(
+            self.stage_index)
 
     def available_slack_ms(self, now_ms: float) -> float:
         """Slack left if this task were to start right now."""

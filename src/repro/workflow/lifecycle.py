@@ -5,7 +5,7 @@ check → enqueue stage → finish → hop / complete / shed / fail, plus the
 crash-recovery transitions (requeue / expire) — is written once, here,
 over two injected callables: ``now()`` (model milliseconds) and
 ``later(delay_ms, fn, *args)``.  The event-loop simulator drives it
-from ``Simulator.schedule``, the live gateway from ``loop.call_later``
+from ``Simulator.later``, the live gateway from ``loop.call_later``
 on the scaled wall clock, the sharded simulator from the same
 ``Simulator`` with stage hops routed through the ring.  Sim↔live parity
 of the request path is therefore structural, not a tolerance test

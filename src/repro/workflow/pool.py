@@ -62,6 +62,10 @@ class FunctionPool(PoolSurface):
         self._recent_delays: Deque[Tuple[float, float]] = deque()
         #: Enqueue timestamps within the monitor window (arrival rate).
         self._recent_enqueues: Deque[float] = deque()
+        # The two per-task counters, bumped on the registry series
+        # itself rather than through the ``pool.x += 1`` descriptor.
+        self._c_enqueued = self._counters["pool_tasks_enqueued_total"]
+        self._c_completed = self._counters["pool_tasks_completed_total"]
 
     # -- representation: clock, capacity views ---------------------------------
 
@@ -93,14 +97,16 @@ class FunctionPool(PoolSurface):
 
     def enqueue(self, task: Task) -> None:
         """Accept one task into the global stage queue."""
-        task.record.enqueue_ms = self.sim.now
+        now = self.sim.now
+        task.record.enqueue_ms = now
         self.queue.push(task)
         self._waiting.append(task)
-        self.tasks_enqueued += 1
-        self._recent_enqueues.append(self.sim.now)
-        horizon = self.sim.now - self.delay_window_ms
-        while self._recent_enqueues and self._recent_enqueues[0] < horizon:
-            self._recent_enqueues.popleft()
+        self._c_enqueued.inc()
+        enqueues = self._recent_enqueues
+        enqueues.append(now)
+        horizon = now - self.delay_window_ms
+        while enqueues and enqueues[0] < horizon:
+            enqueues.popleft()
         if self.spawn_on_demand:
             self._spawn_for_backlog()
         self.dispatch()
@@ -130,11 +136,13 @@ class FunctionPool(PoolSurface):
         # Hot path: this scan runs for every dispatch attempt, so the
         # readiness/occupancy checks are inlined (state compare + queue
         # length) instead of going through the is_ready/free_slots
-        # properties.  Selection key is unchanged: least free slots,
-        # then lowest container id.
+        # properties.  Selection key: least free slots, then lowest
+        # container id.  The list ascends by id (spawns append, compaction
+        # keeps order), so the first hit of a free count wins its ties and
+        # one free slot — the global minimum — ends the scan, the vector
+        # engine's rule.
         best: Optional[Container] = None
         best_free = 0
-        best_id = 0
         for container in self.containers:
             state = container.state
             if state is not ContainerState.IDLE and state is not ContainerState.BUSY:
@@ -142,16 +150,12 @@ class FunctionPool(PoolSurface):
             free = container.batch_size - len(container.local_queue)
             if container.current_task is not None:
                 free -= 1
-            if free <= 0:
+            if free <= 0 or (best is not None and free >= best_free):
                 continue
-            if (
-                best is None
-                or free < best_free
-                or (free == best_free and container.container_id < best_id)
-            ):
-                best = container
-                best_free = free
-                best_id = container.container_id
+            best = container
+            best_free = free
+            if free == 1:
+                break
         return best
 
     # -- containers -----------------------------------------------------------
@@ -285,9 +289,13 @@ class FunctionPool(PoolSurface):
         self.requeue(task)
 
     def _on_task_done(self, container: Container, task: Task) -> None:
-        self.tasks_completed += 1
-        self._recent_delays.append((self.sim.now, task.record.queue_delay_ms))
-        self._prune_delays()
+        self._c_completed.inc()
+        now = self.sim.now
+        delays = self._recent_delays
+        delays.append((now, task.record.queue_delay_ms))
+        horizon = now - self.delay_window_ms
+        while delays and delays[0][0] < horizon:
+            delays.popleft()
         if self.single_use and container.is_reapable:
             self._retire(container)
             self._compact()

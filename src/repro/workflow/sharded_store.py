@@ -85,7 +85,9 @@ class ShardedStateStore:
         total_ops = self.reads + self.writes
         if total_ops == 0:
             return 0.0
-        total_latency = sum(s.total_latency_ms for s in self.shards)
+        total_latency = 0.0
+        for s in self.shards:  # left to right: sum() compensates on 3.12+
+            total_latency += s.total_latency_ms
         return total_latency / total_ops
 
     def max_shard_load(self) -> int:

@@ -23,6 +23,8 @@ import numpy as np
 #: Mean access latency; the paper reports "well within 1.25 ms".
 DEFAULT_ACCESS_MEAN_MS = 0.6
 DEFAULT_ACCESS_SIGMA = 0.4
+#: Access latencies drawn per refill of the store's buffer.
+_DRAW_CHUNK = 1024
 
 
 @dataclass
@@ -42,11 +44,21 @@ class StateStore:
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
+        self._draws: List[float] = []
+        self._next_draw = _DRAW_CHUNK
 
     def _access(self) -> float:
-        latency = float(
-            self._rng.lognormal(np.log(self.access_mean_ms), self.access_sigma)
-        )
+        # The store's private lognormal stream, drawn a chunk at a time:
+        # numpy fills the array draw by draw, so every latency is the
+        # one a scalar draw per access would give.
+        i = self._next_draw
+        if i == _DRAW_CHUNK:
+            self._draws = self._rng.lognormal(
+                np.log(self.access_mean_ms), self.access_sigma,
+                _DRAW_CHUNK).tolist()
+            i = 0
+        self._next_draw = i + 1
+        latency = self._draws[i]
         self.total_latency_ms += latency
         return latency
 

@@ -76,8 +76,12 @@ class Application:
 
     @property
     def total_exec_ms(self) -> float:
-        """Sum of mean stage execution times."""
-        return sum(svc.mean_exec_ms for svc in self.stages)
+        """Sum of mean stage execution times, left to right (builtin
+        ``sum()`` is compensated since Python 3.12)."""
+        total = 0.0
+        for svc in self.stages:
+            total += svc.mean_exec_ms
+        return total
 
     @property
     def total_overhead_ms(self) -> float:
@@ -124,7 +128,9 @@ class Application:
 
 def _chain(name: str, stage_names: List[str]) -> Application:
     stages = tuple(MICROSERVICES[s] for s in stage_names)
-    exec_total = sum(svc.mean_exec_ms for svc in stages)
+    exec_total = 0.0
+    for svc in stages:
+        exec_total += svc.mean_exec_ms
     target_slack = TABLE4_SLACK_MS[name]
     overhead_total = DEFAULT_SLO_MS - exec_total - target_slack
     if overhead_total < 0:

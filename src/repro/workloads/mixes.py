@@ -37,7 +37,9 @@ class WorkloadMix:
             raise ValueError("mix must contain at least one application")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
-        total = sum(self.weights)
+        total = 0.0
+        for w in self.weights:  # left to right: sum() compensates on 3.12+
+            total += w
         if abs(total - 1.0) > 1e-9:
             object.__setattr__(
                 self, "weights", tuple(w / total for w in self.weights)

@@ -1,13 +1,18 @@
 """Simulator fast-path tests: EventQueue invariants under cancellation
-churn (hypothesis), heap-compaction guards, bulk-arrival stream cursors,
-and coalesced tickers."""
+churn and ``later`` timers (hypothesis), the pool's early-exit container
+selection, heap-compaction guards, bulk-arrival stream cursors, and
+coalesced tickers."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.container import ContainerState
 from repro.sim.engine import Event, EventQueue, SimulationError, Simulator
 from repro.sim.process import CoalescedTicker
+from repro.workflow.pool import FunctionPool
 
 
 def _push(queue, time, priority=0):
@@ -24,6 +29,19 @@ def _cancel(queue, event):
 # list order interleaved with cancellations of flagged events.
 _ops = st.lists(
     st.tuples(
+        st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+        st.integers(min_value=-3, max_value=3),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+# Simulator ops: (kind, time, priority, cancel_flag); a ``later`` timer
+# takes priority 0 and cannot be cancelled.
+_sim_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("later", "at")),
         st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
         st.integers(min_value=-3, max_value=3),
         st.booleans(),
@@ -74,6 +92,40 @@ class TestEventQueueProperties:
         b = [e.seq for e in iter(compacted.pop, None)]
         assert a == b
 
+    @given(_sim_ops, st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+           st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_later_interleaves_in_key_order(self, ops, until, force_compact):
+        """``later`` timers, ``schedule_at`` events and cancellations fire
+        in ``(time, priority, seq)`` order; ``pending()`` and
+        ``events_executed`` count only live or fired entries."""
+        sim = Simulator()
+        fired, live = [], []
+        for seq, (kind, time, priority, cancel) in enumerate(ops):
+            if kind == "later":
+                sim.later(time, fired.append, seq)
+                live.append((time, 0, seq))
+            else:
+                event = sim.schedule_at(
+                    time, lambda seq=seq: fired.append(seq), priority=priority)
+                if cancel:
+                    sim.cancel(event)
+                else:
+                    live.append((time, priority, seq))
+            if force_compact:
+                sim._queue.compact()
+        live.sort()
+        assert sim.pending() == len(live)
+        sim.run(until=until)
+        due = [seq for time, _, seq in live if time <= until]
+        assert fired == due
+        assert sim.events_executed == len(due)
+        assert sim.pending() == len(live) - len(due)
+        sim.run()
+        assert fired == [seq for _, _, seq in live]
+        assert sim.events_executed == len(live)
+        assert sim.pending() == 0
+
     @given(_ops)
     @settings(max_examples=60, deadline=None)
     def test_peek_time_matches_next_pop(self, ops):
@@ -89,6 +141,47 @@ class TestEventQueueProperties:
             head = queue.peek_time()
             event = queue.pop()
             assert head == event.time
+
+
+# One container: (state, batch size, tasks in its local queue, executing?,
+# id gap to the previous container).  Queues may exceed the batch (full).
+_containers = st.lists(
+    st.tuples(
+        st.sampled_from(list(ContainerState)),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.booleans(),
+        st.integers(min_value=1, max_value=3),
+    ),
+    max_size=30,
+)
+
+
+class TestGreedySelection:
+    @given(_containers)
+    @settings(max_examples=200, deadline=None)
+    def test_early_exit_equals_full_scan(self, specs):
+        """Stopping at the first container with one free slot picks what
+        the full scan picks: least free slots, then lowest id, among
+        ready containers with a free slot."""
+        containers, container_id = [], 0
+        for state, batch, queued, busy, gap in specs:
+            container_id += gap  # pools list containers by ascending id
+            containers.append(SimpleNamespace(
+                container_id=container_id, state=state, batch_size=batch,
+                local_queue=[None] * queued,
+                current_task=object() if busy else None))
+
+        def free(c):
+            return c.batch_size - len(c.local_queue) - (c.current_task is not None)
+
+        ready = [c for c in containers
+                 if c.state in (ContainerState.IDLE, ContainerState.BUSY)
+                 and free(c) > 0]
+        expected = min(ready, key=lambda c: (free(c), c.container_id),
+                       default=None)
+        pool = SimpleNamespace(containers=containers)
+        assert FunctionPool._select_container(pool) is expected
 
 
 class TestCompactionGuard:

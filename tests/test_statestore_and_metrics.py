@@ -1,5 +1,7 @@
 """Tests for the state store, statistics helpers and metrics collector."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,15 @@ from repro.metrics.stats import (
     sorted_quantiles,
     summarize_latencies,
 )
+from repro.obs.registry import MetricsRegistry
+from repro.prediction.guarded import ForecastHealthMonitor
 from repro.workflow.job import Job, JobStage
+from repro.workflow.sharded_store import ShardedStateStore
 from repro.workflow.statestore import StateStore
 from repro.workloads import get_application
+from repro.workloads.applications import APPLICATIONS, Application
+from repro.workloads.microservices import Microservice
+from repro.workloads.mixes import WorkloadMix
 
 
 class TestStateStore:
@@ -60,6 +68,19 @@ class TestStateStore:
         assert store.reads == 500
         assert store.writes == 500
         assert store.mean_access_latency_ms < 1.25
+
+    def test_chunked_draws_are_the_per_access_stream(self):
+        # The store refills a buffer of draws; each access must still
+        # read the lognormal a scalar draw per access would give.
+        store = StateStore(seed=4)
+        rng = np.random.default_rng(4)
+        total = 0.0
+        for i in range(1500):  # crosses a refill
+            want = float(rng.lognormal(
+                np.log(store.access_mean_ms), store.access_sigma))
+            assert store.insert("jobs", i, {}) == want
+            total += want
+        assert store.total_latency_ms == total
 
     def test_count(self):
         store = StateStore()
@@ -325,3 +346,59 @@ class TestRegistryReconciliation:
         assert reg.value("jobs_completed_total") == result.n_completed
         assert reg.value("jobs_failed_total") == result.n_failed
         assert reg.value("gateway_in_flight") == 0
+
+
+#: Three addends whose float sum depends on the order of operations:
+#: left to right, 1e16 + 1.0 rounds back to 1e16 (twice), while builtin
+#: ``sum()`` -- compensated since Python 3.12 -- returns 1e16 + 2.
+_ORDER = (1e16, 1.0, 1.0)
+_LEFT_TO_RIGHT = 1e16
+
+
+def _application_total():
+    stages = tuple(Microservice(f"s{i}", "", "", "", v)
+                   for i, v in enumerate(_ORDER))
+    return Application("t", stages, slo_ms=1e17).total_exec_ms, _LEFT_TO_RIGHT
+
+
+def _mix_weights():
+    mix = WorkloadMix("t", tuple(APPLICATIONS.values())[:3], _ORDER)
+    return mix.weights, tuple(v / _LEFT_TO_RIGHT for v in _ORDER)
+
+
+def _window_mape():
+    monitor = ForecastHealthMonitor(window=3)
+    monitor._errors.extend(_ORDER)
+    return monitor.window_mape, _LEFT_TO_RIGHT / 3
+
+
+def _stage_distribution():
+    collector = MetricsCollector(
+        EnergyMeter(model=NodePowerModel(), interval_ms=10_000.0))
+    pools = {name: SimpleNamespace(sample_containers=lambda v=v: v)
+             for name, v in zip("ABC", _ORDER)}
+    collector.sample(pools, [Node(node_id=0)], 10_000.0)
+    result = collector.finalize("x", "m", "t", 10_000.0, {})
+    return result.stage_container_distribution()["B"], 1.0 / _LEFT_TO_RIGHT
+
+
+def _registry_total():
+    registry = MetricsRegistry()
+    for name, v in zip("ABC", _ORDER):
+        registry.counter("x_total", pool=name).inc(v)
+    return registry.total("x_total"), _LEFT_TO_RIGHT
+
+
+def _sharded_mean_latency():
+    store = ShardedStateStore(n_shards=3)
+    for shard, v in zip(store.shards, _ORDER):
+        shard.total_latency_ms, shard.writes = v, 1
+    return store.mean_access_latency_ms, _LEFT_TO_RIGHT / 3
+
+
+@pytest.mark.parametrize("site", [
+    _application_total, _mix_weights, _window_mape, _stage_distribution,
+    _registry_total, _sharded_mean_latency], ids=lambda f: f.__name__)
+def test_float_sums_run_left_to_right(site):
+    got, want = site()
+    assert got == want
