@@ -1,12 +1,13 @@
-"""The control plane: one scaler wiring, one guarded monitor tick.
+"""The control plane: the scalers a config names, one guarded tick.
 
 Every monitoring interval (the paper's 10 s cadence) the same sequence
 runs under every driver — the event-loop simulator, the vector engine
-and the live ``ControlLoop``: spawn-governor bookkeeping, reactive
-scaling, the HPA baseline, proactive (predictor-driven) scaling, idle
-reaping, then a metrics/energy sample.  Each step runs through one
-``guard``: a scaler or sampler raising degrades that one step for that
-one tick — never the run's whole control plane.
+and the live ``ControlLoop``: spawn-governor bookkeeping, the tick
+scaler the policy's provisioning names (RScale's reactive scaler or the
+HPA baseline), proactive (predictor-driven) scaling, idle reaping, then
+a metrics/energy sample.  Each step runs through one ``guard``: a
+scaler or sampler raising degrades that one step for that one tick —
+never the run's whole control plane.
 
 The drivers keep only what is theirs: when a tick is skipped (control
 blackout, dead shard) and — live only — supervision before and a
@@ -17,8 +18,9 @@ dict of :class:`~repro.core.poolsurface.PoolSurface` pools.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
+from repro.core.policies import Provisioning
 from repro.core.poolsurface import PoolSurface
 from repro.core.scaling import (
     HPAScaler,
@@ -31,38 +33,9 @@ from repro.core.scaling import (
 logger = logging.getLogger(__name__)
 
 
-def wire_scalers(
-    config, pools: Dict[str, PoolSurface], predictor, sampler,
-    stage_shares: Dict[str, float], registry, seed: int,
-) -> Dict[str, object]:
-    """Governor + the scalers *config* enables, over *pools*.
-
-    The governor is None when every guardrail is at its off-default —
-    the scalers then actuate through the exact ungoverned path.
-    """
-    governor = SpawnGovernor.from_config(config, registry=registry, seed=seed)
-    return {
-        "governor": governor,
-        "reactive": (
-            ReactiveScaler(pools, governor=governor)
-            if config.reactive else None),
-        "hpa": HPAScaler(pools) if config.hpa else None,
-        "proactive": (
-            ProactiveScaler(
-                pools=pools,
-                predictor=predictor,
-                sampler=sampler,
-                stage_shares=stage_shares,
-                utilization_target=config.utilization_target,
-                governor=governor,
-                registry=registry,
-            )
-            if predictor is not None else None),
-    }
-
-
 class ControlPlane:
-    """Scalers + governor and the guarded tick sequence over them."""
+    """The governor and scalers *config* names over *pools*, and the
+    guarded tick sequence over them."""
 
     def __init__(
         self,
@@ -70,19 +43,32 @@ class ControlPlane:
         pools: Dict[str, PoolSurface],
         registry,
         sample: Callable[[float], None],
-        governor: Optional[SpawnGovernor] = None,
-        reactive: Optional[ReactiveScaler] = None,
-        hpa: Optional[HPAScaler] = None,
-        proactive: Optional[ProactiveScaler] = None,
+        predictor,
+        sampler,
+        stage_shares: Dict[str, float],
+        seed: int,
     ) -> None:
         self.config = config
         self.pools = pools
         self.registry = registry
         self.sample = sample
-        self.governor = governor
-        self.reactive = reactive
-        self.hpa = hpa
-        self.proactive = proactive
+        # None when every guardrail is at its off-default: the scalers
+        # then actuate through the exact ungoverned path.
+        governor = self.governor = SpawnGovernor.from_config(
+            config, registry=registry, seed=seed)
+        #: The tick scaler the provisioning names; None for the ones
+        #: that provision at enqueue time or never.
+        self.scaler = None
+        if config.provisioning is Provisioning.RSCALE:
+            self.scaler = ReactiveScaler(pools, governor=governor)
+        elif config.provisioning is Provisioning.HPA:
+            self.scaler = HPAScaler(pools)
+        self.proactive = None
+        if predictor is not None:
+            self.proactive = ProactiveScaler(
+                pools, predictor, sampler, stage_shares,
+                utilization_target=config.utilization_target,
+                governor=governor, registry=registry)
         #: Tick steps that raised (and were contained) — nonzero means
         #: a control-plane component is broken; surfaced in summaries.
         self.tick_errors = 0
@@ -112,13 +98,11 @@ class ControlPlane:
         guard = self.guard
         if self.governor is not None:
             guard("governor", self.governor.begin_tick, now_ms)
-        if self.reactive is not None:
-            guard("reactive", self.reactive.tick, now_ms)
-        if self.hpa is not None:
-            guard("hpa", self.hpa.tick, now_ms)
+        if self.scaler is not None:
+            guard(self.config.provisioning.value, self.scaler.tick, now_ms)
         if self.proactive is not None:
             guard("proactive", self.proactive.tick, now_ms)
-        if not self.config.static_pool:
+        if self.config.provisioning is not Provisioning.STATIC:
             guard("reap", self.reap_idle, now_ms)
         guard("sample", self.sample, now_ms)
 
@@ -152,7 +136,7 @@ def prewarm_opening_capacity(
     rate already exists (for a static pool, its full size).  A cold
     platform would otherwise hand every policy an identical t=0 spawn
     storm that the paper's long-running testbed never sees."""
-    if config.static_pool:
+    if config.provisioning is Provisioning.STATIC:
         rate = trace.mean_rate_rps
     else:
         opening = trace.rate_series(10_000.0)

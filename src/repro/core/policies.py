@@ -2,15 +2,17 @@
 
 Each policy is a composition of orthogonal mechanisms (section 5.3):
 
-==========  ========  ==============  =========  ========  ==========  =========
-Policy      Batching  Slack division  Scheduler  Reactive  Proactive   Placement
-==========  ========  ==============  =========  ========  ==========  =========
-``bline``   no        --              FIFO       on-demand --          spread
-``sbatch``  yes       equal (ED)      FIFO       static    --          pack
-``rscale``  yes       proportional    LSF        RScale    --          pack
-``bpred``   no        --              LSF        on-demand EWMA        spread
-``fifer``   yes       proportional    LSF        RScale    LSTM        pack
-==========  ========  ==============  =========  ========  ==========  =========
+===========  =========  ==============  =========  ==============  ==========  =========
+Policy       max_batch  Slack division  Scheduler  Provisioning    Proactive   Placement
+===========  =========  ==============  =========  ==============  ==========  =========
+``bline``    1          --              FIFO       ``on-demand``   --          spread
+``sbatch``   64         equal (ED)      FIFO       ``static``      --          pack
+``rscale``   64         proportional    LSF        ``rscale``      --          pack
+``bpred``    1          --              LSF        ``on-demand``   EWMA        spread
+``fifer``    64         proportional    LSF        ``rscale``      LSTM        pack
+``hpa``      (4)        --              FIFO       ``hpa``         --          spread
+``brigade``  1          --              FIFO       ``single-use``  --          spread
+===========  =========  ==============  =========  ==============  ==========  =========
 
 * ``bline`` is the AWS-style scheduler: one request per container,
   spawn whenever no warm container is free.
@@ -22,11 +24,16 @@ Policy      Batching  Slack division  Scheduler  Reactive  Proactive   Placement
   policy as used in Archipelago" — LSF + EWMA prediction, no batching.
 * ``fifer`` combines batching, reactive scaling and LSTM-driven
   proactive provisioning.
+
+``B_size = stage_slack / stage_exec`` is clamped to ``[1, max_batch]``,
+so ``max_batch=1`` is "no batching"; ``hpa`` batches at its autoscaler's
+concurrency target instead, capped by ``max_batch``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import enum
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.cluster.cluster import NodePlacementPolicy
@@ -41,53 +48,55 @@ POLICY_NAMES: Tuple[str, ...] = ("bline", "sbatch", "rscale", "bpred", "fifer")
 EXTENDED_POLICY_NAMES: Tuple[str, ...] = POLICY_NAMES + ("hpa", "brigade")
 
 
+class Provisioning(enum.Enum):
+    """How a policy provisions containers: one choice, not a set of flags."""
+
+    #: A container spawned whenever backlog exceeds free capacity at
+    #: enqueue time (AWS-style).
+    ON_DEMAND = "on-demand"
+    #: On demand, and each container serves one task, then terminates
+    #: (Brigade's default: no warm reuse, the Figure 4 baseline).
+    SINGLE_USE = "single-use"
+    #: A fixed pool from the average arrival rate at t=0, never scaled
+    #: or reaped (SBatch).
+    STATIC = "static"
+    #: The per-stage queuing-delay scaler (Algorithm 1a).
+    RSCALE = "rscale"
+    #: The Knative-style horizontal-pod-autoscaler loop.
+    HPA = "hpa"
+
+
 @dataclass(frozen=True)
 class RMConfig:
     """Configuration of one resource manager.
 
     Attributes:
         name: policy identifier.
-        batching: slack-derived batch sizes vs. one request/container.
         slack_division: how application slack is split across stages.
         scheduling: global-queue service order.
-        spawn_on_demand: spawn a container whenever backlog exceeds free
-            capacity at enqueue time (AWS-style reactive provisioning).
-        reactive: run the per-stage queuing-delay scaler (Algorithm 1a).
+        provisioning: how containers are provisioned (the module table).
         proactive_predictor: name of the forecaster driving proactive
             provisioning (``"ewma"``, ``"lstm"``, or any model name the
             experiment runner knows), or None.
-        static_pool: provision a fixed pool from the average arrival
-            rate at t=0 and never scale (SBatch).
         placement: node-selection policy.
         utilization_target: Little's-law headroom for static/proactive
             sizing.
         idle_timeout_ms: idle-container reaping threshold (paper: 10
             minutes).
-        max_batch: clamp on per-container queue length.
+        max_batch: clamp on per-container queue length (1: no batching).
         monitor_interval_ms: load monitor / scaler period (paper: 10 s).
     """
 
     name: str
-    batching: bool
     slack_division: SlackDivision
     scheduling: SchedulingPolicy
-    spawn_on_demand: bool
-    reactive: bool
+    provisioning: Provisioning
     proactive_predictor: Optional[str]
-    static_pool: bool
     placement: NodePlacementPolicy
     utilization_target: float = 0.8
     idle_timeout_ms: float = 600_000.0
     max_batch: int = DEFAULT_MAX_BATCH
     monitor_interval_ms: float = 10_000.0
-    #: When set, every pool uses this app-agnostic batch size instead of
-    #: slack-derived sizing (the HPA baseline's fixed containerConcurrency).
-    fixed_batch_size: Optional[int] = None
-    #: Run the Knative-style horizontal-pod-autoscaler loop.
-    hpa: bool = False
-    #: Brigade's default mode: one container per task, destroyed after
-    #: completion (the literal Figure 4 baseline, no warm reuse).
-    single_use: bool = False
     #: Guardrails (all off by default — defaults must be behaviourally
     #: identical to the pre-guardrail control plane).
     #: Per-tick ceiling on containers spawned by the monitored scalers;
@@ -112,12 +121,6 @@ class RMConfig:
             raise ValueError("utilization_target must be in (0, 1]")
         if self.idle_timeout_ms <= 0 or self.monitor_interval_ms <= 0:
             raise ValueError("timeouts and intervals must be positive")
-        if self.static_pool and (self.reactive or self.spawn_on_demand):
-            raise ValueError("a static pool cannot also scale")
-        if self.fixed_batch_size is not None and self.fixed_batch_size < 1:
-            raise ValueError("fixed_batch_size must be >= 1")
-        if self.hpa and (self.reactive or self.spawn_on_demand or self.static_pool):
-            raise ValueError("the HPA loop replaces the other scalers")
         if self.max_surge < 0:
             raise ValueError("max_surge must be >= 0 (0 disables)")
         if self.scale_down_cooldown_ms < 0:
@@ -133,84 +136,63 @@ class RMConfig:
 _BASES = {
     "bline": RMConfig(
         name="bline",
-        batching=False,
         slack_division=SlackDivision.PROPORTIONAL,
         scheduling=SchedulingPolicy.FIFO,
-        spawn_on_demand=True,
-        reactive=False,
+        provisioning=Provisioning.ON_DEMAND,
         proactive_predictor=None,
-        static_pool=False,
         placement=NodePlacementPolicy.SPREAD,
+        max_batch=1,
     ),
     "sbatch": RMConfig(
         name="sbatch",
-        batching=True,
         slack_division=SlackDivision.EQUAL,
         scheduling=SchedulingPolicy.FIFO,
-        spawn_on_demand=False,
-        reactive=False,
+        provisioning=Provisioning.STATIC,
         proactive_predictor=None,
-        static_pool=True,
         placement=NodePlacementPolicy.PACK,
         utilization_target=0.8,
     ),
     "rscale": RMConfig(
         name="rscale",
-        batching=True,
         slack_division=SlackDivision.PROPORTIONAL,
         scheduling=SchedulingPolicy.LSF,
-        spawn_on_demand=False,
-        reactive=True,
+        provisioning=Provisioning.RSCALE,
         proactive_predictor=None,
-        static_pool=False,
         placement=NodePlacementPolicy.PACK,
     ),
     "bpred": RMConfig(
         name="bpred",
-        batching=False,
         slack_division=SlackDivision.PROPORTIONAL,
         scheduling=SchedulingPolicy.LSF,
-        spawn_on_demand=True,
-        reactive=False,
+        provisioning=Provisioning.ON_DEMAND,
         proactive_predictor="ewma",
-        static_pool=False,
         placement=NodePlacementPolicy.SPREAD,
         utilization_target=0.6,
+        max_batch=1,
     ),
     "brigade": RMConfig(
         name="brigade",
-        batching=False,
         slack_division=SlackDivision.PROPORTIONAL,
         scheduling=SchedulingPolicy.FIFO,
-        spawn_on_demand=True,
-        reactive=False,
+        provisioning=Provisioning.SINGLE_USE,
         proactive_predictor=None,
-        static_pool=False,
         placement=NodePlacementPolicy.SPREAD,
-        single_use=True,
+        max_batch=1,
     ),
     "hpa": RMConfig(
         name="hpa",
-        batching=True,
         slack_division=SlackDivision.PROPORTIONAL,
         scheduling=SchedulingPolicy.FIFO,
-        spawn_on_demand=False,
-        reactive=False,
+        provisioning=Provisioning.HPA,
         proactive_predictor=None,
-        static_pool=False,
         placement=NodePlacementPolicy.SPREAD,
-        fixed_batch_size=4,
-        hpa=True,
     ),
     "fifer": RMConfig(
         name="fifer",
-        batching=True,
         slack_division=SlackDivision.PROPORTIONAL,
         scheduling=SchedulingPolicy.LSF,
-        spawn_on_demand=False,
-        reactive=True,
+        provisioning=Provisioning.RSCALE,
         proactive_predictor="lstm",
-        static_pool=False,
         placement=NodePlacementPolicy.PACK,
         utilization_target=0.7,
     ),

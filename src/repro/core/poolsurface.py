@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional
 
+from repro.core.policies import Provisioning
 from repro.obs.registry import MetricsRegistry
 
 
@@ -84,10 +85,8 @@ class PoolSurface:
         stage_response_ms: float,
         cold_start,
         rng,
-        spawn_on_demand: bool = False,
-        reap_exempt: bool = False,
+        provisioning: Provisioning = Provisioning.RSCALE,
         delay_window_ms: float = 10_000.0,
-        single_use: bool = False,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if batch_size < 1:
@@ -99,13 +98,14 @@ class PoolSurface:
         self.stage_response_ms = stage_response_ms
         self.cold_start = cold_start
         self.rng = rng
-        self.spawn_on_demand = spawn_on_demand
-        self.reap_exempt = reap_exempt
+        self.spawn_on_demand = provisioning in (
+            Provisioning.ON_DEMAND, Provisioning.SINGLE_USE)
+        self.reap_exempt = provisioning is Provisioning.STATIC
         self.delay_window_ms = delay_window_ms
         #: Brigade's default mode: "creates a worker pod for each job ...
         #: and destroys the containers after job completion" — each
         #: container serves exactly one task, then terminates.
-        self.single_use = single_use
+        self.single_use = provisioning is Provisioning.SINGLE_USE
         # The run-wide registry backs every counter above (a private one
         # is created when none is shared).
         self.registry = registry or MetricsRegistry()

@@ -31,6 +31,10 @@ from repro.prediction.windowed import WindowedMaxSampler
 SPAWN_RETRY_BACKOFF_MS = 5_000.0
 #: The HPA baseline's fixed per-container concurrency target.
 HPA_TARGET_CONCURRENCY = 4
+#: Consecutive below-target ticks before the HPA baseline scales in.
+HPA_STABILIZATION_TICKS = 3
+#: Monitoring intervals ahead the proactive forecast covers (W_p).
+PROACTIVE_HORIZON_INTERVALS = 6
 
 
 @dataclass
@@ -350,21 +354,17 @@ class ProactiveScaler:
         sampler: WindowedMaxSampler,
         stage_shares: Dict[str, float],
         utilization_target: float = 0.8,
-        horizon_intervals: int = 6,
         governor: Optional[SpawnGovernor] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         missing = set(pools) - set(stage_shares)
         if missing:
             raise ValueError(f"stage shares missing for: {sorted(missing)}")
-        if horizon_intervals < 1:
-            raise ValueError("horizon_intervals must be >= 1")
         self.pools = pools
         self.predictor = predictor
         self.sampler = sampler
         self.stage_shares = stage_shares
         self.utilization_target = utilization_target
-        self.horizon_intervals = horizon_intervals
         self.governor = governor
         self.registry = registry
         self.events: List[ScalingEvent] = []
@@ -419,7 +419,8 @@ class ProactiveScaler:
         if hasattr(self.predictor, "observe") and history.size:
             self.predictor.observe(float(history[-1]))
         try:
-            path = self.predictor.predict_horizon(history, self.horizon_intervals)
+            path = self.predictor.predict_horizon(
+                history, PROACTIVE_HORIZON_INTERVALS)
             forecast_rps = max(0.0, float(np.max(path)))
         except Exception:
             self.predictor_failures += 1
@@ -477,15 +478,8 @@ class HPAScaler:
     strawman Fifer improves upon.
     """
 
-    def __init__(
-        self,
-        pools: Dict[str, PoolSurface],
-        scale_down_stabilization_ticks: int = 3,
-    ) -> None:
-        if scale_down_stabilization_ticks < 1:
-            raise ValueError("stabilisation window must be >= 1 tick")
+    def __init__(self, pools: Dict[str, PoolSurface]) -> None:
         self.pools = pools
-        self.stabilization_ticks = scale_down_stabilization_ticks
         self._below_target: Dict[str, int] = {name: 0 for name in pools}
         self.events: List[ScalingEvent] = []
 
@@ -519,7 +513,7 @@ class HPAScaler:
                     pool.dispatch()
             elif desired < current:
                 self._below_target[name] += 1
-                if self._below_target[name] >= self.stabilization_ticks:
+                if self._below_target[name] >= HPA_STABILIZATION_TICKS:
                     removed = 0
                     for _ in range(current - desired):
                         if not pool.reclaim_one_idle():

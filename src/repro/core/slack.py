@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from repro.core.sizing import batch_size_for as _batch_size_for
+from repro.core.sizing import batch_size_for
 from repro.workloads.applications import Application
 
 #: Practical cap on a container's local-queue length; relevant only for
@@ -50,17 +50,6 @@ def distribute_slack(
     return [
         total_slack * (svc.mean_exec_ms / total_exec) for svc in app.stages
     ]
-
-
-def batch_size_for(
-    stage_slack_ms: float, stage_exec_ms: float, max_batch: int = DEFAULT_MAX_BATCH
-) -> int:
-    """``B_size = stage_slack / stage_exec`` clamped to [1, max_batch].
-
-    Delegates to :func:`repro.core.sizing.batch_size_for`, which owns
-    the clamp semantics (zero/negative residual slack degrades to 1).
-    """
-    return _batch_size_for(stage_slack_ms, stage_exec_ms, max_batch)
 
 
 @dataclass(frozen=True)
@@ -92,22 +81,18 @@ def build_stage_plan(
     app: Application,
     division: SlackDivision = SlackDivision.PROPORTIONAL,
     max_batch: int = DEFAULT_MAX_BATCH,
-    batching: bool = True,
 ) -> StagePlan:
     """Compute the offline per-stage plan for *app*.
 
-    With ``batching=False`` every batch size is pinned to 1 (the
-    baseline's one-request-per-container mapping) while slack accounting
-    stays intact for LSF scheduling.
+    ``max_batch=1`` pins every batch size to 1 (the baseline's
+    one-request-per-container mapping) while slack accounting stays
+    intact for LSF scheduling.
     """
     slacks = distribute_slack(app, division)
-    if batching:
-        batches = tuple(
-            batch_size_for(slack, svc.mean_exec_ms, max_batch)
-            for slack, svc in zip(slacks, app.stages)
-        )
-    else:
-        batches = tuple(1 for _ in app.stages)
+    batches = tuple(
+        batch_size_for(slack, svc.mean_exec_ms, max_batch)
+        for slack, svc in zip(slacks, app.stages)
+    )
     responses = tuple(
         slack + svc.mean_exec_ms for slack, svc in zip(slacks, app.stages)
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.cluster.cluster import NodePlacementPolicy
-from repro.core.policies import make_policy_config
+from repro.core.policies import Provisioning, make_policy_config
 from repro.core.scheduling import SchedulingPolicy
 
 FEATURES = (
@@ -81,9 +81,9 @@ def fifer_features_from_code() -> Dict[str, bool]:
         "SLO Guarantees": True,  # slack accounting against the 1000 ms SLO
         "Function Chains": True,  # jobs are multi-stage chains
         "Slack based scheduling": config.scheduling == SchedulingPolicy.LSF,
-        "Slack aware batching": config.batching,
+        "Slack aware batching": config.max_batch > 1,
         "Energy Efficient": config.placement == NodePlacementPolicy.PACK,
-        "Autoscaling Containers": config.reactive or config.spawn_on_demand,
+        "Autoscaling Containers": config.provisioning is not Provisioning.STATIC,
         "Request Arrival prediction": config.proactive_predictor is not None,
     }
 

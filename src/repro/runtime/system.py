@@ -28,10 +28,10 @@ from repro.core.controlplane import (
     ControlPlane,
     prewarm_opening_capacity,
     reclaim_idle_capacity,
-    wire_scalers,
 )
-from repro.core.policies import RMConfig
+from repro.core.policies import Provisioning, RMConfig
 from repro.core.poolsurface import PoolSurface
+from repro.core.scaling import HPA_TARGET_CONCURRENCY
 from repro.core.slack import (
     build_stage_plan,
     function_batch_sizes,
@@ -141,16 +141,15 @@ class ServerlessSystem:
                 app,
                 division=config.slack_division,
                 max_batch=config.max_batch,
-                batching=config.batching,
             )
             for app in mix.applications
         }
         self.batch_sizes = function_batch_sizes(self.plans.values())
-        if config.fixed_batch_size is not None:
-            # App-agnostic fixed batch (the HPA baseline's fixed target).
-            self.batch_sizes = {
-                name: config.fixed_batch_size for name in self.batch_sizes
-            }
+        if config.provisioning is Provisioning.HPA:
+            # App-agnostic: every batch is the autoscaler's concurrency
+            # target (Knative's containerConcurrency), not slack-derived.
+            self.batch_sizes = dict.fromkeys(
+                self.batch_sizes, min(HPA_TARGET_CONCURRENCY, config.max_batch))
         self.stage_slacks = function_slack_ms(self.plans.values())
         self.stage_responses = function_response_ms(self.plans.values())
         self.stage_shares = self._stage_shares()
@@ -268,9 +267,10 @@ class ServerlessSystem:
             self.registry,
             sample=lambda now_ms: self.metrics.sample(
                 self.pools, self.cluster.nodes, now_ms),
-            **wire_scalers(
-                self.config, self.pools, self.predictor, self.sampler,
-                self.stage_shares, self.registry, seed=self.seed + 2),
+            predictor=self.predictor,
+            sampler=self.sampler,
+            stage_shares=self.stage_shares,
+            seed=self.seed + 2,
         )
 
     def _pool_args(self, name: str) -> Dict:
@@ -286,10 +286,8 @@ class ServerlessSystem:
             "scheduling": config.scheduling,
             "cold_start": self.cold_start_model,
             "rng": self._rng_exec,
-            "spawn_on_demand": config.spawn_on_demand,
-            "reap_exempt": config.static_pool,
+            "provisioning": config.provisioning,
             "delay_window_ms": config.monitor_interval_ms,
-            "single_use": config.single_use,
             "registry": self.registry,
         }
 

@@ -64,7 +64,6 @@ from repro.core.controlplane import (
     ControlPlane,
     prewarm_opening_capacity,
     reclaim_idle_capacity,
-    wire_scalers,
 )
 from repro.core.poolsurface import PoolSurface
 from repro.core.scheduling import LSFQueue, make_queue
@@ -381,9 +380,10 @@ class VectorEngine:
             config, self.pools, registry,
             sample=lambda now: self.metrics.sample(
                 self.pools, self.cluster.nodes, now),
-            **wire_scalers(
-                config, self.pools, system.predictor, self.sampler,
-                system.stage_shares, registry, seed=system.seed + 2),
+            predictor=system.predictor,
+            sampler=self.sampler,
+            stage_shares=system.stage_shares,
+            seed=system.seed + 2,
         )
 
     def _precompute_apps(self) -> None:

@@ -89,9 +89,9 @@ _FIELD_TYPES = typing.get_type_hints(RMConfig)
 
 def _coerce(name: str, value):
     """*value* as ``RMConfig.<name>``'s declared type.  Strings are read
-    the way the command line spells values (``true``/``false``, an
-    enum's ``.value``, ``none``, a number); whatever the type does not
-    admit is a ValueError, never a truthy string."""
+    the way the command line spells values (an enum's ``.value``,
+    ``none``, a number); whatever the type does not admit is a
+    ValueError, never a truthy string."""
     kind = _FIELD_TYPES[name]
     if typing.get_origin(kind) is Union:  # Optional[T]
         if value is None or value == "none":
@@ -103,12 +103,6 @@ def _coerce(name: str, value):
             return kind(getattr(value, "value", value))
         except ValueError:
             pass
-    elif kind is bool:
-        expected = "true|false"
-        if isinstance(value, bool):
-            return value
-        if value in ("true", "false"):
-            return value == "true"
     elif kind is str:
         expected = "a string"
         if isinstance(value, str):

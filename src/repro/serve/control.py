@@ -24,12 +24,6 @@ from typing import Callable, Dict, Optional
 from repro.cluster.cluster import Cluster
 from repro.core.controlplane import ControlPlane
 from repro.core.policies import RMConfig
-from repro.core.scaling import (
-    HPAScaler,
-    ProactiveScaler,
-    ReactiveScaler,
-    SpawnGovernor,
-)
 from repro.metrics.collector import MetricsCollector
 from repro.serve.clock import ScaledClock
 from repro.serve.faults import FaultReplay
@@ -46,18 +40,18 @@ class ControlLoop(ControlPlane):
         cluster: Cluster,
         metrics: MetricsCollector,
         config: RMConfig,
-        reactive: Optional[ReactiveScaler] = None,
-        hpa: Optional[HPAScaler] = None,
-        proactive: Optional[ProactiveScaler] = None,
-        governor: Optional[SpawnGovernor] = None,
+        predictor,
+        sampler,
+        stage_shares: Dict[str, float],
+        seed: int,
         checkpoint: Optional[Callable[[float], None]] = None,
         faults: Optional[FaultReplay] = None,
     ) -> None:
         super().__init__(
             config, pools, metrics.registry,
             sample=lambda now_ms: metrics.sample(pools, cluster.nodes, now_ms),
-            governor=governor, reactive=reactive, hpa=hpa,
-            proactive=proactive,
+            predictor=predictor, sampler=sampler, stage_shares=stage_shares,
+            seed=seed,
         )
         self.clock = clock
         self.cluster = cluster

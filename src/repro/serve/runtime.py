@@ -31,7 +31,6 @@ from repro.cluster.faults import ContainerFaultModel, FaultTimeline
 from repro.core.controlplane import (
     prewarm_opening_capacity,
     reclaim_idle_capacity,
-    wire_scalers,
 )
 from repro.core.policies import RMConfig
 from repro.metrics.collector import MetricsCollector, RunResult
@@ -287,11 +286,12 @@ class ServingRuntime:
             cluster=self.cluster,
             metrics=self.metrics,
             config=self.config,
+            predictor=self.predictor,
+            sampler=self.sampler,
+            stage_shares=self.stage_shares,
+            seed=self.seed + 3,
             checkpoint=checkpoint,
             faults=self.fault_replay,
-            **wire_scalers(
-                self.config, self.pools, self.predictor, self.sampler,
-                self.stage_shares, self.registry, seed=self.seed + 3),
         )
 
     # -- dispatch shims (stable across gateway epochs) ---------------------

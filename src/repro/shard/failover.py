@@ -1,21 +1,22 @@
 """Self-healing for the sharded serving plane.
 
 A dead gateway shard today silently strands its keyspace; this module
-supplies the pieces both planes (sim and live) share to survive it:
+supplies the pieces the two planes (sim and live) survive it with:
 
 * :class:`ShardHealthMonitor` — per-shard heartbeat bookkeeping with a
   miss-threshold and hysteresis, mirroring
   :class:`~repro.prediction.guarded.ForecastHealthMonitor`'s
   consecutive-evaluation state machine so declarations never flap on a
   single late beat.
-* :class:`EpochLease` — a fenced lease file for the orchestrator
-  itself: a warm standby may only take over once the primary's lease
-  is stale *or* its pid is gone, and every takeover bumps the epoch
-  so a resurrected primary's renewals are fenced off.
-* :class:`OrchestratorSupervisor` — primary/standby pair driving the
-  lease; on failover the standby re-derives shard pressure from the
-  sharded :class:`~repro.workflow.sharded_store.ShardedStateStore`
-  (the same channel the reports were published through).
+* :class:`EpochLease` — a fenced lease file for the live plane's
+  takeover: it is acquired only once the holder is stale *or* its pid
+  is gone, and every acquisition bumps the epoch so a zombie holder's
+  renewals are fenced off.
+* :class:`OrchestratorSupervisor` — the sim plane's primary/standby
+  orchestrator pair: at the scripted ``kill-orchestrator`` instant the
+  standby re-derives shard pressure from the sharded
+  :class:`~repro.workflow.sharded_store.ShardedStateStore` (the same
+  channel the reports were published through).
 * :func:`assign_takeover` — deterministic split of a dead shard's
   recovered jobs across the survivors using the *remapped* ring, so
   sim, live, and the property tests all agree on who owns what.
@@ -37,6 +38,9 @@ from repro.obs.registry import MetricsRegistry
 from repro.serve.journal import pid_alive
 from repro.serve.recovery import JournaledJob
 from repro.shard.ring import ConsistentHashRing
+
+#: A lease holder that has not renewed for this long is stale.
+LEASE_TTL_MS = 10_000.0
 
 __all__ = [
     "ShardHealthMonitor",
@@ -141,22 +145,16 @@ class EpochLease:
 
     The holder renews by rewriting the file (atomic tmp + replace).  A
     contender acquires when the current holder is *stale* (no renewal
-    within ``ttl_ms``) **or** its pid is gone — only a holder that is
-    both fresh and alive is never pre-empted.  Every acquisition bumps
-    the epoch; a holder whose on-disk epoch moved on
-    learns it is fenced at its next :meth:`renew` and must stop acting.
+    within :data:`LEASE_TTL_MS`) **or** its pid is gone — only a holder
+    that is both fresh and alive is never pre-empted.  Every acquisition
+    bumps the epoch; a holder whose on-disk epoch moved on learns it is
+    fenced at its next :meth:`renew` and must stop acting.
     """
 
     def __init__(
-        self,
-        path: str,
-        ttl_ms: float = 10_000.0,
-        registry: Optional[MetricsRegistry] = None,
+        self, path: str, registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if ttl_ms <= 0:
-            raise ValueError("ttl_ms must be positive")
         self.path = str(path)
-        self.ttl_ms = ttl_ms
         self.registry = registry or MetricsRegistry()
         self.epoch = 0          # epoch we hold (0 = never acquired)
         self._g_epoch = self.registry.gauge("orchestrator_lease_epoch")
@@ -191,7 +189,7 @@ class EpochLease:
                 holder_epoch = int(doc.get("epoch", 0))
             except (TypeError, ValueError):
                 holder_pid, holder_t, holder_epoch = -1, 0.0, 0
-            fresh = (now_ms - holder_t) < self.ttl_ms
+            fresh = (now_ms - holder_t) < LEASE_TTL_MS
             if holder_pid != os.getpid() and fresh \
                     and pid_alive(holder_pid):
                 return False
@@ -222,35 +220,31 @@ class EpochLease:
 
 
 class OrchestratorSupervisor:
-    """Primary/standby orchestrator pair with epoch fencing.
+    """Primary/standby orchestrator pair (the sim plane's).
 
-    Delegates each :meth:`reconcile` to the active orchestrator.  When
-    the primary is scripted to fail (``fail_primary_at_ms``, the sim's
-    chaos hook) or stops renewing a file lease, the standby takes
-    over: it restores pressure state from the sharded store (the
-    reports the primary already published) and bumps the epoch so the
-    old primary's late writes are fenced.
+    Delegates each :meth:`reconcile` to the active orchestrator.  At
+    the scripted instant ``fail_primary_at_ms`` (the timeline's
+    ``kill-orchestrator``) the standby takes over: it restores pressure
+    state from the sharded store (the reports the primary already
+    published).  The takeover is unfenced — the dead primary is simply
+    never called again; only the live plane's shard takeover takes an
+    :class:`EpochLease`.
     """
 
     def __init__(
         self,
         primary,
-        standby=None,
-        lease: Optional[EpochLease] = None,
+        standby,
         fail_primary_at_ms: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.primary = primary
         self.standby = standby
-        self.lease = lease
         self.fail_primary_at_ms = fail_primary_at_ms
         self.registry = registry or MetricsRegistry()
         self.active = primary
-        self._epoch = 1   # in-memory fencing when no lease file is used
         self._c_failovers = self.registry.counter(
             "orchestrator_failovers_total")
-        if lease is not None:
-            lease.acquire(0.0)
 
     @property
     def failed_over(self) -> bool:
@@ -261,18 +255,12 @@ class OrchestratorSupervisor:
                 and now_ms >= self.fail_primary_at_ms)
 
     def reconcile(self, now_ms: float) -> Dict[str, float]:
-        if (self.standby is not None and not self.failed_over
-                and self._primary_dead(now_ms)):
+        if not self.failed_over and self._primary_dead(now_ms):
             self.active = self.standby
-            self._epoch += 1
-            if self.lease is not None:
-                self.lease.acquire(now_ms)
             restore = getattr(self.standby, "restore_from_store", None)
             if restore is not None:
                 restore()
             self._c_failovers.inc()
-        elif self.lease is not None and not self.failed_over:
-            self.lease.renew(now_ms)
         return self.active.reconcile(now_ms)
 
 

@@ -14,7 +14,11 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
-from repro.core.policies import EXTENDED_POLICY_NAMES, make_policy_config
+from repro.core.policies import (
+    EXTENDED_POLICY_NAMES,
+    Provisioning,
+    make_policy_config,
+)
 from repro.core.scheduling import SchedulingPolicy
 from repro.runtime.system import run_policy
 from repro.sim.engine import Simulator
@@ -38,8 +42,7 @@ def _single_use_pool(sim):
         cold_start=ColdStartModel(jitter_sigma=0.0),
         rng=np.random.default_rng(0),
         on_task_finished=finished.append,
-        spawn_on_demand=True,
-        single_use=True,
+        provisioning=Provisioning.SINGLE_USE,
     )
     return pool, cluster, finished
 
@@ -84,8 +87,8 @@ class TestBrigadePolicy:
     def test_registered_as_extension(self):
         assert "brigade" in EXTENDED_POLICY_NAMES
         config = make_policy_config("brigade")
-        assert config.single_use and config.spawn_on_demand
-        assert not config.batching
+        assert config.provisioning is Provisioning.SINGLE_USE
+        assert config.max_batch == 1
 
     def test_low_rate_run_completes_with_all_cold_starts(self):
         trace = poisson_trace(2.0, 60.0, seed=1)

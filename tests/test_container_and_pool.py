@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.container import Container, ContainerState
+from repro.core.policies import Provisioning
 from repro.core.scheduling import SchedulingPolicy
 from repro.sim.engine import Simulator
 from repro.workflow.job import Job, Task
@@ -133,7 +134,7 @@ def _make_pool(
     sim,
     scheduling=SchedulingPolicy.LSF,
     batch_size=4,
-    spawn_on_demand=False,
+    provisioning=Provisioning.RSCALE,
     n_nodes=2,
     service="ASR",
 ):
@@ -150,7 +151,7 @@ def _make_pool(
         cold_start=ColdStartModel(jitter_sigma=0.0),
         rng=np.random.default_rng(0),
         on_task_finished=finished.append,
-        spawn_on_demand=spawn_on_demand,
+        provisioning=provisioning,
     )
     return pool, cluster, finished
 
@@ -183,7 +184,8 @@ class TestFunctionPool:
 
     def test_spawn_on_demand_pins_task_to_cold_container(self):
         sim = Simulator()
-        pool, _, finished = _make_pool(sim, spawn_on_demand=True, batch_size=1)
+        pool, _, finished = _make_pool(
+            sim, provisioning=Provisioning.ON_DEMAND, batch_size=1)
         pool.enqueue(_task())
         assert pool.n_containers == 1
         assert pool.queue_length == 0  # pinned into the container
@@ -194,7 +196,8 @@ class TestFunctionPool:
 
     def test_spawn_on_demand_counts_pending_capacity(self):
         sim = Simulator()
-        pool, _, _ = _make_pool(sim, spawn_on_demand=True, batch_size=1)
+        pool, _, _ = _make_pool(
+            sim, provisioning=Provisioning.ON_DEMAND, batch_size=1)
         pool.enqueue(_task())
         pool.enqueue(_task())
         # Two tasks, two containers, no storm beyond the deficit.
@@ -204,7 +207,8 @@ class TestFunctionPool:
 
     def test_no_spawn_when_warm_capacity_free(self):
         sim = Simulator()
-        pool, _, _ = _make_pool(sim, spawn_on_demand=True, batch_size=1)
+        pool, _, _ = _make_pool(
+            sim, provisioning=Provisioning.ON_DEMAND, batch_size=1)
         pool.prewarm(2)
         sim.run(until=1.0)
         pool.enqueue(_task())
@@ -244,8 +248,8 @@ class TestFunctionPool:
 
     def test_reap_exempt_pool(self):
         sim = Simulator()
-        pool, _, _ = _make_pool(sim)
-        pool.reap_exempt = True
+        pool, _, _ = _make_pool(sim, provisioning=Provisioning.STATIC)
+        assert pool.reap_exempt
         pool.prewarm(1)
         sim.run(until=100_000.0)
         assert pool.reap_idle(idle_timeout_ms=1.0) == 0

@@ -95,7 +95,7 @@ class TestStagePlan:
             assert batch * svc.mean_exec_ms <= slack or batch == 1
 
     def test_non_batching_plan_pins_batch_to_one(self):
-        plan = build_stage_plan(get_application("ipa"), batching=False)
+        plan = build_stage_plan(get_application("ipa"), max_batch=1)
         assert all(b == 1 for b in plan.stage_batch)
         # Slack accounting survives for LSF.
         assert sum(plan.stage_slack_ms) == pytest.approx(

@@ -6,8 +6,9 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
-from repro.core.policies import EXTENDED_POLICY_NAMES, make_policy_config
+from repro.core.policies import EXTENDED_POLICY_NAMES
 from repro.core.scaling import (
+    HPA_STABILIZATION_TICKS,
     HPA_TARGET_CONCURRENCY,
     HPAScaler,
     ProactiveScaler,
@@ -66,8 +67,9 @@ class TestHPAScaler:
         pool = _pool(sim)
         pool.prewarm(4)
         sim.run(until=1.0)
-        scaler = HPAScaler({"ASR": pool}, scale_down_stabilization_ticks=3)
+        scaler = HPAScaler({"ASR": pool})
         # Desired is 1, current is 4 — needs three consecutive low ticks.
+        assert HPA_STABILIZATION_TICKS == 3
         scaler.tick(1.0)
         scaler.tick(2.0)
         assert pool.n_containers == 4
@@ -80,29 +82,17 @@ class TestHPAScaler:
         pool = _pool(sim, batch_size=4)
         pool.prewarm(4)
         sim.run(until=1.0)
-        scaler = HPAScaler({"ASR": pool}, scale_down_stabilization_ticks=2)
+        scaler = HPAScaler({"ASR": pool})
         scaler.tick(1.0)  # below target once
         _enqueue(pool, 16)  # concurrency jumps back
         scaler.tick(2.0)
         assert scaler._below_target["ASR"] == 0
-
-    def test_invalid_params(self):
-        sim = Simulator()
-        pool = _pool(sim)
-        with pytest.raises(ValueError):
-            HPAScaler({"ASR": pool}, scale_down_stabilization_ticks=0)
 
     def test_hpa_policy_end_to_end(self):
         trace = step_poisson_trace(20.0, 120.0, seed=1)
         result = run_policy("hpa", get_mix("light"), trace, seed=3)
         assert result.n_completed == result.n_jobs
         assert result.policy == "hpa"
-
-    def test_hpa_config_guard(self):
-        with pytest.raises(ValueError):
-            make_policy_config("hpa", reactive=True)
-        with pytest.raises(ValueError):
-            make_policy_config("hpa", fixed_batch_size=0)
 
     def test_extended_names(self):
         assert "hpa" in EXTENDED_POLICY_NAMES

@@ -10,6 +10,7 @@ from repro.cluster.faults import (
     RegistryDegradation,
     fail_node,
 )
+from repro.core.policies import Provisioning
 from repro.core.scheduling import SchedulingPolicy
 from repro.sim.engine import Simulator
 from repro.workflow.job import Job, Task
@@ -17,8 +18,8 @@ from repro.workflow.pool import FunctionPool
 from repro.workloads import get_application, get_microservice
 
 
-def _pool(sim, cluster=None, batch_size=2, spawn_on_demand=False,
-          fault_model=None):
+def _pool(sim, cluster=None, batch_size=2,
+          provisioning=Provisioning.RSCALE, fault_model=None):
     cluster = cluster or Cluster(n_nodes=2)
     finished = []
     pool = FunctionPool(
@@ -32,7 +33,7 @@ def _pool(sim, cluster=None, batch_size=2, spawn_on_demand=False,
         cold_start=ColdStartModel(jitter_sigma=0.0),
         rng=np.random.default_rng(0),
         on_task_finished=finished.append,
-        spawn_on_demand=spawn_on_demand,
+        provisioning=provisioning,
     )
     pool.fault_model = fault_model
     return pool, cluster, finished
@@ -94,7 +95,8 @@ class TestContainerFaultModel:
         sim = Simulator()
         fault = ContainerFaultModel(crash_probability=0.1)
         pool, _, finished = _pool(
-            sim, batch_size=1, spawn_on_demand=True, fault_model=fault
+            sim, batch_size=1, provisioning=Provisioning.ON_DEMAND,
+            fault_model=fault
         )
         tasks = [_task(pool) for _ in range(40)]
         sim.run(until=600_000.0)
@@ -198,7 +200,7 @@ class TestRegistryDegradation:
             cold_start=degraded,
             rng=np.random.default_rng(0),
             on_task_finished=finished.append,
-            spawn_on_demand=True,
+            provisioning=Provisioning.ON_DEMAND,
         )
         job = Job(app=get_application("ipa"), arrival_ms=0.0)
         pool.enqueue(Task(job=job, stage_index=0, enqueue_ms=0.0))

@@ -59,10 +59,10 @@ LAZY_SERIES = ("pool_tasks_enqueued_total", "pool_tasks_completed_total")
 
 
 def make_system(scheduling, engine=None):
-    # No scaler and an idle timeout past the script's end: the monitor
-    # ticks the vector engine fires at 10 s and 20 s only sample.
+    # An idle timeout past the script's end (and, on the vector engine,
+    # no scaler): the monitor ticks it fires at 10 s and 20 s only sample.
     config = make_policy_config(
-        "rscale", reactive=False, idle_timeout_ms=1e12, scheduling=scheduling)
+        "rscale", idle_timeout_ms=1e12, scheduling=scheduling)
     return ServerlessSystem(config, MIX, CLUSTER, seed=3, engine=engine)
 
 
@@ -95,6 +95,7 @@ class SimDriver:
 class VectorDriver:
     def __init__(self, scheduling):
         self.eng = VectorEngine(make_system(scheduling, "vector"), TRACE)
+        self.eng.control.scaler = None
         self.registry = self.eng.registry
         self.pool = self.eng.pools[NAME]
 

@@ -76,11 +76,11 @@ class TestSlackProperties:
         if b > 1:
             assert b * exec_ms <= slack
 
-    @given(app_names, st.booleans())
+    @given(app_names, st.sampled_from([1, 64]))
     @settings(max_examples=20, deadline=None)
-    def test_stage_plan_response_is_slack_plus_exec(self, name, batching):
+    def test_stage_plan_response_is_slack_plus_exec(self, name, max_batch):
         app = get_application(name)
-        plan = build_stage_plan(app, batching=batching)
+        plan = build_stage_plan(app, max_batch=max_batch)
         for slack, resp, svc in zip(
             plan.stage_slack_ms, plan.stage_response_ms, app.stages
         ):

@@ -69,6 +69,14 @@ def _metrics():
     return MetricsCollector(EnergyMeter(model=NodePowerModel()))
 
 
+def _bare_loop(cls=None, **kwargs):
+    """A control loop over no pools, with no forecaster."""
+    return (cls or ControlLoop)(
+        pools={}, cluster=Cluster(n_nodes=1), metrics=_metrics(),
+        predictor=None, sampler=WindowedMaxSampler(), stage_shares={},
+        seed=0, **kwargs)
+
+
 def _task(clock, app_name="ipa", stage_index=0):
     job = Job(app=get_application(app_name), arrival_ms=clock.now)
     return Task(job=job, stage_index=stage_index, enqueue_ms=clock.now)
@@ -406,14 +414,9 @@ class TestControlLoopContainment:
             clock = ScaledClock(FAST)
             clock.start()
             scaler = _RaisingScaler()
-            loop = ControlLoop(
-                clock=clock,
-                pools={},
-                cluster=Cluster(n_nodes=1),
-                metrics=_metrics(),
-                config=make_policy_config("bline"),
-                reactive=scaler,
-            )
+            loop = _bare_loop(
+                clock=clock, config=make_policy_config("rscale"))
+            loop.scaler = scaler
             loop.tick(0.0)
             loop.tick(10_000.0)
             assert scaler.calls == 2      # still invoked every tick
@@ -437,7 +440,7 @@ class TestControlLoopContainment:
 
         def sabotaged_build(executor):
             original_build(executor)
-            runtime.control.reactive = _RaisingScaler()
+            runtime.control.scaler = _RaisingScaler()
 
         runtime._build = sabotaged_build
         result = runtime.run(poisson_trace(10.0, 5.0, seed=3))
@@ -488,13 +491,9 @@ class TestControlLoopOverrun:
                 assert self.stalled < 100, "control loop never yields"
 
         async def scenario():
-            control = SlowLoop(
-                clock=_JumpClock(),
-                pools={},
-                cluster=Cluster(n_nodes=1),
-                metrics=_metrics(),
-                config=make_policy_config("bline"),
-            )
+            control = _bare_loop(
+                SlowLoop, clock=_JumpClock(),
+                config=make_policy_config("bline"))
             control.start()
             for _ in range(40):  # the sibling: this coroutine
                 await asyncio.sleep(0)

@@ -73,6 +73,18 @@ class TestBatchSizes:
         system = _system("hpa")
         assert set(system.batch_sizes.values()) == {4}
 
+    def test_max_batch_override_reaches_every_policy(self):
+        # The cap is the batching switch: raised on a non-batching
+        # policy it batches, and it caps the HPA baseline's fixed batch.
+        def sizes(policy, max_batch):
+            return set(ServerlessSystem(
+                config=make_policy_config(policy, max_batch=max_batch),
+                mix=get_mix("heavy"),
+            ).batch_sizes.values())
+
+        assert max(sizes("bline", 8)) > 1
+        assert sizes("hpa", 2) == {2}
+
     def test_shared_function_takes_min(self):
         system = _system("rscale", mix="medium")
         # QA appears in both chains; its batch must be the min of both.

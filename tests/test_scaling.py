@@ -177,18 +177,6 @@ class TestProactiveScaler:
                 stage_shares={},
             )
 
-    def test_invalid_horizon(self):
-        sim = Simulator()
-        pool = _pool(sim)
-        with pytest.raises(ValueError):
-            ProactiveScaler(
-                pools={"ASR": pool},
-                predictor=EWMAPredictor(),
-                sampler=WindowedMaxSampler(),
-                stage_shares={"ASR": 1.0},
-                horizon_intervals=0,
-            )
-
 
 class TestStaticPoolSizes:
     def test_sizing_matches_littles_law(self):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.cluster.faults import ContainerFaultModel, FaultTimeline
+from repro.core.policies import Provisioning
 from repro.core.slack import SlackDivision
 from repro.experiments.runner import ExperimentRunner, config_hash
 from repro.obs.trace import Tracer
@@ -286,7 +287,8 @@ def _direct(**overrides):
 
 
 @pytest.mark.parametrize("field, values, typed", [
-    ("batching", ["true", "false"], [True, False]),
+    ("provisioning", ["rscale", "on-demand"],
+     [Provisioning.RSCALE, Provisioning.ON_DEMAND]),
     ("slack_division", ["equal", "proportional"],
      [SlackDivision.EQUAL, SlackDivision.PROPORTIONAL]),
 ])
@@ -310,8 +312,8 @@ def test_a_swept_string_is_the_typed_value(field, values, typed, tmp_path,
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--field", "batching", "--values", "maybe"],
-     "sweep: bad value 'maybe' for RMConfig field 'batching'"),
+    (["--field", "provisioning", "--values", "maybe"],
+     "sweep: bad value 'maybe' for RMConfig field 'provisioning'"),
     (["--field", "slack_division", "--values", "equal", "sideways"],
      "sweep: bad value 'sideways' for RMConfig field 'slack_division'"),
     (["--field", "max_batch", "--values", "2.5"],
@@ -327,16 +329,17 @@ def test_an_untypable_override_is_a_usage_error(argv, message, tmp_path):
     assert not (tmp_path / "cache").exists()   # nothing run, nothing cached
 
 
-def test_enum_and_bool_overrides_hash_and_round_trip(tmp_path):
+def test_enum_overrides_hash_and_round_trip(tmp_path):
     typed = Scenario.make(
         "rscale", trace_kind="poisson", rate_rps=15.0, duration_s=20.0,
-        nodes=2, slack_division=SlackDivision.EQUAL, batching=True)
+        nodes=2, slack_division=SlackDivision.EQUAL,
+        provisioning=Provisioning.RSCALE)
     spelled = dataclasses.replace(typed, overrides=(
-        ("slack_division", "equal"), ("batching", "true")))
+        ("slack_division", "equal"), ("provisioning", "rscale")))
     assert typed == spelled and config_hash(typed) == config_hash(spelled)
     assert json.loads(json.dumps(typed.canonical())) == typed.canonical()
     assert typed.config().slack_division is SlackDivision.EQUAL
-    assert typed.config().batching is True
+    assert typed.config().provisioning is Provisioning.RSCALE
     cold = ExperimentRunner(cache_dir=tmp_path).run([typed])
     warm = ExperimentRunner(cache_dir=tmp_path).run([spelled])
     assert warm[0].from_cache and warm[0].summary == cold[0].summary
@@ -508,6 +511,10 @@ KNOB_OWNERS = {
     "core/poolsurface.py": ("PoolSurface",),
     "serve/gateway.py": ("Gateway",),
     "core/controlplane.py": ("ControlPlane",),
+    "core/scaling.py": (
+        "SpawnGovernor", "ReactiveScaler", "ProactiveScaler", "HPAScaler"),
+    "shard/failover.py": (
+        "ShardHealthMonitor", "EpochLease", "OrchestratorSupervisor"),
     "serve/journal.py": ("RequestJournal",),
     "serve/checkpoint.py": ("CheckpointManager",),
     "shard/orchestrator.py": ("GlobalOrchestrator",),

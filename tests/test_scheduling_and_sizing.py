@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import NodePlacementPolicy
-from repro.core.policies import POLICY_NAMES, make_policy_config
+from repro.core.policies import POLICY_NAMES, Provisioning, make_policy_config
 from repro.core.scheduling import (
     FIFOQueue,
     LSFQueue,
@@ -133,24 +133,29 @@ class TestPolicyConfigs:
 
     def test_paper_feature_matrix(self):
         bline = make_policy_config("bline")
-        assert not bline.batching and bline.spawn_on_demand
+        assert bline.max_batch == 1
+        assert bline.provisioning is Provisioning.ON_DEMAND
         assert bline.scheduling == SchedulingPolicy.FIFO
         assert bline.placement == NodePlacementPolicy.SPREAD
 
         sbatch = make_policy_config("sbatch")
-        assert sbatch.batching and sbatch.static_pool
+        assert sbatch.max_batch > 1
+        assert sbatch.provisioning is Provisioning.STATIC
         assert sbatch.slack_division == SlackDivision.EQUAL
 
         rscale = make_policy_config("rscale")
-        assert rscale.batching and rscale.reactive
+        assert rscale.max_batch > 1
+        assert rscale.provisioning is Provisioning.RSCALE
         assert rscale.proactive_predictor is None
         assert rscale.scheduling == SchedulingPolicy.LSF
 
         bpred = make_policy_config("bpred")
-        assert not bpred.batching and bpred.proactive_predictor == "ewma"
+        assert bpred.max_batch == 1 and bpred.proactive_predictor == "ewma"
+        assert bpred.provisioning is Provisioning.ON_DEMAND
 
         fifer = make_policy_config("fifer")
-        assert fifer.batching and fifer.reactive
+        assert fifer.max_batch > 1
+        assert fifer.provisioning is Provisioning.RSCALE
         assert fifer.proactive_predictor == "lstm"
         assert fifer.placement == NodePlacementPolicy.PACK
 
@@ -165,10 +170,6 @@ class TestPolicyConfigs:
     def test_unknown_policy(self):
         with pytest.raises(KeyError):
             make_policy_config("magic")
-
-    def test_static_pool_cannot_scale(self):
-        with pytest.raises(ValueError):
-            make_policy_config("sbatch", reactive=True)
 
     def test_invalid_utilization(self):
         with pytest.raises(ValueError):

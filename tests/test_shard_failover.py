@@ -242,7 +242,7 @@ def test_lease_refuses_fresh_live_holder(tmp_path):
     path = tmp_path / "o.lease"
     # Held by pid 1 (always alive, never us), renewed just now.
     path.write_text(json.dumps({"epoch": 3, "pid": 1, "t_ms": 1000.0}))
-    lease = EpochLease(str(path), ttl_ms=10_000.0)
+    lease = EpochLease(str(path))
     assert not lease.acquire(2000.0)
     assert lease.epoch == 0
     # Once the holder goes stale, the takeover may proceed.
@@ -254,7 +254,7 @@ def test_lease_steals_from_dead_pid(tmp_path):
     path = tmp_path / "o.lease"
     path.write_text(json.dumps(
         {"epoch": 5, "pid": 999999999, "t_ms": 1000.0}))
-    lease = EpochLease(str(path), ttl_ms=10_000.0)
+    lease = EpochLease(str(path))
     # Fresh but dead: pid liveness decides, not the timestamp.
     assert lease.acquire(1500.0)
     assert lease.epoch == 6

@@ -123,7 +123,7 @@ class TestTickFaultContainment:
         def poisoned_tick(now_ms):
             raise RuntimeError("scaler blew up")
 
-        system.control.reactive.tick = poisoned_tick
+        system.control.scaler.tick = poisoned_tick
         sim.run(until=trace.duration_ms + 1.0)
         monitor.stop()
         result = system.finalize()

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.container import ContainerState
+from repro.core.policies import Provisioning
 from repro.core.scheduling import SchedulingPolicy
 from repro.sim.engine import Simulator
 from repro.workflow.job import Job, Task
@@ -32,10 +33,11 @@ class PoolMachine(RuleBasedStateMachine):
 
     @initialize(
         batch_size=st.integers(min_value=1, max_value=6),
-        spawn_on_demand=st.booleans(),
+        provisioning=st.sampled_from(
+            [Provisioning.RSCALE, Provisioning.ON_DEMAND]),
         scheduling=st.sampled_from(list(SchedulingPolicy)),
     )
-    def setup(self, batch_size, spawn_on_demand, scheduling):
+    def setup(self, batch_size, provisioning, scheduling):
         self.sim = Simulator()
         self.cluster = Cluster(n_nodes=2, cores_per_node=4)
         self.finished = []
@@ -51,7 +53,7 @@ class PoolMachine(RuleBasedStateMachine):
             cold_start=ColdStartModel(jitter_sigma=0.0),
             rng=np.random.default_rng(0),
             on_task_finished=self.finished.append,
-            spawn_on_demand=spawn_on_demand,
+            provisioning=provisioning,
         )
         self.pool.reclaim_callback = self.pool.reclaim_one_idle
 
