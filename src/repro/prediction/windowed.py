@@ -81,6 +81,25 @@ class WindowedMaxSampler:
         self._arrivals.append(t_ms)
         self._prune(t_ms)
 
+    def record_many(self, times_ms) -> None:
+        """Record a run of arrivals (non-decreasing order) in one call.
+
+        Leaves exactly the deque one :meth:`record` per element leaves:
+        the deque stays sorted, so pruning to each element's horizon in
+        turn removes what pruning to the last one's removes.  Out-of-order
+        input raises the same ``ValueError``, before anything is recorded.
+        """
+        values = np.asarray(times_ms, dtype=np.float64)
+        if values.size == 0:
+            return
+        arrivals = self._arrivals
+        if (arrivals and values[0] < arrivals[-1]) or bool(
+                np.any(values[1:] < values[:-1])):
+            raise ValueError("arrivals must be recorded in time order")
+        floats = values.tolist()
+        arrivals.extend(floats)
+        self._prune(floats[-1])
+
     def _prune(self, now_ms: float) -> None:
         horizon = now_ms - self.lookback_ms - self.interval_ms
         while self._arrivals and self._arrivals[0] < horizon:

@@ -44,7 +44,7 @@ from repro.obs.trace import Tracer
 from repro.prediction.base import Predictor
 from repro.prediction.classical import EWMAPredictor, MovingWindowAveragePredictor
 from repro.prediction.guarded import GuardedPredictor
-from repro.prediction.windowed import WindowedMaxSampler
+from repro.prediction.windowed import SAMPLE_WINDOW_MS, WindowedMaxSampler
 from repro.sim.engine import ENGINE_VECTOR, Simulator, resolve_engine
 from repro.sim.process import CoalescedTicker
 from repro.traces.base import ArrivalTrace
@@ -217,8 +217,12 @@ class ServerlessSystem:
                 self.cluster.nodes[node_id].fail()
         self._rng_apps = np.random.default_rng(self.seed)
         self._rng_exec = np.random.default_rng(self.seed + 1)
+        # An interval shorter than the paper's 5 s window is sampled in
+        # one window of its own length.
+        interval_ms = self.config.monitor_interval_ms
         self.sampler = WindowedMaxSampler(
-            interval_ms=self.config.monitor_interval_ms
+            interval_ms=interval_ms,
+            window_ms=min(SAMPLE_WINDOW_MS, interval_ms),
         )
         self.energy_meter = EnergyMeter(
             interval_ms=self.config.monitor_interval_ms)

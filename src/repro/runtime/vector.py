@@ -55,7 +55,7 @@ import math
 from array import array
 from collections import deque
 from functools import partial
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class VectorContainer:
     __slots__ = (
         "cid", "batch", "node", "pool", "state", "ready_at",
         "lq", "cur_j", "cur_s", "cur_r", "tasks_executed", "last_used_ms",
-        "busy",
+        "busy", "free",
     )
 
     def __init__(self, cid, batch, node, pool, now, cold):
@@ -149,14 +149,17 @@ class VectorContainer:
         self.tasks_executed = 0
         self.last_used_ms = now
         self.busy = 0.0
+        # ``batch - len(lq) - (cur_r >= 0)``, kept in step: down by one
+        # where a task joins ``lq``, up by one where ``cur_r`` is cleared.
+        self.free = batch
 
     @property
     def occupied_slots(self) -> int:
-        return len(self.lq) + (1 if self.cur_r >= 0 else 0)
+        return self.batch - self.free
 
     @property
     def free_slots(self) -> int:
-        return self.batch - len(self.lq) - (1 if self.cur_r >= 0 else 0)
+        return self.free
 
     @property
     def is_reapable(self) -> bool:
@@ -165,6 +168,28 @@ class VectorContainer:
     def terminate(self) -> None:
         self.state = S_DEAD
         self.pool.n_live -= 1
+
+
+def _least_free(containers) -> Optional[VectorContainer]:
+    """The greedy pick: among ready containers with a free slot, the one
+    with the fewest, first in list order on ties (the event loop's
+    ``FunctionPool._select_container``); ``None`` when none has room."""
+    best = None
+    bf = 0x7FFFFFFF
+    for c in containers:
+        st = c.state
+        if st != S_IDLE and st != S_BUSY:
+            continue
+        f = c.free
+        if f <= 0 or f >= bf:
+            continue
+        best = c
+        bf = f
+        if f == 1:
+            # 1 is the global minimum and ties keep the first hit, so
+            # the scan can stop here.
+            break
+    return best
 
 
 class VectorPool(PoolSurface):
@@ -221,13 +246,12 @@ class VectorPool(PoolSurface):
         for c in self.containers:
             st = c.state
             if st == S_IDLE or st == S_BUSY:
-                total += c.batch - len(c.lq) - (1 if c.cur_r >= 0 else 0)
+                total += c.free
         return total
 
     @property
     def pending_capacity(self) -> int:
-        return sum(c.batch - len(c.lq) for c in self.containers
-                   if c.state == S_SPAWNING)
+        return sum(c.free for c in self.containers if c.state == S_SPAWNING)
 
     @property
     def tasks_enqueued(self) -> int:
@@ -318,6 +342,7 @@ class VectorPool(PoolSurface):
             c.lq.append((item[2], item[3]))
         else:
             c.lq.append(self.q.popleft())
+        c.free -= 1
 
 
 class VectorEngine:
@@ -476,6 +501,7 @@ class VectorEngine:
         system._trace_name = trace.name
         # 1. Arrival cursor: virtual seq 0 when the trace is non-empty.
         self._ai = 0
+        self._sampled = 0        # arrivals handed to the sampler so far
         if self._n_arr > 0:
             self._a_seq = 0
             self._seq = 1
@@ -520,21 +546,7 @@ class VectorEngine:
         lsf = pool.lsf
         heappop = heapq.heappop
         while q:
-            best = None
-            bf = 0x7FFFFFFF
-            for c in containers:
-                st = c.state
-                if st != S_IDLE and st != S_BUSY:
-                    continue
-                f = c.batch - len(c.lq) - (1 if c.cur_r >= 0 else 0)
-                if f <= 0 or f >= bf:
-                    continue
-                best = c
-                bf = f
-                if f == 1:
-                    # 1 is the global minimum and ties keep the first
-                    # hit, so the scan can stop here.
-                    break
+            best = _least_free(containers)
             if best is None:
                 return
             if lsf:
@@ -542,6 +554,7 @@ class VectorEngine:
                 best.lq.append((item[2], item[3]))
             else:
                 best.lq.append(q.popleft())
+            best.free -= 1
             if best.state == S_IDLE and best.cur_r < 0:
                 self.start_next(best)
 
@@ -586,6 +599,22 @@ class VectorEngine:
             self.registry.counter("control_plane_ticks_skipped_total").inc()
             return
         self.control.tick(now)
+
+    def _sample_arrivals(self, ai: int) -> None:
+        """Hand the sampler, in one call, the uncovered arrivals the
+        cursor passed since the last call (up to index *ai*).  Only a
+        tick reads the sampler, so recording a tick's arrivals at once
+        leaves it exactly as one ``record`` per arrival would."""
+        lo = self._sampled
+        if ai <= lo:
+            return
+        times = self._arr_times[lo:ai]
+        if self.blackout is not None:
+            # Blackout-covered arrivals (app -1) never reach the sampler.
+            app = np.frombuffer(self._arr_app, dtype=np.int64)[lo:ai]
+            times = np.frombuffer(times)[app >= 0]
+        self.sampler.record_many(times)
+        self._sampled = ai
 
     # -- the merged run loop -------------------------------------------
 
@@ -632,19 +661,20 @@ class VectorEngine:
         shed_on = self.shed_on
         terminal = self._terminal
         completed = self._completed_order
-        sampler_record = self.sampler.record
+        least_free = _least_free
         interval = self.config.monitor_interval_ms
+        # The next arrival's time, read once per arrival (inf past the
+        # last one, which no heap time equals).
+        at = times[ai] if ai < n_arr else math.inf
         while True:
-            take_arrival = False
-            at = 0.0
-            if ai < n_arr:
-                at = times[ai]
-                if not heap:
-                    take_arrival = True
-                else:
-                    h0 = heap[0]
-                    if at < h0[0] or (at == h0[0] and a_seq < h0[1]):
-                        take_arrival = True
+            if heap:
+                h0 = heap[0]
+                now = h0[0]
+                take_arrival = at < now or (at == now and a_seq < h0[1])
+            elif ai < n_arr:
+                take_arrival = True
+            else:
+                break
             if take_arrival:
                 if at > until:
                     break
@@ -652,11 +682,13 @@ class VectorEngine:
                 # cursor reschedules itself first, so events pushed by
                 # the arrival get later sequence numbers than the next
                 # arrival's).
+                t = at
                 idx = ai
                 ai += 1
+                at = times[ai] if ai < n_arr else math.inf
                 a_seq = self._seq
                 self._seq += 1
-                self.now = at
+                self.now = t
                 executed += 1
                 self._created += 1
                 a = arr_app[idx]
@@ -666,7 +698,8 @@ class VectorEngine:
                     self._gateway_shed += 1
                     self._blackout_lost += 1
                     continue
-                sampler_record(at)
+                # The sampler gets this arrival at the next tick
+                # (``_sample_arrivals``).
                 if shed_on:
                     if self._deadline_expired(a):
                         self._gateway_shed += 1
@@ -674,7 +707,7 @@ class VectorEngine:
                         continue
                     j = len(job_app)
                     job_app.append(a)
-                    job_arrival.append(at)
+                    job_arrival.append(t)
                     job_completion.append(-1.0)
                     job_base.append(len(rec_enq))
                     nst = app_nst[a]
@@ -685,13 +718,9 @@ class VectorEngine:
                     self.rec_cold.extend([0.0] * nst)
                 else:
                     j = arr_job[idx]
-                heappush(heap, (at + app_over[a], self._seq, K_ENQ, j, 0))
+                heappush(heap, (t + app_over[a], self._seq, K_ENQ, j, 0))
                 self._seq += 1
                 continue
-            if not heap:
-                break
-            h0 = heap[0]
-            now = h0[0]
             if now > until:
                 break
             heappop(heap)
@@ -716,13 +745,29 @@ class VectorEngine:
                         continue
                 r = job_base[j] + s
                 rec_enq[r] = now
-                if pool.lsf:
-                    key = (job_arrival[j] + app_slo[a]) - app_rw[a][s]
-                    heappush(pool.q, (key, pool.qn, j, s))
-                    pool.qn += 1
+                q = pool.q
+                backlog = True if q else pool.spawn_on_demand
+                # Same-instant dispatch: a task entering an empty queue
+                # (with no backlog spawn to run first) would be pushed
+                # and popped straight back out, so the one scan places
+                # it; when nothing has room it is queued, and a second
+                # scan would find nothing either.
+                c = None if backlog else least_free(pool.containers)
+                if c is not None:
+                    c.lq.append((j, s))
+                    c.free -= 1
+                    if c.state == S_IDLE and c.cur_r < 0:
+                        self.start_next(c)
+                    else:
+                        pool.waiting.append(r)
                 else:
-                    pool.q.append((j, s))
-                pool.waiting.append(r)
+                    if pool.lsf:
+                        key = (job_arrival[j] + app_slo[a]) - app_rw[a][s]
+                        heappush(q, (key, pool.qn, j, s))
+                        pool.qn += 1
+                    else:
+                        q.append((j, s))
+                    pool.waiting.append(r)
                 pool.enq_n += 1
                 re = pool.recent_enq
                 re.append(now)
@@ -735,9 +780,10 @@ class VectorEngine:
                     del re[:h]
                     h = 0
                 pool.ehead = h
-                if pool.spawn_on_demand:
-                    pool._spawn_for_backlog()
-                self.dispatch_pool(pool)
+                if backlog:
+                    if pool.spawn_on_demand:
+                        pool._spawn_for_backlog()
+                    self.dispatch_pool(pool)
             elif kind == K_COMPLETE:
                 c = h0[3]
                 if c.state == S_DEAD:
@@ -752,6 +798,7 @@ class VectorEngine:
                 c.tasks_executed += 1
                 c.last_used_ms = now
                 c.cur_r = -1
+                c.free += 1
                 if c.lq:
                     self.start_next(c)
                 else:
@@ -782,7 +829,8 @@ class VectorEngine:
                     heappush(heap,
                              (now + app_over[a], self._seq, K_ENQ, j, s + 1))
                     self._seq += 1
-                self.dispatch_pool(pool)
+                if pool.q:
+                    self.dispatch_pool(pool)
             elif kind == K_READY:
                 c = h0[3]
                 if c.state == S_DEAD:
@@ -793,6 +841,7 @@ class VectorEngine:
                 if c.state == S_IDLE and c.cur_r < 0 and c.lq:
                     self.start_next(c)
             elif kind == K_TICK:
+                self._sample_arrivals(ai)
                 self._tick(now)
                 heappush(heap, (now + interval, self._seq, K_TICK, 0, 0))
                 self._seq += 1
@@ -806,6 +855,9 @@ class VectorEngine:
         self._a_seq = a_seq
         self._events = executed
         self.now = until
+        # Between epochs (the sharded sim reconciles there) the sampler
+        # holds every arrival so far, as it would with one call each.
+        self._sample_arrivals(ai)
 
     @property
     def in_flight(self) -> int:

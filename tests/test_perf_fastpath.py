@@ -1,7 +1,7 @@
 """Simulator fast-path tests: EventQueue invariants under cancellation
-churn and ``later`` timers (hypothesis), the pool's early-exit container
-selection, heap-compaction guards, bulk-arrival stream cursors, and
-coalesced tickers."""
+churn and ``later`` timers (hypothesis), both engines' early-exit
+container selection, heap-compaction guards, bulk-arrival stream
+cursors, and coalesced tickers."""
 
 from types import SimpleNamespace
 
@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.container import ContainerState
+from repro.runtime.vector import (
+    S_BUSY, S_DEAD, S_IDLE, S_SPAWNING, VectorContainer, _least_free,
+)
 from repro.sim.engine import Event, EventQueue, SimulationError, Simulator
 from repro.sim.process import CoalescedTicker
 from repro.workflow.pool import FunctionPool
@@ -182,6 +185,34 @@ class TestGreedySelection:
                        default=None)
         pool = SimpleNamespace(containers=containers)
         assert FunctionPool._select_container(pool) is expected
+
+    @given(_containers)
+    @settings(max_examples=200, deadline=None)
+    def test_vector_scan_equals_full_scan(self, specs):
+        """The vector engine's scan, reading each container's ``free``
+        tally, picks what the full scan picks: least free slots, then
+        first in list order, among ready containers with a free slot."""
+        as_int = {
+            ContainerState.SPAWNING: S_SPAWNING, ContainerState.IDLE: S_IDLE,
+            ContainerState.BUSY: S_BUSY, ContainerState.CRASHED: S_DEAD,
+            ContainerState.TERMINATED: S_DEAD,
+        }
+        containers = []
+        for cid, (state, batch, queued, busy, _) in enumerate(specs):
+            c = VectorContainer(cid, batch, None, None, 0.0, 0.0)
+            c.state = as_int[state]
+            c.lq.extend([(0, 0)] * queued)
+            c.cur_r = 0 if busy else -1
+            c.free = batch - queued - busy
+            containers.append(c)
+
+        def free(c):
+            return c.batch - len(c.lq) - (c.cur_r >= 0)
+
+        ready = [c for c in containers
+                 if c.state in (S_IDLE, S_BUSY) and free(c) > 0]
+        expected = min(ready, key=lambda c: (free(c), c.cid), default=None)
+        assert _least_free(containers) is expected
 
 
 class TestCompactionGuard:

@@ -190,6 +190,11 @@ def test_one_script_same_readings_and_series(scheduling):
     for sim_label, vec_label in zip(script(sim), script(vec)):
         assert sim_label == vec_label
         assert readings(sim.pool) == readings(vec.pool), sim_label
+        # The vector engine's free-slot tally never drifts from what it
+        # stands for.
+        assert [c.free for c in vec.pool.containers] == [
+            c.batch - len(c.lq) - (c.cur_r >= 0)
+            for c in vec.pool.containers], sim_label
         finished = sim_label == "finished"
         assert (pool_series(sim.registry, lazy=finished)
                 == pool_series(vec.registry, lazy=finished)), sim_label
@@ -211,7 +216,7 @@ VECTOR_OVERRIDES = {
     "queue_length": "the queue is a heap/deque of (job, stage) index pairs",
     "live_containers": "container state is a plain int, not ContainerState",
     "n_containers": "a tally the hot loop keeps, instead of a scan",
-    "free_slots": "inlined scan over flat records (dispatch-path read)",
+    "free_slots": "sum of the containers' free-slot tallies",
     "pending_capacity": "inlined scan over flat records",
     "recent_arrival_rate_rps": "head-pointer window: deques cost "
                                "sim-vector-wiki 11 % jobs_per_s (DESIGN 13)",

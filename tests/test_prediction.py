@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.prediction import (
     DeepARPredictor,
@@ -19,6 +20,7 @@ from repro.prediction import (
 )
 from repro.prediction.evaluate import train_test_split
 from repro.prediction.nn import Adam, SeriesScaler, clip_gradients, sliding_windows
+from repro.prediction.windowed import WindowedMaxSampler
 from repro.traces import poisson_trace, wiki_trace
 
 
@@ -225,6 +227,49 @@ class TestWindowedMaxSeries:
         trace = poisson_trace(10.0, 60.0, seed=0)
         with pytest.raises(ValueError):
             windowed_max_series(trace, interval_ms=5000.0, window_ms=10_000.0)
+
+
+def _small_sampler():
+    # Horizon 30 ms behind the newest arrival, so runs of a few dozen
+    # milliseconds prune.
+    return WindowedMaxSampler(interval_ms=10.0, window_ms=5.0, lookback_ms=20.0)
+
+
+#: Runs of non-negative gaps (0 makes ties); a run may be empty.
+_gap_runs = st.lists(
+    st.lists(st.sampled_from((0.0, 0.0, 0.25, 1.5, 7.0, 31.0)), max_size=12),
+    max_size=8,
+)
+
+
+class TestWindowedMaxSampler:
+    @given(_gap_runs)
+    @settings(max_examples=200, deadline=None)
+    def test_record_many_leaves_the_deque_record_leaves(self, runs):
+        one, many = _small_sampler(), _small_sampler()
+        t = 0.0
+        for gaps in runs:
+            run = []
+            for gap in gaps:
+                t += gap
+                run.append(t)
+            for at in run:
+                one.record(at)
+            many.record_many(np.array(run))
+            assert list(many._arrivals) == list(one._arrivals)
+            assert all(type(x) is float for x in many._arrivals)
+
+    def test_out_of_order_raises_as_record_does(self):
+        sampler = _small_sampler()
+        sampler.record_many([1.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match="time order"):
+            sampler.record(1.5)
+        with pytest.raises(ValueError, match="time order"):
+            sampler.record_many([1.5, 3.0])
+        with pytest.raises(ValueError, match="time order"):
+            sampler.record_many([3.0, 2.5])
+        # A refused run records nothing.
+        assert list(sampler._arrivals) == [1.0, 2.0, 2.0]
 
 
 class TestEvaluation:

@@ -249,6 +249,42 @@ class TestParityGrid:
         )
 
 
+class TestSampler:
+    """The vector engine hands the arrival sampler a tick's arrivals in
+    one call; the event loop records them one by one."""
+
+    @pytest.mark.parametrize(
+        "faults", [FaultTimeline(), FaultTimeline.parse("blackout@5:12")],
+        ids=["plain", "blackout"])
+    def test_sampler_holds_what_the_event_loop_recorded(self, faults):
+        summaries, arrivals = {}, {}
+        for engine in ENGINE_PAIR:
+            system = ServerlessSystem(
+                config=make_policy_config("fifer", proactive_predictor="ewma"),
+                mix=get_mix("medium"),
+                cluster_spec=ClusterSpec(n_nodes=5, cores_per_node=16),
+                seed=9, faults=faults, engine=engine)
+            result = system.run(make_trace("poisson", 15.0, 25.0, 9))
+            summaries[engine] = result.summary()
+            arrivals[engine] = list(system.sampler._arrivals)
+        assert summaries["vector"] == summaries["fast"]
+        assert arrivals["fast"] and arrivals["vector"] == arrivals["fast"]
+
+    @pytest.mark.parametrize("policy", ["rscale", "fifer"])
+    def test_monitor_interval_below_the_sample_window(self, policy):
+        """A 2 s interval is sampled in one 2 s window; the sampler used
+        to refuse it (window longer than the interval) and crash every
+        run while the system was built, whatever the policy."""
+        summary = _assert_engines_agree(
+            policy, duration=20.0, monitor_interval_ms=2000.0)
+        assert summary["jobs"] > 0
+        system = ServerlessSystem(
+            config=make_policy_config("rscale", monitor_interval_ms=2000.0),
+            mix=get_mix("heavy"), seed=3)
+        system._build_substrate()
+        assert system.sampler.window_ms == 2000.0
+
+
 class TestRandomWorkloadProperty:
     @given(
         policy=st.sampled_from(sorted(EXTENDED_POLICY_NAMES)),
