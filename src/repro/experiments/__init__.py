@@ -11,6 +11,11 @@
   experiments (Figures 13, 14, 16) on Wiki-like and WITS-like arrivals.
 * :mod:`repro.experiments.features` — Table 6's feature matrix.
 * :mod:`repro.experiments.report` — plain-text table rendering.
+* :mod:`repro.experiments.runner` — the one way to repeat or sweep a
+  run: scenarios (one per :func:`derive_seeds` seed, or
+  :func:`sweep_specs`) through :class:`ExperimentRunner`, parallel and
+  cached, folded by :func:`aggregate_summaries`;
+  :func:`sweep_config_field` is the in-process one-knob sweep.
 
 Scaled-down defaults: the paper's runs span hours on up to 2500 cores;
 the defaults here shrink rates/durations (documented per function) so
@@ -50,29 +55,17 @@ from repro.experiments.ablations import (
     slo_sensitivity,
 )
 from repro.experiments.scaling_study import container_savings, run_scaling_study
-from repro.experiments.repeats import (
-    MetricStats,
-    aggregate,
-    aggregate_summaries,
-    repeated_runs,
-    repeated_summaries,
-)
+from repro.experiments.repeats import MetricStats, aggregate_summaries
 from repro.experiments.runner import (
     ExperimentRunner,
     TrialResult,
     config_hash,
     derive_seeds,
-    repeat_specs,
     run_trial,
-    summaries_json,
     sweep_specs,
 )
 from repro.experiments.summary import ReportScale, generate_report
-from repro.experiments.sweeps import (
-    metric_curve,
-    sweep_config_field,
-    sweep_config_field_parallel,
-)
+from repro.experiments.sweeps import sweep_config_field
 
 __all__ = [
     "figure2_rows",
@@ -101,21 +94,14 @@ __all__ = [
     "container_savings",
     "run_scaling_study",
     "MetricStats",
-    "aggregate",
     "aggregate_summaries",
-    "repeated_runs",
-    "repeated_summaries",
     "ExperimentRunner",
     "TrialResult",
     "config_hash",
     "derive_seeds",
-    "repeat_specs",
     "run_trial",
-    "summaries_json",
     "sweep_specs",
     "ReportScale",
     "generate_report",
-    "metric_curve",
     "sweep_config_field",
-    "sweep_config_field_parallel",
 ]

@@ -248,41 +248,6 @@ class ExperimentRunner:
             path, json.dumps(payload, sort_keys=True, indent=1), fsync=False)
 
 
-def summaries_json(results: Sequence[TrialResult]) -> str:
-    """Canonical JSON for a result batch (determinism comparisons).
-
-    Excludes provenance (``wall_s``, ``from_cache``) so serial, parallel
-    and cache-replayed batches of the same specs serialize identically.
-    """
-    payload = [
-        {"key": r.key, "spec": r.spec.canonical(), "summary": r.summary}
-        for r in results
-    ]
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def repeat_specs(
-    policy: str,
-    base_seed: Optional[int] = None,
-    seeds: Optional[Sequence[int]] = None,
-    repeats: int = 5,
-    **spec_kwargs,
-) -> List[Scenario]:
-    """Specs for a repeat batch: one trial per seed.
-
-    Either pass explicit ``seeds`` or a ``base_seed`` from which
-    *repeats* seeds are derived via :func:`derive_seeds`.
-    """
-    if seeds is None:
-        if base_seed is None:
-            raise ValueError("pass either seeds or base_seed")
-        seeds = derive_seeds(base_seed, repeats)
-    return [
-        Scenario.make(policy, seed=int(seed), **spec_kwargs)
-        for seed in seeds
-    ]
-
-
 def sweep_specs(
     policy: str,
     field_name: str,

@@ -59,7 +59,6 @@ NO_REBALANCE_MS = 1e12
 
 _COMMON = dict(
     policy="rscale",
-    engine="vector",
     idle_timeout_ms=60_000.0,
     skew_threshold=1.2,
 )
@@ -102,9 +101,9 @@ def run_shard_study(quick: bool = False, seed: int = 7,
     """Run every arm of the flash-crowd study and derive the verdicts.
 
     The trace length is fixed at 180 s: shorter crowds are absorbed by
-    even the single gateway (no violations to compare), and each vector
-    run takes well under a second anyway.  ``quick`` skips the largest
-    uniform arm.
+    even the single gateway (no violations to compare), and each arm
+    takes under a second on the event loop anyway.  ``quick`` skips the
+    largest uniform arm.
     """
     duration_s = 180.0
     mix = get_mix("medium")
@@ -113,7 +112,7 @@ def run_shard_study(quick: bool = False, seed: int = 7,
     spec = ClusterSpec(**CLUSTER)
     policy = _COMMON["policy"]
     sim_kwargs = dict(
-        cluster_spec=spec, seed=seed, engine=_COMMON["engine"],
+        cluster_spec=spec, seed=seed,
         idle_timeout_ms=_COMMON["idle_timeout_ms"],
     )
 

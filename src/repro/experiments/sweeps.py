@@ -9,26 +9,14 @@ the metric curves, so each choice's operating range can be mapped.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.policies import RMConfig
-from repro.experiments.runner import ExperimentRunner, sweep_specs
+from repro.experiments.runner import sweep_specs
 from repro.runtime.system import ClusterSpec
-from repro.scenario import SCALED_IDLE_TIMEOUT_MS, Scenario
+from repro.scenario import SCALED_IDLE_TIMEOUT_MS
 from repro.traces import step_poisson_trace
 from repro.traces.base import ArrivalTrace
-
-
-def _grid(policy: str, field: str, values: Sequence, **members
-          ) -> List[Scenario]:
-    """One scenario per value of *field*, refused before anything runs
-    when ``RMConfig`` has no such field or does not admit a value."""
-    if not values:
-        raise ValueError("need at least one value to sweep")
-    grid = sweep_specs(policy, field, values, **members)
-    for scenario in grid:
-        scenario.config()
-    return grid
 
 
 def sweep_config_field(
@@ -49,66 +37,22 @@ def sweep_config_field(
     otherwise; the trace's measured mean rate stands in for a nominal
     one.
     """
+    if not values:
+        raise ValueError("need at least one value to sweep")
     trace = trace if trace is not None else step_poisson_trace(
         50.0, 240.0, variation=0.4, seed=seed
     )
-    grid = _grid(
+    grid = sweep_specs(
         policy, field, values, mix=mix_name, trace=trace,
         rate_rps=trace.mean_rate_rps, cluster=cluster_spec or ClusterSpec(),
         seed=seed, overrides=tuple({
             "idle_timeout_ms": RMConfig.idle_timeout_ms,
             **(base_overrides or {})}.items()))
+    for scenario in grid:
+        # Refused before anything runs: RMConfig has no such field, or
+        # does not admit one of the values.
+        scenario.config()
     return {value: scenario.run() for value, scenario in zip(values, grid)}
-
-
-def sweep_config_field_parallel(
-    policy: str,
-    field: str,
-    values: Sequence,
-    mix_name: str = "heavy",
-    trace_kind: str = "step-poisson",
-    rate_rps: float = 50.0,
-    duration_s: float = 240.0,
-    nodes: int = 5,
-    seed: int = 5,
-    base_overrides: Optional[Dict] = None,
-    workers: int = 1,
-    cache_dir=None,
-    use_cache: bool = True,
-) -> Dict:
-    """Parallel/cached variant of :func:`sweep_config_field`.
-
-    Returns ``{value: summary_dict}`` (not RunResult objects — the
-    trials may have run in other processes or been replayed from the
-    disk cache).  All points share the trace kind/rate/seed so the
-    curve still isolates the knob under study.
-    """
-    grid = _grid(
-        policy, field, values, mix=mix_name, trace_kind=trace_kind,
-        rate_rps=rate_rps, duration_s=duration_s, seed=seed, nodes=nodes,
-        overrides=tuple((base_overrides or {}).items()))
-    runner = ExperimentRunner(
-        workers=workers, cache_dir=cache_dir, use_cache=use_cache
-    )
-    return dict(zip(values, runner.run_summaries(grid)))
-
-
-def metric_curve(
-    results: Dict, metric: str = "slo_violation_rate"
-) -> List[tuple]:
-    """Extract ``[(value, metric), ...]`` rows from a sweep result.
-
-    Accepts both RunResult sweeps (:func:`sweep_config_field`) and
-    summary-dict sweeps (:func:`sweep_config_field_parallel`).
-    """
-    rows = []
-    for value, result in results.items():
-        if isinstance(result, dict):
-            rows.append((value, result[metric]))
-            continue
-        attr = getattr(result, metric)
-        rows.append((value, attr() if callable(attr) else attr))
-    return rows
 
 
 def monitor_interval_sweep(

@@ -36,6 +36,11 @@ from repro.prediction.base import Predictor
 #: APE assigned to an evaluation whose forecast was unusable (NaN/inf
 #: or the predictor raised) — large enough to trip any sane threshold.
 DIVERGENCE_APE = 1e9
+#: Evaluations the window MAPE averages over (six monitor intervals).
+MAPE_WINDOW = 6
+#: A forecast this many times off its actual is a divergence, not an
+#: error to average.
+DIVERGENCE_FACTOR = 20.0
 
 
 class ForecastHealthMonitor:
@@ -43,10 +48,10 @@ class ForecastHealthMonitor:
 
     One evaluation happens per :meth:`record` call (one forecast scored
     against one actual).  The window MAPE is the mean absolute
-    percentage error over the last ``window`` evaluations; an
+    percentage error over the last :data:`MAPE_WINDOW` evaluations; an
     evaluation is *unhealthy* when that MAPE exceeds
     ``mape_threshold``, or instantly when the forecast itself was
-    non-finite / diverged beyond ``divergence_factor`` times the
+    non-finite / diverged beyond :data:`DIVERGENCE_FACTOR` times the
     actual.
 
     Hysteresis: ``fallback_active`` flips only after ``hysteresis``
@@ -56,26 +61,15 @@ class ForecastHealthMonitor:
     no-flap property the test suite asserts).
     """
 
-    def __init__(
-        self,
-        mape_threshold: float = 0.5,
-        window: int = 6,
-        hysteresis: int = 2,
-        divergence_factor: float = 20.0,
-    ) -> None:
+    def __init__(self, mape_threshold: float = 0.5,
+                 hysteresis: int = 2) -> None:
         if not mape_threshold > 0:
             raise ValueError("mape_threshold must be positive")
-        if window < 1:
-            raise ValueError("window must be >= 1")
         if hysteresis < 1:
             raise ValueError("hysteresis must be >= 1")
-        if divergence_factor <= 1.0:
-            raise ValueError("divergence_factor must exceed 1")
         self.mape_threshold = mape_threshold
-        self.window = window
         self.hysteresis = hysteresis
-        self.divergence_factor = divergence_factor
-        self._errors: Deque[float] = deque(maxlen=window)
+        self._errors: Deque[float] = deque(maxlen=MAPE_WINDOW)
         self._consecutive_bad = 0
         self._consecutive_good = 0
         self.fallback_active = False
@@ -116,7 +110,7 @@ class ForecastHealthMonitor:
             return DIVERGENCE_APE
         denom = max(abs(actual), 1e-9)
         ape = abs(forecast - actual) / denom
-        if ape >= self.divergence_factor:
+        if ape >= DIVERGENCE_FACTOR:
             return DIVERGENCE_APE
         return ape
 
@@ -156,16 +150,10 @@ class GuardedPredictor(Predictor):
     proactive scaler stops acting on forecasts until the guard re-arms.
     """
 
-    def __init__(
-        self,
-        base: Predictor,
-        monitor: Optional[ForecastHealthMonitor] = None,
-        **monitor_kwargs,
-    ) -> None:
-        if monitor is not None and monitor_kwargs:
-            raise ValueError("pass either a monitor or its kwargs, not both")
+    def __init__(self, base: Predictor, mape_threshold: float = 0.5,
+                 hysteresis: int = 2) -> None:
         self.base = base
-        self.monitor = monitor or ForecastHealthMonitor(**monitor_kwargs)
+        self.monitor = ForecastHealthMonitor(mape_threshold, hysteresis)
         self.name = f"guarded({base.name})"
         self.trainable = base.trainable
         #: One-step forecast awaiting its ground-truth observation.

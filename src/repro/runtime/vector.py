@@ -348,8 +348,9 @@ class VectorPool(PoolSurface):
 class VectorEngine:
     """One run of one system over one trace, flattened.
 
-    Steppable: the sharded sim constructs one per shard and drives them
-    epoch by epoch via ``step_until``.
+    :meth:`run` drives :meth:`step_until` epoch by epoch.  A sharded
+    plane runs one engine per shard only in process fan-out, where each
+    shard is a whole run of its own.
     """
 
     def __init__(self, system, trace) -> None:
@@ -627,11 +628,8 @@ class VectorEngine:
     def step_until(self, until: float) -> None:
         """Advance the merged run loop to *until* (one monitor epoch).
 
-        The public stepping surface: the sharded sim interleaves N
-        engines by stepping each to the same boundary, reconciling them
-        through the global orchestrator between epochs.  ``run()`` below
-        is exactly this primitive in a loop, so a 1-shard stepped run
-        replays the solo path.
+        ``run()`` below is exactly this primitive in a loop, so a run
+        stepped by hand replays the solo path.
         """
         self._check_live()
         heap = self._heap
@@ -855,8 +853,8 @@ class VectorEngine:
         self._a_seq = a_seq
         self._events = executed
         self.now = until
-        # Between epochs (the sharded sim reconciles there) the sampler
-        # holds every arrival so far, as it would with one call each.
+        # Between epochs the sampler holds every arrival so far, as it
+        # would with one call each.
         self._sample_arrivals(ai)
 
     @property

@@ -179,6 +179,11 @@ class Shards:
             raise ValueError(
                 f"stage_routing must be 'local' or 'hash', "
                 f"got {self.stage_routing!r}")
+        for name in ("workers", "heartbeat_miss_threshold",
+                     "failover_hysteresis"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if self.heartbeat_interval_ms <= 0:
             raise ValueError("heartbeat_interval_ms must be positive")
         # ``not x > bound`` also refuses NaN.
@@ -227,7 +232,9 @@ class Scenario:
     wall clock.  ``engine`` ("fast" | "vector" | None for the default)
     is deliberately NOT part of :meth:`canonical` — every engine
     produces a bit-identical summary (``tests/test_vector_parity.py``),
-    so trials share cache entries across engines.
+    so trials share cache entries across engines.  A sharded plane keeps
+    that premise by having one in-process driver, the event loop: it
+    runs vector shards only in process fan-out, one engine per shard.
     """
 
     policy: str
@@ -351,15 +358,18 @@ class Scenario:
             raise ValueError("drain_ms must be >= 0")
         if plane == "sim-sharded":
             hashed = shards.stage_routing == "hash"
+            if (shards.workers == 1
+                    and resolve_engine(self.engine) == ENGINE_VECTOR):
+                raise ValueError(
+                    "engine='vector' shards run only in process fan-out "
+                    "(shard_workers > 1): the in-process plane is the "
+                    "event-loop one")
             for what, wanted in (("shard faults", bool(timeline)),
                                  ("hash stage routing", hashed)):
                 if wanted and shards.workers > 1:
                     raise ValueError(
                         f"{what} need the in-process plane (shard_workers=1)"
                         ": isolated processes share no ring, clock or journal")
-                if wanted and resolve_engine(self.engine) == ENGINE_VECTOR:
-                    raise ValueError(
-                        f"{what} are an event-loop feature; use engine='fast'")
             if timeline and hashed:
                 raise ValueError(
                     "shard faults with hash stage routing are unsupported: "

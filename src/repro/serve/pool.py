@@ -4,9 +4,10 @@ A :class:`WorkerSlot` *is* a :class:`repro.cluster.container.Container`:
 the cold start, the batch-size local queue, one execution at a time,
 the exec-time-then-fate draw order and every counter are the
 simulator's own state machine running against the scaled wall clock.
-The slot overrides only how one execution is launched and settled: the
-work runs on a thread-pool executor, its done-callback hops back to the
-event loop, and one timer enforces the execution timeout.  There is no
+The slot overrides only how one execution is launched and settled: a
+work function runs on a thread-pool executor, its done-callback hops
+back to the event loop, and one timer enforces the execution timeout;
+without a work function one timer ends the execution.  There is no
 per-slot coroutine — the slot lives entirely in loop callbacks.
 
 Workers are *supervised*: a work-function exception, an enforced
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import time
 from concurrent.futures import Executor, Future
 from functools import partial
 from typing import Callable, Optional, TYPE_CHECKING
@@ -46,21 +46,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 logger = logging.getLogger(__name__)
 
-#: Executed on the executor for each task: (task, wall_seconds).  The
-#: default models opaque blocking work by sleeping; deployments plug in
-#: real handlers here.
+#: Executed on the executor for each task: (task, wall_seconds).
+#: Deployments plug in real handlers here; without one, a task's work is
+#: its span on the scaled clock and occupies no thread.
 WorkFn = Callable[["Task", float], None]
 
 #: Wall-clock grace added to every per-task execution timeout: it
 #: absorbs executor queueing and event-loop jitter, which compressed
 #: clocks would otherwise amplify into false hang verdicts.
 TIMEOUT_FLOOR_WALL_S = 1.0
-
-
-def default_work(task: "Task", wall_s: float) -> None:
-    """Stand-in for the microservice's real work: block for its span."""
-    if wall_s > 0:
-        time.sleep(wall_s)
 
 
 class WorkerSlot(Container):
@@ -84,7 +78,7 @@ class WorkerSlot(Container):
     ) -> None:
         self.clock = clock
         self.executor = executor
-        self._work = work or default_work
+        self._work = work
         self.stage_slack_ms = stage_slack_ms
         self.chaos = chaos
         self._loop = loop or asyncio.get_running_loop()
@@ -138,6 +132,13 @@ class WorkerSlot(Container):
             self._call_later(
                 exec_ms * self.chaos.crash_point, self._settle, task, "crash"
             )
+            return
+        if fate != FATE_HANG and self._work is None:
+            # No handler: the work is its span, so a loop timer ends it.
+            # A thread that sleeps and then hops back to the loop would
+            # add its wake-up latency to every execution, and a
+            # compressed clock multiplies that into model-time queueing.
+            self._call_later(exec_ms, self._settle, task, None)
             return
         self._timer = self._loop.call_later(
             self._timeout_wall_s(task, exec_ms),

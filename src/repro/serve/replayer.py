@@ -14,6 +14,7 @@ tight.
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
 from typing import Callable, List, Tuple, Union
 
@@ -82,7 +83,15 @@ class TraceReplayer:
         clock.start()
         self.replayed_ms = []
         for planned in self._plan:
-            await clock.sleep_until_ms(planned.time_ms)
+            if planned.time_ms > clock.now:
+                await clock.sleep_until_ms(planned.time_ms)
+            else:
+                # Behind the plan, sleep_until_ms would return without
+                # yielding: yield once per arrival anyway, or a replay
+                # that has fallen behind admits the whole rest of the
+                # trace in one step while no completion, tick or fault
+                # can run.
+                await asyncio.sleep(0)
             # The app comes from the plan (drawn eagerly from the seeded
             # stream), not the gateway's own rng, so a replay is
             # deterministic regardless of wall-clock jitter.

@@ -488,10 +488,10 @@ class ServingRuntime:
         try:
             self._build(executor)
             assert self.clock is not None and self.gateway is not None
-            # The plan is a per-arrival loop: built before the clock
-            # starts, or the first arrivals are late by its length.
+            # The plan, the prewarm and the opening checkpoint (an
+            # fsync) happen before the clock starts, or the first
+            # arrivals are late by their length.
             self.replayer = TraceReplayer(trace, self.mix, seed=self.seed)
-            self.clock.start()
             # Start from steady state, exactly like the simulator.
             prewarm_opening_capacity(
                 self.pools, trace, self.config, self.stage_shares)
@@ -499,6 +499,7 @@ class ServingRuntime:
             # must still find the post-prewarm pool sizes on disk.
             if self.checkpointer is not None:
                 self.checkpointer.maybe(self.clock.now, self._snapshot)
+            self.clock.start()
             self.control.start()
             self._apply_recovered_plan()
             fault_replay = loop.create_task(

@@ -17,7 +17,6 @@ traces stay byte-identical.
 from repro.shard.ring import ConsistentHashRing
 from repro.shard.failover import (
     EpochLease,
-    OrchestratorSupervisor,
     ShardHealthMonitor,
     assign_takeover,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ConsistentHashRing",
     "EpochLease",
     "GlobalOrchestrator",
-    "OrchestratorSupervisor",
     "ShardHealthMonitor",
     "ShardLoadReport",
     "ShardedRunResult",

@@ -12,11 +12,6 @@ supplies the pieces the two planes (sim and live) survive it with:
   takeover: it is acquired only once the holder is stale *or* its pid
   is gone, and every acquisition bumps the epoch so a zombie holder's
   renewals are fenced off.
-* :class:`OrchestratorSupervisor` — the sim plane's primary/standby
-  orchestrator pair: at the scripted ``kill-orchestrator`` instant the
-  standby re-derives shard pressure from the sharded
-  :class:`~repro.workflow.sharded_store.ShardedStateStore` (the same
-  channel the reports were published through).
 * :func:`assign_takeover` — deterministic split of a dead shard's
   recovered jobs across the survivors using the *remapped* ring, so
   sim, live, and the property tests all agree on who owns what.
@@ -31,7 +26,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.obs.export import atomic_write_text
 from repro.obs.registry import MetricsRegistry
@@ -45,7 +41,6 @@ LEASE_TTL_MS = 10_000.0
 __all__ = [
     "ShardHealthMonitor",
     "EpochLease",
-    "OrchestratorSupervisor",
     "assign_takeover",
 ]
 
@@ -219,63 +214,20 @@ class EpochLease:
         return True
 
 
-class OrchestratorSupervisor:
-    """Primary/standby orchestrator pair (the sim plane's).
-
-    Delegates each :meth:`reconcile` to the active orchestrator.  At
-    the scripted instant ``fail_primary_at_ms`` (the timeline's
-    ``kill-orchestrator``) the standby takes over: it restores pressure
-    state from the sharded store (the reports the primary already
-    published).  The takeover is unfenced — the dead primary is simply
-    never called again; only the live plane's shard takeover takes an
-    :class:`EpochLease`.
-    """
-
-    def __init__(
-        self,
-        primary,
-        standby,
-        fail_primary_at_ms: Optional[float] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.primary = primary
-        self.standby = standby
-        self.fail_primary_at_ms = fail_primary_at_ms
-        self.registry = registry or MetricsRegistry()
-        self.active = primary
-        self._c_failovers = self.registry.counter(
-            "orchestrator_failovers_total")
-
-    @property
-    def failed_over(self) -> bool:
-        return self.active is not self.primary
-
-    def _primary_dead(self, now_ms: float) -> bool:
-        return (self.fail_primary_at_ms is not None
-                and now_ms >= self.fail_primary_at_ms)
-
-    def reconcile(self, now_ms: float) -> Dict[str, float]:
-        if not self.failed_over and self._primary_dead(now_ms):
-            self.active = self.standby
-            restore = getattr(self.standby, "restore_from_store", None)
-            if restore is not None:
-                restore()
-            self._c_failovers.inc()
-        return self.active.reconcile(now_ms)
-
-
 def assign_takeover(
     entries: Iterable[JournaledJob],
     ring: ConsistentHashRing,
+    key: Callable[[JournaledJob], int] = attrgetter("job_id"),
 ) -> Dict[int, List[JournaledJob]]:
     """Split a dead shard's recovered jobs across the remapped ring.
 
-    Deterministic: each entry goes to ``ring.shard_for(job_id)`` on the
-    *post-removal* ring, so every participant (sim plane, live plane,
-    property tests) derives the identical exactly-once assignment.
+    Deterministic: each entry goes to ``ring.shard_for(key(entry))`` on
+    the *post-removal* ring — its job id, or the sim plane's request id
+    (in-process shards share one job-id counter) — so every participant
+    derives the identical exactly-once assignment.
     """
     assignment: Dict[int, List[JournaledJob]] = {}
     for entry in entries:
-        owner = ring.shard_for(entry.job_id)
+        owner = ring.shard_for(key(entry))
         assignment.setdefault(owner, []).append(entry)
     return assignment

@@ -178,20 +178,6 @@ class GlobalOrchestrator:
             self.shards.append(handle)
             self.shards.sort(key=lambda s: s.shard_id)
 
-    def restore_from_store(self) -> Dict[int, float]:
-        """Re-derive per-shard pressure from the published reports.
-
-        The warm-standby path: a fresh orchestrator (no in-memory
-        state) reads back the last reports the failed primary wrote
-        through the sharded store, so its first reconcile starts from
-        the fleet's real pressure picture instead of zeros.
-        """
-        live = {s.shard_id for s in self.shards}
-        return {
-            r.shard_id: r.pressure
-            for r in self._read_reports() if r.shard_id in live
-        }
-
     def reconcile(self, now_ms: float) -> Dict[str, float]:
         """One orchestration tick, fault-contained.
 

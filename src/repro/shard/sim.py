@@ -6,25 +6,24 @@ Two execution modes behind :func:`run_plane`, the run body of a
 plane is the single-gateway one and no shard machinery touches the run,
 which keeps that path and its golden traces bit-identical):
 
-* **In-process orchestrated** (the default) — N systems,
+* **In-process orchestrated** (the default) — N event-loop systems,
   each owning a consistent-hash slice of the request ids and a
-  full-size cluster with only its granted nodes uncordoned, stepped on
-  one clock with the :class:`~repro.shard.orchestrator
-  .GlobalOrchestrator` reconciling grants between monitor epochs.
-  Event-loop shards attach to a single :class:`Simulator` and share
-  one coalesced monitor timer; the vector engine is stepped
-  epoch-by-epoch via its ``step_until`` primitive.
+  full-size cluster with only its granted nodes uncordoned, attached to
+  one :class:`Simulator` and sharing one coalesced monitor timer, with
+  the :class:`~repro.shard.orchestrator.GlobalOrchestrator` reconciling
+  grants on its own cadence through the drain.  This is the plane's one
+  in-process driver; the scenario refuses ``engine="vector"`` here.
 * **Process fan-out** (``shard_workers>1``) — one OS process per
   shard over a static partition (no online rebalance), for wall-clock
-  scaling on multi-core hosts.
+  scaling on multi-core hosts; each shard runs on the scenario's engine.
 
 Chain-stage routing: by default a shard owns a job's whole chain
 (``stage_routing="local"`` — Fifer packs chains, so affinity is the
 deployment that makes sense).  ``stage_routing="hash"`` re-routes every
-stage hop through the ring instead (event-loop engine only): hops
-landing on a foreign shard pay :data:`CROSS_SHARD_HOP_MS` and execute in
-the owning shard's pools, modelling a plane whose stages are
-partitioned independently of their jobs.
+stage hop through the ring instead: hops landing on a foreign shard pay
+:data:`CROSS_SHARD_HOP_MS` and execute in the owning shard's pools,
+modelling a plane whose stages are partitioned independently of their
+jobs.
 """
 
 from __future__ import annotations
@@ -47,11 +46,7 @@ from repro.runtime.system import ClusterSpec, ServerlessSystem
 from repro.scenario import Scenario, Shards, fault_pairs
 from repro.serve.journal import MemoryJournal, journal_conservation
 from repro.serve.recovery import build_recovery_plan
-from repro.shard.failover import (
-    OrchestratorSupervisor,
-    ShardHealthMonitor,
-    assign_takeover,
-)
+from repro.shard.failover import ShardHealthMonitor, assign_takeover
 from repro.shard.orchestrator import (
     GlobalOrchestrator,
     ShardHandle,
@@ -59,7 +54,7 @@ from repro.shard.orchestrator import (
     divide_surge_budget,
 )
 from repro.shard.ring import ConsistentHashRing
-from repro.sim.engine import ENGINE_VECTOR, Simulator, resolve_engine
+from repro.sim.engine import Simulator
 from repro.sim.process import CoalescedTicker
 from repro.traces.base import ArrivalTrace
 from repro.workflow.lifecycle import LOST_DEAD, RequestLifecycle
@@ -128,17 +123,15 @@ def plan_node_grants(
 # shard handles (orchestrator adapters)
 # ----------------------------------------------------------------------
 
-class _RunnerShardHandle(ShardHandle):
-    """Orchestrator adapter over one shard's runner — an event-loop
-    :class:`ServerlessSystem` or a stepped vector engine (both expose
-    ``cluster``, ``control``, ``pools`` and ``in_flight``)."""
+class _SystemShardHandle(ShardHandle):
+    """Orchestrator adapter over one shard's :class:`_ShardSystem`."""
 
-    def __init__(self, shard_id: int, runner) -> None:
+    def __init__(self, shard_id: int, system: "_ShardSystem") -> None:
         self.shard_id = shard_id
-        self.runner = runner
-        self.pools: Dict[str, PoolSurface] = runner.pools
-        self.cluster = runner.cluster
-        self.governor = runner.control.governor
+        self.system = system
+        self.pools: Dict[str, PoolSurface] = system.pools
+        self.cluster = system.cluster
+        self.governor = system.control.governor
         # Only nodes this plane cordoned are grantable — a node killed
         # by a fault schedule must never come back via rebalance.
         self._cordoned = [n for n in self.cluster.nodes if n.failed]
@@ -177,7 +170,7 @@ class _RunnerShardHandle(ShardHandle):
         return ShardLoadReport(
             shard_id=self.shard_id,
             now_ms=now_ms,
-            inflight=max(0, self.runner.in_flight),
+            inflight=max(0, self.system.in_flight),
             warm_containers=sum(
                 p.n_containers for p in self.pools.values()),
             nodes_granted=self.granted_nodes(),
@@ -185,7 +178,7 @@ class _RunnerShardHandle(ShardHandle):
 
 
 # ----------------------------------------------------------------------
-# cross-shard chain-stage routing (event-loop engine)
+# cross-shard chain-stage routing
 # ----------------------------------------------------------------------
 
 class _ShardLifecycle(RequestLifecycle):
@@ -295,7 +288,7 @@ class _ShardFaultPlane:
         sim: Simulator,
         systems: Dict[int, _ShardSystem],
         handles: Dict[int, ShardHandle],
-        orchestrators: List[GlobalOrchestrator],
+        orchestrator: GlobalOrchestrator,
         ring: ConsistentHashRing,
         scenario: Scenario,
         registry: MetricsRegistry,
@@ -303,7 +296,7 @@ class _ShardFaultPlane:
         self.sim = sim
         self.systems = systems
         self.handles = handles
-        self.orchestrators = orchestrators
+        self.orchestrator = orchestrator
         self.ring = ring
         self.registry = registry
         self._slo_by_app = {
@@ -320,6 +313,9 @@ class _ShardFaultPlane:
         for system in systems.values():
             system.failover = self
             system.lifecycle.journal = MemoryJournal()
+        #: Request id by job id: the takeover's ring key (job ids come
+        #: from a process-wide counter, request ids from the trace).
+        self._request_of: Dict[int, int] = {}
 
     # -- scripted events ----------------------------------------------
 
@@ -361,7 +357,7 @@ class _ShardFaultPlane:
     def on_arrival(self, system: _ShardSystem) -> None:
         rid = next(system._request_ids, None)
         if not system.lifecycle.dead:
-            system.lifecycle.admit(system._draw_app())
+            self._admit(system, system, rid)
             return
         if system.shard_id in self.monitor.dead and rid is not None:
             # Declared dead: the remapped ring owns this key now.  The
@@ -371,13 +367,21 @@ class _ShardFaultPlane:
             if owner is not None and not owner.lifecycle.dead:
                 owner.registry.counter(
                     "shard_rerouted_arrivals_total").inc()
-                owner.lifecycle.admit(
-                    system._draw_app(),
-                    extra_latency_ms=CROSS_SHARD_HOP_MS)
+                self._admit(system, owner, rid, CROSS_SHARD_HOP_MS)
                 return
         # Degraded routing: the shard is dead but the takeover is not
         # yet in effect — shed with a counter, never silently.
         system.lifecycle.lose_arrival(LOST_DEAD, observed=False)
+
+    def _admit(self, home: _ShardSystem, owner: _ShardSystem, rid,
+               extra_latency_ms: float = 0.0) -> None:
+        job = owner.lifecycle.admit(
+            home._draw_app(), extra_latency_ms=extra_latency_ms)
+        if job is not None:
+            self._request_of[job.job_id] = rid
+
+    def _request_id(self, entry) -> int:
+        return self._request_of[entry.job_id]
 
     # -- health sweep + takeover (own cadence, faster than reconcile) --
 
@@ -407,12 +411,12 @@ class _ShardFaultPlane:
             # move the keyspace; record the stall rather than raise.
             self.registry.counter("shard_takeover_skipped_total").inc()
             return
-        for orch in self.orchestrators:
-            orch.remove_shard(shard_id)
+        self.orchestrator.remove_shard(shard_id)
         plan = build_recovery_plan(
             dead.lifecycle.journal.records, now_ms, self._slo_by_app.get)
         for owner_id, entries in sorted(
-                assign_takeover(plan.requeue, self.ring).items()):
+                assign_takeover(
+                    plan.requeue, self.ring, self._request_id).items()):
             survivor = self.systems[owner_id]
             for entry in entries:
                 # Original id and arrival time: the SLO clock keeps
@@ -422,7 +426,8 @@ class _ShardFaultPlane:
                     survivor.registry.counter(
                         "shard_jobs_requeued_on_failover_total").inc()
         for owner_id, entries in sorted(
-                assign_takeover(plan.expired, self.ring).items()):
+                assign_takeover(
+                    plan.expired, self.ring, self._request_id).items()):
             survivor = self.systems[owner_id]
             for entry in entries:
                 if survivor.lifecycle.expire_recovered(entry):
@@ -432,10 +437,7 @@ class _ShardFaultPlane:
     def _readmit(self, shard_id: int, now_ms: float) -> None:
         if shard_id not in self.ring.shard_ids:
             self.ring = self.ring.with_shard_added(shard_id)
-        handle = self.handles.get(shard_id)
-        if handle is not None:
-            for orch in self.orchestrators:
-                orch.add_shard(handle)
+        self.orchestrator.add_shard(self.handles[shard_id])
 
     def journal_conservation(self) -> Dict:
         """Plane-wide exactly-once verdict over every shard's journal."""
@@ -570,16 +572,12 @@ def _orchestration_summary(orchestrator: GlobalOrchestrator) -> Dict:
     }
 
 
-def _make_orchestrator(handles, scenario: Scenario, primary=None):
-    """Global orchestrator over *handles*.  The primary also hands each
-    shard its equal opening share of the global surge budget; a warm
-    standby (*primary* given) shares the primary's store and registry."""
+def _make_orchestrator(handles, scenario: Scenario) -> GlobalOrchestrator:
+    """Global orchestrator over *handles*, which also hands each shard
+    its equal opening share of the global surge budget."""
     args = {"global_max_surge": max(0, scenario.config().max_surge)}
     if scenario.shards.skew_threshold is not None:
         args["skew_threshold"] = scenario.shards.skew_threshold
-    if primary is not None:
-        return GlobalOrchestrator(
-            handles, store=primary.store, registry=primary.registry, **args)
     orchestrator = GlobalOrchestrator(
         handles, registry=MetricsRegistry(), **args)
     if orchestrator.global_max_surge > 0:
@@ -590,48 +588,6 @@ def _make_orchestrator(handles, scenario: Scenario, primary=None):
     return orchestrator
 
 
-def _run_inprocess_vector(scenario: Scenario, parts) -> ShardedRunResult:
-    """Epoch-stepped vector engines reconciled between epochs."""
-    from repro.core.vectorized import epoch_boundaries
-    from repro.runtime.vector import VectorEngine
-
-    engines = {}
-    handles = []
-    n_nodes = scenario.cluster.n_nodes
-    for shard_id, shard, _ids, grant in parts:
-        system = shard.system()
-        system.cordoned_node_ids = list(range(grant, n_nodes))
-        engine = VectorEngine(system, shard.trace)
-        engines[shard_id] = engine
-        handles.append(_RunnerShardHandle(shard_id, engine))
-
-    orchestrator = _make_orchestrator(handles, scenario)
-    interval = scenario.config().monitor_interval_ms
-    rebalance = scenario.shards.rebalance_interval_ms or interval
-
-    horizon = scenario.arrivals().duration_ms + 1.0
-    next_rebalance = rebalance
-    for bound in epoch_boundaries(horizon, interval):
-        for engine in engines.values():
-            engine.step_until(bound)
-        while next_rebalance <= bound:
-            orchestrator.reconcile(bound)
-            next_rebalance += rebalance
-    drained = horizon
-    while (
-        not all(e.all_done() for e in engines.values())
-        and drained < horizon + scenario.drain_ms
-    ):
-        drained += interval
-        for engine in engines.values():
-            engine.step_until(drained)
-    return ShardedRunResult(
-        per_shard={s: e.finish() for s, e in engines.items()},
-        mode="inprocess",
-        orchestration=_orchestration_summary(orchestrator),
-    )
-
-
 def _run_inprocess_eventloop(
     scenario: Scenario, parts, ring: ConsistentHashRing,
 ) -> ShardedRunResult:
@@ -639,7 +595,6 @@ def _run_inprocess_eventloop(
     sharing one coalesced ticker."""
     faults = scenario.timeline
     shard_events = faults.of("kill-shard", "recover-shard")
-    orchestrator_kill = faults.of("kill-orchestrator")
     sim = Simulator()
     systems: Dict[int, _ShardSystem] = {}
     monitors = []
@@ -659,30 +614,25 @@ def _run_inprocess_eventloop(
         system.ring = ring
         system.peers = systems
         system.stage_routing = scenario.shards.stage_routing
-        handles.append(_RunnerShardHandle(shard_id, system))
+        handles.append(_SystemShardHandle(shard_id, system))
 
     orchestrator = _make_orchestrator(handles, scenario)
     orch_registry = orchestrator.registry
-    reconciler = orchestrator
-    orchestrators = [orchestrator]
-    if orchestrator_kill:
-        # Warm standby sharing the primary's store: on failover it
-        # re-derives shard pressure from the published reports.
-        standby = _make_orchestrator(handles, scenario, primary=orchestrator)
-        reconciler = OrchestratorSupervisor(
-            orchestrator, standby,
-            fail_primary_at_ms=orchestrator_kill[0].at_ms,
-            registry=orch_registry,
-        )
-        orchestrators = [orchestrator, standby]
+    # The orchestrator keeps no state between reconciles (each one
+    # publishes fresh reports and reads them back), so a restarted one
+    # computes exactly what the killed one would have: the instant is
+    # counted, and nothing else changes.
+    for event in faults.of("kill-orchestrator"):
+        sim.schedule_at(
+            event.at_ms, orch_registry.counter(
+                "orchestrator_failovers_total").inc, label=event.kind)
     rebalance = scenario.shards.rebalance_interval_ms or interval
 
     plane: Optional[_ShardFaultPlane] = None
     plane_sub = None
-    tick_fn = reconciler.reconcile
     if shard_events:
         plane = _ShardFaultPlane(
-            sim, systems, {h.shard_id: h for h in handles}, orchestrators,
+            sim, systems, {h.shard_id: h for h in handles}, orchestrator,
             ring, scenario, orch_registry)
         for event in shard_events:
             act = (plane.crash_shard if event.kind == "kill-shard"
@@ -696,11 +646,11 @@ def _run_inprocess_eventloop(
             sim, scenario.shards.heartbeat_interval_ms, label="shard-health"
         ).add(plane.sweep)
     if rebalance == ticker.interval:
-        orch_sub = ticker.add(tick_fn)
+        orch_sub = ticker.add(orchestrator.reconcile)
     else:
         orch_sub = CoalescedTicker(
             sim, rebalance, label="orchestrator"
-        ).add(tick_fn)
+        ).add(orchestrator.reconcile)
 
     def settled() -> bool:
         # Global drain condition: with hash stage routing a job may
@@ -732,10 +682,8 @@ def _run_inprocess_eventloop(
         # Failover runs expose the plane-level picture: merged metrics
         # (every shard + the orchestration/health registry) and the
         # exactly-once journal verdict across the takeover.
-        snapshots = [
-            snapshot_registry(s.registry)
-            for _, s in sorted(systems.items())
-        ]
+        snapshots = [snapshot_registry(s.registry)
+                     for _, s in sorted(systems.items())]
         snapshots.append(snapshot_registry(orch_registry))
         result.registry = merge_registry_snapshots(snapshots)
         result.orchestration["orchestrator_failovers"] = int(
@@ -774,9 +722,9 @@ def run_plane(scenario: Scenario) -> ShardedRunResult:
     """The ``sim-sharded`` run body (the module docstring has the
     modes).  The timeline's ``kill-shard`` / ``recover-shard`` events
     run the self-healing protocol — heartbeat health monitoring, ring
-    remap, journal-driven keyspace takeover; ``kill-orchestrator`` fails
-    over to a warm standby restored from the sharded store.  Both need
-    the in-process event-loop plane, which the scenario's build-time
+    remap, journal-driven keyspace takeover; ``kill-orchestrator`` is a
+    counted instant (the orchestrator is stateless between reconciles).
+    Both need the in-process plane, which the scenario's build-time
     check already established."""
     processes = scenario.shards.workers > 1
     ring, parts = split_plane(scenario, shrink=processes)
@@ -788,8 +736,6 @@ def run_plane(scenario: Scenario) -> ShardedRunResult:
             mode="processes",
             orchestration={"ticks": 0, "rebalances": 0, "nodes_moved": 0},
         )
-    if resolve_engine(scenario.engine) == ENGINE_VECTOR:
-        return _run_inprocess_vector(scenario, parts)
     return _run_inprocess_eventloop(scenario, parts, ring)
 
 

@@ -103,9 +103,3 @@ def measure_warm_start(
     reported_exec = exec_time + cached_fetch
     return {"exec_time": reported_exec, "rtt": reported_exec + NETWORK_RTT_MS}
 
-
-def cold_start_overhead_ms(model: LambdaModelProfile) -> float:
-    """Deterministic cold-minus-warm RTT gap for *model*."""
-    cold = measure_cold_start(model)
-    warm = measure_warm_start(model)
-    return cold["rtt"] - warm["rtt"]

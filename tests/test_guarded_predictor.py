@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.prediction.classical import EWMAPredictor
 from repro.prediction.guarded import (
     DIVERGENCE_APE,
+    DIVERGENCE_FACTOR,
+    MAPE_WINDOW,
     DivergentPredictor,
     ForecastHealthMonitor,
     GuardedPredictor,
@@ -26,7 +28,7 @@ class TestForecastHealthMonitor:
         assert m.window_mape < 0.1
 
     def test_persistent_error_trips_fallback_after_hysteresis(self):
-        m = ForecastHealthMonitor(mape_threshold=0.5, window=3, hysteresis=2)
+        m = ForecastHealthMonitor(mape_threshold=0.5, hysteresis=2)
         m.record(forecast=100.0, actual=10.0)  # bad #1: not yet
         assert not m.fallback_active
         m.record(forecast=100.0, actual=10.0)  # bad #2: trips
@@ -34,14 +36,17 @@ class TestForecastHealthMonitor:
         assert m.fallbacks == 1
 
     def test_recovery_after_healthy_streak(self):
-        m = ForecastHealthMonitor(mape_threshold=0.5, window=2, hysteresis=2)
+        m = ForecastHealthMonitor(mape_threshold=0.5, hysteresis=2)
         for _ in range(4):
             m.record(forecast=100.0, actual=10.0)
         assert m.fallback_active
-        # Window MAPE must drain below threshold, then hysteresis must
-        # agree, before the guard re-arms.
-        for _ in range(6):
+        # Window MAPE must drain below threshold (all MAPE_WINDOW
+        # evaluations accurate), then hysteresis must agree, before the
+        # guard re-arms.
+        for _ in range(MAPE_WINDOW):
             m.record(forecast=10.0, actual=10.0)
+        assert m.fallback_active
+        m.record(forecast=10.0, actual=10.0)
         assert not m.fallback_active
         assert m.recoveries == 1
 
@@ -52,9 +57,8 @@ class TestForecastHealthMonitor:
         assert m.fallback_active
 
     def test_blowup_beyond_divergence_factor_is_divergence(self):
-        m = ForecastHealthMonitor(
-            mape_threshold=0.5, hysteresis=1, divergence_factor=20.0)
-        m.record(forecast=10.0 * 25.0, actual=10.0)
+        m = ForecastHealthMonitor(mape_threshold=0.5, hysteresis=1)
+        m.record(forecast=10.0 * (DIVERGENCE_FACTOR + 5.0), actual=10.0)
         assert m.divergences == 1
 
     def test_record_failure_counts_as_divergence(self):
@@ -66,9 +70,7 @@ class TestForecastHealthMonitor:
     @pytest.mark.parametrize("kwargs", [
         dict(mape_threshold=0.0),
         dict(mape_threshold=-1.0),
-        dict(window=0),
         dict(hysteresis=0),
-        dict(divergence_factor=1.0),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -83,14 +85,14 @@ class TestHysteresisProperty:
         """The no-flap guarantee: any two state transitions are at
         least ``hysteresis`` evaluations apart, for *any* interleaving
         of healthy and unhealthy windows."""
-        # window=1 makes each evaluation's health equal its own APE, so
-        # the boolean list drives the monitor state directly.
-        m = ForecastHealthMonitor(
-            mape_threshold=0.5, window=1, hysteresis=hysteresis)
+        # A bad forecast is 2x off (APE 2), so an evaluation is unhealthy
+        # while more than a quarter of the window (the last MAPE_WINDOW
+        # evaluations) was bad: the list drives the state through it.
+        m = ForecastHealthMonitor(mape_threshold=0.5, hysteresis=hysteresis)
         transition_evals = []
         state = m.fallback_active
         for i, bad in enumerate(bads):
-            m.record(forecast=100.0 if bad else 10.0, actual=10.0)
+            m.record(forecast=30.0 if bad else 10.0, actual=10.0)
             if m.fallback_active != state:
                 transition_evals.append(i)
                 state = m.fallback_active
@@ -116,14 +118,14 @@ class TestGuardedPredictor:
         assert g.healthy
 
     def test_observe_scores_pending_forecast(self):
-        g = self._guarded(hysteresis=1, window=1)
+        g = self._guarded(hysteresis=1)
         g.predict_horizon([10.0] * 8, 1)
         g.observe(10.0)  # accurate
         assert g.monitor.evaluations == 1
         assert g.healthy
 
     def test_wildly_wrong_forecasts_trigger_fallback(self):
-        g = self._guarded(hysteresis=2, window=2)
+        g = self._guarded(hysteresis=2)
         for _ in range(4):
             g.predict_horizon([10.0] * 8, 1)
             g.observe(10_000.0)  # actual is 1000x the forecast
@@ -153,12 +155,6 @@ class TestGuardedPredictor:
         assert g.monitor.divergences == 1
         assert g.fallback_active
 
-    def test_monitor_and_kwargs_are_exclusive(self):
-        base = EWMAPredictor()
-        with pytest.raises(ValueError):
-            GuardedPredictor(base, monitor=ForecastHealthMonitor(),
-                             mape_threshold=0.5)
-
     def test_name_reflects_wrapping(self):
         g = self._guarded()
         assert g.name == "guarded(EWMA)"
@@ -186,7 +182,7 @@ class TestDivergentPredictor:
         """Guarded(Divergent(ewma)): the exact chain the robustness
         study and CI smoke run — the guard must trip."""
         d = DivergentPredictor(self._base(), diverge_after=1, factor=50.0)
-        g = GuardedPredictor(d, mape_threshold=0.5, window=2, hysteresis=2)
+        g = GuardedPredictor(d, mape_threshold=0.5, hysteresis=2)
         for _ in range(6):
             path = g.predict_horizon([10.0] * 8, 1)
             assert np.all(np.isfinite(path))

@@ -1,9 +1,14 @@
-"""Tests for the seed-repetition harness."""
+"""Tests for the seed-repetition statistics and a repeat batch."""
 
 import pytest
 
-from repro.experiments.repeats import MetricStats, aggregate, repeated_runs
-from repro.traces import poisson_trace
+from repro.experiments.repeats import (
+    DEFAULT_METRICS,
+    MetricStats,
+    aggregate_summaries,
+)
+from repro.experiments.runner import ExperimentRunner, derive_seeds
+from repro.scenario import Scenario
 
 
 class TestMetricStats:
@@ -22,37 +27,38 @@ class TestMetricStats:
             MetricStats.of([])
 
 
+
 class TestRepeatedRuns:
+    """A repeat batch the one way there is to run one: a scenario per
+    derived seed through the experiment runner, folded by
+    ``aggregate_summaries`` (what ``repro run --repeats`` does)."""
+
     @pytest.fixture(scope="class")
     def batch(self):
-        return repeated_runs(
-            "rscale", mix_name="light", seeds=(1, 2, 3),
-            trace_factory=lambda seed: poisson_trace(12.0, 60.0, seed=seed),
-            idle_timeout_ms=60_000.0,
-        )
+        specs = [Scenario.make("rscale", mix="light", trace_kind="poisson",
+                               rate_rps=12.0, duration_s=60.0, seed=seed)
+                 for seed in derive_seeds(1, 3)]
+        return ExperimentRunner().run_summaries(specs)
 
     def test_one_result_per_seed(self, batch):
         assert len(batch) == 3
-        for r in batch:
-            assert r.n_completed == r.n_jobs
+        for summary in batch:
+            assert summary["completed"] == summary["jobs"]
 
     def test_seeds_produce_distinct_runs(self, batch):
-        job_counts = [r.n_jobs for r in batch]
-        assert len(set(job_counts)) > 1
+        assert len({summary["jobs"] for summary in batch}) > 1
 
     def test_aggregate_shapes(self, batch):
-        stats = aggregate(batch)
-        assert "avg_containers" in stats
+        stats = aggregate_summaries(batch)
+        assert set(stats) == set(DEFAULT_METRICS)
         s = stats["avg_containers"]
         assert s.min <= s.mean <= s.max
         assert s.n == 3
 
     def test_aggregate_custom_metric(self, batch):
-        stats = aggregate(batch, metrics=["peak_containers"])
-        assert stats["peak_containers"].n == 3
+        stats = aggregate_summaries(batch, metrics=["mean_active_nodes"])
+        assert stats["mean_active_nodes"].n == 3
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            repeated_runs("rscale", seeds=())
-        with pytest.raises(ValueError):
-            aggregate([])
+            aggregate_summaries([])

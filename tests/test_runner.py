@@ -10,9 +10,7 @@ from repro.experiments.runner import (
     ExperimentRunner,
     config_hash,
     derive_seeds,
-    repeat_specs,
     run_trial,
-    summaries_json,
     sweep_specs,
 )
 from repro.scenario import Scenario
@@ -22,8 +20,25 @@ TINY = dict(mix="heavy", trace_kind="poisson", rate_rps=15.0,
             duration_s=20.0, nodes=2)
 
 
+def repeat_specs(policy, base_seed, repeats, **members):
+    """A repeat batch the way ``repro run --repeats`` builds one."""
+    return [Scenario.make(policy, seed=seed, **members)
+            for seed in derive_seeds(base_seed, repeats)]
+
+
 def tiny_specs(n=2, policy="bline"):
     return repeat_specs(policy, base_seed=42, repeats=n, **TINY)
+
+
+def summaries_json(results):
+    """Canonical JSON for a result batch, without provenance (``wall_s``,
+    ``from_cache``), so serial, parallel and cache-replayed batches of
+    the same specs serialize identically."""
+    payload = [
+        {"key": r.key, "spec": r.spec.canonical(), "summary": r.summary}
+        for r in results
+    ]
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 class TestSpecAndHash:
@@ -215,57 +230,10 @@ class TestCacheEdgeCases:
 
 
 class TestSpecFactories:
-    def test_repeat_specs_vary_only_the_seed(self):
-        specs = tiny_specs(3)
-        assert len({s.seed for s in specs}) == 3
-        assert len({(s.policy, s.mix, s.rate_rps) for s in specs}) == 1
-
-    def test_repeat_specs_accepts_explicit_seeds(self):
-        specs = repeat_specs("bline", seeds=[7, 8], **TINY)
-        assert [s.seed for s in specs] == [7, 8]
-
-    def test_repeat_specs_requires_some_seed_source(self):
-        with pytest.raises(ValueError):
-            repeat_specs("bline", **TINY)
-
     def test_sweep_specs_vary_only_the_field(self):
         specs = sweep_specs("rscale", "max_batch", [1, 8], seed=5, **TINY)
         assert [dict(s.overrides)["max_batch"] for s in specs] == [1, 8]
         assert len({s.seed for s in specs}) == 1
-
-
-class TestHighLevelEntrypoints:
-    def test_repeated_summaries_and_aggregate(self, tmp_path):
-        from repro.experiments.repeats import (
-            aggregate_summaries, repeated_summaries,
-        )
-
-        summaries = repeated_summaries(
-            "bline", base_seed=42, repeats=2, trace_kind="poisson",
-            rate_rps=15.0, duration_s=20.0, nodes=2, cache_dir=tmp_path,
-        )
-        assert len(summaries) == 2
-        stats = aggregate_summaries(summaries, ["slo_violation_rate"])
-        assert stats["slo_violation_rate"].n == 2
-
-    def test_sweep_parallel_and_metric_curve(self, tmp_path):
-        from repro.experiments.sweeps import (
-            metric_curve, sweep_config_field_parallel,
-        )
-
-        curves = sweep_config_field_parallel(
-            "rscale", "max_batch", [1, 8], trace_kind="poisson",
-            rate_rps=15.0, duration_s=20.0, nodes=2, cache_dir=tmp_path,
-        )
-        rows = metric_curve(curves, "avg_containers")
-        assert [v for v, _ in rows] == [1, 8]
-        assert all(isinstance(m, float) for _, m in rows)
-
-    def test_sweep_parallel_validates_field(self):
-        from repro.experiments.sweeps import sweep_config_field_parallel
-
-        with pytest.raises(ValueError):
-            sweep_config_field_parallel("rscale", "not_a_field", [1])
 
 
 class TestCli:

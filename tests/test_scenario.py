@@ -92,7 +92,10 @@ LIVE = ServeOptions()
 ])
 def test_plane_is_derived_and_refuses_what_it_does_not_enact(
         engine, shards, live, plane, foreign_kind):
-    members = dict(engine=engine, shards=Shards(n=shards), live=live)
+    # A vector sharded plane runs only in process fan-out.
+    workers = 2 if engine == "vector" and shards > 1 else 1
+    members = dict(engine=engine, shards=Shards(n=shards, workers=workers),
+                   live=live)
     assert Scenario.make("rscale", **members).plane == plane
     members["faults"] = (("timeline", FaultTimeline.parse(foreign_kind)),)
     with pytest.raises(ValueError, match=f"{plane} plane does not enact"):
@@ -263,17 +266,40 @@ def test_a_shard_cadence_or_threshold_out_of_range_is_refused(member, value):
 
 def test_a_negative_rebalance_interval_is_a_usage_error_not_a_hang(
         monkeypatch):
-    # The vector plane's rebalance loop counted such an interval down
-    # forever; now the scenario is refused before any plane is entered.
+    # A rebalance loop once counted such an interval down forever; now
+    # the scenario is refused before any plane is entered.
     import repro.shard.sim
 
-    monkeypatch.setattr(repro.shard.sim, "_run_inprocess_vector",
-                        lambda *args: pytest.fail("the vector plane ran"))
+    monkeypatch.setattr(repro.shard.sim, "run_plane",
+                        lambda *args: pytest.fail("the plane ran"))
     with pytest.raises(SystemExit, match="run: rebalance_interval_ms must "
                                          "be positive, got -5000.0"):
-        main(["run", "rscale", "--shards", "2", "--engine", "vector",
+        main(["run", "rscale", "--shards", "2",
               "--rebalance-interval", "-5", "--duration", "10",
               "--rate", "5", "--trace", "poisson"])
+
+
+@pytest.mark.parametrize("member", [
+    "workers", "heartbeat_miss_threshold", "failover_hysteresis"])
+def test_a_shard_count_below_one_is_refused(member):
+    with pytest.raises(ValueError, match=f"{member} must be >= 1, got 0"):
+        Shards(n=2, **{member: 0})
+
+
+def test_a_negative_shard_worker_count_is_a_usage_error():
+    with pytest.raises(SystemExit, match="run: workers must be >= 1, got -1"):
+        main(["run", "rscale", "--shards", "2", "--shard-workers", "-1",
+              "--duration", "10", "--rate", "5", "--trace", "poisson"])
+
+
+def test_in_process_vector_shards_are_refused_when_built():
+    with pytest.raises(ValueError, match="engine='vector'.*shard_workers"):
+        Scenario.make("rscale", engine="vector", shards=Shards(n=2))
+    assert Scenario.make("rscale", engine="vector", shards=Shards(
+        n=2, workers=2)).plane == "sim-sharded"
+    with pytest.raises(SystemExit, match="run: engine='vector'"):
+        main(["run", "rscale", "--shards", "2", "--engine", "vector",
+              "--duration", "10", "--rate", "5", "--trace", "poisson"])
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +409,6 @@ def _summaries(results):
 def _entry_points():
     from repro.experiments import ablations
     from repro.experiments.prototype import run_prototype
-    from repro.experiments.repeats import repeated_runs
     from repro.experiments.scaling_study import run_scaling_study
     from repro.experiments.simulation import run_trace_simulation
     from repro.experiments.sweeps import sweep_config_field
@@ -397,8 +422,6 @@ def _entry_points():
             str(scale): _summaries(results)
             for scale, results in run_scaling_study(
                 scales=((1.0, 50.0, 5),), duration_s=40.0).items()},
-        "repeated_runs": lambda: [
-            r.summary() for r in repeated_runs("fifer", seeds=(1, 2))],
         "sweep_config_field": lambda: _summaries(
             sweep_config_field("fifer", "max_batch", [2, 8])),
         "slack_division_ablation": lambda: _summaries(
@@ -513,8 +536,9 @@ KNOB_OWNERS = {
     "core/controlplane.py": ("ControlPlane",),
     "core/scaling.py": (
         "SpawnGovernor", "ReactiveScaler", "ProactiveScaler", "HPAScaler"),
-    "shard/failover.py": (
-        "ShardHealthMonitor", "EpochLease", "OrchestratorSupervisor"),
+    "shard/failover.py": ("ShardHealthMonitor", "EpochLease"),
+    "prediction/guarded.py": (
+        "ForecastHealthMonitor", "GuardedPredictor", "DivergentPredictor"),
     "serve/journal.py": ("RequestJournal",),
     "serve/checkpoint.py": ("CheckpointManager",),
     "shard/orchestrator.py": ("GlobalOrchestrator",),
@@ -701,6 +725,62 @@ def test_every_knob_has_a_caller():
                   for name in unreached - set(KNOBS_WITHOUT_A_CALLER))
     assert not dead, "knobs only tests set: " + "; ".join(dead)
     assert set(KNOBS_WITHOUT_A_CALLER) <= unreached   # no stale entry
+
+
+def _references(tree, skip=(), all_counts=True):
+    """Every name *tree* refers to — a ``Name``, an attribute, an
+    imported alias, an exact string literal — outside the subtrees in
+    *skip*.  With *all_counts* false a module's ``__all__`` list names
+    nothing (a package's re-export list is not a use)."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip or (not all_counts and isinstance(node, ast.Assign)
+                            and "__all__" in map(ast.unparse, node.targets)):
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_name_has_a_caller():
+    """Every top-level function and class under ``src/repro`` is used by
+    the program, not only by tests: code under ``src/`` refers to it
+    outside its own definition (an import or a package's ``__all__``
+    alone is not a use — ``repro/__init__``'s ``__all__`` is, being the
+    documented API), or ``benchmarks/`` or ``examples/`` refer to it, or
+    a string literal names it exactly.  A definition only tests reach is
+    a test helper (it moves to ``tests/``) or dead (it is deleted)."""
+    defined, used = {}, set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        tops = [node for node in tree.body if isinstance(node, (
+            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in tops:
+            defined.setdefault(node.name, []).append(
+                str(path.relative_to(SRC / "repro")))
+        imports = {node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))}
+        used |= _references(
+            tree, skip=imports | set(tops),
+            all_counts=path == SRC / "repro" / "__init__.py")
+        for node in tops:
+            # A definition may use the others, never itself.
+            used |= _references(node, skip=imports) - {node.name}
+    for root in ("benchmarks", "examples"):
+        for path in sorted((SRC.parent / root).rglob("*.py")):
+            used |= _references(ast.parse(path.read_text()))
+    unused = sorted(f"{name} ({', '.join(files)})"
+                    for name, files in defined.items() if name not in used)
+    assert not unused, "names only tests use: " + "; ".join(unused)
 
 
 def test_one_definition_per_decision():

@@ -7,7 +7,7 @@ whole file exercises real asyncio concurrency in well under a minute.
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -178,6 +178,39 @@ class TestWorkerPool:
                 assert pool.tasks_completed == 1
                 assert pool.containers[0].tasks_executed == 1
                 await pool.shutdown()
+        asyncio.run(scenario())
+
+    def test_handlerless_work_is_a_timer_not_a_thread(self):
+        # Without a work function a task's work is only its span: a loop
+        # timer ends it, and nothing is handed to the executor.
+        from repro.workflow.job import Job, Task
+        from repro.workloads import get_application
+
+        class RefusingExecutor(Executor):
+            def submit(self, fn, *args, **kwargs):
+                raise AssertionError("handler-less work reached a thread")
+
+        done = []
+
+        async def scenario():
+            clock = ScaledClock(FAST)
+            pool = _worker_pool(clock, RefusingExecutor(),
+                                on_finished=done.append)
+            clock.start()
+            pool.prewarm(1)
+            await asyncio.sleep(0.02)
+            job = Job(app=get_application("ipa"), arrival_ms=clock.now)
+            task = Task(job=job, stage_index=0, enqueue_ms=clock.now)
+            pool.enqueue(task)
+            for _ in range(200):
+                if done:
+                    break
+                await asyncio.sleep(0.01)
+            assert done == [task]
+            assert task.record.end_ms - task.record.start_ms \
+                >= task.record.exec_ms
+            assert pool.containers[0].crashes == 0
+            await pool.shutdown()
         asyncio.run(scenario())
 
     def test_terminate_refuses_busy_worker(self):
@@ -439,6 +472,76 @@ class TestEndToEnd:
         result = runtime.run(trace)
         assert clock_started == [False]
         assert result.n_completed == result.n_jobs == len(trace)
+
+    def test_prewarm_and_opening_checkpoint_precede_the_clock(
+        self, monkeypatch, tmp_path
+    ):
+        # Both are setup, not serving: run after ``clock.start()`` they
+        # made every serve's first arrivals late by their length (the
+        # checkpoint is an fsync).
+        import repro.serve.runtime as runtime_module
+        from repro.core.policies import make_policy_config
+        from repro.serve.checkpoint import CheckpointManager
+
+        runtime = ServingRuntime(
+            config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
+            mix=get_mix("light"),
+            seed=1,
+            options=ServeOptions(time_scale=FAST, journal_dir=str(tmp_path)),
+            work=lambda task, wall_s: None,
+        )
+        started = []
+        prewarm = runtime_module.prewarm_opening_capacity
+        maybe = CheckpointManager.maybe
+
+        def recording_prewarm(*args):
+            started.append(("prewarm", runtime.clock.started))
+            return prewarm(*args)
+
+        def recording_maybe(manager, *args):
+            if not started or started[-1][0] != "checkpoint":
+                started.append(("checkpoint", runtime.clock.started))
+            return maybe(manager, *args)
+
+        monkeypatch.setattr(
+            runtime_module, "prewarm_opening_capacity", recording_prewarm)
+        monkeypatch.setattr(CheckpointManager, "maybe", recording_maybe)
+        trace = poisson_trace(10.0, 1.0, seed=1)
+        result = runtime.run(trace)
+        assert started[:2] == [("prewarm", False), ("checkpoint", False)]
+        assert result.n_completed == result.n_jobs == len(trace)
+
+    def test_a_late_replay_yields_between_arrivals(self):
+        # A replay behind its plan must still let the loop run between
+        # admissions; otherwise it admits the rest of the trace in one
+        # step while no completion, tick or fault gets a turn.
+        trace = poisson_trace(50.0, 2.0, seed=4)
+        replayer = TraceReplayer(trace, get_mix("light"), seed=4)
+        turns = []
+
+        class CountingGateway:
+            def admit(self, app):
+                turns.append(ticks)
+
+        async def ticker():
+            nonlocal ticks
+            while True:
+                ticks += 1
+                await asyncio.sleep(0)
+
+        async def scenario():
+            # The clock starts past the whole plan: every arrival is late.
+            clock = ScaledClock(FAST, start_at_ms=10_000.0)
+            task = asyncio.get_running_loop().create_task(ticker())
+            await asyncio.sleep(0)
+            offered = await replayer.replay(CountingGateway(), clock)
+            task.cancel()
+            return offered
+
+        ticks = 0
+        assert asyncio.run(scenario()) == len(trace)
+        assert len(turns) == len(trace)
+        assert all(b > a for a, b in zip(turns, turns[1:]))
 
     def test_no_leaked_threads_after_run(self):
         before = threading.active_count()

@@ -25,7 +25,6 @@ from repro.serve.journal import (
 from repro.serve.recovery import build_recovery_plan
 from repro.shard.failover import (
     EpochLease,
-    OrchestratorSupervisor,
     ShardHealthMonitor,
     assign_takeover,
 )
@@ -275,38 +274,7 @@ def test_lease_renewal_is_fenced_after_epoch_moves(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# orchestrator supervisor + poisoned ticks
-
-
-class _FakeOrchestrator:
-    def __init__(self):
-        self.ticks = []
-        self.restored = 0
-
-    def reconcile(self, now_ms):
-        self.ticks.append(now_ms)
-        return {"now_ms": now_ms}
-
-    def restore_from_store(self):
-        self.restored += 1
-        return {}
-
-
-def test_supervisor_fails_over_to_standby():
-    primary, standby = _FakeOrchestrator(), _FakeOrchestrator()
-    reg = MetricsRegistry()
-    sup = OrchestratorSupervisor(
-        primary, standby, fail_primary_at_ms=5000.0, registry=reg)
-    sup.reconcile(1000.0)
-    assert not sup.failed_over and primary.ticks == [1000.0]
-    sup.reconcile(6000.0)
-    assert sup.failed_over
-    assert standby.ticks == [6000.0] and standby.restored == 1
-    assert reg.value("orchestrator_failovers_total") == 1
-    # Only one failover, ever.
-    sup.reconcile(7000.0)
-    assert reg.value("orchestrator_failovers_total") == 1
-    assert primary.ticks == [1000.0]
+# poisoned orchestrator ticks
 
 
 class _PoisonedHandle:
@@ -436,6 +404,68 @@ def test_sim_no_fault_schedule_is_bit_identical():
     for key, value in plain.summary().items():
         assert armed_summary[key] == value, key
     assert armed.orchestration["failovers"] == 0
+
+
+PER_JOB = ("latencies_ms", "exec_ms", "cold_wait_ms", "batch_wait_ms",
+           "queue_ms", "sample_times_ms")
+
+
+@pytest.mark.parametrize("shard_faults", [
+    "", "kill-shard@12=1;recover-shard@28=1"], ids=["alone", "shard-faults"])
+@pytest.mark.parametrize("grants", [
+    {}, dict(initial_node_grants=[1, 2, 3], rebalance_interval_ms=4_000.0,
+             skew_threshold=1.2)], ids=["plain", "skewed"])
+def test_kill_orchestrator_changes_no_job(shard_faults, grants):
+    # The orchestrator keeps no state between reconciles: each one
+    # publishes fresh reports and reads them back.  A restarted one
+    # therefore computes what the killed one would have, and the kill
+    # is a counted instant that no job can see.
+    def run(spec):
+        return run_sharded_policy(
+            "rscale", get_mix("medium"), _sim_trace(duration_s=40.0),
+            shards=3, cluster_spec=ClusterSpec(n_nodes=6), seed=5,
+            faults=FaultTimeline.parse(spec) if spec else FaultTimeline(),
+            heartbeat_interval_ms=200.0,
+            heartbeat_miss_threshold=2, failover_hysteresis=1, **grants)
+
+    plain = run(shard_faults)
+    killed = run(";".join(filter(None, [shard_faults, "kill-orchestrator@10"])))
+    assert killed.orchestration["orchestrator_failovers"] == 1
+    assert plain.orchestration.get("orchestrator_failovers", 0) == 0
+    assert killed.orchestration["nodes_moved"] \
+        == plain.orchestration["nodes_moved"]
+    for shard_id, result in plain.per_shard.items():
+        for name in PER_JOB:
+            np.testing.assert_array_equal(
+                getattr(killed.per_shard[shard_id], name),
+                getattr(result, name), err_msg=f"shard {shard_id} {name}")
+
+
+def test_sim_takeover_is_independent_of_the_job_id_counter(monkeypatch):
+    # Job ids come from a process-wide counter; the takeover keys the
+    # remapped ring on request ids, so what ran earlier in the process
+    # cannot move a recovered job to another survivor.
+    import itertools
+
+    import repro.workflow.job
+
+    def run(first_job_id):
+        monkeypatch.setattr(repro.workflow.job, "_job_ids",
+                            itertools.count(first_job_id))
+        return run_sharded_policy(
+            "rscale", get_mix("medium"), _sim_trace(), shards=3,
+            cluster_spec=ClusterSpec(n_nodes=6), seed=5,
+            faults=FaultTimeline.parse("kill-shard@12=1;recover-shard@28=1"),
+            heartbeat_interval_ms=200.0, heartbeat_miss_threshold=2,
+            failover_hysteresis=1, initial_node_grants=[1, 2, 3],
+            rebalance_interval_ms=4_000.0, skew_threshold=1.2)
+
+    first, shifted = run(0), run(12_345)
+    assert shifted.orchestration["nodes_moved"] \
+        == first.orchestration["nodes_moved"]
+    for shard_id, result in first.per_shard.items():
+        np.testing.assert_array_equal(
+            shifted.per_shard[shard_id].latencies_ms, result.latencies_ms)
 
 
 def test_sim_failover_validation():

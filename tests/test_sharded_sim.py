@@ -4,7 +4,8 @@ orchestrator).
 The anchor invariant: ``shards=1`` routes to the exact pre-existing
 single-gateway path, so its results are bit-identical to
 ``run_policy``.  For ``shards>1`` the suite checks conservation (the
-partition is a disjoint cover), cross-engine agreement, orchestrator
+partition is a disjoint cover), engine agreement in process fan-out,
+the refusal of in-process vector shards, orchestrator
 rebalancing on skewed grants, and the routing/validation edges.
 """
 
@@ -57,7 +58,7 @@ def test_run_policy_delegates_shards_to_sharded_plane():
 
 
 # ---------------------------------------------------------------------------
-# conservation and cross-engine agreement
+# conservation, and one result whatever the engine
 
 
 def test_two_shard_conservation_eventloop():
@@ -70,22 +71,28 @@ def test_two_shard_conservation_eventloop():
     assert all(r.n_jobs > 0 for r in result.per_shard.values())
 
 
-def test_sharded_fast_and_vector_engines_agree():
-    fast = _run(2, engine="fast")
-    vector = _run(2, engine="vector")
-    s_fast, s_vec = fast.summary(), vector.summary()
-    assert s_fast["jobs_per_shard"] == s_vec["jobs_per_shard"]
-    for key in ("jobs", "completed", "failed", "shed_jobs",
-                "median_latency_ms", "p99_latency_ms"):
-        assert s_fast[key] == pytest.approx(s_vec[key]), key
+def test_inprocess_vector_shards_are_refused():
+    # One in-process driver, the event loop: engine choice cannot
+    # change a sharded result because only one engine runs in process.
+    with pytest.raises(ValueError, match="engine='vector'.*shard_workers"):
+        _run(2, engine="vector")
+
+
+def test_process_fanout_engines_agree():
+    fast = _run(2, engine="fast", shard_workers=2)
+    vector = _run(2, engine="vector", shard_workers=2)
+    assert sorted(fast.per_shard) == sorted(vector.per_shard) == [0, 1]
+    for shard_id, result in fast.per_shard.items():
+        np.testing.assert_array_equal(
+            result.latencies_ms, vector.per_shard[shard_id].latencies_ms)
 
 
 def test_process_mode_matches_inprocess_static_partition():
     # With no rebalance triggered, the orchestrated in-process plane
     # and the isolated process fan-out are the same computation.
-    inproc = _run(2, engine="vector")
+    inproc = _run(2)
     procs = _run(2, engine="vector", shard_workers=2)
-    assert procs.mode == "processes"
+    assert inproc.mode == "inprocess" and procs.mode == "processes"
     s_in, s_pr = inproc.summary(), procs.summary()
     assert s_in["jobs_per_shard"] == s_pr["jobs_per_shard"]
     for key in ("completed", "median_latency_ms", "p99_latency_ms"):

@@ -367,7 +367,7 @@ def _mix_weights():
 
 
 def _window_mape():
-    monitor = ForecastHealthMonitor(window=3)
+    monitor = ForecastHealthMonitor()
     monitor._errors.extend(_ORDER)
     return monitor.window_mape, _LEFT_TO_RIGHT / 3
 

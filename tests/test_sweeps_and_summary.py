@@ -6,9 +6,9 @@ from repro.experiments.summary import ReportScale, generate_report
 from repro.experiments.sweeps import (
     idle_timeout_sweep,
     max_batch_sweep,
-    metric_curve,
     sweep_config_field,
 )
+from repro.scenario import Scenario
 from repro.traces import poisson_trace
 
 
@@ -21,6 +21,12 @@ class TestSweeps:
     def test_sweep_unknown_field(self):
         with pytest.raises(ValueError, match="not an RMConfig field"):
             sweep_config_field("rscale", "warp_factor", [1])
+
+    def test_sweep_refuses_a_bad_value_before_running(self, monkeypatch):
+        monkeypatch.setattr(Scenario, "run",
+                            lambda *args, **kwargs: pytest.fail("a point ran"))
+        with pytest.raises(ValueError, match="max_batch"):
+            sweep_config_field("rscale", "max_batch", [4, "many"])
 
     def test_sweep_empty_values(self):
         with pytest.raises(ValueError, match="at least one value"):
@@ -43,15 +49,6 @@ class TestSweeps:
         # A cap of 1 forces one request per container: never fewer
         # containers than the batched variant.
         assert results[1].avg_containers >= results[16].avg_containers
-
-    def test_metric_curve_extraction(self, tiny_trace):
-        results = sweep_config_field(
-            "rscale", "max_batch", [2, 4],
-            mix_name="light", trace=tiny_trace, seed=2,
-        )
-        curve = metric_curve(results, "avg_containers")
-        assert [v for v, _ in curve] == [2, 4]
-        assert all(isinstance(m, float) for _, m in curve)
 
     def test_named_sweeps_smoke(self, tiny_trace):
         for sweep in (idle_timeout_sweep, max_batch_sweep):

@@ -16,7 +16,6 @@ from repro.workloads import (
     measure_warm_start,
 )
 from repro.workloads.applications import TABLE4_SLACK_MS
-from repro.workloads.lambda_model import cold_start_overhead_ms
 from repro.workloads.microservices import Microservice
 
 
@@ -160,6 +159,11 @@ class TestMixes:
     def test_unknown_mix(self):
         with pytest.raises(KeyError):
             get_mix("extreme")
+
+
+def cold_start_overhead_ms(model):
+    """Deterministic cold-minus-warm RTT gap for *model*."""
+    return measure_cold_start(model)["rtt"] - measure_warm_start(model)["rtt"]
 
 
 class TestLambdaModel:
