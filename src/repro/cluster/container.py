@@ -88,6 +88,10 @@ class Container:
         self.cold_start_ms = cold_start_ms
         self.local_queue: Deque["Task"] = deque()
         self.current_task: Optional["Task"] = None
+        #: ``batch_size - len(local_queue) - (current_task is not None)``,
+        #: kept in step: down by one in :meth:`assign`, up by one where
+        #: ``current_task`` is cleared, reset wherever ``local_queue`` is.
+        self.free = batch_size
         self.tasks_executed = 0
         self.last_used_ms = sim.now
         self.busy_time_ms = 0.0
@@ -101,11 +105,11 @@ class Container:
 
     @property
     def occupied_slots(self) -> int:
-        return len(self.local_queue) + (1 if self.current_task is not None else 0)
+        return self.batch_size - self.free
 
     @property
     def free_slots(self) -> int:
-        return self.batch_size - self.occupied_slots
+        return self.free
 
     @property
     def is_ready(self) -> bool:
@@ -124,27 +128,33 @@ class Container:
         self.state = ContainerState.IDLE
         self.last_used_ms = self.sim.now
         self._on_ready(self)
-        self._maybe_start()
-
-    def assign(self, task: "Task") -> None:
-        """Add *task* to the local queue (caller checked free_slots)."""
-        if self.state in DEAD_STATES:
-            raise RuntimeError(f"container {self.container_id} is dead")
-        if self.free_slots <= 0:
-            raise RuntimeError(f"container {self.container_id} has no free slot")
-        self.local_queue.append(task)
-        self._maybe_start()
-
-    def _maybe_start(self) -> None:
         if (
             self.state == ContainerState.IDLE
             and self.current_task is None
             and self.local_queue
         ):
-            self._start_next()
+            self._start(self.local_queue.popleft())
 
-    def _start_next(self) -> None:
-        task = self.local_queue.popleft()
+    def assign(self, task: "Task") -> None:
+        """Take *task* into a free slot (caller checked free_slots): it
+        starts at once on an idle container, else joins the local queue."""
+        if self.state in DEAD_STATES:
+            raise RuntimeError(f"container {self.container_id} is dead")
+        if self.free <= 0:
+            raise RuntimeError(f"container {self.container_id} has no free slot")
+        self.free -= 1
+        if self.state is ContainerState.IDLE and self.current_task is None:
+            queue = self.local_queue
+            if queue:
+                # Tasks pinned while the container was cold go first
+                # (``_on_ready`` dispatches before they start).
+                queue.append(task)
+                task = queue.popleft()
+            self._start(task)
+        else:
+            self.local_queue.append(task)
+
+    def _start(self, task: "Task") -> None:
         self.current_task = task
         self.state = ContainerState.BUSY
         record = task.record
@@ -174,6 +184,7 @@ class Container:
             return
         task = self.current_task
         self.current_task = None
+        self.free = self.batch_size - len(self.local_queue)
         self.crashes += 1
         self.state = ContainerState.CRASHED
         if self._on_crashed is not None:
@@ -190,8 +201,9 @@ class Container:
         self.busy_time_ms += record.exec_ms
         self.tasks_executed += 1
         self.current_task = None
+        self.free += 1
         if self.local_queue:
-            self._start_next()
+            self._start(self.local_queue.popleft())
         else:
             self.state = ContainerState.IDLE
         self._on_task_done(self, task)

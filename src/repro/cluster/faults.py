@@ -138,6 +138,7 @@ def fail_node(node: "Node", pools: List["FunctionPool"], now_ms: float) -> int:
             container.local_queue.clear()
             inflight = container.current_task
             container.current_task = None
+            container.free = container.batch_size
             # terminate() (not a bare state write) so live worker slots
             # also cancel their pending execution timeout.
             container.terminate()

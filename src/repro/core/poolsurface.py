@@ -186,17 +186,22 @@ class PoolSurface:
         When the cluster is full, the reclaim callback (if wired) may
         free an idle container elsewhere — modelling the platform
         reclaiming warm sandboxes under capacity pressure — after which
-        placement is retried once.
+        placement is retried once.  When nothing could be freed, every
+        later try would fail the same way: they are all counted as
+        failed spawns at once, and none is made.
         """
         new_containers = []
-        for _ in range(count):
+        for i in range(count):
             node = self._place()
-            if node is None and self.reclaim_callback is not None:
-                if self.reclaim_callback():
-                    node = self._place()
             if node is None:
-                self.failed_spawns += 1
-                continue
+                reclaim = self.reclaim_callback
+                if reclaim is None or not reclaim():
+                    self.failed_spawns += count - i
+                    break
+                node = self._place()
+                if node is None:
+                    self.failed_spawns += 1
+                    continue
             container = self._make_container(node, self._draw_cold_start_ms())
             self.containers.append(container)
             self.total_spawns += 1

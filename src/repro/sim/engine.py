@@ -241,15 +241,13 @@ class Simulator:
 
     def __init__(self) -> None:
         self._queue = EventQueue()
-        self._now = 0.0
+        #: Current simulation time in milliseconds.  A plain attribute
+        #: (only :meth:`run` writes it): every timer and every stage
+        #: record reads it, and a property costs a call per read.
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self.events_executed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in milliseconds."""
-        return self._now
 
     def schedule(
         self,
@@ -262,7 +260,7 @@ class Simulator:
         """Schedule *callback* to run ``delay`` ms from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, priority=priority, label=label)
+        return self.schedule_at(self.now + delay, callback, priority=priority, label=label)
 
     def schedule_at(
         self,
@@ -273,9 +271,9 @@ class Simulator:
         label: str = "",
     ) -> Event:
         """Schedule *callback* at an absolute time (must be >= now)."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time} before now={self.now}"
             )
         event = Event(time=time, priority=priority, callback=callback, label=label)
         return self._queue.push(event)
@@ -292,7 +290,7 @@ class Simulator:
                 f"cannot schedule in the past (delay={delay_ms})")
         queue = self._queue
         heapq.heappush(queue._heap, (
-            self._now + delay_ms, 0, next(queue._counter), fn, args))
+            self.now + delay_ms, 0, next(queue._counter), fn, args))
         queue._live += 1
 
     def schedule_stream(
@@ -316,9 +314,9 @@ class Simulator:
         if n == 0:
             return None
         first = float(times[0])
-        if first < self._now:
+        if first < self.now:
             raise SimulationError(
-                f"stream starts at t={first} before now={self._now}"
+                f"stream starts at t={first} before now={self.now}"
             )
         return _StreamCursor(self, times, callback, priority, label)
 
@@ -364,18 +362,18 @@ class Simulator:
                     break
                 heappop(heap)
                 queue._live -= 1
-                self._now = time
+                self.now = time
                 if args is None:
                     fn.callback()
                 else:
                     fn(*args)
                 executed += 1
-            if until is not None and self._now < until and not self._stopped:
-                self._now = until
+            if until is not None and self.now < until and not self._stopped:
+                self.now = until
         finally:
             self.events_executed = executed
             self._running = False
-        return self._now
+        return self.now
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
@@ -415,20 +413,17 @@ def resolve_engine(engine: Optional[str]) -> str:
 
 
 class FlatClock:
-    """Minimal read-only ``Simulator`` facade for the vector engine.
+    """Minimal ``Simulator`` facade for the vector engine.
 
     The vector engine has no :class:`Simulator`; after a run it installs
     one of these as ``system.sim`` so downstream consumers (the perf
     harness, result finalization) can keep reading ``sim.now`` and
-    ``sim.events_executed`` regardless of which engine ran.
+    ``sim.events_executed`` — plain attributes on both — regardless of
+    which engine ran.
     """
 
-    __slots__ = ("_now", "events_executed")
+    __slots__ = ("now", "events_executed")
 
     def __init__(self, now: float = 0.0, events_executed: int = 0) -> None:
-        self._now = now
+        self.now = now
         self.events_executed = events_executed
-
-    @property
-    def now(self) -> float:
-        return self._now

@@ -99,17 +99,30 @@ class FunctionPool(PoolSurface):
         """Accept one task into the global stage queue."""
         now = self.sim.now
         task.record.enqueue_ms = now
-        self.queue.push(task)
-        self._waiting.append(task)
         self._c_enqueued.inc()
         enqueues = self._recent_enqueues
         enqueues.append(now)
         horizon = now - self.delay_window_ms
         while enqueues and enqueues[0] < horizon:
             enqueues.popleft()
-        if self.spawn_on_demand:
-            self._spawn_for_backlog()
-        self.dispatch()
+        queue = self.queue
+        backlog = True if queue else self.spawn_on_demand
+        # Same-instant dispatch: a task entering an empty queue (with no
+        # backlog spawn to run first) would be pushed and popped straight
+        # back out, so the one scan places it; when nothing has room it
+        # is queued, and a second scan would find nothing either.
+        target = None if backlog else self._select_container()
+        if target is not None:
+            target.assign(task)
+            if target.current_task is not task:
+                self._waiting.append(task)
+            return
+        queue.push(task)
+        self._waiting.append(task)
+        if backlog:
+            if self.spawn_on_demand:
+                self._spawn_for_backlog()
+            self.dispatch()
 
     def _pin_head(self, container: Container) -> None:
         """Pin the queue head to *container* (still cold: it only queues)."""
@@ -134,23 +147,21 @@ class FunctionPool(PoolSurface):
 
     def _select_container(self) -> Optional[Container]:
         # Hot path: this scan runs for every dispatch attempt, so the
-        # readiness/occupancy checks are inlined (state compare + queue
-        # length) instead of going through the is_ready/free_slots
-        # properties.  Selection key: least free slots, then lowest
+        # readiness/occupancy checks are inlined (state compare + the
+        # container's ``free`` tally) instead of going through the
+        # is_ready/free_slots properties.  Selection key: least free slots, then lowest
         # container id.  The list ascends by id (spawns append, compaction
         # keeps order), so the first hit of a free count wins its ties and
         # one free slot — the global minimum — ends the scan, the vector
         # engine's rule.
         best: Optional[Container] = None
-        best_free = 0
+        best_free = 0x7FFFFFFF
         for container in self.containers:
             state = container.state
             if state is not ContainerState.IDLE and state is not ContainerState.BUSY:
                 continue
-            free = container.batch_size - len(container.local_queue)
-            if container.current_task is not None:
-                free -= 1
-            if free <= 0 or (best is not None and free >= best_free):
+            free = container.free
+            if free <= 0 or free >= best_free:
                 continue
             best = container
             best_free = free
@@ -194,6 +205,7 @@ class FunctionPool(PoolSurface):
         for slot in self.containers:
             purged += len(slot.local_queue)
             slot.local_queue.clear()
+            slot.free = slot.batch_size - (slot.current_task is not None)
         return purged
 
     def forget_waiting(self, task: Task) -> None:
@@ -276,6 +288,7 @@ class FunctionPool(PoolSurface):
         if task is not None:
             orphans.insert(0, task)
         container.local_queue.clear()
+        container.free = container.batch_size
         for orphan in orphans:
             self._retry_orphan(orphan, reason)
         self._compact()
@@ -300,4 +313,5 @@ class FunctionPool(PoolSurface):
             self._retire(container)
             self._compact()
         self._on_task_finished(task)
-        self.dispatch()
+        if self.queue:
+            self.dispatch()

@@ -107,6 +107,27 @@ class TestContainer:
         with pytest.raises(RuntimeError):
             container.assign(_task())
 
+    def test_free_tally_through_start_complete_and_crash(self):
+        sim = Simulator()
+        container, done = _make_container(sim, batch_size=3, cold_start_ms=0.0)
+
+        def tally_holds():
+            return container.free == (
+                container.batch_size - len(container.local_queue)
+                - (container.current_task is not None))
+
+        sim.run(until=1.0)
+        for _ in range(3):
+            container.assign(_task())
+            assert tally_holds()
+        assert container.free == 0 and len(container.local_queue) == 2
+        while not done:
+            sim.run(max_events=sim.events_executed + 1)
+        assert tally_holds() and container.free == 1
+        # No crash callback wired: the container keeps its own tally.
+        container._crash()
+        assert tally_holds() and container.free == 2
+
     def test_terminate_idle(self):
         sim = Simulator()
         container, _ = _make_container(sim, cold_start_ms=0.0)
@@ -324,3 +345,87 @@ class TestFunctionPool:
         assert pool.spawn(1) == 0  # no callback wired -> fails
         pool.reclaim_callback = pool.reclaim_one_idle
         assert pool.spawn(1) == 1  # reclaims an idle sibling and places
+
+
+class TestSameInstantDispatch:
+    """An enqueue into an empty queue on a pool that does not spawn on
+    demand is placed by one container scan, without the global queue's
+    push/pop round trip (DESIGN.md section 10.1)."""
+
+    @staticmethod
+    def _warm_pool(batch_size=2, warm=2):
+        sim = Simulator()
+        pool, _, _ = _make_pool(sim, batch_size=batch_size)
+        assert pool.prewarm(warm) == warm
+        sim.run(until=1.0)
+        scans = []
+        select = pool._select_container
+
+        def counted():
+            scans.append(None)
+            return select()
+
+        pool._select_container = counted
+        return pool, scans
+
+    @staticmethod
+    def _untouched(pool):
+        # The LSF heap holds nothing and its insertion counter never moved.
+        return pool.queue._heap == [] and repr(pool.queue._counter) == "count(0)"
+
+    def test_idle_least_free_container_starts_the_task(self):
+        pool, scans = self._warm_pool()
+        first, second = pool.containers
+        task = _task()
+        pool.enqueue(task)
+        assert self._untouched(pool) and len(scans) == 1
+        # All tie at two free slots: the first in list order wins, and
+        # the task starts there at once, never entering the waiting view.
+        assert first.current_task is task and first.free == 1
+        assert second.free == 2
+        assert task.record.start_ms == 1.0
+        assert list(pool._waiting) == []
+
+    def test_busy_target_puts_the_task_on_waiting(self):
+        pool, scans = self._warm_pool()
+        first, second = pool.containers
+        running, queued = _task(), _task()
+        pool.enqueue(running)
+        pool.enqueue(queued)
+        # The least-free container (one slot left) takes it, behind the
+        # running task: it has not started, so it is waiting.
+        assert self._untouched(pool) and len(scans) == 2
+        assert list(first.local_queue) == [queued] and first.free == 0
+        assert second.free == 2
+        assert queued.record.start_ms < 0
+        assert list(pool._waiting) == [queued]
+        # The next one goes to the other, idle container and starts.
+        third = _task()
+        pool.enqueue(third)
+        assert second.current_task is third and second.free == 1
+        assert list(pool._waiting) == [queued]
+
+    def test_no_room_queues_the_task_exactly_once(self):
+        pool, scans = self._warm_pool(batch_size=1)
+        for _ in range(2):
+            pool.enqueue(_task())
+        assert self._untouched(pool)
+        overflow = _task()
+        pool.enqueue(overflow)
+        assert len(scans) == 3  # one scan per enqueue, none after the push
+        assert pool.queue_length == 1
+        assert [entry[2] for entry in pool.queue._heap] == [overflow]
+        assert repr(pool.queue._counter) == "count(1)"
+        assert list(pool._waiting) == [overflow]
+
+    def test_backlog_keeps_the_queue_path(self):
+        pool, scans = self._warm_pool(batch_size=1)
+        for _ in range(3):
+            pool.enqueue(_task())
+        # A non-empty queue goes through push + dispatch: the fourth task
+        # is pushed behind the third.
+        late = _task()
+        pool.enqueue(late)
+        assert pool.queue_length == 2
+        assert repr(pool.queue._counter) == "count(2)"
+        assert list(pool._waiting)[-1] is late

@@ -8,9 +8,12 @@ with one flash crowd to 400), cut to its first 60 model-seconds:
 
 * **Calls per job.**  cProfile's call count (Python and builtin calls)
   over the run, per completed job, stays under a ceiling about 5 % above
-  the flat hot path's 295 (DESIGN.md §10.1): timers without ``Event``
-  objects, counters bumped in place, one totals pass per job.  Before
-  it the run made 450 calls per job.
+  the 213 of same-instant dispatch (DESIGN.md §10.1): a task entering
+  an empty stage queue goes straight to a container, containers keep a
+  free-slot tally and the clock is a plain attribute.  The flat hot
+  path before it (timers without ``Event`` objects, counters bumped in
+  place, one totals pass per job) made 295 calls per job; the run
+  before that, 450.
 * **Same simulation.**  The event count and the ``summary()`` digest are
   the ones the run had before the hot path was flattened: a speed-up
   must not move a single event or bit.
@@ -33,8 +36,9 @@ from repro.traces import wits_rate_profile
 from repro.traces.base import trace_from_profile
 from repro.workloads import get_mix
 
-#: Calls per completed job: 450.0 before the flat hot path, 294.8 after.
-CALLS_PER_JOB_CEILING = 310.0
+#: Calls per completed job: 450.0 before the flat hot path, 295.8 after
+#: it, 213.1 with same-instant dispatch.
+CALLS_PER_JOB_CEILING = 225.0
 JOBS = 4775
 EVENTS = 38211
 SUMMARY_SHA256 = (

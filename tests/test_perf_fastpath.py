@@ -164,16 +164,18 @@ class TestGreedySelection:
     @given(_containers)
     @settings(max_examples=200, deadline=None)
     def test_early_exit_equals_full_scan(self, specs):
-        """Stopping at the first container with one free slot picks what
-        the full scan picks: least free slots, then lowest id, among
-        ready containers with a free slot."""
+        """Stopping at the first container with one free slot, reading
+        each container's ``free`` tally, picks what the full scan picks:
+        least free slots, then lowest id, among ready containers with a
+        free slot."""
         containers, container_id = [], 0
         for state, batch, queued, busy, gap in specs:
             container_id += gap  # pools list containers by ascending id
             containers.append(SimpleNamespace(
                 container_id=container_id, state=state, batch_size=batch,
                 local_queue=[None] * queued,
-                current_task=object() if busy else None))
+                current_task=object() if busy else None,
+                free=batch - queued - busy))
 
         def free(c):
             return c.batch_size - len(c.local_queue) - (c.current_task is not None)

@@ -10,6 +10,11 @@ through a ``VectorEngine`` stepped by hand.  After every step both
 must give the same scaler-facing readings and the same ``pool_*``
 registry series, float for float.
 
+A coda, on ``FunctionPool`` alone (the vector engine injects no
+container faults), carries on past the script through a container
+crash, ``purge_queued`` and ``fail_node``; after every step of both,
+every event-loop container's ``free`` tally equals what it stands for.
+
 The structural test then holds the two classes to *one definition* of
 every name in ``poolsurface.SURFACE``: whatever ``VectorPool`` does not
 list, with its reason, in ``VECTOR_OVERRIDES`` must resolve to the very
@@ -17,11 +22,13 @@ function object ``FunctionPool`` resolves to.
 """
 
 import inspect
+import itertools
 from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.cluster.faults import fail_node
 from repro.core.controlplane import prewarm_opening_capacity
 from repro.core.policies import make_policy_config
 from repro.core.poolsurface import SURFACE, PoolSurface
@@ -146,6 +153,41 @@ def script(driver):
     yield "finished"
 
 
+def fault_coda(driver):
+    """Past the script, on the event loop only: faults that clear local
+    queues and running tasks.  Yields a label after every step."""
+    pool = driver.pool
+    batch = pool.batch_size
+    pool.single_use = False
+    assert pool.prewarm(2) == 2
+    driver.advance(17_001.0)
+    for i in range(3 * batch + 2):
+        driver._enqueue(17_001.0 + i)
+    assert pool.queue_length == 2 and pool.free_slots == 0
+    yield "coda: burst fills the three containers, two tasks queued"
+    pool.containers[0]._crash()
+    assert pool.queue_length == 2 + batch and pool.n_containers == 2
+    yield "coda: a busy container crashed, its tasks back in the queue"
+    assert pool.purge_queued() == 2 + batch + 2 * (batch - 1)
+    assert pool.queue_length == 0 and pool.free_slots == 2 * (batch - 1)
+    yield "coda: purge_queued dropped every queued task, runs kept"
+    assert pool.spawn(1) == 1
+    for i in range(2 * batch):
+        driver._enqueue(17_001.0 + i)
+    assert pool.queue_length == 2 and pool.free_slots == 0
+    yield "coda: a cold spawn; the warm two refilled, two tasks queued"
+    assert fail_node(pool.cluster.nodes[0], [pool], driver.sim.now) == 3
+    assert pool.n_containers == 0 and pool.queue_length == 2 + 2 * batch
+    yield "coda: fail_node killed every container, their tasks requeued"
+
+
+def assert_free_tally(containers, label):
+    """Each event-loop container's free-slot tally equals its slots."""
+    assert [c.free for c in containers] == [
+        c.batch_size - len(c.local_queue) - (c.current_task is not None)
+        for c in containers], label
+
+
 def readings(pool):
     """Everything a scaler, the control plane or the collector reads."""
     node = pool.cluster.nodes[0]
@@ -195,6 +237,7 @@ def test_one_script_same_readings_and_series(scheduling):
         assert [c.free for c in vec.pool.containers] == [
             c.batch - len(c.lq) - (c.cur_r >= 0)
             for c in vec.pool.containers], sim_label
+        assert_free_tally(sim.pool.containers, sim_label)
         finished = sim_label == "finished"
         assert (pool_series(sim.registry, lazy=finished)
                 == pool_series(vec.registry, lazy=finished)), sim_label
@@ -207,6 +250,19 @@ def test_one_script_same_readings_and_series(scheduling):
     assert final["counters"]["tasks_completed"] == BURST + 1
     assert final["retired_task_counts"] == [3, 3, 0, 3]
     assert len(pool_series(sim.registry, lazy=True)) == 10
+
+
+@pytest.mark.parametrize(
+    "scheduling", [SchedulingPolicy.LSF, SchedulingPolicy.FIFO])
+def test_free_tally_holds_through_faults(scheduling):
+    sim = SimDriver(scheduling)
+    seen = []
+    for label in itertools.chain(script(sim), fault_coda(sim)):
+        seen.extend(c for c in sim.pool.containers if c not in seen)
+        # Dead containers included: a crash or a node kill resets the
+        # tally of the container it empties.
+        assert_free_tally(seen, label)
+    assert sim.pool.container_crashes == 1
 
 
 #: The members ``VectorPool`` defines for itself, each with the reason.

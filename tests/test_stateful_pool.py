@@ -2,9 +2,11 @@
 
 A hypothesis rule-based state machine drives a FunctionPool through
 random interleavings of enqueue / spawn / prewarm / time-advance / reap
-/ crash operations and checks the conservation invariants after every
-step: tasks are never lost or duplicated, cluster CPU accounting matches
-live containers, and capacity views stay consistent.
+/ container crash / purge / node failure operations and checks the
+conservation invariants after every step: tasks are never lost or
+duplicated, cluster CPU accounting matches live containers, capacity
+views stay consistent, and every container's ``free`` tally equals
+what it stands for.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import Cluster
 from repro.cluster.coldstart import ColdStartModel
 from repro.cluster.container import ContainerState
+from repro.cluster.faults import fail_node
 from repro.core.policies import Provisioning
 from repro.core.scheduling import SchedulingPolicy
 from repro.sim.engine import Simulator
@@ -42,6 +45,9 @@ class PoolMachine(RuleBasedStateMachine):
         self.cluster = Cluster(n_nodes=2, cores_per_node=4)
         self.finished = []
         self.submitted = 0
+        self.purged = 0
+        #: Every container the pool ever listed, dead ones included.
+        self.seen = set()
         self.pool = FunctionPool(
             sim=self.sim,
             service=get_microservice("ASR"),
@@ -88,6 +94,20 @@ class PoolMachine(RuleBasedStateMachine):
     def reclaim_one(self):
         self.pool.reclaim_one_idle()
 
+    @rule(index=st.integers(min_value=0, max_value=7))
+    def crash_container(self, index):
+        live = self.pool.live_containers
+        if live:
+            live[index % len(live)]._crash()
+
+    @rule()
+    def purge_queued(self):
+        self.purged += self.pool.purge_queued()
+
+    @rule(index=st.integers(min_value=0, max_value=1))
+    def kill_node(self, index):
+        fail_node(self.cluster.nodes[index], [self.pool], self.sim.now)
+
     # -- invariants ----------------------------------------------------------
 
     @invariant()
@@ -99,7 +119,15 @@ class PoolMachine(RuleBasedStateMachine):
             if c.state != ContainerState.TERMINATED
         )
         done = len(self.finished)
-        assert in_queue + in_containers + done == self.submitted
+        assert in_queue + in_containers + done + self.purged == self.submitted
+
+    @invariant()
+    def free_tally_matches_slots(self):
+        self.seen.update(self.pool.containers)
+        for container in self.seen:
+            assert container.free == (
+                container.batch_size - len(container.local_queue)
+                - (container.current_task is not None))
 
     @invariant()
     def cluster_cpu_matches_live_containers(self):
@@ -143,7 +171,7 @@ class PoolMachine(RuleBasedStateMachine):
         if self.cluster.total_containers == 0 and self.pool.queue_length:
             # Cluster had no capacity at all — acceptable terminal state.
             return
-        assert len(self.finished) == self.submitted
+        assert len(self.finished) + self.purged == self.submitted
 
 
 PoolMachine.TestCase.settings = settings(
