@@ -38,6 +38,7 @@ from repro.core.slack import (
     function_response_ms,
     function_slack_ms,
 )
+from repro.core.vectorized import presample_app_indices
 from repro.metrics.collector import MetricsCollector, RunResult
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -66,6 +67,11 @@ class ClusterSpec:
     def total_cores(self) -> float:
         return self.n_nodes * self.cores_per_node
 
+
+#: Applications drawn per refill of the arrival path's buffer.
+#: ``Generator.random(k)`` yields the same doubles as ``k`` scalar
+#: draws, so the chunk size never shows in a result.
+_APP_CHUNK = 1024
 
 #: Predictors the system can construct itself (no offline training).
 _UNTRAINED_PREDICTORS = {
@@ -216,6 +222,10 @@ class ServerlessSystem:
             for node_id in self.cordoned_node_ids:
                 self.cluster.nodes[node_id].fail()
         self._rng_apps = np.random.default_rng(self.seed)
+        # The buffered application stream restarts with its generator;
+        # the first ``_draw_app`` refills it.
+        self._apps_drawn: list = []
+        self._apps_next = _APP_CHUNK
         self._rng_exec = np.random.default_rng(self.seed + 1)
         # An interval shorter than the paper's 5 s window is sampled in
         # one window of its own length.
@@ -254,7 +264,6 @@ class ServerlessSystem:
             now=lambda: sim.now,
             later=sim.later,
             shed_expired=self.shed_expired,
-            store=self.store,
         )
         reclaim = partial(reclaim_idle_capacity, self.pools)
         for name in self.mix.function_names():
@@ -307,8 +316,21 @@ class ServerlessSystem:
     def _draw_app(self):
         """The next arrival's application, drawn before any admission
         check — the stream order the golden traces and
-        ``TraceReplayer``'s plan pin."""
-        return self.mix.sample_application(self._rng_apps)
+        ``TraceReplayer``'s plan pin.
+
+        Read from a buffer that :func:`presample_app_indices` refills
+        one chunk at a time, only when a draw finds it spent: the same
+        stream as one ``sample_application`` call per arrival, and the
+        function the vector engine draws its whole trace with.
+        """
+        i = self._apps_next
+        if i == _APP_CHUNK:
+            apps = self.mix.applications
+            self._apps_drawn = [apps[k] for k in presample_app_indices(
+                self.mix._weight_cdf, self._rng_apps, _APP_CHUNK).tolist()]
+            i = 0
+        self._apps_next = i + 1
+        return self._apps_drawn[i]
 
     def _on_arrival(self) -> None:
         if self.blackout is not None and self.blackout.covers(self.sim.now):

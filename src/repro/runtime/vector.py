@@ -10,7 +10,8 @@ replays (the Wiki trace at paper scale):
   end / exec / cold): typed ``array`` buffers, 8 B per value, viewed as
   numpy without a copy at finalize time and released by ``finish()``.
 * **Batch admission** — every arrival's application is pre-sampled in
-  one vectorized draw (:func:`repro.core.vectorized.presample_app_indices`),
+  one vectorized draw (:func:`repro.core.vectorized.presample_app_indices`,
+  which also refills the event loop's application buffer),
   blackout-covered arrivals are masked in one pass, and (when admission
   cannot shed) the whole record layout is laid out up front with
   :func:`repro.core.vectorized.job_record_layout`.
@@ -40,11 +41,11 @@ counter-visible side effect.  ``tests/test_vector_parity.py`` asserts
 identical ``RunResult`` summaries against the event-loop engine across a
 policy × trace × mix × seed grid.
 
-Two result-invisible shortcuts are taken deliberately: per-job
-``StateStore`` rows are not written (pool/stage rows still are), and
-global ``Job`` ids are only consumed when a tracer is attached (span
-output is id-normalized by the golden harness).  Configurations the
-flat loop cannot replicate exactly raise
+One result-invisible shortcut is taken deliberately: global ``Job``
+ids are only consumed when a tracer is attached (span output is
+id-normalized by the golden harness).  Like the event loop, the engine
+writes the ``StateStore``'s stage rows and no per-job row.
+Configurations the flat loop cannot replicate exactly raise
 :class:`VectorEngineUnsupported` instead of silently diverging.
 """
 

@@ -20,6 +20,7 @@ from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
+from repro.core.vectorized import presample_app_indices
 from repro.serve.clock import ScaledClock
 from repro.serve.gateway import Gateway
 from repro.traces.base import ArrivalTrace
@@ -48,14 +49,16 @@ class TraceReplayer:
         self.mix = mix
         self.seed = seed
         # Same generator construction and draw order as the simulator's
-        # arrival path (ServerlessSystem._on_arrival), so the app
-        # sequence is bit-identical to a sim run with the same seed.
-        rng = np.random.default_rng(seed)
-        plan: List[PlannedArrival] = []
-        for t in trace.arrivals_ms:
-            app = mix.sample_application(rng)
-            plan.append(PlannedArrival(time_ms=float(t), app=app))
-        self._plan: Tuple[PlannedArrival, ...] = tuple(plan)
+        # arrival path (ServerlessSystem._draw_app), so the app
+        # sequence is bit-identical to a sim run with the same seed:
+        # one draw for the whole trace.
+        times = np.asarray(trace.arrivals_ms, dtype=np.float64)
+        drawn = presample_app_indices(
+            mix._weight_cdf, np.random.default_rng(seed), times.size)
+        apps = mix.applications
+        self._plan: Tuple[PlannedArrival, ...] = tuple(
+            PlannedArrival(time_ms=t, app=apps[k])
+            for t, k in zip(times.tolist(), drawn.tolist()))
         #: Model-ms timestamps actually replayed (filled by ``replay``).
         self.replayed_ms: List[float] = []
 

@@ -9,7 +9,7 @@ wait, execution, transition overhead — that Figures 9 and 10 report.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 from repro.workloads.applications import Application
@@ -17,6 +17,28 @@ from repro.workloads.applications import Application
 _job_ids = itertools.count()
 
 
+def _slotted(cls):
+    """Rebuild dataclass *cls* with ``__slots__`` naming its fields.
+
+    A simulated job is one ``Job``, a ``JobStage`` per stage and a
+    ``Task`` per stage visit, so a per-instance ``__dict__`` is most of
+    what a job costs in memory.  This is ``dataclass(slots=True)``
+    (Python 3.10+) written out for 3.9: the class body keeps its field
+    defaults for the generated ``__init__``, so the slots cannot be
+    declared in it, and the class is rebuilt without the defaults as
+    class attributes.  Fields, defaults, equality and ``repr`` are the
+    dataclass's own.
+    """
+    names = tuple(f.name for f in fields(cls))
+    body = {key: value for key, value in cls.__dict__.items()
+            if key not in names and key not in ("__dict__", "__weakref__")}
+    body["__slots__"] = names
+    slotted = type(cls)(cls.__name__, cls.__bases__, body)
+    slotted.__qualname__ = cls.__qualname__
+    return slotted
+
+
+@_slotted
 @dataclass
 class JobStage:
     """Latency record for one stage of one job."""
@@ -43,6 +65,7 @@ class JobStage:
         return max(0.0, self.queue_delay_ms - self.cold_start_wait_ms)
 
 
+@_slotted
 @dataclass
 class Job:
     """One end-to-end request for an application chain."""
@@ -142,6 +165,7 @@ class Job:
         return self.app.remaining_work_ms(from_stage)
 
 
+@_slotted
 @dataclass
 class Task:
     """One stage of one job, as enqueued at a function pool.

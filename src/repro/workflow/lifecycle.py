@@ -39,12 +39,13 @@ LOST_BLACKOUT = "control_plane_blackout_lost_total"
 class RequestLifecycle:
     """Clock-agnostic transitions over job / stage state.
 
-    Every transition emits to the metrics collector, to the optional
+    Every transition emits to the metrics collector and to the optional
     *journal* (the :class:`~repro.serve.journal.JournalWriter`
-    vocabulary) and to the optional *store* (the simulator's per-job
-    ``StateStore`` rows).  Counters are looked up lazily, so a run only
-    exports the series it actually bumped; a driver that wants a series
-    registered up front (the live gateway) registers it itself.
+    vocabulary).  No plane writes a per-job ``StateStore`` row: the
+    store keeps per-stage rows only.  Counters are looked up lazily, so
+    a run only exports the series it actually bumped; a driver that
+    wants a series registered up front (the live gateway) registers it
+    itself.
     """
 
     def __init__(
@@ -57,7 +58,6 @@ class RequestLifecycle:
         later: Callable[..., object],
         shed_expired: bool = False,
         journal=None,
-        store=None,
         registry=None,
         on_settle: Optional[Callable[[], None]] = None,
     ) -> None:
@@ -69,7 +69,6 @@ class RequestLifecycle:
         self.later = later
         self.shed_expired = shed_expired
         self.journal = journal
-        self.store = store
         self.on_settle = on_settle
         self._apps = {app.name: app for app in mix.applications}
         #: Crash flag: a dead lifecycle answers nothing — arrivals are
@@ -130,10 +129,6 @@ class RequestLifecycle:
         self.sampler.record(now)
         job = Job(app=app, arrival_ms=now)
         self.jobs[job.job_id] = job
-        if self.store is not None:
-            self.store.insert(
-                "jobs", job.job_id, {"app": app.name, "creationTime": now}
-            )
         if self.journal is not None:
             self.journal.admit(job)
         # Ingress hop: the transition overhead precedes every stage.
@@ -182,10 +177,6 @@ class RequestLifecycle:
             now = self.now()
             job.completion_ms = now
             self.metrics.record_job_completed(job)
-            if self.store is not None:
-                self.store.update(
-                    "jobs", job.job_id, {"completionTime": now}
-                )
             if self.journal is not None:
                 self.journal.complete(job, now)
             self._settle(job)
@@ -229,8 +220,6 @@ class RequestLifecycle:
         job.failed_ms = now
         job.failure_reason = reason
         self.metrics.record_job_failed(job)
-        if self.store is not None:
-            self.store.update("jobs", job.job_id, {"failedTime": now})
 
     def _settle(self, job: Job) -> None:
         self.jobs.pop(job.job_id, None)

@@ -7,13 +7,15 @@ configuration (fifer, heavy mix, 52 nodes, the WITS shape at 100 req/s
 with one flash crowd to 400), cut to its first 60 model-seconds:
 
 * **Calls per job.**  cProfile's call count (Python and builtin calls)
-  over the run, per completed job, stays under a ceiling about 5 % above
-  the 213 of same-instant dispatch (DESIGN.md §10.1): a task entering
-  an empty stage queue goes straight to a container, containers keep a
-  free-slot tally and the clock is a plain attribute.  The flat hot
-  path before it (timers without ``Event`` objects, counters bumped in
-  place, one totals pass per job) made 295 calls per job; the run
-  before that, 450.
+  over the run, per completed job, stays under a ceiling about 4 % above
+  the 192 of the buffered application stream (DESIGN.md §10.1): an
+  arrival reads its application from a chunk drawn in one numpy call
+  instead of making a scalar draw.  Same-instant dispatch before it (a
+  task entering an empty stage queue goes straight to a container,
+  containers keep a free-slot tally, the clock is a plain attribute)
+  made 210 calls per job; the flat hot path before that (timers
+  without ``Event`` objects, counters bumped in place, one totals pass
+  per job) 295; the run before that, 450.
 * **Same simulation.**  The event count and the ``summary()`` digest are
   the ones the run had before the hot path was flattened: a speed-up
   must not move a single event or bit.
@@ -37,8 +39,9 @@ from repro.traces.base import trace_from_profile
 from repro.workloads import get_mix
 
 #: Calls per completed job: 450.0 before the flat hot path, 295.8 after
-#: it, 213.1 with same-instant dispatch.
-CALLS_PER_JOB_CEILING = 225.0
+#: it, 213.1 with same-instant dispatch (209.6 on a later measurement),
+#: 191.7 with the buffered application stream.
+CALLS_PER_JOB_CEILING = 200.0
 JOBS = 4775
 EVENTS = 38211
 SUMMARY_SHA256 = (

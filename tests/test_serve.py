@@ -20,6 +20,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.prediction.windowed import WindowedMaxSampler
 from repro.serve import (
     Gateway,
+    PlannedArrival,
     ScaledClock,
     ServeOptions,
     ServingRuntime,
@@ -398,15 +399,16 @@ class TestReplayerDeterminism:
 
     def test_matches_simulator_app_stream(self):
         # The replayer's eager plan draws from the same seeded stream the
-        # simulator consumes in _on_arrival — sequences must be identical.
-        trace = poisson_trace(25.0, 15.0, seed=9)
+        # simulator consumes in _draw_app: its one draw for the whole
+        # trace is the plan one scalar draw per arrival builds.
+        trace = poisson_trace(200.0, 30.0, seed=9)
         mix = get_mix("heavy")
-        planned = [p.app.name for p in TraceReplayer(trace, mix, seed=9).plan()]
         rng = np.random.default_rng(9)
-        expected = [
-            mix.sample_application(rng).name for _ in range(trace.arrivals_ms.size)
-        ]
-        assert planned == expected
+        expected = tuple(
+            PlannedArrival(time_ms=float(t), app=mix.sample_application(rng))
+            for t in trace.arrivals_ms)
+        assert len(expected) > 5000
+        assert TraceReplayer(trace, mix, seed=9).plan() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +449,7 @@ class TestEndToEnd:
         assert result.n_completed == result.n_jobs
 
     def test_replay_plan_is_built_before_the_clock_starts(self, monkeypatch):
-        # The plan is a per-arrival Python loop; built after
+        # The plan costs Python per arrival; built after
         # ``clock.start()`` it blocked the event loop while model time
         # ran, so the first arrivals of every serve were late by it.
         import repro.serve.runtime as runtime_module
