@@ -9,8 +9,11 @@ scalers driven by a periodic control loop instead of simulated events.
 
 This example runs the same policy/trace/seed through both worlds and
 prints the reports side by side: the metrics pipeline is shared, so the
-rows are directly comparable.  Time is compressed 20x (time_scale=0.05)
-so the 60 s workload takes ~3 s of wall time per run.
+rows are directly comparable.  A third run serves the trace on two
+gateway shards (:func:`repro.shard.serve_sharded`: one process per
+shard, each over its slice of the request ids and of the cluster).
+Time is compressed 20x (time_scale=0.05) so the 60 s workload takes
+~3 s of wall time per run.
 
 Run:  python examples/live_serving.py
 """
@@ -21,6 +24,7 @@ from repro.experiments import format_table
 from repro.runtime.system import ClusterSpec, run_policy
 from repro.serve import ServeOptions, ServingRuntime
 from repro.core.policies import make_policy_config
+from repro.shard import serve_sharded
 from repro.traces import poisson_trace
 from repro.workloads import get_mix
 
@@ -79,6 +83,17 @@ def main() -> None:
           f"shed={runtime.shed_jobs}")
     print("Same policy code, same metrics pipeline — only the clock "
           "differs; small gaps come from wall-clock jitter.")
+
+    # World 3: the live runtime again, split over two gateway processes.
+    sharded = serve_sharded(
+        POLICY, mix, trace, shards=2, cluster_spec=spec, seed=SEED,
+        options=ServeOptions(time_scale=TIME_SCALE),
+        idle_timeout_ms=60_000.0,
+    )
+    print(f"\ntwo live gateway shards: {sharded.n_jobs} jobs "
+          f"({', '.join(str(r.n_jobs) for r in sharded.per_shard.values())}"
+          f" per shard), SLO viol {sharded.slo_violation_rate:.2%}, "
+          f"P99 {sharded.summary()['p99_latency_ms']:.0f} ms")
 
 
 if __name__ == "__main__":

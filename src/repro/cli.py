@@ -88,13 +88,23 @@ def _emit_obs(args, tracer, registry, result) -> None:
 _REFUSED_FLAGS = {"diverge_after": "--diverge-at", "tracer": "--trace-out"}
 
 
-def _usage_error(args, exc: ValueError) -> SystemExit:
+class UsageError(SystemExit):
+    """A command line that describes no runnable run: exit status 2, as
+    for argparse's own usage errors, with the one-line message (its
+    ``str``) on stderr — :func:`main` prints it."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.code = 2
+
+
+def _usage_error(args, exc: ValueError) -> UsageError:
     """A scenario that cannot be built or run as asked is a usage error;
     a member the sharded plane refuses is named by its flag."""
     flag = _REFUSED_FLAGS.get(getattr(exc, "member", None))
     if flag:
         exc = f"{flag} is not supported with --shards > 1"
-    return SystemExit(f"{args.command}: {exc}")
+    return UsageError(f"{args.command}: {exc}")
 
 
 def _scenario(args, policy: Optional[str] = None, seed: Optional[int] = None,
@@ -295,7 +305,7 @@ def _refuse_with_shards(args, unsharded_only: dict) -> None:
     error.  What the *scenario* cannot honour sharded it refuses itself."""
     for flag, default in unsharded_only.items():
         if getattr(args, flag[2:].replace("-", "_")) != default:
-            raise SystemExit(
+            raise UsageError(
                 f"{args.command}: {flag} is not supported with --shards > 1")
 
 
@@ -349,15 +359,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.shards > 1:
         result = _run(args, scenario, tracer=tracer)
         _print_sharded(args.policy, result, journal=result.journal)
-        if result.failover:
-            info = result.failover
-            print(f"failover: shard {info['victim']} declared dead at "
-                  f"t={info['declared_at_ms'] / 1000.0:.1f}s "
-                  f"(epoch {info['epoch']}, fence "
-                  f"{'taken' if info['fence_taken'] else 'refused'}); "
-                  f"{info['requeued']} jobs requeued, "
-                  f"{info['expired']} expired on survivors "
-                  f"{info['survivors']}")
         return 0
     runtime = scenario.runtime(tracer)
     result = runtime.run(trace)
@@ -631,11 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "shard, each with its own journal/checkpoint "
                             "files); 1 (default) is the exact "
                             "single-gateway path")
-        g.add_argument("--heartbeat-interval", type=float, default=1.0,
-                       metavar="S",
-                       help="model seconds between shard liveness beats "
-                            "for the failover health monitor (with "
-                            "kill-shard faults)")
         return g
 
     def add_parallel(p):
@@ -685,6 +681,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="model seconds between orchestrator "
                               "reconciliations (default: the monitor "
                               "interval)")
+    shard_g.add_argument("--heartbeat-interval", type=float, default=1.0,
+                         metavar="S",
+                         help="model seconds between shard liveness beats "
+                              "for the in-run failover health monitor "
+                              "(with kill-shard faults)")
     shard_g.add_argument("--stage-routing", choices=["local", "hash"],
                          default="local",
                          help="'local' keeps a job's whole chain on its "
@@ -799,7 +800,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        raise
 
 
 if __name__ == "__main__":  # pragma: no cover

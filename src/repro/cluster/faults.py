@@ -174,14 +174,14 @@ ONCE_KINDS = WINDOW_KINDS | {"kill-orchestrator"}
 #: Kinds that need a surviving peer shard: refused on a lone shard.
 PLANE_WIDE_KINDS = SHARD_KINDS | {"kill-orchestrator"}
 #: Kinds a live run recovers from by replaying its write-ahead journal.
-JOURNAL_KINDS = frozenset(("crash-gateway", "crash-control", "kill-shard"))
+JOURNAL_KINDS = frozenset(("crash-gateway", "crash-control"))
 #: The kinds each plane enacts; ``validate`` refuses the rest.
 PLANE_KINDS: Dict[str, frozenset] = {
     "sim": NODE_KINDS | {"blackout"},
     "vector": frozenset({"blackout"}),
     "sim-sharded": PLANE_WIDE_KINDS,
     "live-sharded": frozenset({"brownout", "kill-workers", "crash-gateway",
-                               "crash-control", "kill-shard"}),
+                               "crash-control"}),
 }
 PLANE_KINDS["live"] = NODE_KINDS | PLANE_KINDS["live-sharded"]
 _CHUNK = re.compile(
@@ -304,14 +304,17 @@ class FaultTimeline:
         kind outside :data:`PLANE_KINDS`, a node/shard id out of range,
         a second event of a :data:`ONCE_KINDS` kind, a
         :data:`JOURNAL_KINDS` crash on a live run that keeps no journal
-        (*journaled* false).  Returns self."""
+        (*journaled* false).  A plane-wide kind on a lone simulated
+        shard is refused as such; the live planes enact none.  Returns
+        self."""
         enacted = PLANE_KINDS[plane]
         for event in self.events:
             if not journaled and event.kind in JOURNAL_KINDS:
                 raise ValueError(
-                    "control-plane and shard crash injection requires "
-                    "journal_dir (there is nothing to recover from otherwise)")
-            if n_shards == 1 and event.kind in PLANE_WIDE_KINDS:
+                    "control-plane crash injection requires journal_dir "
+                    "(there is nothing to recover from otherwise)")
+            if (n_shards == 1 and event.kind in PLANE_WIDE_KINDS
+                    and not plane.startswith("live")):
                 raise ValueError(
                     "shard failover needs shards > 1 (a lone shard has "
                     "no survivor to take its keyspace)")

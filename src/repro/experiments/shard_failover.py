@@ -2,9 +2,10 @@
 
 The sharded plane (:mod:`repro.shard`) buys flash-crowd absorption, but
 N gateways are N processes that can die.  This study scripts exactly
-that — one shard of four is killed while the WITS flash crowd is still
-ramping, and (in the sim arm) restarted later — and measures what the
-self-healing protocol (:mod:`repro.shard.failover`) recovers:
+that on the simulated plane — one shard of four is killed while the
+WITS flash crowd is still ramping, and restarted later — and measures
+what the in-run self-healing protocol (:mod:`repro.shard.failover`)
+recovers:
 
 * **declaration** — the heartbeat health monitor must declare the
   silent shard dead (``shard_failovers_total >= 1``) and, after the
@@ -19,9 +20,8 @@ self-healing protocol (:mod:`repro.shard.failover`) recovers:
 * **no-fault purity** — with no fault scripted the plane is untouched:
   two no-fault runs are bit-identical (the failover layer is inert).
 
-The live arm replays a compressed trace on real 4-process gateways,
-kills one child mid-run, and lets the parent adjudicate from the
-heartbeat files, fence the WAL + lease, and run the takeover runtimes.
+The live sharded plane has no such protocol and refuses ``kill-shard``
+(DESIGN.md §15), so the study has no live arm.
 
 Run it::
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -42,8 +41,7 @@ from repro.cluster.faults import FaultTimeline
 from repro.experiments import format_table
 from repro.experiments.export import atomic_write_json
 from repro.runtime.system import ClusterSpec
-from repro.serve.config import ServeOptions
-from repro.shard import run_sharded_policy, serve_sharded
+from repro.shard import run_sharded_policy
 from repro.traces.wits import wits_trace
 from repro.workloads import get_mix
 
@@ -70,14 +68,11 @@ SLO_DELTA_BOUND = 0.10
 _POLICY = "rscale"
 
 
-def kill_spec(kill_s: float, recover_s: Optional[float] = None) -> str:
-    """The study's fault timeline, as the one grammar both planes parse:
-    kill :data:`KILL_SHARD`, and (sim only — the live plane has no
-    re-admission) bring it back."""
-    spec = f"kill-shard@{kill_s:g}={KILL_SHARD}"
-    if recover_s is not None:
-        spec += f";recover-shard@{recover_s:g}={KILL_SHARD}"
-    return spec
+def kill_spec(kill_s: float, recover_s: float) -> str:
+    """The study's fault timeline: kill :data:`KILL_SHARD`, then bring
+    it back."""
+    return (f"kill-shard@{kill_s:g}={KILL_SHARD};"
+            f"recover-shard@{recover_s:g}={KILL_SHARD}")
 
 
 def _sim_arm(result) -> Dict:
@@ -111,38 +106,12 @@ def _sim_arm(result) -> Dict:
     }
 
 
-def _live_arm(result) -> Dict:
-    summary = result.summary()
-    record = {
-        "jobs": int(summary["jobs"]),
-        "completed": int(summary["completed"]),
-        "failed": int(result.n_failed),
-        "shed_jobs": int(summary["shed_jobs"]),
-        "slo_violation_rate": float(summary["slo_violation_rate"]),
-        "p99_latency_ms": float(summary["p99_latency_ms"]),
-        "journal_conserved": bool(result.journal_conserved),
-        "failovers": int(result.registry.value("shard_failovers_total")),
-    }
-    if result.failover:
-        record["failover"] = {
-            "victim": result.failover["victim"],
-            "declared_at_ms": float(result.failover["declared_at_ms"]),
-            "fence_taken": bool(result.failover["fence_taken"]),
-            "epoch": int(result.failover["epoch"]),
-            "requeued": int(result.failover["requeued"]),
-            "expired": int(result.failover["expired"]),
-            "survivors": list(result.failover["survivors"]),
-        }
-    return record
-
-
 def _conserves(arm: Dict) -> bool:
     return arm["completed"] + arm["failed"] + arm["shed_jobs"] \
         == arm["jobs"]
 
 
-def run_failover_study(quick: bool = False, seed: int = 7,
-                       live: bool = True) -> Dict:
+def run_failover_study(quick: bool = False, seed: int = 7) -> Dict:
     """Run every arm of the kill-a-shard study and derive the verdicts."""
     duration_s = 60.0 if quick else 120.0
     kill_s = duration_s / 3.0
@@ -192,59 +161,6 @@ def run_failover_study(quick: bool = False, seed: int = 7,
             <= SLO_DELTA_BOUND),
     }
 
-    live_cfg: Dict = {}
-    if live:
-        live_duration_s = 12.0 if quick else 24.0
-        # The live plane has no reroute (partitioning is static, the
-        # takeover only replays the WAL), so the victim's keyspace
-        # sheds from the kill to the end of the trace; killing past
-        # the WITS spike keeps that blast radius inside the SLO bound
-        # while the crowd is still draining.
-        live_kill_ms = 2.0 * live_duration_s * 1000.0 / 3.0
-        live_rps = 5.0
-        live_trace = wits_trace(
-            avg_rps=live_rps, peak_rps=4.0 * live_rps,
-            duration_s=live_duration_s, seed=seed + 1)
-        live_cfg = {
-            "duration_s": live_duration_s,
-            "avg_rps": live_rps,
-            "kill_at_ms": live_kill_ms,
-            "time_scale": 0.05,
-        }
-        live_common = dict(
-            shards=SHARDS, cluster_spec=spec, seed=seed,
-        )
-        specs["live"] = kill_spec(live_kill_ms / 1000.0)
-        for name, timeline in (
-                ("live_nofault", FaultTimeline()),
-                ("live_failover", FaultTimeline.parse(specs["live"]))):
-            with tempfile.TemporaryDirectory() as journal_dir:
-                kwargs = dict(
-                    live_common, faults=timeline, drain_ms=60_000.0,
-                    options=ServeOptions(
-                        time_scale=live_cfg["time_scale"],
-                        journal_dir=journal_dir))
-                if timeline:
-                    kwargs.update(
-                        heartbeat_interval_ms=HEARTBEAT_MS,
-                        heartbeat_miss_threshold=MISS_THRESHOLD,
-                        failover_hysteresis=HYSTERESIS,
-                    )
-                arms[name] = _live_arm(
-                    serve_sharded(_POLICY, mix, live_trace, **kwargs))
-        acceptance.update({
-            "live_failover_declared":
-                arms["live_failover"]["failovers"] >= 1,
-            "live_journal_conserved": bool(
-                arms["live_nofault"]["journal_conserved"]
-                and arms["live_failover"]["journal_conserved"]),
-            "live_jobs_conserved": _conserves(arms["live_failover"]),
-            "live_slo_delta_bounded": bool(
-                abs(arms["live_failover"]["slo_violation_rate"]
-                    - arms["live_nofault"]["slo_violation_rate"])
-                <= SLO_DELTA_BOUND),
-        })
-
     return {
         "quick": quick,
         "seed": seed,
@@ -264,7 +180,6 @@ def run_failover_study(quick: bool = False, seed: int = 7,
         "miss_threshold": MISS_THRESHOLD,
         "hysteresis": HYSTERESIS,
         "slo_delta_bound": SLO_DELTA_BOUND,
-        "live": live_cfg,
         "policy": _POLICY,
         "arms": arms,
         "acceptance": acceptance,
@@ -303,16 +218,6 @@ def _print_study(study: Dict) -> None:
         f"{sim['requeued']} journal jobs requeued, "
         f"{sim['expired']} expired, "
         f"{sim['shard_recoveries']} shard recoveries")
-    if "live_failover" in study["arms"]:
-        info = study["arms"]["live_failover"].get("failover", {})
-        if info:
-            print(
-                f"live takeover: declared at "
-                f"t={info['declared_at_ms'] / 1000.0:.1f}s "
-                f"(epoch {info['epoch']}, fence "
-                f"{'taken' if info['fence_taken'] else 'refused'}), "
-                f"{info['requeued']} requeued, {info['expired']} "
-                f"expired on survivors {info['survivors']}")
     print("acceptance: " + "  ".join(
         f"{k}={'PASS' if v else 'FAIL'}"
         for k, v in study["acceptance"].items()))
@@ -322,16 +227,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="kill-a-shard failover study")
     parser.add_argument("--quick", action="store_true",
-                        help="shorter trace, smaller live arm")
+                        help="shorter trace")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the study as JSON here")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--no-live", action="store_true",
-                        help="skip the live (multi-process) arms")
     args = parser.parse_args(argv)
 
-    study = run_failover_study(
-        quick=args.quick, seed=args.seed, live=not args.no_live)
+    study = run_failover_study(quick=args.quick, seed=args.seed)
     _print_study(study)
     if args.out:
         atomic_write_json(args.out, study)

@@ -41,8 +41,8 @@ def atomic_write_text(
     complete file or the new complete file, nothing in between.  Every
     publisher funnels through this helper: summaries, span JSONL,
     Prometheus snapshots and checkpoints must survive a crash (``fsync``
-    on); the heartbeat and lease files are liveness hints rewritten
-    every second from the event-loop thread, and a torn trial-cache
+    on); the heartbeat file is a liveness hint rewritten every second
+    from the event-loop thread, and a torn trial-cache
     entry is simply re-run (``fsync=False``).  The temp name is unique
     per process and call, so concurrent writers of one path never
     share it.

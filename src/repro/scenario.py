@@ -67,12 +67,20 @@ _KEYED = frozenset((
 #: (``tracer``, ``work``) when ``run`` is called.  DESIGN.md "Scenario"
 #: has the reason per cell.
 _DIVERGE = ("diverge_after", "diverge_factor", "diverge_mode")
+#: The ``Shards`` members only the simulated plane reads, as
+#: ``shards.<name>``: the live plane forks one process per shard, never
+#: hash-routes a stage or rebalances, and runs no health monitor.
+_SIM_SHARD_KNOBS = tuple(f"shards.{name}" for name in (
+    "workers", "rebalance_interval_ms", "stage_routing", "skew_threshold",
+    "heartbeat_interval_ms", "heartbeat_miss_threshold",
+    "failover_hysteresis"))
 _REFUSES: Dict[str, Tuple[str, ...]] = {
     "sim": ("work", "hang_probability"),
     "vector": ("work", "hang_probability"),
     "sim-sharded": ("work", "tracer", "hang_probability") + _DIVERGE,
     "live": ("engine",) + _DIVERGE,
-    "live-sharded": ("work", "tracer", "engine") + _DIVERGE,
+    "live-sharded": ("work", "tracer", "engine") + _DIVERGE
+    + _SIM_SHARD_KNOBS,
 }
 
 
@@ -156,8 +164,9 @@ class Shards:
     single-gateway path; ``None`` leaves a knob at the plane's default.
 
     ``workers > 1`` fans the simulated shards out over OS processes
-    (static partition, no online rebalance); the live plane always runs
-    one process per shard.
+    (static partition, no online rebalance).  The live plane always runs
+    one process per shard and reads only ``n`` and
+    ``initial_node_grants``; it refuses the rest when set.
     """
 
     n: int = 1
@@ -166,8 +175,8 @@ class Shards:
     stage_routing: str = "local"
     initial_node_grants: Optional[Tuple[int, ...]] = None
     skew_threshold: Optional[float] = None
-    #: Model-ms between shard liveness beats (the failover health
-    #: monitor's cadence once the timeline scripts a shard kill).
+    #: Model-ms between shard liveness beats (the sim-sharded failover
+    #: health monitor's cadence once the timeline scripts a shard kill).
     heartbeat_interval_ms: float = 1_000.0
     heartbeat_miss_threshold: int = 3
     failover_hysteresis: int = 2
@@ -346,7 +355,9 @@ class Scenario:
         """The one build-time check: nothing this plane cannot enact or
         honour survives construction."""
         plane, shards, live = self.plane, self.shards, self.live
-        self.refuse(**dict(self.faults), **dict.fromkeys(self._set(), True))
+        self.refuse(**dict(self.faults), **dict.fromkeys(self._set(), True),
+                    **{f"shards.{f.name}": True for f in fields(shards)
+                       if getattr(shards, f.name) != f.default})
         timeline = self.timeline.validate(
             plane, n_nodes=self.cluster.n_nodes,
             n_shards=max(shards.n, live.n_shards if live else 1),
@@ -379,11 +390,6 @@ class Scenario:
                 raise ValueError(
                     "serve_sharded assigns shard identities itself; pass "
                     "options with the default shard_id=0, n_shards=1")
-            kills = timeline.of("kill-shard")
-            if len(kills) > 1 or (kills and len(kills[0].ids) > 1):
-                raise ValueError(
-                    "the live plane fails over one shard per run; script "
-                    "one kill-shard event naming one shard")
 
     def config(self) -> RMConfig:
         """The policy's config with the typed overrides applied."""
@@ -430,16 +436,12 @@ class Scenario:
         decorrelated seed (shards must not clone RNG streams), a cluster
         of its *grant* nodes (``None`` keeps the full-size cluster — an
         in-process shard cordons what it was not granted instead), the
-        live options stamped with its identity (and the liveness cadence
-        once a shard kill is scripted), the predictor carried.  A
-        simulated shard replays no script: the sim-sharded plane enacts
+        live options stamped with its identity, the predictor carried.
+        A simulated shard replays no script: the sim-sharded plane enacts
         its plane-wide kinds itself."""
         live = self.live
         if live is not None:
             live = replace(live, shard_id=shard_id, n_shards=self.shards.n)
-            if self.timeline.of("kill-shard"):
-                live = replace(live, heartbeat_interval_ms=(
-                    self.shards.heartbeat_interval_ms))
         return replace(
             self,
             seed=self.seed + 7919 * (shard_id + 1),

@@ -27,22 +27,14 @@ class ScaledClock:
     that :class:`repro.workflow.pool.FunctionPool` reads: ``now``.
     """
 
-    def __init__(self, time_scale: float = 1.0,
-                 start_at_ms: float = 0.0) -> None:
+    def __init__(self, time_scale: float = 1.0) -> None:
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
-        if start_at_ms < 0:
-            raise ValueError("start_at_ms must be >= 0")
         self.time_scale = time_scale
-        # Model-time origin: a takeover runtime resumes a dead shard's
-        # timeline mid-run, so its clock starts at the declaration
-        # instant rather than zero.  0.0 (the default) is exact.
-        self.start_at_ms = start_at_ms
         self._start_wall: Optional[float] = None
 
     def start(self) -> None:
-        """Anchor model t=``start_at_ms`` at the current wall instant
-        (idempotent)."""
+        """Anchor model t=0 at the current wall instant (idempotent)."""
         if self._start_wall is None:
             self._start_wall = time.monotonic()
 
@@ -52,12 +44,11 @@ class ScaledClock:
 
     @property
     def now(self) -> float:
-        """Model milliseconds elapsed since :meth:`start` (plus the
-        origin offset, for takeover clocks resuming mid-timeline)."""
+        """Model milliseconds elapsed since :meth:`start`."""
         if self._start_wall is None:
-            return self.start_at_ms
+            return 0.0
         wall_s = time.monotonic() - self._start_wall
-        return self.start_at_ms + wall_s / self.time_scale * 1000.0
+        return wall_s / self.time_scale * 1000.0
 
     def to_wall_s(self, model_ms: float) -> float:
         """Wall seconds corresponding to a model-ms duration."""

@@ -55,17 +55,11 @@ class ServeOptions:
             defaults — shard 0 of 1 — keep the unsharded filenames
             byte-for-byte identical.
         heartbeat_interval_ms: model-ms between liveness beats written
-            to ``<journal_dir>/heartbeat-<shard_id>.json``; the sharded
-            plane's health monitor declares a silent shard dead from
-            the gaps.  ``None`` (default) writes no heartbeats.
-        clock_start_ms: model-time origin of the scaled clock.  A
-            takeover runtime resumes a dead shard's timeline at the
-            declaration instant; 0.0 (default) is the exact normal
-            path.
-        journal_name / checkpoint_name: override the shard-keyed
-            durability basenames (takeover runtimes write
-            ``takeover-<dead>-by-<survivor>.jsonl`` next to the
-            originals).  ``None`` keeps the standard names.
+            to ``<journal_dir>/heartbeat-<shard_id>.json``.  ``None``
+            (default) writes no heartbeats.  Nothing in the program
+            reads the beats any more; the ledger's ``live-durable``
+            workload sets the field, so the writer stays until that
+            workload changes (ROADMAP item 5).
     """
 
     time_scale: float = 1.0
@@ -78,9 +72,6 @@ class ServeOptions:
     shard_id: int = 0
     n_shards: int = 1
     heartbeat_interval_ms: Optional[float] = None
-    clock_start_ms: float = 0.0
-    journal_name: Optional[str] = None
-    checkpoint_name: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.time_scale <= 0:
@@ -106,5 +97,3 @@ class ServeOptions:
         if self.heartbeat_interval_ms is not None and not self.journal_dir:
             raise ValueError(
                 "heartbeats are written into journal_dir; set one")
-        if self.clock_start_ms < 0:
-            raise ValueError("clock_start_ms must be >= 0")

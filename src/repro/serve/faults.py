@@ -183,24 +183,6 @@ async def _crash_control(runtime: "ServingRuntime", event: FaultEvent) -> None:
     runtime._recover_control(dead)
 
 
-async def _kill_shard(runtime: "ServingRuntime", event: FaultEvent) -> None:
-    """Kill this whole shard, if the event names it — and never recover
-    it.  Unlike a gateway crash, this is terminal for the process: the
-    gateway stays dead (a zombie answers nothing), heartbeats stop so
-    the plane's health monitor can declare the death, and the runtime
-    skips its epilogue so the WAL and its lock sentinel read exactly as
-    a crashed process leaves them.  The *survivors* recover the
-    keyspace."""
-    if runtime.options.shard_id not in event.ids:
-        return
-    runtime.shard_crashed = True
-    _kill_gateway(runtime, f"shard {runtime.options.shard_id}")
-    # The in-flight jobs died with the shard; the drain must not wait
-    # for completions that can never be delivered.
-    runtime.gateway.reset_in_flight()
-    runtime.registry.counter("shard_crashes_total").inc()
-
-
 #: How the live plane enacts each point event.  The ``brownout`` window
 #: is not here: it wraps the cold-start model when the runtime is built
 #: (:meth:`ChaosInjector.wrap_cold_start`).
@@ -212,7 +194,6 @@ ACTIONS: Dict[
     "kill-workers": _kill_workers,
     "crash-gateway": _crash_gateway,
     "crash-control": _crash_control,
-    "kill-shard": _kill_shard,
 }
 
 

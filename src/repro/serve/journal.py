@@ -26,10 +26,10 @@ exactly one process appends to it.  Opening a journal takes an
 ``O_EXCL`` pid sentinel (``<path>.lock``); a second writer on the same
 path raises :class:`JournalLockedError` instead of interleaving.  A
 lock whose pid is dead (crashed writer) is stolen — with the stolen
-pid:token logged, never silently — because recovery after a crash (and
-shard-failover takeover) reopens the same journal by design.  A lock
-whose pid is still *live* is never stolen: a takeover racing a
-merely-slow shard must refuse and fall back to read-only replay.
+pid:token logged, never silently — because recovery after a crash
+reopens the same journal by design.  A lock whose pid is still *live*
+is never stolen: a second process racing a merely-slow writer must
+refuse.
 
 Conservation invariant (checked by the crash-recovery study): for every
 unique job id, ``#admit == #complete + #fail + #shed`` once the run has

@@ -143,17 +143,6 @@ class ServingRuntime:
         # Durability plumbing (None unless options.journal_dir is set).
         self.journal: Optional[RequestJournal] = None
         self.checkpointer: Optional[CheckpointManager] = None
-        #: True once this shard has been scripted dead (a ``kill-shard``
-        #: fault naming ``options.shard_id``): the gateway sheds, nothing
-        #: journals or checkpoints, and the epilogue is skipped so the
-        #: WAL reads exactly as a crashed process left it.
-        self.shard_crashed: bool = False
-        #: Takeover injection: ``(requeue, expired)`` lists of
-        #: :class:`~repro.serve.recovery.JournaledJob` applied right
-        #: after the control loop starts — a survivor adopting a dead
-        #: sibling's keyspace serves these before (or instead of) a
-        #: trace of its own.
-        self.recovered_plan: Optional[tuple] = None
         #: True when the run ended via SIGTERM/SIGINT/request_shutdown
         #: instead of exhausting its trace.
         self.interrupted: bool = False
@@ -174,11 +163,7 @@ class ServingRuntime:
         self.sampler = planner.sampler
         self.energy_meter = planner.energy_meter
         rng_retry = np.random.default_rng(self.seed + 2)
-        self.shard_crashed = False
-        self.clock = ScaledClock(
-            self.options.time_scale,
-            start_at_ms=self.options.clock_start_ms,
-        )
+        self.clock = ScaledClock(self.options.time_scale)
         self.metrics = MetricsCollector(
             self.energy_meter, tracer=self.tracer, registry=self.registry
         )
@@ -192,20 +177,16 @@ class ServingRuntime:
             # plane (the default shard 0-of-1 keeps the legacy names).
             directory = pathlib.Path(self.options.journal_dir)
             self.journal = RequestJournal(
-                directory / (
-                    self.options.journal_name
-                    or journal_basename(
-                        self.options.shard_id, self.options.n_shards)),
+                directory / journal_basename(
+                    self.options.shard_id, self.options.n_shards),
                 registry=self.registry,
             )
             self.checkpointer = CheckpointManager(
                 directory,
                 interval_ms=self.options.checkpoint_interval_ms,
                 registry=self.registry,
-                basename=(
-                    self.options.checkpoint_name
-                    or checkpoint_basename(
-                        self.options.shard_id, self.options.n_shards)),
+                basename=checkpoint_basename(
+                    self.options.shard_id, self.options.n_shards),
             )
         self.pools = {}
         self.gateway = self._make_gateway()
@@ -274,12 +255,8 @@ class ServingRuntime:
         """
         checkpoint = None
         if self.checkpointer is not None:
-            # A dead shard must stop checkpointing the instant it
-            # crashes — survivors restore from its last pre-crash state.
             checkpoint = lambda now_ms: (  # noqa: E731
-                None if self.shard_crashed
-                else self.checkpointer.maybe(now_ms, self._snapshot)
-            )
+                self.checkpointer.maybe(now_ms, self._snapshot))
         return ControlLoop(
             clock=self.clock,
             pools=self.pools,
@@ -396,7 +373,7 @@ class ServingRuntime:
             else f"{now - float(checkpoint.get('t_ms', now)):.0f}ms",
         )
 
-    # -- shard failover: heartbeats, takeover ------------------------------
+    # -- liveness beats ----------------------------------------------------
 
     def _write_heartbeat(self, now_ms: float) -> None:
         """Atomically publish one liveness beat — on the event-loop
@@ -413,37 +390,18 @@ class ServingRuntime:
         self.registry.counter("shard_heartbeats_total").inc()
 
     def _start_heartbeats(self) -> Optional[asyncio.Task]:
-        """Publish liveness beats until drain (or this shard's death)."""
+        """Publish liveness beats until drain."""
         interval = self.options.heartbeat_interval_ms
         if interval is None or not self.options.journal_dir:
             return None
 
         async def _beat() -> None:
-            while not self.shard_crashed:
+            while True:
                 self._write_heartbeat(self.clock.now)
                 await self.clock.sleep_ms(interval)
 
         return asyncio.get_running_loop().create_task(
             _beat(), name="shard-heartbeat"
-        )
-
-    def _apply_recovered_plan(self) -> None:
-        """Adopt a dead sibling's recovered jobs (takeover runtime)."""
-        if self.recovered_plan is None:
-            return
-        requeue, expired = self.recovered_plan
-        self._readmit(requeue, expired)
-        if requeue:
-            self.registry.counter(
-                "shard_jobs_requeued_on_failover_total").inc(len(requeue))
-        if expired:
-            self.registry.counter(
-                "shard_jobs_expired_on_failover_total").inc(len(expired))
-        logger.warning(
-            "takeover on shard %d at t=%.0fms: %d jobs requeued, "
-            "%d expired",
-            self.options.shard_id, self.clock.now,
-            len(requeue), len(expired),
         )
 
     # -- graceful shutdown -------------------------------------------------
@@ -501,7 +459,6 @@ class ServingRuntime:
                 self.checkpointer.maybe(self.clock.now, self._snapshot)
             self.clock.start()
             self.control.start()
-            self._apply_recovered_plan()
             fault_replay = loop.create_task(
                 self.fault_replay.run(), name="fault-replay")
             heartbeats = self._start_heartbeats()
@@ -565,23 +522,15 @@ class ServingRuntime:
             self.control.tick(self.clock.now)
             for pool in self.pools.values():
                 await pool.shutdown()
-            if self.shard_crashed:
-                # A crashed shard writes no epilogue: no final
-                # checkpoint, no journal flush/close, and the lock
-                # sentinel stays on disk — the takeover path must find
-                # (and audit-steal) exactly what a real crash leaves.
-                self.drain_completed = False
-            else:
-                # Durable epilogue: one final snapshot + a flushed,
-                # closed journal, so a post-mortem (or the conservation
-                # check in the robustness study) sees the complete
-                # record.
-                if self.checkpointer is not None:
-                    self.checkpointer.save(
-                        self._snapshot(self.clock.now), self.clock.now
-                    )
-                if self.journal is not None:
-                    self.journal.close()
+            # Durable epilogue: one final snapshot + a flushed, closed
+            # journal, so a post-mortem (or the conservation check in
+            # the robustness study) sees the complete record.
+            if self.checkpointer is not None:
+                self.checkpointer.save(
+                    self._snapshot(self.clock.now), self.clock.now
+                )
+            if self.journal is not None:
+                self.journal.close()
         finally:
             self._remove_signal_handlers(loop)
             self._stop_event = None

@@ -16,7 +16,6 @@ traces stay byte-identical.
 
 from repro.shard.ring import ConsistentHashRing
 from repro.shard.failover import (
-    EpochLease,
     ShardHealthMonitor,
     assign_takeover,
 )
@@ -30,7 +29,6 @@ from repro.shard.sim import ShardedRunResult, partition_arrivals, run_sharded_po
 
 __all__ = [
     "ConsistentHashRing",
-    "EpochLease",
     "GlobalOrchestrator",
     "ShardHealthMonitor",
     "ShardLoadReport",

@@ -1,20 +1,17 @@
-"""Self-healing for the sharded serving plane.
+"""Self-healing for the sharded simulated plane.
 
-A dead gateway shard today silently strands its keyspace; this module
-supplies the pieces the two planes (sim and live) survive it with:
+A dead gateway shard would silently strand its keyspace; this module
+supplies the pieces the sim-sharded plane's in-run failover
+(:class:`repro.shard.sim._ShardFaultPlane`) survives it with:
 
 * :class:`ShardHealthMonitor` — per-shard heartbeat bookkeeping with a
   miss-threshold and hysteresis, mirroring
   :class:`~repro.prediction.guarded.ForecastHealthMonitor`'s
   consecutive-evaluation state machine so declarations never flap on a
   single late beat.
-* :class:`EpochLease` — a fenced lease file for the live plane's
-  takeover: it is acquired only once the holder is stale *or* its pid
-  is gone, and every acquisition bumps the epoch so a zombie holder's
-  renewals are fenced off.
 * :func:`assign_takeover` — deterministic split of a dead shard's
   recovered jobs across the survivors using the *remapped* ring, so
-  sim, live, and the property tests all agree on who owns what.
+  the plane and the property tests agree on who owns what.
 
 Failover never invents or loses work: the dead shard's journal is
 replayed through :func:`repro.serve.recovery.build_recovery_plan`, and
@@ -24,23 +21,15 @@ each recovered job is requeued under its **original** id, keeping
 
 from __future__ import annotations
 
-import json
-import os
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.obs.export import atomic_write_text
 from repro.obs.registry import MetricsRegistry
-from repro.serve.journal import pid_alive
 from repro.serve.recovery import JournaledJob
 from repro.shard.ring import ConsistentHashRing
 
-#: A lease holder that has not renewed for this long is stale.
-LEASE_TTL_MS = 10_000.0
-
 __all__ = [
     "ShardHealthMonitor",
-    "EpochLease",
     "assign_takeover",
 ]
 
@@ -133,85 +122,6 @@ class ShardHealthMonitor:
                 self._consecutive_bad[shard_id] = 0
                 self._consecutive_good[shard_id] = 0
         return {"dead": newly_dead, "recovered": newly_recovered}
-
-
-class EpochLease:
-    """Fenced orchestrator lease: a JSON file with a monotonic epoch.
-
-    The holder renews by rewriting the file (atomic tmp + replace).  A
-    contender acquires when the current holder is *stale* (no renewal
-    within :data:`LEASE_TTL_MS`) **or** its pid is gone — only a holder
-    that is both fresh and alive is never pre-empted.  Every acquisition
-    bumps the epoch; a holder whose on-disk epoch moved on learns it is
-    fenced at its next :meth:`renew` and must stop acting.
-    """
-
-    def __init__(
-        self, path: str, registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.path = str(path)
-        self.registry = registry or MetricsRegistry()
-        self.epoch = 0          # epoch we hold (0 = never acquired)
-        self._g_epoch = self.registry.gauge("orchestrator_lease_epoch")
-        self._c_fenced = self.registry.counter(
-            "orchestrator_fenced_renewals_total")
-
-    # ------------------------------------------------------------------
-    def _read(self) -> Optional[Dict]:
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            return doc if isinstance(doc, dict) else None
-        except (OSError, ValueError):
-            return None
-
-    def _write(self, doc: Dict) -> None:
-        # A liveness hint, renewed every reconcile: no fsync.
-        atomic_write_text(self.path, json.dumps(doc), fsync=False)
-
-    # ------------------------------------------------------------------
-    def holder(self) -> Optional[Dict]:
-        """The current on-disk lease document (None when absent)."""
-        return self._read()
-
-    def acquire(self, now_ms: float) -> bool:
-        """Try to take the lease; True on success (epoch bumped)."""
-        doc = self._read()
-        if doc is not None:
-            try:
-                holder_pid = int(doc.get("pid", -1))
-                holder_t = float(doc.get("t_ms", 0.0))
-                holder_epoch = int(doc.get("epoch", 0))
-            except (TypeError, ValueError):
-                holder_pid, holder_t, holder_epoch = -1, 0.0, 0
-            fresh = (now_ms - holder_t) < LEASE_TTL_MS
-            if holder_pid != os.getpid() and fresh \
-                    and pid_alive(holder_pid):
-                return False
-        else:
-            holder_epoch = 0
-        self.epoch = holder_epoch + 1
-        self._write({
-            "epoch": self.epoch,
-            "pid": os.getpid(),
-            "t_ms": float(now_ms),
-        })
-        self._g_epoch.set(float(self.epoch))
-        return True
-
-    def renew(self, now_ms: float) -> bool:
-        """Refresh the lease; False (and no write) when fenced."""
-        doc = self._read()
-        if doc is None or int(doc.get("epoch", 0)) != self.epoch \
-                or self.epoch == 0:
-            self._c_fenced.inc()
-            return False
-        self._write({
-            "epoch": self.epoch,
-            "pid": os.getpid(),
-            "t_ms": float(now_ms),
-        })
-        return True
 
 
 def assign_takeover(

@@ -261,7 +261,7 @@ class _ShardSystem(ServerlessSystem):
 
 
 # ----------------------------------------------------------------------
-# scripted shard faults (self-healing mirror of the live plane)
+# scripted shard faults (in-run self-healing)
 # ----------------------------------------------------------------------
 
 class _ShardFaultPlane:
@@ -273,12 +273,12 @@ class _ShardFaultPlane:
     :class:`~repro.serve.journal.MemoryJournal` — the live WAL's record
     schema — and a shard "dies" by its lifecycle's ``dead`` flag, the
     same one a crashed live gateway carries.  Each sweep doubles as a
-    health-monitor pass: live shards beat, the
+    health-monitor pass: surviving shards beat, the
     :class:`~repro.shard.failover.ShardHealthMonitor` scores the gaps,
-    and a declaration triggers the same takeover the live plane
-    performs — ring remap via ``with_shard_removed``, recovery plan
-    from the dead shard's journal, survivors requeueing under the
-    **original** job ids.  Until the declaration lands, arrivals to the
+    and a declaration triggers the takeover during the run — ring
+    remap via ``with_shard_removed``, recovery plan from the dead
+    shard's journal, survivors requeueing under the **original** job
+    ids.  Until the declaration lands, arrivals to the
     dead shard are shed with a counter (degraded routing); after it,
     they reroute to the remapped ring owner.
     """
@@ -389,8 +389,7 @@ class _ShardFaultPlane:
         """One heartbeat + health-monitor pass.
 
         Runs on its own ticker at the heartbeat interval — declaring a
-        death must not wait for the (much coarser) rebalance tick, just
-        as the live monitor adjudicates from per-second beats.
+        death must not wait for the (much coarser) rebalance tick.
         """
         for shard_id, system in self.systems.items():
             if not system.lifecycle.dead:
@@ -462,42 +461,37 @@ class ShardedRunResult:
     #: otherwise so pre-failover constructions are untouched).
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
-    def _results(self) -> List[RunResult]:
-        """Every RunResult folded into the plane aggregates (subclasses
-        may append takeover runs here)."""
-        return list(self.per_shard.values())
-
     @property
     def n_shards(self) -> int:
         return len(self.per_shard)
 
     @property
     def n_jobs(self) -> int:
-        return sum(r.n_jobs for r in self._results())
+        return sum(r.n_jobs for r in self.per_shard.values())
 
     @property
     def n_completed(self) -> int:
-        return sum(r.n_completed for r in self._results())
+        return sum(r.n_completed for r in self.per_shard.values())
 
     @property
     def n_failed(self) -> int:
-        return sum(r.n_failed for r in self._results())
+        return sum(r.n_failed for r in self.per_shard.values())
 
     @property
     def shed_jobs(self) -> int:
-        return sum(r.shed_jobs for r in self._results())
+        return sum(r.shed_jobs for r in self.per_shard.values())
 
     @property
     def violations(self) -> int:
-        return sum(r.violations for r in self._results())
+        return sum(r.violations for r in self.per_shard.values())
 
     @property
     def duration_ms(self) -> float:
-        return max(r.duration_ms for r in self._results())
+        return max(r.duration_ms for r in self.per_shard.values())
 
     @property
     def latencies_ms(self) -> np.ndarray:
-        results = self._results()
+        results = list(self.per_shard.values())
         return np.concatenate(
             [r.latencies_ms for r in results]
         ) if results else np.array([])

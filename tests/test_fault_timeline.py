@@ -99,7 +99,7 @@ ENACTS = {
     #                     sim    vector sim-sh live   live-sh
     "kill-node":         (True,  False, False, True,  False),
     "recover-node":      (True,  False, False, True,  False),
-    "kill-shard":        (False, False, True,  True,  True),
+    "kill-shard":        (False, False, True,  False, False),
     "recover-shard":     (False, False, True,  False, False),
     "blackout":          (True,  True,  False, False, False),
     "brownout":          (False, False, False, True,  True),
@@ -142,7 +142,7 @@ def test_validate_refuses_ids_windows_and_lone_shards():
     with pytest.raises(ValueError, match="at most one brownout"):
         parse("brownout@1:2x2;brownout@5:6x2").validate("live")
     with pytest.raises(ValueError, match="lone shard"):
-        parse("kill-shard@1=0").validate("live", n_shards=1)
+        parse("kill-shard@1=0").validate("sim", n_shards=1)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +305,8 @@ def test_cli_serve_shards_faults_reach_the_plane(monkeypatch, tmp_path):
     monkeypatch.setattr(repro.shard.live, "serve_plane", spy)
     with pytest.raises(SystemExit, match="captured"):
         main(SERVE + ["--shards", "2", "--journal-dir", str(tmp_path),
-                      "--faults", "kill-shard@1=1"])
-    assert seen[0].timeline == FaultTimeline.parse("kill-shard@1=1")
+                      "--faults", "kill-workers@1"])
+    assert seen[0].timeline == FaultTimeline.parse("kill-workers@1")
     assert seen[0].shards.n == 2
 
 
@@ -321,18 +321,23 @@ def test_cli_serve_shards_faults_reach_the_plane(monkeypatch, tmp_path):
     (SERVE + ["--faults", "kill-node@0.5=9;kill-node@1=0"], "out of range"),
     (SERVE + ["--faults", "blackout@1:2"], "does not enact"),
     (SERVE + ["--faults", "crash-gateway@1"], "journal_dir"),
-    # (refused before anything is built: the directory is never made)
-    (SERVE + ["--journal-dir", "never-created", "--faults", "kill-shard@1=0"],
-     "lone shard"),
+    (RUN + ["--faults", "kill-shard@1=0"], "lone shard"),
     (SERVE + ["--shards", "2", "--faults", "kill-node@1=0"],
      "does not enact"),
+    # (refused before anything is built: the directory is never made)
+    (SERVE + ["--journal-dir", "never-created", "--faults", "kill-shard@1=0"],
+     "the live plane does not enact 'kill-shard'"),
+    (SERVE + ["--shards", "2", "--journal-dir", "never-created",
+              "--faults", "kill-shard@1=0"],
+     "the live-sharded plane does not enact 'kill-shard'"),
 ])
 def test_cli_refuses_before_the_run_with_a_usage_error(argv, message):
-    # A usage error: SystemExit carrying the message (exit status 1),
+    # A usage error: SystemExit carrying the message and exit status 2,
     # never a ValueError traceback from inside the run, never exit 0.
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert message in str(exc.value.code)
+    assert exc.value.code == 2
+    assert message in str(exc.value)
 
 
 def test_the_nine_old_flags_are_gone():
@@ -375,33 +380,25 @@ def test_single_run_and_runner_paths_agree(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# experiments/shard_failover: both planes are scripted in the one grammar
+# experiments/shard_failover: the study records the spec it replayed
 
 
-def test_failover_study_scripts_both_planes_from_one_spec_builder(monkeypatch):
+def test_failover_study_records_the_spec_it_replays(monkeypatch):
     from repro.experiments import shard_failover as study
 
     seen = {}
-    real_sim, real_live = study.run_sharded_policy, study.serve_sharded
+    real_sim = study.run_sharded_policy
 
     def sim_spy(*args, **kwargs):
         if kwargs.get("faults"):
             seen["sim"] = kwargs["faults"]
         return real_sim(*args, **kwargs)
 
-    def live_spy(*args, **kwargs):
-        if kwargs["faults"]:
-            seen["live"] = kwargs["faults"]
-        return real_live(*args, **kwargs)
-
     monkeypatch.setattr(study, "run_sharded_policy", sim_spy)
-    monkeypatch.setattr(study, "serve_sharded", live_spy)
     record = study.run_failover_study(quick=True)
-    # The strings in the record are exactly what each plane replayed...
+    # The string in the record is exactly what the plane replayed: a
+    # kill and, a third of the trace later, the shard's re-admission.
     assert {k: str(v) for k, v in seen.items()} == record["faults"]
-    # ...and both come from one builder: the same kill chunk, to which
-    # only the sim (the live plane has no re-admission) adds a recovery.
-    assert record["faults"]["live"] == study.kill_spec(8.0)
-    assert record["faults"]["sim"] == study.kill_spec(20.0, 40.0)
-    assert study.kill_spec(20.0, 40.0).split(";")[0] == study.kill_spec(20.0)
+    assert record["faults"]["sim"] == study.kill_spec(20.0, 40.0) == (
+        "kill-shard@20=1;recover-shard@40=1")
     assert all(record["acceptance"].values()), record["acceptance"]

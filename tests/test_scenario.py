@@ -26,6 +26,7 @@ from repro.scenario import (
     _REFUSES,
     CACHE_FORMAT_VERSION,
     FAULT_KEYS,
+    PlaneRefusal,
     Scenario,
     Shards,
 )
@@ -116,6 +117,21 @@ def test_members_a_plane_cannot_honour_are_refused_when_built(
         members, refused):
     with pytest.raises(ValueError, match=refused):
         Scenario.make("rscale", **members)
+
+
+@pytest.mark.parametrize("member, value", [
+    ("workers", 3), ("rebalance_interval_ms", 500.0),
+    ("stage_routing", "hash"), ("skew_threshold", 2.0),
+    ("heartbeat_interval_ms", 250.0), ("heartbeat_miss_threshold", 2),
+    ("failover_hysteresis", 1)])
+def test_shard_members_the_live_plane_never_reads_are_refused(member, value):
+    # The live plane forks one process per shard and reads only ``n``
+    # and ``initial_node_grants``: a setting it would ignore is refused.
+    shards = Shards(n=2, **{member: value})
+    with pytest.raises(PlaneRefusal, match=(
+            f"shards.{member} is not supported on the live-sharded plane")):
+        Scenario.make("rscale", live=LIVE, shards=shards)
+    assert Scenario.make("rscale", shards=shards).plane == "sim-sharded"
 
 
 #: How to reach each plane, and a scripted fault it enacts.
@@ -233,16 +249,6 @@ def test_for_shard_reproduces_the_per_shard_stamping(n_shards, grants, tmp_path)
             options, shard_id=shard_id, n_shards=n_shards)
         assert shard.shards == Shards() and shard.plane == "live"
         assert shard.predictor is predictor
-
-
-def test_for_shard_stamps_the_liveness_cadence_once_a_kill_is_scripted(
-        tmp_path):
-    options = ServeOptions(journal_dir=str(tmp_path))
-    plane = Scenario.make(
-        "rscale", live=options, faults=(("timeline", "kill-shard@1=1"),),
-        shards=Shards(n=2, heartbeat_interval_ms=250.0))
-    assert plane.for_shard(0, 2).live == dataclasses.replace(
-        options, shard_id=0, n_shards=2, heartbeat_interval_ms=250.0)
 
 
 def test_a_simulated_shard_keeps_its_crash_model_and_replays_no_script():
@@ -536,7 +542,7 @@ KNOB_OWNERS = {
     "core/controlplane.py": ("ControlPlane",),
     "core/scaling.py": (
         "SpawnGovernor", "ReactiveScaler", "ProactiveScaler", "HPAScaler"),
-    "shard/failover.py": ("ShardHealthMonitor", "EpochLease"),
+    "shard/failover.py": ("ShardHealthMonitor",),
     "prediction/guarded.py": (
         "ForecastHealthMonitor", "GuardedPredictor", "DivergentPredictor"),
     "serve/journal.py": ("RequestJournal",),

@@ -531,9 +531,14 @@ class TestEndToEnd:
                 ticks += 1
                 await asyncio.sleep(0)
 
+        class LateClock(ScaledClock):
+            # Reads past the whole plan: every arrival is late.
+            @property
+            def now(self):
+                return 10_000.0 + super().now
+
         async def scenario():
-            # The clock starts past the whole plan: every arrival is late.
-            clock = ScaledClock(FAST, start_at_ms=10_000.0)
+            clock = LateClock(FAST)
             task = asyncio.get_running_loop().create_task(ticker())
             await asyncio.sleep(0)
             offered = await replayer.replay(CountingGateway(), clock)

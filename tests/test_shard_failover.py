@@ -1,8 +1,7 @@
 """Tests for the self-healing sharded plane: heartbeat health
-monitoring, epoch-fenced leases, ring remap + journal-driven keyspace
-takeover, the sim fault plane, and the live kill-a-shard path."""
+monitoring, ring remap + journal-driven keyspace takeover, the sim
+fault plane, and the live plane's refusal of shard kills."""
 
-import json
 import logging
 import os
 
@@ -20,14 +19,9 @@ from repro.serve.journal import (
     EV_HOP,
     JOURNAL_SCHEMA_VERSION,
     RequestJournal,
-    heartbeat_basename,
 )
 from repro.serve.recovery import build_recovery_plan
-from repro.shard.failover import (
-    EpochLease,
-    ShardHealthMonitor,
-    assign_takeover,
-)
+from repro.shard.failover import ShardHealthMonitor, assign_takeover
 from repro.shard.live import (
     merge_registry_snapshots,
     plane_journal_conservation,
@@ -217,60 +211,6 @@ def test_takeover_partition_total_and_disjoint(n_jobs, crash_at,
         assert owner in ring.shard_ids
         for job in jobs:
             assert ring.shard_for(job.job_id) == owner
-
-
-# ---------------------------------------------------------------------------
-# epoch lease
-
-
-def test_lease_acquire_bumps_epoch_and_renews(tmp_path):
-    reg = MetricsRegistry()
-    lease = EpochLease(str(tmp_path / "o.lease"), registry=reg)
-    assert lease.acquire(0.0)
-    assert lease.epoch == 1
-    assert lease.renew(100.0)
-    doc = lease.holder()
-    assert doc["epoch"] == 1 and doc["pid"] == os.getpid()
-    assert reg.value("orchestrator_lease_epoch") == 1.0
-    # A second acquisition (same process) bumps the epoch again.
-    assert lease.acquire(200.0)
-    assert lease.epoch == 2
-
-
-def test_lease_refuses_fresh_live_holder(tmp_path):
-    path = tmp_path / "o.lease"
-    # Held by pid 1 (always alive, never us), renewed just now.
-    path.write_text(json.dumps({"epoch": 3, "pid": 1, "t_ms": 1000.0}))
-    lease = EpochLease(str(path))
-    assert not lease.acquire(2000.0)
-    assert lease.epoch == 0
-    # Once the holder goes stale, the takeover may proceed.
-    assert lease.acquire(50_000.0)
-    assert lease.epoch == 4
-
-
-def test_lease_steals_from_dead_pid(tmp_path):
-    path = tmp_path / "o.lease"
-    path.write_text(json.dumps(
-        {"epoch": 5, "pid": 999999999, "t_ms": 1000.0}))
-    lease = EpochLease(str(path))
-    # Fresh but dead: pid liveness decides, not the timestamp.
-    assert lease.acquire(1500.0)
-    assert lease.epoch == 6
-
-
-def test_lease_renewal_is_fenced_after_epoch_moves(tmp_path):
-    path = tmp_path / "o.lease"
-    reg = MetricsRegistry()
-    old = EpochLease(str(path), registry=reg)
-    old.acquire(0.0)
-    # A contender (the takeover) bumps the on-disk epoch.
-    contender = EpochLease(str(path))
-    contender.acquire(20_000.0)
-    # The zombie's renewal is refused without writing.
-    assert not old.renew(21_000.0)
-    assert reg.value("orchestrator_fenced_renewals_total") == 1
-    assert old.holder()["epoch"] == contender.epoch == 2
 
 
 # ---------------------------------------------------------------------------
@@ -498,58 +438,17 @@ def test_sim_failover_validation():
 FAST = 0.005
 
 
-def test_live_kill_shard_fails_over(tmp_path):
-    trace = poisson_trace(rate_rps=8.0, duration_s=10.0, seed=13)
-    result = serve_sharded(
-        "rscale", get_mix("medium"), trace, shards=2,
-        cluster_spec=ClusterSpec(n_nodes=4), seed=13,
-        options=ServeOptions(
-            time_scale=FAST,
-            journal_dir=str(tmp_path), checkpoint_interval_ms=3_000.0),
-        faults=FaultTimeline.parse("kill-shard@5=1"), drain_ms=30_000.0,
-        heartbeat_interval_ms=500.0)
-    assert result.failover["victim"] == 1
-    assert result.failover["declared_at_ms"] > 5_000.0
-    assert result.failover["epoch"] >= 1
-    assert result.registry.total("shard_failovers_total") >= 1
-    # Heartbeat files exist for both shards; the victim's froze.
-    for shard_id in (0, 1):
-        doc = json.loads(
-            (tmp_path / heartbeat_basename(shard_id)).read_text())
-        assert doc["shard_id"] == shard_id
-    # Every journal family conserves (victim = WAL + takeover files).
-    assert result.journal_conserved, result.journal
-    verdict = plane_journal_conservation(tmp_path, 2, victim=1)
-    assert all(v["conserved"] for v in verdict.values())
-    # Plane totals: every created job reaches one terminal somewhere.
-    assert result.n_completed + result.n_failed + result.shed_jobs \
-        == result.n_jobs
-    assert (tmp_path / "orchestrator.lease").exists()
-
-
-def test_live_kill_validation(tmp_path):
-    trace = poisson_trace(rate_rps=2.0, duration_s=2.0, seed=1)
-    mix = get_mix("medium")
-
-    def options(spec, **kwargs):
-        return dict(
-            faults=FaultTimeline.parse(spec), options=ServeOptions(**kwargs))
-
-    with pytest.raises(ValueError, match="survivor"):
-        serve_sharded("rscale", mix, trace, shards=1, **options(
-            "kill-shard@1=0", journal_dir=str(tmp_path)))
-    with pytest.raises(ValueError, match="journal_dir"):
-        serve_sharded("rscale", mix, trace, shards=2,
-                      **options("kill-shard@1=0"))
-    with pytest.raises(ValueError, match="out of range"):
-        serve_sharded("rscale", mix, trace, shards=2, **options(
-            "kill-shard@1=5", journal_dir=str(tmp_path)))
-    with pytest.raises(ValueError, match="one shard per run"):
-        serve_sharded("rscale", mix, trace, shards=3, **options(
-            "kill-shard@1=0,1", journal_dir=str(tmp_path)))
-    with pytest.raises(ValueError, match="does not enact"):
-        serve_sharded("rscale", mix, trace, shards=2, **options(
-            "kill-node@1=0", journal_dir=str(tmp_path)))
+def test_live_sharded_plane_refuses_kill_shard(tmp_path):
+    # No coordinator runs beside the live children: a shard kill is
+    # refused when the run is built, before any process forks.
+    with pytest.raises(ValueError, match=(
+            "the live-sharded plane does not enact 'kill-shard'")):
+        serve_sharded(
+            "rscale", get_mix("medium"),
+            poisson_trace(rate_rps=2.0, duration_s=2.0, seed=1), shards=2,
+            options=ServeOptions(journal_dir=str(tmp_path)),
+            faults=FaultTimeline.parse("kill-shard@1=0"))
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -590,51 +489,6 @@ def test_a_lock_relic_naming_no_live_foreign_process_is_stolen(
     assert len(RequestJournal.read_records(path)) == 1
     assert [r for r in caplog.records
             if "stealing stale journal lock" in r.getMessage()]
-    # The lease reads a holder's pid through the same function.
-    lease = EpochLease(str(tmp_path / "lease"))
-    (tmp_path / "lease").write_text(json.dumps(
-        {"epoch": 4, "pid": int(relic.split(":")[0] or -1), "t_ms": 0.0}))
-    assert lease.acquire(1.0) and lease.epoch == 5
-
-
-def test_takeover_fence_refused_while_owner_lives(tmp_path):
-    # A live foreign owner (pid 1) means the shard is slow, not dead:
-    # the takeover must fall back to read-only replay, never steal.
-    directory = tmp_path
-    victim_journal = RequestJournal(directory / "journal-1.jsonl")
-    victim_journal.append(EV_ADMIT, 0, 100.0, app="img")
-    victim_journal.close()
-    (directory / "journal-1.jsonl.lock").write_text("1:1")
-    for shard_id, t in ((0, 9_000.0), (1, 2_000.0)):
-        (directory / heartbeat_basename(shard_id)).write_text(
-            json.dumps({"shard_id": shard_id, "t_ms": t, "pid": 1}))
-
-    from repro.scenario import Scenario, Shards
-    from repro.shard.live import _fail_over
-
-    registry = MetricsRegistry()
-    results, info, _snapshots = _fail_over(
-        Scenario.make(
-            "rscale", mix=get_mix("medium"), trace_kind=None,
-            cluster=ClusterSpec(n_nodes=4), seed=1,
-            live=ServeOptions(time_scale=FAST, journal_dir=str(directory)),
-            drain_ms=10_000.0,
-            shards=Shards(
-                n=2, initial_node_grants=[2, 2],
-                heartbeat_interval_ms=500.0, heartbeat_miss_threshold=2,
-                failover_hysteresis=1),
-            idle_timeout_ms=60_000.0),
-        victim=1,
-        ring=ConsistentHashRing(2),
-        registry=registry,
-    )
-    assert info["fence_taken"] is False
-    assert registry.value("shard_takeover_fence_refused_total") == 1
-    # The replay itself still ran read-only: the one admitted job was
-    # adjudicated (expired — its 1 s SLO lapsed long before declare).
-    assert info["requeued"] + info["expired"] == 1
-    # The live owner's sentinel is untouched.
-    assert (directory / "journal-1.jsonl.lock").read_text() == "1:1"
 
 
 def test_plane_journal_conservation_flags_loss(tmp_path):
