@@ -726,7 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="graceful-drain bound after the trace ends, "
                               "model seconds")
     serve_p.add_argument("--executor-workers", type=int, default=0,
-                         help="worker threads (0 = size to the cluster)")
+                         help="work-lane threads (0 = size to the "
+                              "cluster)")
     serve_p.add_argument("--json-out", default=None,
                          help="write a structured JSON run summary here")
     serve_p.add_argument("--crash-prob", type=float, default=0.0,

@@ -10,7 +10,8 @@ same, unmodified Fifer bricks —
   and load shedding) and walks each one through its chain;
 * :class:`~repro.serve.pool.WorkerPool` holds per-microservice worker
   slots ("containers") that pay a cold-start delay, batch requests into
-  slack-derived local queues and execute on a thread-pool executor;
+  slack-derived local queues and run work functions on a
+  :class:`~repro.serve.pool.WorkLane`;
 * :class:`~repro.serve.control.ControlLoop` samples queue delay and
   arrival rate on the monitoring cadence and drives the *simulator's
   own* scalers (:mod:`repro.core.scaling`) to spawn and reap workers;
@@ -35,7 +36,7 @@ from repro.serve.journal import (
     RequestJournal,
     journal_basename,
 )
-from repro.serve.pool import WorkerPool, WorkerSlot
+from repro.serve.pool import WorkerPool, WorkerSlot, WorkLane
 from repro.serve.recovery import (
     JournaledJob,
     RecoveryPlan,
@@ -66,6 +67,7 @@ __all__ = [
     "ServeOptions",
     "ServingRuntime",
     "TraceReplayer",
+    "WorkLane",
     "WorkerPool",
     "WorkerSlot",
     "build_recovery_plan",

@@ -19,6 +19,11 @@ import asyncio
 import time
 from typing import Optional
 
+#: Resolution of the clock asyncio's loop reads (``loop.time()``): the
+#: loop fires every timer due within it of now, so a slot's watchdog
+#: treats a deadline that close as passed.
+LOOP_RESOLUTION_S = time.get_clock_info("monotonic").resolution
+
 
 class ScaledClock:
     """Monotonic wall clock reporting scaled model milliseconds.

@@ -28,7 +28,9 @@ class ServeOptions:
             this are shed at the gateway (the request still counts
             against the SLO-violation rate; dropping load must not
             launder the metrics).  ``0`` disables shedding.
-        executor_workers: thread-pool size for executing task work; 0
+        executor_workers: cap on the work lane's threads (the threads
+            that run a work function, :class:`~repro.serve.pool
+            .WorkLane`; they start lazily, only when none is idle); 0
             sizes it to the cluster's container capacity (the hardware
             concurrency bound the simulator models via placement).
         retry: what happens to a task after a failed attempt (crash,

@@ -4,11 +4,15 @@ A :class:`WorkerSlot` *is* a :class:`repro.cluster.container.Container`:
 the cold start, the batch-size local queue, one execution at a time,
 the exec-time-then-fate draw order and every counter are the
 simulator's own state machine running against the scaled wall clock.
-The slot overrides only how one execution is launched and settled: a
-work function runs on a thread-pool executor, its done-callback hops
-back to the event loop, and one timer enforces the execution timeout;
-without a work function one timer ends the execution.  There is no
-per-slot coroutine — the slot lives entirely in loop callbacks.
+The slot overrides only how one execution is launched and settled.
+Without a work function one loop timer ends the execution.  With one,
+the slot hands ``(ticket, slot, task, wall_s)`` to the run's
+:class:`WorkLane`: a lane thread runs the work and posts the outcome to
+one inbox, which the event loop drains in batches, and the slot's
+execution budget is watched by one lazily re-armed timer per slot
+rather than one timer per execution.  There is no per-slot coroutine,
+no ``Future`` and no per-execution timer — the slot lives entirely in
+loop callbacks.
 
 Workers are *supervised*: a work-function exception, an enforced
 execution timeout (derived from the stage's slack — the same quantity
@@ -31,12 +35,13 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from concurrent.futures import Executor, Future
-from functools import partial
-from typing import Callable, Optional, TYPE_CHECKING
+import threading
+from collections import deque
+from queue import SimpleQueue
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.cluster.container import Container, ContainerState, DEAD_STATES
-from repro.serve.clock import ScaledClock
+from repro.serve.clock import LOOP_RESOLUTION_S, ScaledClock
 from repro.serve.faults import ChaosInjector, FATE_CRASH, FATE_HANG
 from repro.serve.retry import RetryManager
 from repro.workflow.pool import FunctionPool
@@ -46,30 +51,125 @@ if TYPE_CHECKING:  # pragma: no cover
 
 logger = logging.getLogger(__name__)
 
-#: Executed on the executor for each task: (task, wall_seconds).
+#: Executed on a lane thread for each task: (task, wall_seconds).
 #: Deployments plug in real handlers here; without one, a task's work is
 #: its span on the scaled clock and occupies no thread.
 WorkFn = Callable[["Task", float], None]
 
 #: Wall-clock grace added to every per-task execution timeout: it
-#: absorbs executor queueing and event-loop jitter, which compressed
+#: absorbs lane queueing and event-loop jitter, which compressed
 #: clocks would otherwise amplify into false hang verdicts.
 TIMEOUT_FLOOR_WALL_S = 1.0
+
+
+class WorkLane:
+    """The threads that run slot work functions, and one inbox back.
+
+    :meth:`submit` (event-loop thread) puts ``(ticket, slot, task,
+    wall_s)`` on a ``SimpleQueue``.  A lane thread runs the slot's work
+    function unless the slot voided the ticket meanwhile, appends
+    ``(slot, task, failed)`` to the inbox, and wakes the loop only if no
+    drain is already scheduled.  The drain clears that flag *before* it
+    pops, so an entry appended after its last pop re-arms it, and
+    settles every entry through the slot's ``_guarded``/``_settle``.
+
+    Threads start lazily — only when none is idle — up to
+    ``max_threads``, as ``ThreadPoolExecutor`` starts them.
+    :meth:`close` joins them; a work function that hangs keeps its
+    thread until it returns, like a real one.
+    """
+
+    def __init__(
+        self,
+        max_threads: int,
+        loop: Optional[asyncio.AbstractEventLoop] = None,
+    ) -> None:
+        self._max_threads = max_threads
+        self._loop = loop or asyncio.get_running_loop()
+        self._queue: SimpleQueue = SimpleQueue()
+        #: One token per item a thread finished; :meth:`submit` takes
+        #: one instead of starting a thread (``ThreadPoolExecutor``'s
+        #: idle semaphore).  Only the loop thread pops.
+        self._idle: deque = deque()
+        self._inbox: deque = deque()
+        #: True from the wake-up a thread posted until its drain starts.
+        self._armed = False
+        self._threads: List[threading.Thread] = []
+
+    def submit(self, slot: "WorkerSlot", task: "Task", wall_s: float) -> None:
+        """Queue *slot*'s work on *task* (event-loop thread)."""
+        self._queue.put((slot._ticket, slot, task, wall_s))
+        if self._idle:
+            self._idle.pop()
+        elif len(self._threads) < self._max_threads:
+            thread = threading.Thread(
+                target=self._run, daemon=True,
+                name=f"repro-serve_{len(self._threads)}")
+            self._threads.append(thread)
+            thread.start()
+
+    def _run(self) -> None:
+        """One lane thread: run queued work until the ``None`` sentinel."""
+        get, inbox, idle = self._queue.get, self._inbox, self._idle
+        while True:
+            item = get()
+            if item is None:
+                return
+            ticket, slot, task, wall_s = item
+            if slot._ticket == ticket:
+                try:
+                    slot._work(task, wall_s)
+                    failed = False
+                except Exception:
+                    # Reported as the slot's crash (reason "error").
+                    logger.debug("worker %d: work failed",
+                                 slot.container_id, exc_info=True)
+                    failed = True
+                inbox.append((slot, task, failed))
+                # No lock: append-then-read here against clear-then-pop
+                # in the drain loses no wake-up, and two threads racing
+                # past the check post two drains, the second of which
+                # finds the inbox empty.
+                if not self._armed:
+                    self._armed = True
+                    try:
+                        self._loop.call_soon_threadsafe(self._drain)
+                    except RuntimeError:
+                        pass  # the loop is closed: the run is over
+            idle.append(None)
+
+    def _drain(self) -> None:
+        """Event-loop thread: settle every outcome in the inbox."""
+        self._armed = False
+        inbox = self._inbox
+        while inbox:
+            slot, task, failed = inbox.popleft()
+            slot._guarded(slot._settle, task, "error" if failed else None)
+
+    def close(self) -> None:
+        """Let the threads finish what is queued, then join them."""
+        threads, self._threads = self._threads, []
+        for _ in threads:
+            self._queue.put(None)
+        for thread in threads:
+            thread.join()
 
 
 class WorkerSlot(Container):
     """One live worker: the container state machine on the event loop.
 
     All mutation happens on the event-loop thread, inside callbacks that
-    run through :meth:`_guarded`; the executor only runs the opaque work
-    function.  At most one timer is pending per slot — the cold start,
-    then per execution the timeout (or the chaos crash point).
+    run through :meth:`_guarded`; the lane only runs the opaque work
+    function.  At most one timer and one watchdog are pending per slot:
+    the timer is the cold start, then per timer-ended execution its end
+    (or the chaos crash point); the watchdog guards the budget of
+    executions that a timer does not end.
     """
 
     def __init__(
         self,
         clock: ScaledClock,
-        executor: Executor,
+        lane: Optional[WorkLane],
         work: Optional[WorkFn] = None,
         stage_slack_ms: float = 0.0,
         chaos: Optional[ChaosInjector] = None,
@@ -77,12 +177,18 @@ class WorkerSlot(Container):
         **container,
     ) -> None:
         self.clock = clock
-        self.executor = executor
+        self.lane = lane
         self._work = work
         self.stage_slack_ms = stage_slack_ms
         self.chaos = chaos
         self._loop = loop or asyncio.get_running_loop()
-        self._future: Optional[Future] = None
+        #: Carried by each lane submission; bumping it voids the one
+        #: still queued, so it never starts.
+        self._ticket = 0
+        #: Loop-time deadline of the current execution; ``None`` while a
+        #: timer ends it (no budget to watch).
+        self._deadline: Optional[float] = None
+        self._watchdog: Optional[asyncio.TimerHandle] = None
         # Arms the cold-start timer: ``_timer`` is set from here on.
         super().__init__(sim=clock, later=self._call_later, **container)
 
@@ -106,10 +212,37 @@ class WorkerSlot(Container):
 
     def _cancel_pending(self) -> None:
         self._timer.cancel()
-        if self._future is not None:
-            # Only work still queued on the executor can be cancelled; a
-            # running (hung) handler keeps its thread, like a real one.
-            self._future.cancel()
+        # Only work still queued on the lane can be voided; a running
+        # (hung) handler keeps its thread, like a real one.
+        self._ticket += 1
+        if self._watchdog is not None:
+            self._watchdog.cancel()
+            self._watchdog = None
+
+    # -- driver: the execution watchdog ------------------------------------
+
+    def _watch(self, deadline: float) -> None:
+        """Guard the current execution until loop time *deadline*.  The
+        pending watchdog stays unless it would fire later than that."""
+        self._deadline = deadline
+        watchdog = self._watchdog
+        if watchdog is None or watchdog.when() > deadline:
+            if watchdog is not None:
+                watchdog.cancel()
+            self._watchdog = self._loop.call_at(
+                deadline, self._guarded, self._on_watchdog)
+
+    def _on_watchdog(self) -> None:
+        """Time the current execution out if its deadline has passed;
+        re-arm at it if not; disarm while idle or timer-ended."""
+        self._watchdog = None
+        task, deadline = self.current_task, self._deadline
+        if task is None or deadline is None:
+            return
+        if deadline > self._loop.time() + LOOP_RESOLUTION_S:
+            self._watch(deadline)
+        else:
+            self._settle(task, "timeout")
 
     # -- driver: one execution ---------------------------------------------
 
@@ -129,6 +262,7 @@ class WorkerSlot(Container):
         fate = self.chaos.draw_fate(self.rng) if self.chaos is not None else None
         if fate == FATE_CRASH:
             # The worker dies partway through; the work is lost.
+            self._deadline = None
             self._call_later(
                 exec_ms * self.chaos.crash_point, self._settle, task, "crash"
             )
@@ -138,32 +272,15 @@ class WorkerSlot(Container):
             # A thread that sleeps and then hops back to the loop would
             # add its wake-up latency to every execution, and a
             # compressed clock multiplies that into model-time queueing.
+            self._deadline = None
             self._call_later(exec_ms, self._settle, task, None)
             return
-        self._timer = self._loop.call_later(
-            self._timeout_wall_s(task, exec_ms),
-            self._guarded, self._settle, task, "timeout",
-        )
+        self._watch(self._loop.time() + self._timeout_wall_s(task, exec_ms))
         if fate == FATE_HANG:
             # The work never returns; only the execution timeout
             # recovers the slot.
             return
-        self._future = self.executor.submit(
-            self._work, task, self.clock.to_wall_s(exec_ms)
-        )
-        self._future.add_done_callback(partial(self._work_done, task))
-
-    def _work_done(self, task: "Task", future: Future) -> None:
-        """Executor thread: hand the outcome back to the event loop."""
-        if self.state in DEAD_STATES:
-            return  # nobody owns this execution any more
-        failed = not future.cancelled() and future.exception() is not None
-        try:
-            self._loop.call_soon_threadsafe(
-                self._guarded, self._settle, task, "error" if failed else None
-            )
-        except RuntimeError:
-            pass  # the loop is closed: the run is over
+        self.lane.submit(self, task, self.clock.to_wall_s(exec_ms))
 
     def _owns(self, task: "Task") -> bool:
         """True while this slot still owns *task*'s execution.  A node
@@ -174,13 +291,15 @@ class WorkerSlot(Container):
 
     def _settle(self, task: "Task", failure: Optional[str]) -> None:
         """*task*'s execution ended: the work returned (``None``), raised
-        (``"error"``), was crashed by chaos or ran out of time."""
+        (``"error"``), was crashed by chaos or ran out of time.  Nothing
+        is pending for it on success: its timer fired, its work ran, and
+        the watchdog stays armed for the next execution."""
         if not self._owns(task):
             return
-        self._cancel_pending()
         if failure is None:
             self._complete()
         else:
+            self._cancel_pending()
             self._crash(failure)
 
     # -- lifecycle ---------------------------------------------------------
@@ -211,7 +330,7 @@ class WorkerPool(FunctionPool):
     def __init__(
         self,
         clock: ScaledClock,
-        executor: Executor,
+        lane: Optional[WorkLane],
         work: Optional[WorkFn] = None,
         retry_manager: Optional[RetryManager] = None,
         chaos: Optional[ChaosInjector] = None,
@@ -219,7 +338,7 @@ class WorkerPool(FunctionPool):
     ) -> None:
         super().__init__(sim=clock, **kwargs)
         self.clock = clock
-        self.executor = executor
+        self.lane = lane
         self.work = work
         self.retry_manager = retry_manager
         self.chaos = chaos
@@ -229,7 +348,7 @@ class WorkerPool(FunctionPool):
     def _make_container(self, node, cold_start_ms: float) -> WorkerSlot:
         return WorkerSlot(
             clock=self.clock,
-            executor=self.executor,
+            lane=self.lane,
             service=self.service,
             batch_size=self.batch_size,
             cold_start_ms=cold_start_ms,

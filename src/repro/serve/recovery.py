@@ -39,8 +39,6 @@ from repro.serve.journal import (
     EV_RETRY,
     TERMINAL_EVENTS,
 )
-# The reason is stamped by the lifecycle's ``expire_recovered``.
-from repro.workflow.lifecycle import RECOVERY_EXPIRED_REASON  # noqa: F401
 
 
 @dataclass

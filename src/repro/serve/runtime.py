@@ -21,7 +21,6 @@ import math
 import os
 import pathlib
 import signal
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Dict, List, Optional
 
@@ -50,7 +49,7 @@ from repro.serve.journal import (
     heartbeat_basename,
     journal_basename,
 )
-from repro.serve.pool import WorkerPool, WorkFn
+from repro.serve.pool import WorkerPool, WorkFn, WorkLane
 from repro.serve.recovery import (
     build_recovery_plan,
     restore_governor,
@@ -66,7 +65,7 @@ from repro.workloads.mixes import WorkloadMix
 
 logger = logging.getLogger(__name__)
 
-#: Hard ceiling on executor threads when sizing from cluster capacity.
+#: Hard ceiling on work-lane threads when sizing from cluster capacity.
 MAX_EXECUTOR_WORKERS = 512
 
 
@@ -151,7 +150,7 @@ class ServingRuntime:
 
     # -- wiring ------------------------------------------------------------
 
-    def _build(self, executor: ThreadPoolExecutor) -> None:
+    def _build(self, lane: Optional[WorkLane]) -> None:
         # The planner's per-run substrate, shared with both simulator
         # engines: fresh registry, cluster, RNG streams, arrival sampler,
         # energy meter.
@@ -218,7 +217,7 @@ class ServingRuntime:
         for name in self.mix.function_names():
             self.pools[name] = WorkerPool(
                 clock=self.clock,
-                executor=executor,
+                lane=lane,
                 work=self.work,
                 retry_manager=self.retry_manager,
                 chaos=self.chaos,
@@ -437,14 +436,11 @@ class ServingRuntime:
 
     async def serve(self, trace: ArrivalTrace) -> RunResult:
         """Serve *trace* end to end on the wall clock; returns metrics."""
-        executor = ThreadPoolExecutor(
-            max_workers=self._executor_workers(),
-            thread_name_prefix="repro-serve",
-        )
         loop = asyncio.get_running_loop()
+        lane = WorkLane(self._executor_workers(), loop)
         self.interrupted = False
         try:
-            self._build(executor)
+            self._build(lane)
             assert self.clock is not None and self.gateway is not None
             # The plan, the prewarm and the opening checkpoint (an
             # fsync) happen before the clock starts, or the first
@@ -534,7 +530,7 @@ class ServingRuntime:
         finally:
             self._remove_signal_handlers(loop)
             self._stop_event = None
-            executor.shutdown(wait=True)
+            lane.close()
         return self.metrics.finalize(
             policy=self.config.name,
             mix=self.mix.name,

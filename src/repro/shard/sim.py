@@ -457,8 +457,10 @@ class ShardedRunResult:
     per_shard: Dict[int, RunResult]
     mode: str                      # "inprocess" | "processes"
     orchestration: Dict = field(default_factory=dict)
-    #: Plane-level metrics (populated by failover-enabled runs; empty
-    #: otherwise so pre-failover constructions are untouched).
+    #: Plane-level metrics, merged across shards: every ``live-sharded``
+    #: run fills it, and so does an in-process sim-sharded run with a
+    #: fault timeline (its orchestration registry too); other sim-sharded
+    #: runs leave it empty.
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property

@@ -4,7 +4,7 @@ One scripted sequence — spawn, ready, assign up to the batch size,
 complete with and without a local queue, crash with a local queue, a
 node kill mid-execution followed by the late completion, terminate —
 runs on ``Container`` over a ``Simulator`` and on ``WorkerSlot`` over
-an inline executor and a manual event loop.  Both must go through the
+an inline work lane and a manual event loop.  Both must go through the
 same states, report the same callbacks and leave the same counters and
 ``JobStage`` records.  No wall clock anywhere: the live driver's loop
 is a timer heap the script advances, and the "work" advances that
@@ -14,15 +14,14 @@ clock by exactly its span.
 import dataclasses
 import heapq
 import itertools
-from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.container import Container, ContainerState
-from repro.serve.faults import FATE_CRASH
-from repro.serve.pool import WorkerSlot
+from repro.serve.faults import FATE_CRASH, FATE_HANG
+from repro.serve.pool import WorkLane, WorkerSlot
 from repro.sim.engine import Simulator
 from repro.workflow.job import Job, Task
 from repro.workloads import get_application, get_microservice
@@ -31,19 +30,24 @@ BATCH = 3
 
 
 class _ScriptedFaults:
-    """Crashes the next execution when armed; draws nothing from the
-    rng.  Serves as the simulator's fault model and the live chaos."""
+    """Crashes (or, live only, hangs) the next execution when armed;
+    draws nothing from the rng.  Serves as the simulator's fault model
+    and the live chaos."""
 
     crash_point = 0.5
 
     def __init__(self):
         self.crash_next = False
+        self.hang_next = False
 
     def should_crash(self, rng):
         crash, self.crash_next = self.crash_next, False
         return crash
 
     def draw_fate(self, rng):
+        if self.hang_next:
+            self.hang_next = False
+            return FATE_HANG
         return FATE_CRASH if self.should_crash(rng) else None
 
 
@@ -117,11 +121,16 @@ class _ManualLoop:
     def to_wall_s(self, model_ms):
         return model_ms
 
-    def call_later(self, delay_s, fn, *args):
-        handle = _Handle()
-        heapq.heappush(
-            self._heap, (self.now + delay_s, next(self._seq), handle, fn, args))
+    def time(self):
+        return self.now
+
+    def call_at(self, when, fn, *args):
+        handle = _Handle(when)
+        heapq.heappush(self._heap, (when, next(self._seq), handle, fn, args))
         return handle
+
+    def call_later(self, delay_s, fn, *args):
+        return self.call_at(self.now + delay_s, fn, *args)
 
     def call_soon_threadsafe(self, fn, *args):
         return self.call_later(0.0, fn, *args)
@@ -138,20 +147,25 @@ class _ManualLoop:
 class _Handle:
     cancelled = False
 
+    def __init__(self, when):
+        self._when = when
+
+    def when(self):
+        return self._when
+
     def cancel(self):
         self.cancelled = True
 
 
-class _InlineExecutor(Executor):
-    """``submit`` runs the call synchronously; the future is finished."""
+class _InlineLane(WorkLane):
+    """A lane whose one "thread" is the manual loop: a submission runs
+    the lane's own thread body (ticket check, work, inbox, wake-up) as
+    the loop's next callback, over the submission and a stop sentinel."""
 
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:  # pragma: no cover - the work is a no-op
-            future.set_exception(exc)
-        return future
+    def submit(self, slot, task, wall_s):
+        self._queue.put((slot._ticket, slot, task, wall_s))
+        self._queue.put(None)
+        self._loop.call_later(0.0, self._run)
 
 
 class LiveDriver(_Driver):
@@ -164,7 +178,7 @@ class LiveDriver(_Driver):
 
     def spawn(self, cold_start_ms):
         return WorkerSlot(
-            clock=self.loop, executor=_InlineExecutor(), loop=self.loop,
+            clock=self.loop, lane=_InlineLane(1, self.loop), loop=self.loop,
             work=self._work, chaos=self.faults, cold_start_ms=cold_start_ms,
             **self._callbacks())
 
@@ -279,3 +293,59 @@ def test_both_drivers_walk_the_same_state_machine():
 def test_worker_slot_is_a_container():
     d = LiveDriver()
     assert isinstance(d.spawn(0.0), Container)
+
+
+# ---------------------------------------------------------------------------
+# the live driver's execution watchdog, on the manual clock
+
+
+def _watched_slot(*budgets):
+    """A ready live slot whose successive executions get *budgets*
+    (manual-clock units) instead of their slack-derived ones."""
+    d = LiveDriver()
+    slot = d.spawn(0.0)
+    d.run(0.0)
+    budgets = iter(budgets)
+    slot._timeout_wall_s = lambda task, exec_ms: next(budgets)
+    return d, slot
+
+
+def test_a_later_execution_with_an_earlier_deadline_rearms_the_watchdog():
+    d, slot = _watched_slot(1_000.0, 10.0)
+    slot.assign(d.task(0.0))            # watchdog pending at 1000
+    d.run(500.0)
+    assert slot.tasks_executed == 1 and slot.current_task is None
+    d.faults.hang_next = True
+    slot.assign(d.task(500.0))          # hangs; its deadline is 510
+    assert slot._deadline == 510.0
+    d.run(509.999)
+    assert slot.state == ContainerState.BUSY
+    d.run(510.0)
+    assert slot.state == ContainerState.CRASHED
+    assert d.log[-1] == ("crashed", 1, "timeout")
+
+
+def test_a_watchdog_that_fires_early_rearms_at_the_current_deadline():
+    d, slot = _watched_slot(200.0, 1_000.0)
+    slot.assign(d.task(0.0))            # watchdog pending at 200
+    first = d.tasks[0].record
+    done_ms = first.start_ms + first.exec_ms
+    assert done_ms < 200.0
+    d.run(done_ms)
+    d.faults.hang_next = True
+    slot.assign(d.task(done_ms))        # hangs until done_ms + 1000
+    d.run(done_ms + 999.999)            # the watchdog fired at 200
+    assert slot.state == ContainerState.BUSY
+    assert slot._watchdog is not None and not slot._watchdog.cancelled
+    d.run(done_ms + 1_000.0)
+    assert slot.state == ContainerState.CRASHED
+    assert d.log[-1] == ("crashed", 1, "timeout")
+    assert slot._watchdog is None
+
+
+def test_an_idle_slot_disarms_its_watchdog():
+    d, slot = _watched_slot(200.0)
+    slot.assign(d.task(0.0))
+    d.run(10_000.0)
+    assert slot.tasks_executed == 1 and slot.state == ContainerState.IDLE
+    assert slot._watchdog is None and slot.crashes == 0

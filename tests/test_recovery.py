@@ -41,9 +41,9 @@ from repro.serve.journal import (
     TERMINAL_EVENTS,
     journal_conservation,
 )
-from repro.serve.recovery import RECOVERY_EXPIRED_REASON
 from repro.sim.engine import Simulator
 from repro.traces import poisson_trace
+from repro.workflow.lifecycle import RECOVERY_EXPIRED_REASON
 from repro.workflow.statestore import StateStore
 from repro.workloads import get_mix
 

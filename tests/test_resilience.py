@@ -9,7 +9,11 @@ the simulator's fault models.
 """
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
+import collections
+import sys
+import threading
+import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -30,11 +34,13 @@ from repro.serve import (
     ScaledClock,
     ServeOptions,
     ServingRuntime,
+    WorkLane,
     WorkerPool,
     serve_trace,
 )
 from repro.serve import pool as serve_pool
 from repro.serve.control import ControlLoop
+from repro.serve.faults import FATE_HANG
 from repro.traces import poisson_trace
 from repro.workflow.job import Job, Task
 from repro.workloads import get_application, get_microservice, get_mix
@@ -46,11 +52,11 @@ FAST = 0.002  # one model second in 2 wall ms
 # helpers
 
 
-def _worker_pool(clock, executor, retry_manager=None, batch_size=2,
+def _worker_pool(clock, lane, retry_manager=None, batch_size=2,
                  n_nodes=4, on_finished=None, **kwargs):
     return WorkerPool(
         clock=clock,
-        executor=executor,
+        lane=lane,
         retry_manager=retry_manager,
         service=get_microservice("ASR"),
         cluster=Cluster(n_nodes=n_nodes),
@@ -225,8 +231,8 @@ class TestSupervisedWorkers:
 
         async def scenario():
             clock = ScaledClock(FAST)
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor, work=boom)
+            with closing(WorkLane(2)) as lane:
+                pool = _worker_pool(clock, lane, work=boom)
                 # No retry manager: failures fall back to a plain requeue.
                 pool.retry_manager = None
                 clock.start()
@@ -262,8 +268,8 @@ class TestSupervisedWorkers:
 
         async def scenario():
             clock = ScaledClock(FAST)
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor, work=hang)
+            with closing(WorkLane(2)) as lane:
+                pool = _worker_pool(clock, lane, work=hang)
                 clock.start()
                 pool.prewarm(1)
                 await asyncio.sleep(0.02)
@@ -291,8 +297,8 @@ class TestSupervisedWorkers:
 
         async def scenario():
             clock = ScaledClock(FAST)
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor, on_finished=finished)
+            with closing(WorkLane(2)) as lane:
+                pool = _worker_pool(clock, lane, on_finished=finished)
                 clock.start()
                 pool.prewarm(1)
                 await asyncio.sleep(0.02)
@@ -336,14 +342,197 @@ class TestSupervisedWorkers:
     def test_supervise_is_idle_noop(self):
         async def scenario():
             clock = ScaledClock(FAST)
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor)
+            with closing(WorkLane(2)) as lane:
+                pool = _worker_pool(clock, lane)
                 clock.start()
                 pool.prewarm(2)
                 await asyncio.sleep(0.02)
                 assert pool.supervise(clock.now) == 0
                 assert pool.container_crashes == 0
                 assert pool.n_containers == 2
+                await pool.shutdown()
+
+        asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# the work lane and the execution watchdog on a real loop
+
+
+class _HangOnce:
+    """Live chaos that hangs the first execution and no other."""
+
+    crash_point = 0.5
+
+    def __init__(self):
+        self.hung = False
+
+    def draw_fate(self, rng):
+        if self.hung:
+            return None
+        self.hung = True
+        return FATE_HANG
+
+
+def _wait_on_thread(predicate, limit_s=10.0):
+    """Hold the event loop (no pass runs) until a lane thread makes
+    *predicate* true."""
+    deadline = time.monotonic() + limit_s
+    while not predicate():
+        assert time.monotonic() < deadline, "the lane thread never got there"
+        time.sleep(0.001)
+
+
+class TestWorkLaneAndWatchdog:
+    @pytest.mark.parametrize("hang", ["chaos", "blocking-work"])
+    def test_a_hang_is_declared_at_its_deadline(self, monkeypatch, hang):
+        monkeypatch.setattr(serve_pool, "TIMEOUT_FLOOR_WALL_S", 0.05)
+        release = threading.Event()
+        verdicts = []
+        real_crash = serve_pool.WorkerSlot._crash
+
+        def crash(slot, reason="crash"):
+            verdicts.append((slot._loop.time(), reason))
+            real_crash(slot, reason)
+
+        monkeypatch.setattr(serve_pool.WorkerSlot, "_crash", crash)
+        if hang == "chaos":
+            kwargs = dict(chaos=_HangOnce(), work=lambda task, wall_s: None)
+        else:
+            kwargs = dict(work=lambda task, wall_s: release.wait(5.0))
+        seen = {}
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            clock = ScaledClock(FAST)
+            with closing(WorkLane(1)) as lane:
+                pool = _worker_pool(clock, lane, n_nodes=1, **kwargs)
+                clock.start()
+                pool.prewarm(1)
+                await asyncio.sleep(0.02)
+                (slot,) = pool.containers
+                pool.enqueue(_task(clock))
+                deadline = slot._deadline
+                # The pass after the one in which the deadline fell due.
+                loop.call_at(deadline, loop.call_soon,
+                             lambda: seen.update(verdicts=list(verdicts)))
+                while "verdicts" not in seen:
+                    await asyncio.sleep(0.01)
+                release.set()
+                await pool.shutdown()
+            return deadline
+
+        deadline = asyncio.run(scenario())
+        ((at, reason),) = seen["verdicts"]
+        assert reason == "timeout"
+        assert at >= deadline - serve_pool.LOOP_RESOLUTION_S
+
+    def test_no_outcome_is_lost_or_settled_twice_under_thread_churn(self):
+        """More lane threads than cores and a tiny switch interval:
+        every submission settles exactly once (a lost wake-up strands
+        the last outcomes in the inbox)."""
+        settled = collections.Counter()
+
+        class Slot:
+            _ticket = 0
+
+            def _work(self, task, wall_s):
+                pass
+
+            def _guarded(self, fn, *args):
+                fn(*args)
+
+            def _settle(self, task, failure):
+                settled[task] += 1
+
+        n = 4000
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            with closing(WorkLane(4, loop)) as lane:
+                slots = [Slot() for _ in range(8)]
+                for k in range(n):
+                    lane.submit(slots[k % 8], k, 0.0)
+                    if k % 100 == 0:
+                        await asyncio.sleep(0)
+                deadline = loop.time() + 20.0
+                while len(settled) < n and loop.time() < deadline:
+                    await asyncio.sleep(0.005)
+                await asyncio.sleep(0.02)
+                return list(lane._threads)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(settled) == n and set(settled.values()) == {1}
+        assert 2 <= len(threads) <= 4
+        assert not any(t.is_alive() for t in threads)
+
+    def test_cancelled_queued_work_never_runs(self):
+        gate = threading.Event()
+        ran = []
+
+        def work(task, wall_s):
+            ran.append(task)
+            gate.wait(5.0)
+
+        async def scenario():
+            clock = ScaledClock(FAST)
+            with closing(WorkLane(1)) as lane:
+                pool = _worker_pool(clock, lane, batch_size=1, work=work)
+                clock.start()
+                pool.prewarm(2)
+                await asyncio.sleep(0.02)
+                first, second = _task(clock), _task(clock)
+                pool.enqueue(first)
+                pool.enqueue(second)
+                queued = next(
+                    s for s in pool.containers if s.current_task is second)
+                # The lane's one thread is inside *first*'s work, so
+                # *second*'s sits on the lane queue when its slot stops.
+                _wait_on_thread(lambda: ran)
+                queued.shutdown()
+                gate.set()
+                for _ in range(200):
+                    if pool.tasks_completed:
+                        break
+                    await asyncio.sleep(0.005)
+                await asyncio.sleep(0.02)
+                assert ran == [first]
+                assert pool.tasks_completed == 1
+                await pool.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_a_completion_waiting_in_the_inbox_is_dropped_after_fail_node(
+            self):
+        finished = []
+
+        async def scenario():
+            clock = ScaledClock(FAST)
+            with closing(WorkLane(1)) as lane:
+                pool = _worker_pool(
+                    clock, lane, n_nodes=1, on_finished=finished.append,
+                    work=lambda task, wall_s: None)
+                clock.start()
+                pool.prewarm(1)
+                await asyncio.sleep(0.05)
+                (slot,) = pool.containers
+                task = _task(clock)
+                pool.enqueue(task)
+                assert slot.current_task is task
+                # The work returned; its outcome waits for a drain.
+                _wait_on_thread(lambda: lane._inbox)
+                assert fail_node(slot.node, [pool], clock.now) == 1
+                await asyncio.sleep(0.05)
+                assert not lane._inbox
+                assert finished == [] and pool.tasks_completed == 0
+                assert slot.tasks_executed == 0
+                assert slot.state == ContainerState.TERMINATED
+                assert pool.task_retries == 1 and pool.queue_length == 1
                 await pool.shutdown()
 
         asyncio.run(scenario())
@@ -364,8 +553,8 @@ class TestFailNodeLive:
 
         async def scenario():
             clock = ScaledClock(FAST)
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor, n_nodes=1, work=gated)
+            with closing(WorkLane(2)) as lane:
+                pool = _worker_pool(clock, lane, n_nodes=1, work=gated)
                 clock.start()
                 pool.prewarm(1)
                 await asyncio.sleep(0.05)
@@ -373,6 +562,8 @@ class TestFailNodeLive:
                 task = _task(clock)
                 pool.enqueue(task)
                 assert slot.current_task is task  # dispatched, executing
+                watchdog = slot._watchdog
+                assert watchdog is not None
                 destroyed = fail_node(slot.node, [pool], clock.now)
                 assert destroyed == 1
                 assert slot.state == ContainerState.TERMINATED
@@ -382,9 +573,9 @@ class TestFailNodeLive:
                 assert pool.queue_length == 1
                 assert sum(1 for t in pool._waiting if t is task) == 1
                 assert pool.queue.pop() is task
-                # The kill cancelled the execution timeout, and the
+                # The kill cancelled the execution watchdog, and the
                 # orphaned execution's late completion is discarded.
-                assert slot._timer.cancelled()
+                assert watchdog.cancelled() and slot._watchdog is None
                 release.set()
                 await asyncio.sleep(0.05)
                 assert pool.tasks_completed == 0
@@ -438,8 +629,8 @@ class TestControlLoopContainment:
 
         original_build = runtime._build
 
-        def sabotaged_build(executor):
-            original_build(executor)
+        def sabotaged_build(lane):
+            original_build(lane)
             runtime.control.scaler = _RaisingScaler()
 
         runtime._build = sabotaged_build

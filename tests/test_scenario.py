@@ -171,7 +171,7 @@ def _built(assembled):
         assembled._build(Simulator())
         lifecycle = assembled.lifecycle
     else:
-        assembled._build(executor=None)   # no slot is spawned: never used
+        assembled._build(lane=None)   # no slot is spawned: never used
         lifecycle = assembled.gateway.lifecycle
     return lifecycle.shed_expired, [
         pool.fault_model for pool in assembled.pools.values()]

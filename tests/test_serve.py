@@ -7,7 +7,7 @@ whole file exercises real asyncio concurrency in well under a minute.
 
 import asyncio
 import threading
-from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from repro.serve import (
     ServeOptions,
     ServingRuntime,
     TraceReplayer,
+    WorkLane,
     WorkerPool,
     serve_trace,
 )
@@ -38,10 +39,10 @@ FAST = 0.002  # one model second in 2 wall ms
 # helpers
 
 
-def _worker_pool(clock, executor, batch_size=2, n_nodes=4, on_finished=None):
+def _worker_pool(clock, lane, batch_size=2, n_nodes=4, on_finished=None):
     return WorkerPool(
         clock=clock,
-        executor=executor,
+        lane=lane,
         service=get_microservice("ASR"),
         cluster=Cluster(n_nodes=n_nodes),
         batch_size=batch_size,
@@ -126,8 +127,8 @@ class TestWorkerPool:
     def test_prewarm_is_immediately_ready(self):
         async def scenario():
             clock = ScaledClock(FAST)
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor)
+            with closing(WorkLane(2)) as lane:
+                pool = _worker_pool(clock, lane)
                 clock.start()
                 assert pool.prewarm(2) == 2
                 await asyncio.sleep(0.02)  # let runners pass cold start
@@ -140,8 +141,8 @@ class TestWorkerPool:
     def test_spawn_pays_cold_start(self):
         async def scenario():
             clock = ScaledClock(FAST)
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor)
+            with closing(WorkLane(2)) as lane:
+                pool = _worker_pool(clock, lane)
                 clock.start()
                 assert pool.spawn(1) == 1
                 (slot,) = pool.containers
@@ -160,8 +161,8 @@ class TestWorkerPool:
 
         async def scenario():
             clock = ScaledClock(FAST)
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor, on_finished=done.append)
+            with closing(WorkLane(2)) as lane:
+                pool = _worker_pool(clock, lane, on_finished=done.append)
                 clock.start()
                 pool.prewarm(1)
                 await asyncio.sleep(0.02)
@@ -183,19 +184,19 @@ class TestWorkerPool:
 
     def test_handlerless_work_is_a_timer_not_a_thread(self):
         # Without a work function a task's work is only its span: a loop
-        # timer ends it, and nothing is handed to the executor.
+        # timer ends it, and nothing is handed to the lane.
         from repro.workflow.job import Job, Task
         from repro.workloads import get_application
 
-        class RefusingExecutor(Executor):
-            def submit(self, fn, *args, **kwargs):
+        class RefusingLane:
+            def submit(self, slot, task, wall_s):
                 raise AssertionError("handler-less work reached a thread")
 
         done = []
 
         async def scenario():
             clock = ScaledClock(FAST)
-            pool = _worker_pool(clock, RefusingExecutor(),
+            pool = _worker_pool(clock, RefusingLane(),
                                 on_finished=done.append)
             clock.start()
             pool.prewarm(1)
@@ -220,8 +221,8 @@ class TestWorkerPool:
 
         async def scenario():
             clock = ScaledClock(1.0)  # real time: task won't finish fast
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor)
+            with closing(WorkLane(2)) as lane:
+                pool = _worker_pool(clock, lane)
                 clock.start()
                 pool.prewarm(1)
                 await asyncio.sleep(0.02)
@@ -242,8 +243,8 @@ class TestWorkerPool:
 
         async def scenario():
             clock = ScaledClock(1.0)  # real time: nothing finishes by itself
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                pool = _worker_pool(clock, executor, on_finished=done.append)
+            with closing(WorkLane(2)) as lane:
+                pool = _worker_pool(clock, lane, on_finished=done.append)
                 clock.start()
                 pool.prewarm(2)
                 await asyncio.sleep(0.02)
@@ -275,7 +276,7 @@ class TestGateway:
         async def scenario():
             clock = ScaledClock(FAST)
             mix = get_mix("heavy")
-            with ThreadPoolExecutor(max_workers=4) as executor:
+            with closing(WorkLane(4)) as lane:
                 pools = {}
                 gw_holder = {}
 
@@ -285,7 +286,7 @@ class TestGateway:
                 for name in mix.function_names():
                     pools[name] = WorkerPool(
                         clock=clock,
-                        executor=executor,
+                        lane=lane,
                         service=get_microservice(name),
                         cluster=Cluster(n_nodes=4),
                         batch_size=2,
@@ -320,13 +321,13 @@ class TestGateway:
         async def scenario():
             clock = ScaledClock(FAST)
             mix = get_mix("light")
-            with ThreadPoolExecutor(max_workers=2) as executor:
+            with closing(WorkLane(2)) as lane:
                 # No workers ever: admitted jobs never complete, so
                 # in_flight only grows and the bound must kick in.
                 pools = {
                     name: WorkerPool(
                         clock=clock,
-                        executor=executor,
+                        lane=lane,
                         service=get_microservice(name),
                         cluster=Cluster(n_nodes=2),
                         batch_size=1,
@@ -559,7 +560,7 @@ class TestEndToEnd:
             seed=2,
             options=ServeOptions(time_scale=0.005),
         )
-        # The executor and the event loop are torn down with the run.
+        # The work lane and the event loop are torn down with the run.
         assert threading.active_count() <= before
 
     def test_shedding_surfaces_as_incomplete_jobs(self):
