@@ -22,7 +22,7 @@ Bit-exactness notes (load-bearing — the differential harness in
   the per-element scalar lookup.
 * ``segment_totals`` adds one stage per pass, so every job's total is
   ``((0.0 + x0) + x1) + x2 ...`` — the association order of the
-  explicit loops in ``Job.total_*`` — and per-job totals match the
+  explicit loop in ``Job.totals`` — and per-job totals match the
   scalar path bit for bit at any chain length.  Neither shortcut does:
   ``np.add.reduceat`` computes ``x0 + (x1 + x2 + ...)`` (its inner
   loop is a pairwise sum of the segment's tail), and builtin ``sum()``

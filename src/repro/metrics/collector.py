@@ -1,16 +1,16 @@
 """Run-level metrics: everything the paper's figures report.
 
 The collector samples cluster state on the paper's 10 s cadence and
-accumulates per-job latency breakdowns; :class:`RunResult` exposes the
-derived metrics — SLO-violation rate, average containers spawned,
-median/tail latency, requests-per-container, cold-start counts,
-queuing-time distribution and cluster energy (metrics (i)-(v) of
-section 5.3).
+streams each completed job's latency breakdown into typed columns;
+:class:`RunResult` exposes the derived metrics — SLO-violation rate,
+average containers spawned, median/tail latency, requests-per-container,
+cold-start counts, queuing-time distribution and cluster energy
+(metrics (i)-(v) of section 5.3).
 """
 
 from __future__ import annotations
 
-import itertools
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -285,13 +285,15 @@ def run_rollups(pools: Dict[str, PoolSurface], energy_meter, registry) -> Dict:
 
 
 class MetricsCollector:
-    """Accumulates jobs and periodic cluster samples during a run.
+    """Accumulates job totals and periodic cluster samples during a run.
 
     The collector is also the observability choke point shared by the
     simulator and the live runtime: every terminal job passes through
     :meth:`record_job_completed` / :meth:`record_job_failed`, so this is
     where request spans are assembled (one schema for both worlds) and
-    where the run's latency histograms are fed.
+    where the run's latency histograms are fed.  A completed ``Job`` is
+    not retained unless *keep_completed* asks for a request log in
+    :attr:`completed_jobs` (else ``None``); failed jobs are listed.
     """
 
     def __init__(
@@ -299,14 +301,20 @@ class MetricsCollector:
         energy_meter: EnergyMeter,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
+        keep_completed: bool = False,
     ) -> None:
         self.energy_meter = energy_meter
         self.tracer = tracer
         self.registry = registry or MetricsRegistry()
-        self.completed_jobs: List[Job] = []
+        self.completed_jobs: Optional[List[Job]] = (
+            [] if keep_completed else None)
         self.failed_jobs: List[Job] = []
         self.sample_times: List[float] = []
         self.pool_samples: Dict[str, List[int]] = {}
+        # One value per completed job, in completion order.
+        self._latency, self._queue, self._cold, self._batching, self._exec = (
+            array("d") for _ in range(5))
+        self._violations = 0
         self._c_created = self.registry.counter("jobs_created_total")
         self._c_completed = self.registry.counter("jobs_completed_total")
         self._c_failed = self.registry.counter("jobs_failed_total")
@@ -323,10 +331,20 @@ class MetricsCollector:
         self._c_created.inc()
 
     def record_job_completed(self, job: Job) -> None:
-        self.completed_jobs.append(job)
+        if self.completed_jobs is not None:
+            self.completed_jobs.append(job)
         self._c_completed.inc()
-        queue_ms, cold_ms, _, exec_ms = job.totals()
-        self._h_latency.observe(job.response_latency_ms)
+        queue_ms, cold_ms, batching_ms, exec_ms = job.totals()
+        # ``response_latency_ms`` and ``violated_slo``, inlined.
+        latency_ms = job.completion_ms - job.arrival_ms
+        if latency_ms > job.app.slo_ms:
+            self._violations += 1
+        self._latency.append(latency_ms)
+        self._queue.append(queue_ms)
+        self._cold.append(cold_ms)
+        self._batching.append(batching_ms)
+        self._exec.append(exec_ms)
+        self._h_latency.observe(latency_ms)
         self._h_queue.observe(queue_ms)
         self._h_exec.observe(exec_ms)
         self._h_cold.observe(cold_ms)
@@ -370,29 +388,23 @@ class MetricsCollector:
     ) -> RunResult:
         """Assemble the run's RunResult — the one place that does.
 
-        *flat* is how an engine that never calls ``record_job_*`` (the
-        vector engine) hands its run over: the counts and the
-        per-completed-job arrays built below, in completion order.  The
-        run-level series are then fed from them in bulk.
+        The per-completed-job arrays are views of the collector's
+        columns.  *flat* is how an engine that never calls
+        ``record_job_*`` (the vector engine) hands over the same counts
+        and arrays; the run-level series are then fed from them in bulk.
         """
         if flat is None:
-            jobs = self.completed_jobs
-            # One Job.totals() pass per job, streamed into one (jobs, 4)
-            # array whose columns are the four fields.  At 40 k jobs a
-            # list of 4-tuples first raised peak RSS by ≈8 MB, and
-            # contiguous column copies after by ≈3 MB.
-            queue, cold, batching, exec_ms = np.fromiter(
-                itertools.chain.from_iterable(j.totals() for j in jobs),
-                dtype=float, count=4 * len(jobs)).reshape(-1, 4).T
+            # While these views live, an append to a column raises
+            # BufferError instead of moving it.
             flat = {
                 "n_jobs": self.jobs_created,
                 "n_failed": len(self.failed_jobs),
-                "latencies_ms": np.array([j.response_latency_ms for j in jobs]),
-                "violations": int(sum(1 for j in jobs if j.violated_slo)),
-                "exec_ms": exec_ms,
-                "cold_wait_ms": cold,
-                "batch_wait_ms": batching,
-                "queue_ms": queue,
+                "latencies_ms": np.frombuffer(self._latency),
+                "violations": self._violations,
+                "exec_ms": np.frombuffer(self._exec),
+                "cold_wait_ms": np.frombuffer(self._cold),
+                "batch_wait_ms": np.frombuffer(self._batching),
+                "queue_ms": np.frombuffer(self._queue),
             }
         else:
             self._c_created.set_value(float(flat["n_jobs"]))

@@ -416,7 +416,7 @@ class ServerlessSystem:
         loop from spinning to its bound waiting for requests the system
         deliberately dropped."""
         return self.metrics.jobs_created - (
-            len(self.metrics.completed_jobs)
+            int(self.registry.value("jobs_completed_total"))
             + len(self.metrics.failed_jobs)
             + int(self.registry.value("gateway_shed_total"))
         )

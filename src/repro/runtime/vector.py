@@ -930,7 +930,7 @@ class VectorEngine:
             np.maximum(bw, 0.0, out=bw)
             bw += 0.0  # normalize any -0.0 to +0.0 (max(0.0, x) parity)
             # Stage by stage, matching the left-to-right loops of
-            # Job.total_* bit for bit (np.add.reduceat would not).
+            # Job.totals bit for bit (np.add.reduceat would not).
             exec_job = segment_totals(exc, base)
             qd_job = segment_totals(qd, base)
             cold_job = segment_totals(cold, base)

@@ -163,8 +163,10 @@ class ServingRuntime:
         self.energy_meter = planner.energy_meter
         rng_retry = np.random.default_rng(self.seed + 2)
         self.clock = ScaledClock(self.options.time_scale)
+        # The request log: per-request statistics read each Job.
         self.metrics = MetricsCollector(
-            self.energy_meter, tracer=self.tracer, registry=self.registry
+            self.energy_meter, tracer=self.tracer, registry=self.registry,
+            keep_completed=True,
         )
         # Durability layer: journal + checkpointer only exist when a
         # journal dir is configured — with them off, every hot-path

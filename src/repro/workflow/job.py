@@ -86,10 +86,6 @@ class Job:
             self.stages = [JobStage(function=s.name) for s in self.app.stages]
 
     @property
-    def deadline_ms(self) -> float:
-        return self.arrival_ms + self.app.slo_ms
-
-    @property
     def completed(self) -> bool:
         return self.completion_ms >= 0
 
@@ -142,22 +138,6 @@ class Job:
             exec_ms += s.exec_ms
         return queue, cold, batching, exec_ms
 
-    @property
-    def total_queue_delay_ms(self) -> float:
-        return self.totals()[0]
-
-    @property
-    def total_cold_start_wait_ms(self) -> float:
-        return self.totals()[1]
-
-    @property
-    def total_batching_wait_ms(self) -> float:
-        return self.totals()[2]
-
-    @property
-    def total_exec_ms(self) -> float:
-        return self.totals()[3]
-
     def remaining_work_ms(self, from_stage: int) -> float:
         """Mean execution + overhead still ahead from *from_stage* on."""
         if from_stage >= self.app.n_stages:
@@ -196,8 +176,8 @@ class Task:
 
     @property
     def slack_key(self) -> float:
-        # ``deadline_ms - remaining_work_ms(i)`` without the Job's
-        # property hops; the same operations in the same order.
+        # The job's deadline (arrival + SLO) minus the work still ahead,
+        # without Job-level hops; the same operations in the same order.
         job = self.job
         app = job.app
         return (job.arrival_ms + app.slo_ms) - app.remaining_work_ms(

@@ -261,7 +261,7 @@ class FunctionPool(PoolSurface):
         if not self._recent_delays:
             return 0.0
         # Left to right, as VectorPool adds them (builtin sum() is
-        # compensated since Python 3.12: see Job.total_exec_ms).
+        # compensated since Python 3.12: see Job.totals).
         total = 0.0
         for _, d in self._recent_delays:
             total += d
@@ -309,6 +309,11 @@ class FunctionPool(PoolSurface):
         horizon = now - self.delay_window_ms
         while delays and delays[0][0] < horizon:
             delays.popleft()
+        # Started tasks leave the waiting list now, not at the next
+        # monitor read, so they keep no settled job alive.
+        waiting = self._waiting
+        while waiting and waiting[0].record.start_ms >= 0:
+            waiting.popleft()
         if self.single_use and container.is_reapable:
             self._retire(container)
             self._compact()

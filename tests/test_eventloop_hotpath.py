@@ -8,14 +8,16 @@ with one flash crowd to 400), cut to its first 60 model-seconds:
 
 * **Calls per job.**  cProfile's call count (Python and builtin calls)
   over the run, per completed job, stays under a ceiling about 4 % above
-  the 192 of the buffered application stream (DESIGN.md §10.1): an
+  the 186.7 of streaming each job's totals into the collector's columns
+  at completion (DESIGN.md §10.1): ``finalize`` no longer walks every
+  ``Job`` a second time.  The buffered application stream before it (an
   arrival reads its application from a chunk drawn in one numpy call
-  instead of making a scalar draw.  Same-instant dispatch before it (a
-  task entering an empty stage queue goes straight to a container,
-  containers keep a free-slot tally, the clock is a plain attribute)
-  made 210 calls per job; the flat hot path before that (timers
-  without ``Event`` objects, counters bumped in place, one totals pass
-  per job) 295; the run before that, 450.
+  instead of making a scalar draw) made 192; same-instant dispatch
+  before that (a task entering an empty stage queue goes straight to a
+  container, containers keep a free-slot tally, the clock is a plain
+  attribute) 210; the flat hot path before that (timers without
+  ``Event`` objects, counters bumped in place, one totals pass per job)
+  295; the run before that, 450.
 * **Same simulation.**  The event count and the ``summary()`` digest are
   the ones the run had before the hot path was flattened: a speed-up
   must not move a single event or bit.
@@ -40,8 +42,9 @@ from repro.workloads import get_mix
 
 #: Calls per completed job: 450.0 before the flat hot path, 295.8 after
 #: it, 213.1 with same-instant dispatch (209.6 on a later measurement),
-#: 191.7 with the buffered application stream.
-CALLS_PER_JOB_CEILING = 200.0
+#: 191.7 with the buffered application stream, 186.7 with per-job totals
+#: streamed into typed columns at completion.
+CALLS_PER_JOB_CEILING = 194.0
 JOBS = 4775
 EVENTS = 38211
 SUMMARY_SHA256 = (

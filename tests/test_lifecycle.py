@@ -77,7 +77,7 @@ class _Plane:
         m = self.metrics
         return {
             "created": m.jobs_created,
-            "completed": len(m.completed_jobs),
+            "completed": m.registry.value("jobs_completed_total"),
             "failed": [j.failure_reason for j in m.failed_jobs],
             "stage_sheds": {n: self.pools[n].sheds for n in APP.stage_names},
             "stale": m.registry.value("gateway_stale_signals_total"),

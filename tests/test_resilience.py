@@ -72,7 +72,8 @@ def _worker_pool(clock, lane, retry_manager=None, batch_size=2,
 
 
 def _metrics():
-    return MetricsCollector(EnergyMeter(model=NodePowerModel()))
+    return MetricsCollector(
+        EnergyMeter(model=NodePowerModel()), keep_completed=True)
 
 
 def _bare_loop(cls=None, **kwargs):

@@ -56,7 +56,8 @@ def _worker_pool(clock, lane, batch_size=2, n_nodes=4, on_finished=None):
 
 
 def _gateway(clock, pools, mix, max_pending=0):
-    metrics = MetricsCollector(EnergyMeter(model=NodePowerModel()))
+    metrics = MetricsCollector(
+        EnergyMeter(model=NodePowerModel()), keep_completed=True)
     return Gateway(
         clock=clock,
         pools=pools,

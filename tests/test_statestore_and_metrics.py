@@ -197,9 +197,8 @@ class TestJobAccounting:
 
     def test_stage_breakdown_sums(self):
         job = _completed_job(0.0, 900.0)
-        assert job.total_queue_delay_ms == pytest.approx(
-            job.total_cold_start_wait_ms + job.total_batching_wait_ms
-        )
+        queue_ms, cold_ms, batching_ms, _ = job.totals()
+        assert queue_ms == pytest.approx(cold_ms + batching_ms)
 
     def test_remaining_work_decreases_by_stage(self):
         job = Job(app=get_application("detect-fatigue"), arrival_ms=0.0)

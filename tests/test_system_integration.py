@@ -11,6 +11,7 @@ from repro import (
     poisson_trace,
     run_policy,
 )
+from repro.obs.trace import Tracer
 from repro.prediction.classical import EWMAPredictor
 from repro.traces import step_poisson_trace
 
@@ -78,13 +79,20 @@ class TestEndToEnd:
         assert not np.array_equal(a.latencies_ms, b.latencies_ms)
 
     def test_jobs_match_mix_applications(self, small_trace):
+        tracer = Tracer(sample_rate=1.0)
         system = ServerlessSystem(
             config=make_policy_config("bline"),
             mix=get_mix("medium"),
             seed=3,
+            tracer=tracer,
         )
         result = system.run(small_trace)
-        apps = {j.app.name for j in system.metrics.completed_jobs}
+        # The collector keeps no completed Job; each one's root span
+        # carries its application.
+        completed = [span for span in tracer.roots()
+                     if span.attrs["outcome"] == "completed"]
+        assert len(completed) == result.n_completed
+        apps = {span.attrs["app"] for span in completed}
         assert apps == {"ipa", "img"}
 
     def test_pools_cover_all_mix_functions(self, small_trace):

@@ -319,7 +319,7 @@ class TestRandomWorkloadProperty:
 class TestSummationOrder:
     """Per-job totals add left to right on both engines, whatever the
     interpreter.  Builtin ``sum()`` over floats is a compensated sum
-    since Python 3.12 (it returns 1e16 + 2.0 below), so ``Job.total_*``
+    since Python 3.12 (it returns 1e16 + 2.0 below), so ``Job.totals``
     must not use it."""
 
     EXEC_MS = [1e16, 1.0, 1.0]
@@ -332,10 +332,8 @@ class TestSummationOrder:
             stage.enqueue_ms, stage.start_ms = 0.0, value
         vector = segment_totals(np.array(self.EXEC_MS), np.array([0]))[0]
         assert vector == self.LEFT_TO_RIGHT != 1e16 + 2.0
-        assert job.total_exec_ms == self.LEFT_TO_RIGHT
-        assert job.total_queue_delay_ms == self.LEFT_TO_RIGHT
-        assert job.total_cold_start_wait_ms == self.LEFT_TO_RIGHT
-        assert job.total_batching_wait_ms == 0.0
+        assert job.totals() == (
+            self.LEFT_TO_RIGHT, self.LEFT_TO_RIGHT, 0.0, self.LEFT_TO_RIGHT)
 
     @settings(deadline=None)
     @given(chains=st.lists(
