@@ -262,7 +262,7 @@ def _run_batch(args) -> int:
     return 0
 
 
-def _print_sharded(policy: str, result, journal=None) -> None:
+def _print_sharded(policy: str, result) -> None:
     """Render a ShardedRunResult: per-shard rows + plane aggregate."""
     s = result.summary()
     rows = [
@@ -291,27 +291,17 @@ def _print_sharded(policy: str, result, journal=None) -> None:
               f"{orch['rebalances']} rebalances, "
               f"{orch['nodes_moved']} nodes moved, "
               f"final skew {orch.get('final_skew', 0.0):.2f}")
-    if journal:
-        verdicts = ", ".join(
-            f"shard {sid}: {'ok' if v['conserved'] else 'VIOLATED'}"
-            for sid, v in sorted(journal.items())
-        )
-        print(f"journal conservation: {verdicts}")
-
-
-def _refuse_with_shards(args, unsharded_only: dict) -> None:
-    """The runner and the output files have no sharded form: a flag
-    (flag → its default) that would silently do nothing is a usage
-    error.  What the *scenario* cannot honour sharded it refuses itself."""
-    for flag, default in unsharded_only.items():
-        if getattr(args, flag[2:].replace("-", "_")) != default:
-            raise UsageError(
-                f"{args.command}: {flag} is not supported with --shards > 1")
 
 
 def _run_sharded(args: argparse.Namespace) -> int:
-    _refuse_with_shards(args, {"--repeats": 1, "--workers": 1,
-                               "--cache-dir": None, "--metrics-out": None})
+    # The runner and the metrics file have no sharded form: a flag (→ its
+    # default) that would silently do nothing is a usage error.  What
+    # the *scenario* cannot honour sharded it refuses itself.
+    for flag, default in {"--repeats": 1, "--workers": 1,
+                          "--cache-dir": None, "--metrics-out": None}.items():
+        if getattr(args, flag[2:].replace("-", "_")) != default:
+            raise UsageError(
+                f"{args.command}: {flag} is not supported with --shards > 1")
     scenario = _scenario(args)
     result = _run(args, scenario, tracer=_make_tracer(args))
     _print_sharded(args.policy, result)
@@ -347,19 +337,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a trace live: real asyncio gateway, workers, control loop."""
-    if args.shards > 1:
-        _refuse_with_shards(
-            args, {"--metrics-out": None, "--json-out": None})
     scenario = _scenario(args)
     tracer = _make_tracer(args)
     trace = scenario.arrivals()
-    where = f"on {args.shards} gateway shards " if args.shards > 1 else ""
-    print(f"serving {trace.name} live {where}for {args.duration:g}s "
+    print(f"serving {trace.name} live for {args.duration:g}s "
           f"(time scale {args.time_scale:g}x) ...")
-    if args.shards > 1:
-        result = _run(args, scenario, tracer=tracer)
-        _print_sharded(args.policy, result, journal=result.journal)
-        return 0
     runtime = scenario.runtime(tracer)
     result = runtime.run(trace)
     print(format_table(
@@ -624,16 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "command cannot enact is refused before the "
                             "run starts (DESIGN.md, 'Fault timeline')")
 
-    def add_shards(p):
-        g = p.add_argument_group("sharded serving plane")
-        g.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="gateway shards over a consistent-hash split "
-                            "of the request ids (serve: one process per "
-                            "shard, each with its own journal/checkpoint "
-                            "files); 1 (default) is the exact "
-                            "single-gateway path")
-        return g
-
     def add_parallel(p):
         p.add_argument("--workers", type=int, default=1,
                        help="trial-level worker processes (1 = in-process "
@@ -670,7 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "fallback)")
     run_p.add_argument("--diverge-factor", type=float, default=25.0,
                        help="forecast inflation factor once diverged")
-    shard_g = add_shards(run_p)
+    shard_g = run_p.add_argument_group("sharded plane")
+    shard_g.add_argument("--shards", type=int, default=1, metavar="N",
+                         help="gateway shards over a consistent-hash split "
+                              "of the request ids; 1 (default) is the "
+                              "exact single-gateway path")
     shard_g.add_argument("--shard-workers", type=int, default=1,
                          metavar="N",
                          help="OS processes for the shards (static "
@@ -756,7 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drain budget on SIGTERM/SIGINT before the final "
                         "checkpoint + journal flush (default: "
                         "--drain-timeout)")
-    add_shards(serve_p)
     add_guardrails(serve_p)
     add_obs(serve_p)
     serve_p.set_defaults(func=cmd_serve)

@@ -180,10 +180,9 @@ PLANE_KINDS: Dict[str, frozenset] = {
     "sim": NODE_KINDS | {"blackout"},
     "vector": frozenset({"blackout"}),
     "sim-sharded": PLANE_WIDE_KINDS,
-    "live-sharded": frozenset({"brownout", "kill-workers", "crash-gateway",
-                               "crash-control"}),
+    "live": NODE_KINDS | {"brownout", "kill-workers", "crash-gateway",
+                          "crash-control"},
 }
-PLANE_KINDS["live"] = NODE_KINDS | PLANE_KINDS["live-sharded"]
 _CHUNK = re.compile(
     r"([a-z-]+)@([^:=x]+)(?::([^=x]+))?(?:=([^x]*))?(?:x(.+))?")
 
@@ -305,7 +304,7 @@ class FaultTimeline:
         a second event of a :data:`ONCE_KINDS` kind, a
         :data:`JOURNAL_KINDS` crash on a live run that keeps no journal
         (*journaled* false).  A plane-wide kind on a lone simulated
-        shard is refused as such; the live planes enact none.  Returns
+        shard is refused as such; the live plane enacts none.  Returns
         self."""
         enacted = PLANE_KINDS[plane]
         for event in self.events:
@@ -314,7 +313,7 @@ class FaultTimeline:
                     "control-plane crash injection requires journal_dir "
                     "(there is nothing to recover from otherwise)")
             if (n_shards == 1 and event.kind in PLANE_WIDE_KINDS
-                    and not plane.startswith("live")):
+                    and plane != "live"):
                 raise ValueError(
                     "shard failover needs shards > 1 (a lone shard has "
                     "no survivor to take its keyspace)")

@@ -1,8 +1,8 @@
 """A unified metrics registry: counters, gauges and mergeable histograms.
 
 Every runtime component used to keep its own ad-hoc integer attributes
-(``gateway.shed``, ``pool.task_retries``, ``retry_manager
-.retries_scheduled`` ...), which made end-of-run reconciliation — "do
+(``gateway.shed``, ``pool.task_retries`` ...), which made end-of-run
+reconciliation — "do
 the per-pool sums actually equal what the collector reports?" — a
 manual, drift-prone exercise.  This module centralises them:
 

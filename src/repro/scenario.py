@@ -2,14 +2,14 @@
 
 The paper's evaluation is a grid over one value — resource manager ×
 workload mix × arrival trace × cluster × seed.  Every way into this
-package (``run_policy``, ``run_sharded_policy``, ``serve_trace``,
-``serve_sharded``, the experiment runner, ``python -m repro``) builds
-that value and calls :meth:`Scenario.run`.  Which plane runs it, what
-that plane refuses, the typed config, the pre-trained forecaster, the
-per-shard derivation and the cache key are each derived on it exactly
-once, and :meth:`Scenario.system` / :meth:`Scenario.runtime` are the
-only places a run is assembled — the sharded planes assemble each shard
-through them too (DESIGN.md "Scenario").
+package (``run_policy``, ``run_sharded_policy``, ``serve_trace``, the
+experiment runner, ``python -m repro``) builds that value and calls
+:meth:`Scenario.run`.  Which plane runs it, what that plane refuses,
+the typed config, the pre-trained forecaster, the per-shard derivation
+and the cache key are each derived on it exactly once, and
+:meth:`Scenario.system` / :meth:`Scenario.runtime` are the only places
+a run is assembled — the sharded plane assembles each shard through
+them too (DESIGN.md "Scenario").
 """
 
 from __future__ import annotations
@@ -61,28 +61,6 @@ Overrides = Tuple[Tuple[str, object], ...]
 _KEYED = frozenset((
     "policy", "mix", "trace_kind", "rate_rps", "duration_s", "seed",
     "cluster", "overrides", "faults", "shed_expired", "engine"))
-
-#: What each plane's run body does not consume: refused on that plane
-#: when set — a member when the scenario is built, a collaborator
-#: (``tracer``, ``work``) when ``run`` is called.  DESIGN.md "Scenario"
-#: has the reason per cell.
-_DIVERGE = ("diverge_after", "diverge_factor", "diverge_mode")
-#: The ``Shards`` members only the simulated plane reads, as
-#: ``shards.<name>``: the live plane forks one process per shard, never
-#: hash-routes a stage or rebalances, and runs no health monitor.
-_SIM_SHARD_KNOBS = tuple(f"shards.{name}" for name in (
-    "workers", "rebalance_interval_ms", "stage_routing", "skew_threshold",
-    "heartbeat_interval_ms", "heartbeat_miss_threshold",
-    "failover_hysteresis"))
-_REFUSES: Dict[str, Tuple[str, ...]] = {
-    "sim": ("work", "hang_probability"),
-    "vector": ("work", "hang_probability"),
-    "sim-sharded": ("work", "tracer", "hang_probability") + _DIVERGE,
-    "live": ("engine",) + _DIVERGE,
-    "live-sharded": ("work", "tracer", "engine") + _DIVERGE
-    + _SIM_SHARD_KNOBS,
-}
-
 
 class PlaneRefusal(ValueError):
     """A scenario member the derived plane cannot honour."""
@@ -164,9 +142,9 @@ class Shards:
     single-gateway path; ``None`` leaves a knob at the plane's default.
 
     ``workers > 1`` fans the simulated shards out over OS processes
-    (static partition, no online rebalance).  The live plane always runs
-    one process per shard and reads only ``n`` and
-    ``initial_node_grants``; it refuses the rest when set.
+    (static partition, no online rebalance).  Only the simulated plane
+    shards: the live plane is one gateway and refuses every member set
+    here.
     """
 
     n: int = 1
@@ -208,6 +186,21 @@ class Shards:
                                tuple(self.initial_node_grants))
 
 
+#: What each plane's run body does not consume: refused on that plane
+#: when set — a member when the scenario is built, a collaborator
+#: (``tracer``, ``work``) when ``run`` is called.  DESIGN.md "Scenario"
+#: has the reason per cell.
+_DIVERGE = ("diverge_after", "diverge_factor", "diverge_mode")
+_REFUSES: Dict[str, Tuple[str, ...]] = {
+    "sim": ("work", "hang_probability"),
+    "vector": ("work", "hang_probability"),
+    "sim-sharded": ("work", "tracer", "hang_probability") + _DIVERGE,
+    # One gateway: every ``Shards`` member, as ``shards.<name>``.
+    "live": ("engine",) + _DIVERGE + tuple(
+        f"shards.{f.name}" for f in fields(Shards)),
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One run, fully determined by its members; frozen and picklable
@@ -219,7 +212,7 @@ class Scenario:
     that names its workload is an experiment at the paper's scaled-down
     shape: its forecaster is pre-trained on that kind and rate
     (:meth:`pretrained`) and its idle timeout defaults to
-    :data:`SCALED_IDLE_TIMEOUT_MS`; ``trace_kind=None`` — what the four
+    :data:`SCALED_IDLE_TIMEOUT_MS`; ``trace_kind=None`` — what the three
     ``(policy, mix, trace)`` entry points pass — takes the policy config
     and the caller's predictor as given.
 
@@ -299,7 +292,7 @@ class Scenario:
     @staticmethod
     def of(policy: str, mix, trace: ArrivalTrace, cluster_spec: ClusterSpec,
            seed: int, **members) -> "Scenario":
-        """What the four ``(policy, mix, trace)`` entry points build: the
+        """What the three ``(policy, mix, trace)`` entry points build: the
         trace as handed in, with no nominal workload — so the policy
         config and the caller's predictor are taken as given."""
         return Scenario.make(
@@ -311,10 +304,9 @@ class Scenario:
     @property
     def plane(self) -> str:
         """Which plane runs this scenario (a :data:`PLANE_KINDS` name)."""
-        sharded = self.shards.n > 1
         if self.live is not None:
-            return "live-sharded" if sharded else "live"
-        if sharded:
+            return "live"
+        if self.shards.n > 1:
             return "sim-sharded"
         vector = resolve_engine(self.engine) == ENGINE_VECTOR
         return "vector" if vector else "sim"
@@ -354,14 +346,13 @@ class Scenario:
     def _check(self) -> None:
         """The one build-time check: nothing this plane cannot enact or
         honour survives construction."""
-        plane, shards, live = self.plane, self.shards, self.live
+        plane, shards = self.plane, self.shards
         self.refuse(**dict(self.faults), **dict.fromkeys(self._set(), True),
                     **{f"shards.{f.name}": True for f in fields(shards)
                        if getattr(shards, f.name) != f.default})
         timeline = self.timeline.validate(
-            plane, n_nodes=self.cluster.n_nodes,
-            n_shards=max(shards.n, live.n_shards if live else 1),
-            journaled=live is None or bool(live.journal_dir))
+            plane, n_nodes=self.cluster.n_nodes, n_shards=shards.n,
+            journaled=self.live is None or bool(self.live.journal_dir))
         # Built for its range checks: a bad probability is refused now,
         # not after the forecaster is trained.
         _ = self.fault_model
@@ -385,11 +376,6 @@ class Scenario:
                 raise ValueError(
                     "shard faults with hash stage routing are unsupported: "
                     "a job's stages would outlive its journal owner")
-        if plane == "live-sharded":
-            if (live.shard_id, live.n_shards) != (0, 1):
-                raise ValueError(
-                    "serve_sharded assigns shard identities itself; pass "
-                    "options with the default shard_id=0, n_shards=1")
 
     def config(self) -> RMConfig:
         """The policy's config with the typed overrides applied."""
@@ -436,21 +422,16 @@ class Scenario:
         decorrelated seed (shards must not clone RNG streams), a cluster
         of its *grant* nodes (``None`` keeps the full-size cluster — an
         in-process shard cordons what it was not granted instead), the
-        live options stamped with its identity, the predictor carried.
-        A simulated shard replays no script: the sim-sharded plane enacts
-        its plane-wide kinds itself."""
-        live = self.live
-        if live is not None:
-            live = replace(live, shard_id=shard_id, n_shards=self.shards.n)
+        predictor carried.  A shard replays no script: the sim-sharded
+        plane enacts its plane-wide kinds itself."""
         return replace(
             self,
             seed=self.seed + 7919 * (shard_id + 1),
             cluster=(self.cluster if grant is None
                      else replace(self.cluster, n_nodes=grant)),
-            faults=self.faults if live is not None else tuple(
+            faults=tuple(
                 pair for pair in self.faults if pair[0] != "timeline"),
             shards=Shards(),
-            live=live,
         )
 
     def canonical(self) -> Dict:
@@ -520,7 +501,7 @@ class Scenario:
     def run(self, tracer=None, predictor=None, work=None):
         """Run the scenario on its plane.  Returns a
         :class:`~repro.metrics.collector.RunResult`, or the sharded
-        planes' aggregate of one per shard.  *tracer*, *predictor* and
+        plane's aggregate of one per shard.  *tracer*, *predictor* and
         *work* are the run's collaborators; one the plane cannot hand to
         every shard is refused before anything is trained or run."""
         self.refuse(tracer=tracer, work=work)
@@ -532,10 +513,6 @@ class Scenario:
             from repro.shard.sim import run_plane
 
             return run_plane(scenario)
-        if plane == "live-sharded":
-            from repro.shard.live import serve_plane
-
-            return serve_plane(scenario)
         if plane == "live":
             return scenario.runtime(tracer, work).run(scenario.arrivals())
         return scenario.system(tracer).run(scenario.arrivals())

@@ -31,11 +31,7 @@ from repro.serve.clock import ScaledClock
 from repro.serve.config import ServeOptions
 from repro.serve.faults import ChaosInjector
 from repro.serve.gateway import Gateway
-from repro.serve.journal import (
-    JournalLockedError,
-    RequestJournal,
-    journal_basename,
-)
+from repro.serve.journal import JournalLockedError, RequestJournal
 from repro.serve.pool import WorkerPool, WorkerSlot, WorkLane
 from repro.serve.recovery import (
     JournaledJob,
@@ -71,7 +67,6 @@ __all__ = [
     "WorkerPool",
     "WorkerSlot",
     "build_recovery_plan",
-    "journal_basename",
     "replay_journal",
     "serve_trace",
 ]

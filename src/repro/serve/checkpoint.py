@@ -32,14 +32,6 @@ CHECKPOINT_SCHEMA_VERSION = 1
 #: Snapshot filename inside the durability directory.
 CHECKPOINT_BASENAME = "checkpoint.json"
 
-
-def checkpoint_basename(shard_id: int = 0, n_shards: int = 1) -> str:
-    """Checkpoint filename for one gateway shard (see
-    :func:`repro.serve.journal.journal_basename`)."""
-    if n_shards <= 1:
-        return CHECKPOINT_BASENAME
-    return f"checkpoint-{shard_id}.json"
-
 #: Default model-ms between snapshots (the paper's monitor cadence x3).
 DEFAULT_CHECKPOINT_INTERVAL_MS = 30_000.0
 
@@ -52,21 +44,19 @@ class CheckpointManager:
         directory: PathLike,
         interval_ms: float = DEFAULT_CHECKPOINT_INTERVAL_MS,
         registry: Optional[MetricsRegistry] = None,
-        basename: str = CHECKPOINT_BASENAME,
     ) -> None:
         if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.interval_ms = interval_ms
-        self.basename = basename
         self.last_checkpoint_ms = -math.inf
         registry = registry if registry is not None else MetricsRegistry()
         self._c_written = registry.counter("checkpoints_written_total")
 
     @property
     def path(self) -> pathlib.Path:
-        return self.directory / self.basename
+        return self.directory / CHECKPOINT_BASENAME
 
     def maybe(
         self, now_ms: float, snapshot_fn: Callable[[float], Dict]

@@ -6,7 +6,7 @@ slack-aware shedding, the drain bound — on
 :class:`repro.scenario.Scenario`, both shared verbatim with the
 simulator; :class:`ServeOptions` only holds what exists on a wall clock
 and not on a virtual one — time compression, admission control, the
-retry policy, durability and the shard seat.
+retry policy and durability.
 """
 
 from __future__ import annotations
@@ -48,20 +48,12 @@ class ServeOptions:
             to finish before the runtime flushes the journal, writes a
             final checkpoint and reports.  ``None`` falls back to the
             run's ``drain_ms``.
-        shard_id / n_shards: identity of this gateway in a sharded
-            serving plane (:mod:`repro.shard.live`).  With
-            ``n_shards > 1`` the durability artifacts are keyed by
-            shard (``journal-<shard_id>.jsonl``,
-            ``checkpoint-s<shard_id>-*``) so sibling gateways sharing
-            one ``journal_dir`` never touch each other's files.  The
-            defaults — shard 0 of 1 — keep the unsharded filenames
-            byte-for-byte identical.
         heartbeat_interval_ms: model-ms between liveness beats written
-            to ``<journal_dir>/heartbeat-<shard_id>.json``.  ``None``
-            (default) writes no heartbeats.  Nothing in the program
-            reads the beats any more; the ledger's ``live-durable``
-            workload sets the field, so the writer stays until that
-            workload changes (ROADMAP item 5).
+            to ``<journal_dir>/heartbeat-0.json``.  ``None`` (default)
+            writes no heartbeats.  Nothing in the program reads the
+            beats any more; the ledger's ``live-durable`` workload sets
+            the field, so the writer stays until that workload changes
+            (ROADMAP item 6(e)).
     """
 
     time_scale: float = 1.0
@@ -71,8 +63,6 @@ class ServeOptions:
     journal_dir: Optional[str] = None
     checkpoint_interval_ms: float = 30_000.0
     drain_grace_ms: Optional[float] = None
-    shard_id: int = 0
-    n_shards: int = 1
     heartbeat_interval_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -86,13 +76,6 @@ class ServeOptions:
             raise ValueError("checkpoint_interval_ms must be positive")
         if self.drain_grace_ms is not None and self.drain_grace_ms < 0:
             raise ValueError("drain_grace_ms must be >= 0")
-        if self.n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        if not 0 <= self.shard_id < self.n_shards:
-            raise ValueError(
-                f"shard_id {self.shard_id} out of range for "
-                f"{self.n_shards} shards"
-            )
         if self.heartbeat_interval_ms is not None \
                 and self.heartbeat_interval_ms <= 0:
             raise ValueError("heartbeat_interval_ms must be positive")

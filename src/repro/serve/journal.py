@@ -58,23 +58,8 @@ JOURNAL_SCHEMA_VERSION = 1
 JOURNAL_BASENAME = "journal.jsonl"
 
 
-def journal_basename(shard_id: int = 0, n_shards: int = 1) -> str:
-    """Journal filename for one gateway shard.
-
-    A sharded plane (``n_shards > 1``) keys each shard's WAL by id so
-    sibling gateway processes sharing one durability directory never
-    contend on a file; the unsharded name is preserved exactly so
-    pre-sharding journals keep recovering.
-    """
-    if n_shards <= 1:
-        return JOURNAL_BASENAME
-    return f"journal-{shard_id}.jsonl"
-
-
-def heartbeat_basename(shard_id: int = 0) -> str:
-    """Liveness-beat filename of one gateway shard (atomic JSON, written
-    beside its journal)."""
-    return f"heartbeat-{shard_id}.json"
+#: Liveness-beat filename (atomic JSON, written beside the journal).
+HEARTBEAT_BASENAME = "heartbeat-0.json"
 
 
 # Event types.
@@ -146,9 +131,9 @@ class _WriterLock:
                         f"interleave the WAL"
                     )
                 # Stale sentinel (writer crashed) or unreadable relic:
-                # steal it and retry the exclusive create.  Takeover of
-                # a dead shard's journal lands here, so the steal is an
-                # audited event, never a silent one.
+                # steal it and retry the exclusive create.  Reopening
+                # after a crash lands here, so the steal is an audited
+                # event, never a silent one.
                 try:
                     relic = self.path.read_text()
                 except OSError:

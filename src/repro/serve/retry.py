@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
@@ -122,12 +122,6 @@ class DeadLetterQueue:
     def __iter__(self):
         return iter(self.entries)
 
-    def counts_by_reason(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for entry in self.entries:
-            counts[entry.reason] = counts.get(entry.reason, 0) + 1
-        return counts
-
 
 class RetryManager:
     """Routes failed attempts to a backoff-requeue or the DLQ.
@@ -163,14 +157,6 @@ class RetryManager:
             "retry_dead_lettered_total")
         self._g_pending = self.registry.gauge("retry_pending_backoffs")
         self.dlq = DeadLetterQueue()
-
-    @property
-    def retries_scheduled(self) -> int:
-        return int(self._c_scheduled.value)
-
-    @property
-    def pending_backoffs(self) -> int:
-        return int(self._g_pending.value)
 
     def handle_failure(
         self, pool: "FunctionPool", task: "Task", reason: str

@@ -38,16 +38,16 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.prediction.base import Predictor
 from repro.runtime.system import ClusterSpec, ServerlessSystem
-from repro.serve.checkpoint import CheckpointManager, checkpoint_basename
+from repro.serve.checkpoint import CheckpointManager
 from repro.serve.clock import ScaledClock
 from repro.serve.config import ServeOptions
 from repro.serve.control import ControlLoop
 from repro.serve.faults import ChaosInjector, FaultReplay
 from repro.serve.gateway import Gateway
 from repro.serve.journal import (
+    HEARTBEAT_BASENAME,
+    JOURNAL_BASENAME,
     RequestJournal,
-    heartbeat_basename,
-    journal_basename,
 )
 from repro.serve.pool import WorkerPool, WorkFn, WorkLane
 from repro.serve.recovery import (
@@ -58,7 +58,7 @@ from repro.serve.recovery import (
     restore_store,
 )
 from repro.serve.replayer import TraceReplayer
-from repro.serve.retry import DeadLetterQueue, RetryManager
+from repro.serve.retry import RetryManager
 from repro.traces.base import ArrivalTrace
 from repro.workflow.job import Task
 from repro.workloads.mixes import WorkloadMix
@@ -104,7 +104,7 @@ class ServingRuntime:
         #: clock.  What this plane cannot enact — or cannot recover from
         #: without a journal — is refused here, not when the event fires.
         self.faults = faults.validate(
-            "live", n_nodes=cluster_spec.n_nodes, n_shards=options.n_shards,
+            "live", n_nodes=cluster_spec.n_nodes,
             journaled=bool(options.journal_dir))
         if drain_ms < 0:
             raise ValueError("drain_ms must be >= 0")
@@ -174,20 +174,13 @@ class ServingRuntime:
         self.journal = None
         self.checkpointer = None
         if self.options.journal_dir:
-            # Durability artifacts are keyed by shard id in a sharded
-            # plane (the default shard 0-of-1 keeps the legacy names).
             directory = pathlib.Path(self.options.journal_dir)
             self.journal = RequestJournal(
-                directory / journal_basename(
-                    self.options.shard_id, self.options.n_shards),
-                registry=self.registry,
-            )
+                directory / JOURNAL_BASENAME, registry=self.registry)
             self.checkpointer = CheckpointManager(
                 directory,
                 interval_ms=self.options.checkpoint_interval_ms,
                 registry=self.registry,
-                basename=checkpoint_basename(
-                    self.options.shard_id, self.options.n_shards),
             )
         self.pools = {}
         self.gateway = self._make_gateway()
@@ -380,10 +373,9 @@ class ServingRuntime:
         """Atomically publish one liveness beat — on the event-loop
         thread, once an interval: no fsync."""
         atomic_write_text(
-            pathlib.Path(self.options.journal_dir)
-            / heartbeat_basename(self.options.shard_id),
+            pathlib.Path(self.options.journal_dir) / HEARTBEAT_BASENAME,
             json.dumps({
-                "shard_id": self.options.shard_id,
+                "shard_id": 0,
                 "t_ms": float(now_ms),
                 "pid": os.getpid(),
             }),
@@ -558,13 +550,6 @@ class ServingRuntime:
     def shed_jobs(self) -> int:
         """All sheds: backpressure + deadline (``shed_deadline`` ⊂ this)."""
         return self.gateway.shed if self.gateway is not None else 0
-
-    @property
-    def dead_letters(self) -> Optional[DeadLetterQueue]:
-        """The run's dead-letter queue (None before serving starts)."""
-        return (
-            self.retry_manager.dlq if self.retry_manager is not None else None
-        )
 
 
 def serve_trace(

@@ -64,7 +64,7 @@ class ShardHandle:
     """Orchestrator-facing adapter one shard must implement.
 
     The sim-sharded plane wraps its shard systems in this interface
-    (the live-sharded plane builds no orchestrator), so the
+    (its process fan-out builds no orchestrator), so the
     orchestrator stays engine-agnostic and unit-testable against stubs.
     """
 

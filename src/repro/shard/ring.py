@@ -192,17 +192,6 @@ class ConsistentHashRing:
             shares[int(owner)] += arc / total
         return shares
 
-    def balance_report(self) -> Dict[str, float]:
-        """Max/min keyspace share relative to fair share."""
-        shares = np.asarray(list(self.arc_fractions().values()))
-        fair = 1.0 / self.n_shards
-        return {
-            "n_shards": self.n_shards,
-            "vnodes": self.vnodes,
-            "max_over_fair": float(shares.max() / fair),
-            "min_over_fair": float(shares.min() / fair),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ConsistentHashRing shards={self._ids} "

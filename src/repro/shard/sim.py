@@ -455,12 +455,13 @@ class ShardedRunResult:
     """Per-shard results plus plane-level aggregates."""
 
     per_shard: Dict[int, RunResult]
-    mode: str                      # "inprocess" | "processes"
+    #: "inprocess" (one event loop, orchestrated) | "processes"
+    #: (``Shards.workers > 1``: static partition, no rebalance).
+    mode: str
     orchestration: Dict = field(default_factory=dict)
-    #: Plane-level metrics, merged across shards: every ``live-sharded``
-    #: run fills it, and so does an in-process sim-sharded run with a
-    #: fault timeline (its orchestration registry too); other sim-sharded
-    #: runs leave it empty.
+    #: Plane-level metrics, merged across shards: an in-process run with
+    #: a fault timeline fills it (its orchestration registry too); every
+    #: other run leaves it empty.
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property

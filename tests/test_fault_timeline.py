@@ -14,7 +14,7 @@ from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
 from repro.scenario import Scenario
 from repro.serve import ServeOptions, ServingRuntime
 from repro.serve import faults as serve_faults
-from repro.shard import run_sharded_policy, serve_sharded
+from repro.shard import run_sharded_policy
 from repro.traces import poisson_trace
 from repro.workloads import get_mix
 
@@ -96,19 +96,19 @@ def test_malformed_chunk_is_rejected_and_quoted(corrupt, events, data):
 # kind x plane: what each plane enacts, written out cell by cell
 
 ENACTS = {
-    #                     sim    vector sim-sh live   live-sh
-    "kill-node":         (True,  False, False, True,  False),
-    "recover-node":      (True,  False, False, True,  False),
-    "kill-shard":        (False, False, True,  False, False),
-    "recover-shard":     (False, False, True,  False, False),
-    "blackout":          (True,  True,  False, False, False),
-    "brownout":          (False, False, False, True,  True),
-    "kill-workers":      (False, False, False, True,  True),
-    "crash-gateway":     (False, False, False, True,  True),
-    "crash-control":     (False, False, False, True,  True),
-    "kill-orchestrator": (False, False, True,  False, False),
+    #                     sim    vector sim-sh live
+    "kill-node":         (True,  False, False, True),
+    "recover-node":      (True,  False, False, True),
+    "kill-shard":        (False, False, True,  False),
+    "recover-shard":     (False, False, True,  False),
+    "blackout":          (True,  True,  False, False),
+    "brownout":          (False, False, False, True),
+    "kill-workers":      (False, False, False, True),
+    "crash-gateway":     (False, False, False, True),
+    "crash-control":     (False, False, False, True),
+    "kill-orchestrator": (False, False, True,  False),
 }
-PLANES = ("sim", "vector", "sim-sharded", "live", "live-sharded")
+PLANES = ("sim", "vector", "sim-sharded", "live")
 
 
 def _one(kind):
@@ -176,9 +176,6 @@ def test_entry_points_refuse_at_build_time(tmp_path):
     with pytest.raises(ValueError, match="out of range"):
         ServingRuntime(config, mix, ClusterSpec(n_nodes=2),
                        faults=FaultTimeline.parse("kill-node@0.5=9"))
-    with pytest.raises(ValueError, match="live-sharded plane does not enact"):
-        serve_sharded("rscale", mix, TINY_TRACE, shards=2,
-                      faults=FaultTimeline.parse("recover-shard@1=0"))
 
 
 def test_trial_spec_rejects_unknown_fault_keys():
@@ -293,23 +290,6 @@ def test_cli_serve_faults_reach_the_options(monkeypatch, capsys):
     assert seen == [FaultTimeline.parse(spec)]
 
 
-def test_cli_serve_shards_faults_reach_the_plane(monkeypatch, tmp_path):
-    import repro.shard.live
-
-    seen = []
-
-    def spy(scenario):
-        seen.append(scenario)
-        raise ValueError("captured")
-
-    monkeypatch.setattr(repro.shard.live, "serve_plane", spy)
-    with pytest.raises(SystemExit, match="captured"):
-        main(SERVE + ["--shards", "2", "--journal-dir", str(tmp_path),
-                      "--faults", "kill-workers@1"])
-    assert seen[0].timeline == FaultTimeline.parse("kill-workers@1")
-    assert seen[0].shards.n == 2
-
-
 @pytest.mark.parametrize("argv, message", [
     (RUN + ["--faults", "kill-node@0.5=9"], "out of range"),
     (RUN + ["--faults", "crash-gateway@1"], "does not enact"),
@@ -322,14 +302,10 @@ def test_cli_serve_shards_faults_reach_the_plane(monkeypatch, tmp_path):
     (SERVE + ["--faults", "blackout@1:2"], "does not enact"),
     (SERVE + ["--faults", "crash-gateway@1"], "journal_dir"),
     (RUN + ["--faults", "kill-shard@1=0"], "lone shard"),
-    (SERVE + ["--shards", "2", "--faults", "kill-node@1=0"],
-     "does not enact"),
+    (SERVE + ["--faults", "recover-shard@1=0"], "does not enact"),
     # (refused before anything is built: the directory is never made)
     (SERVE + ["--journal-dir", "never-created", "--faults", "kill-shard@1=0"],
      "the live plane does not enact 'kill-shard'"),
-    (SERVE + ["--shards", "2", "--journal-dir", "never-created",
-              "--faults", "kill-shard@1=0"],
-     "the live-sharded plane does not enact 'kill-shard'"),
 ])
 def test_cli_refuses_before_the_run_with_a_usage_error(argv, message):
     # A usage error: SystemExit carrying the message and exit status 2,

@@ -5,11 +5,12 @@ Covers the exactly-once contract end to end: journal round-trips
 property over arbitrary journal prefixes, checkpoint save/load,
 live gateway/control-loop crash injection, graceful shutdown, the
 ``max_pending`` backpressure counter, the simulator's blackout
-mirror, and atomic artifact writes.
+mirror, the journal's single-writer lock, and atomic artifact writes.
 """
 
 import asyncio
 import json
+import os
 import pathlib
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from repro.core.policies import make_policy_config
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
 from repro.scenario import Scenario
 from repro.serve import (
+    JournalLockedError,
     RequestJournal,
     ServeOptions,
     ServingRuntime,
@@ -476,6 +478,92 @@ class TestSimBlackout:
             FaultTimeline.parse("blackout@35")
         with pytest.raises(ValueError):
             FaultEvent(10.0, "blackout", until_ms=10.0)
+
+
+# ---------------------------------------------------------------------------
+# journal single-writer lock
+
+
+def test_writer_in_another_live_process_is_rejected(tmp_path):
+    # A sentinel owned by a live foreign pid (pid 1 is always alive
+    # and never us) must reject the open, not interleave the WAL.
+    path = tmp_path / "journal.jsonl"
+    (tmp_path / "journal.jsonl.lock").write_text("1:1")
+    with pytest.raises(JournalLockedError):
+        RequestJournal(path)
+
+
+def test_cross_process_second_writer_is_rejected(tmp_path):
+    import subprocess
+    import sys
+    import textwrap
+
+    path = tmp_path / "journal.jsonl"
+    first = RequestJournal(path)
+    script = textwrap.dedent(f"""
+        from repro.serve.journal import JournalLockedError, RequestJournal
+        try:
+            RequestJournal({str(path)!r})
+        except JournalLockedError:
+            print("REJECTED")
+        else:
+            print("INTERLEAVED")
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    ).stdout
+    assert "REJECTED" in out
+    first.close()
+    # The sentinel is released on close, so a successor may reopen.
+    second = RequestJournal(path)
+    second.close()
+
+
+def test_same_process_respawn_steals_the_lock(tmp_path):
+    # Crash injection respawns the gateway inside one process without
+    # closing the dead journal handle; the successor must be able to
+    # reopen the same path (same-pid sentinels are stale by
+    # definition — one thread of control per process owns the WAL).
+    path = tmp_path / "journal.jsonl"
+    first = RequestJournal(path)
+    second = RequestJournal(path)
+    second.close()
+    assert not (tmp_path / "journal.jsonl.lock").exists()
+
+
+def test_stale_lock_from_dead_pid_is_stolen(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    # Forge a sentinel owned by a pid that cannot exist.
+    lock_path = tmp_path / "journal.jsonl.lock"
+    lock_path.write_text("999999999:1")
+    journal = RequestJournal(path)  # steals silently
+    assert lock_path.read_text().startswith(f"{os.getpid()}:")
+    journal.close()
+    assert not lock_path.exists()
+
+
+def test_unreadable_lock_relic_is_stolen(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    (tmp_path / "journal.jsonl.lock").write_text("not-a-pid")
+    journal = RequestJournal(path)
+    journal.close()
+
+
+def test_release_never_unlinks_a_successors_lock(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    lock_path = tmp_path / "journal.jsonl.lock"
+    first = RequestJournal(path)
+    # Simulate a crashed-then-respawned writer in the same process: the
+    # successor steals the (same-pid) sentinel while the original
+    # handle is still around.
+    second_lock = type(first._lock)(pathlib.Path(path))
+    first.close()  # must NOT remove the successor's sentinel
+    assert lock_path.exists()
+    assert lock_path.read_text() == second_lock._content
+    second_lock.release()
+    assert not lock_path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,8 @@ class TestRetryManager:
         assert pool.tasks_dead_lettered == 1
         assert len(manager.dlq) == 1
         assert gave_up == ["crash:attempts-exhausted"]
-        assert manager.dlq.counts_by_reason() == {"crash:attempts-exhausted": 1}
+        assert collections.Counter(e.reason for e in manager.dlq) == {
+            "crash:attempts-exhausted": 1}
 
     def test_deadline_budget_skips_hopeless_retry(self):
         # Slack is ~450 model ms for ipa at t=0; a backoff far beyond it
@@ -852,7 +853,7 @@ class TestChaosEndToEnd:
         assert result.dead_lettered == result.n_jobs
         assert result.task_retries > 0
         assert result.container_crashes > 0
-        assert len(runtime.dead_letters) == result.n_jobs
+        assert len(runtime.retry_manager.dlq) == result.n_jobs
         # Failed jobs count against the SLO rate (they are incomplete).
         assert result.slo_violation_rate == 1.0
 

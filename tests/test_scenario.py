@@ -89,7 +89,6 @@ LIVE = ServeOptions()
     (None, 2, None, "sim-sharded", "kill-node@1=0"),
     ("vector", 2, None, "sim-sharded", "blackout@1:2"),
     (None, 1, LIVE, "live", "blackout@1:2"),
-    (None, 2, LIVE, "live-sharded", "kill-node@1=0"),
 ])
 def test_plane_is_derived_and_refuses_what_it_does_not_enact(
         engine, shards, live, plane, foreign_kind):
@@ -110,8 +109,6 @@ def test_plane_is_derived_and_refuses_what_it_does_not_enact(
      "engine is not supported on the live plane"),
     (dict(faults=(("hang_probability", 0.1),)),
      "hang_probability is not supported on the sim plane"),
-    (dict(live=LIVE, shards=Shards(n=2), engine="fast"),
-     "engine is not supported on the live-sharded plane"),
 ])
 def test_members_a_plane_cannot_honour_are_refused_when_built(
         members, refused):
@@ -119,19 +116,26 @@ def test_members_a_plane_cannot_honour_are_refused_when_built(
         Scenario.make("rscale", **members)
 
 
-@pytest.mark.parametrize("member, value", [
-    ("workers", 3), ("rebalance_interval_ms", 500.0),
-    ("stage_routing", "hash"), ("skew_threshold", 2.0),
-    ("heartbeat_interval_ms", 250.0), ("heartbeat_miss_threshold", 2),
-    ("failover_hysteresis", 1)])
+#: One non-default setting of every ``Shards`` member.
+SHARD_SETTINGS = [
+    ("n", 2), ("workers", 3), ("rebalance_interval_ms", 500.0),
+    ("stage_routing", "hash"), ("initial_node_grants", (3, 2)),
+    ("skew_threshold", 2.0), ("heartbeat_interval_ms", 250.0),
+    ("heartbeat_miss_threshold", 2), ("failover_hysteresis", 1)]
+
+
+@pytest.mark.parametrize("member, value", SHARD_SETTINGS)
 def test_shard_members_the_live_plane_never_reads_are_refused(member, value):
-    # The live plane forks one process per shard and reads only ``n``
-    # and ``initial_node_grants``: a setting it would ignore is refused.
-    shards = Shards(n=2, **{member: value})
+    # The live plane is one gateway: any sharding setting, the shard
+    # count included, would be ignored, so each is refused.
+    assert sorted(dict(SHARD_SETTINGS)) == sorted(
+        f.name for f in dataclasses.fields(Shards))
+    shards = Shards(**{member: value})
     with pytest.raises(PlaneRefusal, match=(
-            f"shards.{member} is not supported on the live-sharded plane")):
+            f"shards.{member} is not supported on the live plane")):
         Scenario.make("rscale", live=LIVE, shards=shards)
-    assert Scenario.make("rscale", shards=shards).plane == "sim-sharded"
+    sharded = dataclasses.replace(shards, n=2)
+    assert Scenario.make("rscale", shards=sharded).plane == "sim-sharded"
 
 
 #: How to reach each plane, and a scripted fault it enacts.
@@ -140,7 +144,6 @@ PLANES = {
     "vector": (dict(engine="vector"), "blackout@1:2"),
     "sim-sharded": (dict(shards=Shards(n=2)), "kill-shard@1=0"),
     "live": (dict(live=LIVE), "brownout@1:2x2"),
-    "live-sharded": (dict(live=LIVE, shards=Shards(n=2)), "brownout@1:2x2"),
 }
 #: One non-default setting of each run member that is spelled once for
 #: every plane, and where an assembled run shows it: the attribute both
@@ -221,8 +224,8 @@ def test_collaborators_are_refused_before_anything_runs():
     trace = poisson_trace(2.0, 2.0, seed=1)
     with pytest.raises(ValueError, match="work .* sim plane"):
         Scenario.make("rscale", trace=trace).run(work=lambda task, s: None)
-    with pytest.raises(ValueError, match="tracer .* live-sharded plane"):
-        Scenario.make("fifer", trace=trace, live=LIVE,
+    with pytest.raises(ValueError, match="tracer .* sim-sharded plane"):
+        Scenario.make("fifer", trace=trace,
                       shards=Shards(n=2)).run(tracer=Tracer())
 
 
@@ -232,22 +235,19 @@ def test_collaborators_are_refused_before_anything_runs():
 
 @pytest.mark.parametrize("n_shards, grants", [
     (1, [8]), (2, [5, 3]), (4, [2, 2, 2, 2])])
-def test_for_shard_reproduces_the_per_shard_stamping(n_shards, grants, tmp_path):
+def test_for_shard_reproduces_the_per_shard_stamping(n_shards, grants):
     cluster = ClusterSpec(
         n_nodes=8, cores_per_node=2.0, memory_per_node_mb=4096.0)
-    options = ServeOptions(time_scale=0.05, journal_dir=str(tmp_path))
     predictor = EWMAPredictor()
     plane = Scenario.make(
-        "bpred", cluster=cluster, seed=11, live=options, predictor=predictor,
+        "bpred", cluster=cluster, seed=11, predictor=predictor,
         shards=Shards(n=n_shards, initial_node_grants=grants))
     for shard_id, grant in enumerate(grants):
         shard = plane.for_shard(shard_id, grant)
         assert shard.seed == 11 + 7919 * (shard_id + 1)
         assert shard.cluster == ClusterSpec(
             n_nodes=grant, cores_per_node=2.0, memory_per_node_mb=4096.0)
-        assert shard.live == dataclasses.replace(
-            options, shard_id=shard_id, n_shards=n_shards)
-        assert shard.shards == Shards() and shard.plane == "live"
+        assert shard.shards == Shards() and shard.plane == "sim"
         assert shard.predictor is predictor
 
 
@@ -549,7 +549,6 @@ KNOB_OWNERS = {
     "serve/checkpoint.py": ("CheckpointManager",),
     "shard/orchestrator.py": ("GlobalOrchestrator",),
     "shard/sim.py": ("run_sharded_policy",),
-    "shard/live.py": ("serve_sharded",),
     "workflow/job.py": ("Job",),
 }
 #: Knobs nothing sets, and why none needs to.
@@ -799,23 +798,20 @@ def test_one_definition_per_decision():
                       if re.search(pattern, text))
 
     assert sites(r'proactive_predictor == "lstm"') == []
-    # The shard-seed rule, and the identity stamping, live in for_shard.
+    # The shard-seed rule lives in for_shard.
     assert sites(r"7919") == ["scenario.py"]
-    assert sites(r"replace\(\s*\w+,\s*shard_id=") == ["scenario.py"]
     # Plane names reach ``validate`` from the scenario's derivation and
     # the two constructors callable without one.
     assert sites(r"\.validate\(") == [
         "runtime/system.py", "scenario.py", "serve/runtime.py"]
     # No entry point delegates to another.
-    for name in ("runtime/system.py", "serve/runtime.py", "shard/sim.py",
-                 "shard/live.py"):
-        others = {"run_policy", "run_sharded_policy", "serve_trace",
-                  "serve_sharded"}
+    for name in ("runtime/system.py", "serve/runtime.py", "shard/sim.py"):
+        others = {"run_policy", "run_sharded_policy", "serve_trace"}
         called = set(re.findall(r"\b(\w+)\(", sources[name])) & others
         defined = set(re.findall(r"^def (\w+)\(", sources[name], re.M))
         assert called <= defined, (name, called - defined)
     cli = sources["cli.py"]
-    for call in ("run_sharded_policy", "serve_sharded", "ServingRuntime(",
+    for call in ("run_sharded_policy", "ServingRuntime(",
                  "make_policy_config(", "predictor_for_run(", "make_trace(args",
                  "ClusterSpec("):
         assert call not in cli, call

@@ -1,6 +1,6 @@
 """Tests for the self-healing sharded plane: heartbeat health
 monitoring, ring remap + journal-driven keyspace takeover, the sim
-fault plane, and the live plane's refusal of shard kills."""
+fault plane, registry snapshot merging, and journal-lock hardening."""
 
 import logging
 import os
@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.faults import FaultEvent, FaultTimeline
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import (
+    MetricsRegistry,
+    merge_registry_snapshots,
+    snapshot_registry,
+)
 from repro.runtime.system import ClusterSpec
-from repro.serve import ServeOptions
 from repro.serve.journal import (
     EV_ADMIT,
     EV_COMPLETE,
@@ -22,16 +25,9 @@ from repro.serve.journal import (
 )
 from repro.serve.recovery import build_recovery_plan
 from repro.shard.failover import ShardHealthMonitor, assign_takeover
-from repro.shard.live import (
-    merge_registry_snapshots,
-    plane_journal_conservation,
-    serve_sharded,
-    snapshot_registry,
-)
 from repro.shard.orchestrator import GlobalOrchestrator
 from repro.shard.ring import ConsistentHashRing
 from repro.shard.sim import run_sharded_policy
-from repro.traces import poisson_trace
 from repro.traces.base import ArrivalTrace
 from repro.workloads import get_mix
 
@@ -236,7 +232,32 @@ def test_poisoned_orchestrator_tick_is_contained():
 
 
 # ---------------------------------------------------------------------------
-# registry merge degradation (dead shard ships no snapshot)
+# registry snapshot / merge, and its degradation (dead shard ships no
+# snapshot)
+
+
+def test_registry_snapshot_merge_reconciles():
+    regs = []
+    for i in (1, 2):
+        reg = MetricsRegistry()
+        reg.counter("jobs_total").inc(10 * i)
+        reg.counter("pool_tasks_total", pool="ASR").inc(i)
+        reg.gauge("queue_depth").set(3 * i)
+        hist = reg.histogram("latency_ms")
+        for v in range(i * 5):
+            hist.observe(float(v))
+        regs.append(reg)
+    merged = merge_registry_snapshots(
+        [snapshot_registry(r) for r in regs])
+    assert merged.total("jobs_total") == 30
+    assert merged.value("pool_tasks_total", pool="ASR") == 3
+    assert merged.value("queue_depth") == 9
+    hist = merged.merged_histogram("latency_ms")
+    assert hist.count == 15
+    assert hist.min == 0.0 and hist.max == 9.0
+    # Exactness: merged sum equals the concatenated-sample sum.
+    assert hist.sum == sum(float(v) for v in range(5)) \
+        + sum(float(v) for v in range(10))
 
 
 def test_merge_tolerates_missing_and_partial_snapshots():
@@ -432,26 +453,6 @@ def test_sim_failover_validation():
 
 
 # ---------------------------------------------------------------------------
-# live plane end-to-end
-
-
-FAST = 0.005
-
-
-def test_live_sharded_plane_refuses_kill_shard(tmp_path):
-    # No coordinator runs beside the live children: a shard kill is
-    # refused when the run is built, before any process forks.
-    with pytest.raises(ValueError, match=(
-            "the live-sharded plane does not enact 'kill-shard'")):
-        serve_sharded(
-            "rscale", get_mix("medium"),
-            poisson_trace(rate_rps=2.0, duration_s=2.0, seed=1), shards=2,
-            options=ServeOptions(journal_dir=str(tmp_path)),
-            faults=FaultTimeline.parse("kill-shard@1=0"))
-    assert list(tmp_path.iterdir()) == []
-
-
-# ---------------------------------------------------------------------------
 # journal sentinel-lock hardening (audited steal, live-pid refusal)
 
 
@@ -490,18 +491,3 @@ def test_a_lock_relic_naming_no_live_foreign_process_is_stolen(
     assert [r for r in caplog.records
             if "stealing stale journal lock" in r.getMessage()]
 
-
-def test_plane_journal_conservation_flags_loss(tmp_path):
-    journal = RequestJournal(tmp_path / "journal-0.jsonl")
-    journal.append(EV_ADMIT, 7, 100.0, app="img")
-    journal.close()   # admitted, never terminal -> lost
-    other = RequestJournal(tmp_path / "journal-1.jsonl")
-    other.append(EV_ADMIT, 7, 100.0, app="img")
-    other.append(EV_COMPLETE, 7, 200.0)
-    other.close()
-    verdict = plane_journal_conservation(tmp_path, 2)
-    # Families are per home shard: shard 1's job 7 completing does NOT
-    # cover shard 0's distinct job 7 (forked children collide on ids).
-    assert not verdict[0]["conserved"]
-    assert verdict[0]["lost_jobs"] == [7]
-    assert verdict[1]["conserved"]

@@ -43,9 +43,10 @@ keys_st = st.lists(
 
 @pytest.mark.parametrize("n_shards", range(2, 9))
 def test_balance_within_20pct_at_default_vnodes(n_shards):
-    report = ConsistentHashRing(n_shards).balance_report()
-    assert report["max_over_fair"] <= 1.2, report
-    assert report["min_over_fair"] >= 0.8, report
+    shares = ConsistentHashRing(n_shards).arc_fractions()
+    over_fair = {s: share * n_shards for s, share in shares.items()}
+    assert max(over_fair.values()) <= 1.2, over_fair
+    assert min(over_fair.values()) >= 0.8, over_fair
 
 
 def test_arc_fractions_sum_to_one():

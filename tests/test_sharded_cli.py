@@ -1,4 +1,4 @@
-"""The sharded planes from the command line: the paper's headline
+"""The sharded plane from the command line: the paper's headline
 policy runs there, and a flag the sharded path cannot honour is a
 usage error instead of a silent no-op."""
 
@@ -8,44 +8,26 @@ from repro.cli import main
 from repro.experiments import predictors
 from repro.experiments.predictors import predictor_for_run
 from repro.runtime.system import ClusterSpec
-from repro.serve import ServeOptions
-from repro.shard.live import ShardedServeResult, serve_sharded
 from repro.shard.sim import run_sharded_policy
 from repro.traces import poisson_trace
 from repro.workloads import get_mix
 
 RUN = ["run", "fifer", "--shards", "2", "--duration", "20", "--rate", "10",
        "--trace", "poisson"]
-SERVE = ["serve", "--shards", "2", "--duration", "3", "--rate", "5",
-         "--trace", "poisson", "--time-scale", "0.05"]
 
 
 @pytest.mark.parametrize(
-    "argv", [RUN, SERVE, RUN + ["--shard-workers", "2"]],
-    ids=["run", "serve", "run-processes"])
+    "argv", [RUN, RUN + ["--shard-workers", "2"]],
+    ids=["run", "run-processes"])
 def test_fifer_runs_on_the_sharded_plane(argv, capsys):
-    # All three exited with "policy 'fifer' needs a pre-trained 'lstm'
-    # predictor" (fifer is serve's default policy); the multi-process
-    # simulator was the last plane to be handed the forecaster.
+    # Both exited with "policy 'fifer' needs a pre-trained 'lstm'
+    # predictor"; the multi-process simulator was the last plane to be
+    # handed the forecaster.
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "fifer x2 shards" in out
     for row in ("shard 0", "shard 1", "plane"):
         assert row in out
-
-
-def test_serve_sharded_ships_the_predictor_to_every_shard():
-    trace = poisson_trace(rate_rps=5.0, duration_s=3.0, seed=4)
-    result = serve_sharded(
-        "fifer", get_mix("medium"), trace, shards=2,
-        cluster_spec=ClusterSpec(n_nodes=4),
-        predictor=predictor_for_run("lstm", "poisson", 5.0), seed=4,
-        options=ServeOptions(time_scale=0.05), drain_ms=15_000.0)
-    assert isinstance(result, ShardedServeResult)
-    assert sorted(result.per_shard) == [0, 1]
-    assert result.n_jobs == len(trace.arrivals_ms)
-    assert all(r.policy == "fifer" and r.n_completed == r.n_jobs
-               for r in result.per_shard.values())
 
 
 def test_shard_processes_are_handed_the_predictor():
@@ -79,9 +61,6 @@ def test_one_training_rule(monkeypatch):
     (RUN + ["--cache-dir", "unused"], "--cache-dir"),
     (RUN + ["--trace-out", "unused.jsonl"], "--trace-out"),
     (RUN + ["--metrics-out", "unused.prom"], "--metrics-out"),
-    (SERVE + ["--trace-out", "unused.jsonl"], "--trace-out"),
-    (SERVE + ["--metrics-out", "unused.prom"], "--metrics-out"),
-    (SERVE + ["--json-out", "unused.json"], "--json-out"),
 ])
 def test_flags_the_sharded_paths_drop_are_usage_errors(
         argv, flag, monkeypatch, tmp_path):
@@ -92,4 +71,16 @@ def test_flags_the_sharded_paths_drop_are_usage_errors(
         main(argv)
     assert str(refusal.value) == (
         f"{argv[0]}: {flag} is not supported with --shards > 1")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_serve_has_no_shards_flag(capsys, monkeypatch, tmp_path):
+    # The live plane is one gateway: ``serve --shards`` is an argparse
+    # usage error naming the flag, and nothing runs or is written.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as refusal:
+        main(["serve", "--shards", "2", "--duration", "3", "--rate", "5",
+              "--trace", "poisson"])
+    assert refusal.value.code == 2
+    assert "--shards" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -135,12 +135,14 @@ class TestLiveRetrySpans:
     def test_chaos_run_actually_retried(self, live_run):
         _, result, runtime = live_run
         assert result.task_retries > 0
-        assert runtime.retry_manager.retries_scheduled == result.task_retries
+        assert runtime.registry.value(
+            "retry_scheduled_total") == result.task_retries
 
     def test_backoff_spans_match_retry_counters(self, live_run):
         tracer, _, runtime = live_run
         backoffs = tracer.spans_named("backoff")
-        assert len(backoffs) == runtime.retry_manager.retries_scheduled
+        assert len(backoffs) == runtime.registry.value(
+            "retry_scheduled_total")
 
     def test_backoff_attempt_attrs(self, live_run):
         tracer, _, runtime = live_run
