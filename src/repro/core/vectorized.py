@@ -5,14 +5,13 @@ struct-of-arrays (SoA) form — flat parallel arrays indexed by a job's
 record offset — instead of one ``Job`` object per request.  This module
 holds the *pure* array math the engine leans on: pre-sampling every
 arrival's application in one draw, masking blackout-covered arrivals,
-laying out the flat per-stage record arrays, binning the run horizon
-into monitor epochs, and the per-job segment reductions used at
-finalize time.
+laying out the flat per-stage record arrays, and binning the run
+horizon into monitor epochs.
 
 Everything here is deliberately side-effect free so it can be tested
 directly against the scalar equivalents used by the event-loop engines.
 
-Bit-exactness notes (load-bearing — the differential harness in
+Bit-exactness note (load-bearing — the differential harness in
 ``tests/test_vector_parity.py`` asserts them end to end):
 
 * ``presample_app_indices`` consumes the *same* RNG stream as ``k``
@@ -20,13 +19,6 @@ Bit-exactness notes (load-bearing — the differential harness in
   ``Generator.random(k)`` produces the identical doubles as ``k``
   scalar ``random()`` calls, and a vectorized ``searchsorted`` equals
   the per-element scalar lookup.
-* ``segment_totals`` adds one stage per pass, so every job's total is
-  ``((0.0 + x0) + x1) + x2 ...`` — the association order of the
-  explicit loop in ``Job.totals`` — and per-job totals match the
-  scalar path bit for bit at any chain length.  Neither shortcut does:
-  ``np.add.reduceat`` computes ``x0 + (x1 + x2 + ...)`` (its inner
-  loop is a pairwise sum of the segment's tail), and builtin ``sum()``
-  is a compensated sum since Python 3.12.
 """
 
 from __future__ import annotations
@@ -40,7 +32,6 @@ __all__ = [
     "covered_mask",
     "job_record_layout",
     "epoch_boundaries",
-    "segment_totals",
 ]
 
 
@@ -100,15 +91,3 @@ def epoch_boundaries(horizon_ms: float, epoch_ms: float) -> List[float]:
         bounds.append(horizon_ms)
     return bounds
 
-
-def segment_totals(values: np.ndarray, job_base: np.ndarray) -> np.ndarray:
-    """Per-job sums over contiguous stage segments of a flat array,
-    each added strictly left to right from 0.0."""
-    if job_base.size == 0:
-        return np.empty(0, dtype=np.float64)
-    counts = np.diff(job_base, append=values.size)
-    totals = values[job_base] + 0.0
-    for stage in range(1, int(counts.max())):
-        longer = np.flatnonzero(counts > stage)
-        totals[longer] += values[job_base[longer] + stage]
-    return totals

@@ -5,10 +5,12 @@ discrete simulator with a flat representation tuned for mega-scale
 replays (the Wiki trace at paper scale):
 
 * **SoA job records** — no ``Job``/``Task``/``JobStage`` objects on the
-  hot path.  A job is an index; its per-stage latency record lives at
-  ``job_base[j] + stage`` inside flat parallel columns (enqueue / start /
-  end / exec / cold): typed ``array`` buffers, 8 B per value, viewed as
-  numpy without a copy at finalize time and released by ``finish()``.
+  hot path.  A job is an index; its per-stage record lives at
+  ``job_base[j] + stage`` inside two flat columns (enqueue / start),
+  which the waiting window reads.  Per-stage exec and cold-start wait
+  are kept only while a tracer is attached (the spans read them; the
+  end time is ``start + exec``).  All are typed ``array`` buffers, 8 B
+  per value, released by ``finish()``.
 * **Batch admission** — every arrival's application is pre-sampled in
   one vectorized draw (:func:`repro.core.vectorized.presample_app_indices`,
   which also refills the event loop's application buffer),
@@ -26,9 +28,12 @@ replays (the Wiki trace at paper scale):
   the shared :class:`~repro.core.controlplane.ControlPlane` — against
   duck-typed :class:`VectorPool` objects, so the *decision logic* is
   the real, shared code from ``core/scaling.py``.
-* **Vectorized finalize** — per-job latency breakdowns come from
-  :func:`repro.core.vectorized.segment_totals` over the flat records,
-  and the run histograms are fed through ``Histogram.observe_many``.
+* **Streamed per-job totals** — a stage's queue delay, cold-start
+  wait, batching wait and exec are added to four per-job columns as the
+  stage starts.  Stage *s* starts only after stage *s−1* completed, so
+  each total adds ``((0.0 + x0) + x1) + x2``, the order of
+  ``Job.totals``.  Finalize fancy-indexes those columns by completion
+  order and feeds the run histograms through ``Histogram.observe_many``.
 
 Where it diverges from the event loop — and why results don't:
 the engine replays the *exact* event order (virtual sequence numbers
@@ -73,7 +78,6 @@ from repro.core.vectorized import (
     epoch_boundaries,
     job_record_layout,
     presample_app_indices,
-    segment_totals,
 )
 from repro.metrics.collector import MetricsCollector, RunResult
 from repro.obs.trace import record_job_spans
@@ -105,9 +109,11 @@ _PRUNE_COMPACT = 512
 #: The run's per-record, per-job and per-arrival state: typed buffers
 #: (8 B per value, where a list of boxed floats costs 32), read by
 #: finalize through zero-copy numpy views and released by ``finish()``.
+#: ``rec_exec`` / ``rec_cold`` are ``None`` unless a tracer is attached.
 _COLUMNS = (
-    "rec_enq", "rec_start", "rec_end", "rec_exec", "rec_cold",
+    "rec_enq", "rec_start", "rec_exec", "rec_cold",
     "job_app", "job_arrival", "job_base", "job_completion",
+    "job_exec", "job_qd", "job_cold", "job_bw",
     "_arr_times", "_arr_app", "_arr_job", "_completed_order",
 )
 _DTYPES = {"d": np.float64, "q": np.int64}
@@ -132,8 +138,8 @@ class VectorContainer:
 
     __slots__ = (
         "cid", "batch", "node", "pool", "state", "ready_at",
-        "lq", "cur_j", "cur_s", "cur_r", "tasks_executed", "last_used_ms",
-        "busy", "free",
+        "lq", "cur_j", "cur_s", "cur_r", "cur_qd", "tasks_executed",
+        "last_used_ms", "free",
     )
 
     def __init__(self, cid, batch, node, pool, now, cold):
@@ -147,9 +153,9 @@ class VectorContainer:
         self.cur_j = -1
         self.cur_s = -1
         self.cur_r = -1          # record index of the running task
+        self.cur_qd = 0.0        # and its queue delay
         self.tasks_executed = 0
         self.last_used_ms = now
-        self.busy = 0.0
         # ``batch - len(lq) - (cur_r >= 0)``, kept in step: down by one
         # where a task joins ``lq``, up by one where ``cur_r`` is cleared.
         self.free = batch
@@ -468,22 +474,31 @@ class VectorEngine:
             self.job_arrival = _column("d", times[uncovered])
             self.job_base = _column("q", base)
             self.job_completion = array("d", [-1.0]) * k
+            self.job_exec = array("d", [0.0]) * k
+            self.job_qd = array("d", [0.0]) * k
+            self.job_cold = array("d", [0.0]) * k
+            self.job_bw = array("d", [0.0]) * k
             self.rec_enq = array("d", [-1.0]) * total
             self.rec_start = array("d", [-1.0]) * total
-            self.rec_end = array("d", [-1.0]) * total
-            self.rec_exec = array("d", [0.0]) * total
-            self.rec_cold = array("d", [0.0]) * total
         else:
             self._arr_job = None
             self.job_app = array("q")
             self.job_arrival = array("d")
             self.job_base = array("q")
             self.job_completion = array("d")
+            self.job_exec = array("d")
+            self.job_qd = array("d")
+            self.job_cold = array("d")
+            self.job_bw = array("d")
             self.rec_enq = array("d")
             self.rec_start = array("d")
-            self.rec_end = array("d")
-            self.rec_exec = array("d")
-            self.rec_cold = array("d")
+            total = 0
+        # The spans' per-stage exec and cold-start wait: no other reader.
+        if self.tracer is not None:
+            self.rec_exec = array("d", [0.0]) * total
+            self.rec_cold = array("d", [0.0]) * total
+        else:
+            self.rec_exec = self.rec_cold = None
         self._created = 0
         self._gateway_shed = 0
         self._shed_deadline = 0
@@ -570,9 +585,20 @@ class VectorEngine:
         now = self.now
         self.rec_start[r] = now
         e = self.rec_enq[r]
+        qd = now - e
+        c.cur_qd = qd
+        # The job's totals, stage by stage in ``Job.totals``' order; a
+        # zero term (a warm start's cold wait, a batching wait that is
+        # not positive) would add 0.0, so it is skipped.
+        self.job_qd[j] += qd
+        cold = 0.0
         ra = c.ready_at
         if ra > e:
-            self.rec_cold[r] = (ra if ra < now else now) - e
+            cold = (ra if ra < now else now) - e
+            self.job_cold[j] += cold
+        bw = qd - cold
+        if bw > 0.0:
+            self.job_bw[j] += bw
         pool = c.pool
         std = pool.svc_std
         if std != 0.0:
@@ -583,7 +609,10 @@ class VectorEngine:
                 ex = lo
         else:
             ex = pool.svc_mean
-        self.rec_exec[r] = ex
+        self.job_exec[j] += ex
+        if self.rec_exec is not None:
+            self.rec_exec[r] = ex
+            self.rec_cold[r] = cold
         heapq.heappush(self._heap, (now + ex, self._seq, K_COMPLETE, c, 0))
         self._seq += 1
 
@@ -648,9 +677,6 @@ class VectorEngine:
         job_base = self.job_base
         job_completion = self.job_completion
         rec_enq = self.rec_enq
-        rec_start = self.rec_start
-        rec_end = self.rec_end
-        rec_exec = self.rec_exec
         app_over = self.app_over
         app_slo = self.app_slo
         app_nst = self.app_nst
@@ -709,12 +735,16 @@ class VectorEngine:
                     job_arrival.append(t)
                     job_completion.append(-1.0)
                     job_base.append(len(rec_enq))
+                    self.job_exec.append(0.0)
+                    self.job_qd.append(0.0)
+                    self.job_cold.append(0.0)
+                    self.job_bw.append(0.0)
                     nst = app_nst[a]
                     rec_enq.extend([-1.0] * nst)
-                    rec_start.extend([-1.0] * nst)
-                    rec_end.extend([-1.0] * nst)
-                    rec_exec.extend([0.0] * nst)
-                    self.rec_cold.extend([0.0] * nst)
+                    self.rec_start.extend([-1.0] * nst)
+                    if self.rec_exec is not None:
+                        self.rec_exec.extend([0.0] * nst)
+                        self.rec_cold.extend([0.0] * nst)
                 else:
                     j = arr_job[idx]
                 heappush(heap, (t + app_over[a], self._seq, K_ENQ, j, 0))
@@ -787,13 +817,13 @@ class VectorEngine:
                 c = h0[3]
                 if c.state == S_DEAD:
                     continue
-                r = c.cur_r
-                if r < 0:
+                if c.cur_r < 0:
                     continue
                 j = c.cur_j
                 s = c.cur_s
-                rec_end[r] = now
-                c.busy += rec_exec[r]
+                # The finished task's queue delay, read before
+                # ``start_next`` overwrites it with the next task's.
+                qd = c.cur_qd
                 c.tasks_executed += 1
                 c.last_used_ms = now
                 c.cur_r = -1
@@ -805,7 +835,7 @@ class VectorEngine:
                 pool = c.pool
                 pool.done_n += 1
                 rd = pool.recent_delays
-                rd.append((now, rec_start[r] - rec_enq[r]))
+                rd.append((now, qd))
                 h = pool.dhead
                 horizon = now - pool.delay_window_ms
                 n = len(rd)
@@ -918,23 +948,6 @@ class VectorEngine:
             # Zero-copy views; everything handed to the RunResult below
             # is a fresh array (arithmetic or fancy indexing), so the
             # columns can be released once it is built.
-            enq = np.frombuffer(self.rec_enq)
-            start = np.frombuffer(self.rec_start)
-            exc = np.frombuffer(self.rec_exec)
-            cold = np.frombuffer(self.rec_cold)
-            base = np.frombuffer(self.job_base, dtype=np.int64)
-            # Per-record queue delay with the JobStage guard (unstarted
-            # or unenqueued stages contribute 0), then batching wait.
-            qd = np.where((start >= 0.0) & (enq >= 0.0), start - enq, 0.0)
-            bw = qd - cold
-            np.maximum(bw, 0.0, out=bw)
-            bw += 0.0  # normalize any -0.0 to +0.0 (max(0.0, x) parity)
-            # Stage by stage, matching the left-to-right loops of
-            # Job.totals bit for bit (np.add.reduceat would not).
-            exec_job = segment_totals(exc, base)
-            qd_job = segment_totals(qd, base)
-            cold_job = segment_totals(cold, base)
-            bw_job = segment_totals(bw, base)
             co = np.frombuffer(completed, dtype=np.int64)
             completion = np.frombuffer(self.job_completion)
             arrival = np.frombuffer(self.job_arrival)
@@ -942,10 +955,10 @@ class VectorEngine:
             latencies = completion[co] - arrival[co]
             slo_co = np.asarray(self.app_slo)[app_idx[co]]
             violations = int(np.count_nonzero(latencies > slo_co))
-            exec_co = exec_job[co]
-            qd_co = qd_job[co]
-            cold_co = cold_job[co]
-            bw_co = bw_job[co]
+            exec_co = np.frombuffer(self.job_exec)[co]
+            qd_co = np.frombuffer(self.job_qd)[co]
+            cold_co = np.frombuffer(self.job_cold)[co]
+            bw_co = np.frombuffer(self.job_bw)[co]
         else:
             latencies = np.array([])
             violations = 0
@@ -987,11 +1000,15 @@ class VectorEngine:
             b = self.job_base[j]
             for s, stage in enumerate(job.stages):
                 r = b + s
+                start = self.rec_start[r]
                 stage.enqueue_ms = self.rec_enq[r]
-                stage.start_ms = self.rec_start[r]
-                stage.end_ms = self.rec_end[r]
-                stage.exec_ms = self.rec_exec[r]
+                stage.start_ms = start
+                stage.exec_ms = exc = self.rec_exec[r]
                 stage.cold_start_wait_ms = self.rec_cold[r]
+                if start >= 0.0:
+                    # A terminal job's started stage completed, and a
+                    # completion fires at exactly ``start + exec``.
+                    stage.end_ms = start + exc
             if failed:
                 job.failed_ms = self._failed_ms[j]
                 job.failure_reason = SHED_EXPIRED_REASON

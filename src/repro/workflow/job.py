@@ -123,7 +123,8 @@ class Job:
         Each total adds left to right in an explicit loop, never with
         builtin ``sum()``: since Python 3.12 that is a compensated sum,
         so the last bit would depend on the interpreter and part company
-        with the vector engine's ``core.vectorized.segment_totals``.  The
+        with the vector engine, which adds each stage's terms to its
+        per-job columns as the stage starts, in this order.  The
         per-stage terms are :class:`JobStage`'s properties, inlined.
         """
         queue = cold = batching = exec_ms = 0.0

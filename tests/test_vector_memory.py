@@ -3,7 +3,8 @@
 The engine's ceiling is bytes per simulated job, so the storage is
 pinned where it cannot flake: ``tracemalloc`` counts allocated bytes
 exactly (no wall clock, no RSS), the columns must *be* typed buffers
-while the run is in flight, and a finished engine must have let go of
+while the run is in flight, only two of them may be per stage record
+unless a tracer is attached, and a finished engine must have let go of
 them.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.policies import make_policy_config
+from repro.obs.trace import Tracer
 from repro.runtime.system import ClusterSpec, ServerlessSystem
 from repro.runtime.vector import VectorEngine
 from repro.traces.factory import make_trace
@@ -26,27 +28,43 @@ TRACE = make_trace("wiki", 100.0, 240.0, 1)
 SHORT_TRACE = make_trace("wiki", 100.0, 30.0, 1)
 
 #: Peak traced bytes per stage record over a whole run (construction,
-#: run loop, finalize).  Measured on TRACE under CPython 3.11: 123.0 B
-#: with the typed columns, 267.1 B with the lists of boxed floats they
-#: replaced — the bound clears the first by 42 % and sits 34 % under
-#: the second.
-BUDGET_BYTES_PER_RECORD = 175.0
+#: run loop, finalize).  Measured on TRACE under CPython 3.11: 84.2 B
+#: with two columns per record and the per-job totals summed as stages
+#: start, 124.2 B with five columns per record summed at finalize (and
+#: 267.1 B with lists of boxed floats before that) — the bound clears
+#: the first by 19 % and sits 19 % under the second.
+BUDGET_BYTES_PER_RECORD = 100.0
 
-FLOAT_COLUMNS = ("rec_enq", "rec_start", "rec_end", "rec_exec", "rec_cold",
-                 "job_arrival", "job_completion", "_arr_times")
+RECORD_COLUMNS = ("rec_enq", "rec_start")
+#: Each job's queue delay, cold wait, batching wait and exec, summed as
+#: its stages start.
+TOTAL_COLUMNS = ("job_exec", "job_qd", "job_cold", "job_bw")
+FLOAT_COLUMNS = RECORD_COLUMNS + TOTAL_COLUMNS + (
+    "job_arrival", "job_completion", "_arr_times")
 INT_COLUMNS = ("job_app", "job_base", "_arr_app", "_completed_order")
+#: Per-record storage only the span emitter reads.
+TRACER_COLUMNS = ("rec_exec", "rec_cold")
 
 
-def _engine(trace, shed_expired=False):
+def _engine(trace, shed_expired=False, tracer=None):
     system = ServerlessSystem(
         config=make_policy_config("fifer", proactive_predictor="mwa"),
         mix=get_mix("heavy"),
         cluster_spec=ClusterSpec(n_nodes=52),
         seed=1,
         shed_expired=shed_expired,
+        tracer=tracer,
         engine="vector",
     )
     return VectorEngine(system, trace)
+
+
+def _sized_like_the_records(engine):
+    """Names of the engine's buffers as long as its record space."""
+    n_records = len(engine.rec_enq)
+    return sorted(name for name, value in vars(engine).items()
+                  if isinstance(value, (list, tuple, array, np.ndarray))
+                  and len(value) == n_records)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +98,8 @@ def test_columns_are_typed_buffers_mid_run(shed_expired):
         assert memoryview(getattr(engine, name)).format == "d", name
     for name in INT_COLUMNS:
         assert memoryview(getattr(engine, name)).format == "q", name
+    for name in TOTAL_COLUMNS:
+        assert len(getattr(engine, name)) == len(engine.job_app), name
     # No view outlives its assert, so the columns can still resize:
     # the static layout is whole from the start (and indexes it through
     # a third cursor), admission under --shed-expired appends.
@@ -95,7 +115,7 @@ def test_columns_are_typed_buffers_mid_run(shed_expired):
 
 def test_finished_engine_holds_no_per_record_storage(spent):
     engine, result, n_records, _ = spent
-    for name in FLOAT_COLUMNS + INT_COLUMNS + ("_arr_job",):
+    for name in FLOAT_COLUMNS + INT_COLUMNS + TRACER_COLUMNS + ("_arr_job",):
         assert getattr(engine, name) is None, name
     # Nothing else on the engine is sized by the run either ...
     held = {name: len(value) for name, value in vars(engine).items()
@@ -114,3 +134,28 @@ def test_finished_engine_refuses_to_step_or_finish_again(spent):
         engine.step_until(engine.now + 1.0)
     with pytest.raises(RuntimeError, match="finished"):
         engine.finish()
+
+
+@pytest.mark.parametrize("shed_expired", [False, True])
+def test_untraced_engine_keeps_two_columns_per_record(shed_expired):
+    # End, exec and cold wait per record are gone: the completion time
+    # is start + exec, and the totals are summed as each stage starts.
+    engine = _engine(SHORT_TRACE, shed_expired)
+    engine.step_until(SHORT_TRACE.duration_ms / 2.0)
+    assert len(engine.rec_enq) > 3 * len(engine.job_app) > 0
+    assert not hasattr(engine, "rec_end")
+    for name in TRACER_COLUMNS:
+        assert getattr(engine, name) is None, name
+    assert _sized_like_the_records(engine) == sorted(RECORD_COLUMNS)
+
+
+@pytest.mark.parametrize("shed_expired", [False, True])
+def test_traced_engine_adds_the_span_columns(shed_expired):
+    # The spans themselves are pinned by the vector golden trace
+    # (tests/test_golden_traces.py) and the engines' span parity.
+    engine = _engine(SHORT_TRACE, shed_expired, tracer=Tracer())
+    engine.step_until(SHORT_TRACE.duration_ms / 2.0)
+    for name in TRACER_COLUMNS:
+        assert memoryview(getattr(engine, name)).format == "d", name
+    assert _sized_like_the_records(engine) == sorted(
+        RECORD_COLUMNS + TRACER_COLUMNS)

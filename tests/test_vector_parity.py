@@ -25,14 +25,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster.energy import EnergyMeter
 from repro.cluster.faults import ContainerFaultModel, FaultTimeline
 from repro.core.policies import EXTENDED_POLICY_NAMES, make_policy_config
-from repro.core.vectorized import segment_totals
 from repro.obs.trace import Tracer
 from repro.runtime.system import ClusterSpec, ServerlessSystem
-from repro.runtime.vector import VectorEngineUnsupported
+from repro.runtime.vector import (
+    VectorContainer,
+    VectorEngine,
+    VectorEngineUnsupported,
+)
 from repro.sim.engine import ENGINES, resolve_engine
+from repro.traces.base import ArrivalTrace
 from repro.traces.factory import TRACE_KINDS, make_trace
 from repro.workflow.job import Job
 from repro.workloads import get_application, get_mix
+from repro.workloads.mixes import WorkloadMix
 
 ENGINE_PAIR = ("fast", "vector")
 
@@ -325,31 +330,33 @@ class TestSummationOrder:
     EXEC_MS = [1e16, 1.0, 1.0]
     LEFT_TO_RIGHT = (1e16 + 1.0) + 1.0  # each 1.0 is absorbed: == 1e16
 
-    def test_job_totals_match_the_vector_engine_segment_sums(self):
-        job = Job(app=get_application("img"), arrival_ms=0.0)
+    def test_job_totals_match_the_vector_engine_streamed_sums(self):
+        app = get_application("img")
+        job = Job(app=app, arrival_ms=0.0)
         for stage, value in zip(job.stages, self.EXEC_MS):
             stage.exec_ms = stage.cold_start_wait_ms = value
             stage.enqueue_ms, stage.start_ms = 0.0, value
-        vector = segment_totals(np.array(self.EXEC_MS), np.array([0]))[0]
-        assert vector == self.LEFT_TO_RIGHT != 1e16 + 2.0
-        assert job.totals() == (
+        # The same three stages started by hand on a one-job engine:
+        # enqueued at 0, started at *value* on a container that became
+        # ready then (cold wait == queue delay), running for *value*.
+        system = ServerlessSystem(
+            config=make_policy_config("rscale"),
+            mix=WorkloadMix("img", (app,), (1.0,)),
+            cluster_spec=ClusterSpec(n_nodes=1), seed=1, engine="vector")
+        engine = VectorEngine(system, ArrivalTrace(np.array([0.0]), "one"))
+        for s, value in enumerate(self.EXEC_MS):
+            pool = engine.app_pools[0][s]
+            pool.svc_mean, pool.svc_std = value, 0.0
+            container = VectorContainer(0, 1, None, pool, 0.0, value)
+            container.lq.append((0, s))
+            engine.rec_enq[s] = 0.0
+            engine.now = value
+            engine.start_next(container)
+        vector = (engine.job_qd[0], engine.job_cold[0], engine.job_bw[0],
+                  engine.job_exec[0])
+        assert self.LEFT_TO_RIGHT != 1e16 + 2.0
+        assert vector == job.totals() == (
             self.LEFT_TO_RIGHT, self.LEFT_TO_RIGHT, 0.0, self.LEFT_TO_RIGHT)
-
-    @settings(deadline=None)
-    @given(chains=st.lists(
-        st.lists(st.floats(-1e300, 1e300, allow_nan=False),
-                 min_size=1, max_size=6),
-        min_size=1, max_size=30))
-    def test_segment_totals_equal_the_scalar_loop(self, chains):
-        values = np.array([v for chain in chains for v in chain])
-        base = np.cumsum([0] + [len(chain) for chain in chains[:-1]])
-        expected = []
-        for chain in chains:
-            total = 0.0
-            for v in chain:
-                total += v
-            expected.append(total)
-        assert segment_totals(values, base).tolist() == expected
 
     def test_per_job_totals_equal_across_engines(self):
         # The summaries the grid compares carry no per-job total; these
