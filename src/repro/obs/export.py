@@ -33,11 +33,13 @@ _tmp_ids = itertools.count()
 
 
 def atomic_write_text(
-    path: PathLike, text: str, fsync: bool = True
+    path: PathLike, text: Union[str, Iterable[str]], fsync: bool = True
 ) -> pathlib.Path:
     """Write *text* to *path* atomically (tmp file + ``os.replace``).
 
-    Readers never observe a truncated artifact: they see the previous
+    *text* is one string or an iterable of lines, written as they come
+    (a large export never has to exist as one string).  Readers never
+    observe a truncated artifact: they see the previous
     complete file or the new complete file, nothing in between.  Every
     publisher funnels through this helper: summaries, span JSONL,
     Prometheus snapshots and checkpoints must survive a crash (``fsync``
@@ -52,7 +54,10 @@ def atomic_write_text(
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_tmp_ids)}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(text)
+            if isinstance(text, str):
+                handle.write(text)
+            else:
+                handle.writelines(text)
             if fsync:
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -114,13 +119,12 @@ def validate_span_dict(record: Dict[str, object]) -> None:
 def write_spans_jsonl(spans: Iterable[Span], path: PathLike) -> pathlib.Path:
     """Write spans as JSONL, one schema-valid object per line.
 
-    Atomic (tmp + ``os.replace``): a crash mid-export never leaves a
-    truncated span file for the golden-trace diff to choke on.
+    Streamed, one line at a time, and atomic (tmp + ``os.replace``): a
+    crash mid-export never leaves a truncated span file for the
+    golden-trace diff to choke on.
     """
-    lines = "".join(
-        json.dumps(span.to_dict(), sort_keys=True) + "\n" for span in spans
-    )
-    return atomic_write_text(path, lines)
+    return atomic_write_text(path, (
+        json.dumps(span.to_dict(), sort_keys=True) + "\n" for span in spans))
 
 
 def validate_spans_jsonl(path: PathLike) -> int:

@@ -29,6 +29,17 @@ comes out of either path and makes sim-vs-live parity testable at span
 granularity.  Only events invisible to the final record (retry
 backoffs) are recorded live, by :class:`repro.serve.retry.RetryManager`.
 
+Spans are stored as rows, not objects.  A terminal job is one row of
+typed ``array`` columns — job id, arrival, end and outcome, plus five
+floats per stage (enqueue, start, cold-start wait, exec, end) — copied
+when the job is recorded, so a write to the job after it ended (a ghost
+completion) cannot change its spans.  A row costs ≈180 B where the
+``Span`` objects it stands for cost ≈4 KB.  :attr:`Tracer.spans` is a
+read-only view: its length is a running count, and iterating it builds
+the ``Span`` objects one row at a time, in recording order.  Spans
+recorded directly through :meth:`Tracer.span` (retry backoffs) stay
+objects, each tagged with the number of rows recorded before it.
+
 Sampling is head-based and deterministic: whether a trace is kept is a
 pure function of ``(trace_id, sample_rate)``, so every component —
 collector, retry layer, sim, live — independently reaches the same
@@ -39,8 +50,9 @@ complete or absent, never partial.
 from __future__ import annotations
 
 import zlib
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 #: The complete span-name vocabulary (the schema's ``name`` domain).
 SPAN_NAMES = (
@@ -49,6 +61,9 @@ SPAN_NAMES = (
 
 #: Denominator of the deterministic sampling hash.
 _SAMPLE_BUCKETS = 1 << 16
+
+#: Outcome bits of a row (a job may carry both; "completed" wins).
+_COMPLETED, _FAILED = 1, 2
 
 
 @dataclass
@@ -96,6 +111,21 @@ def root_span_id(trace_id: str) -> str:
     return f"{trace_id}/request"
 
 
+class _SpanView:
+    """:attr:`Tracer.spans`: a sized, re-iterable, read-only view."""
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: "Tracer") -> None:
+        self._tracer = tracer
+
+    def __len__(self) -> int:
+        return self._tracer._count
+
+    def __iter__(self) -> Iterator[Span]:
+        return self._tracer._iter_spans()
+
+
 class Tracer:
     """Collects finished spans; sampling decided per trace, up front."""
 
@@ -103,10 +133,28 @@ class Tracer:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample_rate must be within [0, 1]")
         self.sample_rate = sample_rate
-        self.spans: List[Span] = []
         #: Spans dropped by the sampling decision (visibility into how
-        #: much the sample rate hid).
+        #: much the sample rate hid): a sampled-out job adds the number
+        #: of spans it would have emitted.
         self.dropped = 0
+        self._count = 0
+        # One row per recorded job.
+        self._job_id = array("q")
+        self._arrival = array("d")
+        self._end = array("d")
+        self._outcome = array("b")
+        self._app: List = []
+        #: Five floats per stage of each row, rows back to back.
+        self._stages = array("d")
+        #: Failure reason of each failed row, by row number.
+        self._reasons: Dict[int, Optional[str]] = {}
+        #: ``(rows recorded before it, span)`` per direct span.
+        self._direct: List[tuple] = []
+
+    @property
+    def spans(self) -> _SpanView:
+        """Every recorded span, in recording order, built when read."""
+        return _SpanView(self)
 
     def sampled(self, trace_id: str) -> bool:
         """Deterministic head-sampling decision for *trace_id*."""
@@ -140,79 +188,134 @@ class Tracer:
             parent_id=parent_id,
             attrs=attrs,
         )
-        self.spans.append(span)
+        self._direct.append((len(self._job_id), span))
+        self._count += 1
         return span
 
-    # -- queries -----------------------------------------------------------
+    def record_row(
+        self,
+        job_id: int,
+        app,
+        arrival_ms: float,
+        stages: Sequence[float],
+        completion_ms: float = -1.0,
+        failed_ms: float = -1.0,
+        failure_reason: Optional[str] = None,
+    ) -> None:
+        """Record one terminal job as a row (or count it as dropped).
 
-    def traces(self) -> Dict[str, List[Span]]:
-        """Spans grouped by trace id (insertion order preserved)."""
-        grouped: Dict[str, List[Span]] = {}
-        for span in self.spans:
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped
+        *stages* holds five floats per stage of *app*, in stage order:
+        enqueue, start, cold-start wait, exec and end.  The outcome
+        follows :class:`~repro.workflow.job.Job`: completed when
+        *completion_ms* ≥ 0, failed when *failed_ms* ≥ 0.
+        """
+        n_spans = 1
+        for enqueue, start, cold, end in zip(
+                stages[0::5], stages[1::5], stages[2::5], stages[4::5]):
+            if enqueue >= 0 and start >= 0:
+                n_spans += (1 + (cold > 0) + (start - enqueue - cold > 0)
+                            + (end >= start))
+        if self.sample_rate < 1.0 and not self.sampled(f"job-{job_id}"):
+            self.dropped += n_spans
+            return
+        outcome = 0
+        if completion_ms >= 0:
+            outcome = _COMPLETED
+            end_ms = completion_ms
+        else:
+            end_ms = failed_ms
+        if failed_ms >= 0:
+            outcome |= _FAILED
+            self._reasons[len(self._job_id)] = failure_reason
+        self._job_id.append(job_id)
+        self._arrival.append(arrival_ms)
+        self._end.append(end_ms)
+        self._outcome.append(outcome)
+        self._app.append(app)
+        self._stages.extend(stages)
+        self._count += n_spans
+
+    # -- queries -----------------------------------------------------------
 
     def roots(self) -> List[Span]:
         return [s for s in self.spans if s.parent_id is None]
 
-    def spans_named(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
+    def _iter_spans(self) -> Iterator[Span]:
+        direct = self._direct
+        d = 0
+        offset = 0
+        for row in range(len(self._job_id)):
+            while d < len(direct) and direct[d][0] <= row:
+                yield direct[d][1]
+                d += 1
+            app = self._app[row]
+            yield from self._row_spans(row, app, offset)
+            offset += 5 * app.n_stages
+        for _, span in direct[d:]:
+            yield span
+
+    def _row_spans(self, row: int, app, offset: int) -> Iterator[Span]:
+        """The spans of one row, as :func:`record_job_spans` defines
+        them: the root, then per dispatched stage its queue wait, cold
+        start and batch forming (when non-zero) and exec."""
+        trace_id = f"job-{self._job_id[row]}"
+        root_id = root_span_id(trace_id)
+        arrival, end = self._arrival[row], self._end[row]
+        outcome = self._outcome[row]
+        attrs: Dict[str, object] = {
+            "job_id": self._job_id[row],
+            "app": app.name,
+            "outcome": ("completed" if outcome & _COMPLETED
+                        else "failed" if outcome & _FAILED else "in-flight"),
+            "slo_ms": app.slo_ms,
+            "n_stages": app.n_stages,
+        }
+        if outcome & _COMPLETED:
+            attrs["violated_slo"] = end - arrival > app.slo_ms
+        if outcome & _FAILED:
+            attrs["failure_reason"] = self._reasons[row]
+        yield Span(trace_id, root_id, "request", arrival, end, None, attrs)
+        stages = self._stages
+        for index, stage in enumerate(app.stages):
+            at = offset + 5 * index
+            enqueue, start, cold, exec_ms, stage_end = stages[at:at + 5]
+            if enqueue < 0 or start < 0:
+                continue  # stage never dispatched (failed/incomplete chains)
+            function = stage.name
+            base = f"{trace_id}/{index}"
+            yield Span(trace_id, f"{base}/queue_wait", "queue_wait",
+                       enqueue, start, root_id,
+                       {"function": function, "stage_index": index})
+            if cold > 0:
+                yield Span(trace_id, f"{base}/cold_start", "cold_start",
+                           enqueue, enqueue + cold, root_id,
+                           {"function": function, "stage_index": index})
+            if start - enqueue - cold > 0:   # a batching wait
+                yield Span(trace_id, f"{base}/batch_form", "batch_form",
+                           enqueue + cold, start, root_id,
+                           {"function": function, "stage_index": index})
+            if stage_end >= start:
+                yield Span(trace_id, f"{base}/exec", "exec", start,
+                           stage_end, root_id,
+                           {"exec_ms": exec_ms, "function": function,
+                            "stage_index": index})
 
 
 def record_job_spans(tracer: Tracer, job) -> None:
-    """Assemble a terminal job's spans from its latency records.
+    """Record a terminal job's spans as one row of its latency records.
 
     Called once per job by :class:`repro.metrics.collector
     .MetricsCollector` when the job completes or terminally fails —
     the single choke point both the simulator and the live runtime
-    already route through, so both emit the identical schema.
+    already route through, so both emit the identical schema.  The
+    vector engine, which has no ``Job``, writes the same row from its
+    columns.
     """
-    trace_id = trace_id_for_job(job)
-    if not tracer.sampled(trace_id):
-        tracer.dropped += 1
-        return
-    end_ms = job.completion_ms if job.completed else job.failed_ms
-    root_id = root_span_id(trace_id)
-    root_attrs: Dict[str, object] = {
-        "job_id": job.job_id,
-        "app": job.app.name,
-        "outcome": job.outcome,
-        "slo_ms": job.app.slo_ms,
-        "n_stages": job.app.n_stages,
-    }
-    if job.completed:
-        root_attrs["violated_slo"] = job.violated_slo
-    if job.failed:
-        root_attrs["failure_reason"] = job.failure_reason
-    tracer.span(
-        "request", trace_id, root_id, job.arrival_ms, end_ms, None,
-        **root_attrs,
-    )
-    for index, record in enumerate(job.stages):
-        if record.enqueue_ms < 0 or record.start_ms < 0:
-            continue  # stage never dispatched (failed/incomplete chains)
-        stage_attrs = {"function": record.function, "stage_index": index}
-        base = f"{trace_id}/{index}"
-        tracer.span(
-            "queue_wait", trace_id, f"{base}/queue_wait",
-            record.enqueue_ms, record.start_ms, root_id, **stage_attrs,
-        )
-        if record.cold_start_wait_ms > 0:
-            tracer.span(
-                "cold_start", trace_id, f"{base}/cold_start",
-                record.enqueue_ms,
-                record.enqueue_ms + record.cold_start_wait_ms,
-                root_id, **stage_attrs,
-            )
-        if record.batching_wait_ms > 0:
-            tracer.span(
-                "batch_form", trace_id, f"{base}/batch_form",
-                record.enqueue_ms + record.cold_start_wait_ms,
-                record.start_ms, root_id, **stage_attrs,
-            )
-        if record.end_ms >= record.start_ms:
-            tracer.span(
-                "exec", trace_id, f"{base}/exec",
-                record.start_ms, record.end_ms, root_id,
-                exec_ms=record.exec_ms, **stage_attrs,
-            )
+    stages: List[float] = []
+    for s in job.stages:
+        stages += (s.enqueue_ms, s.start_ms, s.cold_start_wait_ms,
+                   s.exec_ms, s.end_ms)
+    tracer.record_row(
+        job.job_id, job.app, job.arrival_ms, stages,
+        completion_ms=job.completion_ms, failed_ms=job.failed_ms,
+        failure_reason=job.failure_reason)

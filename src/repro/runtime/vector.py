@@ -61,6 +61,7 @@ import math
 from array import array
 from collections import deque
 from functools import partial
+from itertools import islice
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -80,9 +81,8 @@ from repro.core.vectorized import (
     presample_app_indices,
 )
 from repro.metrics.collector import MetricsCollector, RunResult
-from repro.obs.trace import record_job_spans
 from repro.sim.engine import FlatClock
-from repro.workflow.job import Job, _job_ids
+from repro.workflow.job import _job_ids
 from repro.workflow.lifecycle import SHED_EXPIRED_REASON
 
 __all__ = ["VectorEngine", "VectorEngineUnsupported", "run_vector"]
@@ -989,32 +989,38 @@ class VectorEngine:
         )
 
     def _emit_spans(self, n_admitted: int) -> None:
-        """Materialize real ``Job`` objects for terminal jobs (in
-        terminal-event order, matching the event-loop engine's span
-        emission order) and feed the shared span assembler."""
-        ids = [next(_job_ids) for _ in range(n_admitted)]
+        """Write each terminal job's span row straight from the columns,
+        in terminal-event order (the event loop's emission order).  One
+        ``_job_ids`` id is taken per admitted job, as the event loop
+        takes one per ``Job``, so the ids match."""
+        if not n_admitted:
+            return
+        first_id = next(_job_ids)
+        deque(islice(_job_ids, n_admitted - 1), maxlen=0)  # no id list
+        record_row = self.tracer.record_row
+        apps, app_nst = self.apps, self.app_nst
+        job_app, job_base = self.job_app, self.job_base
+        arrival, completion = self.job_arrival, self.job_completion
+        rec_enq, rec_start = self.rec_enq, self.rec_start
+        rec_exec, rec_cold = self.rec_exec, self.rec_cold
         for j, failed in self._terminal:
-            a = self.job_app[j]
-            job = Job(app=self.apps[a], arrival_ms=self.job_arrival[j],
-                      job_id=ids[j])
-            b = self.job_base[j]
-            for s, stage in enumerate(job.stages):
-                r = b + s
-                start = self.rec_start[r]
-                stage.enqueue_ms = self.rec_enq[r]
-                stage.start_ms = start
-                stage.exec_ms = exc = self.rec_exec[r]
-                stage.cold_start_wait_ms = self.rec_cold[r]
-                if start >= 0.0:
-                    # A terminal job's started stage completed, and a
-                    # completion fires at exactly ``start + exec``.
-                    stage.end_ms = start + exc
+            a = job_app[j]
+            b = job_base[j]
+            stages: List[float] = []
+            for r in range(b, b + app_nst[a]):
+                start = rec_start[r]
+                exc = rec_exec[r]
+                # A terminal job's started stage completed, and a
+                # completion fires at exactly ``start + exec``.
+                stages += (rec_enq[r], start, rec_cold[r], exc,
+                           start + exc if start >= 0.0 else -1.0)
             if failed:
-                job.failed_ms = self._failed_ms[j]
-                job.failure_reason = SHED_EXPIRED_REASON
+                record_row(first_id + j, apps[a], arrival[j], stages,
+                           failed_ms=self._failed_ms[j],
+                           failure_reason=SHED_EXPIRED_REASON)
             else:
-                job.completion_ms = self.job_completion[j]
-            record_job_spans(self.tracer, job)
+                record_row(first_id + j, apps[a], arrival[j], stages,
+                           completion_ms=completion[j])
 
 
 def run_vector(system, trace) -> RunResult:

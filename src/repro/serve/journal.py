@@ -344,25 +344,36 @@ class RequestJournal(JournalWriter):
         A truncated or corrupt **final** line is tolerated (the file was
         being appended when the process died); corruption anywhere else
         raises, because silently skipping mid-file records would turn a
-        storage fault into wrong exactly-once accounting.
+        storage fault into wrong exactly-once accounting.  The file is
+        streamed a line at a time, so the verdict on a corrupt line
+        waits for the next line (blank or not).
         """
         path = pathlib.Path(path)
         if not path.exists():
             return []
-        lines = path.read_text(encoding="utf-8").splitlines()
         records: List[Dict] = []
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    break  # torn tail write: expected crash artifact
-                raise ValueError(
-                    f"{path}:{i + 1}: corrupt journal record mid-file"
-                )
-            if record.get("ev") in KNOWN_EVENTS:
-                records.append(record)
+        line_no = 0
+        corrupt = 0   # number of a corrupt line still awaiting its verdict
+        with path.open(encoding="utf-8") as handle:
+            for raw in handle:
+                # ``str.splitlines`` boundaries, as the whole-file read had.
+                for line in raw.splitlines():
+                    line_no += 1
+                    if corrupt:
+                        raise ValueError(
+                            f"{path}:{corrupt}: corrupt journal record "
+                            "mid-file"
+                        )
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError:
+                        corrupt = line_no
+                        continue
+                    if record.get("ev") in KNOWN_EVENTS:
+                        records.append(record)
+        # A corrupt final line is a torn tail write: an expected crash
+        # artifact, skipped.
         return records

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.policies import make_policy_config
 from repro.metrics.collector import RunResult
 from repro.obs.export import (
     BREAKDOWN_COMPONENTS,
@@ -31,6 +32,9 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.trace import Span, Tracer, root_span_id
+from repro.runtime.system import ClusterSpec, ServerlessSystem
+from repro.traces import poisson_trace
+from repro.workloads import get_mix
 
 # ---------------------------------------------------------------------------
 # tracer
@@ -42,7 +46,7 @@ class TestTracer:
         span = tracer.span("request", "job-1", "job-1/request", 0.0, 10.0)
         assert span is not None
         assert span.duration_ms == 10.0
-        assert tracer.spans == [span]
+        assert list(tracer.spans) == [span]
         assert tracer.roots() == [span]
 
     def test_sampling_is_deterministic(self):
@@ -61,7 +65,7 @@ class TestTracer:
     def test_sampled_out_spans_are_counted(self):
         tracer = Tracer(sample_rate=0.0)
         assert tracer.span("request", "job-1", "job-1/request", 0, 1) is None
-        assert tracer.spans == []
+        assert list(tracer.spans) == []
         assert tracer.dropped == 1
 
     def test_traces_groups_by_trace_id(self):
@@ -70,10 +74,32 @@ class TestTracer:
         tracer.span("exec", "job-1", "job-1/0/exec", 1, 2,
                     root_span_id("job-1"))
         tracer.span("request", "job-2", "job-2/request", 0, 3)
-        grouped = tracer.traces()
+        grouped = {}
+        for span in tracer.spans:
+            grouped.setdefault(span.trace_id, []).append(span)
         assert set(grouped) == {"job-1", "job-2"}
         assert len(grouped["job-1"]) == 2
-        assert len(tracer.spans_named("request")) == 2
+        assert sum(s.name == "request" for s in tracer.spans) == 2
+
+
+@pytest.mark.parametrize("engine", [None, "vector"])
+def test_dropped_counts_spans_not_traces(engine):
+    """A sampled-out job adds the spans it would have emitted to
+    ``dropped``, so kept + dropped is the unsampled span count."""
+
+    def traced(rate):
+        tracer = Tracer(sample_rate=rate)
+        ServerlessSystem(
+            config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
+            mix=get_mix("light"), cluster_spec=ClusterSpec(n_nodes=4),
+            seed=7, tracer=tracer, engine=engine,
+        ).run(poisson_trace(4.0, 10.0, seed=7))
+        return tracer
+
+    half, full = traced(0.5), traced(1.0)
+    assert full.dropped == 0
+    assert 0 < len(half.spans) < len(full.spans)
+    assert len(half.spans) + half.dropped == len(full.spans)
 
 
 # ---------------------------------------------------------------------------

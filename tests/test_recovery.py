@@ -12,6 +12,7 @@ import asyncio
 import json
 import os
 import pathlib
+import tempfile
 from types import SimpleNamespace
 
 import pytest
@@ -40,6 +41,7 @@ from repro.serve.journal import (
     EV_ADMIT,
     EV_COMPLETE,
     JOURNAL_BASENAME,
+    KNOWN_EVENTS,
     TERMINAL_EVENTS,
     journal_conservation,
 )
@@ -118,6 +120,94 @@ class TestJournal:
         )
         assert len(RequestJournal.read_records(path)) == 1
         assert RequestJournal.read_records(tmp_path / "absent.jsonl") == []
+
+
+def _read_records_whole_file(path):
+    """The journal reader as it was before it streamed, kept as the
+    reference: the whole text, split with ``str.splitlines``."""
+    path = pathlib.Path(path)
+    if not path.exists():
+        return []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = []
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            if i == len(lines) - 1:
+                break
+            raise ValueError(
+                f"{path}:{i + 1}: corrupt journal record mid-file"
+            )
+        if record.get("ev") in KNOWN_EVENTS:
+            records.append(record)
+    return records
+
+
+def _verdict(read, path):
+    try:
+        return "records", read(path)
+    except ValueError as exc:
+        return "raises", str(exc)
+
+
+_RECORD = st.builds(
+    lambda ev, job, t: json.dumps({"v": 1, "ev": ev, "job": job, "t": t}),
+    st.sampled_from(sorted(KNOWN_EVENTS) + ["from-the-future"]),
+    st.integers(0, 10**6),
+    st.floats(0.0, 1e7, allow_nan=False),
+)
+_LINE = st.one_of(
+    _RECORD,
+    st.sampled_from(["", "   ", "\t", "{broken"]),
+    # A torn write: a strict prefix of a record.
+    _RECORD.flatmap(lambda text: st.integers(1, len(text) - 1).map(
+        lambda k: text[:k])),
+    # Two records joined by a character ``str.splitlines`` splits at.
+    st.tuples(_RECORD, st.sampled_from(
+        ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]), _RECORD).map(
+        "".join),
+)
+
+
+class TestStreamedJournalReader:
+    """``read_records`` streams the file with one line of lookahead; its
+    verdict (the records, or the error and its line number) is the
+    whole-file reader's on every input."""
+
+    @staticmethod
+    def _both(tmp_path, text):
+        path = tmp_path / JOURNAL_BASENAME
+        path.write_bytes(text.encode("utf-8"))
+        got = _verdict(RequestJournal.read_records, path)
+        assert got == _verdict(_read_records_whole_file, path)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_LINE, max_size=12),
+           newline=st.sampled_from(["\n", "\r\n"]),
+           trailing=st.booleans())
+    def test_matches_the_whole_file_reader(self, lines, newline, trailing):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._both(pathlib.Path(tmp),
+                       newline.join(lines) + (newline if trailing else ""))
+
+    def test_the_named_cases(self, tmp_path):
+        admit = json.dumps({"ev": "admit", "job": 1, "t": 0.0})
+        done = json.dumps({"ev": "complete", "job": 1, "t": 5.0})
+        torn = admit[:9]
+        kind, records = self._both(tmp_path, f"\n{admit}\n\n  \n{done}\n\n")
+        assert kind == "records" and len(records) == 2   # blank lines
+        kind, records = self._both(tmp_path, f"{admit}\n{torn}")
+        assert kind == "records" and len(records) == 1   # torn last line
+        # A torn line with blank lines after it is not the last line.
+        kind, message = self._both(tmp_path, f"{admit}\n{torn}\n\n")
+        assert kind == "raises" and f"{JOURNAL_BASENAME}:2:" in message
+        kind, message = self._both(tmp_path, f"{admit}\n{{broken\n{done}\n")
+        assert kind == "raises" and f"{JOURNAL_BASENAME}:2: corrupt" in message
 
 
 class TestOlderJournals:

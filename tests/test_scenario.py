@@ -556,7 +556,6 @@ _SETTLED = "run state the lifecycle writes when a job settles, not a setting"
 KNOBS_WITHOUT_A_CALLER = {
     "completion_ms": _SETTLED,
     "failed_ms": _SETTLED,
-    "failure_reason": _SETTLED,
 }
 
 

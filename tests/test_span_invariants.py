@@ -21,6 +21,18 @@ from repro.workloads import get_mix
 EPS = 1e-6
 
 
+def _by_trace(tracer):
+    """The recorded spans grouped by trace id, in recording order."""
+    grouped = {}
+    for span in tracer.spans:
+        grouped.setdefault(span.trace_id, []).append(span)
+    return grouped
+
+
+def _named(tracer, name):
+    return [s for s in tracer.spans if s.name == name]
+
+
 @pytest.fixture(scope="module")
 def sim_run():
     tracer = Tracer()
@@ -96,7 +108,7 @@ class TestSpanInvariants:
         roots = tracer.roots()
         assert len(roots) == n_terminal
         assert len({r.trace_id for r in roots}) == n_terminal
-        for trace_id, spans in tracer.traces().items():
+        for trace_id, spans in _by_trace(tracer).items():
             n_roots = sum(1 for s in spans if s.parent_id is None)
             # Traces may hold only backoff spans (job never terminal,
             # e.g. cut off by the trace end), but never two roots.
@@ -104,8 +116,9 @@ class TestSpanInvariants:
 
     def test_children_nest_within_root(self, run):
         tracer, _, _ = run
+        traces = _by_trace(tracer)
         for root in tracer.roots():
-            spans = tracer.traces()[root.trace_id]
+            spans = traces[root.trace_id]
             for child in spans:
                 if child.parent_id is None:
                     continue
@@ -115,8 +128,9 @@ class TestSpanInvariants:
 
     def test_components_bounded_by_e2e(self, run):
         tracer, _, _ = run
+        traces = _by_trace(tracer)
         for root in tracer.roots():
-            spans = tracer.traces()[root.trace_id]
+            spans = traces[root.trace_id]
             queue_wait = sum(
                 s.duration_ms for s in spans if s.name == "queue_wait"
             )
@@ -140,14 +154,14 @@ class TestLiveRetrySpans:
 
     def test_backoff_spans_match_retry_counters(self, live_run):
         tracer, _, runtime = live_run
-        backoffs = tracer.spans_named("backoff")
+        backoffs = _named(tracer, "backoff")
         assert len(backoffs) == runtime.registry.value(
             "retry_scheduled_total")
 
     def test_backoff_attempt_attrs(self, live_run):
         tracer, _, runtime = live_run
         max_attempts = runtime.options.retry.max_attempts
-        for span in tracer.spans_named("backoff"):
+        for span in _named(tracer, "backoff"):
             attempt = span.attrs["attempt"]
             assert isinstance(attempt, int)
             assert 1 <= attempt < max_attempts
