@@ -111,6 +111,19 @@ def root_span_id(trace_id: str) -> str:
     return f"{trace_id}/request"
 
 
+def _stage_shape(enqueue: float, start: float, cold: float, end: float):
+    """Which spans one stage of a row emits, from its floats.
+
+    ``None`` when the stage was never dispatched (failed or incomplete
+    chains): it emits nothing.  Otherwise it emits its queue wait plus
+    the spans whose flags are true: ``(cold_start, batch_form, exec)``.
+    The one rule both the span count and the span builder follow.
+    """
+    if enqueue < 0 or start < 0:
+        return None
+    return cold > 0, start - enqueue - cold > 0, end >= start
+
+
 class _SpanView:
     """:attr:`Tracer.spans`: a sized, re-iterable, read-only view."""
 
@@ -212,9 +225,9 @@ class Tracer:
         n_spans = 1
         for enqueue, start, cold, end in zip(
                 stages[0::5], stages[1::5], stages[2::5], stages[4::5]):
-            if enqueue >= 0 and start >= 0:
-                n_spans += (1 + (cold > 0) + (start - enqueue - cold > 0)
-                            + (end >= start))
+            shape = _stage_shape(enqueue, start, cold, end)
+            if shape is not None:
+                n_spans += 1 + sum(shape)
         if self.sample_rate < 1.0 and not self.sampled(f"job-{job_id}"):
             self.dropped += n_spans
             return
@@ -279,22 +292,24 @@ class Tracer:
         for index, stage in enumerate(app.stages):
             at = offset + 5 * index
             enqueue, start, cold, exec_ms, stage_end = stages[at:at + 5]
-            if enqueue < 0 or start < 0:
-                continue  # stage never dispatched (failed/incomplete chains)
+            shape = _stage_shape(enqueue, start, cold, stage_end)
+            if shape is None:
+                continue
+            has_cold, has_batch, has_exec = shape
             function = stage.name
             base = f"{trace_id}/{index}"
             yield Span(trace_id, f"{base}/queue_wait", "queue_wait",
                        enqueue, start, root_id,
                        {"function": function, "stage_index": index})
-            if cold > 0:
+            if has_cold:
                 yield Span(trace_id, f"{base}/cold_start", "cold_start",
                            enqueue, enqueue + cold, root_id,
                            {"function": function, "stage_index": index})
-            if start - enqueue - cold > 0:   # a batching wait
+            if has_batch:   # a batching wait
                 yield Span(trace_id, f"{base}/batch_form", "batch_form",
                            enqueue + cold, start, root_id,
                            {"function": function, "stage_index": index})
-            if stage_end >= start:
+            if has_exec:
                 yield Span(trace_id, f"{base}/exec", "exec", start,
                            stage_end, root_id,
                            {"exec_ms": exec_ms, "function": function,

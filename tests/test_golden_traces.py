@@ -32,7 +32,7 @@ def _run_spans(engine=None):
         engine=engine,
     )
     system.run(poisson_trace(4.0, 10.0, seed=7))
-    return tracer.spans
+    return list(tracer.spans)
 
 
 def normalize_spans(spans):
