@@ -5,12 +5,14 @@ intervals — is calibrated in *model milliseconds*.  The live runtime
 keeps those numbers untouched and instead scales the passage of wall
 time: with ``time_scale = s``, one model second takes ``s`` wall
 seconds.  ``time_scale = 1.0`` is real time; smaller values compress a
-run (0.05 ⇒ a 60 s model workload completes in 3 s) which keeps
-sim-vs-live parity tests affordable while preserving every *relative*
-timing relationship.
+run (0.05 ⇒ a 60 s model workload completes in 3 s) while preserving
+every *relative* timing relationship.
 
 The clock exposes ``now`` (model ms) so the simulator's pools and
 scalers — which only ever read ``sim.now`` — run against it unchanged.
+It reads the clock its timers fire on, the running event loop's
+``time()`` (``time.monotonic`` on a stock loop), so a loop on virtual
+time, as in the tests, carries the model clock with it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ LOOP_RESOLUTION_S = time.get_clock_info("monotonic").resolution
 
 
 class ScaledClock:
-    """Monotonic wall clock reporting scaled model milliseconds.
+    """The event loop's clock, reported in scaled model milliseconds.
 
     Duck-types the one attribute of :class:`repro.sim.engine.Simulator`
     that :class:`repro.workflow.pool.FunctionPool` reads: ``now``.
@@ -39,9 +41,11 @@ class ScaledClock:
         self._start_wall: Optional[float] = None
 
     def start(self) -> None:
-        """Anchor model t=0 at the current wall instant (idempotent)."""
+        """Anchor model t=0 at the running loop's current instant
+        (idempotent); from then on :attr:`now` reads that loop's time."""
         if self._start_wall is None:
-            self._start_wall = time.monotonic()
+            self._time = asyncio.get_running_loop().time
+            self._start_wall = self._time()
 
     @property
     def started(self) -> bool:
@@ -52,7 +56,7 @@ class ScaledClock:
         """Model milliseconds elapsed since :meth:`start`."""
         if self._start_wall is None:
             return 0.0
-        wall_s = time.monotonic() - self._start_wall
+        wall_s = self._time() - self._start_wall
         return wall_s / self.time_scale * 1000.0
 
     def to_wall_s(self, model_ms: float) -> float:

@@ -4,8 +4,9 @@ The paper's resource manager assumes executions always succeed; a live
 deployment sees crashed workers, hung handlers and killed nodes.  This
 module decides what happens to the task a failed attempt leaves behind:
 
-* :class:`RetryPolicy` — per-task attempt budget plus jittered
-  exponential backoff.  A *deadline budget* (``deadline_grace_ms``)
+* :class:`RetryPolicy` — per-task attempt budget; each retry waits a
+  jittered exponential backoff (:data:`BASE_BACKOFF_MS` …
+  :data:`JITTER`).  A *deadline budget* (``deadline_grace_ms``)
   optionally caps retries by residual slack: when the task's remaining
   slack (``Task.available_slack_ms``, the same LSF quantity
   :mod:`repro.core.slack` derives the queue ordering from) cannot cover
@@ -37,20 +38,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.workflow.pool import FunctionPool
 
 
+#: Backoff before the first retry (model ms).
+BASE_BACKOFF_MS = 25.0
+#: Exponential growth factor per retry.
+BACKOFF_MULTIPLIER = 2.0
+#: Ceiling on any single backoff (model ms).
+MAX_BACKOFF_MS = 1_000.0
+#: Uniform +/- fraction applied to each backoff (0.25 => the sampled
+#: backoff lands within 25% of the nominal value), de-synchronising
+#: retry storms after a mass failure.
+JITTER = 0.25
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Attempt budget + jittered exponential backoff.
+    """Attempt budget + deadline budget; the backoff is the module's
+    jittered exponential.
 
     Attributes:
         max_attempts: total execution attempts a task may consume
             (first try included); at ``max_attempts`` failures the task
             is dead-lettered.
-        base_backoff_ms: backoff before the first retry (model ms).
-        backoff_multiplier: exponential growth factor per retry.
-        max_backoff_ms: ceiling on any single backoff.
-        jitter: uniform +/- fraction applied to each backoff (0.25 =>
-            the sampled backoff lands within 25% of the nominal value),
-            de-synchronising retry storms after a mass failure.
         deadline_grace_ms: deadline budget.  When set, a retry is only
             scheduled if ``residual_slack + grace >= backoff``; tasks
             whose deadline is already unsalvageable go straight to the
@@ -59,34 +67,20 @@ class RetryPolicy:
     """
 
     max_attempts: int = 3
-    base_backoff_ms: float = 25.0
-    backoff_multiplier: float = 2.0
-    max_backoff_ms: float = 1_000.0
-    jitter: float = 0.25
     deadline_grace_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_backoff_ms < 0:
-            raise ValueError("base_backoff_ms must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if self.max_backoff_ms < self.base_backoff_ms:
-            raise ValueError("max_backoff_ms must be >= base_backoff_ms")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be within [0, 1)")
 
-    def backoff_ms(self, attempt: int, rng: np.random.Generator) -> float:
+    @staticmethod
+    def backoff_ms(attempt: int, rng: np.random.Generator) -> float:
         """Backoff before retry number *attempt* (1 = first retry)."""
         if attempt < 1:
             raise ValueError("attempt must be >= 1")
-        nominal = self.base_backoff_ms * self.backoff_multiplier ** (attempt - 1)
-        nominal = min(nominal, self.max_backoff_ms)
-        if self.jitter <= 0.0 or nominal <= 0.0:
-            return nominal
-        spread = rng.uniform(-self.jitter, self.jitter)
-        return max(0.0, nominal * (1.0 + spread))
+        nominal = min(BASE_BACKOFF_MS * BACKOFF_MULTIPLIER ** (attempt - 1),
+                      MAX_BACKOFF_MS)
+        return nominal * (1.0 + rng.uniform(-JITTER, JITTER))
 
     def allows_attempt(self, attempts_so_far: int) -> bool:
         """True while the attempt budget still covers another try."""
@@ -191,12 +185,9 @@ class RetryManager:
                 attempt=task.attempts,
                 reason=reason,
             )
-        if backoff <= 0.0:
-            self._requeue(pool, task)
-        else:
-            asyncio.get_running_loop().call_later(
-                self.clock.to_wall_s(backoff), self._requeue, pool, task
-            )
+        asyncio.get_running_loop().call_later(
+            self.clock.to_wall_s(backoff), self._requeue, pool, task
+        )
 
     def _requeue(self, pool: "FunctionPool", task: "Task") -> None:
         self._g_pending.dec()

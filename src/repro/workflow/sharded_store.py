@@ -15,6 +15,7 @@ central view).
 
 from __future__ import annotations
 
+import zlib
 from typing import Any, Dict, List, Optional
 
 from repro.workflow.statestore import StateStore
@@ -42,7 +43,9 @@ class ShardedStateStore:
         ]
 
     def _shard_for(self, key: Any) -> StateStore:
-        return self.shards[hash(key) % self.n_shards]
+        # CRC32, not ``hash()``: Python salts string hashes per process,
+        # and placement must be a pure function of the key.
+        return self.shards[zlib.crc32(str(key).encode()) % self.n_shards]
 
     # -- single-key operations: one shard each ---------------------------
 

@@ -21,10 +21,11 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.container import Container, ContainerState
 from repro.serve.faults import FATE_CRASH, FATE_HANG
-from repro.serve.pool import WorkLane, WorkerSlot
+from repro.serve.pool import WorkerSlot
 from repro.sim.engine import Simulator
 from repro.workflow.job import Job, Task
 from repro.workloads import get_application, get_microservice
+from tests.virtual_time import InlineLane
 
 BATCH = 3
 
@@ -157,17 +158,6 @@ class _Handle:
         self.cancelled = True
 
 
-class _InlineLane(WorkLane):
-    """A lane whose one "thread" is the manual loop: a submission runs
-    the lane's own thread body (ticket check, work, inbox, wake-up) as
-    the loop's next callback, over the submission and a stop sentinel."""
-
-    def submit(self, slot, task, wall_s):
-        self._queue.put((slot._ticket, slot, task, wall_s))
-        self._queue.put(None)
-        self._loop.call_later(0.0, self._run)
-
-
 class LiveDriver(_Driver):
     def __init__(self):
         super().__init__()
@@ -178,7 +168,7 @@ class LiveDriver(_Driver):
 
     def spawn(self, cold_start_ms):
         return WorkerSlot(
-            clock=self.loop, lane=_InlineLane(1, self.loop), loop=self.loop,
+            clock=self.loop, lane=InlineLane(1, self.loop), loop=self.loop,
             work=self._work, chaos=self.faults, cold_start_ms=cold_start_ms,
             **self._callbacks())
 

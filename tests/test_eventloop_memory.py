@@ -23,7 +23,7 @@ from repro.core.policies import make_policy_config
 from repro.metrics.collector import MetricsCollector
 from repro.runtime import system as system_module
 from repro.runtime.system import ClusterSpec, ServerlessSystem
-from repro.serve import ServeOptions, ServingRuntime
+from repro.serve import ServingRuntime
 from repro.traces import poisson_trace
 from repro.traces.factory import make_trace
 from repro.workflow.job import Job, JobStage, Task
@@ -132,7 +132,6 @@ def test_a_settled_job_is_freed_in_the_sim_and_logged_live(monkeypatch):
         config=make_policy_config("rscale"),
         mix=get_mix("light"),
         seed=13,
-        options=ServeOptions(time_scale=0.005),
     )
     result = runtime.run(poisson_trace(12.0, 4.0, seed=13))
     jobs = runtime.metrics.completed_jobs

@@ -12,7 +12,7 @@ from repro.core.policies import make_policy_config
 from repro.experiments.runner import ExperimentRunner
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
 from repro.scenario import Scenario
-from repro.serve import ServeOptions, ServingRuntime
+from repro.serve import ServingRuntime
 from repro.serve import faults as serve_faults
 from repro.shard import run_sharded_policy
 from repro.traces import poisson_trace
@@ -208,7 +208,6 @@ def test_a_raising_fault_action_fails_the_run(monkeypatch):
     runtime = ServingRuntime(
         make_policy_config("rscale", idle_timeout_ms=60_000.0),
         get_mix("light"), seed=1,
-        options=ServeOptions(time_scale=0.005),
         faults=FaultTimeline.parse("kill-workers@0.5"))
     with pytest.raises(RuntimeError, match="injector died"):
         runtime.run(TINY_TRACE)
@@ -225,10 +224,10 @@ def test_live_replay_applies_every_event_in_order(monkeypatch):
     runtime = ServingRuntime(
         make_policy_config("rscale", idle_timeout_ms=60_000.0),
         get_mix("light"), ClusterSpec(n_nodes=3), seed=1,
-        options=ServeOptions(time_scale=0.005),
         faults=FaultTimeline.parse(
             "recover-node@1=0;kill-node@0.5=0;kill-node@1=1;kill-node@900=2"))
-    runtime.run(TINY_TRACE)
+    # TINY_TRACE drains before 1 s; this one still arrives at 3.4 s.
+    runtime.run(poisson_trace(2.0, 5.0, seed=1))
     # Sorted by time, node kills before recoveries at one instant; the
     # event scripted past the drain never fires and fails nothing.
     assert seen == [("kill-node", (0,), True), ("kill-node", (1,), True),
@@ -252,8 +251,7 @@ def _spy_init(monkeypatch, cls, seen, pick):
 RUN = ["run", "rscale", "--mix", "light", "--trace", "poisson",
        "--rate", "3", "--duration", "3", "--nodes", "2"]
 SERVE = ["serve", "--policy", "rscale", "--mix", "light", "--trace",
-         "poisson", "--rate", "3", "--duration", "2", "--nodes", "2",
-         "--time-scale", "0.005"]
+         "poisson", "--rate", "3", "--duration", "2", "--nodes", "2"]
 
 
 @pytest.mark.parametrize("extra, n_systems", [([], 1), (["--repeats", "2"], 2)])

@@ -3,7 +3,7 @@
 One scripted sequence is fed through ``RequestLifecycle`` twice — wired
 exactly as ``ServerlessSystem._build`` wires it (virtual clock, memory
 journal, the sharded sim's durability sink) and behind a live
-``Gateway`` (asyncio timers over a fake clock, file journal).  The two
+``Gateway`` (asyncio timers on virtual time, file journal).  The two
 planes must write the same journal and settle the collector the same
 way: the structural replacement for "kept in sync by hand".
 """
@@ -17,6 +17,7 @@ from repro.core.policies import make_policy_config
 from repro.metrics.collector import MetricsCollector
 from repro.prediction.windowed import WindowedMaxSampler
 from repro.runtime.system import ClusterSpec, ServerlessSystem
+from repro.serve.clock import ScaledClock
 from repro.serve.gateway import Gateway
 from repro.serve.journal import (
     EV_ADMIT,
@@ -130,19 +131,12 @@ class SimPlane(_Plane):
         return self.core.journal.records
 
 
-class FakeClock:
-    now = 0.0
-
-    def to_wall_s(self, model_ms):
-        return 0.0     # every timer is due on the next loop iteration
-
-
 class LivePlane(_Plane):
     """The core behind a ``Gateway``: asyncio timers, file WAL."""
 
     def __init__(self, tmp_path):
         super().__init__()
-        self.clock = FakeClock()
+        self.clock = ScaledClock()
         self.metrics = MetricsCollector(EnergyMeter(model=NodePowerModel()))
         self.journal = RequestJournal(tmp_path / "journal.jsonl")
         self.gateway = self._epoch()
@@ -166,9 +160,9 @@ class LivePlane(_Plane):
         return self.gateway.admit(app=APP)
 
     async def advance(self, ms):
-        self.clock.now += ms
-        for _ in range(3):
-            await asyncio.sleep(0)
+        # Idempotent; the virtual loop still reads 0 at the first call.
+        self.clock.start()
+        await self.clock.sleep_ms(ms)
 
     def crash(self):
         old = self.gateway

@@ -401,7 +401,6 @@ class TestCheckpoint:
 
 
 def _durable_options(tmp_path, **kwargs):
-    kwargs.setdefault("time_scale", 0.01)
     kwargs.setdefault("journal_dir", str(tmp_path))
     kwargs.setdefault("checkpoint_interval_ms", 1_000.0)
     return ServeOptions(**kwargs)
@@ -482,7 +481,7 @@ class TestLiveCrashRecovery:
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=2,
-            options=ServeOptions(time_scale=0.005),
+            options=ServeOptions(),
         )
         result = runtime.run(poisson_trace(10.0, 5.0, seed=2))
         assert runtime.journal is None
@@ -503,14 +502,14 @@ class TestShutdownAndBackpressure:
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=6,
-            options=_durable_options(
-                tmp_path, time_scale=0.02, drain_grace_ms=30_000.0),
+            options=_durable_options(tmp_path, drain_grace_ms=30_000.0),
         )
         trace = poisson_trace(15.0, 30.0, seed=6)
 
         async def driver():
             serve = asyncio.ensure_future(runtime.serve(trace))
-            await asyncio.sleep(0.15)
+            await asyncio.sleep(0)  # the serve builds and starts its clock
+            await runtime.clock.sleep_until_ms(7_500.0)
             runtime.request_shutdown()
             runtime.request_shutdown()  # idempotent
             return await serve
@@ -529,7 +528,7 @@ class TestShutdownAndBackpressure:
         trace = poisson_trace(150.0, 3.0, seed=8)
         result = serve_trace(
             "bline", get_mix("light"), trace, seed=8,
-            options=ServeOptions(time_scale=0.005, max_pending=2),
+            options=ServeOptions(max_pending=2),
             idle_timeout_ms=60_000.0,
         )
         assert result.backpressure_sheds > 0

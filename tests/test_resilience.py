@@ -41,18 +41,21 @@ from repro.serve import (
 from repro.serve import pool as serve_pool
 from repro.serve.control import ControlLoop
 from repro.serve.faults import FATE_HANG
+from repro.serve.retry import BASE_BACKOFF_MS, JITTER, MAX_BACKOFF_MS
 from repro.traces import poisson_trace
 from repro.workflow.job import Job, Task
 from repro.workloads import get_application, get_microservice, get_mix
+from tests.virtual_time import InlineLane, loop_test
 
-FAST = 0.002  # one model second in 2 wall ms
+#: The real-loop tests' compression: one model second in 2 wall ms.
+FAST = 0.002
 
 
 # ---------------------------------------------------------------------------
 # helpers
 
 
-def _worker_pool(clock, lane, retry_manager=None, batch_size=2,
+def _worker_pool(clock, lane=None, retry_manager=None, batch_size=2,
                  n_nodes=4, on_finished=None, **kwargs):
     return WorkerPool(
         clock=clock,
@@ -108,27 +111,30 @@ class _StubPool:
 # retry policy (pure logic)
 
 
+class _NoSpread:
+    """An rng whose jitter draw is the midpoint: the nominal backoff."""
+
+    def uniform(self, low, high):
+        return (low + high) / 2
+
+
 class TestRetryPolicy:
     def test_backoff_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(base_backoff_ms=10.0, backoff_multiplier=3.0,
-                             max_backoff_ms=1_000.0, jitter=0.0)
-        rng = np.random.default_rng(0)
-        assert policy.backoff_ms(1, rng) == 10.0
-        assert policy.backoff_ms(2, rng) == 30.0
-        assert policy.backoff_ms(3, rng) == 90.0
+        policy = RetryPolicy()
+        assert policy.backoff_ms(1, _NoSpread()) == BASE_BACKOFF_MS
+        assert policy.backoff_ms(2, _NoSpread()) == 2 * BASE_BACKOFF_MS
+        assert policy.backoff_ms(3, _NoSpread()) == 4 * BASE_BACKOFF_MS
 
     def test_backoff_is_capped(self):
-        policy = RetryPolicy(base_backoff_ms=100.0, backoff_multiplier=10.0,
-                             max_backoff_ms=500.0, jitter=0.0)
-        rng = np.random.default_rng(0)
-        assert policy.backoff_ms(5, rng) == 500.0
+        policy = RetryPolicy()
+        assert policy.backoff_ms(10, _NoSpread()) == MAX_BACKOFF_MS
 
     def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy(base_backoff_ms=100.0, jitter=0.25,
-                             backoff_multiplier=1.0)
+        policy = RetryPolicy()
         rng = np.random.default_rng(1)
         samples = [policy.backoff_ms(1, rng) for _ in range(200)]
-        assert all(75.0 <= s <= 125.0 for s in samples)
+        low, high = BASE_BACKOFF_MS * (1 - JITTER), BASE_BACKOFF_MS * (1 + JITTER)
+        assert all(low <= s <= high for s in samples)
         assert len(set(samples)) > 1  # actually jittered
 
     def test_attempt_budget(self):
@@ -139,82 +145,71 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_backoff_ms=100.0, max_backoff_ms=50.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_multiplier=0.5)
+
+
+def _manager(on_give_up=lambda task, reason: None, **policy):
+    """A started clock, a stub pool and a retry manager over them."""
+    clock = ScaledClock()
+    clock.start()
+    return clock, _StubPool(), RetryManager(
+        policy=RetryPolicy(**policy), clock=clock,
+        rng=np.random.default_rng(0), on_give_up=on_give_up)
 
 
 class TestRetryManager:
-    def test_exhausted_attempts_dead_letter(self):
-        clock = ScaledClock(FAST)
-        pool = _StubPool()
+    @loop_test
+    async def test_exhausted_attempts_dead_letter(self):
         gave_up = []
-        manager = RetryManager(
-            policy=RetryPolicy(max_attempts=2, base_backoff_ms=0.0, jitter=0.0),
-            clock=clock,
-            rng=np.random.default_rng(0),
-            on_give_up=lambda task, reason: gave_up.append(reason),
-        )
+        clock, pool, manager = _manager(
+            lambda task, reason: gave_up.append(reason), max_attempts=2)
         task = _task(clock)
-        manager.handle_failure(pool, task, "crash")   # attempt 1 -> retry
+        manager.handle_failure(pool, task, "crash")  # attempt 1 -> retry
+        assert pool.enqueued == []                   # backing off
+        await clock.sleep_ms(MAX_BACKOFF_MS)
         assert pool.enqueued == [task]
         assert pool.task_retries == 1
-        manager.handle_failure(pool, task, "crash")   # attempt 2 -> DLQ
+        manager.handle_failure(pool, task, "crash")  # attempt 2 -> DLQ
         assert pool.tasks_dead_lettered == 1
         assert len(manager.dlq) == 1
         assert gave_up == ["crash:attempts-exhausted"]
         assert collections.Counter(e.reason for e in manager.dlq) == {
             "crash:attempts-exhausted": 1}
 
-    def test_deadline_budget_skips_hopeless_retry(self):
-        # Slack is ~450 model ms for ipa at t=0; a backoff far beyond it
-        # (with zero grace) means the deadline is unsalvageable.
-        clock = ScaledClock(FAST)
-        pool = _StubPool()
+    @loop_test
+    async def test_deadline_budget_skips_hopeless_retry(self):
+        # ipa's SLO is 1 s: two seconds after arrival its residual slack
+        # is negative, and with zero grace no backoff fits.
         gave_up = []
-        manager = RetryManager(
-            policy=RetryPolicy(max_attempts=5, base_backoff_ms=50_000.0,
-                               max_backoff_ms=50_000.0, jitter=0.0,
-                               deadline_grace_ms=0.0),
-            clock=clock,
-            rng=np.random.default_rng(0),
-            on_give_up=lambda task, reason: gave_up.append(reason),
-        )
+        clock, pool, manager = _manager(
+            lambda task, reason: gave_up.append(reason),
+            max_attempts=5, deadline_grace_ms=0.0)
         task = _task(clock)
+        await clock.sleep_ms(2_000.0)
         manager.handle_failure(pool, task, "timeout")
+        await clock.sleep_ms(MAX_BACKOFF_MS)
         assert pool.enqueued == []
         assert gave_up == ["timeout:deadline-exceeded"]
         assert len(manager.dlq) == 1
 
-    def test_no_deadline_check_when_grace_unset(self):
-        clock = ScaledClock(FAST)
-        pool = _StubPool()
-        manager = RetryManager(
-            policy=RetryPolicy(max_attempts=5, base_backoff_ms=0.0, jitter=0.0),
-            clock=clock,
-            rng=np.random.default_rng(0),
-            on_give_up=lambda task, reason: pytest.fail("should retry"),
-        )
+    @loop_test
+    async def test_no_deadline_check_when_grace_unset(self):
+        # The same hopeless task is retried when no grace is set.
+        clock, pool, manager = _manager(
+            lambda task, reason: pytest.fail("should retry"), max_attempts=5)
         task = _task(clock)
+        await clock.sleep_ms(2_000.0)
         manager.handle_failure(pool, task, "crash")
+        await clock.sleep_ms(MAX_BACKOFF_MS)
         assert pool.enqueued == [task]
 
-    def test_requeue_resets_dispatch_record(self):
-        clock = ScaledClock(FAST)
-        pool = _StubPool()
-        manager = RetryManager(
-            policy=RetryPolicy(base_backoff_ms=0.0, jitter=0.0),
-            clock=clock,
-            rng=np.random.default_rng(0),
-            on_give_up=lambda task, reason: None,
-        )
+    @loop_test
+    async def test_requeue_resets_dispatch_record(self):
+        clock, pool, manager = _manager()
         task = _task(clock)
         task.record.start_ms = 123.0
         task.record.cold_start_wait_ms = 7.0
         manager.handle_failure(pool, task, "crash")
+        await clock.sleep_ms(MAX_BACKOFF_MS)
         assert task.record.start_ms == -1.0
         assert task.record.cold_start_wait_ms == 0.0
         assert task.attempts == 1
@@ -225,70 +220,55 @@ class TestRetryManager:
 
 
 class TestSupervisedWorkers:
-    def test_raising_work_fn_crashes_worker_and_retries(self):
-        failures = []
-
+    @loop_test
+    async def test_raising_work_fn_crashes_worker_and_retries(self):
         def boom(task, wall_s):
             raise ValueError("handler bug")
 
-        async def scenario():
-            clock = ScaledClock(FAST)
-            with closing(WorkLane(2)) as lane:
-                pool = _worker_pool(clock, lane, work=boom)
-                # No retry manager: failures fall back to a plain requeue.
-                pool.retry_manager = None
-                clock.start()
-                pool.prewarm(1)
-                await asyncio.sleep(0.02)
-                task = _task(clock)
-                pool.enqueue(task)
-                for _ in range(200):
-                    if pool.container_crashes:
-                        break
-                    await asyncio.sleep(0.01)
-                assert pool.container_crashes >= 1
-                assert pool.task_retries >= 1
-                assert pool.tasks_completed == 0
-                # The crashed slot is dead and compacted away.
-                assert all(
-                    s.state != ContainerState.CRASHED for s in pool.containers
-                )
-                await pool.shutdown()
+        clock = ScaledClock()
+        pool = _worker_pool(clock, InlineLane(1), work=boom)
+        # No retry manager: failures fall back to a plain requeue.
+        pool.retry_manager = None
+        clock.start()
+        pool.prewarm(1)
+        await clock.sleep_ms(1.0)
+        pool.enqueue(_task(clock))
+        await clock.sleep_ms(1.0)
+        assert pool.container_crashes == 1
+        assert pool.task_retries == 1
+        assert pool.tasks_completed == 0
+        # The crashed slot is dead and compacted away.
+        assert all(
+            s.state != ContainerState.CRASHED for s in pool.containers
+        )
+        await pool.shutdown()
 
-        asyncio.run(scenario())
-        del failures
-
-    def test_hung_work_fn_reclaimed_by_timeout(self, monkeypatch):
-        import threading
-
-        monkeypatch.setattr(serve_pool, "TIMEOUT_FLOOR_WALL_S", 0.05)
-
+    @loop_test
+    async def test_hung_work_fn_reclaimed_by_timeout(self):
+        # A real lane thread hangs; the watchdog runs on virtual time.
         release = threading.Event()
 
         def hang(task, wall_s):
             release.wait(5.0)  # far beyond any timeout budget
 
-        async def scenario():
-            clock = ScaledClock(FAST)
-            with closing(WorkLane(2)) as lane:
+        clock = ScaledClock()
+        with closing(WorkLane(2)) as lane:
+            try:
                 pool = _worker_pool(clock, lane, work=hang)
                 clock.start()
                 pool.prewarm(1)
-                await asyncio.sleep(0.02)
+                await clock.sleep_ms(1.0)
                 pool.enqueue(_task(clock))
-                for _ in range(400):
-                    if pool.task_timeouts:
-                        break
-                    await asyncio.sleep(0.01)
+                await clock.sleep_ms(5_000.0)
                 assert pool.task_timeouts == 1
                 assert pool.container_crashes == 1
                 assert pool.task_retries == 1
                 await pool.shutdown()
-            release.set()
+            finally:
+                release.set()  # before the lane joins the thread
 
-        asyncio.run(scenario())
-
-    def test_callback_error_crashes_slot_then_respawn(self):
+    @loop_test
+    async def test_callback_error_crashes_slot_then_respawn(self):
         done = []
 
         def finished(task):
@@ -297,64 +277,50 @@ class TestSupervisedWorkers:
                 raise RuntimeError("bug in the completion path")
             done.append(task)
 
-        async def scenario():
-            clock = ScaledClock(FAST)
-            with closing(WorkLane(2)) as lane:
-                pool = _worker_pool(clock, lane, on_finished=finished)
-                clock.start()
-                pool.prewarm(1)
-                await asyncio.sleep(0.02)
-                (slot,) = pool.containers
-                free_before = pool.cluster.nodes[slot.node.node_id].free_cpu
-                first, second = _task(clock), _task(clock)
-                pool.enqueue(first)
-                pool.enqueue(second)  # rides the same slot's local queue
-                for _ in range(400):
-                    if pool.container_crashes:
-                        break
-                    await asyncio.sleep(0.005)
-                # The exception escaped the slot's completion callback
-                # after it had claimed the second task: no coroutine to
-                # poll — the slot crashed itself at once, released its
-                # node and handed the claimed task back for a retry.
-                assert slot.state == ContainerState.CRASHED
-                assert slot not in pool.containers
-                assert pool.container_crashes == 1
-                assert pool.registry.value(
-                    "pool_slot_callback_errors_total", pool="ASR") == 1
-                node = pool.cluster.nodes[slot.node.node_id]
-                assert node.free_cpu >= free_before
-                assert pool.task_retries == 1
-                assert pool.queue_length == 1
-                # The backlog justifies one replacement, which runs the
-                # orphan exactly once (its first execution's completion
-                # is discarded by the ownership check).
-                assert pool.supervise(clock.now) == 1
-                for _ in range(400):
-                    if len(done) == 2:
-                        break
-                    await asyncio.sleep(0.005)
-                await asyncio.sleep(0.05)
-                assert done == [first, second]
-                assert pool.tasks_completed == 2
-                await pool.shutdown()
+        clock = ScaledClock()
+        pool = _worker_pool(clock, on_finished=finished)
+        clock.start()
+        pool.prewarm(1)
+        await clock.sleep_ms(1.0)
+        (slot,) = pool.containers
+        free_before = pool.cluster.nodes[slot.node.node_id].free_cpu
+        first, second = _task(clock), _task(clock)
+        pool.enqueue(first)
+        pool.enqueue(second)  # rides the same slot's local queue
+        await clock.sleep_ms(5_000.0)
+        # The exception escaped the slot's completion callback
+        # after it had claimed the second task: no coroutine to
+        # poll — the slot crashed itself at once, released its
+        # node and handed the claimed task back for a retry.
+        assert slot.state == ContainerState.CRASHED
+        assert slot not in pool.containers
+        assert pool.container_crashes == 1
+        assert pool.registry.value(
+            "pool_slot_callback_errors_total", pool="ASR") == 1
+        node = pool.cluster.nodes[slot.node.node_id]
+        assert node.free_cpu >= free_before
+        assert pool.task_retries == 1
+        assert pool.queue_length == 1
+        # The backlog justifies one replacement, which runs the
+        # orphan exactly once (its first execution's completion
+        # is discarded by the ownership check).
+        assert pool.supervise(clock.now) == 1
+        await clock.sleep_ms(10_000.0)
+        assert done == [first, second]
+        assert pool.tasks_completed == 2
+        await pool.shutdown()
 
-        asyncio.run(scenario())
-
-    def test_supervise_is_idle_noop(self):
-        async def scenario():
-            clock = ScaledClock(FAST)
-            with closing(WorkLane(2)) as lane:
-                pool = _worker_pool(clock, lane)
-                clock.start()
-                pool.prewarm(2)
-                await asyncio.sleep(0.02)
-                assert pool.supervise(clock.now) == 0
-                assert pool.container_crashes == 0
-                assert pool.n_containers == 2
-                await pool.shutdown()
-
-        asyncio.run(scenario())
+    @loop_test
+    async def test_supervise_is_idle_noop(self):
+        clock = ScaledClock()
+        pool = _worker_pool(clock)
+        clock.start()
+        pool.prewarm(2)
+        await clock.sleep_ms(1.0)
+        assert pool.supervise(clock.now) == 0
+        assert pool.container_crashes == 0
+        assert pool.n_containers == 2
+        await pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +351,8 @@ def _wait_on_thread(predicate, limit_s=10.0):
         time.sleep(0.001)
 
 
+# Real loop: the subject is lane threads racing the loop in wall time.
+@pytest.mark.usefixtures("real_loop")
 class TestWorkLaneAndWatchdog:
     @pytest.mark.parametrize("hang", ["chaos", "blocking-work"])
     def test_a_hang_is_declared_at_its_deadline(self, monkeypatch, hang):
@@ -473,7 +441,8 @@ class TestWorkLaneAndWatchdog:
         assert 2 <= len(threads) <= 4
         assert not any(t.is_alive() for t in threads)
 
-    def test_cancelled_queued_work_never_runs(self):
+    @loop_test
+    async def test_cancelled_queued_work_never_runs(self):
         gate = threading.Event()
         ran = []
 
@@ -481,111 +450,105 @@ class TestWorkLaneAndWatchdog:
             ran.append(task)
             gate.wait(5.0)
 
-        async def scenario():
-            clock = ScaledClock(FAST)
-            with closing(WorkLane(1)) as lane:
-                pool = _worker_pool(clock, lane, batch_size=1, work=work)
-                clock.start()
-                pool.prewarm(2)
-                await asyncio.sleep(0.02)
-                first, second = _task(clock), _task(clock)
-                pool.enqueue(first)
-                pool.enqueue(second)
-                queued = next(
-                    s for s in pool.containers if s.current_task is second)
-                # The lane's one thread is inside *first*'s work, so
-                # *second*'s sits on the lane queue when its slot stops.
-                _wait_on_thread(lambda: ran)
-                queued.shutdown()
-                gate.set()
-                for _ in range(200):
-                    if pool.tasks_completed:
-                        break
-                    await asyncio.sleep(0.005)
-                await asyncio.sleep(0.02)
-                assert ran == [first]
-                assert pool.tasks_completed == 1
-                await pool.shutdown()
+        clock = ScaledClock(FAST)
+        with closing(WorkLane(1)) as lane:
+            pool = _worker_pool(clock, lane, batch_size=1, work=work)
+            clock.start()
+            pool.prewarm(2)
+            await asyncio.sleep(0.02)
+            first, second = _task(clock), _task(clock)
+            pool.enqueue(first)
+            pool.enqueue(second)
+            queued = next(
+                s for s in pool.containers if s.current_task is second)
+            # The lane's one thread is inside *first*'s work, so
+            # *second*'s sits on the lane queue when its slot stops.
+            _wait_on_thread(lambda: ran)
+            queued.shutdown()
+            gate.set()
+            for _ in range(200):
+                if pool.tasks_completed:
+                    break
+                await asyncio.sleep(0.005)
+            await asyncio.sleep(0.02)
+            assert ran == [first]
+            assert pool.tasks_completed == 1
+            await pool.shutdown()
 
-        asyncio.run(scenario())
-
-    def test_a_completion_waiting_in_the_inbox_is_dropped_after_fail_node(
+    @loop_test
+    async def test_a_completion_waiting_in_the_inbox_is_dropped_after_fail_node(
             self):
         finished = []
 
-        async def scenario():
-            clock = ScaledClock(FAST)
-            with closing(WorkLane(1)) as lane:
-                pool = _worker_pool(
-                    clock, lane, n_nodes=1, on_finished=finished.append,
-                    work=lambda task, wall_s: None)
-                clock.start()
-                pool.prewarm(1)
-                await asyncio.sleep(0.05)
-                (slot,) = pool.containers
-                task = _task(clock)
-                pool.enqueue(task)
-                assert slot.current_task is task
-                # The work returned; its outcome waits for a drain.
-                _wait_on_thread(lambda: lane._inbox)
-                assert fail_node(slot.node, [pool], clock.now) == 1
-                await asyncio.sleep(0.05)
-                assert not lane._inbox
-                assert finished == [] and pool.tasks_completed == 0
-                assert slot.tasks_executed == 0
-                assert slot.state == ContainerState.TERMINATED
-                assert pool.task_retries == 1 and pool.queue_length == 1
-                await pool.shutdown()
-
-        asyncio.run(scenario())
+        clock = ScaledClock(FAST)
+        with closing(WorkLane(1)) as lane:
+            pool = _worker_pool(
+                clock, lane, n_nodes=1, on_finished=finished.append,
+                work=lambda task, wall_s: None)
+            clock.start()
+            pool.prewarm(1)
+            await asyncio.sleep(0.05)
+            (slot,) = pool.containers
+            task = _task(clock)
+            pool.enqueue(task)
+            assert slot.current_task is task
+            # The work returned; its outcome waits for a drain.
+            _wait_on_thread(lambda: lane._inbox)
+            assert fail_node(slot.node, [pool], clock.now) == 1
+            await asyncio.sleep(0.05)
+            assert not lane._inbox
+            assert finished == [] and pool.tasks_completed == 0
+            assert slot.tasks_executed == 0
+            assert slot.state == ContainerState.TERMINATED
+            assert pool.task_retries == 1 and pool.queue_length == 1
+            await pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
 # node kill vs live pool (unified fault model)
 
 
+# Real loop: the subject is a lane thread still inside the work when
+# its node dies, whose late completion must then be dropped.
+@pytest.mark.usefixtures("real_loop")
 class TestFailNodeLive:
-    def test_killed_nodes_inflight_task_requeued_exactly_once(self):
-        import threading
-
+    @loop_test
+    async def test_killed_nodes_inflight_task_requeued_exactly_once(self):
         release = threading.Event()
 
         def gated(task, wall_s):
             release.wait(5.0)  # in flight until the test lets it return
 
-        async def scenario():
-            clock = ScaledClock(FAST)
-            with closing(WorkLane(2)) as lane:
-                pool = _worker_pool(clock, lane, n_nodes=1, work=gated)
-                clock.start()
-                pool.prewarm(1)
-                await asyncio.sleep(0.05)
-                (slot,) = pool.containers
-                task = _task(clock)
-                pool.enqueue(task)
-                assert slot.current_task is task  # dispatched, executing
-                watchdog = slot._watchdog
-                assert watchdog is not None
-                destroyed = fail_node(slot.node, [pool], clock.now)
-                assert destroyed == 1
-                assert slot.state == ContainerState.TERMINATED
-                # Exactly one queue entry and one counted retry — no
-                # duplicates in the queue or the waiting view.
-                assert pool.task_retries == 1
-                assert pool.queue_length == 1
-                assert sum(1 for t in pool._waiting if t is task) == 1
-                assert pool.queue.pop() is task
-                # The kill cancelled the execution watchdog, and the
-                # orphaned execution's late completion is discarded.
-                assert watchdog.cancelled() and slot._watchdog is None
-                release.set()
-                await asyncio.sleep(0.05)
-                assert pool.tasks_completed == 0
-                assert slot.tasks_executed == 0
-                assert slot.state == ContainerState.TERMINATED
-                await pool.shutdown()
-
-        asyncio.run(scenario())
+        clock = ScaledClock(FAST)
+        with closing(WorkLane(2)) as lane:
+            pool = _worker_pool(clock, lane, n_nodes=1, work=gated)
+            clock.start()
+            pool.prewarm(1)
+            await asyncio.sleep(0.05)
+            (slot,) = pool.containers
+            task = _task(clock)
+            pool.enqueue(task)
+            assert slot.current_task is task  # dispatched, executing
+            watchdog = slot._watchdog
+            assert watchdog is not None
+            destroyed = fail_node(slot.node, [pool], clock.now)
+            assert destroyed == 1
+            assert slot.state == ContainerState.TERMINATED
+            # Exactly one queue entry and one counted retry — no
+            # duplicates in the queue or the waiting view.
+            assert pool.task_retries == 1
+            assert pool.queue_length == 1
+            assert sum(1 for t in pool._waiting if t is task) == 1
+            assert pool.queue.pop() is task
+            # The kill cancelled the execution watchdog, and the
+            # orphaned execution's late completion is discarded.
+            assert watchdog.cancelled() and slot._watchdog is None
+            release.set()
+            await asyncio.sleep(0.05)
+            assert pool.tasks_completed == 0
+            assert slot.tasks_executed == 0
+            assert slot.state == ContainerState.TERMINATED
+            await pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -602,23 +565,21 @@ class _RaisingScaler:
 
 
 class TestControlLoopContainment:
-    def test_raising_scaler_is_contained_and_counted(self):
-        async def scenario():
-            clock = ScaledClock(FAST)
-            clock.start()
-            scaler = _RaisingScaler()
-            loop = _bare_loop(
-                clock=clock, config=make_policy_config("rscale"))
-            loop.scaler = scaler
-            loop.tick(0.0)
-            loop.tick(10_000.0)
-            assert scaler.calls == 2      # still invoked every tick
-            assert loop.tick_errors == 2  # each failure contained
-            assert loop.ticks == 2        # the loop itself never died
-            # The sampler still ran despite the broken scaler.
-            assert len(loop.metrics.sample_times) == 2
-
-        asyncio.run(scenario())
+    @loop_test
+    async def test_raising_scaler_is_contained_and_counted(self):
+        clock = ScaledClock()
+        clock.start()
+        scaler = _RaisingScaler()
+        loop = _bare_loop(
+            clock=clock, config=make_policy_config("rscale"))
+        loop.scaler = scaler
+        loop.tick(0.0)
+        loop.tick(10_000.0)
+        assert scaler.calls == 2      # still invoked every tick
+        assert loop.tick_errors == 2  # each failure contained
+        assert loop.ticks == 2        # the loop itself never died
+        # The sampler still ran despite the broken scaler.
+        assert len(loop.metrics.sample_times) == 2
 
     def test_raising_scaler_does_not_hang_drain(self, caplog):
         # End to end: a broken reactive scaler must not wedge the run.
@@ -626,7 +587,7 @@ class TestControlLoopContainment:
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=3,
-            options=ServeOptions(time_scale=0.005),
+            options=ServeOptions(),
         )
 
         original_build = runtime._build
@@ -646,61 +607,47 @@ class TestControlLoopContainment:
             config=make_policy_config("bline", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=4,
-            options=ServeOptions(time_scale=0.005),
+            options=ServeOptions(),
         )
         result = runtime.run(poisson_trace(5.0, 4.0, seed=4))
         assert result.tick_errors == 0
         assert "tick_errors" in result.summary()
 
 
-class _JumpClock:
-    """Manual model clock with ``ScaledClock``'s sleep contract: a
-    future deadline is slept to (and yields), a past one returns at
-    once without yielding."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    async def sleep_until_ms(self, model_ms):
-        if model_ms > self.now:
-            self.now = model_ms
-            await asyncio.sleep(0)
-
-
 class TestControlLoopOverrun:
-    def test_slow_tick_does_not_starve_the_loop(self):
+    @loop_test
+    async def test_slow_tick_does_not_starve_the_loop(self):
         progress = [0]
+        loop = asyncio.get_running_loop()
 
         class SlowLoop(ControlLoop):
             seen, stalled = 0, 0
 
             def tick(self, now_ms):
-                # One tick costs one and a half intervals of model time.
-                self.clock.now += 1.5 * self.config.monitor_interval_ms
+                # One tick costs one and a half intervals of loop time.
+                loop.now += 1.5 * self.config.monitor_interval_ms / 1000.0
                 self.ticks += 1
                 self.stalled = self.stalled + 1 if progress[0] == self.seen else 0
                 self.seen = progress[0]
                 # Starved, the test could only hang: fail it instead.
                 assert self.stalled < 100, "control loop never yields"
 
-        async def scenario():
-            control = _bare_loop(
-                SlowLoop, clock=_JumpClock(),
-                config=make_policy_config("bline"))
-            control.start()
-            for _ in range(40):  # the sibling: this coroutine
-                await asyncio.sleep(0)
-                progress[0] += 1
-            await control.stop()  # returns (and re-raises a starved loop)
-            assert control._task is None
-            assert control.ticks >= 10
-            # Every tick passed over one boundary, resumed at the next.
-            overrun = control.registry.value("control_loop_ticks_overrun_total")
-            assert control.ticks - 1 <= overrun <= control.ticks
-            interval = control.config.monitor_interval_ms
-            assert control.clock.now <= (2 * control.ticks + 1) * interval
-
-        asyncio.run(scenario())
+        clock = ScaledClock()
+        clock.start()
+        control = _bare_loop(
+            SlowLoop, clock=clock, config=make_policy_config("bline"))
+        control.start()
+        for _ in range(40):  # the sibling: this coroutine
+            await clock.sleep_ms(control.config.monitor_interval_ms)
+            progress[0] += 1
+        await control.stop()  # returns (and re-raises a starved loop)
+        assert control._task is None
+        assert control.ticks >= 10
+        # Every tick passed over one boundary, resumed at the next.
+        overrun = control.registry.value("control_loop_ticks_overrun_total")
+        assert control.ticks - 1 <= overrun <= control.ticks
+        interval = control.config.monitor_interval_ms
+        assert control.clock.now <= (2 * control.ticks + 1) * interval
 
 
 # ---------------------------------------------------------------------------
@@ -708,81 +655,76 @@ class TestControlLoopOverrun:
 
 
 class TestGatewayGuards:
-    def test_double_completion_counted_not_applied(self):
-        async def scenario():
-            clock = ScaledClock(FAST)
-            mix = get_mix("light")
-            gateway = Gateway(
-                clock=clock,
-                pools={},
-                mix=mix,
-                metrics=_metrics(),
-                sampler=WindowedMaxSampler(),
-                rng=np.random.default_rng(0),
-            )
-            clock.start()
-            app = mix.applications[0]
-            job = gateway.admit(app=app)
-            assert job is not None and gateway.in_flight == 1
-            last = Task(job=job, stage_index=app.n_stages - 1,
-                        enqueue_ms=clock.now)
-            gateway.on_task_finished(last)
-            assert gateway.in_flight == 0
-            # A duplicate completion signal must not drive in_flight
-            # negative or re-record the job.
-            gateway.on_task_finished(last)
-            assert gateway.in_flight == 0
-            assert gateway.duplicate_completions == 1
-            assert len(gateway.metrics.completed_jobs) == 1
+    @loop_test
+    async def test_double_completion_counted_not_applied(self):
+        clock = ScaledClock()
+        mix = get_mix("light")
+        gateway = Gateway(
+            clock=clock,
+            pools={},
+            mix=mix,
+            metrics=_metrics(),
+            sampler=WindowedMaxSampler(),
+            rng=np.random.default_rng(0),
+        )
+        clock.start()
+        app = mix.applications[0]
+        job = gateway.admit(app=app)
+        assert job is not None and gateway.in_flight == 1
+        last = Task(job=job, stage_index=app.n_stages - 1,
+                    enqueue_ms=clock.now)
+        gateway.on_task_finished(last)
+        assert gateway.in_flight == 0
+        # A duplicate completion signal must not drive in_flight
+        # negative or re-record the job.
+        gateway.on_task_finished(last)
+        assert gateway.in_flight == 0
+        assert gateway.duplicate_completions == 1
+        assert len(gateway.metrics.completed_jobs) == 1
 
-        asyncio.run(scenario())
+    @loop_test
+    async def test_failure_after_completion_is_duplicate(self):
+        clock = ScaledClock()
+        mix = get_mix("light")
+        gateway = Gateway(
+            clock=clock, pools={}, mix=mix, metrics=_metrics(),
+            sampler=WindowedMaxSampler(), rng=np.random.default_rng(0),
+        )
+        clock.start()
+        app = mix.applications[0]
+        job = gateway.admit(app=app)
+        last = Task(job=job, stage_index=app.n_stages - 1,
+                    enqueue_ms=clock.now)
+        gateway.on_task_finished(last)
+        gateway.on_task_failed(last, "crash")
+        assert gateway.in_flight == 0
+        assert gateway.duplicate_completions == 1
+        assert gateway.dead_lettered == 0
+        assert job.outcome == "completed"
 
-    def test_failure_after_completion_is_duplicate(self):
-        async def scenario():
-            clock = ScaledClock(FAST)
-            mix = get_mix("light")
-            gateway = Gateway(
-                clock=clock, pools={}, mix=mix, metrics=_metrics(),
-                sampler=WindowedMaxSampler(), rng=np.random.default_rng(0),
-            )
-            clock.start()
-            app = mix.applications[0]
-            job = gateway.admit(app=app)
-            last = Task(job=job, stage_index=app.n_stages - 1,
-                        enqueue_ms=clock.now)
-            gateway.on_task_finished(last)
-            gateway.on_task_failed(last, "crash")
-            assert gateway.in_flight == 0
-            assert gateway.duplicate_completions == 1
-            assert gateway.dead_lettered == 0
-            assert job.outcome == "completed"
+    @loop_test
+    async def test_task_failure_terminates_job(self):
+        clock = ScaledClock()
+        mix = get_mix("light")
+        metrics = _metrics()
+        gateway = Gateway(
+            clock=clock, pools={}, mix=mix, metrics=metrics,
+            sampler=WindowedMaxSampler(), rng=np.random.default_rng(0),
+        )
+        clock.start()
+        app = mix.applications[0]
+        job = gateway.admit(app=app)
+        task = Task(job=job, stage_index=0, enqueue_ms=clock.now)
+        gateway.on_task_failed(task, "crash:attempts-exhausted")
+        assert gateway.in_flight == 0
+        assert gateway.dead_lettered == 1
+        assert job.failed and job.terminal
+        assert job.outcome == "failed"
+        assert job.failure_reason == "crash:attempts-exhausted"
+        assert metrics.failed_jobs == [job]
 
-        asyncio.run(scenario())
-
-    def test_task_failure_terminates_job(self):
-        async def scenario():
-            clock = ScaledClock(FAST)
-            mix = get_mix("light")
-            metrics = _metrics()
-            gateway = Gateway(
-                clock=clock, pools={}, mix=mix, metrics=metrics,
-                sampler=WindowedMaxSampler(), rng=np.random.default_rng(0),
-            )
-            clock.start()
-            app = mix.applications[0]
-            job = gateway.admit(app=app)
-            task = Task(job=job, stage_index=0, enqueue_ms=clock.now)
-            gateway.on_task_failed(task, "crash:attempts-exhausted")
-            assert gateway.in_flight == 0
-            assert gateway.dead_lettered == 1
-            assert job.failed and job.terminal
-            assert job.outcome == "failed"
-            assert job.failure_reason == "crash:attempts-exhausted"
-            assert metrics.failed_jobs == [job]
-
-        asyncio.run(scenario())
-
-    def test_deadline_shedding(self):
+    @loop_test
+    async def test_deadline_shedding(self):
         class SwampedPool:
             free_slots = 0
 
@@ -795,32 +737,29 @@ class TestGatewayGuards:
             def monitored_delay_ms(self):
                 return 0.0
 
-        async def scenario():
-            clock = ScaledClock(FAST)
-            mix = get_mix("light")
-            app = mix.applications[0]
-            first = app.stage_names[0]
-            gateway = Gateway(
-                clock=clock, pools={first: SwampedPool()}, mix=mix,
-                metrics=_metrics(), sampler=WindowedMaxSampler(),
-                rng=np.random.default_rng(0), shed_expired=True,
-            )
-            clock.start()
-            assert gateway.admit(app=app) is None
-            assert gateway.shed == 1 and gateway.shed_deadline == 1
-            # With headroom the same arrival is admitted.
-            gateway.pools[first] = IdlePool()
-            assert gateway.admit(app=app) is not None
-            # Disabled flag: never sheds on deadline.
-            gw2 = Gateway(
-                clock=clock, pools={first: SwampedPool()}, mix=mix,
-                metrics=_metrics(), sampler=WindowedMaxSampler(),
-                rng=np.random.default_rng(0), shed_expired=False,
-            )
-            assert gw2.admit(app=app) is not None
-            assert gw2.shed_deadline == 0
-
-        asyncio.run(scenario())
+        clock = ScaledClock()
+        mix = get_mix("light")
+        app = mix.applications[0]
+        first = app.stage_names[0]
+        gateway = Gateway(
+            clock=clock, pools={first: SwampedPool()}, mix=mix,
+            metrics=_metrics(), sampler=WindowedMaxSampler(),
+            rng=np.random.default_rng(0), shed_expired=True,
+        )
+        clock.start()
+        assert gateway.admit(app=app) is None
+        assert gateway.shed == 1 and gateway.shed_deadline == 1
+        # With headroom the same arrival is admitted.
+        gateway.pools[first] = IdlePool()
+        assert gateway.admit(app=app) is not None
+        # Disabled flag: never sheds on deadline.
+        gw2 = Gateway(
+            clock=clock, pools={first: SwampedPool()}, mix=mix,
+            metrics=_metrics(), sampler=WindowedMaxSampler(),
+            rng=np.random.default_rng(0), shed_expired=False,
+        )
+        assert gw2.admit(app=app) is not None
+        assert gw2.shed_deadline == 0
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +767,7 @@ class TestGatewayGuards:
 
 
 class TestChaosEndToEnd:
-    def test_raising_work_fn_run_terminates_with_failures(self):
+    def test_raising_work_fn_run_terminates_with_failures(self, inline_lane):
         def boom(task, wall_s):
             raise RuntimeError("every handler is broken")
 
@@ -837,10 +776,7 @@ class TestChaosEndToEnd:
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=7,
-            options=ServeOptions(
-                time_scale=0.005,
-                retry=RetryPolicy(max_attempts=2, base_backoff_ms=10.0),
-            ),
+            options=ServeOptions(retry=RetryPolicy(max_attempts=2)),
             work=boom,
         )
         result = runtime.run(trace)
@@ -863,10 +799,7 @@ class TestChaosEndToEnd:
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=8,
-            options=ServeOptions(
-                time_scale=0.005,
-                retry=RetryPolicy(max_attempts=5, base_backoff_ms=10.0),
-            ),
+            options=ServeOptions(retry=RetryPolicy(max_attempts=5)),
             fault_model=ContainerFaultModel(crash_probability=0.2),
             drain_ms=1_200_000.0,
         )
@@ -880,17 +813,13 @@ class TestChaosEndToEnd:
         # Most work survives retries at this crash rate.
         assert result.n_completed > 0
 
-    def test_hang_prob_run_recovered_by_timeout(self, monkeypatch):
-        monkeypatch.setattr(serve_pool, "TIMEOUT_FLOOR_WALL_S", 0.05)
+    def test_hang_prob_run_recovered_by_timeout(self):
         trace = poisson_trace(2.0, 2.0, seed=9)
         runtime = ServingRuntime(
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=9,
-            options=ServeOptions(
-                time_scale=0.005,
-                retry=RetryPolicy(max_attempts=2, base_backoff_ms=10.0),
-            ),
+            options=ServeOptions(retry=RetryPolicy(max_attempts=2)),
             fault_model=ContainerFaultModel(hang_probability=1.0),
             drain_ms=1_200_000.0,
         )
@@ -908,7 +837,7 @@ class TestChaosEndToEnd:
 
         chaos = ChaosInjector(
             timeline=FaultTimeline.parse("brownout@0:5x3"))
-        clock = ScaledClock(FAST)  # unstarted: now == 0, inside the window
+        clock = ScaledClock()  # unstarted: now == 0, inside the window
         base = ColdStartModel(jitter_sigma=0.0)
         wrapped = chaos.wrap_cold_start(base, clock)
         rng = np.random.default_rng(0)
@@ -926,7 +855,7 @@ class TestChaosEndToEnd:
             config=make_policy_config("bline", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=10,
-            options=ServeOptions(time_scale=0.005),
+            options=ServeOptions(),
             faults=FaultTimeline.parse("brownout@0:600x1.5"),
             drain_ms=1_200_000.0,
         )
@@ -941,10 +870,7 @@ class TestChaosEndToEnd:
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=11,
-            options=ServeOptions(
-                time_scale=0.005,
-                retry=RetryPolicy(max_attempts=5, base_backoff_ms=10.0),
-            ),
+            options=ServeOptions(retry=RetryPolicy(max_attempts=5)),
             faults=FaultTimeline.parse("kill-workers@4"),
             drain_ms=1_200_000.0,
         )
@@ -962,10 +888,7 @@ class TestChaosEndToEnd:
         trace = poisson_trace(10.0, 5.0, seed=12)
         result = serve_trace(
             "rscale", get_mix("light"), trace, seed=12,
-            options=ServeOptions(
-                time_scale=0.005,
-                retry=RetryPolicy(max_attempts=5, base_backoff_ms=10.0),
-            ),
+            options=ServeOptions(retry=RetryPolicy(max_attempts=5)),
             fault_model=ContainerFaultModel(crash_probability=0.3),
             drain_ms=1_200_000.0,
             idle_timeout_ms=60_000.0,

@@ -7,9 +7,10 @@ Two claims, both asserted against real runs:
    points (falling back costs nearly nothing) and strictly below
    unguarded Fifer's (riding the diverged forecasts is worse).
 2. **Sim-vs-live parity** — a node-kill-plus-divergence scenario run
-   through the simulator and the live serving runtime lands within
-   0.15 absolute SLO-violation rate, and the guard/fault events appear
-   in *both* registries under the same counter names.
+   through the simulator and the live serving runtime (on virtual time)
+   makes the same decisions — equal SLO-violation rate and peak, equal
+   per-job latencies and spawn instants — and the guard/fault events
+   appear in *both* registries under the same counter names.
 """
 
 import pytest
@@ -22,6 +23,7 @@ from repro.runtime.system import ClusterSpec, run_policy
 from repro.serve import ServeOptions, serve_trace
 from repro.traces import poisson_trace
 from repro.workloads import get_mix
+from tests.test_serve_parity import assert_same_decisions
 
 
 class TestRobustnessStudy:
@@ -78,8 +80,6 @@ MIX = "medium"
 RATE_RPS = 15.0
 DURATION_S = 60.0
 SEED = 0
-TIME_SCALE = 0.05
-PARITY_SLO_TOLERANCE = 0.15
 
 SCENARIO = dict(
     proactive_predictor="ewma",
@@ -113,7 +113,7 @@ def guarded_pair():
         "fifer", mix, trace, seed=SEED, cluster_spec=spec,
         predictor=_divergent(),
         faults=FaultTimeline.parse(FAULT_SPEC),
-        options=ServeOptions(time_scale=TIME_SCALE),
+        options=ServeOptions(),
         **SCENARIO,
     )
     return sim, live
@@ -124,10 +124,8 @@ class TestGuardedParity:
         sim, live = guarded_pair
         assert live.n_jobs == sim.n_jobs
 
-    def test_slo_within_tolerance(self, guarded_pair):
-        sim, live = guarded_pair
-        assert abs(live.slo_violation_rate - sim.slo_violation_rate) \
-            <= PARITY_SLO_TOLERANCE
+    def test_same_decisions(self, guarded_pair):
+        assert_same_decisions(*guarded_pair)
 
     def test_fallback_fired_in_both_worlds(self, guarded_pair):
         sim, live = guarded_pair

@@ -534,6 +534,7 @@ KNOB_OWNERS = {
     "core/policies.py": ("RMConfig",),
     "scenario.py": ("Scenario", "Shards"),
     "serve/config.py": ("ServeOptions",),
+    "serve/retry.py": ("RetryPolicy",),
     "runtime/system.py": ("ServerlessSystem", "run_policy"),
     "serve/runtime.py": ("ServingRuntime", "serve_trace"),
     "runtime/vector.py": ("VectorEngine",),

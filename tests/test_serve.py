@@ -1,13 +1,12 @@
 """Tests for the live serving runtime (``repro.serve``).
 
-Fast by construction: every scenario runs under a heavily compressed
-clock (time_scale ≤ 0.01, i.e. one model second ≤ 10 wall ms), so the
-whole file exercises real asyncio concurrency in well under a minute.
+Every scenario runs on virtual time (``tests/virtual_time.py``): the
+loop jumps to its next timer, so a wait is one sleep to a model instant
+and the whole file exercises the real asyncio runtime in about a second.
 """
 
 import asyncio
 import threading
-from contextlib import closing
 
 import numpy as np
 import pytest
@@ -25,21 +24,18 @@ from repro.serve import (
     ServeOptions,
     ServingRuntime,
     TraceReplayer,
-    WorkLane,
     WorkerPool,
     serve_trace,
 )
 from repro.traces import poisson_trace
 from repro.workloads import get_microservice, get_mix
-
-FAST = 0.002  # one model second in 2 wall ms
-
+from tests.virtual_time import loop_test
 
 # ---------------------------------------------------------------------------
 # helpers
 
 
-def _worker_pool(clock, lane, batch_size=2, n_nodes=4, on_finished=None):
+def _worker_pool(clock, lane=None, batch_size=2, n_nodes=4, on_finished=None):
     return WorkerPool(
         clock=clock,
         lane=lane,
@@ -79,41 +75,39 @@ class TestScaledClock:
         assert clock.now == 0.0
         assert not clock.started
 
-    def test_start_is_idempotent(self):
-        async def scenario():
-            clock = ScaledClock(0.001)
-            clock.start()
-            await asyncio.sleep(0.01)
-            before = clock.now
-            clock.start()  # must NOT re-anchor t=0
-            assert clock.now >= before
-        asyncio.run(scenario())
+    @loop_test
+    async def test_start_is_idempotent(self):
+        clock = ScaledClock(0.001)
+        clock.start()
+        await clock.sleep_ms(10_000.0)
+        clock.start()  # must NOT re-anchor t=0
+        assert clock.now == pytest.approx(10_000.0)
 
-    def test_scaling_of_wall_time(self):
-        async def scenario():
-            # 10x compression: 100 model ms pass in ~10 wall ms.
-            clock = ScaledClock(0.1)
-            clock.start()
-            await clock.sleep_ms(100.0)
-            assert clock.now >= 100.0
-            assert clock.now < 2_000.0  # ...but nowhere near real time
-        asyncio.run(scenario())
+    @loop_test
+    async def test_scaling_of_wall_time(self):
+        # 10x compression: 100 model ms pass in 10 loop ms.
+        loop = asyncio.get_running_loop()
+        clock = ScaledClock(0.1)
+        clock.start()
+        start = loop.time()
+        await clock.sleep_ms(100.0)
+        assert clock.now == pytest.approx(100.0)
+        assert loop.time() - start == pytest.approx(0.01)
 
     def test_to_wall_s(self):
         clock = ScaledClock(0.05)
         assert clock.to_wall_s(1000.0) == pytest.approx(0.05)
 
-    def test_sleep_until_is_absolute(self):
-        async def scenario():
-            clock = ScaledClock(0.001)
-            clock.start()
-            await clock.sleep_until_ms(50.0)
-            now = clock.now
-            assert now >= 50.0
-            # Sleeping until a past deadline returns immediately.
-            await clock.sleep_until_ms(10.0)
-            assert clock.now == pytest.approx(now, abs=50.0)
-        asyncio.run(scenario())
+    @loop_test
+    async def test_sleep_until_is_absolute(self):
+        clock = ScaledClock(0.001)
+        clock.start()
+        await clock.sleep_until_ms(50.0)
+        now = clock.now
+        assert now == pytest.approx(50.0)
+        # Sleeping until a past deadline returns immediately.
+        await clock.sleep_until_ms(10.0)
+        assert clock.now == now
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -125,65 +119,58 @@ class TestScaledClock:
 
 
 class TestWorkerPool:
-    def test_prewarm_is_immediately_ready(self):
-        async def scenario():
-            clock = ScaledClock(FAST)
-            with closing(WorkLane(2)) as lane:
-                pool = _worker_pool(clock, lane)
-                clock.start()
-                assert pool.prewarm(2) == 2
-                await asyncio.sleep(0.02)  # let runners pass cold start
-                assert pool.n_containers == 2
-                assert all(s.is_ready for s in pool.containers)
-                assert pool.free_slots == 4  # 2 workers x batch 2
-                await pool.shutdown()
-        asyncio.run(scenario())
+    @loop_test
+    async def test_prewarm_is_immediately_ready(self):
+        clock = ScaledClock()
+        pool = _worker_pool(clock)
+        clock.start()
+        assert pool.prewarm(2) == 2
+        await clock.sleep_ms(1.0)  # the zero cold start's timer
+        assert pool.n_containers == 2
+        assert all(s.is_ready for s in pool.containers)
+        assert pool.free_slots == 4  # 2 workers x batch 2
+        await pool.shutdown()
 
-    def test_spawn_pays_cold_start(self):
-        async def scenario():
-            clock = ScaledClock(FAST)
-            with closing(WorkLane(2)) as lane:
-                pool = _worker_pool(clock, lane)
-                clock.start()
-                assert pool.spawn(1) == 1
-                (slot,) = pool.containers
-                assert not slot.is_ready  # still SPAWNING
-                assert slot.ready_at_ms > clock.now
-                await clock.sleep_ms(slot.cold_start_ms + 50.0)
-                assert slot.is_ready
-                await pool.shutdown()
-        asyncio.run(scenario())
+    @loop_test
+    async def test_spawn_pays_cold_start(self):
+        clock = ScaledClock()
+        pool = _worker_pool(clock)
+        clock.start()
+        assert pool.spawn(1) == 1
+        (slot,) = pool.containers
+        assert not slot.is_ready  # still SPAWNING
+        assert slot.ready_at_ms > clock.now
+        await clock.sleep_until_ms(slot.ready_at_ms - 1.0)
+        assert not slot.is_ready
+        await clock.sleep_until_ms(slot.ready_at_ms + 1.0)
+        assert slot.is_ready
+        await pool.shutdown()
 
-    def test_executes_task_and_reports_completion(self):
+    @loop_test
+    async def test_executes_task_and_reports_completion(self):
         from repro.workflow.job import Job, Task
         from repro.workloads import get_application
 
         done = []
+        clock = ScaledClock()
+        pool = _worker_pool(clock, on_finished=done.append)
+        clock.start()
+        pool.prewarm(1)
+        await clock.sleep_ms(1.0)
+        job = Job(app=get_application("ipa"), arrival_ms=clock.now)
+        task = Task(job=job, stage_index=0, enqueue_ms=clock.now)
+        pool.enqueue(task)
+        await clock.sleep_ms(10_000.0)
+        assert done == [task]
+        assert task.record.start_ms >= 0
+        assert task.record.end_ms >= task.record.start_ms
+        assert task.record.exec_ms > 0
+        assert pool.tasks_completed == 1
+        assert pool.containers[0].tasks_executed == 1
+        await pool.shutdown()
 
-        async def scenario():
-            clock = ScaledClock(FAST)
-            with closing(WorkLane(2)) as lane:
-                pool = _worker_pool(clock, lane, on_finished=done.append)
-                clock.start()
-                pool.prewarm(1)
-                await asyncio.sleep(0.02)
-                job = Job(app=get_application("ipa"), arrival_ms=clock.now)
-                task = Task(job=job, stage_index=0, enqueue_ms=clock.now)
-                pool.enqueue(task)
-                for _ in range(200):
-                    if done:
-                        break
-                    await asyncio.sleep(0.01)
-                assert done == [task]
-                assert task.record.start_ms >= 0
-                assert task.record.end_ms >= task.record.start_ms
-                assert task.record.exec_ms > 0
-                assert pool.tasks_completed == 1
-                assert pool.containers[0].tasks_executed == 1
-                await pool.shutdown()
-        asyncio.run(scenario())
-
-    def test_handlerless_work_is_a_timer_not_a_thread(self):
+    @loop_test
+    async def test_handlerless_work_is_a_timer_not_a_thread(self):
         # Without a work function a task's work is only its span: a loop
         # timer ends it, and nothing is handed to the lane.
         from repro.workflow.job import Job, Task
@@ -194,78 +181,69 @@ class TestWorkerPool:
                 raise AssertionError("handler-less work reached a thread")
 
         done = []
+        clock = ScaledClock()
+        pool = _worker_pool(clock, RefusingLane(),
+                            on_finished=done.append)
+        clock.start()
+        pool.prewarm(1)
+        await clock.sleep_ms(1.0)
+        job = Job(app=get_application("ipa"), arrival_ms=clock.now)
+        task = Task(job=job, stage_index=0, enqueue_ms=clock.now)
+        pool.enqueue(task)
+        await clock.sleep_ms(10_000.0)
+        assert done == [task]
+        # The timer spans exactly the execution, up to the clock's
+        # model ms -> loop seconds -> model ms round trip.
+        assert task.record.end_ms - task.record.start_ms \
+            == pytest.approx(task.record.exec_ms, rel=0, abs=1e-6)
+        assert pool.containers[0].crashes == 0
+        await pool.shutdown()
 
-        async def scenario():
-            clock = ScaledClock(FAST)
-            pool = _worker_pool(clock, RefusingLane(),
-                                on_finished=done.append)
-            clock.start()
-            pool.prewarm(1)
-            await asyncio.sleep(0.02)
-            job = Job(app=get_application("ipa"), arrival_ms=clock.now)
-            task = Task(job=job, stage_index=0, enqueue_ms=clock.now)
-            pool.enqueue(task)
-            for _ in range(200):
-                if done:
-                    break
-                await asyncio.sleep(0.01)
-            assert done == [task]
-            assert task.record.end_ms - task.record.start_ms \
-                >= task.record.exec_ms
-            assert pool.containers[0].crashes == 0
-            await pool.shutdown()
-        asyncio.run(scenario())
-
-    def test_terminate_refuses_busy_worker(self):
+    @loop_test
+    async def test_terminate_refuses_busy_worker(self):
         from repro.workflow.job import Job, Task
         from repro.workloads import get_application
 
-        async def scenario():
-            clock = ScaledClock(1.0)  # real time: task won't finish fast
-            with closing(WorkLane(2)) as lane:
-                pool = _worker_pool(clock, lane)
-                clock.start()
-                pool.prewarm(1)
-                await asyncio.sleep(0.02)
-                job = Job(app=get_application("ipa"), arrival_ms=clock.now)
-                pool.enqueue(Task(job=job, stage_index=0, enqueue_ms=clock.now))
-                await asyncio.sleep(0.01)  # runner picks it up
-                with pytest.raises(RuntimeError):
-                    pool.containers[0].terminate()
-                await pool.shutdown()  # force-stop mid-task is allowed
-        asyncio.run(scenario())
+        clock = ScaledClock()
+        pool = _worker_pool(clock)
+        clock.start()
+        pool.prewarm(1)
+        await clock.sleep_ms(1.0)
+        job = Job(app=get_application("ipa"), arrival_ms=clock.now)
+        pool.enqueue(Task(job=job, stage_index=0, enqueue_ms=clock.now))
+        assert pool.containers[0].current_task is not None
+        with pytest.raises(RuntimeError):
+            pool.containers[0].terminate()
+        await pool.shutdown()  # force-stop mid-task is allowed
 
-    def test_shutdown_cancels_pending_timers(self):
+    @loop_test
+    async def test_shutdown_cancels_pending_timers(self):
         from repro.cluster.container import ContainerState
         from repro.workflow.job import Job, Task
         from repro.workloads import get_application
 
         done = []
-
-        async def scenario():
-            clock = ScaledClock(1.0)  # real time: nothing finishes by itself
-            with closing(WorkLane(2)) as lane:
-                pool = _worker_pool(clock, lane, on_finished=done.append)
-                clock.start()
-                pool.prewarm(2)
-                await asyncio.sleep(0.02)
-                pool.spawn(1)  # cold start pending
-                job = Job(app=get_application("ipa"), arrival_ms=clock.now)
-                pool.enqueue(Task(job=job, stage_index=0, enqueue_ms=clock.now))
-                slots = list(pool.containers)
-                assert sum(s.current_task is not None for s in slots) == 1
-                await pool.shutdown()
-                # Every pending timer (cold start, execution timeout) is
-                # cancelled, and nothing mutates a slot afterwards: the
-                # cold slot never readies, the late completion is dropped.
-                assert all(s._timer.cancelled() for s in slots)
-                states = [s.state for s in slots]
-                assert set(states) == {ContainerState.TERMINATED}
-                await asyncio.sleep(0.3)
-                assert [s.state for s in slots] == states
-                assert done == [] and pool.tasks_completed == 0
-                await pool.shutdown()  # idempotent
-        asyncio.run(scenario())
+        clock = ScaledClock()
+        pool = _worker_pool(clock, on_finished=done.append)
+        clock.start()
+        pool.prewarm(2)
+        await clock.sleep_ms(1.0)
+        pool.spawn(1)  # cold start pending
+        job = Job(app=get_application("ipa"), arrival_ms=clock.now)
+        pool.enqueue(Task(job=job, stage_index=0, enqueue_ms=clock.now))
+        slots = list(pool.containers)
+        assert sum(s.current_task is not None for s in slots) == 1
+        await pool.shutdown()
+        # Every pending timer (cold start, execution timeout) is
+        # cancelled, and nothing mutates a slot afterwards: the
+        # cold slot never readies, the late completion is dropped.
+        assert all(s._timer.cancelled() for s in slots)
+        states = [s.state for s in slots]
+        assert set(states) == {ContainerState.TERMINATED}
+        await clock.sleep_ms(60_000.0)
+        assert [s.state for s in slots] == states
+        assert done == [] and pool.tasks_completed == 0
+        await pool.shutdown()  # idempotent
 
 
 # ---------------------------------------------------------------------------
@@ -273,109 +251,103 @@ class TestWorkerPool:
 
 
 class TestGateway:
-    def test_admits_and_completes_jobs(self):
-        async def scenario():
-            clock = ScaledClock(FAST)
-            mix = get_mix("heavy")
-            with closing(WorkLane(4)) as lane:
-                pools = {}
-                gw_holder = {}
+    @loop_test
+    async def test_admits_and_completes_jobs(self):
+        clock = ScaledClock()
+        mix = get_mix("heavy")
+        pools = {}
+        gw_holder = {}
 
-                def finished(task):
-                    gw_holder["gw"].on_task_finished(task)
+        def finished(task):
+            gw_holder["gw"].on_task_finished(task)
 
-                for name in mix.function_names():
-                    pools[name] = WorkerPool(
-                        clock=clock,
-                        lane=lane,
-                        service=get_microservice(name),
-                        cluster=Cluster(n_nodes=4),
-                        batch_size=2,
-                        stage_slack_ms=300.0,
-                        stage_response_ms=350.0,
-                        scheduling=SchedulingPolicy.LSF,
-                        cold_start=ColdStartModel(jitter_sigma=0.0),
-                        rng=np.random.default_rng(1),
-                        on_task_finished=finished,
-                    )
-                gateway = _gateway(clock, pools, mix)
-                gw_holder["gw"] = gateway
-                clock.start()
-                for pool in pools.values():
-                    pool.prewarm(1)
-                await asyncio.sleep(0.02)
-                jobs = [gateway.admit() for _ in range(5)]
-                assert all(j is not None for j in jobs)
-                assert gateway.in_flight == 5
-                drained = await gateway.drained(timeout_ms=60_000.0)
-                assert drained
-                assert gateway.in_flight == 0
-                assert gateway.metrics.jobs_created == 5
-                assert len(gateway.metrics.completed_jobs) == 5
-                for job in jobs:
-                    assert job.completion_ms > job.arrival_ms
-                for pool in pools.values():
-                    await pool.shutdown()
-        asyncio.run(scenario())
+        for name in mix.function_names():
+            pools[name] = WorkerPool(
+                clock=clock,
+                lane=None,
+                service=get_microservice(name),
+                cluster=Cluster(n_nodes=4),
+                batch_size=2,
+                stage_slack_ms=300.0,
+                stage_response_ms=350.0,
+                scheduling=SchedulingPolicy.LSF,
+                cold_start=ColdStartModel(jitter_sigma=0.0),
+                rng=np.random.default_rng(1),
+                on_task_finished=finished,
+            )
+        gateway = _gateway(clock, pools, mix)
+        gw_holder["gw"] = gateway
+        clock.start()
+        for pool in pools.values():
+            pool.prewarm(1)
+        await clock.sleep_ms(1.0)
+        jobs = [gateway.admit() for _ in range(5)]
+        assert all(j is not None for j in jobs)
+        assert gateway.in_flight == 5
+        drained = await gateway.drained(timeout_ms=60_000.0)
+        assert drained
+        assert gateway.in_flight == 0
+        assert gateway.metrics.jobs_created == 5
+        assert len(gateway.metrics.completed_jobs) == 5
+        for job in jobs:
+            assert job.completion_ms > job.arrival_ms
+        for pool in pools.values():
+            await pool.shutdown()
 
-    def test_backpressure_sheds_beyond_max_pending(self):
-        async def scenario():
-            clock = ScaledClock(FAST)
-            mix = get_mix("light")
-            with closing(WorkLane(2)) as lane:
-                # No workers ever: admitted jobs never complete, so
-                # in_flight only grows and the bound must kick in.
-                pools = {
-                    name: WorkerPool(
-                        clock=clock,
-                        lane=lane,
-                        service=get_microservice(name),
-                        cluster=Cluster(n_nodes=2),
-                        batch_size=1,
-                        stage_slack_ms=300.0,
-                        stage_response_ms=350.0,
-                        scheduling=SchedulingPolicy.LSF,
-                        cold_start=ColdStartModel(jitter_sigma=0.0),
-                        rng=np.random.default_rng(2),
-                        on_task_finished=lambda t: None,
-                    )
-                    for name in mix.function_names()
-                }
-                gateway = _gateway(clock, pools, mix, max_pending=2)
-                clock.start()
-                results = [gateway.admit() for _ in range(5)]
-                admitted = [r for r in results if r is not None]
-                assert len(admitted) == 2
-                assert gateway.shed == 3
-                # Shed arrivals still count as created jobs (they become
-                # SLO violations) — load shedding must not launder metrics.
-                assert gateway.metrics.jobs_created == 5
-                drained = await gateway.drained(timeout_ms=10.0)
-                assert not drained  # nothing processes: drain times out
-                for pool in pools.values():
-                    await pool.shutdown()
-        asyncio.run(scenario())
+    @loop_test
+    async def test_backpressure_sheds_beyond_max_pending(self):
+        clock = ScaledClock()
+        mix = get_mix("light")
+        # No workers ever: admitted jobs never complete, so
+        # in_flight only grows and the bound must kick in.
+        pools = {
+            name: WorkerPool(
+                clock=clock,
+                lane=None,
+                service=get_microservice(name),
+                cluster=Cluster(n_nodes=2),
+                batch_size=1,
+                stage_slack_ms=300.0,
+                stage_response_ms=350.0,
+                scheduling=SchedulingPolicy.LSF,
+                cold_start=ColdStartModel(jitter_sigma=0.0),
+                rng=np.random.default_rng(2),
+                on_task_finished=lambda t: None,
+            )
+            for name in mix.function_names()
+        }
+        gateway = _gateway(clock, pools, mix, max_pending=2)
+        clock.start()
+        results = [gateway.admit() for _ in range(5)]
+        admitted = [r for r in results if r is not None]
+        assert len(admitted) == 2
+        assert gateway.shed == 3
+        # Shed arrivals still count as created jobs (they become
+        # SLO violations) — load shedding must not launder metrics.
+        assert gateway.metrics.jobs_created == 5
+        drained = await gateway.drained(timeout_ms=10.0)
+        assert not drained  # nothing processes: drain times out
+        for pool in pools.values():
+            await pool.shutdown()
 
-    def test_zero_max_pending_disables_shedding(self):
-        async def scenario():
-            clock = ScaledClock(FAST)
-            mix = get_mix("light")
-            pools = {}
-            gateway = _gateway(clock, pools, mix, max_pending=0)
-            clock.start()
-            # 50 admissions, no capacity at all — nothing is shed.
-            # (No pools exist; stop before the ingress hop fires.)
-            for _ in range(50):
-                assert gateway.admit() is not None
-            assert gateway.shed == 0
-        asyncio.run(scenario())
+    @loop_test
+    async def test_zero_max_pending_disables_shedding(self):
+        clock = ScaledClock()
+        mix = get_mix("light")
+        pools = {}
+        gateway = _gateway(clock, pools, mix, max_pending=0)
+        clock.start()
+        # 50 admissions, no capacity at all — nothing is shed.
+        # (No pools exist; stop before the ingress hop fires.)
+        for _ in range(50):
+            assert gateway.admit() is not None
+        assert gateway.shed == 0
 
-    def test_negative_max_pending_rejected(self):
-        async def scenario():
-            clock = ScaledClock(FAST)
-            with pytest.raises(ValueError):
-                _gateway(clock, {}, get_mix("light"), max_pending=-1)
-        asyncio.run(scenario())
+    @loop_test
+    async def test_negative_max_pending_rejected(self):
+        clock = ScaledClock()
+        with pytest.raises(ValueError):
+            _gateway(clock, {}, get_mix("light"), max_pending=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +397,7 @@ class TestEndToEnd:
             get_mix("light"),
             trace,
             seed=5,
-            options=ServeOptions(time_scale=0.005),
+            options=ServeOptions(),
             idle_timeout_ms=60_000.0,
         )
         assert result.n_jobs == trace.arrivals_ms.size
@@ -443,14 +415,16 @@ class TestEndToEnd:
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=1,
-            options=ServeOptions(time_scale=0.005),
+            options=ServeOptions(),
         )
         result = runtime.run(poisson_trace(10.0, 8.0, seed=1))
         assert runtime.drain_completed
         assert runtime.shed_jobs == 0
         assert result.n_completed == result.n_jobs
 
-    def test_replay_plan_is_built_before_the_clock_starts(self, monkeypatch):
+    def test_replay_plan_is_built_before_the_clock_starts(
+        self, monkeypatch, inline_lane
+    ):
         # The plan costs Python per arrival; built after
         # ``clock.start()`` it blocked the event loop while model time
         # ran, so the first arrivals of every serve were late by it.
@@ -461,7 +435,6 @@ class TestEndToEnd:
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=1,
-            options=ServeOptions(time_scale=FAST),
             work=lambda task, wall_s: None,
         )
         clock_started = []
@@ -478,7 +451,7 @@ class TestEndToEnd:
         assert result.n_completed == result.n_jobs == len(trace)
 
     def test_prewarm_and_opening_checkpoint_precede_the_clock(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, inline_lane
     ):
         # Both are setup, not serving: run after ``clock.start()`` they
         # made every serve's first arrivals late by their length (the
@@ -491,7 +464,7 @@ class TestEndToEnd:
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=1,
-            options=ServeOptions(time_scale=FAST, journal_dir=str(tmp_path)),
+            options=ServeOptions(journal_dir=str(tmp_path)),
             work=lambda task, wall_s: None,
         )
         started = []
@@ -540,7 +513,7 @@ class TestEndToEnd:
                 return 10_000.0 + super().now
 
         async def scenario():
-            clock = LateClock(FAST)
+            clock = LateClock()
             task = asyncio.get_running_loop().create_task(ticker())
             await asyncio.sleep(0)
             offered = await replayer.replay(CountingGateway(), clock)
@@ -559,7 +532,7 @@ class TestEndToEnd:
             get_mix("light"),
             poisson_trace(10.0, 5.0, seed=2),
             seed=2,
-            options=ServeOptions(time_scale=0.005),
+            options=ServeOptions(),
         )
         # The work lane and the event loop are torn down with the run.
         assert threading.active_count() <= before
@@ -571,7 +544,7 @@ class TestEndToEnd:
             .make_policy_config("bline", idle_timeout_ms=60_000.0),
             mix=get_mix("heavy"),
             seed=6,
-            options=ServeOptions(time_scale=0.005, max_pending=3),
+            options=ServeOptions(max_pending=3),
             drain_ms=30_000.0,
         )
         result = runtime.run(trace)

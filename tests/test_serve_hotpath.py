@@ -17,7 +17,8 @@ with no wall-clock bound:
   fewer of them than executions.
 
 Deliberately numpy + pytest only, so the ``perf-smoke`` CI job can run
-this file.
+this file.  It runs on its own real loop, not virtual time: its subject
+is real lane threads waking the loop.
 """
 
 import asyncio

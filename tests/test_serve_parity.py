@@ -1,22 +1,18 @@
 """Sim-vs-live parity: the serving runtime must agree with the simulator.
 
-Same policy, mix, trace and seed through both worlds.  The replayer
+Same policy, mix, trace and seed through both planes.  The replayer
 draws applications from the same seeded stream as the simulator, so the
-offered workload is bit-identical; what differs is only the clock (the
-live run compresses time 10x) and real scheduling jitter.  Tolerances
-(documented in EXPERIMENTS.md §live-serving):
-
-* job count — exactly equal (deterministic replay),
-* SLO-violation rate — within 0.10 absolute,
-* peak concurrent containers — within 2,
-* median latency — live may exceed sim by at most 250 model ms
-  (event-loop jitter is amplified 10x by the compressed clock; at the
-  previous 20x compression a 15 ms wall hiccup already read as 300
-  model ms and the bound was a coin flip on a loaded host).
+offered workload is bit-identical, and the live arm runs on virtual time
+(``tests/virtual_time.py``), so host load cannot move it.  The planes
+must make the same decisions (EXPERIMENTS.md "Live serving — sim-vs-live
+parity"): equal job count, SLO rate and peak containers, and every job's
+latency and every spawn instant equal within :data:`FLOAT_MS`.
 """
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 
 from repro.runtime.system import ClusterSpec
@@ -30,11 +26,9 @@ MIX = "medium"
 RATE_RPS = 15.0
 DURATION_S = 30.0
 SEED = 0
-TIME_SCALE = 0.1  # 30 model seconds in 3 wall seconds
 
-SLO_TOLERANCE = 0.10
-PEAK_TOLERANCE = 2
-MEDIAN_SLACK_MS = 250.0
+#: The live clock's float round trip: model ms -> loop seconds -> model ms.
+FLOAT_MS = 1e-6
 
 
 def _both_planes(options, **members):
@@ -47,9 +41,33 @@ def _both_planes(options, **members):
     return scenario.run(), dataclasses.replace(scenario, live=options).run()
 
 
+def assert_same_decisions(sim, live):
+    """Equal counts, SLO rate and peak; per-job latencies (in completion
+    order) and spawn instants equal within :data:`FLOAT_MS`.  The one
+    stated difference: the live runtime ends with one closing control
+    tick (``ServingRuntime.serve``), so its container samples are the
+    simulator's plus one at the end of the run."""
+    assert live.n_jobs == sim.n_jobs
+    assert live.slo_violation_rate == sim.slo_violation_rate
+    assert live.peak_containers == sim.peak_containers
+    np.testing.assert_allclose(
+        live.latencies_ms, sim.latencies_ms, rtol=0, atol=FLOAT_MS)
+    assert live.spawn_times_ms.keys() == sim.spawn_times_ms.keys()
+    for pool, times in sim.spawn_times_ms.items():
+        np.testing.assert_allclose(
+            live.spawn_times_ms[pool], times, rtol=0, atol=FLOAT_MS)
+    n = sim.sample_times_ms.size
+    assert live.sample_times_ms.size == n + 1
+    np.testing.assert_allclose(
+        live.sample_times_ms[:n], sim.sample_times_ms, rtol=0, atol=FLOAT_MS)
+    assert live.sample_times_ms[n] == live.duration_ms
+    for pool, counts in sim.container_samples.items():
+        assert list(live.container_samples[pool][:n]) == list(counts)
+
+
 @pytest.fixture(scope="module")
 def pair():
-    return _both_planes(ServeOptions(time_scale=TIME_SCALE))
+    return _both_planes(ServeOptions())
 
 
 class TestSimLiveParity:
@@ -65,21 +83,21 @@ class TestSimLiveParity:
         assert live.n_incomplete == 0
 
     def test_slo_violation_rate_within_tolerance(self, pair):
+        # On virtual time the tolerance is zero: the planes agree exactly.
         sim, live = pair
-        assert abs(live.slo_violation_rate - sim.slo_violation_rate) \
-            <= SLO_TOLERANCE
+        assert live.slo_violation_rate == sim.slo_violation_rate
 
     def test_peak_containers_within_tolerance(self, pair):
         sim, live = pair
-        assert abs(live.peak_containers - sim.peak_containers) \
-            <= PEAK_TOLERANCE
+        assert live.peak_containers == sim.peak_containers
 
     def test_median_latency_close(self, pair):
         sim, live = pair
-        # Live latency is sim latency plus bounded wall-clock jitter —
-        # it should never be *faster* than the model by more than noise.
-        assert live.median_latency_ms >= sim.median_latency_ms - 50.0
-        assert live.median_latency_ms <= sim.median_latency_ms + MEDIAN_SLACK_MS
+        assert abs(np.median(live.latencies_ms) - np.median(sim.latencies_ms)) \
+            <= FLOAT_MS
+
+    def test_same_decisions(self, pair):
+        assert_same_decisions(*pair)
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +105,17 @@ class TestSimLiveParity:
 
 
 CRASH_PROB = 0.1
-CHAOS_SLO_TOLERANCE = 0.15  # crash timing adds variance on top of jitter
+CHAOS_SLO_TOLERANCE = 0.15  # the two crash paths differ (ROADMAP 16(b))
+CHAOS = dict(faults=(("crash_probability", CRASH_PROB),), drain_ms=1_200_000.0)
+#: The simulator retries crashed tasks without bound, so the live side
+#: gets a generous attempt budget and no deadline cut-off.
+CHAOS_OPTIONS = ServeOptions(retry=RetryPolicy(max_attempts=10))
 
 
 @pytest.fixture(scope="module")
 def chaos_pair():
-    """Sim and live runs injecting the *same* ContainerFaultModel.
-
-    The simulator retries crashed tasks without bound, so the live side
-    gets a generous attempt budget and no deadline cut-off — the paired
-    runs then differ only in clock and crash-timing jitter.
-    """
-    return _both_planes(
-        ServeOptions(
-            time_scale=TIME_SCALE,
-            retry=RetryPolicy(max_attempts=10, base_backoff_ms=10.0)),
-        faults=(("crash_probability", CRASH_PROB),),
-        drain_ms=1_200_000.0)
+    """Sim and live runs injecting the *same* ContainerFaultModel."""
+    return _both_planes(CHAOS_OPTIONS, **CHAOS)
 
 
 class TestChaosParity:
@@ -130,3 +142,8 @@ class TestChaosParity:
         sim, live = chaos_pair
         assert abs(live.slo_violation_rate - sim.slo_violation_rate) \
             <= CHAOS_SLO_TOLERANCE
+
+    def test_live_chaos_run_is_deterministic(self, chaos_pair):
+        _, again = _both_planes(CHAOS_OPTIONS, **CHAOS)
+        assert json.dumps(again.summary(), sort_keys=True) \
+            == json.dumps(chaos_pair[1].summary(), sort_keys=True)

@@ -6,9 +6,15 @@ gateway, the orchestrator moves capacity toward a starved shard, and
 the rebalanced arm drains its backlog into a materially shorter tail.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.experiments.shard_study import main, run_shard_study
+from repro.experiments.shard_study import run_shard_study
+
+REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 class TestShardStudy:
@@ -50,6 +56,17 @@ class TestShardStudy:
 
 
 def test_cli_writes_json_and_exits_zero(tmp_path):
-    out = tmp_path / "shard_study.json"
-    assert main(["--quick", "--out", str(out)]) == 0
-    assert out.exists()
+    """Two processes with different ``PYTHONHASHSEED``s write the same
+    bytes: the sharded store places a key by CRC32, not by ``hash()``,
+    which Python salts per process."""
+    written = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"study-{hash_seed}.json"
+        subprocess.run(
+            [sys.executable, "-m", "repro.experiments.shard_study",
+             "--quick", "--out", str(out)],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed,
+                     PYTHONPATH=REPO_SRC),
+            check=True)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]

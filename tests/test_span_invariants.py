@@ -72,10 +72,7 @@ def live_run():
         config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
         mix=get_mix("light"),
         seed=11,
-        options=ServeOptions(
-            time_scale=0.005,
-            retry=RetryPolicy(max_attempts=3, base_backoff_ms=5.0),
-        ),
+        options=ServeOptions(retry=RetryPolicy(max_attempts=3)),
         fault_model=ContainerFaultModel(crash_probability=0.2),
         tracer=tracer,
     )

@@ -321,10 +321,7 @@ class TestRegistryReconciliation:
             config=make_policy_config("rscale", idle_timeout_ms=60_000.0),
             mix=get_mix("light"),
             seed=13,
-            options=ServeOptions(
-                time_scale=0.005,
-                retry=RetryPolicy(max_attempts=2, base_backoff_ms=5.0),
-            ),
+            options=ServeOptions(retry=RetryPolicy(max_attempts=2)),
             fault_model=ContainerFaultModel(crash_probability=0.25),
         )
         result = runtime.run(poisson_trace(12.0, 4.0, seed=13))
