@@ -391,7 +391,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 "in_flight": runtime.gateway.in_flight,
                 "duplicate_completions": runtime.gateway.duplicate_completions,
                 "stale_signals": runtime.gateway.stale_signals,
-                "supervised_respawns": runtime.control.supervised_respawns,
                 "workers_killed": (
                     runtime.chaos.workers_killed if runtime.chaos else 0
                 ),
@@ -712,11 +711,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="chaos: per-task hang probability (recovered "
                               "by the execution timeout)")
     serve_p.add_argument("--max-retries", type=int, default=2,
-                         help="retries per task before dead-lettering")
+                         help="retries per failed task before "
+                              "dead-lettering; a retry re-enters its "
+                              "stage queue at once")
     serve_p.add_argument("--retry-deadline-grace", type=float, default=None,
                          metavar="MS",
-                         help="deadline budget: skip retries whose backoff "
-                              "exceeds residual slack plus this grace "
+                         help="deadline budget: dead-letter a failed task "
+                              "instead of retrying it once its residual "
+                              "slack plus this grace is negative "
                               "(default: no deadline check)")
     d = serve_p.add_argument_group("durability / crash recovery")
     d.add_argument("--journal-dir", default=None, metavar="DIR",

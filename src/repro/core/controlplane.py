@@ -10,9 +10,9 @@ scaler or sampler raising degrades that one step for that one tick —
 never the run's whole control plane.
 
 The drivers keep only what is theirs: when a tick is skipped (control
-blackout, dead shard) and — live only — supervision before and a
-checkpoint after the shared sequence.  What they all hand over is a
-dict of :class:`~repro.core.poolsurface.PoolSurface` pools.
+blackout, dead shard) and — live only — a checkpoint after the shared
+sequence.  What they all hand over is a dict of
+:class:`~repro.core.poolsurface.PoolSurface` pools.
 """
 
 from __future__ import annotations

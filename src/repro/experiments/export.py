@@ -94,7 +94,7 @@ def summary_record(result: RunResult, **extra) -> Dict[str, object]:
         "failed_spawns": int(result.failed_spawns),
         "energy_joules": float(s["energy_joules"]),
         "mean_active_nodes": float(s["mean_active_nodes"]),
-        # Resilience counters (supervised workers + retry layer).
+        # Resilience counters (crashed workers + retry layer).
         "failed": int(s["failed"]),
         "task_retries": int(s["task_retries"]),
         "container_crashes": int(s["container_crashes"]),

@@ -34,7 +34,6 @@ from repro.obs.trace import (
     Tracer,
     record_job_spans,
     root_span_id,
-    trace_id_for_job,
 )
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "prometheus_snapshot",
     "record_job_spans",
     "root_span_id",
-    "trace_id_for_job",
     "validate_span_dict",
     "validate_spans_jsonl",
     "write_metrics_text",

@@ -17,7 +17,6 @@ span name               interval
 ``batch_form``          the trailing part of ``queue_wait`` spent queued
                         behind a batch on a warm container
 ``exec``                execution start → end (per stage)
-``backoff``             retry backoff window after a failed attempt
 ======================  =====================================================
 
 The tracer is clock-agnostic: it never reads time.  Stage spans are
@@ -26,8 +25,7 @@ The tracer is clock-agnostic: it never reads time.  Stage spans are
 .container.Container` and the live :class:`~repro.serve.pool
 .WorkerSlot` fill in — which is what guarantees the same span schema
 comes out of either path and makes sim-vs-live parity testable at span
-granularity.  Only events invisible to the final record (retry
-backoffs) are recorded live, by :class:`repro.serve.retry.RetryManager`.
+granularity.
 
 Spans are stored as rows, not objects.  A terminal job is one row of
 typed ``array`` columns — job id, arrival, end and outcome, plus five
@@ -37,14 +35,14 @@ completion) cannot change its spans.  A row costs ≈180 B where the
 ``Span`` objects it stands for cost ≈4 KB.  :attr:`Tracer.spans` is a
 read-only view: its length is a running count, and iterating it builds
 the ``Span`` objects one row at a time, in recording order.  Spans
-recorded directly through :meth:`Tracer.span` (retry backoffs) stay
-objects, each tagged with the number of rows recorded before it.
+recorded directly through :meth:`Tracer.span` stay objects, each tagged
+with the number of rows recorded before it.
 
 Sampling is head-based and deterministic: whether a trace is kept is a
 pure function of ``(trace_id, sample_rate)``, so every component —
-collector, retry layer, sim, live — independently reaches the same
-keep/drop decision without coordination, and a trace is always either
-complete or absent, never partial.
+collector, sim, live — independently reaches the same keep/drop
+decision without coordination, and a trace is always either complete or
+absent, never partial.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 #: The complete span-name vocabulary (the schema's ``name`` domain).
 SPAN_NAMES = (
-    "request", "queue_wait", "cold_start", "batch_form", "exec", "backoff",
+    "request", "queue_wait", "cold_start", "batch_form", "exec",
 )
 
 #: Denominator of the deterministic sampling hash.
@@ -96,18 +94,8 @@ class Span:
         }
 
 
-def trace_id_for_job(job) -> str:
-    """The deterministic trace id of one job."""
-    return f"job-{job.job_id}"
-
-
 def root_span_id(trace_id: str) -> str:
-    """The root span's id, derivable *before* the root span exists.
-
-    Backoff spans are recorded mid-run, long before the request's root
-    span is assembled at completion; deriving the parent id from the
-    trace id alone lets them link up without any shared mutable state.
-    """
+    """The root span's id, derived from the trace id alone."""
     return f"{trace_id}/request"
 
 

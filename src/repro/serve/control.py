@@ -1,19 +1,17 @@
 """The periodic control loop: the live analogue of the sim's monitor.
 
 Every monitoring interval (the paper's 10 s cadence, wall-scaled) one
-tick runs: worker supervision (respawn capacity lost to failures)
-first, so the scalers see post-failure capacity; then the
-shared :class:`~repro.core.controlplane.ControlPlane` sequence — the
-very scalers, order and per-step ``guard`` the simulator's monitor runs
-— and last the durability checkpoint.  Only the clock underneath
-differs.
+tick runs: the shared :class:`~repro.core.controlplane.ControlPlane`
+sequence — the very scalers, order and per-step ``guard`` the
+simulator's monitor runs — and then the durability checkpoint.  Only
+the clock underneath differs.  Capacity lost to a crash is replaced by
+the policy's own scaler (or on-demand spawner), as in the simulator.
 
 The loop is the runtime's one periodic heartbeat, so every step,
-including the two live-only ones, runs through the control plane's
+including the live-only checkpoint, runs through the control plane's
 ``guard``: a step raising degrades that one step for that one tick —
-never the loop, which would silently freeze scaling and supervision
-for the rest of the run.  Failures are logged and counted
-(``tick_errors``).
+never the loop, which would silently freeze scaling for the rest of
+the run.  Failures are logged and counted (``tick_errors``).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from repro.serve.pool import WorkerPool
 
 
 class ControlLoop(ControlPlane):
-    """Periodic supervision + scaling + sampling on the scaled clock."""
+    """Periodic scaling + sampling + checkpointing on the scaled clock."""
 
     def __init__(
         self,
@@ -65,21 +63,10 @@ class ControlLoop(ControlPlane):
         #: instant strikes before the tick, as in the simulator.
         self.faults = faults
         self.ticks = 0
-        #: Replacement workers spawned by the supervisor for capacity
-        #: lost to crashes/timeouts/node kills.
-        self.supervised_respawns = 0
         self._task: Optional[asyncio.Task] = None
 
-    def _supervise(self, now_ms: float) -> None:
-        for pool in self.pools.values():
-            supervise = getattr(pool, "supervise", None)
-            if supervise is not None:
-                self.supervised_respawns += supervise(now_ms)
-
     def tick(self, now_ms: float) -> None:
-        """One monitoring interval: supervise, the shared sequence,
-        checkpoint."""
-        self.guard("supervise", self._supervise, now_ms)
+        """One monitoring interval: the shared sequence, checkpoint."""
         super().tick(now_ms)
         if self.checkpoint is not None:
             self.guard("checkpoint", self.checkpoint, now_ms)

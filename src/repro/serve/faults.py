@@ -117,7 +117,8 @@ class ChaosInjector:
 
         Returns the number of workers destroyed.  Their in-flight and
         locally queued tasks re-enter the global queues (counted as
-        retries); capacity is respawned by the supervisor/scalers.
+        retries); capacity is replaced by the policy's own scaler or
+        on-demand spawner, as in the simulator.
         """
         occupancy: Dict[int, int] = {node.node_id: 0 for node in cluster.nodes}
         for pool in pools:

@@ -14,17 +14,19 @@ rather than one timer per execution.  There is no per-slot coroutine,
 no ``Future`` and no per-execution timer — the slot lives entirely in
 loop callbacks.
 
-Workers are *supervised*: a work-function exception, an enforced
-execution timeout (derived from the stage's slack — the same quantity
-:mod:`repro.core.slack` distributes — plus the task's residual slack),
-an injected chaos fault or an exception escaping one of the slot's own
-callbacks transitions the slot to ``CRASHED`` at once and hands the lost
-task to the pool, which routes it through the retry layer
-(:mod:`repro.serve.retry`).  A slot killed externally (node failure)
+A work-function exception, an enforced execution timeout (derived from
+the stage's slack — the same quantity :mod:`repro.core.slack`
+distributes — plus the task's residual slack), an injected chaos fault
+or an exception escaping one of the slot's own callbacks transitions the
+slot to ``CRASHED`` at once and hands the lost task to the pool: the
+simulator's crash path, with each orphan routed through the retry layer
+(:mod:`repro.serve.retry`), which requeues it at once or dead-letters
+it.  Lost capacity is replaced by the policy's own scaler or on-demand
+spawner, as in the simulator.  A slot killed externally (node failure)
 no longer owns its current task and discards the late completion.
 
 :class:`WorkerPool` *is* a :class:`repro.workflow.pool.FunctionPool` —
-the overrides are the container factory and the crash path.  Global
+the overrides are the container factory and the orphan's retry.  Global
 queues, LSF/FIFO scheduling, greedy dispatch, backlog spawning, idle
 reaping and all the load-monitor signals the scalers consume are the
 simulator's own code running against the scaled wall clock (which
@@ -320,11 +322,9 @@ class WorkerPool(FunctionPool):
     """A FunctionPool whose containers are live asyncio worker slots.
 
     Everything else — global queue, dispatch, scaling hooks, monitor
-    signals, reaping — is inherited unchanged; ``sim`` is the scaled
-    wall clock (only ``sim.now`` is ever read).  On top of the sim's
-    surface it adds the resilience hooks: failed executions route
-    through the retry manager, and :meth:`supervise` (driven by the
-    control loop) respawns capacity lost to failures.
+    signals, reaping, the crash path — is inherited unchanged; ``sim``
+    is the scaled wall clock (only ``sim.now`` is ever read).  A failed
+    execution's orphans route through the retry manager.
     """
 
     def __init__(
@@ -342,8 +342,6 @@ class WorkerPool(FunctionPool):
         self.work = work
         self.retry_manager = retry_manager
         self.chaos = chaos
-        #: Failures whose capacity the supervisor has not yet replaced.
-        self._unreplaced_failures = 0
 
     def _make_container(self, node, cold_start_ms: float) -> WorkerSlot:
         return WorkerSlot(
@@ -375,7 +373,6 @@ class WorkerPool(FunctionPool):
         elif reason == "died":
             self.registry.counter(
                 "pool_slot_callback_errors_total", pool=self.function).inc()
-        self._unreplaced_failures += 1
         self._on_container_crashed(slot, task, reason)
 
     def _retry_orphan(self, task: "Task", reason: str) -> None:
@@ -383,26 +380,6 @@ class WorkerPool(FunctionPool):
             self.retry_manager.handle_failure(self, task, reason)
         else:
             self.requeue(task)
-
-    def supervise(self, now_ms: Optional[float] = None) -> int:
-        """Respawn capacity lost to failures (every control-loop tick).
-
-        One spawn per failure since the last tick, but only while the
-        global queue actually backs up beyond current + incoming
-        capacity — so supervision never becomes a shadow autoscaler
-        that distorts the policies under study.  (Dead slots need no
-        reaping here: a slot that fails crashes itself at once.)
-
-        Returns the number of replacement workers spawned.
-        """
-        respawned = 0
-        while self._unreplaced_failures > 0:
-            self._unreplaced_failures -= 1
-            deficit = self.queue_length - self.free_slots - self.pending_capacity
-            if deficit <= 0:
-                continue
-            respawned += self.spawn(1)
-        return respawned
 
     async def shutdown(self) -> None:
         """Stop every worker and cancel its pending timer (idempotent)."""

@@ -24,8 +24,6 @@ import signal
 from functools import partial
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.cluster.faults import ContainerFaultModel, FaultTimeline
 from repro.core.controlplane import (
     prewarm_opening_capacity,
@@ -161,7 +159,6 @@ class ServingRuntime:
         self._rng_apps = planner._rng_apps
         self.sampler = planner.sampler
         self.energy_meter = planner.energy_meter
-        rng_retry = np.random.default_rng(self.seed + 2)
         self.clock = ScaledClock(self.options.time_scale)
         # The request log: per-request statistics read each Job.
         self.metrics = MetricsCollector(
@@ -185,9 +182,9 @@ class ServingRuntime:
         self.pools = {}
         self.gateway = self._make_gateway()
         # Chaos + resilience wiring: the injector reuses the simulator's
-        # fault models; the retry manager owns attempt budgets, backoff
-        # and the dead-letter queue, and reports give-ups to the gateway
-        # so every admitted job terminates (completed xor failed).
+        # fault models; the retry manager owns the attempt and deadline
+        # budgets and the dead-letter queue, and reports give-ups to the
+        # gateway so every admitted job terminates (completed xor failed).
         self.chaos = (
             ChaosInjector(self.fault_model, self.faults)
             if self.fault_model is not None
@@ -203,10 +200,8 @@ class ServingRuntime:
         self.retry_manager = RetryManager(
             policy=self.options.retry,
             clock=self.clock,
-            rng=rng_retry,
             on_give_up=self._dispatch_task_failed,
             registry=self.registry,
-            tracer=self.tracer,
             journal=self.journal,
         )
         for name in self.mix.function_names():
@@ -348,11 +343,10 @@ class ServingRuntime:
             self.checkpointer.load_latest() if self.checkpointer else None
         )
         self.control = self._make_control()
-        # The tick/error/respawn tallies belong to the measurement
-        # harness, not the brain: carry them so run totals stay whole.
+        # The tick/error tallies belong to the measurement harness, not
+        # the brain: carry them so run totals stay whole.
         self.control.ticks = dead.ticks
         self.control.tick_errors = dead.tick_errors
-        self.control.supervised_respawns = dead.supervised_respawns
         if checkpoint is not None:
             restore_governor(self.control.governor, checkpoint)
             restore_sampler(self.sampler, checkpoint)
@@ -507,9 +501,12 @@ class ServingRuntime:
                 fault_replay.cancel()
             # The simulator's drain always reaches a monitor tick
             # (virtual time jumps to it); a short live run can finish
-            # before the first one.  One closing tick keeps the
-            # container/energy samples comparable.
-            self.control.tick(self.clock.now)
+            # before the first one.  Such a run gets one closing sample,
+            # so it does not report zero containers; a run a tick
+            # sampled gets none, and its samples are the simulator's.
+            if not self.metrics.sample_times:
+                self.control.guard(
+                    "sample", self.control.sample, self.clock.now)
             for pool in self.pools.values():
                 await pool.shutdown()
             # Durable epilogue: one final snapshot + a flushed, closed

@@ -1,7 +1,7 @@
-"""Resilience layer: supervised workers, retries, chaos, shedding.
+"""Resilience layer: crashed workers, retries, chaos, shedding.
 
 Covers the failure paths of the live serving runtime: crashing and
-hanging work functions, retry/backoff/dead-letter semantics, the
+hanging work functions, retry/dead-letter semantics, the
 control loop's fault containment, the gateway's double-completion
 guard, deadline-aware shedding, and the unified chaos injection
 (crash probability, registry brownout, worker-group kill) shared with
@@ -40,8 +40,7 @@ from repro.serve import (
 )
 from repro.serve import pool as serve_pool
 from repro.serve.control import ControlLoop
-from repro.serve.faults import FATE_HANG
-from repro.serve.retry import BASE_BACKOFF_MS, JITTER, MAX_BACKOFF_MS
+from repro.serve.faults import FATE_CRASH, FATE_HANG
 from repro.traces import poisson_trace
 from repro.workflow.job import Job, Task
 from repro.workloads import get_application, get_microservice, get_mix
@@ -96,47 +95,18 @@ class _StubPool:
     """The slice of FunctionPool the retry manager touches."""
 
     def __init__(self):
-        self.task_retries = 0
         self.tasks_dead_lettered = 0
-        self.enqueued = []
+        self.requeued = []
 
-    def forget_waiting(self, task):
-        pass
-
-    def enqueue(self, task):
-        self.enqueued.append(task)
+    def requeue(self, task):
+        self.requeued.append(task)
 
 
 # ---------------------------------------------------------------------------
 # retry policy (pure logic)
 
 
-class _NoSpread:
-    """An rng whose jitter draw is the midpoint: the nominal backoff."""
-
-    def uniform(self, low, high):
-        return (low + high) / 2
-
-
 class TestRetryPolicy:
-    def test_backoff_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy()
-        assert policy.backoff_ms(1, _NoSpread()) == BASE_BACKOFF_MS
-        assert policy.backoff_ms(2, _NoSpread()) == 2 * BASE_BACKOFF_MS
-        assert policy.backoff_ms(3, _NoSpread()) == 4 * BASE_BACKOFF_MS
-
-    def test_backoff_is_capped(self):
-        policy = RetryPolicy()
-        assert policy.backoff_ms(10, _NoSpread()) == MAX_BACKOFF_MS
-
-    def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy()
-        rng = np.random.default_rng(1)
-        samples = [policy.backoff_ms(1, rng) for _ in range(200)]
-        low, high = BASE_BACKOFF_MS * (1 - JITTER), BASE_BACKOFF_MS * (1 + JITTER)
-        assert all(low <= s <= high for s in samples)
-        assert len(set(samples)) > 1  # actually jittered
-
     def test_attempt_budget(self):
         policy = RetryPolicy(max_attempts=3)
         assert policy.allows_attempt(2)
@@ -152,8 +122,7 @@ def _manager(on_give_up=lambda task, reason: None, **policy):
     clock = ScaledClock()
     clock.start()
     return clock, _StubPool(), RetryManager(
-        policy=RetryPolicy(**policy), clock=clock,
-        rng=np.random.default_rng(0), on_give_up=on_give_up)
+        policy=RetryPolicy(**policy), clock=clock, on_give_up=on_give_up)
 
 
 class TestRetryManager:
@@ -164,21 +133,20 @@ class TestRetryManager:
             lambda task, reason: gave_up.append(reason), max_attempts=2)
         task = _task(clock)
         manager.handle_failure(pool, task, "crash")  # attempt 1 -> retry
-        assert pool.enqueued == []                   # backing off
-        await clock.sleep_ms(MAX_BACKOFF_MS)
-        assert pool.enqueued == [task]
-        assert pool.task_retries == 1
+        assert pool.requeued == [task]               # at once
         manager.handle_failure(pool, task, "crash")  # attempt 2 -> DLQ
+        assert pool.requeued == [task]
         assert pool.tasks_dead_lettered == 1
         assert len(manager.dlq) == 1
         assert gave_up == ["crash:attempts-exhausted"]
         assert collections.Counter(e.reason for e in manager.dlq) == {
             "crash:attempts-exhausted": 1}
+        assert manager.registry.value("retry_scheduled_total") == 1
 
     @loop_test
     async def test_deadline_budget_skips_hopeless_retry(self):
         # ipa's SLO is 1 s: two seconds after arrival its residual slack
-        # is negative, and with zero grace no backoff fits.
+        # is negative, and zero grace does not cover it.
         gave_up = []
         clock, pool, manager = _manager(
             lambda task, reason: gave_up.append(reason),
@@ -186,8 +154,7 @@ class TestRetryManager:
         task = _task(clock)
         await clock.sleep_ms(2_000.0)
         manager.handle_failure(pool, task, "timeout")
-        await clock.sleep_ms(MAX_BACKOFF_MS)
-        assert pool.enqueued == []
+        assert pool.requeued == []
         assert gave_up == ["timeout:deadline-exceeded"]
         assert len(manager.dlq) == 1
 
@@ -199,27 +166,81 @@ class TestRetryManager:
         task = _task(clock)
         await clock.sleep_ms(2_000.0)
         manager.handle_failure(pool, task, "crash")
-        await clock.sleep_ms(MAX_BACKOFF_MS)
-        assert pool.enqueued == [task]
+        assert pool.requeued == [task]
 
     @loop_test
     async def test_requeue_resets_dispatch_record(self):
-        clock, pool, manager = _manager()
+        # Through a real pool: the retry is FunctionPool.requeue.
+        clock = ScaledClock()
+        clock.start()
+        manager = RetryManager(
+            policy=RetryPolicy(), clock=clock,
+            on_give_up=lambda task, reason: pytest.fail("should retry"))
+        pool = _worker_pool(clock, retry_manager=manager)
         task = _task(clock)
         task.record.start_ms = 123.0
         task.record.cold_start_wait_ms = 7.0
         manager.handle_failure(pool, task, "crash")
-        await clock.sleep_ms(MAX_BACKOFF_MS)
         assert task.record.start_ms == -1.0
         assert task.record.cold_start_wait_ms == 0.0
         assert task.attempts == 1
+        assert pool.task_retries == 1
+        assert pool.queue_length == 1
 
 
 # ---------------------------------------------------------------------------
-# supervised workers
+# crashed workers: the simulator's crash path
 
 
-class TestSupervisedWorkers:
+class _FateOnce:
+    """Live chaos that deals *fate* to the first execution and no other."""
+
+    crash_point = 0.5
+
+    def __init__(self, fate):
+        self.fate = fate
+        self.dealt = False
+
+    def draw_fate(self, rng):
+        if self.dealt:
+            return None
+        self.dealt = True
+        return self.fate
+
+
+class TestCrashedWorkers:
+    @loop_test
+    async def test_crash_requeues_orphan_before_the_callback_returns(self):
+        # As in the simulator, a retryable orphan re-enters its stage's
+        # global queue inside the crash callback: no timer holds it out
+        # of dispatch or out of the queue length the scalers read.
+        clock = ScaledClock()
+        manager = RetryManager(
+            policy=RetryPolicy(), clock=clock,
+            on_give_up=lambda task, reason: pytest.fail("should retry"))
+        pool = _worker_pool(
+            clock, retry_manager=manager, chaos=_FateOnce(FATE_CRASH))
+        seen = []
+        on_crashed = pool._on_slot_failed
+
+        def spy(slot, task, reason):
+            on_crashed(slot, task, reason)
+            seen.append((reason, pool.queue_length))
+
+        pool._on_slot_failed = spy  # read when the slot is made
+        clock.start()
+        pool.prewarm(1)
+        await clock.sleep_ms(1.0)
+        task = _task(clock)
+        pool.enqueue(task)
+        await clock.sleep_ms(5_000.0)
+        assert seen == [("crash", 1)]
+        assert pool.container_crashes == 1
+        assert pool.task_retries == 1
+        assert task.attempts == 1
+        assert pool.queue.pop() is task
+        await pool.shutdown()
+
     @loop_test
     async def test_raising_work_fn_crashes_worker_and_retries(self):
         def boom(task, wall_s):
@@ -301,45 +322,21 @@ class TestSupervisedWorkers:
         assert node.free_cpu >= free_before
         assert pool.task_retries == 1
         assert pool.queue_length == 1
-        # The backlog justifies one replacement, which runs the
-        # orphan exactly once (its first execution's completion
-        # is discarded by the ownership check).
-        assert pool.supervise(clock.now) == 1
+        # Nothing replaces the slot by itself: that is the policy's
+        # scaler's call.  Its spawn runs the orphan exactly once (its
+        # first execution's completion is discarded by the ownership
+        # check).
+        await clock.sleep_ms(10_000.0)
+        assert pool.n_containers == 0 and pool.queue_length == 1
+        assert pool.spawn(1) == 1
         await clock.sleep_ms(10_000.0)
         assert done == [first, second]
         assert pool.tasks_completed == 2
         await pool.shutdown()
 
-    @loop_test
-    async def test_supervise_is_idle_noop(self):
-        clock = ScaledClock()
-        pool = _worker_pool(clock)
-        clock.start()
-        pool.prewarm(2)
-        await clock.sleep_ms(1.0)
-        assert pool.supervise(clock.now) == 0
-        assert pool.container_crashes == 0
-        assert pool.n_containers == 2
-        await pool.shutdown()
-
 
 # ---------------------------------------------------------------------------
 # the work lane and the execution watchdog on a real loop
-
-
-class _HangOnce:
-    """Live chaos that hangs the first execution and no other."""
-
-    crash_point = 0.5
-
-    def __init__(self):
-        self.hung = False
-
-    def draw_fate(self, rng):
-        if self.hung:
-            return None
-        self.hung = True
-        return FATE_HANG
 
 
 def _wait_on_thread(predicate, limit_s=10.0):
@@ -367,7 +364,8 @@ class TestWorkLaneAndWatchdog:
 
         monkeypatch.setattr(serve_pool.WorkerSlot, "_crash", crash)
         if hang == "chaos":
-            kwargs = dict(chaos=_HangOnce(), work=lambda task, wall_s: None)
+            kwargs = dict(chaos=_FateOnce(FATE_HANG),
+                          work=lambda task, wall_s: None)
         else:
             kwargs = dict(work=lambda task, wall_s: release.wait(5.0))
         seen = {}
@@ -597,7 +595,9 @@ class TestControlLoopContainment:
             runtime.control.scaler = _RaisingScaler()
 
         runtime._build = sabotaged_build
-        result = runtime.run(poisson_trace(10.0, 5.0, seed=3))
+        # Long enough for a periodic tick (10 s): only ticks run the
+        # scaler.
+        result = runtime.run(poisson_trace(10.0, 15.0, seed=3))
         assert runtime.drain_completed
         assert result.n_completed == result.n_jobs
         assert result.tick_errors > 0

@@ -2,9 +2,8 @@
 
 Both the simulator and the live runtime feed the same span assembler, so
 both must satisfy the same structural invariants: one root per terminal
-request, children nested inside their root's interval, component
-durations bounded by end-to-end, and (live) backoff spans that agree
-with the retry layer's own counters.
+request, children nested inside their root's interval, and component
+durations bounded by end-to-end.
 """
 
 import pytest
@@ -27,10 +26,6 @@ def _by_trace(tracer):
     for span in tracer.spans:
         grouped.setdefault(span.trace_id, []).append(span)
     return grouped
-
-
-def _named(tracer, name):
-    return [s for s in tracer.spans if s.name == name]
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +102,7 @@ class TestSpanInvariants:
         assert len({r.trace_id for r in roots}) == n_terminal
         for trace_id, spans in _by_trace(tracer).items():
             n_roots = sum(1 for s in spans if s.parent_id is None)
-            # Traces may hold only backoff spans (job never terminal,
-            # e.g. cut off by the trace end), but never two roots.
-            assert n_roots <= 1, trace_id
+            assert n_roots == 1, trace_id
 
     def test_children_nest_within_root(self, run):
         tracer, _, _ = run
@@ -148,19 +141,3 @@ class TestLiveRetrySpans:
         assert result.task_retries > 0
         assert runtime.registry.value(
             "retry_scheduled_total") == result.task_retries
-
-    def test_backoff_spans_match_retry_counters(self, live_run):
-        tracer, _, runtime = live_run
-        backoffs = _named(tracer, "backoff")
-        assert len(backoffs) == runtime.registry.value(
-            "retry_scheduled_total")
-
-    def test_backoff_attempt_attrs(self, live_run):
-        tracer, _, runtime = live_run
-        max_attempts = runtime.options.retry.max_attempts
-        for span in _named(tracer, "backoff"):
-            attempt = span.attrs["attempt"]
-            assert isinstance(attempt, int)
-            assert 1 <= attempt < max_attempts
-            assert span.attrs["reason"]
-            assert span.parent_id == f"{span.trace_id}/request"

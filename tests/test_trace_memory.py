@@ -137,9 +137,9 @@ def test_direct_and_row_spans_keep_recording_order():
     order = []
 
     def direct(label):
-        tracer.span("backoff", label, f"{label}/0/backoff/1", 0.0, 1.0,
+        tracer.span("probe", label, f"{label}/0/probe", 0.0, 1.0,
                     f"{label}/request")
-        order.append(f"{label}/0/backoff/1")
+        order.append(f"{label}/0/probe")
 
     def row(job):
         record_job_spans(tracer, job)
@@ -154,7 +154,7 @@ def test_direct_and_row_spans_keep_recording_order():
     spans = list(tracer.spans)
     assert len(tracer.spans) == len(spans) == 4 + 2 * (2 + 3 * app.n_stages)
     heads = [s.span_id for s in spans
-             if s.name in ("backoff", "request")]
+             if s.name in ("probe", "request")]
     assert heads == order
     # Each row's spans follow its root, before the next recorded span.
     at = [s.span_id for s in spans].index(f"job-{first.job_id}/request")
