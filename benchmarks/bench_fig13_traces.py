@@ -10,7 +10,7 @@ Fifer spawns up to 7.7x/2.7x fewer containers than BPred/RScale.
 from conftest import once
 
 from repro.experiments import format_table, normalize
-from repro.experiments.simulation import RATE_SCALE, cached_trace_simulation
+from repro.experiments.simulation import cached_trace_simulation
 
 
 def _both(mixes=("heavy", "medium", "light")):
@@ -38,7 +38,7 @@ def test_fig13_slo_and_containers(benchmark, emit):
          "containers/Bline"],
         rows,
         title="Figure 13: trace-driven SLO violations and container counts "
-              f"(rates scaled 1/{RATE_SCALE:g}, cluster scaled to match)",
+              "(paper rates, 2500-core cluster)",
     )
     emit("fig13_traces", table)
 

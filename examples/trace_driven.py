@@ -6,10 +6,12 @@ Reproduces the structure of the paper's large-scale simulations
 (predictable swings can be pre-provisioned), while the flash-crowd WITS
 trace stresses every reactive policy with cold-start storms.
 
-Rates and cluster are scaled 1/10 from the paper (see DESIGN.md); the
-shapes — who wins, by roughly what factor — are preserved.
+Rates and cluster are the paper's: Wiki at 1500 req/s and WITS at
+300 req/s (peak 1200) on 2500 cores, on the vector engine (see
+EXPERIMENTS.md for the remaining deviations).  The default 600 s takes
+a few minutes; ``--duration 60`` is a quick look.
 
-Run:  python examples/trace_driven.py [--trace wiki|wits|both]
+Run:  python examples/trace_driven.py [--trace wiki|wits|both] [--duration S]
 """
 
 import argparse
@@ -19,7 +21,7 @@ from repro.experiments import format_table, normalize, run_trace_simulation
 
 def run_one(kind: str, duration_s: float) -> None:
     print(f"\n=== {kind.upper()} trace, heavy mix "
-          f"({duration_s:.0f}s at 1/10 of the paper's rates) ===")
+          f"({duration_s:.0f}s at the paper's rates) ===")
     results = run_trace_simulation(kind, "heavy", duration_s=duration_s)
     containers = normalize(
         {p: r.avg_containers for p, r in results.items()}, "fifer"

@@ -39,7 +39,7 @@ class ContainerState(enum.Enum):
     BUSY = "busy"
     #: Died mid-execution (work-function exception, enforced execution
     #: timeout, or injected fault).  Like TERMINATED the container is
-    #: gone, but the distinction lets supervisors and metrics tell
+    #: gone, but the distinction lets the pool and metrics tell
     #: scale-in from failure.
     CRASHED = "crashed"
     TERMINATED = "terminated"

@@ -187,16 +187,17 @@ class PoolSurface:
         free an idle container elsewhere — modelling the platform
         reclaiming warm sandboxes under capacity pressure — after which
         placement is retried once.  When nothing could be freed, every
-        later try would fail the same way: they are all counted as
-        failed spawns at once, and none is made.
+        later try would fail the same way, so none is made.
+        ``failed_spawns`` counts each placement the cluster refused
+        once, not the untried rest.
         """
         new_containers = []
-        for i in range(count):
+        for _ in range(count):
             node = self._place()
             if node is None:
                 reclaim = self.reclaim_callback
                 if reclaim is None or not reclaim():
-                    self.failed_spawns += count - i
+                    self.failed_spawns += 1
                     break
                 node = self._place()
                 if node is None:

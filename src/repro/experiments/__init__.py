@@ -17,10 +17,11 @@
   cached, folded by :func:`aggregate_summaries`;
   :func:`sweep_config_field` is the in-process one-knob sweep.
 
-Scaled-down defaults: the paper's runs span hours on up to 2500 cores;
-the defaults here shrink rates/durations (documented per function) so
-the whole suite executes in minutes while preserving the shapes —
-orderings, approximate ratios and crossover points.
+Scaled-down defaults: the paper's runs span hours; the defaults here
+shrink durations (documented per function) so the whole suite executes
+in minutes while preserving the shapes — orderings, approximate ratios
+and crossover points.  The trace-driven study keeps the paper's rates
+and its 2500-core cluster.
 """
 
 from repro.experiments.characterization import (
@@ -54,7 +55,6 @@ from repro.experiments.ablations import (
     slack_division_ablation,
     slo_sensitivity,
 )
-from repro.experiments.scaling_study import container_savings, run_scaling_study
 from repro.experiments.repeats import MetricStats, aggregate_summaries
 from repro.experiments.runner import (
     ExperimentRunner,
@@ -91,8 +91,6 @@ __all__ = [
     "scheduling_ablation",
     "slack_division_ablation",
     "slo_sensitivity",
-    "container_savings",
-    "run_scaling_study",
     "MetricStats",
     "aggregate_summaries",
     "ExperimentRunner",

@@ -63,10 +63,6 @@ class ClusterSpec:
     cores_per_node: float = 16.0
     memory_per_node_mb: float = 192 * 1024.0
 
-    @property
-    def total_cores(self) -> float:
-        return self.n_nodes * self.cores_per_node
-
 
 #: Applications drawn per refill of the arrival path's buffer.
 #: ``Generator.random(k)`` yields the same doubles as ``k`` scalar
@@ -346,7 +342,7 @@ class ServerlessSystem:
 
     def _tick_monitor(self, now_ms: float) -> None:
         if self.blackout is not None and self.blackout.covers(now_ms):
-            # No scaling, no supervision, no samples while the control
+            # No scaling, no reaping, no samples while the control
             # plane is down — the same hole a crashed live ControlLoop
             # leaves in the sampled series.
             self.registry.counter("control_plane_ticks_skipped_total").inc()

