@@ -85,7 +85,8 @@ def _emit_obs(args, tracer, registry, result) -> None:
 
 
 #: The flag behind each scenario member a sharded plane refuses.
-_REFUSED_FLAGS = {"diverge_after": "--diverge-at", "tracer": "--trace-out"}
+_REFUSED_FLAGS = {"diverge_after": "--diverge-at", "tracer": "--trace-out",
+                  "engine": "--engine"}
 
 
 class UsageError(SystemExit):
@@ -163,9 +164,8 @@ def _scenario(args, policy: Optional[str] = None, seed: Optional[int] = None,
             shed_expired=flag("shed_expired", False),
             drain_ms=ms(flag("drain_timeout", 120.0)), live=live,
             shards=Shards(
-                n=flag("shards", 1), workers=flag("shard_workers", 1),
+                n=flag("shards", 1),
                 rebalance_interval_ms=ms(flag("rebalance_interval")),
-                stage_routing=flag("stage_routing", "local"),
                 heartbeat_interval_ms=ms(flag("heartbeat_interval", 1.0))),
             **overrides)
         scenario.config()
@@ -282,8 +282,7 @@ def _print_sharded(policy: str, result) -> None:
     print(format_table(
         ["shard", "jobs", "completed", "shed", "P99(ms)"], rows,
         title=f"{policy} x{result.n_shards} shards "
-              f"({result.mode} plane, "
-              f"SLO viol {s['slo_violation_rate']:.3%})",
+              f"(SLO viol {s['slo_violation_rate']:.3%})",
     ))
     orch = result.orchestration
     if orch.get("ticks"):
@@ -646,11 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="gateway shards over a consistent-hash split "
                               "of the request ids; 1 (default) is the "
                               "exact single-gateway path")
-    shard_g.add_argument("--shard-workers", type=int, default=1,
-                         metavar="N",
-                         help="OS processes for the shards (static "
-                              "partition, no online rebalance); 1 keeps "
-                              "the orchestrated in-process plane")
     shard_g.add_argument("--rebalance-interval", type=float, default=None,
                          metavar="S",
                          help="model seconds between orchestrator "
@@ -661,12 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="model seconds between shard liveness beats "
                               "for the in-run failover health monitor "
                               "(with kill-shard faults)")
-    shard_g.add_argument("--stage-routing", choices=["local", "hash"],
-                         default="local",
-                         help="'local' keeps a job's whole chain on its "
-                              "home shard; 'hash' re-routes every stage "
-                              "hop through the ring (event-loop engine "
-                              "only)")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser(

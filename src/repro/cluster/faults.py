@@ -163,23 +163,19 @@ def fail_node(node: "Node", pools: List["FunctionPool"], now_ms: float) -> int:
 KINDS = (
     "kill-node", "recover-node", "kill-shard", "recover-shard", "blackout",
     "brownout", "kill-workers", "crash-gateway", "crash-control",
-    "kill-orchestrator",
 )
 NODE_KINDS = frozenset(KINDS[:2])
 SHARD_KINDS = frozenset(KINDS[2:4])
-#: Kinds that span ``[at_ms, until_ms)``.
+#: Kinds that span ``[at_ms, until_ms)``; a run enacts each at most
+#: once (one window model).
 WINDOW_KINDS = frozenset(("blackout", "brownout"))
-#: Kinds a run enacts at most once (one window model, one warm standby).
-ONCE_KINDS = WINDOW_KINDS | {"kill-orchestrator"}
-#: Kinds that need a surviving peer shard: refused on a lone shard.
-PLANE_WIDE_KINDS = SHARD_KINDS | {"kill-orchestrator"}
 #: Kinds a live run recovers from by replaying its write-ahead journal.
 JOURNAL_KINDS = frozenset(("crash-gateway", "crash-control"))
 #: The kinds each plane enacts; ``validate`` refuses the rest.
 PLANE_KINDS: Dict[str, frozenset] = {
     "sim": NODE_KINDS | {"blackout"},
     "vector": frozenset({"blackout"}),
-    "sim-sharded": PLANE_WIDE_KINDS,
+    "sim-sharded": SHARD_KINDS,
     "live": NODE_KINDS | {"brownout", "kill-workers", "crash-gateway",
                           "crash-control"},
 }
@@ -301,10 +297,10 @@ class FaultTimeline:
                  journaled: bool = True) -> "FaultTimeline":
         """Refuse, when the run is built, what *plane* cannot enact: a
         kind outside :data:`PLANE_KINDS`, a node/shard id out of range,
-        a second event of a :data:`ONCE_KINDS` kind, a
+        a second window of a :data:`WINDOW_KINDS` kind, a
         :data:`JOURNAL_KINDS` crash on a live run that keeps no journal
-        (*journaled* false).  A plane-wide kind on a lone simulated
-        shard is refused as such; the live plane enacts none.  Returns
+        (*journaled* false).  A shard kind on a lone simulated shard is
+        refused as such; the live plane enacts none.  Returns
         self."""
         enacted = PLANE_KINDS[plane]
         for event in self.events:
@@ -312,7 +308,7 @@ class FaultTimeline:
                 raise ValueError(
                     "control-plane crash injection requires journal_dir "
                     "(there is nothing to recover from otherwise)")
-            if (n_shards == 1 and event.kind in PLANE_WIDE_KINDS
+            if (n_shards == 1 and event.kind in SHARD_KINDS
                     and plane != "live"):
                 raise ValueError(
                     "shard failover needs shards > 1 (a lone shard has "
@@ -326,7 +322,7 @@ class FaultTimeline:
                 raise ValueError(
                     f"{event} is out of range: the run has {limit} "
                     f"{'nodes' if event.kind in NODE_KINDS else 'shards'}")
-        for kind in ONCE_KINDS:
+        for kind in WINDOW_KINDS:
             if len(self.of(kind)) > 1:
                 raise ValueError(f"at most one {kind} per run")
         return self

@@ -20,8 +20,8 @@ recovers:
 * **no-fault purity** — with no fault scripted the plane is untouched:
   two no-fault runs are bit-identical (the failover layer is inert).
 
-The live sharded plane has no such protocol and refuses ``kill-shard``
-(DESIGN.md §15), so the study has no live arm.
+The live plane is one gateway: it has no shards to fail over and
+refuses ``kill-shard`` (DESIGN.md §15), so the study has no live arm.
 
 Run it::
 

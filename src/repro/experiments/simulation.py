@@ -14,7 +14,7 @@ instead of 10 min, so that a 600 s run sees several reap cycles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.metrics.collector import RunResult
 from repro.runtime.system import ClusterSpec
@@ -88,15 +88,32 @@ def run_trace_simulation(
     }
 
 
-_TRACE_CACHE: Dict[tuple, Dict[str, RunResult]] = {}
+class TraceCell(NamedTuple):
+    """The scalars Figures 13, 14 and 16 read from one policy's replay."""
+
+    slo_violation_rate: float
+    avg_containers: float
+    median_latency_ms: float
+    p99_latency_ms: float
+    cold_starts: int
+    failed_spawns: int
 
 
-def cached_trace_simulation(kind: str, mix_name: str = "heavy", **kwargs) -> Dict[str, RunResult]:
-    """Memoised :func:`run_trace_simulation` — Figures 13, 14 and 16 all
-    analyse the same trace replays."""
-    if kwargs:
-        return run_trace_simulation(kind, mix_name, **kwargs)
+#: One grid cell per ``(kind, mix)``: scalars only, so a paper-scale
+#: Wiki replay's per-job arrays are freed once its figures are read off.
+_TRACE_CACHE: Dict[tuple, Dict[str, TraceCell]] = {}
+
+
+def cached_trace_simulation(kind: str, mix_name: str = "heavy"
+                            ) -> Dict[str, TraceCell]:
+    """Memoised :func:`run_trace_simulation`, reduced to a
+    :class:`TraceCell` per policy — Figures 13, 14 and 16 all analyse
+    the same trace replays."""
     key = (kind, mix_name)
     if key not in _TRACE_CACHE:
-        _TRACE_CACHE[key] = run_trace_simulation(kind, mix_name)
+        _TRACE_CACHE[key] = {
+            policy: TraceCell(*(getattr(result, name)
+                                for name in TraceCell._fields))
+            for policy, result in run_trace_simulation(kind, mix_name).items()
+        }
     return _TRACE_CACHE[key]

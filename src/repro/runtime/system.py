@@ -79,10 +79,6 @@ _UNTRAINED_PREDICTORS = {
 class ServerlessSystem:
     """One policy + workload mix bound to a cluster, ready to run."""
 
-    #: The request-lifecycle implementation ``_build`` instantiates (the
-    #: sharded simulator swaps in its stage-routing subclass).
-    lifecycle_cls = RequestLifecycle
-
     def __init__(
         self,
         config: RMConfig,
@@ -252,7 +248,7 @@ class ServerlessSystem:
         self.pools = {}
         # The request path: the shared lifecycle core on this run's
         # virtual clock — one scheduled event per ingress and per hop.
-        self.lifecycle = self.lifecycle_cls(
+        self.lifecycle = RequestLifecycle(
             pools=self.pools,
             mix=self.mix,
             metrics=self.metrics,
@@ -466,9 +462,6 @@ def run_policy(
     shed_expired: bool = False,
     faults: FaultTimeline = FaultTimeline(),
     engine: Optional[str] = None,
-    shards: int = 1,
-    shard_workers: int = 1,
-    rebalance_interval_ms: Optional[float] = None,
     **config_overrides,
 ) -> RunResult:
     """Convenience one-call runner used by examples and benches: build
@@ -476,17 +469,10 @@ def run_policy(
     run it.
 
     Keyword arguments not consumed here override fields of the named
-    policy's :class:`~repro.core.policies.RMConfig`.
-
-    ``shards > 1`` partitions the request-id keyspace over N gateway
-    shards (consistent-hash routing, per-shard scalers, global
-    orchestrator) and returns a
-    :class:`~repro.shard.sim.ShardedRunResult`; ``shards=1`` — the
-    default — never imports the shard machinery, so the single-gateway
-    path stays bit-identical.  An argument the sharded plane cannot hand
-    to every shard (``tracer``) is refused, never dropped.
+    policy's :class:`~repro.core.policies.RMConfig`.  A sharded run is
+    :func:`~repro.shard.sim.run_sharded_policy`.
     """
-    from repro.scenario import Scenario, Shards, fault_pairs
+    from repro.scenario import Scenario, fault_pairs
 
     return Scenario.of(
         policy_name, mix, trace, cluster_spec, seed,
@@ -494,10 +480,5 @@ def run_policy(
         faults=fault_pairs(fault_model, faults),
         shed_expired=shed_expired,
         engine=engine,
-        shards=Shards(
-            n=shards,
-            workers=shard_workers,
-            rebalance_interval_ms=rebalance_interval_ms,
-        ),
         **config_overrides,
     ).run(tracer=tracer, predictor=predictor)

@@ -355,9 +355,8 @@ class VectorPool(PoolSurface):
 class VectorEngine:
     """One run of one system over one trace, flattened.
 
-    :meth:`run` drives :meth:`step_until` epoch by epoch.  A sharded
-    plane runs one engine per shard only in process fan-out, where each
-    shard is a whole run of its own.
+    :meth:`run` drives :meth:`step_until` epoch by epoch.  The sharded
+    plane runs none: its one driver is the event loop.
     """
 
     def __init__(self, system, trace) -> None:

@@ -140,17 +140,12 @@ class Shards:
     """The sharding block: how many gateway shards and how the plane
     over them is run.  ``n=1`` — the default — is the exact
     single-gateway path; ``None`` leaves a knob at the plane's default.
-
-    ``workers > 1`` fans the simulated shards out over OS processes
-    (static partition, no online rebalance).  Only the simulated plane
-    shards: the live plane is one gateway and refuses every member set
-    here.
+    Only the simulated plane shards: the live plane is one gateway and
+    refuses every member set here.
     """
 
     n: int = 1
-    workers: int = 1
     rebalance_interval_ms: Optional[float] = None
-    stage_routing: str = "local"
     initial_node_grants: Optional[Tuple[int, ...]] = None
     skew_threshold: Optional[float] = None
     #: Model-ms between shard liveness beats (the sim-sharded failover
@@ -162,12 +157,7 @@ class Shards:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("shards must be >= 1")
-        if self.stage_routing not in ("local", "hash"):
-            raise ValueError(
-                f"stage_routing must be 'local' or 'hash', "
-                f"got {self.stage_routing!r}")
-        for name in ("workers", "heartbeat_miss_threshold",
-                     "failover_hysteresis"):
+        for name in ("heartbeat_miss_threshold", "failover_hysteresis"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
@@ -235,8 +225,8 @@ class Scenario:
     is deliberately NOT part of :meth:`canonical` — every engine
     produces a bit-identical summary (``tests/test_vector_parity.py``),
     so trials share cache entries across engines.  A sharded plane keeps
-    that premise by having one in-process driver, the event loop: it
-    runs vector shards only in process fan-out, one engine per shard.
+    that premise by having one driver, the event loop: it refuses
+    ``engine="vector"``.
     """
 
     policy: str
@@ -254,7 +244,7 @@ class Scenario:
         default=None, compare=False, repr=False)
     drain_ms: float = 120_000.0
     #: A forecaster to use instead of the pre-training rule's; each
-    #: per-shard scenario carries the plane's into its worker.
+    #: per-shard scenario carries the plane's.
     predictor: Optional[Predictor] = field(
         default=None, compare=False, repr=False)
     shards: Shards = Shards()
@@ -350,7 +340,7 @@ class Scenario:
         self.refuse(**dict(self.faults), **dict.fromkeys(self._set(), True),
                     **{f"shards.{f.name}": True for f in fields(shards)
                        if getattr(shards, f.name) != f.default})
-        timeline = self.timeline.validate(
+        self.timeline.validate(
             plane, n_nodes=self.cluster.n_nodes, n_shards=shards.n,
             journaled=self.live is None or bool(self.live.journal_dir))
         # Built for its range checks: a bad probability is refused now,
@@ -358,24 +348,10 @@ class Scenario:
         _ = self.fault_model
         if self.drain_ms < 0:
             raise ValueError("drain_ms must be >= 0")
-        if plane == "sim-sharded":
-            hashed = shards.stage_routing == "hash"
-            if (shards.workers == 1
-                    and resolve_engine(self.engine) == ENGINE_VECTOR):
-                raise ValueError(
-                    "engine='vector' shards run only in process fan-out "
-                    "(shard_workers > 1): the in-process plane is the "
-                    "event-loop one")
-            for what, wanted in (("shard faults", bool(timeline)),
-                                 ("hash stage routing", hashed)):
-                if wanted and shards.workers > 1:
-                    raise ValueError(
-                        f"{what} need the in-process plane (shard_workers=1)"
-                        ": isolated processes share no ring, clock or journal")
-            if timeline and hashed:
-                raise ValueError(
-                    "shard faults with hash stage routing are unsupported: "
-                    "a job's stages would outlive its journal owner")
+        if (plane == "sim-sharded"
+                and resolve_engine(self.engine) == ENGINE_VECTOR):
+            # The plane's one driver is the event loop.
+            raise PlaneRefusal("engine", plane)
 
     def config(self) -> RMConfig:
         """The policy's config with the typed overrides applied."""
@@ -416,19 +392,15 @@ class Scenario:
         return cached_trace(
             self.trace_kind, self.rate_rps, self.duration_s, self.seed)
 
-    def for_shard(self, shard_id: int, grant: Optional[int] = None
-                  ) -> "Scenario":
+    def for_shard(self, shard_id: int) -> "Scenario":
         """The unsharded scenario shard *shard_id* of this plane runs:
-        decorrelated seed (shards must not clone RNG streams), a cluster
-        of its *grant* nodes (``None`` keeps the full-size cluster — an
-        in-process shard cordons what it was not granted instead), the
+        decorrelated seed (shards must not clone RNG streams), the
+        full-size cluster (a shard cordons what it was not granted), the
         predictor carried.  A shard replays no script: the sim-sharded
-        plane enacts its plane-wide kinds itself."""
+        plane enacts the shard kinds itself."""
         return replace(
             self,
             seed=self.seed + 7919 * (shard_id + 1),
-            cluster=(self.cluster if grant is None
-                     else replace(self.cluster, n_nodes=grant)),
             faults=tuple(
                 pair for pair in self.faults if pair[0] != "timeline"),
             shards=Shards(),

@@ -133,7 +133,7 @@ def assign_takeover(
 
     Deterministic: each entry goes to ``ring.shard_for(key(entry))`` on
     the *post-removal* ring — its job id, or the sim plane's request id
-    (in-process shards share one job-id counter) — so every participant
+    (its shards share one job-id counter) — so every participant
     derives the identical exactly-once assignment.
     """
     assignment: Dict[int, List[JournaledJob]] = {}

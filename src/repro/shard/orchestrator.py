@@ -63,9 +63,9 @@ class ShardLoadReport:
 class ShardHandle:
     """Orchestrator-facing adapter one shard must implement.
 
-    The sim-sharded plane wraps its shard systems in this interface
-    (its process fan-out builds no orchestrator), so the
-    orchestrator stays engine-agnostic and unit-testable against stubs.
+    The sim-sharded plane wraps its shard systems in this interface, so
+    the orchestrator stays engine-agnostic and unit-testable against
+    stubs.
     """
 
     shard_id: int = 0

@@ -3,8 +3,8 @@
 The ring maps every request id to one gateway shard.  Two hard
 requirements drive the implementation:
 
-* **Process stability.**  Shard ownership must agree across forked and
-  spawned workers and across interpreter restarts, so nothing here may
+* **Process stability.**  Shard ownership must agree across processes
+  and across interpreter restarts, so nothing here may
   depend on ``PYTHONHASHSEED``.  Virtual-node positions come from MD5
   over a deterministic label; integer request ids are mixed with the
   SplitMix64 finalizer — both are pure functions of their input.
@@ -24,7 +24,7 @@ minimal-movement property.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -169,28 +169,6 @@ class ConsistentHashRing:
             0, self.vnodes, self.salt,
             shard_ids=[s for s in self._ids if s != shard_id],
         )
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def arc_fractions(self) -> Dict[int, float]:
-        """Exact keyspace share owned by each shard (sums to 1.0).
-
-        Computed from vnode arc lengths, not sampling, so the balance
-        property (±20% of fair share at 64 vnodes) is a deterministic
-        fact of the ``(salt, shard set)`` pair.
-        """
-        pos = self._positions.astype(np.float64)
-        # Arc ending at vnode i is owned by vnode i (keys map to the
-        # first vnode at-or-after their position via side="right").
-        arcs = np.empty_like(pos)
-        arcs[1:] = np.diff(pos)
-        arcs[0] = pos[0] + (float(2 ** 64) - pos[-1])
-        total = float(2 ** 64)
-        shares: Dict[int, float] = {s: 0.0 for s in self._ids}
-        for owner, arc in zip(self._owners, arcs):
-            shares[int(owner)] += arc / total
-        return shares
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,29 +1,17 @@
 """Sharded simulation plane: N gateways over one partitioned keyspace.
 
-Two execution modes behind :func:`run_plane`, the run body of a
-:class:`~repro.scenario.Scenario` on the ``sim-sharded`` plane
-(:func:`run_sharded_policy` builds that scenario; with ``shards=1`` its
-plane is the single-gateway one and no shard machinery touches the run,
-which keeps that path and its golden traces bit-identical):
-
-* **In-process orchestrated** (the default) — N event-loop systems,
-  each owning a consistent-hash slice of the request ids and a
-  full-size cluster with only its granted nodes uncordoned, attached to
-  one :class:`Simulator` and sharing one coalesced monitor timer, with
-  the :class:`~repro.shard.orchestrator.GlobalOrchestrator` reconciling
-  grants on its own cadence through the drain.  This is the plane's one
-  in-process driver; the scenario refuses ``engine="vector"`` here.
-* **Process fan-out** (``shard_workers>1``) — one OS process per
-  shard over a static partition (no online rebalance), for wall-clock
-  scaling on multi-core hosts; each shard runs on the scenario's engine.
-
-Chain-stage routing: by default a shard owns a job's whole chain
-(``stage_routing="local"`` — Fifer packs chains, so affinity is the
-deployment that makes sense).  ``stage_routing="hash"`` re-routes every
-stage hop through the ring instead: hops landing on a foreign shard pay
-:data:`CROSS_SHARD_HOP_MS` and execute in the owning shard's pools,
-modelling a plane whose stages are partitioned independently of their
-jobs.
+:func:`run_plane` is the run body of a :class:`~repro.scenario.Scenario`
+on the ``sim-sharded`` plane (:func:`run_sharded_policy` builds that
+scenario; with ``shards=1`` its plane is the single-gateway one and no
+shard machinery touches the run, which keeps that path and its golden
+traces bit-identical).  It has one driver: N event-loop systems, each
+owning a consistent-hash slice of the request ids and a full-size
+cluster with only its granted nodes uncordoned, attached to one
+:class:`Simulator` and sharing one coalesced monitor timer, with the
+:class:`~repro.shard.orchestrator.GlobalOrchestrator` reconciling grants
+on its own cadence through the drain.  A shard keeps each job's whole
+chain (Fifer packs chains, so affinity is the deployment that makes
+sense); the scenario refuses ``engine="vector"`` here.
 """
 
 from __future__ import annotations
@@ -57,11 +45,12 @@ from repro.shard.ring import ConsistentHashRing
 from repro.sim.engine import Simulator
 from repro.sim.process import CoalescedTicker
 from repro.traces.base import ArrivalTrace
-from repro.workflow.lifecycle import LOST_DEAD, RequestLifecycle
+from repro.workflow.lifecycle import LOST_DEAD
 from repro.workloads.mixes import WorkloadMix
 
-#: Modelled one-way latency of a cross-shard stage hop (gateway →
-#: gateway RPC), added on top of the app's own transition overhead.
+#: Modelled one-way latency of a gateway → gateway hop (a takeover's
+#: rerouted arrival or requeued job), added on top of the app's own
+#: transition overhead.
 CROSS_SHARD_HOP_MS = 0.5
 
 
@@ -177,59 +166,13 @@ class _SystemShardHandle(ShardHandle):
         )
 
 
-# ----------------------------------------------------------------------
-# cross-shard chain-stage routing
-# ----------------------------------------------------------------------
-
-class _ShardLifecycle(RequestLifecycle):
-    """The shared lifecycle with stage hops routed through the ring.
-
-    All shard systems share one Simulator, so "routing" a hop is handing
-    the job to the owning peer's lifecycle after the modelled
-    gateway→gateway latency.  Jobs keep one deterministic routing key —
-    ``home_shard << 32 | per-shard admission sequence`` — so the hop
-    pattern is independent of process-global job-id counters.
-    """
-
-    shard: "_ShardSystem"
-
-    def enqueue_stage(self, job, stage_index: int) -> None:
-        shard = self.shard
-        if shard.stage_routing == "hash" and shard.ring is not None:
-            key = shard._route_keys.setdefault(
-                job.job_id, (shard.shard_id << 32) | shard._route_seq
-            )
-            owner_id = shard.ring.shard_for((key << 8) | stage_index)
-            owner = shard.peers.get(owner_id, shard)
-            if owner is not shard:
-                shard.registry.counter(
-                    "shard_cross_stage_hops_total").inc()
-                # The job changes hands with the hop: the owner's
-                # identity check must accept its task signals.
-                owner.lifecycle.jobs[job.job_id] = self.jobs.pop(job.job_id)
-                self.later(
-                    CROSS_SHARD_HOP_MS,
-                    RequestLifecycle.enqueue_stage,
-                    owner.lifecycle, job, stage_index,
-                )
-                return
-        super().enqueue_stage(job, stage_index)
-
-
 class _ShardSystem(ServerlessSystem):
-    """A per-shard system: ring-routed stage hops, a fault plane at the
-    front door, and a control loop that dies with the shard."""
-
-    lifecycle_cls = _ShardLifecycle
+    """A per-shard system: a fault plane at the front door and a control
+    loop that dies with the shard."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.shard_id = 0
-        self.ring: Optional[ConsistentHashRing] = None
-        self.peers: Dict[int, "_ShardSystem"] = {}
-        self.stage_routing = "local"
-        self._route_seq = 0
-        self._route_keys: Dict[int, int] = {}
         #: The plane driving heartbeats/takeover, or None (exact
         #: pre-failover behaviour on every code path below).
         self.failover: Optional["_ShardFaultPlane"] = None
@@ -239,12 +182,7 @@ class _ShardSystem(ServerlessSystem):
         #: Nodes cordoned by the crash, returned on scripted recovery.
         self._failover_cordoned: List = []
 
-    def _build(self, sim: Simulator) -> None:
-        super()._build(sim)
-        self.lifecycle.shard = self
-
     def _on_arrival(self) -> None:
-        self._route_seq += 1
         if self.failover is not None:
             self.failover.on_arrival(self)
             return
@@ -455,13 +393,10 @@ class ShardedRunResult:
     """Per-shard results plus plane-level aggregates."""
 
     per_shard: Dict[int, RunResult]
-    #: "inprocess" (one event loop, orchestrated) | "processes"
-    #: (``Shards.workers > 1``: static partition, no rebalance).
-    mode: str
     orchestration: Dict = field(default_factory=dict)
-    #: Plane-level metrics, merged across shards: an in-process run with
-    #: a fault timeline fills it (its orchestration registry too); every
-    #: other run leaves it empty.
+    #: Plane-level metrics, merged across shards: a run with a fault
+    #: timeline fills it (its orchestration registry too); every other
+    #: run leaves it empty.
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property
@@ -531,23 +466,20 @@ class ShardedRunResult:
 
 
 # ----------------------------------------------------------------------
-# execution modes
+# the driver
 # ----------------------------------------------------------------------
 
-def split_plane(scenario: Scenario, shrink: bool):
+def split_plane(scenario: Scenario):
     """The plane's ring and, per shard in ring order, ``(shard_id,
     per-shard scenario holding its slice of the arrivals, request ids,
-    node grant)``.  *shrink* sizes each shard's cluster to its grant
-    (one process per shard); an in-process shard keeps the full-size
-    cluster and cordons what it was not granted."""
+    node grant)``.  Each shard keeps the full-size cluster and cordons
+    what it was not granted."""
     shards = scenario.shards
     ring = ConsistentHashRing(shards.n)
     grants = plan_node_grants(
         scenario.cluster.n_nodes, shards.n, shards.initial_node_grants)
     return ring, [
-        (shard_id,
-         replace(scenario.for_shard(shard_id, grant if shrink else None),
-                 trace=sub),
+        (shard_id, replace(scenario.for_shard(shard_id), trace=sub),
          ids, grant)
         for (shard_id, sub, ids), grant in zip(
             partition_arrivals(scenario.arrivals(), ring), grants)]
@@ -585,13 +517,14 @@ def _make_orchestrator(handles, scenario: Scenario) -> GlobalOrchestrator:
     return orchestrator
 
 
-def _run_inprocess_eventloop(
-    scenario: Scenario, parts, ring: ConsistentHashRing,
-) -> ShardedRunResult:
-    """N event-loop systems attached to one Simulator, their monitors
-    sharing one coalesced ticker."""
-    faults = scenario.timeline
-    shard_events = faults.of("kill-shard", "recover-shard")
+def run_plane(scenario: Scenario) -> ShardedRunResult:
+    """The ``sim-sharded`` run body: N event-loop systems attached to one
+    Simulator, their monitors sharing one coalesced ticker (the module
+    docstring has the plane).  The timeline's ``kill-shard`` /
+    ``recover-shard`` events run the self-healing protocol — heartbeat
+    health monitoring, ring remap, journal-driven keyspace takeover."""
+    ring, parts = split_plane(scenario)
+    shard_events = scenario.timeline.events
     sim = Simulator()
     systems: Dict[int, _ShardSystem] = {}
     monitors = []
@@ -601,28 +534,16 @@ def _run_inprocess_eventloop(
     ticker = CoalescedTicker(sim, interval, label="shard-monitor")
     for shard_id, shard, ids, grant in parts:
         system = shard.system(cls=_ShardSystem)
+        system.shard_id = shard_id
         system.cordoned_node_ids = list(range(grant, n_nodes))
         if shard_events:
             system._request_ids = iter(ids.tolist())
         systems[shard_id] = system
         monitors.append(system.attach(sim, shard.trace, ticker=ticker))
-    for shard_id, system in systems.items():
-        system.shard_id = shard_id
-        system.ring = ring
-        system.peers = systems
-        system.stage_routing = scenario.shards.stage_routing
         handles.append(_SystemShardHandle(shard_id, system))
 
     orchestrator = _make_orchestrator(handles, scenario)
     orch_registry = orchestrator.registry
-    # The orchestrator keeps no state between reconciles (each one
-    # publishes fresh reports and reads them back), so a restarted one
-    # computes exactly what the killed one would have: the instant is
-    # counted, and nothing else changes.
-    for event in faults.of("kill-orchestrator"):
-        sim.schedule_at(
-            event.at_ms, orch_registry.counter(
-                "orchestrator_failovers_total").inc, label=event.kind)
     rebalance = scenario.shards.rebalance_interval_ms or interval
 
     plane: Optional[_ShardFaultPlane] = None
@@ -650,9 +571,9 @@ def _run_inprocess_eventloop(
         ).add(orchestrator.reconcile)
 
     def settled() -> bool:
-        # Global drain condition: with hash stage routing a job may
-        # complete on a foreign shard, so per-shard conservation only
-        # holds for the aggregate.
+        # Global drain condition: a takeover moves a dead shard's jobs
+        # to its survivors, so per-shard conservation only holds for
+        # the aggregate.
         return sum(s.in_flight for s in systems.values()) <= 0
 
     horizon = scenario.arrivals().duration_ms + 1.0
@@ -668,14 +589,9 @@ def _run_inprocess_eventloop(
         plane_sub.stop()
     result = ShardedRunResult(
         per_shard={s: sys_.finalize() for s, sys_ in systems.items()},
-        mode="inprocess",
         orchestration=_orchestration_summary(orchestrator),
     )
-    result.orchestration["cross_shard_hops"] = int(sum(
-        s.registry.value("shard_cross_stage_hops_total")
-        for s in systems.values()
-    ))
-    if faults:
+    if plane is not None:
         # Failover runs expose the plane-level picture: merged metrics
         # (every shard + the orchestration/health registry) and the
         # exactly-once journal verdict across the takeover.
@@ -683,57 +599,12 @@ def _run_inprocess_eventloop(
                      for _, s in sorted(systems.items())]
         snapshots.append(snapshot_registry(orch_registry))
         result.registry = merge_registry_snapshots(snapshots)
-        result.orchestration["orchestrator_failovers"] = int(
-            orch_registry.value("orchestrator_failovers_total"))
-    if plane is not None:
         result.orchestration["failovers"] = int(
             orch_registry.value("shard_failovers_total"))
         result.orchestration["shard_recoveries"] = int(
             orch_registry.value("shard_recoveries_total"))
         result.orchestration["journal"] = plane.journal_conservation()
     return result
-
-
-def map_shards(worker, parts, processes: int) -> List:
-    """*worker* applied to every per-shard scenario of *parts*, each in
-    a worker process.  Fork is preferred (children inherit the parent's
-    already-primed trace caches); when only ``spawn`` exists every
-    per-shard scenario pickles, so the plane still runs, just colder."""
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else None)
-    with ProcessPoolExecutor(
-            max_workers=min(processes, len(parts)), mp_context=ctx) as ex:
-        return list(ex.map(
-            worker, [shard for _sid, shard, _ids, _grant in parts]))
-
-
-def _shard_worker(shard: Scenario) -> RunResult:
-    """Run one shard's static partition in a worker process."""
-    return shard.run()
-
-
-def run_plane(scenario: Scenario) -> ShardedRunResult:
-    """The ``sim-sharded`` run body (the module docstring has the
-    modes).  The timeline's ``kill-shard`` / ``recover-shard`` events
-    run the self-healing protocol — heartbeat health monitoring, ring
-    remap, journal-driven keyspace takeover; ``kill-orchestrator`` is a
-    counted instant (the orchestrator is stateless between reconciles).
-    Both need the in-process plane, which the scenario's build-time
-    check already established."""
-    processes = scenario.shards.workers > 1
-    ring, parts = split_plane(scenario, shrink=processes)
-    if processes:
-        # One process per shard over a static partition (no rebalance).
-        results = map_shards(_shard_worker, parts, scenario.shards.workers)
-        return ShardedRunResult(
-            per_shard={sid: r for (sid, *_), r in zip(parts, results)},
-            mode="processes",
-            orchestration={"ticks": 0, "rebalances": 0, "nodes_moved": 0},
-        )
-    return _run_inprocess_eventloop(scenario, parts, ring)
 
 
 # ----------------------------------------------------------------------
@@ -751,9 +622,7 @@ def run_sharded_policy(
     drain_ms: float = 120_000.0,
     engine: Optional[str] = None,
     shed_expired: bool = False,
-    shard_workers: int = 1,
     rebalance_interval_ms: Optional[float] = None,
-    stage_routing: str = "local",
     initial_node_grants: Optional[Sequence[int]] = None,
     skew_threshold: Optional[float] = None,
     faults: FaultTimeline = FaultTimeline(),
@@ -777,9 +646,7 @@ def run_sharded_policy(
         faults=fault_pairs(timeline=faults),
         shards=Shards(
             n=shards,
-            workers=shard_workers,
             rebalance_interval_ms=rebalance_interval_ms,
-            stage_routing=stage_routing,
             initial_node_grants=initial_node_grants,
             skew_threshold=skew_threshold,
             heartbeat_interval_ms=heartbeat_interval_ms,

@@ -15,7 +15,8 @@ from repro.core.policies import make_policy_config
 from repro.runtime import system as system_module
 from repro.runtime.system import ClusterSpec, ServerlessSystem
 from repro.shard import sim as shard_sim
-from repro.shard.sim import run_sharded_policy
+from repro.shard.ring import ConsistentHashRing
+from repro.shard.sim import partition_arrivals, run_sharded_policy
 from repro.traces import poisson_trace
 from repro.workflow.lifecycle import LOST_DEAD
 from repro.workloads import get_mix
@@ -68,6 +69,8 @@ def test_sharded_lost_arrivals_draw_nothing(monkeypatch):
             for system in draws}
     assert lost[1] > 0
     assert result.registry.value("shard_rerouted_arrivals_total") > 0
+    arrivals = {shard_id: len(ids) for shard_id, _, ids
+                in partition_arrivals(trace, ConsistentHashRing(2))}
     for system, apps in draws.items():
-        assert len(apps) == system._route_seq - lost[system.shard_id]
+        assert len(apps) == arrivals[system.shard_id] - lost[system.shard_id]
         assert apps == _scalar_stream(mix, system.seed, len(apps))

@@ -145,6 +145,24 @@ class TestPolicyExperiments:
         with pytest.raises(ValueError):
             make_scaled_trace("nasdaq")
 
+    def test_trace_memo_keeps_only_scalars(self, monkeypatch):
+        from repro.experiments import simulation
+
+        small = dict(policies=["bline"], duration_s=5.0, seed=2)
+        monkeypatch.setattr(simulation, "_TRACE_CACHE", {})
+        real = simulation.run_trace_simulation
+        monkeypatch.setattr(
+            simulation, "run_trace_simulation",
+            lambda kind, mix: real(kind, mix, **small))
+        cell = simulation.cached_trace_simulation("wits", "light")["bline"]
+        assert simulation.cached_trace_simulation("wits", "light")["bline"] \
+            is cell
+        assert not any(isinstance(value, np.ndarray)
+                       for cells in simulation._TRACE_CACHE.values()
+                       for row in cells.values() for value in row)
+        result = real("wits", "light", **small)["bline"]
+        assert cell == tuple(getattr(result, name) for name in cell._fields)
+
     def test_trace_simulation_small_run(self):
         results = run_trace_simulation(
             "wits", "light", policies=["bline", "sbatch"],

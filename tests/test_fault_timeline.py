@@ -21,7 +21,7 @@ from repro.workloads import get_mix
 ALL_KINDS = (
     "kill-node@30=0,1;recover-node@60=0,1;kill-shard@6=1;recover-shard@9=1;"
     "blackout@20:35;brownout@10:20x3;kill-workers@5;crash-gateway@4;"
-    "crash-control@4.5;kill-orchestrator@7"
+    "crash-control@4.5"
 )
 
 
@@ -106,7 +106,6 @@ ENACTS = {
     "kill-workers":      (False, False, False, True),
     "crash-gateway":     (False, False, False, True),
     "crash-control":     (False, False, False, True),
-    "kill-orchestrator": (False, False, True,  False),
 }
 PLANES = ("sim", "vector", "sim-sharded", "live")
 
@@ -163,14 +162,10 @@ def test_entry_points_refuse_at_build_time(tmp_path):
     with pytest.raises(ValueError, match="vector plane does not enact"):
         run_policy("rscale", mix, TINY_TRACE, engine="vector",
                    faults=FaultTimeline.parse("recover-node@1=0"))
-    # run_policy(shards=N) used to drop node schedules silently.
+    # The sharded plane once dropped node schedules silently.
     with pytest.raises(ValueError, match="sim-sharded plane does not enact"):
-        run_policy("rscale", mix, TINY_TRACE, shards=2,
-                   faults=FaultTimeline.parse("kill-node@1=0"))
-    with pytest.raises(ValueError, match="at most one kill-orchestrator"):
-        run_sharded_policy(
-            "rscale", mix, TINY_TRACE, shards=2, faults=FaultTimeline.parse(
-                "kill-orchestrator@1;kill-orchestrator@2"))
+        run_sharded_policy("rscale", mix, TINY_TRACE, shards=2,
+                           faults=FaultTimeline.parse("kill-node@1=0"))
     with pytest.raises(ValueError, match="live plane does not enact"):
         ServingRuntime(config, mix, faults=FaultTimeline.parse("blackout@1:2"))
     with pytest.raises(ValueError, match="out of range"):
@@ -274,7 +269,7 @@ def test_cli_run_shards_faults_reach_the_plane(monkeypatch, capsys):
         return real(scenario)
 
     monkeypatch.setattr(repro.shard.sim, "run_plane", spy)
-    spec = "kill-shard@1=1;kill-orchestrator@2"
+    spec = "kill-shard@1=1;recover-shard@2=1"
     assert main(RUN + ["--shards", "2", "--faults", spec]) == 0
     assert seen == [FaultTimeline.parse(spec)]
     assert "failover:" in capsys.readouterr().out

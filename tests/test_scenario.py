@@ -20,7 +20,7 @@ from repro.core.slack import SlackDivision
 from repro.experiments.runner import ExperimentRunner, config_hash
 from repro.obs.trace import Tracer
 from repro.prediction.classical import EWMAPredictor
-from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
+from repro.runtime.system import ClusterSpec, ServerlessSystem
 from repro.runtime.vector import VectorEngineUnsupported
 from repro.scenario import (
     _REFUSES,
@@ -29,6 +29,7 @@ from repro.scenario import (
     PlaneRefusal,
     Scenario,
     Shards,
+    fault_pairs,
 )
 from repro.serve import ServeOptions
 from repro.sim.engine import Simulator
@@ -92,11 +93,13 @@ LIVE = ServeOptions()
 ])
 def test_plane_is_derived_and_refuses_what_it_does_not_enact(
         engine, shards, live, plane, foreign_kind):
-    # A vector sharded plane runs only in process fan-out.
-    workers = 2 if engine == "vector" and shards > 1 else 1
-    members = dict(engine=engine, shards=Shards(n=shards, workers=workers),
-                   live=live)
-    assert Scenario.make("rscale", **members).plane == plane
+    members = dict(engine=engine, shards=Shards(n=shards), live=live)
+    if engine == "vector" and shards > 1:
+        # The sharded plane's one driver is the event loop.
+        with pytest.raises(PlaneRefusal, match=f"engine .* {plane} plane"):
+            Scenario.make("rscale", **members)
+    else:
+        assert Scenario.make("rscale", **members).plane == plane
     members["faults"] = (("timeline", FaultTimeline.parse(foreign_kind)),)
     with pytest.raises(ValueError, match=f"{plane} plane does not enact"):
         Scenario.make("rscale", **members)
@@ -118,8 +121,8 @@ def test_members_a_plane_cannot_honour_are_refused_when_built(
 
 #: One non-default setting of every ``Shards`` member.
 SHARD_SETTINGS = [
-    ("n", 2), ("workers", 3), ("rebalance_interval_ms", 500.0),
-    ("stage_routing", "hash"), ("initial_node_grants", (3, 2)),
+    ("n", 2), ("rebalance_interval_ms", 500.0),
+    ("initial_node_grants", (3, 2)),
     ("skew_threshold", 2.0), ("heartbeat_interval_ms", 250.0),
     ("heartbeat_miss_threshold", 2), ("failover_hysteresis", 1)]
 
@@ -197,10 +200,10 @@ def test_a_run_member_is_honoured_or_refused_on_every_plane(plane, member):
     scenario = Scenario.make("rscale", **where, **setting)
     assert scenario.plane == plane
     sharded = scenario.shards.n > 1
-    shards = ([scenario.for_shard(i, 2) for i in range(2)] if sharded
+    shards = ([scenario.for_shard(i) for i in range(2)] if sharded
               else [scenario])
     if plane == "sim-sharded" and member == "timeline":
-        # The plane enacts its plane-wide kinds itself (§17): the
+        # The plane enacts the shard kinds itself (§17): the
         # script stays on the plane's scenario, no shard replays it.
         assert scenario.timeline == expected
         expected = FaultTimeline()
@@ -242,11 +245,11 @@ def test_for_shard_reproduces_the_per_shard_stamping(n_shards, grants):
     plane = Scenario.make(
         "bpred", cluster=cluster, seed=11, predictor=predictor,
         shards=Shards(n=n_shards, initial_node_grants=grants))
-    for shard_id, grant in enumerate(grants):
-        shard = plane.for_shard(shard_id, grant)
+    for shard_id in range(n_shards):
+        shard = plane.for_shard(shard_id)
         assert shard.seed == 11 + 7919 * (shard_id + 1)
-        assert shard.cluster == ClusterSpec(
-            n_nodes=grant, cores_per_node=2.0, memory_per_node_mb=4096.0)
+        # Full size: a shard cordons the nodes it was not granted.
+        assert shard.cluster == cluster
         assert shard.shards == Shards() and shard.plane == "sim"
         assert shard.predictor is predictor
 
@@ -286,24 +289,20 @@ def test_a_negative_rebalance_interval_is_a_usage_error_not_a_hang(
 
 
 @pytest.mark.parametrize("member", [
-    "workers", "heartbeat_miss_threshold", "failover_hysteresis"])
+    "heartbeat_miss_threshold", "failover_hysteresis"])
 def test_a_shard_count_below_one_is_refused(member):
     with pytest.raises(ValueError, match=f"{member} must be >= 1, got 0"):
         Shards(n=2, **{member: 0})
 
 
-def test_a_negative_shard_worker_count_is_a_usage_error():
-    with pytest.raises(SystemExit, match="run: workers must be >= 1, got -1"):
-        main(["run", "rscale", "--shards", "2", "--shard-workers", "-1",
-              "--duration", "10", "--rate", "5", "--trace", "poisson"])
-
-
 def test_in_process_vector_shards_are_refused_when_built():
-    with pytest.raises(ValueError, match="engine='vector'.*shard_workers"):
+    with pytest.raises(
+            PlaneRefusal, match="engine is not supported on the sim-sharded"):
         Scenario.make("rscale", engine="vector", shards=Shards(n=2))
-    assert Scenario.make("rscale", engine="vector", shards=Shards(
-        n=2, workers=2)).plane == "sim-sharded"
-    with pytest.raises(SystemExit, match="run: engine='vector'"):
+    assert Scenario.make("rscale", engine="fast", shards=Shards(
+        n=2)).plane == "sim-sharded"
+    with pytest.raises(SystemExit, match="run: --engine is not supported "
+                                         "with --shards > 1"):
         main(["run", "rscale", "--shards", "2", "--engine", "vector",
               "--duration", "10", "--rate", "5", "--trace", "poisson"])
 
@@ -384,10 +383,11 @@ def test_enum_overrides_hash_and_round_trip(tmp_path):
 # 0 crashes, 0 spans, exit clean)
 
 
-def _sharded(policy="bline", **kwargs):
-    return run_policy(
+def _sharded(policy="bline", fault_model=None, tracer=None):
+    return Scenario.of(
         policy, get_mix("medium"), poisson_trace(20.0, 20.0, seed=5),
-        cluster_spec=ClusterSpec(n_nodes=4), seed=5, shards=2, **kwargs)
+        ClusterSpec(n_nodes=4), 5, shards=Shards(n=2),
+        faults=fault_pairs(fault_model)).run(tracer=tracer)
 
 
 @pytest.mark.parametrize("argument", ["fault_model", "tracer"])

@@ -367,41 +367,6 @@ def test_sim_no_fault_schedule_is_bit_identical():
     assert armed.orchestration["failovers"] == 0
 
 
-PER_JOB = ("latencies_ms", "exec_ms", "cold_wait_ms", "batch_wait_ms",
-           "queue_ms", "sample_times_ms")
-
-
-@pytest.mark.parametrize("shard_faults", [
-    "", "kill-shard@12=1;recover-shard@28=1"], ids=["alone", "shard-faults"])
-@pytest.mark.parametrize("grants", [
-    {}, dict(initial_node_grants=[1, 2, 3], rebalance_interval_ms=4_000.0,
-             skew_threshold=1.2)], ids=["plain", "skewed"])
-def test_kill_orchestrator_changes_no_job(shard_faults, grants):
-    # The orchestrator keeps no state between reconciles: each one
-    # publishes fresh reports and reads them back.  A restarted one
-    # therefore computes what the killed one would have, and the kill
-    # is a counted instant that no job can see.
-    def run(spec):
-        return run_sharded_policy(
-            "rscale", get_mix("medium"), _sim_trace(duration_s=40.0),
-            shards=3, cluster_spec=ClusterSpec(n_nodes=6), seed=5,
-            faults=FaultTimeline.parse(spec) if spec else FaultTimeline(),
-            heartbeat_interval_ms=200.0,
-            heartbeat_miss_threshold=2, failover_hysteresis=1, **grants)
-
-    plain = run(shard_faults)
-    killed = run(";".join(filter(None, [shard_faults, "kill-orchestrator@10"])))
-    assert killed.orchestration["orchestrator_failovers"] == 1
-    assert plain.orchestration.get("orchestrator_failovers", 0) == 0
-    assert killed.orchestration["nodes_moved"] \
-        == plain.orchestration["nodes_moved"]
-    for shard_id, result in plain.per_shard.items():
-        for name in PER_JOB:
-            np.testing.assert_array_equal(
-                getattr(killed.per_shard[shard_id], name),
-                getattr(result, name), err_msg=f"shard {shard_id} {name}")
-
-
 def test_sim_takeover_is_independent_of_the_job_id_counter(monkeypatch):
     # Job ids come from a process-wide counter; the takeover keys the
     # remapped ring on request ids, so what ran earlier in the process
@@ -436,16 +401,9 @@ def test_sim_failover_validation():
     with pytest.raises(ValueError, match="shards > 1"):
         run_sharded_policy("rscale", mix, trace, shards=1,
                            faults=faults)
-    with pytest.raises(ValueError, match="event-loop"):
+    with pytest.raises(ValueError, match="engine .* sim-sharded plane"):
         run_sharded_policy("rscale", mix, trace, shards=2,
                            engine="vector", faults=faults)
-    with pytest.raises(ValueError, match="shard_workers"):
-        run_sharded_policy("rscale", mix, trace, shards=2,
-                           shard_workers=2, faults=faults)
-    with pytest.raises(ValueError, match="hash"):
-        run_sharded_policy("rscale", mix, trace, shards=2,
-                           engine="fast", stage_routing="hash",
-                           faults=faults)
     with pytest.raises(ValueError, match="out of range"):
         run_sharded_policy(
             "rscale", mix, trace, shards=2, engine="fast",

@@ -31,6 +31,26 @@ from repro.shard.ring import (
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
+def arc_fractions(ring: ConsistentHashRing) -> dict:
+    """Exact keyspace share owned by each shard of *ring* (sums to 1.0).
+
+    Computed from vnode arc lengths, not sampling, so the balance
+    property (±20% of fair share at 64 vnodes) is a deterministic fact
+    of the ``(salt, shard set)`` pair.
+    """
+    pos = ring._positions.astype(np.float64)
+    # Arc ending at vnode i is owned by vnode i (keys map to the first
+    # vnode at-or-after their position via side="right").
+    arcs = np.empty_like(pos)
+    arcs[1:] = np.diff(pos)
+    arcs[0] = pos[0] + (float(2 ** 64) - pos[-1])
+    total = float(2 ** 64)
+    shares = {s: 0.0 for s in ring.shard_ids}
+    for owner, arc in zip(ring._owners, arcs):
+        shares[int(owner)] += arc / total
+    return shares
+
+
 keys_st = st.lists(
     st.integers(min_value=0, max_value=2**64 - 1),
     min_size=1, max_size=200,
@@ -43,7 +63,7 @@ keys_st = st.lists(
 
 @pytest.mark.parametrize("n_shards", range(2, 9))
 def test_balance_within_20pct_at_default_vnodes(n_shards):
-    shares = ConsistentHashRing(n_shards).arc_fractions()
+    shares = arc_fractions(ConsistentHashRing(n_shards))
     over_fair = {s: share * n_shards for s, share in shares.items()}
     assert max(over_fair.values()) <= 1.2, over_fair
     assert min(over_fair.values()) >= 0.8, over_fair
@@ -51,7 +71,7 @@ def test_balance_within_20pct_at_default_vnodes(n_shards):
 
 def test_arc_fractions_sum_to_one():
     for n_shards in (1, 3, 7):
-        shares = ConsistentHashRing(n_shards).arc_fractions()
+        shares = arc_fractions(ConsistentHashRing(n_shards))
         assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
         assert set(shares) == set(range(n_shards))
 
@@ -119,7 +139,7 @@ def test_movement_fraction_is_the_new_shards_share():
     # arc share — and balance bounds that share near 1/(N+1).
     for n_shards in (2, 4, 7):
         grown = ConsistentHashRing(n_shards).with_shard_added(n_shards)
-        share = grown.arc_fractions()[n_shards]
+        share = arc_fractions(grown)[n_shards]
         fair = 1.0 / (n_shards + 1)
         assert share <= 1.2 * fair
 

@@ -4,9 +4,8 @@ orchestrator).
 The anchor invariant: ``shards=1`` routes to the exact pre-existing
 single-gateway path, so its results are bit-identical to
 ``run_policy``.  For ``shards>1`` the suite checks conservation (the
-partition is a disjoint cover), engine agreement in process fan-out,
-the refusal of in-process vector shards, orchestrator
-rebalancing on skewed grants, and the routing/validation edges.
+partition is a disjoint cover), the refusal of vector shards,
+orchestrator rebalancing on skewed grants, and the validation edges.
 """
 
 import numpy as np
@@ -15,7 +14,8 @@ import pytest
 from repro.runtime.system import ClusterSpec, run_policy
 from repro.shard import run_sharded_policy
 from repro.shard.orchestrator import divide_surge_budget
-from repro.shard.sim import ShardedRunResult, plan_node_grants
+from repro.scenario import PlaneRefusal
+from repro.shard.sim import plan_node_grants
 from repro.traces import step_poisson_trace
 from repro.workloads import get_mix
 
@@ -49,16 +49,8 @@ def test_one_shard_is_bit_identical_to_run_policy(engine):
         sharded.latencies_ms, baseline.latencies_ms)
 
 
-def test_run_policy_delegates_shards_to_sharded_plane():
-    result = run_policy(
-        "rscale", MIX, _trace(), cluster_spec=ClusterSpec(n_nodes=4),
-        seed=5, shards=2)
-    assert isinstance(result, ShardedRunResult)
-    assert result.n_shards == 2
-
-
 # ---------------------------------------------------------------------------
-# conservation, and one result whatever the engine
+# conservation, and one engine
 
 
 def test_two_shard_conservation_eventloop():
@@ -72,31 +64,11 @@ def test_two_shard_conservation_eventloop():
 
 
 def test_inprocess_vector_shards_are_refused():
-    # One in-process driver, the event loop: engine choice cannot
-    # change a sharded result because only one engine runs in process.
-    with pytest.raises(ValueError, match="engine='vector'.*shard_workers"):
+    # One driver, the event loop: engine choice cannot change a sharded
+    # result because only one engine runs it.
+    with pytest.raises(PlaneRefusal,
+                       match="engine is not supported on the sim-sharded"):
         _run(2, engine="vector")
-
-
-def test_process_fanout_engines_agree():
-    fast = _run(2, engine="fast", shard_workers=2)
-    vector = _run(2, engine="vector", shard_workers=2)
-    assert sorted(fast.per_shard) == sorted(vector.per_shard) == [0, 1]
-    for shard_id, result in fast.per_shard.items():
-        np.testing.assert_array_equal(
-            result.latencies_ms, vector.per_shard[shard_id].latencies_ms)
-
-
-def test_process_mode_matches_inprocess_static_partition():
-    # With no rebalance triggered, the orchestrated in-process plane
-    # and the isolated process fan-out are the same computation.
-    inproc = _run(2)
-    procs = _run(2, engine="vector", shard_workers=2)
-    assert inproc.mode == "inprocess" and procs.mode == "processes"
-    s_in, s_pr = inproc.summary(), procs.summary()
-    assert s_in["jobs_per_shard"] == s_pr["jobs_per_shard"]
-    for key in ("completed", "median_latency_ms", "p99_latency_ms"):
-        assert s_in[key] == pytest.approx(s_pr[key]), key
 
 
 # ---------------------------------------------------------------------------
@@ -121,28 +93,6 @@ def test_orchestration_summary_prices_store_traffic():
     orch = result.orchestration
     assert orch["store_reads"] >= orch["ticks"]
     assert orch["store_mean_access_ms"] >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# hash stage routing
-
-
-def test_hash_stage_routing_pays_cross_shard_hops():
-    local = _run(2, engine="fast", stage_routing="local")
-    hashed = _run(2, engine="fast", stage_routing="hash")
-    assert local.orchestration["cross_shard_hops"] == 0
-    assert hashed.orchestration["cross_shard_hops"] > 0
-    # Conservation still holds globally (jobs may complete on a
-    # foreign shard, so only the aggregate is conserved).
-    assert hashed.n_completed + hashed.n_failed + hashed.shed_jobs \
-        == hashed.n_jobs
-
-
-def test_hash_routing_rejected_off_the_event_loop():
-    with pytest.raises(ValueError, match="event-loop"):
-        _run(2, engine="vector", stage_routing="hash")
-    with pytest.raises(ValueError, match="in-process"):
-        _run(2, engine="fast", stage_routing="hash", shard_workers=2)
 
 
 # ---------------------------------------------------------------------------
@@ -180,5 +130,3 @@ def test_divide_surge_budget_sums_exactly():
 def test_entry_point_validation():
     with pytest.raises(ValueError):
         _run(0)
-    with pytest.raises(ValueError):
-        _run(2, stage_routing="bogus")
